@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 perturb build test vet race bench bench-smoke bench-graph bench-p2p bench-ranks bench-dense bench-telemetry bench-analysis scale-smoke analyze-smoke async-smoke clean
+.PHONY: tier1 tier2 perturb build test vet race bench-check bench bench-smoke bench-graph bench-p2p bench-ranks bench-dense bench-telemetry bench-analysis scale-smoke analyze-smoke async-smoke clean
 
 # tier1 is the gate every change must keep green: full build + vet +
 # full test suite.
@@ -40,6 +40,12 @@ vet:
 # runtime is heavily concurrent, so this is the second gate).
 race:
 	$(GO) test -race ./...
+
+# bench-check vets and tests the repository's benchmark (bench/, run by
+# BENCHMARK.json). It is a module of its own, so tier1's ./... does not
+# see it: an internal/ API change can break it while tier1 stays green.
+bench-check:
+	$(GO) vet -C bench . && $(GO) test -C bench .
 
 # bench runs every benchmark once with allocation stats.
 bench:

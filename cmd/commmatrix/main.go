@@ -7,6 +7,7 @@
 //	commmatrix -in graph.csr -p 32 -app matching -model nsr
 //	commmatrix -in graph.csr -p 32 -app bfs -csv > bfs.csv
 //	commmatrix -family rmat -scale 13 -p 32 -app both
+//	commmatrix -family sbp -p 16 -model ncl -timeline
 package main
 
 import (
@@ -24,6 +25,10 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/transport"
 )
+
+// timelineEvents is the per-rank event ring capacity -timeline traces
+// with (the wait timeline is drawn from the ring's blocked intervals).
+const timelineEvents = 1 << 16
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -95,7 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "commmatrix:", err)
 			return 2
 		}
-		res, err := matching.Run(g, matching.Options{Procs: *p, Model: m, TrackMatrices: true, TraceWaits: *timeline, Deadline: 10 * time.Minute})
+		opt := matching.Options{Procs: *p, Model: m, TrackMatrices: true, Deadline: 10 * time.Minute}
+		if *timeline {
+			opt.TraceEvents = timelineEvents
+		}
+		res, err := matching.Run(g, opt)
 		if err != nil {
 			fmt.Fprintln(stderr, "commmatrix:", err)
 			return 1
@@ -107,6 +116,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "wait timeline (virtual time left to right; '#' blocked, ':' mixed, '.' busy):")
 			for _, line := range res.Report.RenderTimeline(72) {
 				fmt.Fprintln(stdout, line)
+			}
+			var drops int64
+			for r := 0; r < *p; r++ {
+				drops += res.Report.EventDrops(r)
+			}
+			if drops > 0 {
+				fmt.Fprintf(stdout, "*** TIMELINE TRUNCATED: the event rings (%d per rank) dropped %d events; waits after a rank's ring filled show as busy ***\n", timelineEvents, drops)
 			}
 		}
 	}

@@ -83,3 +83,26 @@ func TestDensityPlotEndToEnd(t *testing.T) {
 		t.Errorf("found %d density rows, want 3:\n%s", plotRows, out)
 	}
 }
+
+// TestTimelineFromEventTrace: -timeline draws one row per rank from the
+// event trace's blocked intervals, and a run that fits its rings prints
+// no truncation note.
+func TestTimelineFromEventTrace(t *testing.T) {
+	code, out, errb := runCLI(t, "-family", "sbp", "-n", "2000", "-p", "4", "-model", "ncl", "-timeline")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb)
+	}
+	rows, blocked := 0, false
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "rank ") {
+			rows++
+			blocked = blocked || strings.Contains(line, "#")
+		}
+	}
+	if rows != 4 || !blocked {
+		t.Errorf("want 4 timeline rows with blocked marks, got %d (blocked %v):\n%s", rows, blocked, out)
+	}
+	if strings.Contains(out, "TRUNCATED") {
+		t.Errorf("a run far below the ring capacity reports truncation:\n%s", out)
+	}
+}

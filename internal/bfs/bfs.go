@@ -10,14 +10,11 @@ package bfs
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // maxVisitsPerCrossArc sizes the round backends' buffers: the driver
@@ -26,33 +23,14 @@ import (
 // each cross arc carries at most one visit record per exchange round.
 const maxVisitsPerCrossArc = 1
 
-// Options configures a distributed BFS run.
-type Options struct {
-	Procs         int
-	Cost          *mpi.CostModel
-	TrackMatrices bool
-	Deadline      time.Duration
-	// TraceWaits records per-rank blocked intervals for
-	// Report.RenderTimeline.
-	TraceWaits bool
-	// TraceEvents, when > 0, enables structured event tracing with a
-	// per-rank ring of this capacity (Report.Events, WriteChromeTrace).
-	TraceEvents int
-	// Model selects the communication model carrying cross-edge frontier
-	// expansions. The zero value is ModelNSR: per-edge nonblocking sends,
-	// as in the Graph500 reference MPI implementation the paper profiles.
-	// Neighborhood models batch per neighbor over the distributed graph
-	// topology — the approach Kandalla et al. study for BFS (the paper's
-	// ref [22]).
-	Model transport.Model
-	// RoundLog, when > 0, enables per-level telemetry with a per-rank
-	// log of this capacity (Result.Telemetry).
-	RoundLog int
-	// Perturb, when enabled, runs under seeded schedule perturbation
-	// (mpi.WithPerturb with PerturbSeed); see internal/sched.
-	Perturb     sched.Profile
-	PerturbSeed uint64
-}
+// Options configures a distributed BFS run: exactly the knobs every
+// application shares. Model selects what carries the cross-edge frontier
+// expansions; the zero value is ModelNSR, per-edge nonblocking sends as
+// in the Graph500 reference MPI implementation the paper profiles.
+// Neighborhood models batch per neighbor over the distributed graph
+// topology — the approach Kandalla et al. study for BFS (the paper's
+// ref [22]).
+type Options = driver.Options
 
 // Result is the outcome of a BFS.
 type Result struct {
@@ -86,50 +64,14 @@ type Result struct {
 // rather than a loop counter, so a late-delivered visit still assigns
 // and propagates the exact distance.
 func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("bfs: Procs = %d", opt.Procs)
-	}
 	if root < 0 || root >= g.NumVertices() {
 		return nil, fmt.Errorf("bfs: root %d out of range", root)
 	}
-	model := opt.Model
-	d := distgraph.NewBlockDist(g, opt.Procs)
 	parentGlobal := make([]int64, g.NumVertices())
 	levelGlobal := make([]int64, g.NumVertices())
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
 
-	opts := make([]mpi.Option, 0, 5)
-	if opt.Cost != nil {
-		opts = append(opts, mpi.WithCost(opt.Cost))
-	}
-	if opt.TrackMatrices {
-		opts = append(opts, mpi.WithMatrices())
-	}
-	if opt.Deadline > 0 {
-		opts = append(opts, mpi.WithDeadline(opt.Deadline))
-	}
-	if opt.TraceWaits {
-		opts = append(opts, mpi.WithWaitTrace())
-	}
-	if opt.TraceEvents > 0 {
-		opts = append(opts, mpi.WithEventTrace(opt.TraceEvents))
-	}
-	if opt.Perturb.Enabled() {
-		opts = append(opts, mpi.WithPerturb(opt.PerturbSeed, opt.Perturb))
-	}
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		bk, err := transport.New(model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: maxVisitsPerCrossArc,
-		})
-		if err != nil {
-			return fmt.Errorf("bfs: %w", err)
-		}
+	out, err := driver.Run(g, opt, driver.Protocol{App: "bfs", MaxPerArc: maxVisitsPerCrossArc}, func(r *driver.Rank) error {
+		c, l, bk := r.Comm, r.Local, r.Backend
 		nOwned := l.NumOwned()
 		parent := make([]int64, nOwned)
 		level := make([]int64, nOwned)
@@ -140,23 +82,16 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 		}
 		c.AccountAlloc(int64(nOwned) * 17)
 
-		// Per-level telemetry reads the transport's live volume ledger
-		// (O(P) memory: only when telemetry actually records) and counts
-		// cross-edge visit records in the request slot.
-		var log *telemetry.RoundLog
-		var vol []int64
+		// Per-level telemetry counts cross-edge visit records in the
+		// request slot.
 		var sent, recvd, visited int64
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(nOwned))
-			logs[c.Rank()] = log
-			if v, ok := bk.(transport.Volumer); ok {
-				vol = v.VolumeByDest()
-			}
-		}
-
 		frontier := make([]int32, 0, nOwned)
 		next := make([]int32, 0, nOwned)
+		record := func() {
+			if r.Log != nil {
+				r.Log.Append(c.Now(), int64(len(frontier)), visited, sent, 0, 0, c.QueuedBytes(), r.Vol)
+			}
+		}
 		visit := func(v, from, lvl int64) {
 			vi := int(v) - l.Lo
 			if parent[vi] != -1 && level[vi] <= lvl {
@@ -181,26 +116,8 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 			visit(int64(root), int64(root), 0)
 		}
 		frontier, next = next, frontier[:0]
-		if log != nil {
-			log.Append(c.Now(), int64(len(frontier)), visited, sent, 0, 0, c.QueuedBytes(), vol)
-		}
+		record()
 
-		async, isAsync := bk.(transport.Async)
-		round, _ := bk.(transport.Round)
-		// pump moves records once: one exchange round, or (async) a batch
-		// flush — safe mid-protocol, P2P's Finish is a no-op and P2PAgg's
-		// is exactly flushAll — plus a nonblocking drain. Block is never
-		// used: a rank with nothing arriving may owe nothing while others
-		// still exchange, and the in-flight reduction below is the fence
-		// that keeps everyone pumping until delivery completes.
-		pump := func() {
-			if isAsync {
-				bk.Finish()
-				async.Drain(handler)
-				return
-			}
-			round.Exchange(handler)
-		}
 		for {
 			// Expand the frontier: local visits immediately, cross edges
 			// as one record each, at the stored level of the expanding
@@ -225,7 +142,7 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 			// pipelined into the next round), then advance together.
 			var nextTotal int64
 			for {
-				pump()
+				driver.Pump(bk, handler)
 				st := c.AllreduceInt64(mpi.OpSum, []int64{int64(len(next)), sent - recvd})
 				if st[1] == 0 {
 					nextTotal = st[0]
@@ -233,30 +150,25 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 				}
 			}
 			frontier, next = next, frontier[:0]
-			if log != nil {
-				log.Append(c.Now(), int64(len(frontier)), visited, sent, 0, 0, c.QueuedBytes(), vol)
-			}
+			record()
 			if nextTotal == 0 {
 				break
 			}
 		}
 		bk.Finish()
-		transport.Release(bk)
 		copy(parentGlobal[l.Lo:l.Hi], parent)
 		copy(levelGlobal[l.Lo:l.Hi], level)
 		return nil
-	}, opts...)
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		Parent: make([]int, len(parentGlobal)),
-		Level:  make([]int, len(levelGlobal)),
-		Report: rep,
-	}
-	if logs != nil {
-		res.Telemetry = telemetry.Merge(logs)
+		Parent:    make([]int, len(parentGlobal)),
+		Level:     make([]int, len(levelGlobal)),
+		Report:    out.Report,
+		Telemetry: out.Telemetry,
 	}
 	for v := range parentGlobal {
 		res.Parent[v] = int(parentGlobal[v])

@@ -3,13 +3,12 @@ package coloring
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mpi"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -19,27 +18,9 @@ import (
 // NCLI).
 type Model = matching.Model
 
-// Options configures a distributed coloring run.
-type Options struct {
-	Procs         int
-	Model         Model
-	Cost          *mpi.CostModel
-	TrackMatrices bool
-	Deadline      time.Duration
-	// TraceWaits records per-rank blocked intervals for
-	// Report.RenderTimeline.
-	TraceWaits bool
-	// TraceEvents, when > 0, enables structured event tracing with a
-	// per-rank ring of this capacity (Report.Events, WriteChromeTrace).
-	TraceEvents int
-	// RoundLog, when > 0, enables round-level telemetry with a per-rank
-	// log of this capacity (ParallelResult.Telemetry).
-	RoundLog int
-	// Perturb, when enabled, runs under seeded schedule perturbation
-	// (mpi.WithPerturb with PerturbSeed); see internal/sched.
-	Perturb     sched.Profile
-	PerturbSeed uint64
-}
+// Options configures a distributed coloring run: exactly the knobs
+// every application shares.
+type Options = driver.Options
 
 // ParallelResult is the outcome of a distributed coloring.
 type ParallelResult struct {
@@ -65,16 +46,7 @@ const (
 // cross arc exactly once.
 const maxMessagesPerCrossArc = 1
 
-// volumeOf returns a transport's live per-destination byte ledger for
-// round telemetry (all in-repo backends implement transport.Volumer).
-func volumeOf(t transport.Sender) []int64 {
-	if v, ok := t.(transport.Volumer); ok {
-		return v.VolumeByDest()
-	}
-	return nil
-}
-
-// engine holds one rank's Jones-Plassmann state.
+// jpEngine holds one rank's Jones-Plassmann state; a driver.Kernel.
 type jpEngine struct {
 	c  *mpi.Comm
 	l  *distgraph.Local
@@ -89,7 +61,6 @@ type jpEngine struct {
 
 	pendingArcs int64 // cross arcs whose announcement we have not received
 	work        []int32
-	rounds      int
 	sent        int64
 	ncolored    int64 // owned vertices colored so far
 }
@@ -208,10 +179,10 @@ func (e *jpEngine) arcIndex(x, y int64) int64 {
 	return e.g.Offsets[x] + int64(i)
 }
 
-// record appends one telemetry row at a driver round boundary. The
+// Record appends one telemetry row at a loop round boundary. The
 // announcement count rides in the request slot; Jones-Plassmann has no
 // reject/invalid traffic. One nil check when off.
-func (e *jpEngine) record(log *telemetry.RoundLog, vol []int64) {
+func (e *jpEngine) Record(log *telemetry.RoundLog, vol []int64) {
 	if log == nil {
 		return
 	}
@@ -219,7 +190,7 @@ func (e *jpEngine) record(log *telemetry.RoundLog, vol []int64) {
 		e.c.QueuedBytes(), vol)
 }
 
-func (e *jpEngine) drainWork() {
+func (e *jpEngine) DrainWork() {
 	for len(e.work) > 0 {
 		vi := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
@@ -227,123 +198,35 @@ func (e *jpEngine) drainWork() {
 	}
 }
 
-func (e *jpEngine) start() {
+func (e *jpEngine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.tryColor(vi)
-		e.drainWork()
+		e.DrainWork()
 	}
 }
 
-// uncolored counts owned vertices still waiting.
-func (e *jpEngine) uncolored() int64 {
-	var n int64
-	for _, c := range e.color {
-		if c < 0 {
-			n++
-		}
-	}
-	return n
+// Pending implements driver.Kernel: a rank is done when all owned
+// vertices are colored and all expected announcements have been consumed
+// (it owes nothing after its own announcements, sent eagerly at coloring
+// time).
+func (e *jpEngine) Pending() int64 {
+	return int64(len(e.color)) - e.ncolored + e.pendingArcs
 }
 
 // Run executes distributed Jones-Plassmann coloring on g. The result is
 // identical to Serial(g) for every model — the same uniqueness oracle as
 // the matching suite.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("coloring: Procs = %d", opt.Procs)
-	}
-	d := distgraph.NewBlockDist(g, opt.Procs)
 	colors := make([]int64, g.NumVertices())
-	rounds := make([]int, opt.Procs)
-	sent := make([]int64, opt.Procs)
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
-
-	opts := make([]mpi.Option, 0, 5)
-	if opt.Cost != nil {
-		opts = append(opts, mpi.WithCost(opt.Cost))
-	}
-	if opt.TrackMatrices {
-		opts = append(opts, mpi.WithMatrices())
-	}
-	if opt.Deadline > 0 {
-		opts = append(opts, mpi.WithDeadline(opt.Deadline))
-	}
-	if opt.TraceWaits {
-		opts = append(opts, mpi.WithWaitTrace())
-	}
-	if opt.TraceEvents > 0 {
-		opts = append(opts, mpi.WithEventTrace(opt.TraceEvents))
-	}
-	if opt.Perturb.Enabled() {
-		opts = append(opts, mpi.WithPerturb(opt.PerturbSeed, opt.Perturb))
-	}
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		var log *telemetry.RoundLog
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(l.NumOwned()))
-			logs[c.Rank()] = log
-		}
-		bk, err := transport.New(opt.Model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: maxMessagesPerCrossArc,
-		})
-		if err != nil {
-			return fmt.Errorf("coloring: %w", err)
-		}
-		var vol []int64
-		if log != nil {
-			vol = volumeOf(bk) // O(P) ledger: only when telemetry records
-		}
-		e := newJPEngine(c, l, bk)
-		e.start()
-		e.record(log, vol)
-		switch opt.Model.Flavor() {
-		case transport.FlavorAsync:
-			t := bk.(transport.Async)
-			// A rank is done when all owned vertices are colored and all
-			// expected announcements have been consumed (it owes nothing
-			// after its own announcements, sent eagerly at coloring time).
-			for e.uncolored() > 0 || e.pendingArcs > 0 {
-				progressed := t.Drain(e.handleMessage)
-				e.drainWork()
-				e.record(log, vol)
-				if e.uncolored() == 0 && e.pendingArcs == 0 {
-					break
-				}
-				if !progressed && len(e.work) == 0 {
-					t.Block()
-				}
-				e.rounds++
-			}
-			t.Finish()
-		default:
-			t := bk.(transport.Round)
-			for {
-				t.Exchange(e.handleMessage)
-				e.drainWork()
-				total := c.AllreduceScalarInt64(mpi.OpSum, e.uncolored()+e.pendingArcs)
-				e.rounds++
-				e.record(log, vol)
-				if total == 0 {
-					t.Finish()
-					break
-				}
-			}
-		}
-		transport.Release(bk)
+	out, err := driver.Run(g, opt, driver.Protocol{App: "coloring", MaxPerArc: maxMessagesPerCrossArc}, func(r *driver.Rank) error {
+		e := newJPEngine(r.Comm, r.Local, r.Backend)
+		r.Loop(e, e.handleMessage)
 		for vi, col := range e.color {
 			colors[e.lo+vi] = int64(col)
 		}
-		rounds[c.Rank()] = e.rounds
-		sent[c.Rank()] = e.sent
+		r.Sent = e.sent
 		return nil
-	}, opts...)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -355,15 +238,5 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 			res.Colors = int(c) + 1
 		}
 	}
-	pr := &ParallelResult{Result: res, Report: rep}
-	if logs != nil {
-		pr.Telemetry = telemetry.Merge(logs)
-	}
-	for r := 0; r < opt.Procs; r++ {
-		if rounds[r] > pr.Rounds {
-			pr.Rounds = rounds[r]
-		}
-		pr.Messages += sent[r]
-	}
-	return pr, nil
+	return &ParallelResult{Result: res, Rounds: out.Rounds, Messages: out.Messages, Report: out.Report, Telemetry: out.Telemetry}, nil
 }

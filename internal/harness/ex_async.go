@@ -108,7 +108,7 @@ func init() {
 		Run: func(cfg Config) ([]*Table, error) {
 			p := cfg.scaledProcs(8)
 			t := &Table{ID: "ext-async",
-				Title: fmt.Sprintf("asynchronous engine vs round-fenced baseline on %d processes (all matchings verified maximal)", p),
+				Title:   fmt.Sprintf("asynchronous engine vs round-fenced baseline on %d processes (all matchings verified maximal)", p),
 				Headers: []string{"input", "|V|", "|E|", "NSR", "NSRA", "NSR-rounds", "rounds/NSR", "epochs", "fences", "maximal"}}
 			for _, in := range cfg.asyncInputs(p) {
 				cfg.logf("ext-async: %s p=%d |E|=%d", in.name, p, in.g.NumEdges())

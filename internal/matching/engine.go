@@ -35,9 +35,9 @@ const (
 )
 
 // engine executes the distributed locally-dominant matching protocol for
-// one rank. It is transport-agnostic: drivers feed incoming messages to
-// handleMessage and drain the local work stack; outgoing messages go
-// through the sender.
+// one rank. It is transport-agnostic — a driver.Kernel: the loop feeds
+// incoming messages to handleMessage and drains the local work stack;
+// outgoing messages go through the sender.
 type engine struct {
 	c  *mpi.Comm
 	l  *distgraph.Local
@@ -60,9 +60,8 @@ type engine struct {
 	arcFlags []uint8 // indexed by global arc index - arcBase
 	arcBase  int64
 
-	pending  int64   // unresolved cross arcs owned by this rank (the paper's nghosts sum)
-	work     []int32 // stack of owned-vertex local indices to re-point
-	rounds   int
+	pending  int64    // unresolved cross arcs owned by this rank (the paper's nghosts sum)
+	work     []int32  // stack of owned-vertex local indices to re-point
 	sent     int64    // protocol messages pushed (diagnostic)
 	kind     [4]int64 // cumulative pushes by context (ctxRequest..ctxInvalid)
 	nmatched int64    // owned vertices currently matched
@@ -136,11 +135,15 @@ func (e *engine) push(ctx, x, y int64) {
 	e.tr.Send(e.l.Owner(int(x)), ctx, x, y)
 }
 
-// record appends one telemetry row at a driver round boundary: the
+// Pending implements driver.Kernel: a rank with no unresolved cross arcs
+// owes nothing to anyone.
+func (e *engine) Pending() int64 { return e.pending }
+
+// Record appends one telemetry row at a loop round boundary: the
 // rank's clock, unresolved cross-arc count, matched vertices, the
 // cumulative per-kind protocol counters, the live mailbox occupancy and
 // the transport's per-destination volume ledger. One nil check when off.
-func (e *engine) record(log *telemetry.RoundLog, vol []int64) {
+func (e *engine) Record(log *telemetry.RoundLog, vol []int64) {
 	if log == nil {
 		return
 	}
@@ -337,8 +340,8 @@ func (e *engine) handleMessage(ctx, x, y int64) {
 	}
 }
 
-// drainWork runs findMate for every queued re-point request.
-func (e *engine) drainWork() {
+// DrainWork runs findMate for every queued re-point request.
+func (e *engine) DrainWork() {
 	for len(e.work) > 0 {
 		vi := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
@@ -346,13 +349,13 @@ func (e *engine) drainWork() {
 	}
 }
 
-// start runs the first phase: every owned vertex points at its best
+// Start runs the first phase: every owned vertex points at its best
 // candidate (Algorithm 3 lines 2-3), including the cascade of local
 // matches that triggers.
-func (e *engine) start() {
+func (e *engine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.findMate(vi)
-		e.drainWork()
+		e.DrainWork()
 	}
 }
 

@@ -62,11 +62,11 @@ const (
 const maximalMaxPerArc = 1
 
 // mxEngine executes the asynchronous maximal-matching protocol for one
-// rank. It is transport-agnostic exactly like the half-approx engine:
-// drivers feed incoming records to handleMessage and drain the local
-// work stack. In async mode q accounts every protocol record with the
-// quiescence detector; in round mode q is nil and the driver's counting
-// allreduce uses sent/recvd directly.
+// rank. It is transport-agnostic exactly like the half-approx engine — a
+// driver.Detected kernel: the loop feeds incoming records to
+// handleMessage and drains the local work stack. In async mode q
+// accounts every protocol record with the quiescence detector; in round
+// mode q is nil and the loop's counting allreduce sums InFlight.
 type mxEngine struct {
 	c  *mpi.Comm
 	l  *distgraph.Local
@@ -75,14 +75,13 @@ type mxEngine struct {
 	q  *mpi.Quiesce
 
 	lo, hi   int
-	ptr      []int32   // scan cursor into the (ascending) adjacency row
+	ptr      []int32 // scan cursor into the (ascending) adjacency row
 	state    []uint8
 	mate     []int64   // global partner id, or -1
 	deferred [][]int64 // proposer ids parked at a pending target
 
 	unsettled int64 // owned vertices not yet matched or exhausted
 	work      []int32
-	epochs    int
 	sent      int64
 	recvd     int64
 	kind      [4]int64 // cumulative pushes by context (mxPropose..mxAccept)
@@ -126,11 +125,18 @@ func (e *mxEngine) push(ctx, x, y int64) {
 	e.tr.Send(e.l.Owner(int(x)), ctx, x, y)
 }
 
-// record appends one telemetry row at a driver epoch boundary. The
+// Pending implements driver.Kernel: the fence (or the false-termination
+// check after detection) wants every vertex matched or exhausted.
+func (e *mxEngine) Pending() int64 { return e.unsettled }
+
+// InFlight implements driver.Detected.
+func (e *mxEngine) InFlight() int64 { return e.sent - e.recvd }
+
+// Record appends one telemetry row at a loop epoch boundary. The
 // columns reuse the round-log schema with the analogous meaning per
 // slot: unresolved = unsettled vertices, req = proposals,
 // rej = declines, inv = accepts.
-func (e *mxEngine) record(log *telemetry.RoundLog, vol []int64) {
+func (e *mxEngine) Record(log *telemetry.RoundLog, vol []int64) {
 	if log == nil {
 		return
 	}
@@ -308,8 +314,8 @@ func (e *mxEngine) handleMessage(ctx, x, y int64) {
 	}
 }
 
-// drainWork runs advance for every queued scan-resume request.
-func (e *mxEngine) drainWork() {
+// DrainWork runs advance for every queued scan-resume request.
+func (e *mxEngine) DrainWork() {
 	for len(e.work) > 0 {
 		vi := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
@@ -317,12 +323,12 @@ func (e *mxEngine) drainWork() {
 	}
 }
 
-// startScan runs the single pass: every owned vertex starts its scan,
+// Start runs the single pass: every owned vertex starts its scan,
 // including the cascade of local matches that triggers.
-func (e *mxEngine) startScan() {
+func (e *mxEngine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.advance(vi)
-		e.drainWork()
+		e.DrainWork()
 	}
 }
 
@@ -330,170 +336,4 @@ func (e *mxEngine) startScan() {
 // result vector (disjoint ranges per rank, so no synchronization needed).
 func (e *mxEngine) writeMates(global []int64) {
 	copy(global[e.lo:e.hi], e.mate)
-}
-
-// runAsyncMaximal is the barrier-free driver: process arrivals and
-// local work; when both run dry, flush anything parked in aggregation
-// batches (peers depend on it, and the detector has already counted
-// it), give the termination detector a turn, and park until either
-// application or detector traffic shows up. No collective appears
-// anywhere on the path — termination is detected, not counted.
-func runAsyncMaximal(e *mxEngine, t transport.Async, log *telemetry.RoundLog) {
-	var vol []int64
-	if log != nil {
-		vol = volumeOf(t)
-	}
-	e.startScan()
-	e.record(log, vol)
-	for {
-		progressed := t.Drain(e.handleMessage)
-		e.drainWork()
-		if progressed {
-			e.epochs++
-			e.record(log, vol)
-			continue
-		}
-		t.Finish()
-		if e.q.Idle() {
-			break
-		}
-		e.q.Block()
-		e.epochs++
-	}
-	e.record(log, vol)
-	if e.unsettled != 0 {
-		panic(fmt.Sprintf("matching: rank %d: quiescence detected with %d unsettled vertices (false termination)", e.c.Rank(), e.unsettled))
-	}
-	t.Finish()
-}
-
-// runRoundsMaximal is the round-structured baseline for the same
-// protocol: rounds of (exchange, process, local work) with a counting
-// allreduce deciding termination — the fence sums unsettled vertices
-// and the global send/receive imbalance, the latter covering pipelined
-// backends that hold records a round in flight.
-func runRoundsMaximal(e *mxEngine, t transport.Round, log *telemetry.RoundLog) {
-	var vol []int64
-	if log != nil {
-		vol = volumeOf(t)
-	}
-	e.startScan()
-	e.record(log, vol)
-	for {
-		t.Exchange(e.handleMessage)
-		e.drainWork()
-		e.epochs++
-		st := e.c.AllreduceInt64(mpi.OpSum, []int64{e.unsettled, e.sent - e.recvd})
-		e.record(log, vol)
-		if st[0] == 0 && st[1] == 0 {
-			t.Finish()
-			return
-		}
-	}
-}
-
-// barrierRound adapts an async (point-to-point) backend to the Round
-// driver: flush, fence, deliver. This is the round-structured NSR
-// baseline the async engine is measured against — identical transport
-// and protocol, with a barrier plus counting allreduce per round
-// instead of termination detection.
-type barrierRound struct {
-	a transport.Async
-	c *mpi.Comm
-}
-
-func (t *barrierRound) Send(dst int, ctx, x, y int64) { t.a.Send(dst, ctx, x, y) }
-
-func (t *barrierRound) Exchange(h transport.Handler) int {
-	t.a.Finish()  // every record of this round is on the wire...
-	t.c.Barrier() // ...and, after the fence, in its destination mailbox
-	n := 0
-	t.a.Drain(func(ctx, x, y int64) { n++; h(ctx, x, y) })
-	return n
-}
-
-func (t *barrierRound) Finish() { t.a.Finish() }
-
-func (t *barrierRound) VolumeByDest() []int64 {
-	if v, ok := t.a.(transport.Volumer); ok {
-		return v.VolumeByDest()
-	}
-	return nil
-}
-
-// runMaximal executes the maximal-matching engine under opt, mirroring
-// Run's plumbing (distribution, transports, telemetry, result
-// assembly). Async-flavor models run barrier-free with a quiescence
-// detector unless ForceRounds pins them to the barrierRound baseline;
-// round-flavor models always use the counting fence.
-func runMaximal(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	d := distgraph.NewBlockDist(g, opt.Procs)
-	mates := make([]int64, g.NumVertices())
-	epochs := make([]int, opt.Procs)
-	sent := make([]int64, opt.Procs)
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
-	}
-
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		var log *telemetry.RoundLog
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(l.NumOwned()))
-			logs[c.Rank()] = log
-		}
-		t, err := transport.New(opt.Model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: maximalMaxPerArc,
-			AggBatch:  aggBatchRecords,
-		})
-		if err != nil {
-			return fmt.Errorf("matching: %w", err)
-		}
-		async := opt.Model.Flavor() == transport.FlavorAsync && !opt.ForceRounds
-		var q *mpi.Quiesce
-		if async {
-			q = mpi.NewQuiesce(c)
-		}
-		e := newMxEngine(c, l, t, q)
-		switch {
-		case async:
-			runAsyncMaximal(e, t.(transport.Async), log)
-		case opt.Model.Flavor() == transport.FlavorAsync:
-			runRoundsMaximal(e, &barrierRound{a: t.(transport.Async), c: c}, log)
-		default:
-			runRoundsMaximal(e, t.(transport.Round), log)
-		}
-		transport.Release(t)
-		e.writeMates(mates)
-		epochs[c.Rank()] = e.epochs
-		sent[c.Rank()] = e.sent
-		return nil
-	}, mpiOptions(opt.Cost, opt.TrackMatrices, opt.Deadline, opt.TraceWaits, opt.TraceEvents, opt.PerturbSeed, opt.Perturb)...)
-	if err != nil {
-		return nil, err
-	}
-
-	mate := make([]int, len(mates))
-	for i, m := range mates {
-		mate[i] = int(m)
-	}
-	pr := &ParallelResult{
-		Result: NewResult(g, mate),
-		Report: rep,
-		Dist:   d,
-	}
-	if logs != nil {
-		pr.Telemetry = telemetry.Merge(logs)
-	}
-	for r := 0; r < opt.Procs; r++ {
-		if epochs[r] > pr.Rounds {
-			pr.Rounds = epochs[r]
-		}
-		pr.Messages += sent[r]
-	}
-	return pr, nil
 }

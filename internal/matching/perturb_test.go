@@ -164,7 +164,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		defer c.Barrier()
 		tr := &captureSender{}
 		e := newEngine(c, d.BuildLocal(0), tr, false, buildSortedAdjacency(g))
-		e.start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
+		e.Start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
 		if e.cand[0] != 3 {
 			t.Errorf("after start: cand[0] = %d, want ghost 3", e.cand[0])
 		}
@@ -186,7 +186,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		// Vertex 0 must now re-point past the evicted arcs to ghost 5 —
 		// NOT match with the dead requester 4 via its remembered flag.
-		e.drainWork()
+		e.DrainWork()
 		if e.state[0] == stMatched && e.mate[0] == 4 {
 			t.Fatalf("vertex 0 matched dead ghost 4 via a stale remembered REQUEST")
 		}

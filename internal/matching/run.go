@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/sched"
@@ -78,7 +79,7 @@ type Options struct {
 	// Engine selects the protocol family (default EngineHalfApprox).
 	Engine Engine
 	// ForceRounds pins an async-flavor model to the round-structured
-	// driver (flush, barrier, counting allreduce per round) instead of
+	// loop (flush, barrier, counting allreduce per round) instead of
 	// the barrier-free detector path. Only meaningful for EngineMaximal
 	// on NSR/MBP/NSRA: it is the controlled baseline the asynchronous
 	// engine is measured against. Ignored elsewhere.
@@ -93,9 +94,6 @@ type Options struct {
 	// Algorithm 6 (reject-on-sight); see DESIGN.md §3. The result is a
 	// valid matching but not necessarily locally dominant.
 	EagerReject bool
-	// TraceWaits records per-rank blocked intervals for
-	// Report.RenderTimeline.
-	TraceWaits bool
 	// TraceEvents, when > 0, enables structured event tracing with a
 	// per-rank ring of this capacity (Report.Events, WriteChromeTrace).
 	TraceEvents int
@@ -111,34 +109,29 @@ type Options struct {
 	PerturbSeed uint64
 }
 
-// mpiOptions translates the shared runtime knobs to mpi.Run options.
-func mpiOptions(cost *mpi.CostModel, matrices bool, deadline time.Duration, waits bool, events int, pseed uint64, perturb sched.Profile) []mpi.Option {
-	opts := make([]mpi.Option, 0, 6)
-	if cost != nil {
-		opts = append(opts, mpi.WithCost(cost))
+// shared is the part of the options every application has.
+func (o Options) shared() driver.Options {
+	return driver.Options{
+		Procs: o.Procs, Model: o.Model, Cost: o.Cost, TrackMatrices: o.TrackMatrices, Deadline: o.Deadline,
+		TraceEvents: o.TraceEvents, RoundLog: o.RoundLog, Perturb: o.Perturb, PerturbSeed: o.PerturbSeed,
 	}
-	if matrices {
-		opts = append(opts, mpi.WithMatrices())
-	}
-	if deadline > 0 {
-		opts = append(opts, mpi.WithDeadline(deadline))
-	}
-	if waits {
-		opts = append(opts, mpi.WithWaitTrace())
-	}
-	if events > 0 {
-		opts = append(opts, mpi.WithEventTrace(events))
-	}
-	if perturb.Enabled() {
-		opts = append(opts, mpi.WithPerturb(pseed, perturb))
-	}
-	return opts
 }
+
+// MaxMessagesPerCrossEdge bounds the half-approximate protocol's traffic
+// per cross edge per direction: one REQUEST plus at most one REJECT or
+// INVALID (paper §IV-B: "a vertex may send at most 2 messages to a ghost
+// vertex"). The RMA window regions and the collective aggregation
+// buffers are sized with it.
+const MaxMessagesPerCrossEdge = 2
+
+// aggBatchRecords is the per-destination batch size of the NSRA model's
+// aggregating Send-Recv transport.
+const aggBatchRecords = 64
 
 // ParallelResult is the outcome of a distributed run.
 type ParallelResult struct {
 	*Result
-	// Rounds is the maximum driver-loop iteration count over ranks (for
+	// Rounds is the maximum loop iteration count over ranks (for
 	// NCL/RMA, the number of neighborhood exchange rounds).
 	Rounds int
 	// Messages is the total protocol messages pushed by all ranks.
@@ -156,80 +149,51 @@ type ParallelResult struct {
 // returns the matching together with performance ledgers. The default
 // engine is the half-approximate locally-dominant protocol, whose
 // matching is identical to Serial(g) for all models unless EagerReject
-// is set (in which case it is still a valid matching); EngineMaximal
-// dispatches to the asynchronous maximal-matching engine instead.
+// is set (in which case it is still a valid matching). EngineMaximal
+// runs the maximal-matching protocol instead: barrier-free under a
+// quiescence detector on the async-flavor models unless ForceRounds
+// fences them, with a two-count fence on the round-flavor ones.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	if opt.Procs < 1 {
-		return nil, fmt.Errorf("matching: Procs = %d", opt.Procs)
-	}
-	if opt.Engine == EngineMaximal {
-		return runMaximal(g, opt)
-	}
-	d := distgraph.NewBlockDist(g, opt.Procs)
-	// The sorted-adjacency arena is a pure function of the graph; build
-	// it once, in parallel, outside the simulated world — every rank's
-	// engine then shares the read-only arena (and still charges its local
-	// share of the setup to its virtual clock, as before).
-	order := buildSortedAdjacency(g)
 	mates := make([]int64, g.NumVertices())
-	rounds := make([]int, opt.Procs)
-	sent := make([]int64, opt.Procs)
-	var logs []*telemetry.RoundLog
-	if opt.RoundLog > 0 {
-		logs = make([]*telemetry.RoundLog, opt.Procs)
+	proto := driver.Protocol{App: "matching", MaxPerArc: MaxMessagesPerCrossEdge, AggBatch: aggBatchRecords}
+	var body func(*driver.Rank) error
+	if opt.Engine == EngineMaximal {
+		proto.MaxPerArc, proto.Detect, proto.ForceRounds = maximalMaxPerArc, true, opt.ForceRounds
+		body = func(r *driver.Rank) error {
+			e := newMxEngine(r.Comm, r.Local, r.Backend, r.Quiesce)
+			r.Loop(e, e.handleMessage)
+			e.writeMates(mates)
+			r.Sent = e.sent
+			return nil
+		}
+	} else {
+		// The sorted-adjacency arena is a pure function of the graph;
+		// build it once, in parallel, outside the simulated world — every
+		// rank's engine then shares the read-only arena (and still charges
+		// its local share of the setup to its virtual clock).
+		order := buildSortedAdjacency(g)
+		body = func(r *driver.Rank) error {
+			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order)
+			r.Loop(e, e.handleMessage)
+			e.writeMates(mates)
+			r.Sent = e.sent
+			return nil
+		}
 	}
-
-	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		var log *telemetry.RoundLog
-		if logs != nil {
-			log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
-			log.SetTotal(int64(l.NumOwned()))
-			logs[c.Rank()] = log
-		}
-		t, err := transport.New(opt.Model, transport.Deps{
-			Comm:      c,
-			Local:     l,
-			MaxPerArc: MaxMessagesPerCrossEdge,
-			AggBatch:  aggBatchRecords,
-		})
-		if err != nil {
-			return fmt.Errorf("matching: %w", err)
-		}
-		e := newEngine(c, l, t, opt.EagerReject, order)
-		switch opt.Model.Flavor() {
-		case transport.FlavorAsync:
-			runAsync(e, t.(transport.Async), log)
-		default:
-			runRounds(e, t.(transport.Round), log)
-		}
-		transport.Release(t)
-		e.writeMates(mates)
-		rounds[c.Rank()] = e.rounds
-		sent[c.Rank()] = e.sent
-		return nil
-	}, mpiOptions(opt.Cost, opt.TrackMatrices, opt.Deadline, opt.TraceWaits, opt.TraceEvents, opt.PerturbSeed, opt.Perturb)...)
+	out, err := driver.Run(g, opt.shared(), proto, body)
 	if err != nil {
 		return nil, err
 	}
-
 	mate := make([]int, len(mates))
 	for i, m := range mates {
 		mate[i] = int(m)
 	}
-	pr := &ParallelResult{
-		Result: NewResult(g, mate),
-		Report: rep,
-		Dist:   d,
-	}
-	if logs != nil {
-		pr.Telemetry = telemetry.Merge(logs)
-	}
-	for r := 0; r < opt.Procs; r++ {
-		if rounds[r] > pr.Rounds {
-			pr.Rounds = rounds[r]
-		}
-		pr.Messages += sent[r]
-	}
-	return pr, nil
+	return &ParallelResult{
+		Result:    NewResult(g, mate),
+		Rounds:    out.Rounds,
+		Messages:  out.Messages,
+		Report:    out.Report,
+		Dist:      out.Dist,
+		Telemetry: out.Telemetry,
+	}, nil
 }

@@ -79,10 +79,6 @@ type Config struct {
 	// deadlocks into actionable failures instead of hangs.
 	Deadline time.Duration
 
-	// TraceWaits records every rank's blocked intervals for
-	// Report.WaitSpans / Report.RenderTimeline.
-	TraceWaits bool
-
 	// TraceEvents, when > 0, enables structured event tracing with a
 	// per-rank ring of this capacity (see events.go). Events beyond the
 	// capacity are dropped and counted, never reallocated, so a traced
@@ -136,11 +132,10 @@ type World struct {
 
 // procState is the per-process (per-goroutine) mutable state shared by
 // every communicator handle the process holds: one virtual clock, one
-// statistics ledger, one trace buffer.
+// statistics ledger, one event ring.
 type procState struct {
-	now   float64
-	rs    *RankStats
-	trace *[]WaitSpan
+	now float64
+	rs  *RankStats
 	// task is this rank's scheduler task: the unit that parks when the
 	// rank blocks in the runtime and is unparked when progress becomes
 	// possible.
@@ -213,7 +208,6 @@ type Report struct {
 	// code; the field remains exported for direct inspection.
 	Stats []*RankStats
 
-	waits  [][]WaitSpan
 	events []*eventRing
 }
 
@@ -384,10 +378,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		start  = time.Now()
 		doneCh = make(chan struct{})
 	)
-	var waits [][]WaitSpan
-	if cfg.TraceWaits {
-		waits = make([][]WaitSpan, cfg.Procs)
-	}
 	var events []*eventRing
 	if cfg.TraceEvents > 0 {
 		events = make([]*eventRing, cfg.Procs)
@@ -407,9 +397,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		t.reset(int32(r), int32(r*nworkers/cfg.Procs), w.pool)
 		ps := &ws.procs[r]
 		*ps = procState{rs: w.stats[r], task: t}
-		if waits != nil {
-			ps.trace = &waits[r]
-		}
 		if events != nil {
 			ps.ev = events[r]
 		}
@@ -517,7 +504,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		w.stats[i].QueueHighWater = mb.highWater()
 		w.stats[i].UnreceivedMsgs = int64(mb.pendingUser())
 	}
-	rep := &Report{Procs: cfg.Procs, Wall: time.Since(start), Stats: w.stats, waits: waits, events: events}
+	rep := &Report{Procs: cfg.Procs, Wall: time.Since(start), Stats: w.stats, events: events}
 	rep.FinalTimes = make([]float64, cfg.Procs)
 	for i, c := range comms {
 		rep.FinalTimes[i] = c.ps.now
@@ -647,7 +634,6 @@ func (c *Comm) waitFor(t float64, class WaitClass, cause int, causeT float64) {
 		from := c.ps.now
 		c.ps.rs.CommTime += t - from
 		c.ps.rs.WaitTime += t - from
-		c.noteWait(from, t)
 		c.ps.now = t
 		if r := c.ps.ev; r != nil {
 			if r.n == len(r.buf) {

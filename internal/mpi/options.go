@@ -27,12 +27,6 @@ func WithDeadline(d time.Duration) Option {
 	return func(cfg *Config) { cfg.Deadline = d }
 }
 
-// WithWaitTrace records blocked intervals for Report.WaitSpans and
-// Report.RenderTimeline.
-func WithWaitTrace() Option {
-	return func(cfg *Config) { cfg.TraceWaits = true }
-}
-
 // WithEventTrace enables structured event tracing with a per-rank ring
 // of the given capacity (see Config.TraceEvents); capacity <= 0 leaves
 // tracing off.

@@ -5,50 +5,40 @@ import (
 	"strings"
 )
 
-// Wait-span tracing. When Config.TraceWaits is set, every rank records
-// the virtual-time intervals it spends blocked waiting for remote
-// progress (message arrivals, collective synchronization). The resulting
-// per-rank timelines make load imbalance and serialization chains — the
-// phenomena behind the paper's NCL-degradation findings — directly
-// visible.
+// Wait timelines. A run with event tracing on (WithEventTrace) records
+// every virtual-time interval a rank spends blocked waiting for remote
+// progress (message arrivals, collective synchronization) as an EvWait
+// event. The per-rank timelines rendered from them make load imbalance
+// and serialization chains — the phenomena behind the paper's
+// NCL-degradation findings — directly visible. A ring that filled
+// (Report.EventDrops) loses the waits past that point.
 
-// WaitSpan is one blocked interval on a rank's virtual timeline.
-type WaitSpan struct {
-	Start, End float64
-}
-
-// Duration returns the span length in seconds.
-func (s WaitSpan) Duration() float64 { return s.End - s.Start }
-
-// noteWait records a wait if tracing is on (called from waitUntil).
-func (c *Comm) noteWait(from, to float64) {
-	if c.ps.trace != nil && to > from {
-		*c.ps.trace = append(*c.ps.trace, WaitSpan{Start: from, End: to})
+// WaitSpans returns rank r's blocked intervals: the EvWait events of its
+// ring, in order (nil unless the run traced events). Safe to call after
+// Run returns.
+func (r *Report) WaitSpans(rank int) []Event {
+	var out []Event
+	for _, e := range r.Events(rank) {
+		if e.Kind == EvWait {
+			out = append(out, e)
+		}
 	}
-}
-
-// WaitSpans returns rank r's recorded waits (nil unless Config.TraceWaits
-// was set). Safe to call after Run returns.
-func (r *Report) WaitSpans(rank int) []WaitSpan {
-	if r.waits == nil {
-		return nil
-	}
-	return r.waits[rank]
+	return out
 }
 
 // RenderTimeline draws per-rank virtual-time utilization as text: each
 // row is one rank, each column a bucket of the run's duration; '#' marks
 // buckets dominated by waiting, ':' mixed, '.' busy. Requires a run with
-// Config.TraceWaits.
+// event tracing.
 func (r *Report) RenderTimeline(width int) []string {
-	if r.waits == nil || width < 1 || r.MaxVirtualTime <= 0 {
+	if !r.EventTracing() || width < 1 || r.MaxVirtualTime <= 0 {
 		return nil
 	}
 	bucket := r.MaxVirtualTime / float64(width)
 	out := make([]string, r.Procs)
 	for rank := 0; rank < r.Procs; rank++ {
 		waitPerBucket := make([]float64, width)
-		for _, s := range r.waits[rank] {
+		for _, s := range r.WaitSpans(rank) {
 			for b := int(s.Start / bucket); b < width && float64(b)*bucket < s.End; b++ {
 				lo := max(float64(b)*bucket, s.Start)
 				hi := min(float64(b+1)*bucket, s.End)

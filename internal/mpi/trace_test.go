@@ -15,7 +15,7 @@ func TestWaitSpansRecorded(t *testing.T) {
 			c.Recv(0, 0)
 		}
 		return nil
-	}, WithWaitTrace(), WithDeadline(30*time.Second))
+	}, WithEventTrace(64), WithDeadline(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRenderTimeline(t *testing.T) {
 			c.Recv(0, 0)
 		}
 		return nil
-	}, WithWaitTrace(), WithDeadline(30*time.Second))
+	}, WithEventTrace(64), WithDeadline(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +62,6 @@ func TestTimelineDisabledWithoutTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.RenderTimeline(10) != nil || rep.WaitSpans(0) != nil {
-		t.Error("tracing data present without TraceWaits")
+		t.Error("tracing data present without event tracing")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpi"
@@ -34,18 +35,13 @@ func completeGraph(n int) *graph.CSR {
 	return b.Build()
 }
 
-// pump moves records one step according to the backend's flavor and
+// pump moves records with the drivers' barrier-free adapter
+// (driver.Pump: one exchange round, or flush + nonblocking drain) and
 // returns after a global fence confirms every sent record was handled —
-// the loop shape all drivers share (see matching.runRounds/runAsync and
-// bfs.Run).
+// the level fence of bfs.Run.
 func pump(c *mpi.Comm, bk transport.Backend, h transport.Handler, sent, recvd *int64) {
 	for {
-		if async, ok := bk.(transport.Async); ok {
-			bk.Finish() // flush parked batches; a no-op on unbatched backends
-			async.Drain(h)
-		} else {
-			bk.(transport.Round).Exchange(h)
-		}
+		driver.Pump(bk, h)
 		if c.AllreduceScalarInt64(mpi.OpSum, *sent-*recvd) == 0 {
 			return
 		}
