@@ -59,10 +59,12 @@ bench-smoke:
 
 # bench-graph reproduces the ingest-path numbers recorded in
 # BENCH_graph.json: generator throughput, CSR build/permute/summary, and
-# the matching setup kernel.
+# the matching setup kernel. That kernel is graph.BenchmarkKeyOrder (a
+# graph keeps its index, so the matchers' own benchmarks time warm
+# graphs); BenchmarkRunCold/Warm show what it costs a first Run.
 bench-graph:
 	$(GO) test -run xxx -bench . -benchmem ./internal/graph/ ./internal/gen/
-	$(GO) test -run xxx -bench 'Serial|Parallel' -benchmem ./internal/matching/
+	$(GO) test -run xxx -bench 'Serial|Parallel|RunCold|RunWarm' -benchmem ./internal/matching/
 
 # bench-p2p reproduces the point-to-point hot-path numbers recorded in
 # BENCH_p2p.json.

@@ -86,6 +86,23 @@ func BenchmarkPermute(b *testing.B) {
 	}
 }
 
+// BenchmarkKeyOrder measures the build of the key-sorted adjacency
+// index — the matching set-up kernel. The index is cached on the CSR, so
+// every iteration asks a fresh shallow CSR over the same slices.
+func BenchmarkKeyOrder(b *testing.B) {
+	n, edges := rmatEdges(17, 8, 1)
+	g := FromEdges(n, edges)
+	b.SetBytes(g.NumArcs() * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh := &CSR{Offsets: g.Offsets, Adj: g.Adj, Weights: g.Weights}
+		if int64(len(fresh.KeyOrder())) != g.NumArcs() {
+			b.Fatal("bad index")
+		}
+	}
+}
+
 func BenchmarkSummary(b *testing.B) {
 	n, edges := rmatEdges(14, 8, 4)
 	g := FromEdges(n, edges)

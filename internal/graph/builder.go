@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -82,9 +81,9 @@ const (
 // The result is a pure function of the edge *multiset* — duplicate
 // (src, dst) arcs land adjacently in span-dependent order, but the
 // commutative max-weight merge erases it — so the CSR is bit-identical
-// for any GOMAXPROCS, and bit-identical to the retained serial
-// reference (buildSerial). The builder may be reused afterwards; Build
-// does not clear it.
+// for any GOMAXPROCS, and bit-identical to the serial global-sort
+// reference the property suite keeps (builder_serial_test.go). The
+// builder may be reused afterwards; Build does not clear it.
 func (b *Builder) Build() *CSR {
 	n, m := b.n, len(b.edges)
 	g := &CSR{Offsets: make([]int64, n+1), Adj: []int32{}, Weights: []float64{}}
@@ -228,87 +227,6 @@ func (b *Builder) Build() *CSR {
 		}
 	})
 	return g
-}
-
-// buildSerial is the retained serial reference: the original global-sort
-// construction (O(m log m) with interface comparators). It is kept so
-// the property suite can assert the parallel Build is bit-identical to
-// it on arbitrary edge lists; it is not on any hot path.
-func (b *Builder) buildSerial() *CSR {
-	// AddEdge canonicalizes eagerly, UseEdges defers to Build; normalize
-	// here so the reference accepts both input forms.
-	canon := make([]Edge, 0, len(b.edges))
-	for _, e := range b.edges {
-		if e.U == e.V {
-			continue
-		}
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		canon = append(canon, e)
-	}
-	// Dedup on canonicalized (u,v), keeping max weight.
-	sort.Slice(canon, func(i, j int) bool {
-		if canon[i].U != canon[j].U {
-			return canon[i].U < canon[j].U
-		}
-		return canon[i].V < canon[j].V
-	})
-	uniq := canon[:0:0]
-	for _, e := range canon {
-		if k := len(uniq) - 1; k >= 0 && uniq[k].U == e.U && uniq[k].V == e.V {
-			if e.W > uniq[k].W {
-				uniq[k].W = e.W
-			}
-			continue
-		}
-		uniq = append(uniq, e)
-	}
-
-	deg := make([]int64, b.n+1)
-	for _, e := range uniq {
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
-	for i := 0; i < b.n; i++ {
-		deg[i+1] += deg[i]
-	}
-	g := &CSR{
-		Offsets: deg,
-		Adj:     make([]int32, deg[b.n]),
-		Weights: make([]float64, deg[b.n]),
-	}
-	cursor := make([]int64, b.n)
-	copy(cursor, deg[:b.n])
-	place := func(u, v int, w float64) {
-		g.Adj[cursor[u]] = int32(v)
-		g.Weights[cursor[u]] = w
-		cursor[u]++
-	}
-	for _, e := range uniq {
-		place(e.U, e.V, e.W)
-		place(e.V, e.U, e.W)
-	}
-	// Rows were filled in (U,V)-sorted edge order: U-side entries arrive
-	// sorted, V-side entries may interleave, so sort each row.
-	for v := 0; v < b.n; v++ {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		row := rowSorter{adj: g.Adj[lo:hi], w: g.Weights[lo:hi]}
-		sort.Sort(row)
-	}
-	return g
-}
-
-type rowSorter struct {
-	adj []int32
-	w   []float64
-}
-
-func (r rowSorter) Len() int           { return len(r.adj) }
-func (r rowSorter) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
-func (r rowSorter) Swap(i, j int) {
-	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
-	r.w[i], r.w[j] = r.w[j], r.w[i]
 }
 
 // FromEdges is a convenience constructor.

@@ -13,12 +13,20 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/par"
 )
 
 // CSR is an undirected weighted graph in compressed sparse row format.
 // The zero value is an empty graph.
+//
+// A CSR is immutable once Build or Read has returned it: every reader —
+// the distribution, the engines of every simulated rank, the verifiers —
+// shares the three slices without synchronisation, and KeyOrder caches
+// an index derived from them that is itself shared and read-only. Code
+// that needs a different graph builds a new one (Permute does). A CSR
+// must not be copied by value after first use (it holds a sync.Once).
 type CSR struct {
 	// Offsets has length NumVertices()+1; vertex v's arcs occupy
 	// Adj[Offsets[v]:Offsets[v+1]] with parallel Weights.
@@ -28,6 +36,11 @@ type CSR struct {
 	// Weights holds the edge weight for each arc. Both arcs of one
 	// undirected edge carry the same weight.
 	Weights []float64
+
+	// keyOrder is the lazily built KeyOrder index, nil until first asked
+	// for; it lives and dies with the graph.
+	keyOnce  sync.Once
+	keyOrder []int32
 }
 
 // NumVertices returns the number of vertices.

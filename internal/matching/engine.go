@@ -52,7 +52,7 @@ type engine struct {
 	eagerReject bool
 
 	lo, hi   int
-	order    []int32 // shared whole-graph arena: row v's arc positions by descending key at Offsets[v]
+	order    []int32 // the graph's KeyOrder: row v's arc positions by descending key at Offsets[v]
 	ptr      []int32
 	cand     []int64 // global candidate id, or -1
 	state    []uint8
@@ -67,11 +67,10 @@ type engine struct {
 	nmatched int64    // owned vertices currently matched
 }
 
-// newEngine builds one rank's engine around the shared read-only
-// sorted-adjacency arena (buildSortedAdjacency), which replaces the old
-// per-rank per-vertex row sorts. The rank still charges the setup to its
-// virtual clock exactly as before — the arena rows it consumes represent
-// the same O(local arcs) of sorting work an MPI rank would do locally.
+// newEngine builds one rank's engine around the graph's shared read-only
+// key-order index (graph.CSR.KeyOrder). The rank still charges the setup
+// to its virtual clock — the index rows it consumes represent the same
+// O(local arcs) of sorting work an MPI rank would do locally.
 func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order []int32) *engine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
@@ -99,7 +98,7 @@ func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject
 }
 
 // sortedAt returns the row position of the i-th heaviest neighbor of
-// owned vertex v (global id), reading the shared arena.
+// owned vertex v (global id), reading the shared index.
 func (e *engine) sortedAt(v int, i int32) int32 {
 	return e.order[e.g.Offsets[v]+int64(i)]
 }
@@ -153,11 +152,11 @@ func (e *engine) Record(log *telemetry.RoundLog, vol []int64) {
 }
 
 // availableArc reports whether the neighbor at row position pos of owned
-// vertex v is still a matching candidate.
+// vertex v is still a matching candidate. A self loop never is.
 func (e *engine) availableArc(v int, pos int32) bool {
 	nbr := int(e.g.Neighbors(v)[pos])
 	if nbr >= e.lo && nbr < e.hi {
-		return e.state[nbr-e.lo] == stUnmatched
+		return nbr != v && e.state[nbr-e.lo] == stUnmatched
 	}
 	return e.arcFlags[e.g.Offsets[v]+int64(pos)-e.arcBase]&arcEvicted == 0
 }
@@ -361,6 +360,8 @@ func (e *engine) Start() {
 
 // writeMates copies this rank's owned mate values into the shared global
 // result vector (disjoint ranges per rank, so no synchronization needed).
-func (e *engine) writeMates(global []int64) {
-	copy(global[e.lo:e.hi], e.mate)
+func (e *engine) writeMates(global []int) {
+	for i, m := range e.mate {
+		global[e.lo+i] = int(m)
+	}
 }

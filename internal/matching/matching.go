@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Result describes a matching.
@@ -36,51 +37,25 @@ type Result struct {
 }
 
 // NewResult assembles a Result from a mate vector, computing weight and
-// cardinality. It panics if mate references a nonexistent edge; use
-// Verify for full validation with errors.
+// cardinality. It panics if mate is not a valid matching of g (see
+// Verify, which reports the same conditions as errors).
 func NewResult(g *graph.CSR, mate []int) *Result {
-	r := &Result{Mate: mate}
-	for v, u := range mate {
-		if u < 0 || u < v {
-			continue
-		}
-		w, ok := g.EdgeWeight(v, u)
-		if !ok {
-			panic(fmt.Sprintf("matching: mate pair {%d,%d} is not an edge", v, u))
-		}
-		r.Weight += w
-		r.Cardinality++
+	weight, card, err := tally(g, mate)
+	if err != nil {
+		panic(err)
 	}
-	return r
+	return &Result{Mate: mate, Weight: weight, Cardinality: card}
 }
 
-// Verify checks that r is a valid matching of g: the mate relation is
-// symmetric, every matched pair is an edge, and the recorded weight and
-// cardinality are consistent.
+// Verify checks that r is a valid matching of g: every mate is in range
+// and not the vertex itself, the mate relation is symmetric, every
+// matched pair is an edge, and the recorded weight and cardinality are
+// consistent. Of several violations the one at the lowest vertex is
+// reported.
 func Verify(g *graph.CSR, r *Result) error {
-	if len(r.Mate) != g.NumVertices() {
-		return fmt.Errorf("matching: mate vector has %d entries for %d vertices", len(r.Mate), g.NumVertices())
-	}
-	var weight float64
-	card := 0
-	for v, u := range r.Mate {
-		if u == -1 {
-			continue
-		}
-		if u < 0 || u >= g.NumVertices() {
-			return fmt.Errorf("matching: vertex %d matched to out-of-range %d", v, u)
-		}
-		if r.Mate[u] != v {
-			return fmt.Errorf("matching: asymmetric mates: %d->%d but %d->%d", v, u, u, r.Mate[u])
-		}
-		w, ok := g.EdgeWeight(v, u)
-		if !ok {
-			return fmt.Errorf("matching: matched pair {%d,%d} is not an edge", v, u)
-		}
-		if u > v {
-			weight += w
-			card++
-		}
+	weight, card, err := tally(g, r.Mate)
+	if err != nil {
+		return err
 	}
 	if card != r.Cardinality {
 		return fmt.Errorf("matching: cardinality %d recorded, %d actual", r.Cardinality, card)
@@ -89,6 +64,77 @@ func Verify(g *graph.CSR, r *Result) error {
 		return fmt.Errorf("matching: weight %g recorded, %g actual", r.Weight, weight)
 	}
 	return nil
+}
+
+// tally looks tallyChunk vertices up in parallel before summing them, so
+// its weight scratch is that long rather than NumVertices long.
+const (
+	tallyChunk = 1 << 16
+	tallyGrain = 2048
+)
+
+// tally validates a mate vector against g and returns the weight and
+// cardinality of the matching it describes. The per-vertex checks and
+// edge-weight look-ups fan out over vertex spans; the weights are then
+// added serially in vertex order, each edge at its lower endpoint, so
+// the sum is bit-identical however the spans fell. The error is the one
+// a serial scan would hit first.
+func tally(g *graph.CSR, mate []int) (weight float64, card int, err error) {
+	n := g.NumVertices()
+	if len(mate) != n {
+		return 0, 0, fmt.Errorf("matching: mate vector has %d entries for %d vertices", len(mate), n)
+	}
+	ws := make([]float64, min(n, tallyChunk))
+	for base := 0; base < n; base += tallyChunk {
+		end := min(base+tallyChunk, n)
+		spans := par.Split(end-base, tallyGrain)
+		errs := make([]error, len(spans))
+		par.Do(spans, func(si, lo, hi int) {
+			for v := base + lo; v < base+hi; v++ {
+				w, err := mateWeight(g, mate, v)
+				if err != nil {
+					errs[si] = err
+					return
+				}
+				ws[v-base] = w
+			}
+		})
+		for _, err := range errs {
+			if err != nil {
+				return 0, 0, err
+			}
+		}
+		for v := base; v < end; v++ {
+			if mate[v] > v {
+				weight += ws[v-base]
+				card++
+			}
+		}
+	}
+	return weight, card, nil
+}
+
+// mateWeight checks vertex v's entry of a mate vector and returns the
+// weight of its matched edge (0 if v is unmatched).
+func mateWeight(g *graph.CSR, mate []int, v int) (float64, error) {
+	u := mate[v]
+	if u == -1 {
+		return 0, nil
+	}
+	if u < 0 || u >= len(mate) {
+		return 0, fmt.Errorf("matching: vertex %d matched to out-of-range %d", v, u)
+	}
+	if u == v {
+		return 0, fmt.Errorf("matching: vertex %d matched to itself", v)
+	}
+	if mate[u] != v {
+		return 0, fmt.Errorf("matching: asymmetric mates: %d->%d but %d->%d", v, u, u, mate[u])
+	}
+	w, ok := g.EdgeWeight(v, u)
+	if !ok {
+		return 0, fmt.Errorf("matching: matched pair {%d,%d} is not an edge", v, u)
+	}
+	return w, nil
 }
 
 // VerifyMaximal checks that r is a valid matching of g with no
@@ -134,7 +180,7 @@ func VerifyLocallyDominant(g *graph.CSR, r *Result) error {
 	for v := 0; v < g.NumVertices(); v++ {
 		ws := g.NeighborWeights(v)
 		for i, a := range g.Neighbors(v) {
-			if int(a) < v {
+			if int(a) <= v { // each edge once; a self loop dominates nothing
 				continue
 			}
 			k := graph.KeyOf(v, int(a), ws[i])
@@ -152,12 +198,13 @@ func VerifyLocallyDominant(g *graph.CSR, r *Result) error {
 // the pointer-based algorithm of Manne & Bisseling (paper Algorithm 2):
 // every vertex points at its heaviest available neighbor, mutually
 // pointing pairs match, and neighbors of newly matched or exhausted
-// vertices re-point. Runs in O(|E| log dmax) expected time. The sorted
-// adjacency comes from the same flattened arena the distributed engines
-// share (buildSortedAdjacency).
+// vertices re-point. Runs in O(|E| log dmax) expected time on a graph
+// asked for the first time and O(|E|) afterwards: the sorted adjacency
+// is the graph's own index (graph.CSR.KeyOrder), shared with the
+// distributed engines.
 func Serial(g *graph.CSR) *Result {
 	n := g.NumVertices()
-	sorted := buildSortedAdjacency(g)
+	sorted := g.KeyOrder()
 	ptr := make([]int32, n)
 	cand := make([]int32, n)
 	state := make([]uint8, n) // 0 unmatched, 1 matched, 2 dead
@@ -193,7 +240,7 @@ func Serial(g *graph.CSR) *Result {
 		row := g.Neighbors(int(v))
 		for ptr[v] < int32(len(row)) {
 			u := row[sorted[rlo+int64(ptr[v])]]
-			if state[u] == unmatched {
+			if u != v && state[u] == unmatched { // a self loop is never a candidate
 				break
 			}
 			ptr[v]++

@@ -334,6 +334,8 @@ func (e *mxEngine) Start() {
 
 // writeMates copies this rank's owned mate values into the shared global
 // result vector (disjoint ranges per rank, so no synchronization needed).
-func (e *mxEngine) writeMates(global []int64) {
-	copy(global[e.lo:e.hi], e.mate)
+func (e *mxEngine) writeMates(global []int) {
+	for i, m := range e.mate {
+		global[e.lo+i] = int(m)
+	}
 }

@@ -163,7 +163,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		defer c.Barrier()
 		tr := &captureSender{}
-		e := newEngine(c, d.BuildLocal(0), tr, false, buildSortedAdjacency(g))
+		e := newEngine(c, d.BuildLocal(0), tr, false, g.KeyOrder())
 		e.Start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
 		if e.cand[0] != 3 {
 			t.Errorf("after start: cand[0] = %d, want ghost 3", e.cand[0])

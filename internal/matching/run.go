@@ -154,7 +154,7 @@ type ParallelResult struct {
 // quiescence detector on the async-flavor models unless ForceRounds
 // fences them, with a two-count fence on the round-flavor ones.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	mates := make([]int64, g.NumVertices())
+	mates := make([]int, g.NumVertices())
 	proto := driver.Protocol{App: "matching", MaxPerArc: MaxMessagesPerCrossEdge, AggBatch: aggBatchRecords}
 	var body func(*driver.Rank) error
 	if opt.Engine == EngineMaximal {
@@ -167,11 +167,11 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 			return nil
 		}
 	} else {
-		// The sorted-adjacency arena is a pure function of the graph;
-		// build it once, in parallel, outside the simulated world — every
-		// rank's engine then shares the read-only arena (and still charges
-		// its local share of the setup to its virtual clock).
-		order := buildSortedAdjacency(g)
+		// The sorted adjacency is the graph's own index, built at most
+		// once per graph and outside the simulated world; every rank's
+		// engine shares it (and still charges its local share of the sort
+		// to its virtual clock).
+		order := g.KeyOrder()
 		body = func(r *driver.Rank) error {
 			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order)
 			r.Loop(e, e.handleMessage)
@@ -184,12 +184,8 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mate := make([]int, len(mates))
-	for i, m := range mates {
-		mate[i] = int(m)
-	}
 	return &ParallelResult{
-		Result:    NewResult(g, mate),
+		Result:    NewResult(g, mates),
 		Rounds:    out.Rounds,
 		Messages:  out.Messages,
 		Report:    out.Report,
