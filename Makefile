@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 perturb build test vet race bench-check bench bench-smoke bench-graph bench-p2p bench-ranks bench-dense bench-telemetry bench-analysis scale-smoke analyze-smoke async-smoke clean
+.PHONY: tier1 tier2 perturb build test vet race bench-check bench-smoke bench-dense scale-smoke analyze-smoke async-smoke clean
 
 # tier1 is the gate every change must keep green: full build + vet +
 # full test suite.
@@ -13,7 +13,7 @@ tier1: build vet test
 # evaluation artifacts at reduced scale and asserts the paper's
 # qualitative claims (which model wins where) over the machine-readable
 # run records. Slower than tier1 (about a minute); records land in
-# shape_records.json for inspection or plotting.
+# shape_records.json (untracked) for inspection or plotting.
 tier2:
 	RUN_SHAPE_CHECKS=1 SHAPE_RECORDS=$(CURDIR)/shape_records.json $(GO) test -run TestPaperShapes -v ./internal/shape/
 
@@ -47,37 +47,11 @@ race:
 bench-check:
 	$(GO) vet -C bench . && $(GO) test -C bench .
 
-# bench runs every benchmark once with allocation stats.
-bench:
-	$(GO) test -run xxx -bench . -benchmem ./...
-
 # bench-smoke compiles and runs every benchmark for a single iteration:
 # a fast CI-grade check that no benchmark has rotted, without measuring
 # anything.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime=1x ./...
-
-# bench-graph reproduces the ingest-path numbers recorded in
-# BENCH_graph.json: generator throughput, CSR build/permute/summary, and
-# the matching setup kernel. That kernel is graph.BenchmarkKeyOrder (a
-# graph keeps its index, so the matchers' own benchmarks time warm
-# graphs); BenchmarkRunCold/Warm show what it costs a first Run.
-bench-graph:
-	$(GO) test -run xxx -bench . -benchmem ./internal/graph/ ./internal/gen/
-	$(GO) test -run xxx -bench 'Serial|Parallel|RunCold|RunWarm' -benchmem ./internal/matching/
-
-# bench-p2p reproduces the point-to-point hot-path numbers recorded in
-# BENCH_p2p.json.
-bench-p2p:
-	$(GO) test -run xxx -bench 'PingPong|MailboxBacklog|IprobeBacklogMiss|AnySourceFanIn64' -benchmem ./internal/mpi/
-
-# bench-ranks reproduces the ranks-scaling curve recorded in
-# BENCH_p2p.json: the 4-round ring + allreduce world at 1K..RANKS ranks
-# under both scheduler modes, plus the pooled world-setup cost and the
-# steady-state per-rank memory footprint.
-RANKS ?= 131072
-bench-ranks:
-	BENCH_RANKS=$(RANKS) $(GO) test -run xxx -bench 'RanksRing|WorldSetup|WorldFootprint' -benchmem -timeout 60m ./internal/mpi/
 
 # scale-smoke is the large-world CI gate: a 16K-rank world (ring
 # exchange + collectives) must complete within CI budgets and hold the
@@ -87,21 +61,11 @@ scale-smoke:
 	$(GO) test -run 'TestLargeWorldSmoke|TestWorldFootprintCeiling16K' -v -timeout 10m ./internal/mpi/
 	$(GO) run ./cmd/matchbench -exp ranks -ranks 4096 -json ranks_records.json
 
-# bench-dense reproduces the process-graph density sweep recorded in
-# BENCH_p2p.json: the NCL vs NCLC (message-combining neighborhood
-# collectives) crossover on ring-banded block graphs.
+# bench-dense runs the process-graph density sweep: the NCL vs NCLC
+# (message-combining neighborhood collectives) crossover on ring-banded
+# block graphs (bench/ tracks both sides as virt_ms.ncl / virt_ms.nclc).
 bench-dense:
 	$(GO) run ./cmd/matchbench -exp ext-density -scale 0.5 -json density_records.json
-
-# bench-telemetry reproduces the round-telemetry observer-cost numbers
-# recorded in BENCH_telemetry.json.
-bench-telemetry:
-	$(GO) test -run xxx -bench Telemetry -benchmem -count 3 ./internal/matching/
-
-# bench-analysis reproduces the trace-analyzer throughput numbers
-# recorded in BENCH_analysis.json (1K-16K rank traces).
-bench-analysis:
-	$(GO) test -run xxx -bench BenchmarkAnalyze -benchmem ./internal/analysis/
 
 # analyze-smoke is the profiler CI gate: matchprof re-runs a small
 # ranks x models grid of the SBP weak-scaling experiment with the trace

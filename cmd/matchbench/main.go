@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -100,6 +101,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ids = []string{*exp}
 	}
+	if *ranks != 0 && (*ranks < 2 || *ranks > 1<<20) {
+		fmt.Fprintf(stderr, "matchbench: -ranks %d out of range (want 0 or 2..%d)\n", *ranks, 1<<20)
+		return 2
+	}
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		fmt.Fprintf(stderr, "matchbench: -scale %v must be a finite positive scale factor\n", *scale)
+		return 2
+	}
+	if (*trace != "" || *analyze) && *traceCap <= 0 {
+		fmt.Fprintf(stderr, "matchbench: -trace-events %d must be positive (it sizes the event rings -trace and -analyze read)\n", *traceCap)
+		return 2
+	}
+	if (*jsonOut != "" || *rounds) && *roundCap <= 0 {
+		fmt.Fprintf(stderr, "matchbench: -round-cap %d must be positive (it sizes the round logs -json and -rounds read)\n", *roundCap)
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -126,11 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "matchbench: memprofile:", err)
 			}
 		}()
-	}
-
-	if *ranks != 0 && (*ranks < 2 || *ranks > 1<<20) {
-		fmt.Fprintf(stderr, "matchbench: -ranks %d out of range (want 0 or 2..%d)\n", *ranks, 1<<20)
-		return 2
 	}
 
 	cfg := harness.DefaultConfig()

@@ -55,9 +55,40 @@ func TestUnknownExpListsValidIDs(t *testing.T) {
 	}
 }
 
+// TestBadFlagIsUsageError: an unknown flag, and a value no run could
+// use for a flag the invocation consumes, exit 2 with one line naming
+// the flag — never a silent run on clamped or disabled settings.
 func TestBadFlagIsUsageError(t *testing.T) {
 	if code, _, _ := runCLI(t, "-no-such-flag"); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
+	}
+	out := filepath.Join(t.TempDir(), "out.json")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-scale", []string{"-exp", "fig4a", "-scale", "-1"}},
+		{"-scale", []string{"-exp", "fig4a", "-scale", "0"}},
+		{"-scale", []string{"-exp", "fig4a", "-scale", "NaN"}},
+		{"-scale", []string{"-exp", "fig4a", "-scale", "+Inf"}},
+		{"-trace-events", []string{"-exp", "fig4a", "-trace", out, "-trace-events", "-4"}},
+		{"-trace-events", []string{"-exp", "fig4a", "-analyze", "-trace-events", "0"}},
+		{"-round-cap", []string{"-exp", "fig4a", "-rounds", "-round-cap", "0"}},
+		{"-round-cap", []string{"-exp", "fig4a", "-json", out, "-round-cap", "-1"}},
+	} {
+		code, stdout, errb := runCLI(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb, tc.flag) || strings.Count(errb, "\n") != 1 {
+			t.Errorf("%v: stderr is not one line naming %s: %q", tc.args, tc.flag, errb)
+		}
+		if stdout != "" {
+			t.Errorf("%v: ran before rejecting the flag: %q", tc.args, stdout)
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Errorf("a rejected invocation wrote %s", out)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -79,6 +80,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, " %s", id)
 			}
 			fmt.Fprintln(stderr)
+			return 2
+		}
+		if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+			fmt.Fprintf(stderr, "matchprof: -scale %v must be a finite positive scale factor\n", *scale)
+			return 2
+		}
+		if *traceCap <= 0 {
+			fmt.Fprintf(stderr, "matchprof: -trace-events %d must be positive (it sizes the event rings the analyzer reads)\n", *traceCap)
+			return 2
+		}
+		if *roundCap <= 0 {
+			fmt.Fprintf(stderr, "matchprof: -round-cap %d must be positive (it sizes the round logs the analyzer reads)\n", *roundCap)
 			return 2
 		}
 		cfg := harness.DefaultConfig()

@@ -44,9 +44,31 @@ func TestUnknownExpListsValidIDs(t *testing.T) {
 	}
 }
 
+// TestBadFlagIsUsageError: an unknown flag, and a value no analyzed run
+// could use for a flag -exp consumes, exit 2 with stderr naming the flag.
 func TestBadFlagIsUsageError(t *testing.T) {
 	if code, _, _ := runCLI(t, "-no-such-flag"); code != 2 {
 		t.Errorf("bad flag: exit code != 2")
+	}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-scale", []string{"-exp", "fig4c", "-scale", "-1"}},
+		{"-scale", []string{"-exp", "fig4c", "-scale", "NaN"}},
+		{"-trace-events", []string{"-exp", "fig4c", "-trace-events", "-4"}},
+		{"-round-cap", []string{"-exp", "fig4c", "-round-cap", "0"}},
+	} {
+		code, stdout, errb := runCLI(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb, tc.flag) {
+			t.Errorf("%v: stderr does not name %s: %q", tc.args, tc.flag, errb)
+		}
+		if stdout != "" {
+			t.Errorf("%v: ran before rejecting the flag: %q", tc.args, stdout)
+		}
 	}
 }
 

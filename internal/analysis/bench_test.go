@@ -34,8 +34,8 @@ func benchReport(b *testing.B, procs, rounds int) *mpi.Report {
 }
 
 // BenchmarkAnalyze times the full post-mortem pass (wait states, late
-// receiver, critical path, efficiency) and reports events/sec, the
-// number BENCH_analysis.json records. Rounds shrink as ranks grow so
+// receiver, critical path, efficiency) and reports events/sec (bench/
+// metric analysis.events_per_s). Rounds shrink as ranks grow so
 // each world stays a comparable total event count.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, cfg := range []struct{ procs, rounds int }{

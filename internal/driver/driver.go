@@ -177,9 +177,7 @@ func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Result
 			logs[c.Rank()] = r.Log
 			// The ledger is O(world size) per rank and allocated on first
 			// use: an untelemetered 64K-rank run must not pay for it.
-			if v, ok := t.(transport.Volumer); ok {
-				r.Vol = v.VolumeByDest()
-			}
+			r.Vol = t.VolumeByDest()
 		}
 		if p.Detect && p2p && r.fence == nil {
 			r.Quiesce = mpi.NewQuiesce(c)

@@ -69,8 +69,9 @@ func BenchmarkBuildRMAT128K(b *testing.B) { benchBuild(b, 14, 8, (*Builder).Buil
 
 // BenchmarkBuildSerialRMAT1M measures the retained serial reference
 // (the pre-radix global-sort construction) on the same input, so the
-// Build speedup in BENCH_graph.json can be reproduced as a ratio of two
-// contemporaneous runs rather than against stale numbers.
+// Build speedup can be reproduced as a ratio of two contemporaneous runs
+// rather than against stale numbers (bench/ tracks the shipped builder
+// as graph.fromedges_s / graph.arcs_per_s).
 func BenchmarkBuildSerialRMAT1M(b *testing.B) { benchBuild(b, 17, 8, (*Builder).buildSerial) }
 
 func BenchmarkPermute(b *testing.B) {

@@ -118,8 +118,9 @@ func (c Config) scaled(n int) int {
 	return v
 }
 
-// scaledProcs shrinks a process count with the square root of Scale so
-// per-rank work stays meaningful at small scales.
+// scaledProcs shrinks a process count linearly with Scale, never below
+// 2; Scale >= 1 leaves it alone. Tier-2's shape thresholds are tuned to
+// the process counts this yields at SHAPE_SCALE.
 func (c Config) scaledProcs(p int) int {
 	if c.Scale >= 1 {
 		return p

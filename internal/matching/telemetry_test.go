@@ -84,7 +84,8 @@ func TestRoundLogDisabledByDefault(t *testing.T) {
 
 // benchTelemetry measures a full distributed run with telemetry off or
 // on; comparing the two quantifies the observer cost of the round logs
-// (BENCH_telemetry.json records the before/after).
+// (bench/ tracks it as matching.run_s.nsr/.ncl on traced-mixed, observers
+// on, against sbp-dense, off, plus telemetry.merge_s).
 func benchTelemetry(b *testing.B, m Model, roundLog int) {
 	g := gen.Social(4000, 8, 21)
 	o := opts(8, m)

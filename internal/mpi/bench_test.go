@@ -176,7 +176,7 @@ func BenchmarkWorldSetup(b *testing.B) {
 
 // benchRanksLadder returns the world sizes for the ranks-scaling curve.
 // The BENCH_RANKS environment variable caps the ladder (default 16384;
-// `make bench-ranks` raises it to 131072).
+// BENCH_RANKS=131072 runs all of it).
 func benchRanksLadder() []int {
 	cap := 16384
 	if s := os.Getenv("BENCH_RANKS"); s != "" {
@@ -193,10 +193,10 @@ func benchRanksLadder() []int {
 	return out
 }
 
-// BenchmarkRanksRing is the ranks-scaling curve recorded in
-// BENCH_p2p.json: one world per op running a 4-round neighbor ring
-// exchange plus a scalar allreduce, at 1K-131K ranks under both
-// scheduler modes. Wall-clock per op is the headline number; direct
+// BenchmarkRanksRing is the ranks-scaling curve (its 16K rung is bench/'s
+// mpi.ring_s.direct.16k / mpi.ring_s.workers.16k): one world per op
+// running a 4-round neighbor ring exchange plus a scalar allreduce, at
+// 1K-131K ranks under both scheduler modes. Wall-clock per op is the headline number; direct
 // mode's slope shows the runnable-set bottleneck the worker pool
 // removes.
 func BenchmarkRanksRing(b *testing.B) {

@@ -63,7 +63,7 @@ func measureFootprint(tb testing.TB, n int) (total int64, perRank float64) {
 }
 
 // BenchmarkWorldFootprint reports steady-state bytes/rank for pooled
-// worlds; the numbers are recorded in BENCH_p2p.json (world_footprint).
+// worlds; bench/ tracks the 16K figure as mpi.heap_bytes_per_rank.16k.
 func BenchmarkWorldFootprint(b *testing.B) {
 	for _, n := range []int{1024, 16384, 65536} {
 		b.Run(fmt.Sprintf("p%d", n), func(b *testing.B) {
@@ -80,8 +80,8 @@ func BenchmarkWorldFootprint(b *testing.B) {
 
 // footprintCeiling16K is the regression gate asserted by
 // TestWorldFootprintCeiling16K: the measured steady-state bytes/rank at
-// 16K ranks (1294, recorded in BENCH_p2p.json world_footprint) plus 25%
-// headroom. Raise it only with a BENCH_p2p.json re-measurement
+// 16K ranks (1294; bench/ metric mpi.heap_bytes_per_rank.16k) plus 25%
+// headroom. Raise it only with a re-measurement of that metric
 // justifying the growth.
 const footprintCeiling16K = 1620
 

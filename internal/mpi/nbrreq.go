@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // NbrRequest is an in-flight nonblocking neighborhood collective started
 // with INeighborAlltoallvInt64 (the analogue of MPI_Ineighbor_alltoallv
 // from MPI-3's nonblocking collectives). The caller may compute while the
@@ -23,25 +21,7 @@ type NbrRequest struct {
 // send[i] is delivered to neighbor i. The injection cost is charged at
 // start; transit overlaps with whatever the caller does before Wait.
 func (t *Topo) INeighborAlltoallvInt64(send [][]int64) *NbrRequest {
-	if len(send) != len(t.neighbors) {
-		panic(fmt.Sprintf("mpi: INeighborAlltoallvInt64: len(send)=%d, want degree %d", len(send), len(t.neighbors)))
-	}
-	c := t.c
-	cost := c.w.cost
-	seq := t.seq
-	t.seq++
-	start := c.ps.now
-	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrCall)
-	var sent int64
-	for i, nb := range t.neighbors {
-		bytes := int64(8 * len(send[i]))
-		sent += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(seq), send[i], cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
-	}
-	c.event(EvNbrStart, -1, int(seq), sent, start)
-	return &NbrRequest{t: t, seq: seq}
+	return &NbrRequest{t: t, seq: t.start("INeighborAlltoallvInt64", t.c.w.cost.AlphaNbrCall, send)}
 }
 
 // Wait blocks until every neighbor's contribution has arrived and
@@ -53,29 +33,14 @@ func (r *NbrRequest) Wait() [][]int64 {
 }
 
 // WaitInto is Wait receiving into a caller-supplied slice of per-neighbor
-// buffers (allocated when nil). Each recv[i] is reset to length zero and
-// appended to, reusing its capacity; the possibly-regrown recv is
-// returned. The pipelined transport keeps one receive set across rounds
-// so steady-state completion allocates nothing.
+// buffers (see Topo.collect). The pipelined transport keeps one receive
+// set across rounds so steady-state completion allocates nothing.
 func (r *NbrRequest) WaitInto(recv [][]int64) [][]int64 {
 	if r.finished {
 		panic("mpi: NbrRequest.Wait called twice")
 	}
 	r.finished = true
-	c := r.t.c
-	if recv == nil {
-		recv = make([][]int64, len(r.t.neighbors))
-	} else if len(recv) != len(r.t.neighbors) {
-		panic(fmt.Sprintf("mpi: NbrRequest.WaitInto: len(recv)=%d, want degree %d", len(recv), len(r.t.neighbors)))
-	}
-	start := c.ps.now
-	var got int64
-	for i, nb := range r.t.neighbors {
-		recv[i] = c.internalRecvAppend(nb, r.t.itag(r.seq), recv[i])
-		got += int64(8 * len(recv[i]))
-	}
-	c.event(EvNbrWait, -1, int(r.seq), got, start)
-	return recv
+	return r.t.wait("NbrRequest.WaitInto", r.seq, recv)
 }
 
 // Test reports whether the exchange has completed without blocking; when

@@ -254,15 +254,14 @@ func (c *Comm) completeRecv(m *message) {
 }
 
 // internalSend delivers runtime-internal traffic (neighborhood collective
-// chunks, RMA control messages) outside the user tag space. alpha/beta
-// select the cost category; note attributes the traffic in the ledger.
-func (c *Comm) internalSend(dst int, itag int64, data []int64, alpha, beta float64, note func(rs *RankStats, dst int, bytes int64)) {
+// chunks, the topology handshake) outside the user tag space, arriving
+// latency after now. Charging the sender's clock and attributing the
+// bytes in the ledger is the caller's business (Topo.sendChunk); the
+// zero-cost handshake does neither.
+func (c *Comm) internalSend(dst int, itag int64, data []int64, latency float64) {
 	m := newMessage(c.rank, 0, itag, 0, data)
 	m.sent = c.ps.now
-	m.arrive = c.ps.now + c.perturbLatency(alpha+beta*float64(m.bytes))
-	if note != nil {
-		note(c.ps.rs, c.worldRank(dst), m.bytes)
-	}
+	m.arrive = c.ps.now + c.perturbLatency(latency)
 	c.w.mailboxes[c.worldRank(dst)].push(m)
 }
 

@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // PersistentNbr is a persistent neighborhood all-to-all-v schedule, the
 // analogue of MPI-4's MPI_Neighbor_alltoallv_init: the exchange plan —
 // peer set, tag layout, per-neighbor cost structure — is derived once
@@ -45,26 +43,8 @@ func (p *PersistentNbr) Start(send [][]int64) {
 	if p.inflight {
 		panic("mpi: PersistentNbr.Start while a round is in flight")
 	}
-	t := p.t
-	if len(send) != len(t.neighbors) {
-		panic(fmt.Sprintf("mpi: PersistentNbr.Start: len(send)=%d, want degree %d", len(send), len(t.neighbors)))
-	}
-	c := t.c
-	cost := c.w.cost
-	p.seq = t.seq
-	t.seq++
+	p.seq = p.t.start("PersistentNbr.Start", p.t.c.w.cost.AlphaNbrStart, send)
 	p.inflight = true
-	start := c.ps.now
-	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrStart)
-	var sent int64
-	for i, nb := range t.neighbors {
-		bytes := int64(8 * len(send[i]))
-		sent += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(p.seq), send[i], cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
-	}
-	c.event(EvNbrStart, -1, int(p.seq), sent, start)
 }
 
 // Wait completes the in-flight round, returning the neighbors'
@@ -74,29 +54,13 @@ func (p *PersistentNbr) Wait() [][]int64 {
 }
 
 // WaitInto completes the in-flight round, receiving into a
-// caller-supplied slice of per-neighbor buffers (allocated when nil).
-// Each recv[i] is reset to length zero and appended to, reusing its
-// capacity; the possibly-regrown recv is returned. Unlike a nonblocking
-// request, the operation stays valid: the next Start reuses the same
-// schedule.
+// caller-supplied slice of per-neighbor buffers (see Topo.collect).
+// Unlike a nonblocking request, the operation stays valid: the next
+// Start reuses the same schedule.
 func (p *PersistentNbr) WaitInto(recv [][]int64) [][]int64 {
 	if !p.inflight {
 		panic("mpi: PersistentNbr.Wait without a started round")
 	}
 	p.inflight = false
-	t := p.t
-	c := t.c
-	if recv == nil {
-		recv = make([][]int64, len(t.neighbors))
-	} else if len(recv) != len(t.neighbors) {
-		panic(fmt.Sprintf("mpi: PersistentNbr.WaitInto: len(recv)=%d, want degree %d", len(recv), len(t.neighbors)))
-	}
-	start := c.ps.now
-	var got int64
-	for i, nb := range t.neighbors {
-		recv[i] = c.internalRecvAppend(nb, t.itag(p.seq), recv[i])
-		got += int64(8 * len(recv[i]))
-	}
-	c.event(EvNbrWait, -1, int(p.seq), got, start)
-	return recv
+	return p.t.wait("PersistentNbr.WaitInto", p.seq, recv)
 }

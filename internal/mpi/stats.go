@@ -102,12 +102,6 @@ func (rs *RankStats) init(rank, n int, matrices bool) {
 	}
 }
 
-func newRankStats(rank, n int, matrices bool) *RankStats {
-	rs := new(RankStats)
-	rs.init(rank, n, matrices)
-	return rs
-}
-
 // notePeer charges the per-peer connection pool the first time dst is
 // targeted. The dense bitmap (small worlds) and the sparse set (large
 // worlds) are both allocated on the rank's first send.

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Topo is a distributed graph process topology, the analogue of a
@@ -84,7 +83,7 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 		var one [1]int64
 		one[0] = int64(c.rank)
 		for _, nb := range neighbors {
-			c.internalSend(nb, hs, one[:], 0, 0, nil)
+			c.internalSend(nb, hs, one[:], 0)
 		}
 		for _, nb := range neighbors {
 			c.internalRecvMsg(nb, hs).release()
@@ -128,6 +127,86 @@ const topoHandshakeSeq = -1
 // so tests can exercise the handshake path at small sizes.
 var topoVerifyDenseLimit = 2048
 
+// The neighborhood all-to-all-v exists in four forms — flat and vector
+// blocking calls, the nonblocking request (nbrreq.go) and the persistent
+// schedule (persist.go) — that differ only in when the schedule is paid
+// for and which event they record. What is exchanged, and what it costs
+// per neighbor, is the same: begin + sendChunk per neighbor is the send
+// half, collect the receive half, and every form is a shell around them.
+
+// begin opens one exchange: it takes the next call sequence (advancing
+// identically on all members), counts the call and charges callCost —
+// AlphaNbrCall for a form that derives its schedule per call,
+// AlphaNbrStart for a persistent one that derived it at init.
+func (t *Topo) begin(callCost float64) int64 {
+	seq := t.seq
+	t.seq++
+	t.c.ps.rs.NbrCollCount++
+	t.c.chargeComm(callCost)
+	return seq
+}
+
+// sendChunk injects part toward neighbor i for call seq, charging the
+// per-neighbor cost to the sender's clock and the bytes to its ledger;
+// returns the bytes moved.
+func (t *Topo) sendChunk(i int, seq int64, part []int64) int64 {
+	c, nb := t.c, t.neighbors[i]
+	bytes := int64(8 * len(part))
+	latency := c.w.cost.AlphaNbr + c.w.cost.BetaNbr*float64(bytes)
+	c.chargeComm(latency)
+	c.ps.rs.noteNbrChunk(c.worldRank(nb), bytes)
+	c.internalSend(nb, t.itag(seq), part, latency)
+	return bytes
+}
+
+// post is the vector send half: send[i] goes to neighbor i. op names the
+// calling form in the length panic.
+func (t *Topo) post(op string, callCost float64, send [][]int64) (seq, moved int64) {
+	if len(send) != len(t.neighbors) {
+		panic(fmt.Sprintf("mpi: %s: len(send)=%d, want degree %d", op, len(send), len(t.neighbors)))
+	}
+	seq = t.begin(callCost)
+	for i := range t.neighbors {
+		moved += t.sendChunk(i, seq, send[i])
+	}
+	return seq, moved
+}
+
+// collect is the vector receive half: it blocks for call seq's chunk
+// from every neighbor in order. Each recv[i] is reset to length zero and
+// appended to, so its capacity is reused (recv itself is allocated when
+// nil); returns the possibly-regrown recv and the bytes received.
+func (t *Topo) collect(op string, seq int64, recv [][]int64) ([][]int64, int64) {
+	if recv == nil {
+		recv = make([][]int64, len(t.neighbors))
+	} else if len(recv) != len(t.neighbors) {
+		panic(fmt.Sprintf("mpi: %s: len(recv)=%d, want degree %d", op, len(recv), len(t.neighbors)))
+	}
+	var got int64
+	for i, nb := range t.neighbors {
+		recv[i] = t.c.internalRecvAppend(nb, t.itag(seq), recv[i])
+		got += int64(8 * len(recv[i]))
+	}
+	return recv, got
+}
+
+// start and wait are the split-phase shells shared by the nonblocking
+// request and the persistent schedule: the send half plus EvNbrStart,
+// and the receive half plus EvNbrWait.
+func (t *Topo) start(op string, callCost float64, send [][]int64) int64 {
+	from := t.c.ps.now
+	seq, sent := t.post(op, callCost, send)
+	t.c.event(EvNbrStart, -1, int(seq), sent, from)
+	return seq
+}
+
+func (t *Topo) wait(op string, seq int64, recv [][]int64) [][]int64 {
+	from := t.c.ps.now
+	recv, got := t.collect(op, seq, recv)
+	t.c.event(EvNbrWait, -1, int(seq), got, from)
+	return recv
+}
+
 // NeighborAlltoallInt64 is MPI_Neighbor_alltoall: each rank sends a
 // fixed-size chunk to every neighbor and receives one from each. send
 // must hold Degree()*chunk words, laid out in neighbor order; the result
@@ -152,20 +231,14 @@ func (t *Topo) NeighborAlltoallInt64Into(send []int64, chunk int, recv []int64) 
 		panic(fmt.Sprintf("mpi: NeighborAlltoallInt64Into: len(recv)=%d, want %d*%d", len(recv), len(t.neighbors), chunk))
 	}
 	c := t.c
-	cost := c.w.cost
-	seq := t.seq
-	t.seq++
 	start := c.ps.now
-	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrCall)
+	seq := t.begin(c.w.cost.AlphaNbrCall)
 	var moved int64
-	for i, nb := range t.neighbors {
-		part := send[i*chunk : (i+1)*chunk]
-		bytes := int64(8 * len(part))
-		moved += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(seq), part, cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
+	for i := range t.neighbors {
+		moved += t.sendChunk(i, seq, send[i*chunk:(i+1)*chunk])
 	}
+	// Fixed-size chunks land in the flat buffer directly; the vector
+	// receive half would need a per-neighbor view slice per call.
 	for i, nb := range t.neighbors {
 		m := c.internalRecvMsg(nb, t.itag(seq))
 		if len(m.data) != chunk {
@@ -189,36 +262,15 @@ func (t *Topo) NeighborAlltoallvInt64(send [][]int64) [][]int64 {
 }
 
 // NeighborAlltoallvInt64Into is NeighborAlltoallvInt64 receiving into a
-// caller-supplied slice of per-neighbor buffers (allocated when nil).
-// Each recv[i] is reset to length zero and appended to, so its capacity
-// is reused; the possibly-regrown recv is returned. Transports keep one
-// receive set across rounds so a steady-state exchange allocates nothing.
+// caller-supplied slice of per-neighbor buffers (see collect). Transports
+// keep one receive set across rounds so a steady-state exchange
+// allocates nothing.
 func (t *Topo) NeighborAlltoallvInt64Into(send, recv [][]int64) [][]int64 {
-	if len(send) != len(t.neighbors) {
-		panic(fmt.Sprintf("mpi: NeighborAlltoallvInt64: len(send)=%d, want degree %d", len(send), len(t.neighbors)))
-	}
-	if recv == nil {
-		recv = make([][]int64, len(t.neighbors))
-	} else if len(recv) != len(t.neighbors) {
-		panic(fmt.Sprintf("mpi: NeighborAlltoallvInt64Into: len(recv)=%d, want degree %d", len(recv), len(t.neighbors)))
-	}
+	const op = "NeighborAlltoallvInt64Into"
 	c := t.c
-	cost := c.w.cost
-	seq := t.seq
-	t.seq++
 	start := c.ps.now
-	c.ps.rs.NbrCollCount++
-	c.chargeComm(cost.AlphaNbrCall)
-	var moved int64
-	for i, nb := range t.neighbors {
-		bytes := int64(8 * len(send[i]))
-		moved += bytes
-		c.chargeComm(cost.AlphaNbr + cost.BetaNbr*float64(bytes))
-		c.internalSend(nb, t.itag(seq), send[i], cost.AlphaNbr, cost.BetaNbr, (*RankStats).noteNbrChunk)
-	}
-	for i, nb := range t.neighbors {
-		recv[i] = c.internalRecvAppend(nb, t.itag(seq), recv[i])
-	}
+	seq, moved := t.post(op, c.w.cost.AlphaNbrCall, send)
+	recv, _ = t.collect(op, seq, recv)
 	c.event(EvNbrColl, -1, int(seq), moved, start)
 	return recv
 }
@@ -268,12 +320,4 @@ func (t *Topo) GatherTopoStats() TopoStats {
 		DegAvg:   avg,
 		DegSigma: math.Sqrt(variance),
 	}
-}
-
-// SortedNeighbors returns the neighbor list in ascending rank order
-// (convenience for deterministic iteration in diagnostics).
-func (t *Topo) SortedNeighbors() []int {
-	out := append([]int(nil), t.neighbors...)
-	sort.Ints(out)
-	return out
 }

@@ -7,16 +7,23 @@ import (
 	"repro/internal/mpi"
 )
 
-// Backend is the surface every transport exposes: record emission plus
-// the end-of-algorithm Finish. Drivers downcast to Async or Round
-// according to Model.Flavor — New guarantees the backend implements the
-// interface its model's flavor promises.
+// Backend is the surface every transport exposes: record emission, the
+// end-of-algorithm Finish and the volume ledger. Drivers downcast to
+// Async or Round according to Model.Flavor — New guarantees the backend
+// implements the interface its model's flavor promises.
 type Backend interface {
 	Sender
 	// Finish releases or transmits whatever the backend still holds once
 	// the algorithm decides termination (parked aggregation batches,
 	// in-flight pipelined rounds). Safe to call on every backend.
 	Finish()
+	// VolumeByDest returns the cumulative per-destination payload
+	// ledger: element d is the total record bytes this rank has pushed
+	// toward rank d through Send since the first VolumeByDest call,
+	// which allocates it (see ledger). The slice is live backend state —
+	// the round-telemetry layer snapshots it once per round; callers
+	// must not retain or modify it.
+	VolumeByDest() []int64
 }
 
 // DefaultAggBatch is the per-destination batch size the aggregating

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/distgraph"
@@ -59,48 +58,35 @@ type nclcPhase struct {
 //
 // When the neighborhood is sparse (global average degree at or below
 // nclcCombineFactor * ceil(log2 p)), combining cannot pay for the extra
-// hops and NCLC delegates to the direct blocking exchange instead. The
-// mode is decided once, collectively, from the global average degree —
-// per-rank decisions would produce incompatible schedules.
+// hops and NewNCLC returns the direct blocking exchange (*NCL) instead.
+// The mode is decided once, collectively, from the global average degree
+// — per-rank decisions would produce incompatible schedules.
 type NCLC struct {
-	c *mpi.Comm
-	l *distgraph.Local
-
-	direct *NCL // sparse fallback; nil when combining
+	stage
 
 	p          int
 	phases     []nclcPhase
-	out        [][]int64 // staged {ctx,x,y} per process-graph neighbor
-	deliver    []int64   // records destined here, delivered at Exchange end
+	home       []int64 // records destined here, delivered at Exchange end
 	fwdRecords int64
 	fwdBytes   int64
-	accounted  int64 // high-water of buffer bytes actually used
-	vol        []int64
 }
 
-// NewNCLC collectively constructs the combining backend: an allreduce
-// decides the mode, and in combining mode one 1- or 2-neighbor topology
-// plus persistent schedule is created per ring-power direction. Buffers
-// hold maxPerArc records per cross arc per direction, as for NCL.
-func NewNCLC(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *NCLC {
-	t := &NCLC{c: c, l: l, p: c.Size()}
-	k := log2Ceil(t.p)
+// NewNCLC collectively constructs the model's backend: an allreduce
+// decides the mode, which is the type returned — a plain *NCL on a sparse
+// process graph, otherwise an *NCLC with one 1- or 2-neighbor topology
+// plus persistent schedule per ring-power direction. Buffers hold
+// maxPerArc records per cross arc per direction either way.
+func NewNCLC(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) Round {
+	p := c.Size()
+	k := log2Ceil(p)
 	// Mode is a global property: every rank must either combine (and
 	// participate in all k phase topologies as a potential intermediate,
 	// even with zero neighbors of its own) or none must.
 	sumDeg := c.AllreduceScalarInt64(mpi.OpSum, int64(len(l.NeighborRanks)))
-	avgDeg := float64(sumDeg) / float64(t.p)
-	if k == 0 || avgDeg <= nclcCombineFactor*float64(k) {
-		t.direct = NewNCL(c, topo, l, maxPerArc)
-		return t
+	if k == 0 || float64(sumDeg)/float64(p) <= nclcCombineFactor*float64(k) {
+		return NewNCL(c, topo, l, maxPerArc)
 	}
-
-	deg := len(l.NeighborRanks)
-	t.out = make([][]int64, deg)
-	for i, arcs := range l.CrossArcs {
-		t.out[i] = make([]int64, 0, arcs*maxPerArc*recordWords)
-	}
-	t.phases = make([]nclcPhase, k)
+	t := &NCLC{stage: newStage(ModelNCLC, c, l, maxPerArc), p: p, phases: make([]nclcPhase, k)}
 	for j := 0; j < k; j++ {
 		step := 1 << j
 		fwd := (c.Rank() + step) % t.p
@@ -118,10 +104,6 @@ func NewNCLC(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *
 			recv:   make([][]int64, len(peers)),
 		}
 	}
-	// Memory is accounted per round from actual usage (Exchange), as for
-	// NCL: real implementations size combining buffers to per-round
-	// volume, far below the lifetime protocol bound used as an overflow
-	// guard.
 	return t
 }
 
@@ -135,53 +117,15 @@ func log2Ceil(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// Combining reports whether the backend routes through the combining
-// schedule (false: direct fallback).
-func (t *NCLC) Combining() bool { return t.direct == nil }
-
 // ForwardedBytes returns the cumulative wire bytes this rank has relayed
 // on behalf of other ranks (received in a bundle and re-sent toward the
-// destination). Endpoint traffic is in VolumeByDest; the sum of both is
-// the rank's true injection load.
+// destination). Endpoint traffic is in VolumeByDest, accounted toward
+// the record's final destination at Send time uniformly with every other
+// backend; the sum of both is the rank's true injection load.
 func (t *NCLC) ForwardedBytes() int64 { return t.fwdBytes }
 
 // ForwardedRecords returns the cumulative count of relayed records.
 func (t *NCLC) ForwardedRecords() int64 { return t.fwdRecords }
-
-// VolumeByDest implements Volumer; first call allocates the ledger.
-// Bytes are accounted toward the record's final destination at Send
-// time, uniformly with every other backend, so per-model volume ledgers
-// stay comparable; relay traffic is tracked separately (ForwardedBytes).
-func (t *NCLC) VolumeByDest() []int64 {
-	if t.direct != nil {
-		return t.direct.VolumeByDest()
-	}
-	if t.vol == nil {
-		t.vol = make([]int64, t.c.Size())
-	}
-	return t.vol
-}
-
-// Send implements Sender: stage the record for its process-graph
-// neighbor, bounded by the per-arc protocol guarantee.
-func (t *NCLC) Send(dst int, ctx, x, y int64) {
-	if t.direct != nil {
-		t.direct.Send(dst, ctx, x, y)
-		return
-	}
-	i := t.l.NeighborIndex(dst)
-	if i < 0 {
-		panic(fmt.Sprintf("transport: NCLC send to non-neighbor rank %d", dst))
-	}
-	if t.vol != nil {
-		t.vol[dst] += recordBytes
-	}
-	if len(t.out[i])+recordWords > cap(t.out[i]) {
-		panic(fmt.Sprintf("transport: NCLC buffer overflow to rank %d (per-edge message bound violated)", dst))
-	}
-	t.c.Pack(1)
-	t.out[i] = append(t.out[i], ctx, x, y)
-}
 
 // dist returns the ring distance from this rank to dst in [1, p).
 func (t *NCLC) dist(dst int) int {
@@ -206,15 +150,10 @@ func (t *NCLC) dist(dst int) int {
 // its next phase j1 > j0 has not run yet this round. Induction gives
 // every record home within the round's k phases.
 func (t *NCLC) Exchange(h Handler) int {
-	if t.direct != nil {
-		return t.direct.Exchange(h)
-	}
-	var usage int64
+	usage := t.staged()
 	// Distribute staged records (3 words) into wire bundles (4 words,
 	// destination prepended) keyed by the distance's lowest set bit.
-	for i := range t.out {
-		buf := t.out[i]
-		usage += int64(len(buf))
+	for i, buf := range t.out {
 		if len(buf) == 0 {
 			continue
 		}
@@ -223,9 +162,9 @@ func (t *NCLC) Exchange(h Handler) int {
 		for k := 0; k+recordWords <= len(buf); k += recordWords {
 			ph.buf = append(ph.buf, int64(dst), buf[k], buf[k+1], buf[k+2])
 		}
-		t.out[i] = buf[:0]
 	}
-	delivered := t.deliver[:0]
+	t.reset()
+	home := t.home[:0]
 	for j := range t.phases {
 		ph := &t.phases[j]
 		ph.sendv[ph.fwdIdx] = ph.buf
@@ -240,7 +179,7 @@ func (t *NCLC) Exchange(h Handler) int {
 			for k := 0; k+nclcWireWords <= len(data); k += nclcWireWords {
 				dst := int(data[k])
 				if dst == t.c.Rank() {
-					delivered = append(delivered, data[k+1], data[k+2], data[k+3])
+					home = append(home, data[k+1], data[k+2], data[k+3])
 					continue
 				}
 				// Split and re-combine: this rank is an intermediate hop.
@@ -254,27 +193,13 @@ func (t *NCLC) Exchange(h Handler) int {
 			}
 		}
 	}
-	t.deliver = delivered
-	usage += int64(len(delivered))
-	if usage *= 8; usage > t.accounted {
-		t.c.AccountAlloc(usage - t.accounted)
-		t.accounted = usage
-	}
+	t.home = home
+	t.account(usage + int64(len(home)))
 	// Deliver after the staging buffers were reset: handlers queue
 	// next-round records into the same buffers.
-	n := 0
-	for k := 0; k+recordWords <= len(delivered); k += recordWords {
-		t.c.Unpack(1)
-		h(delivered[k], delivered[k+1], delivered[k+2])
-		n++
-	}
-	return n
+	return deliver(t.c, home, h)
 }
 
 // Finish implements Round: every phase completes within its Exchange,
-// so there is no in-flight state (delegates in direct mode).
-func (t *NCLC) Finish() {
-	if t.direct != nil {
-		t.direct.Finish()
-	}
-}
+// so there is no in-flight state.
+func (t *NCLC) Finish() {}

@@ -39,7 +39,7 @@ func nclcRun(t *testing.T, p int, opts ...mpi.Option) ([][]rec, bool) {
 		topo := c.CreateGraphTopo(l.NeighborRanks)
 		tr := NewNCLC(c, topo, l, 4)
 		if c.Rank() == 0 {
-			combining = tr.Combining()
+			_, combining = tr.(*NCLC)
 		}
 		for r := 0; r < 3; r++ {
 			for _, nb := range l.NeighborRanks {
@@ -111,8 +111,8 @@ func TestNCLCSparseFallsBackToDirect(t *testing.T) {
 		l := d.BuildLocal(c.Rank())
 		topo := c.CreateGraphTopo(l.NeighborRanks)
 		tr := NewNCLC(c, topo, l, 2)
-		if tr.Combining() {
-			t.Errorf("rank %d combining on a path distribution", c.Rank())
+		if _, direct := tr.(*NCL); !direct {
+			t.Errorf("rank %d got %T on a path distribution, want the direct *NCL", c.Rank(), tr)
 		}
 		tr.Finish()
 		return nil
@@ -135,7 +135,7 @@ func TestNCLCForwardingAccounting(t *testing.T) {
 	_, err := mpi.Run(p, func(c *mpi.Comm) error {
 		l := d.BuildLocal(c.Rank())
 		topo := c.CreateGraphTopo(l.NeighborRanks)
-		tr := NewNCLC(c, topo, l, 2)
+		tr := NewNCLC(c, topo, l, 2).(*NCLC)
 		vol := tr.VolumeByDest()
 		var sent int64
 		for _, nb := range l.NeighborRanks {
@@ -193,8 +193,8 @@ func TestNCLCRoundZeroAlloc(t *testing.T) {
 		l := d.BuildLocal(c.Rank())
 		topo := c.CreateGraphTopo(l.NeighborRanks)
 		tr := NewNCLC(c, topo, l, 4)
-		if !tr.Combining() {
-			t.Error("K_8 should combine")
+		if _, combining := tr.(*NCLC); !combining {
+			t.Errorf("K_8 should combine, got %T", tr)
 		}
 		round := func() {
 			for _, nb := range l.NeighborRanks {

@@ -15,8 +15,14 @@
 // application-defined small positive integer (it travels as the message
 // tag on the point-to-point path, per the paper's §IV-B), x is the
 // target vertex (owned by the destination rank) and y the remote vertex.
-// Buffered backends are sized from the distribution's per-neighbor cross
-// arc counts times the application's per-edge message bound.
+// What the backends share exists once, in this file: ledger is the
+// per-destination volume ledger behind every backend's VolumeByDest;
+// stage is the per-neighbor staging area — buffers sized from the
+// distribution's cross-arc counts times the application's per-edge
+// message bound, and the Send that fills them — embedded by the three
+// neighborhood-collective backends; deliver is the unpack loop at the
+// end of every buffered receive side. A backend adds only how its
+// records travel.
 package transport
 
 import (
@@ -46,46 +52,135 @@ type Sender interface {
 }
 
 // Async is the point-to-point flavor: records are transmitted
-// immediately and the application polls for arrivals.
+// immediately and the application polls for arrivals. Its Finish must be
+// called when the algorithm decides local termination, since peers may
+// depend on records still parked locally.
 type Async interface {
-	Sender
+	Backend
 	// Drain delivers every currently queued record to h; reports whether
 	// any was delivered.
 	Drain(h Handler) bool
 	// Block waits until at least one record is queued.
 	Block()
-	// Finish transmits anything still parked locally; must be called
-	// when the algorithm decides local termination, since peers may
-	// depend on buffered records.
-	Finish()
 }
 
 // Round is the bulk-synchronous flavor: records accumulate until
 // Exchange, which transmits, receives, and delivers.
 type Round interface {
-	Sender
+	Backend
 	// Exchange performs one communication round and delivers received
 	// records to h, returning how many were delivered.
 	Exchange(h Handler) int
-	// Finish releases any in-flight state after the algorithm's
-	// termination decision (needed by pipelined backends).
-	Finish()
 }
 
-// Volumer exposes a backend's cumulative per-destination payload
-// ledger: VolumeByDest()[d] is the total record bytes this rank has
-// pushed toward rank d through Send since construction. The slice is
-// live backend state — the round-telemetry layer snapshots it once per
-// round; callers must not retain or modify it.
-//
-// The ledger is O(world size) per rank, so backends allocate it lazily
-// on the first VolumeByDest call: an untelemetered 64K-rank run carries
-// no ledgers at all, while the telemetry layer (which calls VolumeByDest
-// before the backend's first Send) still observes every byte. Sends
-// before the first VolumeByDest call are deliberately not back-filled.
-type Volumer interface {
-	VolumeByDest() []int64
+// ledger is the cumulative per-destination payload ledger behind every
+// backend's VolumeByDest (see Backend). It is O(world size) per rank, so
+// it is allocated lazily on the first VolumeByDest call: an
+// untelemetered 64K-rank run carries no ledgers at all, while the
+// telemetry layer (which calls VolumeByDest before the backend's first
+// Send) still observes every byte. Sends before the first VolumeByDest
+// call are deliberately not back-filled.
+type ledger struct {
+	size int // world size
+	vol  []int64
 }
+
+// VolumeByDest implements Backend; the first call allocates the ledger.
+func (g *ledger) VolumeByDest() []int64 {
+	if g.vol == nil {
+		g.vol = make([]int64, g.size)
+	}
+	return g.vol
+}
+
+// note accounts one record toward rank dst.
+func (g *ledger) note(dst int) {
+	if g.vol != nil {
+		g.vol[dst] += recordBytes
+	}
+}
+
+// highWater charges the modeled allocation ledger for the part of a
+// buffer footprint of bytes that exceeds its previous peak. Memory is
+// accounted from actual per-round usage: real implementations size
+// aggregation buffers to per-round volume, far below the lifetime
+// protocol bound the backends use as an overflow guard.
+func highWater(c *mpi.Comm, peak *int64, bytes int64) {
+	if bytes > *peak {
+		c.AccountAlloc(bytes - *peak)
+		*peak = bytes
+	}
+}
+
+// deliver hands every record in words to h, charging one unpack each,
+// and returns how many there were. Every buffered backend's receive side
+// ends here, whatever carried the words (a neighborhood collective, a
+// coalesced message, a window region).
+func deliver(c *mpi.Comm, words []int64, h Handler) int {
+	for k := 0; k+recordWords <= len(words); k += recordWords {
+		c.Unpack(1)
+		h(words[k], words[k+1], words[k+2])
+	}
+	return len(words) / recordWords
+}
+
+// stage is the per-neighbor record staging area of the three
+// neighborhood-collective backends (NCL, NCLI, NCLC): one buffer per
+// process-graph neighbor, its capacity — CrossArcs × maxPerArc records —
+// doubling as the per-edge protocol bound. Backends embed it, so its
+// Send is theirs.
+type stage struct {
+	ledger
+	model Model // named in Send's panics
+	c     *mpi.Comm
+	l     *distgraph.Local
+	out   [][]int64
+	peak  int64 // high-water of buffer bytes actually used
+}
+
+func newStage(m Model, c *mpi.Comm, l *distgraph.Local, maxPerArc int64) stage {
+	s := stage{ledger: ledger{size: c.Size()}, model: m, c: c, l: l, out: make([][]int64, len(l.NeighborRanks))}
+	for i, arcs := range l.CrossArcs {
+		s.out[i] = make([]int64, 0, arcs*maxPerArc*recordWords)
+	}
+	return s
+}
+
+// Send implements Sender: stage the record for its process-graph
+// neighbor, bounded by the per-arc protocol guarantee.
+func (s *stage) Send(dst int, ctx, x, y int64) {
+	i := s.l.NeighborIndex(dst)
+	if i < 0 {
+		panic(fmt.Sprintf("transport: %v send to non-neighbor rank %d", s.model, dst))
+	}
+	s.note(dst)
+	if len(s.out[i])+recordWords > cap(s.out[i]) {
+		panic(fmt.Sprintf("transport: %v buffer overflow to rank %d (per-edge message bound violated)", s.model, dst))
+	}
+	s.c.Pack(1)
+	s.out[i] = append(s.out[i], ctx, x, y)
+}
+
+// staged returns the words currently staged across all neighbors.
+func (s *stage) staged() int64 {
+	var words int64
+	for i := range s.out {
+		words += int64(len(s.out[i]))
+	}
+	return words
+}
+
+// reset empties the staging buffers, keeping their capacity. Exchanges
+// reset before delivery: handlers queue next-round records into the same
+// buffers (the runtime copied the payloads).
+func (s *stage) reset() {
+	for i := range s.out {
+		s.out[i] = s.out[i][:0]
+	}
+}
+
+// account books a round that used words of buffer space.
+func (s *stage) account(words int64) { highWater(s.c, &s.peak, words*8) }
 
 // --- P2P: Send-Recv -------------------------------------------------------
 
@@ -93,31 +188,21 @@ type Volumer interface {
 // in the tag (the paper's NSR baseline); Synchronous selects
 // synchronous-mode sends (the MatchBox-P model).
 type P2P struct {
+	ledger
 	C           *mpi.Comm
 	Synchronous bool
 	sbuf        [2]int64 // send scratch (the runtime copies payloads)
 	rbuf        [2]int64 // receive scratch for RecvInto
-	vol         []int64
 }
 
 // NewP2P returns a Send-Recv backend.
 func NewP2P(c *mpi.Comm, synchronous bool) *P2P {
-	return &P2P{C: c, Synchronous: synchronous}
-}
-
-// VolumeByDest implements Volumer; first call allocates the ledger.
-func (t *P2P) VolumeByDest() []int64 {
-	if t.vol == nil {
-		t.vol = make([]int64, t.C.Size())
-	}
-	return t.vol
+	return &P2P{ledger: ledger{size: c.Size()}, C: c, Synchronous: synchronous}
 }
 
 // Send implements Sender.
 func (t *P2P) Send(dst int, ctx, x, y int64) {
-	if t.vol != nil {
-		t.vol[dst] += recordBytes
-	}
+	t.note(dst)
 	t.sbuf[0], t.sbuf[1] = x, y
 	if t.Synchronous {
 		t.C.Ssend(dst, int(ctx), t.sbuf[:])
@@ -154,12 +239,8 @@ func (t *P2P) Finish() {}
 // once per round with a blocking count exchange plus payload alltoallv
 // (paper §IV-D(c)).
 type NCL struct {
-	c         *mpi.Comm
-	topo      *mpi.Topo
-	l         *distgraph.Local
-	out       [][]int64
-	accounted int64 // high-water of buffer bytes actually used
-	vol       []int64
+	stage
+	topo *mpi.Topo
 
 	// Per-round scratch, reused so a steady-state Exchange allocates
 	// nothing: outgoing/incoming counts and the receive buffers.
@@ -172,44 +253,13 @@ type NCL struct {
 // buffers hold maxPerArc records per cross arc per direction.
 func NewNCL(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *NCL {
 	deg := len(l.NeighborRanks)
-	t := &NCL{
-		c: c, topo: topo, l: l,
-		out:      make([][]int64, deg),
+	return &NCL{
+		stage:    newStage(ModelNCL, c, l, maxPerArc),
+		topo:     topo,
 		counts:   make([]int64, deg),
 		incoming: make([]int64, deg),
 		in:       make([][]int64, deg),
 	}
-	for i, arcs := range l.CrossArcs {
-		t.out[i] = make([]int64, 0, arcs*maxPerArc*recordWords)
-	}
-	// Memory is accounted per round from actual usage (Exchange): real
-	// implementations size aggregation buffers to per-round volume, far
-	// below the lifetime protocol bound used here as an overflow guard.
-	return t
-}
-
-// VolumeByDest implements Volumer; first call allocates the ledger.
-func (t *NCL) VolumeByDest() []int64 {
-	if t.vol == nil {
-		t.vol = make([]int64, t.c.Size())
-	}
-	return t.vol
-}
-
-// Send implements Sender.
-func (t *NCL) Send(dst int, ctx, x, y int64) {
-	i := t.l.NeighborIndex(dst)
-	if i < 0 {
-		panic(fmt.Sprintf("transport: NCL send to non-neighbor rank %d", dst))
-	}
-	if t.vol != nil {
-		t.vol[dst] += recordBytes
-	}
-	if len(t.out[i])+recordWords > cap(t.out[i]) {
-		panic(fmt.Sprintf("transport: NCL buffer overflow to rank %d (per-edge message bound violated)", dst))
-	}
-	t.c.Pack(1)
-	t.out[i] = append(t.out[i], ctx, x, y)
 }
 
 // Exchange implements Round: counts via MPI_Neighbor_alltoall, payloads
@@ -220,33 +270,18 @@ func (t *NCL) Exchange(h Handler) int {
 	}
 	incoming := t.topo.NeighborAlltoallInt64Into(t.counts, 1, t.incoming)
 	t.in = t.topo.NeighborAlltoallvInt64Into(t.out, t.in)
-	data := t.in
-	var usage int64
-	for i := range t.out {
-		usage += int64(len(t.out[i]))
+	usage := t.staged()
+	for _, data := range t.in {
+		usage += int64(len(data))
 	}
-	for i := range data {
-		usage += int64(len(data[i]))
-	}
-	if usage *= 8; usage > t.accounted {
-		t.c.AccountAlloc(usage - t.accounted)
-		t.accounted = usage
-	}
-	// Reset before delivery: handlers queue next-round records into the
-	// same buffers (the runtime copied the payloads).
-	for i := range t.out {
-		t.out[i] = t.out[i][:0]
-	}
+	t.account(usage)
+	t.reset()
 	n := 0
-	for i := range data {
-		if int64(len(data[i])) != incoming[i] {
-			panic(fmt.Sprintf("transport: NCL count exchange disagrees with payload: %d vs %d", incoming[i], len(data[i])))
+	for i, data := range t.in {
+		if int64(len(data)) != incoming[i] {
+			panic(fmt.Sprintf("transport: NCL count exchange disagrees with payload: %d vs %d", incoming[i], len(data)))
 		}
-		for k := 0; k+recordWords <= len(data[i]); k += recordWords {
-			t.c.Unpack(1)
-			h(data[i][k], data[i][k+1], data[i][k+2])
-			n++
-		}
+		n += deliver(t.c, data, h)
 	}
 	return n
 }
@@ -263,6 +298,7 @@ func (t *NCL) Finish() {}
 // MPI_Put at base + cursor; a per-round flush plus count exchange tells
 // targets how much arrived.
 type RMA struct {
+	ledger
 	c    *mpi.Comm
 	topo *mpi.Topo
 	l    *distgraph.Local
@@ -274,7 +310,6 @@ type RMA struct {
 	writeCursor []int64
 	roundMark   []int64
 	readCursor  []int64
-	vol         []int64
 
 	// Per-round scratch, reused so a steady-state Exchange (and each
 	// Send's 3-word put record) allocates nothing.
@@ -289,6 +324,7 @@ func NewRMA(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *R
 	deg := len(l.NeighborRanks)
 	t := &RMA{
 		c: c, topo: topo, l: l, maxPerArc: maxPerArc,
+		ledger:      ledger{size: c.Size()},
 		regionStart: make([]int64, deg),
 		writeCursor: make([]int64, deg),
 		roundMark:   make([]int64, deg),
@@ -307,14 +343,6 @@ func NewRMA(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *R
 	return t
 }
 
-// VolumeByDest implements Volumer; first call allocates the ledger.
-func (t *RMA) VolumeByDest() []int64 {
-	if t.vol == nil {
-		t.vol = make([]int64, t.c.Size())
-	}
-	return t.vol
-}
-
 // Send implements Sender with a one-sided put at the precomputed
 // displacement.
 func (t *RMA) Send(dst int, ctx, x, y int64) {
@@ -322,9 +350,7 @@ func (t *RMA) Send(dst int, ctx, x, y int64) {
 	if i < 0 {
 		panic(fmt.Sprintf("transport: RMA send to non-neighbor rank %d", dst))
 	}
-	if t.vol != nil {
-		t.vol[dst] += recordBytes
-	}
+	t.note(dst)
 	if t.writeCursor[i] >= t.l.CrossArcs[i]*t.maxPerArc {
 		panic(fmt.Sprintf("transport: RMA region overflow to rank %d (per-edge message bound violated)", dst))
 	}
@@ -346,12 +372,8 @@ func (t *RMA) Exchange(h Handler) int {
 	local := t.win.Local()
 	n := 0
 	for i := range incoming {
-		for k := int64(0); k < incoming[i]; k++ {
-			base := t.regionStart[i] + (t.readCursor[i]+k)*recordWords
-			t.c.Unpack(1)
-			h(local[base], local[base+1], local[base+2])
-			n++
-		}
+		base := t.regionStart[i] + t.readCursor[i]*recordWords
+		n += deliver(t.c, local[base:base+incoming[i]*recordWords], h)
 		t.readCursor[i] += incoming[i]
 	}
 	return n
@@ -370,86 +392,43 @@ func (t *RMA) Free() { t.win.Free() }
 // k-1's are processed. Receive buffers are implicitly preposted at the
 // per-edge bound, so no count exchange is needed.
 type NCLI struct {
-	c         *mpi.Comm
-	topo      *mpi.Topo
-	l         *distgraph.Local
-	out       [][]int64
-	spare     [][]int64
-	in        [][]int64 // receive scratch reused across rounds
-	inflight  *mpi.NbrRequest
-	accounted int64 // high-water of buffer bytes actually used
-	vol       []int64
+	stage
+	topo     *mpi.Topo
+	spare    [][]int64 // the other half of the double buffer
+	in       [][]int64 // receive scratch reused across rounds
+	inflight *mpi.NbrRequest
 }
 
 // NewNCLI returns the pipelined nonblocking backend.
 func NewNCLI(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *NCLI {
-	t := &NCLI{c: c, topo: topo, l: l,
-		out:   make([][]int64, len(l.NeighborRanks)),
+	t := &NCLI{
+		stage: newStage(ModelNCLI, c, l, maxPerArc),
+		topo:  topo,
 		spare: make([][]int64, len(l.NeighborRanks)),
 		in:    make([][]int64, len(l.NeighborRanks)),
 	}
-	for i, arcs := range l.CrossArcs {
-		cap := arcs * maxPerArc * recordWords
-		t.out[i] = make([]int64, 0, cap)
-		t.spare[i] = make([]int64, 0, cap)
+	for i := range t.out {
+		t.spare[i] = make([]int64, 0, cap(t.out[i]))
 	}
-	// Accounted per round from actual usage, like NCL (double-buffered,
-	// so both the filling and in-flight sides count).
 	return t
-}
-
-// VolumeByDest implements Volumer; first call allocates the ledger.
-func (t *NCLI) VolumeByDest() []int64 {
-	if t.vol == nil {
-		t.vol = make([]int64, t.c.Size())
-	}
-	return t.vol
-}
-
-// Send implements Sender.
-func (t *NCLI) Send(dst int, ctx, x, y int64) {
-	i := t.l.NeighborIndex(dst)
-	if i < 0 {
-		panic(fmt.Sprintf("transport: NCLI send to non-neighbor rank %d", dst))
-	}
-	if t.vol != nil {
-		t.vol[dst] += recordBytes
-	}
-	if len(t.out[i])+recordWords > cap(t.out[i]) {
-		panic(fmt.Sprintf("transport: NCLI buffer overflow to rank %d (per-edge message bound violated)", dst))
-	}
-	t.c.Pack(1)
-	t.out[i] = append(t.out[i], ctx, x, y)
 }
 
 // Exchange implements Round: start the nonblocking send of the current
 // buffers, then complete and deliver the previous round's exchange.
 func (t *NCLI) Exchange(h Handler) int {
-	var usage int64
-	for i := range t.out {
-		usage += 2 * int64(len(t.out[i])) // filling + in-flight copies
-	}
+	usage := 2 * t.staged() // double-buffered: filling + in-flight copies
 	req := t.topo.INeighborAlltoallvInt64(t.out)
 	t.out, t.spare = t.spare, t.out
-	for i := range t.out {
-		t.out[i] = t.out[i][:0]
-	}
+	t.reset()
 	n := 0
 	if t.inflight != nil {
 		t.in = t.inflight.WaitInto(t.in)
 		for _, data := range t.in {
 			usage += int64(len(data))
-			for k := 0; k+recordWords <= len(data); k += recordWords {
-				t.c.Unpack(1)
-				h(data[k], data[k+1], data[k+2])
-				n++
-			}
+			n += deliver(t.c, data, h)
 		}
 	}
-	if usage *= 8; usage > t.accounted {
-		t.c.AccountAlloc(usage - t.accounted)
-		t.accounted = usage
-	}
+	t.account(usage)
 	t.inflight = req
 	return n
 }
@@ -478,12 +457,12 @@ const aggTag = 1 << 20
 // every blocking wait so no rank stalls on records parked in a peer's
 // buffer.
 type P2PAgg struct {
+	ledger
 	c         *mpi.Comm
 	batch     int
 	out       map[int][]int64
 	rbuf      []int64 // receive scratch, grown to the largest batch seen
 	accounted int64
-	vol       []int64
 }
 
 // NewP2PAgg returns an aggregating Send-Recv backend batching up to
@@ -492,23 +471,13 @@ func NewP2PAgg(c *mpi.Comm, batch int) *P2PAgg {
 	if batch < 1 {
 		panic(fmt.Sprintf("transport: P2PAgg batch = %d", batch))
 	}
-	return &P2PAgg{c: c, batch: batch, out: make(map[int][]int64)}
-}
-
-// VolumeByDest implements Volumer; first call allocates the ledger.
-func (t *P2PAgg) VolumeByDest() []int64 {
-	if t.vol == nil {
-		t.vol = make([]int64, t.c.Size())
-	}
-	return t.vol
+	return &P2PAgg{ledger: ledger{size: c.Size()}, c: c, batch: batch, out: make(map[int][]int64)}
 }
 
 // Send implements Sender: append to the destination's batch, flushing
 // when full.
 func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
-	if t.vol != nil {
-		t.vol[dst] += recordBytes
-	}
+	t.note(dst)
 	t.c.Pack(1)
 	buf := append(t.out[dst], ctx, x, y)
 	if len(buf) >= t.batch*recordWords {
@@ -516,10 +485,7 @@ func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
 		buf = buf[:0]
 	}
 	t.out[dst] = buf
-	if usage := int64(8 * t.batch * recordWords * len(t.out)); usage > t.accounted {
-		t.c.AccountAlloc(usage - t.accounted)
-		t.accounted = usage
-	}
+	highWater(t.c, &t.accounted, int64(8*t.batch*recordWords*len(t.out)))
 }
 
 // flushAll transmits every partial batch, in destination-rank order: a
@@ -552,11 +518,7 @@ func (t *P2PAgg) Drain(h Handler) bool {
 			t.rbuf = make([]int64, st.Count)
 		}
 		n, _ := t.c.RecvInto(st.Source, st.Tag, t.rbuf[:cap(t.rbuf)])
-		data := t.rbuf[:n]
-		for k := 0; k+recordWords <= len(data); k += recordWords {
-			t.c.Unpack(1)
-			h(data[k], data[k+1], data[k+2])
-		}
+		deliver(t.c, t.rbuf[:n], h)
 		any = true
 	}
 }

@@ -25,11 +25,19 @@ import (
 // distribution of n ranks: every pair of ranks shares exactly one cross
 // arc, so per-neighbor buffers hold exactly MaxPerArc records and the
 // process graph is as dense as it gets (NCLC runs in combining mode).
-func completeGraph(n int) *graph.CSR {
+// Edges listed in missing are left out, making those rank pairs
+// non-neighbors.
+func completeGraph(n int, missing ...[2]int) *graph.CSR {
+	skip := make(map[[2]int]bool, len(missing))
+	for _, m := range missing {
+		skip[m] = true
+	}
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			b.AddEdge(u, v, 1)
+			if !skip[[2]int{u, v}] {
+				b.AddEdge(u, v, 1)
+			}
 		}
 	}
 	return b.Build()
@@ -72,12 +80,7 @@ func TestConformanceDeliveryOrderVolume(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				v, ok := bk.(transport.Volumer)
-				if !ok {
-					t.Errorf("%v backend does not implement Volumer", m)
-					return nil
-				}
-				vol := v.VolumeByDest()
+				vol := bk.VolumeByDest()
 				var sent, recvd int64
 				lastSeq := make([]int64, p) // per-source FIFO watermark
 				got := make([]int64, p)     // per-source delivery count
@@ -171,11 +174,10 @@ func TestConformanceFlavorLoops(t *testing.T) {
 
 // TestConformanceRoundBounds asserts the two protocol panics every
 // buffered round backend owes its caller: sending to a rank outside the
-// process graph, and exceeding the per-arc record bound.
+// process graph, and exceeding the per-arc record bound. Two inputs, so
+// NCLC owes them in both of its modes: a path (sparse: the factory hands
+// back the direct exchange) and K_8 less one edge (dense: combining).
 func TestConformanceRoundBounds(t *testing.T) {
-	g := gen.Path(16)
-	const p = 4
-	d := distgraph.NewBlockDist(g, p)
 	expectPanic := func(m transport.Model, substr string, f func()) {
 		defer func() {
 			r := recover()
@@ -189,41 +191,55 @@ func TestConformanceRoundBounds(t *testing.T) {
 		}()
 		f()
 	}
-	for _, m := range transport.Models {
-		if m.Flavor() != transport.FlavorRound {
-			continue
-		}
-		_, err := mpi.Run(p, func(c *mpi.Comm) error {
-			l := d.BuildLocal(c.Rank())
-			bk, err := transport.New(m, transport.Deps{Comm: c, Local: l, MaxPerArc: 1})
+	for _, in := range []struct {
+		name      string
+		g         *graph.CSR
+		p         int
+		combining bool
+	}{
+		// Rank r's neighbors are r±1 only.
+		{"path", gen.Path(16), 4, false},
+		// Every pair of ranks is adjacent but 0 and 7.
+		{"dense", completeGraph(8, [2]int{0, 7}), 8, true},
+	} {
+		d := distgraph.NewBlockDist(in.g, in.p)
+		for _, m := range transport.Models {
+			if m.Flavor() != transport.FlavorRound {
+				continue
+			}
+			_, err := mpi.Run(in.p, func(c *mpi.Comm) error {
+				l := d.BuildLocal(c.Rank())
+				bk, err := transport.New(m, transport.Deps{Comm: c, Local: l, MaxPerArc: 1})
+				if err != nil {
+					return err
+				}
+				if _, ok := bk.(*transport.NCLC); m == transport.ModelNCLC && ok != in.combining {
+					t.Errorf("%s: NCLC backend is %T, want combining = %v", in.name, bk, in.combining)
+				}
+				// On both inputs the opposite end of the world is a
+				// non-neighbor for the two outer ranks (for the ranks
+				// between it is adjacent or the rank itself — skip).
+				far := in.p - 1 - c.Rank()
+				if far != c.Rank() && l.NeighborIndex(far) < 0 {
+					expectPanic(m, "non-neighbor rank", func() { bk.Send(far, 1, 0, 0) })
+				}
+				// One cross arc per adjacent rank and MaxPerArc=1: the second
+				// record to the same neighbor must trip the overflow guard.
+				nb := l.NeighborRanks[0]
+				lo, _ := d.Range(nb)
+				x := int64(lo) // a vertex the destination owns
+				bk.Send(nb, 1, x, 0)
+				expectPanic(m, "per-edge message bound violated", func() { bk.Send(nb, 1, x, 1) })
+				// The surviving staged record still delivers cleanly.
+				var sent, recvd int64 = 1, 0
+				pump(c, bk, func(ctx, x, y int64) { recvd++ }, &sent, &recvd)
+				bk.Finish()
+				transport.Release(bk)
+				return nil
+			}, mpi.WithDeadline(time.Minute))
 			if err != nil {
-				return err
+				t.Fatalf("%s/%v: %v", in.name, m, err)
 			}
-			// On the path distribution rank r's neighbors are r±1 only, so
-			// the opposite end of the world is a non-neighbor for the two
-			// outer ranks (for the middle ranks it is adjacent — skip).
-			far := p - 1 - c.Rank()
-			if far != c.Rank() && l.NeighborIndex(far) < 0 {
-				expectPanic(m, "non-neighbor rank", func() { bk.Send(far, 1, 0, 0) })
-			}
-			// One cross arc per adjacent rank and MaxPerArc=1: the second
-			// record to the same neighbor must trip the overflow guard.
-			nb := l.NeighborRanks[0]
-			x := int64(l.Lo - 1)
-			if nb > c.Rank() {
-				x = int64(l.Hi)
-			}
-			bk.Send(nb, 1, x, 0)
-			expectPanic(m, "per-edge message bound violated", func() { bk.Send(nb, 1, x, 1) })
-			// The surviving staged record still delivers cleanly.
-			var sent, recvd int64 = 1, 0
-			pump(c, bk, func(ctx, x, y int64) { recvd++ }, &sent, &recvd)
-			bk.Finish()
-			transport.Release(bk)
-			return nil
-		}, mpi.WithDeadline(time.Minute))
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -278,21 +278,17 @@ func TestVolumeByDest(t *testing.T) {
 		if c.Rank() == 0 {
 			x, y = 4, 3
 		}
-		for _, tr := range []Sender{
+		for _, tr := range []Backend{
 			NewP2P(c, false),
 			NewP2PAgg(c, 4),
 			NewNCL(c, topo, l, 8),
 			NewRMA(c, topo, l, 8),
 			NewNCLI(c, topo, l, 8),
 		} {
-			v, ok := tr.(Volumer)
-			if !ok {
-				t.Fatalf("%T does not expose VolumeByDest", tr)
-			}
-			v.VolumeByDest() // activate the lazy ledger before sending
+			tr.VolumeByDest() // activate the lazy ledger before sending
 			tr.Send(peer, 1, x, y)
 			tr.Send(peer, 1, x, y)
-			vol := v.VolumeByDest()
+			vol := tr.VolumeByDest()
 			if len(vol) != 2 || vol[peer] != 2*recordBytes || vol[c.Rank()] != 0 {
 				t.Errorf("%T: vol = %v, want %d at %d", tr, vol, 2*recordBytes, peer)
 			}
