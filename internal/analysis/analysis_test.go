@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -409,17 +410,82 @@ func TestTruncationSurfaced(t *testing.T) {
 func TestWriteChromeTraceValid(t *testing.T) {
 	res := runModel(t, testGraph(t), matching.NSR, 4)
 	rec := analyzeModel(t, res, matching.NSR)
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, "nsr test", res.Report, rec); err != nil {
+	// The second label holds what a JSON string must escape: a quote, a
+	// backslash, a newline, a control byte and a byte that is not UTF-8.
+	for _, label := range []string{"nsr test", "a\"b\\c\nd\x01e\xfff"} {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, label, res.Report, rec); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Fatalf("exporter emitted invalid JSON (first 400 bytes):\n%.400s", buf.String())
+		}
+		out := buf.String()
+		for _, want := range []string{`"outstanding msgs"`, `"wait depth"`, `"critical path"`, `"ph":"C"`} {
+			if !strings.Contains(out, want) {
+				t.Errorf("trace missing %s", want)
+			}
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		enc, _ := json.Marshal(label)
+		var want string
+		if err := json.Unmarshal(enc, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.TraceEvents[0].Args["name"]; doc.TraceEvents[0].Name != "process_name" || got != want {
+			t.Errorf("process label decoded as %q, want %q", got, want)
+		}
+	}
+}
+
+// TestChromeTraceRankTracksMatchBase pins the overlay exporter to the
+// base one: the rank tracks of the two documents — every thread_name row
+// and every event slice — are the same bytes.
+func TestChromeTraceRankTracksMatchBase(t *testing.T) {
+	res := runModel(t, testGraph(t), matching.NSR, 4)
+	rec := analyzeModel(t, res, matching.NSR)
+	var base, overlay bytes.Buffer
+	if err := res.Report.WriteChromeTrace(&base); err != nil {
 		t.Fatal(err)
 	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatalf("exporter emitted invalid JSON (first 400 bytes):\n%.400s", buf.String())
+	if err := WriteChromeTrace(&overlay, "", res.Report, rec); err != nil {
+		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{`"outstanding msgs"`, `"wait depth"`, `"critical path"`, `"ph":"C"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %s", want)
+	// rankLines keeps the rows of tracks 0..Procs-1; the overlay's extra
+	// rows are counters (no tid) and the critical-path track (tid Procs).
+	rankLines := func(doc string) []string {
+		var out []string
+		for _, line := range strings.Split(doc, "\n") {
+			for rank := 0; rank < res.Report.Procs; rank++ {
+				if strings.Contains(line, `"pid":0,"tid":`+strconv.Itoa(rank)+`,`) {
+					out = append(out, strings.TrimSuffix(line, ","))
+				}
+			}
+		}
+		return out
+	}
+	got, want := rankLines(overlay.String()), rankLines(base.String())
+	events := 0
+	for rank := 0; rank < res.Report.Procs; rank++ {
+		events += len(res.Report.Events(rank))
+	}
+	if len(want) != events+res.Report.Procs {
+		t.Fatalf("base exporter wrote %d rank rows for %d events on %d ranks", len(want), events, res.Report.Procs)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("overlay wrote %d rank rows, base %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("rank row %d differs:\noverlay: %s\nbase:    %s", i, got[i], want[i])
 		}
 	}
 }

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"bufio"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/mpi"
 )
@@ -28,34 +26,51 @@ import (
 // maxCounterPoints bounds each counter track's sample count.
 const maxCounterPoints = 4096
 
+// traceFlushBytes is how much of the document WriteChromeTrace buffers
+// between writes.
+const traceFlushBytes = 64 << 10
+
 // WriteChromeTrace writes the run with its analysis overlay as one
-// Chrome trace_event JSON document.
+// Chrome trace_event JSON document. It returns the first error the
+// writer reported, having written nothing further after it.
 func WriteChromeTrace(w io.Writer, label string, rep *mpi.Report, rec *Record) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[")
-	first := true
-	emit := func(s string) {
-		if !first {
-			bw.WriteByte(',')
-		}
-		first = false
-		bw.WriteByte('\n')
-		bw.WriteString(s)
-	}
 	if label == "" {
 		label = Label(rec.Model, rec.Procs)
 	}
-	emit(`{"ph":"M","pid":0,"name":"process_name","args":{"name":` + strconv.Quote(label) + `}}`)
+	var err error
+	sep := "\n"
+	// elem starts the document's next element, after writing out the
+	// buffer if it is full.
+	elem := func(b []byte) []byte {
+		if len(b) >= traceFlushBytes {
+			if err == nil {
+				_, err = w.Write(b)
+			}
+			b = b[:0]
+		}
+		b = append(b, sep...)
+		sep = ",\n"
+		return b
+	}
+	b := make([]byte, 0, traceFlushBytes+1024)
+	b = append(b, `{"traceEvents":[`...)
+	b = append(elem(b), `{"ph":"M","pid":0,"name":"process_name","args":{"name":`...)
+	b = mpi.AppendJSONString(b, label)
+	b = append(b, `}}`...)
 
 	var msgDeltas, waitDeltas []counterDelta
 	for rank := 0; rank < rep.Procs; rank++ {
-		name := "rank " + strconv.Itoa(rank)
+		b = appendThreadName(elem(b), rank)
+		b = append(b, `rank `...)
+		b = strconv.AppendInt(b, int64(rank), 10)
 		if d := rep.EventDrops(rank); d > 0 {
-			name += " (dropped " + strconv.FormatInt(d, 10) + ")"
+			b = append(b, ` (dropped `...)
+			b = strconv.AppendInt(b, d, 10)
+			b = append(b, ')')
 		}
-		emit(`{"ph":"M","pid":0,"tid":` + strconv.Itoa(rank) + `,"name":"thread_name","args":{"name":` + strconv.Quote(name) + `}}`)
+		b = append(b, `"}}`...)
 		for _, e := range rep.Events(rank) {
-			emit(sliceJSON(rank, e))
+			b = mpi.AppendTraceSlice(elem(b), 0, rank, e)
 			switch e.Kind {
 			case mpi.EvSend:
 				msgDeltas = append(msgDeltas, counterDelta{e.End, 1})
@@ -68,68 +83,45 @@ func WriteChromeTrace(w io.Writer, label string, rep *mpi.Report, rec *Record) e
 		}
 	}
 
-	emitCounter(emit, "outstanding msgs", msgDeltas)
-	emitCounter(emit, "wait depth", waitDeltas)
+	b = appendCounter(b, elem, "outstanding msgs", msgDeltas)
+	b = appendCounter(b, elem, "wait depth", waitDeltas)
 
 	// The critical-path track sits after the rank tracks.
 	cpTid := rep.Procs
-	emit(`{"ph":"M","pid":0,"tid":` + strconv.Itoa(cpTid) + `,"name":"thread_name","args":{"name":"critical path"}}`)
+	b = appendThreadName(elem(b), cpTid)
+	b = append(b, `critical path"}}`...)
 	for _, e := range rec.CriticalPath.TopEdges {
-		var b strings.Builder
-		b.WriteString(`{"ph":"X","pid":0,"tid":`)
-		b.WriteString(strconv.Itoa(cpTid))
-		b.WriteString(`,"ts":`)
-		b.WriteString(usec(e.AtSec - e.WaitSec))
-		b.WriteString(`,"dur":`)
-		b.WriteString(usec(e.WaitSec))
-		b.WriteString(`,"name":`)
-		b.WriteString(strconv.Quote(e.Class))
-		b.WriteString(`,"cat":"critical_path","args":{"rank":`)
-		b.WriteString(strconv.Itoa(e.Rank))
-		b.WriteString(`,"peer":`)
-		b.WriteString(strconv.Itoa(e.Peer))
-		b.WriteString(`,"transfer_us":`)
-		b.WriteString(usec(e.TransferSec))
-		b.WriteString(`}}`)
-		emit(b.String())
+		b = append(elem(b), `{"ph":"X","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, int64(cpTid), 10)
+		b = append(b, `,"ts":`...)
+		b = mpi.AppendUsec(b, e.AtSec-e.WaitSec)
+		b = append(b, `,"dur":`...)
+		b = mpi.AppendUsec(b, e.WaitSec)
+		b = append(b, `,"name":`...)
+		b = mpi.AppendJSONString(b, e.Class)
+		b = append(b, `,"cat":"critical_path","args":{"rank":`...)
+		b = strconv.AppendInt(b, int64(e.Rank), 10)
+		b = append(b, `,"peer":`...)
+		b = strconv.AppendInt(b, int64(e.Peer), 10)
+		b = append(b, `,"transfer_us":`...)
+		b = mpi.AppendUsec(b, e.TransferSec)
+		b = append(b, `}}`...)
 	}
 
-	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
-	return bw.Flush()
+	b = append(b, "\n],\"displayTimeUnit\":\"ms\"}\n"...)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
 }
 
-// sliceJSON renders one event as a complete ("X") slice, mirroring the
-// base exporter's fields (classified waits keep their dependency edge).
-func sliceJSON(rank int, e mpi.Event) string {
-	var b strings.Builder
-	b.WriteString(`{"ph":"X","pid":0,"tid":`)
-	b.WriteString(strconv.Itoa(rank))
-	b.WriteString(`,"ts":`)
-	b.WriteString(usec(e.Start))
-	b.WriteString(`,"dur":`)
-	b.WriteString(usec(e.Duration()))
-	b.WriteString(`,"name":"`)
-	b.WriteString(e.Kind.String())
-	if e.Kind == mpi.EvWait && e.Class != mpi.WaitNone {
-		b.WriteString(`","cat":"wait","args":{"peer":`)
-		b.WriteString(strconv.Itoa(e.Peer))
-		b.WriteString(`,"class":"`)
-		b.WriteString(e.Class.String())
-		b.WriteString(`","cause_t":`)
-		b.WriteString(usec(e.CauseT))
-		b.WriteString(`}}`)
-		return b.String()
-	}
-	b.WriteString(`","cat":"`)
-	b.WriteString(e.Kind.Category())
-	b.WriteString(`","args":{"peer":`)
-	b.WriteString(strconv.Itoa(e.Peer))
-	b.WriteString(`,"tag":`)
-	b.WriteString(strconv.Itoa(e.Tag))
-	b.WriteString(`,"bytes":`)
-	b.WriteString(strconv.FormatInt(e.Bytes, 10))
-	b.WriteString(`}}`)
-	return b.String()
+// appendThreadName appends a thread_name metadata row for track tid up
+// to the opening quote of the name; the caller appends the name and
+// closes the row.
+func appendThreadName(b []byte, tid int) []byte {
+	b = append(b, `{"ph":"M","pid":0,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	return append(b, `,"name":"thread_name","args":{"name":"`...)
 }
 
 // counterDelta is one +-1 step of a population counter at virtual time t.
@@ -138,14 +130,11 @@ type counterDelta struct {
 	d int
 }
 
-// emitCounter folds deltas into cumulative samples and emits them as a
-// "C" counter track, decimated by stride when the sample count exceeds
+// appendCounter folds deltas into cumulative samples and appends them as
+// a "C" counter track, decimated by stride when the sample count exceeds
 // maxCounterPoints (the final sample always survives so the track ends
-// at its true value).
-func emitCounter(emit func(string), name string, deltas []counterDelta) {
-	if len(deltas) == 0 {
-		return
-	}
+// at its true value). elem starts each sample's element.
+func appendCounter(b []byte, elem func([]byte) []byte, name string, deltas []counterDelta) []byte {
 	sort.Slice(deltas, func(i, j int) bool {
 		if deltas[i].t != deltas[j].t {
 			return deltas[i].t < deltas[j].t
@@ -162,22 +151,13 @@ func emitCounter(emit func(string), name string, deltas []counterDelta) {
 		if i%stride != 0 && i != len(deltas)-1 {
 			continue
 		}
-		var b strings.Builder
-		b.WriteString(`{"ph":"C","pid":0,"name":`)
-		b.WriteString(strconv.Quote(name))
-		b.WriteString(`,"ts":`)
-		b.WriteString(usec(d.t))
-		b.WriteString(`,"args":{"value":`)
-		b.WriteString(strconv.Itoa(val))
-		b.WriteString(`}}`)
-		emit(b.String())
+		b = append(elem(b), `{"ph":"C","pid":0,"name":`...)
+		b = mpi.AppendJSONString(b, name)
+		b = append(b, `,"ts":`...)
+		b = mpi.AppendUsec(b, d.t)
+		b = append(b, `,"args":{"value":`...)
+		b = strconv.AppendInt(b, int64(val), 10)
+		b = append(b, `}}`...)
 	}
-}
-
-// usec formats virtual seconds as microseconds with nanosecond
-// resolution, matching the base exporter's timestamp style.
-func usec(sec float64) string {
-	s := strconv.FormatFloat(sec*1e6, 'f', 3, 64)
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
+	return b
 }

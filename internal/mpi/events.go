@@ -1,12 +1,17 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Structured event tracing. When Config.TraceEvents > 0 every rank
 // records one Event per runtime primitive — sends, receives, probes,
 // blocked waits, collectives, neighborhood rounds, one-sided operations
-// — into a preallocated per-rank ring of that capacity. Recording is a
-// single bounds-checked store; when the ring fills, further events are
+// — into its own log, which claims storage one fixed-size chunk at a
+// time as it fills, so a traced run allocates in proportion to the
+// events it records, not to the capacity it was allowed. The capacity is
+// the hard cap: once a log holds that many events, further ones are
 // counted in a drop counter instead of evicting older ones, so a
 // truncated trace is always the prefix of the run and stays sorted by
 // virtual time. With tracing off the only cost on any primitive is one
@@ -169,17 +174,47 @@ type Event struct {
 // Duration returns the event's virtual-time extent in seconds.
 func (e Event) Duration() float64 { return e.End - e.Start }
 
-// eventRing is one rank's fixed-capacity event log. It is written only
+// eventChunk is how many events a log claims at a time. 256 events of
+// 56 B are 14336 B, a runtime size class, so a chunk wastes no tail; an
+// Event holds no pointer, so the collector never scans one.
+const eventChunk = 256
+
+// eventLog is one rank's capacity-bounded event log. It is written only
 // by the owning rank goroutine during the run and read only after Run
-// returns, so it needs no synchronization.
-type eventRing struct {
-	buf     []Event
-	n       int
+// returns; readers synchronize among themselves through join.
+type eventLog struct {
+	// chunks holds the events in order; every chunk but the last is
+	// eventChunk long and full. Nil once joined.
+	chunks  [][]Event
+	n       int // events stored
+	limit   int // the WithEventTrace capacity
 	dropped int64
+
+	join   sync.Once
+	joined []Event // a multi-chunk log as one slice, built on first read
 }
 
-func newEventRing(capacity int) *eventRing {
-	return &eventRing{buf: make([]Event, capacity)}
+func newEventLog(capacity int) *eventLog { return &eventLog{limit: capacity} }
+
+// events returns the log as one slice. A log that fits one chunk is
+// returned as stored; a longer one is joined on first read and the
+// chunks released, so the log holds one copy either way and a log nobody
+// reads is never copied. Safe for concurrent readers after the run.
+func (l *eventLog) events() []Event {
+	if l.n == 0 {
+		return []Event{}
+	}
+	if l.n <= eventChunk {
+		return l.chunks[0][:l.n]
+	}
+	l.join.Do(func() {
+		all := make([]Event, l.n)
+		for i, c := range l.chunks {
+			copy(all[i*eventChunk:], c) // the last chunk may be part empty
+		}
+		l.joined, l.chunks = all, nil
+	})
+	return l.joined
 }
 
 // event records one primitive if tracing is enabled. The End timestamp
@@ -187,35 +222,49 @@ func newEventRing(capacity int) *eventRing {
 // costs and call event after. Kept small enough to inline: the traced-off
 // path must cost one predictable branch.
 func (c *Comm) event(kind EventKind, peer, tag int, bytes int64, start float64) {
-	r := c.ps.ev
-	if r == nil {
+	if c.ps.ev != nil {
+		c.record(kind, WaitNone, peer, tag, bytes, start, 0)
+	}
+}
+
+// record appends one event ending at the rank's current clock to its
+// log, claiming a new chunk when the last one is full, or counts it as
+// dropped once the log is at capacity. It is the one place events enter
+// a log, and requires tracing to be on. Not inlined, so that a disabled
+// instrumentation point carries its nil check and no store code.
+//
+//go:noinline
+func (c *Comm) record(kind EventKind, class WaitClass, peer, tag int, bytes int64, start, causeT float64) {
+	l := c.ps.ev
+	if l.n == l.limit {
+		l.dropped++
 		return
 	}
-	if r.n == len(r.buf) {
-		r.dropped++
-		return
+	i := l.n % eventChunk
+	if i == 0 {
+		l.chunks = append(l.chunks, make([]Event, min(eventChunk, l.limit-l.n)))
 	}
-	r.buf[r.n] = Event{Kind: kind, Peer: peer, Tag: tag, Bytes: bytes, Start: start, End: c.ps.now}
-	r.n++
+	l.chunks[len(l.chunks)-1][i] = Event{Kind: kind, Class: class, Peer: peer, Tag: tag, Bytes: bytes, Start: start, End: c.ps.now, CauseT: causeT}
+	l.n++
 }
 
 // Events returns rank r's recorded events in completion order (nil
-// unless the run enabled event tracing). The slice aliases the ring;
-// callers must not modify it.
+// unless the run enabled event tracing). The slice is the log's own
+// storage, the same on every call; callers must not modify it.
 func (r *Report) Events(rank int) []Event {
 	if r.events == nil || r.events[rank] == nil {
 		return nil
 	}
-	ring := r.events[rank]
-	return ring.buf[:ring.n]
+	return r.events[rank].events()
 }
 
 // EventTracing reports whether the run recorded structured events at
 // all (Config.TraceEvents > 0).
 func (r *Report) EventTracing() bool { return r.events != nil }
 
-// EventDrops returns how many events rank r's ring discarded after
-// filling (0 when tracing was off or the ring sufficed).
+// EventDrops returns how many events rank r's log discarded after
+// reaching its capacity (0 when tracing was off or the capacity
+// sufficed).
 func (r *Report) EventDrops(rank int) int64 {
 	if r.events == nil || r.events[rank] == nil {
 		return 0

@@ -2,8 +2,15 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
+	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -210,34 +217,226 @@ func TestRMAAndNeighborhoodEvents(t *testing.T) {
 	}
 }
 
-// TestTracedRoundTripZeroAlloc extends the steady-state allocation
-// contract to tracing-enabled runs: the preallocated ring makes event
-// recording — including the saturated drop path — heap-free.
-func TestTracedRoundTripZeroAlloc(t *testing.T) {
-	const runs = 100
-	_, err := eventRun(2, 64, func(c *Comm) error {
-		sbuf := [3]int64{1, 2, 3}
-		var rbuf [3]int64
-		peer := 1 - c.Rank()
-		roundTrip := func() {
-			c.Isend(peer, 0, sbuf[:])
-			c.RecvInto(peer, 0, rbuf[:])
+// TestEventLogMatchesFlatReference drives the chunked log beside an
+// obviously-correct flat one — append everything, keep the first
+// capacity — with a random interleaving of the two recording entry
+// points, at capacities on every side of the chunk size.
+func TestEventLogMatchesFlatReference(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		capacity := []int{
+			1,
+			1 + r.Intn(eventChunk-1),              // below one chunk
+			eventChunk,                            // exactly one
+			eventChunk + 1 + r.Intn(eventChunk-1), // one and a part
+			eventChunk * (2 + r.Intn(3)),          // several, whole
+			eventChunk*(2+r.Intn(3)) + 1 + r.Intn(eventChunk-1), // several and a part
+		}[r.Intn(6)]
+		n := r.Intn(capacity + 2*eventChunk)
+		if r.Intn(4) == 0 {
+			n = r.Intn(capacity + 1) // never full
 		}
-		for i := 0; i < 16; i++ {
-			roundTrip()
+
+		c := &Comm{ps: &procState{rs: &RankStats{}, ev: newEventLog(capacity)}}
+		rep := &Report{Procs: 1, events: []*eventLog{c.ps.ev}}
+		var flat []Event
+		for i := 0; i < n; i++ {
+			start := c.ps.now
+			if r.Intn(3) == 0 {
+				class, cause, causeT := WaitClass(r.Intn(int(numWaitClasses))), r.Intn(64), r.Float64()
+				c.waitFor(start+1+r.Float64(), class, cause, causeT)
+				flat = append(flat, Event{Kind: EvWait, Class: class, Peer: cause, Tag: -1, Start: start, End: c.ps.now, CauseT: causeT})
+			} else {
+				kind, peer, tag, bytes := EventKind(r.Intn(int(numEventKinds))), r.Intn(64)-1, r.Intn(100)-1, r.Int63n(1<<20)
+				c.ps.now += r.Float64()
+				c.event(kind, peer, tag, bytes, start)
+				flat = append(flat, Event{Kind: kind, Peer: peer, Tag: tag, Bytes: bytes, Start: start, End: c.ps.now})
+			}
 		}
-		if c.Rank() == 0 {
-			if avg := testing.AllocsPerRun(runs, roundTrip); avg != 0 {
-				t.Errorf("traced round trip: %.2f allocs/op, want 0", avg)
-			}
-		} else {
-			for i := 0; i < runs+1; i++ {
-				roundTrip()
-			}
+
+		kept := min(capacity, n)
+		got := rep.Events(0)
+		if len(got) != kept || (kept > 0 && !reflect.DeepEqual(got, flat[:kept])) {
+			t.Errorf("seed %d: capacity %d, %d records: Events is not the first %d of them (len %d)", seed, capacity, n, kept, len(got))
+			return false
+		}
+		if d := rep.EventDrops(0); d != int64(n-kept) {
+			t.Errorf("seed %d: capacity %d, %d records: EventDrops = %d, want %d", seed, capacity, n, d, n-kept)
+			return false
+		}
+		if again := rep.Events(0); len(again) != kept || (kept > 0 && &again[0] != &got[0]) {
+			t.Errorf("seed %d: a second Events call returned other storage", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEventsConcurrentReaders: a multi-chunk log is joined on first
+// read, and readers arriving together must all get that one joined
+// slice (run under -race in CI).
+func TestEventsConcurrentReaders(t *testing.T) {
+	const polls = 3*eventChunk + 17
+	rep, err := eventRun(2, 1<<14, func(c *Comm) error {
+		for i := 0; i < polls; i++ {
+			c.Iprobe(1-c.Rank(), 0)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	const readers = 8
+	got := make([][]Event, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = rep.Events(0)
+		}()
+	}
+	wg.Wait()
+	for i, ev := range got {
+		if len(ev) != polls || &ev[0] != &got[0][0] {
+			t.Fatalf("reader %d got %d events at %p, reader 0 %d at %p; want %d in one shared slice",
+				i, len(ev), &ev[0], len(got[0]), &got[0][0], polls)
+		}
+	}
+	for i, e := range got[0] {
+		if e.Kind != EvProbe || e.Peer != -1 {
+			t.Fatalf("event %d = %+v, want a probe miss", i, e)
+		}
+	}
+	checkEventOrdering(t, rep)
+}
+
+// TestTracedRunAllocatesWhatItRecords: the capacity is a cap, not a
+// reservation. 32 ranks allowed 16K events each (29 MB of Event slots)
+// record under a hundred apiece and must allocate about a chunk each.
+func TestTracedRunAllocatesWhatItRecords(t *testing.T) {
+	const p = 32
+	body := func(c *Comm) error {
+		for i := 0; i < 20; i++ {
+			c.Isend((c.Rank()+1)%p, 0, []int64{int64(i)})
+			c.Recv((c.Rank()+p-1)%p, 0)
+		}
+		c.Barrier()
+		return nil
+	}
+	if _, err := eventRun(p, 1<<14, body); err != nil { // warm the world pool
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rep, err := eventRun(p, 1<<14, body)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < p; rank++ {
+		if n := len(rep.Events(rank)); n == 0 || n >= 100 {
+			t.Fatalf("rank %d recorded %d events, want 1..99", rank, n)
+		}
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("traced run allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+// TestTracedRoundTripZeroAlloc extends the steady-state allocation
+// contract to tracing-enabled runs: recording into a claimed chunk and
+// the saturated drop path are heap-free, and a log growing through many
+// chunks allocates once per chunk claimed plus the doubling of its chunk
+// index, nothing per event.
+func TestTracedRoundTripZeroAlloc(t *testing.T) {
+	// pingPong runs measure on rank 0 while rank 1 answers trips round
+	// trips; the first 16 round trips on both are warm-up.
+	pingPong := func(capacity, trips int, measure func(roundTrip func())) *Report {
+		rep, err := eventRun(2, capacity, func(c *Comm) error {
+			sbuf := [3]int64{1, 2, 3}
+			var rbuf [3]int64
+			peer := 1 - c.Rank()
+			roundTrip := func() {
+				c.Isend(peer, 0, sbuf[:])
+				c.RecvInto(peer, 0, rbuf[:])
+			}
+			for i := 0; i < 16; i++ {
+				roundTrip()
+			}
+			if c.Rank() == 0 {
+				measure(roundTrip)
+			} else {
+				for i := 0; i < trips; i++ {
+					roundTrip()
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	zeroAlloc := func(what string, runs int) func(func()) {
+		return func(roundTrip func()) {
+			if avg := testing.AllocsPerRun(runs, roundTrip); avg != 0 {
+				t.Errorf("traced round trip, %s: %.2f allocs/op, want 0", what, avg)
+			}
+		}
+	}
+
+	// A round trip records at most three events (send, wait, recv), so
+	// 16+51 of them stay inside the chunk the warm-up claimed...
+	rep := pingPong(2*eventChunk, 51, zeroAlloc("inside a chunk", 50))
+	if n := len(rep.Events(0)); n > eventChunk || rep.EventDrops(0) != 0 {
+		t.Errorf("in-chunk case recorded %d events with %d drops: it left its first chunk", n, rep.EventDrops(0))
+	}
+	// ...and the warm-up alone overfills a 32-event log.
+	rep = pingPong(32, 101, zeroAlloc("log full", 100))
+	if rep.EventDrops(0) < 100 {
+		t.Errorf("saturated case dropped %d events, want every measured one", rep.EventDrops(0))
+	}
+
+	// Many chunks: what tracing adds to the same loop untraced (which is
+	// heap-free per trip, not in total) is the chunks and their index.
+	const trips = 8000
+	mallocsOver := func(capacity int) (*Report, uint64) {
+		var mallocs uint64
+		rep := pingPong(capacity, trips, func(roundTrip func()) {
+			// One processor, as AllocsPerRun measures; no collection, whose
+			// pool eviction would have the runtime allocate messages afresh.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < trips; i++ {
+				roundTrip()
+			}
+			runtime.ReadMemStats(&m1)
+			mallocs = m1.Mallocs - m0.Mallocs
+		})
+		return rep, mallocs
+	}
+	_, untraced := mallocsOver(0)
+	rep, traced := mallocsOver(1 << 16)
+	chunks := 0
+	for rank := 0; rank < 2; rank++ {
+		if rep.EventDrops(rank) != 0 {
+			t.Fatalf("rank %d dropped events below its capacity", rank)
+		}
+		chunks += (len(rep.Events(rank)) + eventChunk - 1) / eventChunk
+	}
+	if chunks < 100 {
+		t.Fatalf("only %d chunks claimed: not a many-chunk run", chunks)
+	}
+	// Mallocs is process-wide, so it counts both ranks' logs.
+	if limit := untraced + uint64(chunks+2*bits.Len(uint(chunks))); traced > limit {
+		t.Errorf("%d round trips over %d chunks: %d allocations against %d untraced, want at most %d (one per chunk and the index growth)",
+			trips, chunks, traced, untraced, limit)
 	}
 }

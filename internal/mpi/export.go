@@ -1,11 +1,10 @@
 package mpi
 
 import (
-	"bufio"
-	"fmt"
 	"io"
+	"math"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // Chrome trace_event export. A traced Report (Config.TraceEvents > 0)
@@ -16,9 +15,14 @@ import (
 // converted to microseconds, the unit the viewers expect, so a trace of
 // a modeled run reads exactly like a TAU/Chrome profile of a real one.
 //
-// The writer is hand-formatted (not encoding/json) so the output is
-// deterministic byte-for-byte — the golden-file test depends on that —
-// and streams without building the whole document in memory.
+// The document is appended piece by piece — literal segments,
+// strconv.AppendInt, AppendUsec — into one buffer that is handed to the
+// io.Writer whenever it passes traceFlushBytes, so an export costs one
+// buffer whatever the trace's size and nothing per event. It is
+// hand-formatted (not encoding/json) so the output is deterministic
+// byte-for-byte — the golden-file test depends on that. AppendTraceSlice,
+// AppendUsec and AppendJSONString are exported because the analysis
+// overlay exporter (internal/analysis) renders its rank tracks with them.
 
 // ChromeTrace accumulates one or more completed runs for export into a
 // single trace file, e.g. the same experiment under every communication
@@ -42,47 +46,61 @@ func (t *ChromeTrace) Add(label string, rep *Report) {
 // Len returns the number of runs accumulated.
 func (t *ChromeTrace) Len() int { return len(t.reports) }
 
+// traceFlushBytes is how much of the document Write buffers between
+// writes. The buffer's capacity leaves room for one more element on
+// top, so appending grows it only for an outsized label.
+const traceFlushBytes = 64 << 10
+
 // Write writes the accumulated runs as one trace_event JSON document.
+// It returns the first error the writer reported, having written
+// nothing further after it.
 func (t *ChromeTrace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprint(bw, "{\"traceEvents\":[")
-	first := true
-	emit := func(format string, args ...any) {
-		if !first {
-			bw.WriteByte(',')
+	var err error
+	sep := "\n"
+	// elem starts the document's next element, after writing out the
+	// buffer if it is full.
+	elem := func(b []byte) []byte {
+		if len(b) >= traceFlushBytes {
+			if err == nil {
+				_, err = w.Write(b)
+			}
+			b = b[:0]
 		}
-		first = false
-		bw.WriteByte('\n')
-		fmt.Fprintf(bw, format, args...)
+		b = append(b, sep...)
+		sep = ",\n"
+		return b
 	}
+	b := make([]byte, 0, traceFlushBytes+1024)
+	b = append(b, `{"traceEvents":[`...)
 	for pid, rep := range t.reports {
-		emit(`{"ph":"M","pid":%d,"name":"process_name","args":{"name":%s}}`,
-			pid, jsonString(t.labels[pid]))
+		b = append(elem(b), `{"ph":"M","pid":`...)
+		b = strconv.AppendInt(b, int64(pid), 10)
+		b = append(b, `,"name":"process_name","args":{"name":`...)
+		b = AppendJSONString(b, t.labels[pid])
+		b = append(b, `}}`...)
 		for rank := 0; rank < rep.Procs; rank++ {
+			b = append(elem(b), `{"ph":"M","pid":`...)
+			b = strconv.AppendInt(b, int64(pid), 10)
+			b = append(b, `,"tid":`...)
+			b = strconv.AppendInt(b, int64(rank), 10)
+			b = append(b, `,"name":"thread_name","args":{"name":"rank `...)
+			b = strconv.AppendInt(b, int64(rank), 10)
 			if d := rep.EventDrops(rank); d > 0 {
-				emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"rank %d (dropped %d)"}}`,
-					pid, rank, rank, d)
-			} else {
-				emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"rank %d"}}`,
-					pid, rank, rank)
+				b = append(b, ` (dropped `...)
+				b = strconv.AppendInt(b, d, 10)
+				b = append(b, ')')
 			}
+			b = append(b, `"}}`...)
 			for _, e := range rep.Events(rank) {
-				if e.Kind == EvWait && e.Class != WaitNone {
-					// Classified waits carry their dependency edge: the
-					// causing rank and its clock when it enabled progress.
-					emit(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":"%s","cat":"wait","args":{"peer":%d,"bytes":0,"class":"%s","cause_t":%s}}`,
-						pid, rank, usec(e.Start), usec(e.Duration()),
-						e.Kind.String(), e.Peer, e.Class.String(), usec(e.CauseT))
-					continue
-				}
-				emit(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":"%s","cat":"%s","args":{"peer":%d,"tag":%d,"bytes":%d}}`,
-					pid, rank, usec(e.Start), usec(e.Duration()),
-					e.Kind.String(), e.Kind.Category(), e.Peer, e.Tag, e.Bytes)
+				b = AppendTraceSlice(elem(b), pid, rank, e)
 			}
 		}
 	}
-	fmt.Fprint(bw, "\n],\"displayTimeUnit\":\"ms\"}\n")
-	return bw.Flush()
+	b = append(b, "\n],\"displayTimeUnit\":\"ms\"}\n"...)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
 }
 
 // WriteChromeTrace writes this run alone as a Chrome trace_event JSON
@@ -94,15 +112,120 @@ func (r *Report) WriteChromeTrace(w io.Writer) error {
 	return t.Write(w)
 }
 
-// usec formats a duration in virtual seconds as microseconds with
-// nanosecond resolution, trimming trailing zeros for compactness.
-func usec(sec float64) string {
-	s := strconv.FormatFloat(sec*1e6, 'f', 3, 64)
-	s = strings.TrimRight(s, "0")
-	return strings.TrimRight(s, ".")
+// AppendTraceSlice appends e to b as one complete ("X") trace_event
+// slice on track (pid, tid): timestamp and duration in microseconds,
+// the kind as name, and peer, tag and bytes as args. A classified wait
+// carries its dependency edge instead of a tag: the causing rank as
+// peer, the wait class, and that rank's clock when it enabled progress.
+func AppendTraceSlice(b []byte, pid, tid int, e Event) []byte {
+	b = append(b, `{"ph":"X","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = AppendUsec(b, e.Start)
+	b = append(b, `,"dur":`...)
+	b = AppendUsec(b, e.Duration())
+	b = append(b, `,"name":"`...)
+	b = append(b, e.Kind.String()...)
+	if e.Kind == EvWait && e.Class != WaitNone {
+		b = append(b, `","cat":"wait","args":{"peer":`...)
+		b = strconv.AppendInt(b, int64(e.Peer), 10)
+		b = append(b, `,"bytes":0,"class":"`...)
+		b = append(b, e.Class.String()...)
+		b = append(b, `","cause_t":`...)
+		b = AppendUsec(b, e.CauseT)
+		return append(b, `}}`...)
+	}
+	b = append(b, `","cat":"`...)
+	b = append(b, e.Kind.Category()...)
+	b = append(b, `","args":{"peer":`...)
+	b = strconv.AppendInt(b, int64(e.Peer), 10)
+	b = append(b, `,"tag":`...)
+	b = strconv.AppendInt(b, int64(e.Tag), 10)
+	b = append(b, `,"bytes":`...)
+	b = strconv.AppendInt(b, e.Bytes, 10)
+	return append(b, `}}`...)
 }
 
-// jsonString quotes a label as a JSON string. Go's %q escaping is a
-// superset of JSON for ASCII; control characters and quotes are the
-// only bytes our labels could trip on and strconv.Quote handles both.
-func jsonString(s string) string { return strconv.Quote(s) }
+// AppendUsec appends virtual seconds as microseconds rounded to the
+// nanosecond, trailing zeros trimmed: the bytes
+// strconv.FormatFloat(sec*1e6, 'f', 3, 64) yields once trimmed. strconv
+// has no fast path for that format (every call is a multiprecision
+// decimal conversion), so the common case is done in integers: for
+// x = sec*1e6 = m·2^-s with m < 2^53, m·1000 fits in 63 bits, and
+// x·1000 rounded half-to-even is a shift of it — exactly the rounding
+// strconv applies to the exact decimal expansion. Negative, subnormal,
+// non-finite values and those of 2^52 and up go through strconv.
+func AppendUsec(b []byte, sec float64) []byte {
+	x := sec * 1e6
+	bits := math.Float64bits(x)
+	if bits == 0 {
+		return append(b, '0')
+	}
+	// s is the shift that scales the 53-bit mantissa down to x.
+	s := 1075 - int(bits>>52)
+	if s <= 0 || s >= 1075 {
+		// Sign bit set or exponent all ones (s < 0), x >= 2^52 (s <= 0),
+		// or subnormal (s == 1075).
+		b = strconv.AppendFloat(b, x, 'f', 3, 64)
+		// A finite value has a point for the trimming to stop at; NaN
+		// and ±Inf end in neither a zero nor a point.
+		for b[len(b)-1] == '0' {
+			b = b[:len(b)-1]
+		}
+		if b[len(b)-1] == '.' {
+			b = b[:len(b)-1]
+		}
+		return b
+	}
+	var q uint64 // x·1000 rounded to an integer: x in nanoseconds
+	if s < 64 {
+		v := (bits&(1<<52-1) | 1<<52) * 1000
+		q = v >> s
+		rem, half := v&(1<<s-1), uint64(1)<<(s-1)
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	} // else x·1000 < 2^63·2^-64: rounds to 0
+	b = strconv.AppendUint(b, q/1000, 10)
+	if f := q % 1000; f != 0 {
+		b = append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
+		for b[len(b)-1] == '0' {
+			b = b[:len(b)-1]
+		}
+	}
+	return b
+}
+
+// AppendJSONString appends s to b as a JSON string: quote, backslash
+// and control bytes escaped, every byte that is not valid UTF-8 replaced
+// by U+FFFD, everything else as is.
+func AppendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c == '\n':
+			b = append(b, '\\', 'n')
+		case c == '\r':
+			b = append(b, '\\', 'r')
+		case c == '\t':
+			b = append(b, '\\', 't')
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		case c < utf8.RuneSelf:
+			b = append(b, c)
+		default:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			b = utf8.AppendRune(b, r) // RuneError for an invalid byte
+			i += size
+			continue
+		}
+		i++
+	}
+	return append(b, '"')
+}

@@ -80,9 +80,9 @@ type Config struct {
 	Deadline time.Duration
 
 	// TraceEvents, when > 0, enables structured event tracing with a
-	// per-rank ring of this capacity (see events.go). Events beyond the
-	// capacity are dropped and counted, never reallocated, so a traced
-	// run's memory is bounded up front.
+	// per-rank log of this capacity (see events.go). Events beyond the
+	// capacity are dropped and counted, so a traced run's memory is
+	// bounded; below it, a rank allocates for the events it records.
 	TraceEvents int
 
 	// Perturb, when enabled, runs under seeded schedule perturbation
@@ -132,7 +132,7 @@ type World struct {
 
 // procState is the per-process (per-goroutine) mutable state shared by
 // every communicator handle the process holds: one virtual clock, one
-// statistics ledger, one event ring.
+// statistics ledger, one event log.
 type procState struct {
 	now float64
 	rs  *RankStats
@@ -145,9 +145,9 @@ type procState struct {
 	// scheduler so a full worker pool cannot be starved by spinning
 	// pollers; any successful match resets it.
 	pollMisses int
-	// ev is the structured event ring, nil when tracing is off; the nil
+	// ev is the structured event log, nil when tracing is off; the nil
 	// check is the entire cost of a disabled instrumentation point.
-	ev *eventRing
+	ev *eventLog
 	// pert is this rank's schedule-perturbation stream, nil when
 	// perturbation is off — like ev, the nil check is the whole cost of
 	// the disabled hooks.
@@ -208,7 +208,7 @@ type Report struct {
 	// code; the field remains exported for direct inspection.
 	Stats []*RankStats
 
-	events []*eventRing
+	events []*eventLog
 }
 
 // Totals aggregates all per-rank ledgers (Aggregate over Stats).
@@ -378,11 +378,11 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		start  = time.Now()
 		doneCh = make(chan struct{})
 	)
-	var events []*eventRing
+	var events []*eventLog
 	if cfg.TraceEvents > 0 {
-		events = make([]*eventRing, cfg.Procs)
+		events = make([]*eventLog, cfg.Procs)
 		for i := range events {
-			events[i] = newEventRing(cfg.TraceEvents)
+			events[i] = newEventLog(cfg.TraceEvents)
 		}
 	}
 	// Set up every rank before spawning any: in direct mode an early
@@ -627,21 +627,16 @@ func (c *Comm) perturbLatency(base float64) float64 {
 // cause the world rank that enables progress at time t, and causeT that
 // rank's local clock when it did so (message injection, collective
 // entry) — together they form the cross-rank dependency edge the
-// post-mortem critical-path analysis walks. The traced-off cost is
-// unchanged: one nil check inside event.
+// post-mortem critical-path analysis walks. The traced-off cost is one
+// nil check, as in event.
 func (c *Comm) waitFor(t float64, class WaitClass, cause int, causeT float64) {
 	if t > c.ps.now {
 		from := c.ps.now
 		c.ps.rs.CommTime += t - from
 		c.ps.rs.WaitTime += t - from
 		c.ps.now = t
-		if r := c.ps.ev; r != nil {
-			if r.n == len(r.buf) {
-				r.dropped++
-			} else {
-				r.buf[r.n] = Event{Kind: EvWait, Class: class, Peer: cause, Tag: -1, Start: from, End: t, CauseT: causeT}
-				r.n++
-			}
+		if c.ps.ev != nil {
+			c.record(EvWait, class, cause, -1, 0, from, causeT)
 		}
 	}
 }

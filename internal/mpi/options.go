@@ -27,7 +27,7 @@ func WithDeadline(d time.Duration) Option {
 	return func(cfg *Config) { cfg.Deadline = d }
 }
 
-// WithEventTrace enables structured event tracing with a per-rank ring
+// WithEventTrace enables structured event tracing with a per-rank log
 // of the given capacity (see Config.TraceEvents); capacity <= 0 leaves
 // tracing off.
 func WithEventTrace(capacity int) Option {

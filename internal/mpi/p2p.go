@@ -116,15 +116,6 @@ func (c *Comm) recvMsg(src, tag int, what string) *message {
 	return m
 }
 
-// recvEvent records the EvRecv for a message just completed by recvMsg,
-// before the caller releases it. m.src is a rank of this communicator
-// (sends stamp the sender's comm rank).
-func (c *Comm) recvEvent(m *message, start float64) {
-	if c.ps.ev != nil {
-		c.event(EvRecv, c.worldRank(m.src), m.tag, m.bytes, start)
-	}
-}
-
 // Recv blocks until a message matching (src, tag) is available and returns
 // its payload. src may be AnySource and tag may be AnyTag. The receiver's
 // clock advances to at least the message's arrival time.
@@ -136,7 +127,10 @@ func (c *Comm) recvEvent(m *message, start float64) {
 func (c *Comm) Recv(src, tag int) ([]int64, Status) {
 	start := c.ps.now
 	m := c.recvMsg(src, tag, "recv")
-	c.recvEvent(m, start)
+	if c.ps.ev != nil {
+		// m.src is the sender's rank in this communicator.
+		c.event(EvRecv, c.worldRank(m.src), m.tag, m.bytes, start)
+	}
 	out := append([]int64(nil), m.data...)
 	st := Status{Source: m.src, Tag: m.tag, Count: len(out)}
 	m.release()
@@ -154,7 +148,10 @@ func (c *Comm) Recv(src, tag int) ([]int64, Status) {
 func (c *Comm) RecvInto(src, tag int, buf []int64) (int, Status) {
 	start := c.ps.now
 	m := c.recvMsg(src, tag, "recv")
-	c.recvEvent(m, start)
+	if c.ps.ev != nil {
+		// m.src is the sender's rank in this communicator.
+		c.event(EvRecv, c.worldRank(m.src), m.tag, m.bytes, start)
+	}
 	if len(m.data) > len(buf) {
 		defer m.release()
 		panic(fmt.Sprintf("mpi: RecvInto: message of %d words truncated by %d-word buffer", len(m.data), len(buf)))

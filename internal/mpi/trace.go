@@ -10,11 +10,11 @@ import (
 // progress (message arrivals, collective synchronization) as an EvWait
 // event. The per-rank timelines rendered from them make load imbalance
 // and serialization chains — the phenomena behind the paper's
-// NCL-degradation findings — directly visible. A ring that filled
+// NCL-degradation findings — directly visible. A log that filled
 // (Report.EventDrops) loses the waits past that point.
 
 // WaitSpans returns rank r's blocked intervals: the EvWait events of its
-// ring, in order (nil unless the run traced events). Safe to call after
+// log, in order (nil unless the run traced events). Safe to call after
 // Run returns.
 func (r *Report) WaitSpans(rank int) []Event {
 	var out []Event

@@ -8,9 +8,9 @@
 // volume flows toward each neighbor, and how deep the receive queues
 // get while the protocol converges.
 //
-// The discipline matches the event rings: every slice is preallocated
-// at construction, Append is bounds-checked stores plus copies (no heap
-// traffic in steady state), rows beyond the capacity are counted in a
+// Every slice is preallocated at construction and Append is
+// bounds-checked stores plus copies (no heap traffic in steady state).
+// As with the event logs, rows beyond the capacity are counted in a
 // drop counter rather than evicting earlier ones, and a disabled log is
 // a nil pointer whose entire cost at each instrumentation point is one
 // nil check.
