@@ -22,7 +22,7 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 			c.Isend(peer, 0, sbuf[:])
 			c.RecvInto(peer, 0, rbuf[:])
 		}
-		// Warm the message pool and the mailbox index rings.
+		// Warm the message pool and the mailbox rings.
 		for i := 0; i < 16; i++ {
 			roundTrip()
 		}

@@ -404,6 +404,12 @@ func TestTracedRoundTripZeroAlloc(t *testing.T) {
 
 	// Many chunks: what tracing adds to the same loop untraced (which is
 	// heap-free per trip, not in total) is the chunks and their index.
+	if raceEnabled {
+		// Under the race detector sync.Pool drops a random quarter of its
+		// Puts, so the two runs' message allocations differ by more than
+		// the chunk count being bounded.
+		return
+	}
 	const trips = 8000
 	mallocsOver := func(capacity int) (*Report, uint64) {
 		var mallocs uint64

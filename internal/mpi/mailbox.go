@@ -1,71 +1,44 @@
 package mpi
 
 import (
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sched"
 )
 
-// This file implements the runtime's receive-side message store. Every
-// rank owns one mailbox; senders push under the mailbox lock and the
-// owning rank matches, probes and dequeues.
+// This file implements the runtime's receive-side message store: MPI's
+// unexpected-message queue. Every rank owns one mailbox; senders push
+// under the mailbox lock and the owning rank matches, probes and
+// dequeues.
 //
-// The store is organized the way real MPI implementations index their
-// posted-receive and unexpected-message queues (cf. MPICH's queue-search
-// optimizations): messages are bucketed by source, and each bucket keeps
-// small FIFO indexes so the common lookups are O(1) instead of a linear
-// scan over everything queued:
+// Messages are bucketed by source. A bucket holds one FIFO ring per
+// communicator for user-level messages and one FIFO ring for
+// runtime-internal traffic (neighborhood collective chunks, RMA
+// control), each in the order its single sender pushed it. A receive or
+// probe names (source, tag): AnyTag is the front of that source's ring,
+// an exact tag is the earliest entry carrying it — the front whenever
+// the receiver follows a wildcard probe with the receive of what it
+// probed, which is what every caller in the repository does. An exact
+// tag behind a backlog of other tags from the same source walks the
+// ring, as MPICH's unexpected queue does, and removing it shifts the
+// entries ahead of it; no second index exists to make that case O(1).
+// Internal traffic is matched by exact itag the same way.
 //
-//   - per (source, communicator) FIFO of user-level messages, in virtual
-//     arrival order — resolves (src, AnyTag) and feeds AnySource scans;
-//   - per (source, communicator, tag) FIFO — resolves exact (src, tag);
-//   - per (source, itag) FIFO for runtime-internal traffic (neighborhood
-//     collective chunks, RMA control), which is matched exactly.
+// Per-source FIFO delivery (MPI's non-overtaking guarantee) is
+// structural: a match only ever takes a ring's earliest fitting entry.
+// AnySource wildcards compare the fitting entry of every bucket that
+// currently holds user traffic — O(#sources-with-pending), not
+// O(#messages) — and take the earliest virtual arrival (see
+// matchUserLocked).
 //
-// A user-level message is indexed by both the arrival FIFO and its tag
-// FIFO. Dequeuing through one index bumps the message's generation; the
-// other index skips dead entries lazily when it next reaches them, so
-// removal is O(1) amortized with no shift-deletes. Because message
-// structs are pooled, a stale index entry can outlive its message's
-// recycling — and the recycled struct may by then live in a different
-// mailbox, under a different lock. Every entry therefore records the
-// generation at push time and compares it with one atomic load: take and
-// release each bump the counter, so equality proves the entry still
-// refers to the live, untaken incarnation owned by this mailbox.
-//
-// Within one (source, communicator) the sender's virtual clock is
-// monotone, so FIFO order is arrival order and the front of a queue is
-// its earliest message. This makes per-source FIFO delivery (MPI's
-// non-overtaking guarantee) structural rather than incidental. AnySource
-// wildcards take the minimum virtual-arrival front across the buckets
-// that currently hold user traffic — O(#sources-with-pending), not
-// O(#messages) — which preserves the earliest-virtual-arrival selection
-// the timing model depends on (see the comment on matchUserLocked).
-//
-// The per-bucket indexes are small slices of inline rings, not maps: a
-// rank hears from a handful of sources on a handful of (comm, tag)
-// keys, so a linear scan over an index of a few entries beats three Go
-// maps' hashing and — more important at scale — their per-bucket heap
-// footprint. Keys are never removed (rings are retained and reused), so
-// a bucket whose tag-key cardinality ever exceeds bucketScanLimit
-// installs a position map once and keeps O(1) lookups; below the limit
-// the map never exists. Internal (itag) keys ARE retired — itags embed
-// per-topology sequence numbers, so every collective round arrives
-// under a fresh key — by marking the slot free (itag 0) and reusing it
-// in place, which keeps the steady state allocation-free without the
-// old shared free-list of queue pointers.
-//
-// Buckets are stored as a dense pointer table (indexed by source, slots
-// nil until first traffic) for worlds of up to denseSrcLimit ranks and
-// in a lazily populated map above that: a graph-topology rank hears
-// from its process-graph neighbors, not from all P peers, so eager
-// per-source bucket structs would cost O(P) per mailbox = O(P^2) per
-// world. Either way buckets are allocated in chunks on first traffic,
-// and buckets holding live user traffic are linked into an active list,
-// so wildcard scans never touch the table. Chunk storage is
-// pointer-stable: index entries and the active list hold *srcBucket
-// safely across appends.
+// Buckets exist only for sources that have sent: a graph-topology rank
+// hears from its process-graph neighbors, not from all P peers. The
+// mailbox keeps them in a list sorted by source rank and finds one by
+// binary search; buckets with live user traffic are also linked into an
+// unordered active list, so wildcard scans never touch silent sources.
+// Bucket structs are allocated in small chunks and never move, so the
+// lists hold *srcBucket safely. A zero mailbox is ready for use.
 //
 // Messages themselves are pooled: see message.release. Payloads of up to
 // inlineWords words (covering the 3-word protocol records that dominate
@@ -77,17 +50,6 @@ import (
 // the one-word control messages that dominate the runtime's traffic.
 const inlineWords = 4
 
-// denseSrcLimit is the world size up to which a mailbox keeps its
-// source-bucket pointers in a dense table. Above it buckets are found
-// through a map, bounding mailbox memory by the rank's in-degree
-// instead of the world size.
-const denseSrcLimit = 1024
-
-// bucketScanLimit is the per-bucket tag-key cardinality above which a
-// bucket installs a position map over its tag index. Matching protocols
-// use a handful of tags, so the map is for pathological workloads only.
-const bucketScanLimit = 16
-
 // bucketChunk is how many srcBucket structs are allocated at once when
 // a mailbox needs a new bucket. Graph topologies have small in-degrees
 // (2 for a ring, a few dozen for meshes and halos), so the chunk is kept
@@ -95,10 +57,10 @@ const bucketScanLimit = 16
 // saves.
 const bucketChunk = 2
 
-// qRetainEnts caps the ring capacity a retired or reset queue keeps for
-// reuse. Rings grow by doubling during backlog spikes (a 1K-message
-// burst grows one ring to 16 KiB); without the cap a pooled world pins
-// every spike's high-water ring forever.
+// qRetainEnts caps the ring capacity a reset queue keeps for reuse.
+// Rings grow by doubling during backlog spikes (a 1K-message burst grows
+// one ring to 8 KiB); without the cap a pooled world pins every spike's
+// high-water ring forever.
 const qRetainEnts = 64
 
 // spillRetainWords caps the spill-buffer capacity a pooled message
@@ -110,16 +72,10 @@ const spillRetainWords = 1024
 // traffic (neighborhood collectives, RMA control) which is invisible to
 // user-level Recv/Probe.
 type message struct {
-	src  int // sender's rank within the sending communicator
-	tag  int
-	itag int64
-	mctx int32 // communicator id (user-level traffic only)
-	// gen is bumped on take and on release. Index entries snapshot it at
-	// push time; a mismatch means the entry is dead (taken through the
-	// other index, or recycled entirely). Atomic because a stale entry
-	// may be examined under one mailbox's lock while the recycled
-	// struct's current owner bumps it under another's.
-	gen    atomic.Uint64
+	src    int // sender's rank within the sending communicator
+	tag    int
+	itag   int64
+	mctx   int32 // communicator id (user-level traffic only)
 	data   []int64
 	bytes  int64
 	arrive float64 // virtual arrival time at the receiver
@@ -156,12 +112,10 @@ func newMessage(src, tag int, itag int64, mctx int32, data []int64) *message {
 	return m
 }
 
-// release returns a message to the pool. The caller must have copied out
-// everything it needs: after release, m.data may be overwritten by an
-// unrelated send at any time. Bumping gen invalidates any index entry
-// still pointing at the struct (lazy deletion leaves those behind).
+// release returns a message to the pool. The caller must have dequeued
+// it and copied out everything it needs: after release, m.data may be
+// overwritten by an unrelated send at any time.
 func (m *message) release() {
-	m.gen.Add(1)
 	m.data = nil
 	if cap(m.spill) > spillRetainWords {
 		m.spill = nil
@@ -169,113 +123,103 @@ func (m *message) release() {
 	msgPool.Put(m)
 }
 
-// qent is one ring slot: the message plus its generation at push time. A
-// mismatch against the struct's current generation means the message was
-// dequeued through the other index (or already recycled) — the slot is
-// dead even though the reused struct may look live again.
-type qent struct {
-	m   *message
-	gen uint64
+// msgq is a FIFO ring of messages from one sender, in push order.
+// Capacity is a power of two, grows by doubling and is retained for
+// reuse (capped at qRetainEnts on reset), so steady-state operation does
+// not allocate.
+type msgq struct {
+	buf  []*message
+	head int // index of the front element (valid when n > 0)
+	n    int // queued messages
 }
 
-// msgq is a FIFO ring of messages. Capacity grows by doubling and is
-// retained for reuse (capped at qRetainEnts on retirement/reset), so
-// steady-state operation does not allocate. front and pop skip entries
-// already taken through another index.
-type msgq struct {
-	buf  []qent
-	head int // index of the front element (valid when n > 0)
-	n    int // live slots, including taken entries not yet skipped
-}
+// at returns the message i places behind the front.
+func (q *msgq) at(i int) *message { return q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 func (q *msgq) push(m *message) {
 	if q.n == len(q.buf) {
-		grown := make([]qent, max(4, 2*len(q.buf)))
+		grown := make([]*message, max(4, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+			grown[i] = q.at(i)
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = qent{m, m.gen.Load()}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
 	q.n++
 }
 
-// front returns the earliest live message, discarding taken and recycled
-// entries.
-func (q *msgq) front() *message {
-	for q.n > 0 {
-		e := q.buf[q.head]
-		if e.m.gen.Load() == e.gen {
-			return e.m
+// first returns the earliest user-level message carrying tag (AnyTag:
+// the front) and its distance from the front, or nil.
+func (q *msgq) first(tag int) (*message, int) {
+	for i := 0; i < q.n; i++ {
+		if m := q.at(i); tag == AnyTag || m.tag == tag {
+			return m, i
 		}
-		q.buf[q.head] = qent{}
-		q.head = (q.head + 1) & (len(q.buf) - 1)
-		q.n--
 	}
-	return nil
+	return nil, 0
 }
 
-// popFront removes the message returned by front. Callers must have just
-// called front (so the head entry is live).
-func (q *msgq) popFront() {
-	q.buf[q.head] = qent{}
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+// firstInternal is first for runtime-internal traffic: the earliest
+// message carrying exactly itag. It is not folded into first (as an
+// itag == 0 condition there): a wildcard scan reads only m.arrive of each
+// active bucket's front, and also reading m.itag, 48 bytes away, made
+// sbp-dense 3 % slower in 9 of 12 paired runs.
+func (q *msgq) firstInternal(itag int64) (*message, int) {
+	for i := 0; i < q.n; i++ {
+		if m := q.at(i); m.itag == itag {
+			return m, i
+		}
+	}
+	return nil, 0
+}
+
+// remove dequeues the message i places behind the front, closing the gap
+// by shifting the i entries ahead of it; the order of the rest is kept.
+// i is 0 for every receive in FIFO order.
+func (q *msgq) remove(i int) {
+	mask := len(q.buf) - 1
+	for ; i > 0; i-- {
+		q.buf[(q.head+i)&mask] = q.buf[(q.head+i-1)&mask]
+	}
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & mask
 	q.n--
 }
 
-// trim drops an oversized ring so a pooled world sheds backlog spikes.
-// Only legal when the ring is logically empty (front/pop zero slots as
-// they retire entries, so an n==0 ring holds no message pointers).
-func (q *msgq) trim() {
-	if q.n == 0 && cap(q.buf) > qRetainEnts {
+// reset releases every queued message and drops an oversized ring, so a
+// pooled world sheds backlog spikes.
+func (q *msgq) reset() {
+	for q.n > 0 {
+		m := q.at(0)
+		q.remove(0)
+		m.release()
+	}
+	if cap(q.buf) > qRetainEnts {
 		q.buf, q.head = nil, 0
 	}
 }
 
-// tagKey identifies a user-level (communicator, tag) FIFO within a
-// bucket; used only by the overflow position map.
-type tagKey struct {
-	mctx int32
-	tag  int
-}
-
-// userq is one per-communicator arrival FIFO: every user-level message
-// from this bucket's source in communicator mctx, in arrival order.
+// userq is one per-communicator FIFO: every user-level message from this
+// bucket's source in communicator mctx.
 type userq struct {
 	mctx int32
 	q    msgq
 }
 
-// tagq is one (communicator, tag) FIFO.
-type tagq struct {
-	mctx int32
-	tag  int
-	q    msgq
-}
-
-// intq is one internal (itag) FIFO; itag 0 marks a retired slot whose
-// ring is ready for reuse under the next fresh key.
-type intq struct {
-	itag int64
-	q    msgq
-}
-
 // srcBucket holds everything queued from one source rank. For a fixed
 // communicator a source rank maps to exactly one sending goroutine, so
-// each FIFO below has a single producer with a monotone clock. Index
-// entries hold their rings by value; pointers into the slices are only
-// ever used within one locked mailbox call, never across appends.
+// each ring has a single producer. userq entries hold their rings by
+// value; pointers into the slice are only ever used within one locked
+// mailbox call, never across appends.
 type srcBucket struct {
-	user   []userq // per-communicator arrival FIFOs
-	tags   []tagq  // per (communicator, tag) FIFOs; keys never removed
-	intl   []intq  // per live-itag FIFOs; slots retire in place
-	tagIdx map[tagKey]int
-	src    int32 // source rank this bucket indexes
-	nUser  int32 // live user-level messages in this bucket
-	alive  int32 // position in mailbox.active, or -1
+	user  []userq // per-communicator FIFOs
+	intl  msgq    // runtime-internal traffic, matched by exact itag
+	src   int32   // source rank this bucket indexes
+	nUser int32   // user-level messages in this bucket
+	alive int32   // position in mailbox.active, or -1
 }
 
-// userqFor returns the arrival FIFO for mctx, creating it if needed.
+// userqFor returns the FIFO for mctx, creating it if needed.
 func (b *srcBucket) userqFor(mctx int32) *msgq {
 	for i := range b.user {
 		if b.user[i].mctx == mctx {
@@ -286,78 +230,33 @@ func (b *srcBucket) userqFor(mctx int32) *msgq {
 	return &b.user[len(b.user)-1].q
 }
 
-// userPeek returns the arrival FIFO for mctx, or nil.
-func (b *srcBucket) userPeek(mctx int32) *msgq {
+// found is a matched user-level message and where it sits: m is i places
+// behind the front of ring q in bucket b. The zero value is "no match".
+type found struct {
+	m *message
+	b *srcBucket
+	q *msgq
+	i int
+}
+
+// before orders matches by (virtual arrival, source rank).
+func (f found) before(g found) bool {
+	return f.m.arrive < g.m.arrive || (f.m.arrive == g.m.arrive && f.m.src < g.m.src)
+}
+
+// first returns the earliest message from b's source matching (tag,
+// mctx).
+func (b *srcBucket) first(tag int, mctx int32) found {
 	for i := range b.user {
 		if b.user[i].mctx == mctx {
-			return &b.user[i].q
-		}
-	}
-	return nil
-}
-
-// tagqFor returns the (mctx, tag) FIFO, creating it if needed. When the
-// key cardinality outgrows a linear scan the bucket installs a position
-// map once; entries are never removed, so positions stay valid.
-func (b *srcBucket) tagqFor(mctx int32, tag int) *msgq {
-	if b.tagIdx != nil {
-		if i, ok := b.tagIdx[tagKey{mctx, tag}]; ok {
-			return &b.tags[i].q
-		}
-	} else {
-		for i := range b.tags {
-			if b.tags[i].tag == tag && b.tags[i].mctx == mctx {
-				return &b.tags[i].q
+			q := &b.user[i].q
+			if m, at := q.first(tag); m != nil {
+				return found{m, b, q, at}
 			}
+			break
 		}
 	}
-	b.tags = append(b.tags, tagq{mctx: mctx, tag: tag})
-	i := len(b.tags) - 1
-	if b.tagIdx != nil {
-		b.tagIdx[tagKey{mctx, tag}] = i
-	} else if len(b.tags) > bucketScanLimit {
-		b.tagIdx = make(map[tagKey]int, 2*len(b.tags))
-		for j := range b.tags {
-			b.tagIdx[tagKey{b.tags[j].mctx, b.tags[j].tag}] = j
-		}
-	}
-	return &b.tags[i].q
-}
-
-// tagPeek returns the (mctx, tag) FIFO, or nil.
-func (b *srcBucket) tagPeek(mctx int32, tag int) *msgq {
-	if b.tagIdx != nil {
-		if i, ok := b.tagIdx[tagKey{mctx, tag}]; ok {
-			return &b.tags[i].q
-		}
-		return nil
-	}
-	for i := range b.tags {
-		if b.tags[i].tag == tag && b.tags[i].mctx == mctx {
-			return &b.tags[i].q
-		}
-	}
-	return nil
-}
-
-// intlqFor returns the FIFO for itag, reusing a retired slot (ring
-// included) before growing the index.
-func (b *srcBucket) intlqFor(itag int64) *msgq {
-	free := -1
-	for i := range b.intl {
-		if b.intl[i].itag == itag {
-			return &b.intl[i].q
-		}
-		if b.intl[i].itag == 0 && free < 0 {
-			free = i
-		}
-	}
-	if free >= 0 {
-		b.intl[free].itag = itag
-		return &b.intl[free].q
-	}
-	b.intl = append(b.intl, intq{itag: itag})
-	return &b.intl[len(b.intl)-1].q
+	return found{}
 }
 
 // mailbox is one rank's receive queue. Senders push under mu; the single
@@ -367,15 +266,13 @@ func (b *srcBucket) intlqFor(itag int64) *msgq {
 type mailbox struct {
 	mu       sync.Mutex
 	owner    *task
-	dense    []*srcBucket         // index by src; non-nil for small worlds, slots lazily filled
-	sparse   map[int32]*srcBucket // lazily populated for large worlds
-	used     []*srcBucket         // buckets created since the mailbox was built
-	active   []*srcBucket         // buckets with nUser > 0, unordered
-	bfree    []*srcBucket         // preallocated buckets (chunk remainder)
-	nUser    int                  // live user-level messages across all buckets
-	parked   bool                 // the owner's task is parked on this mailbox
-	queued   int64                // bytes currently queued (eager-buffer occupancy)
-	hw       int64                // high-water of queued
+	used     []*srcBucket // every bucket of this mailbox, sorted by src
+	active   []*srcBucket // buckets with nUser > 0, unordered
+	spare    []srcBucket  // unused remainder of the last bucket chunk
+	nUser    int          // user-level messages across all buckets
+	parked   bool         // the owner's task is parked on this mailbox
+	queued   int64        // bytes currently queued (eager-buffer occupancy)
+	hw       int64        // high-water of queued
 	poisoned bool
 	// pert, when non-nil, permutes wildcard selection among concurrently
 	// available bucket fronts (sched Ties class). It is the owning
@@ -384,97 +281,54 @@ type mailbox struct {
 	pert *sched.Rank
 }
 
-// newMailbox returns a mailbox accepting traffic from up to n sources
-// (communicator ranks are always < the world size n).
-func newMailbox(n int) *mailbox {
-	mb := &mailbox{}
-	mb.init(n, nil)
-	return mb
-}
-
-// init prepares a zero mailbox for a world of n ranks. denseTab, when
-// non-nil, is a caller-provided len-n pointer table (worldState carves
-// all n tables out of one n*n backing array so a dense world costs one
-// allocation instead of n). Large worlds start with no index at all:
-// buckets are found by scanning the used list while the in-degree stays
-// below bucketScanLimit, and the sparse map is built only on spill — so
-// the common graph-topology mailbox (a handful of neighbor sources)
-// never pays for a map.
-func (mb *mailbox) init(n int, denseTab []*srcBucket) {
-	if n <= denseSrcLimit {
-		if denseTab == nil {
-			denseTab = make([]*srcBucket, n)
-		}
-		mb.dense = denseTab
-	}
-}
-
-// compatible reports whether a pooled mailbox can serve a world of n
-// ranks: sparse mailboxes fit any n; dense ones need a big enough table.
-func (mb *mailbox) compatible(n int) bool {
-	return mb.dense == nil || len(mb.dense) >= n
-}
-
-// newBucket hands out a bucket from the chunk free-list, refilling it
-// with a bucketChunk-sized allocation when empty. Chunk storage is never
-// reallocated, so the returned pointer is stable for the mailbox's life.
-func (mb *mailbox) newBucket(src int32) *srcBucket {
-	if len(mb.bfree) == 0 {
-		chunk := make([]srcBucket, bucketChunk)
-		for i := range chunk {
-			mb.bfree = append(mb.bfree, &chunk[i])
+// find binary-searches used for src: its position, or where a bucket
+// for it would be inserted. Hand-rolled because it runs on every push
+// and match: through slices.BinarySearchFunc's indirect comparator call
+// world-16k ran slower in 8 of 8 paired runs.
+func (mb *mailbox) find(src int32) (int, bool) {
+	lo, hi := 0, len(mb.used)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if mb.used[mid].src < src {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	n := len(mb.bfree) - 1
-	b := mb.bfree[n]
-	mb.bfree[n] = nil
-	mb.bfree = mb.bfree[:n]
-	b.src, b.alive = src, -1
-	mb.used = append(mb.used, b)
-	return b
-}
-
-// bucket returns (creating if needed) the bucket for source src. Caller
-// holds mb.mu.
-func (mb *mailbox) bucket(src int32) *srcBucket {
-	if b := mb.peek(src); b != nil {
-		return b
-	}
-	b := mb.newBucket(src)
-	if mb.dense != nil {
-		mb.dense[src] = b
-	} else if mb.sparse != nil {
-		mb.sparse[src] = b
-	} else if len(mb.used) > bucketScanLimit {
-		// In-degree outgrew the linear scan: install the map once.
-		mb.sparse = make(map[int32]*srcBucket, 2*len(mb.used))
-		for _, ub := range mb.used {
-			mb.sparse[ub.src] = ub
-		}
-	}
-	return b
+	return lo, lo < len(mb.used) && mb.used[lo].src == src
 }
 
 // peek returns the bucket for src without creating one, or nil.
 func (mb *mailbox) peek(src int32) *srcBucket {
-	if mb.dense != nil {
-		return mb.dense[src]
-	}
-	if mb.sparse != nil {
-		return mb.sparse[src]
-	}
-	for _, b := range mb.used {
-		if b.src == src {
-			return b
-		}
+	if i, ok := mb.find(src); ok {
+		return mb.used[i]
 	}
 	return nil
 }
 
-// push enqueues m, indexing it by source and tag, and unparks the owner
-// if it is parked. On a poisoned mailbox push is a no-op (the run is
-// already failing and the owner may have unwound), so queued/hw stay
-// frozen at their poison-time snapshot for the memory reports.
+// bucket returns (creating if needed) the bucket for source src. New
+// buckets come from a bucketChunk-sized allocation that is never
+// reallocated, so the pointer is stable for the mailbox's life. Caller
+// holds mb.mu.
+func (mb *mailbox) bucket(src int32) *srcBucket {
+	i, ok := mb.find(src)
+	if ok {
+		return mb.used[i]
+	}
+	if len(mb.spare) == 0 {
+		mb.spare = make([]srcBucket, bucketChunk)
+	}
+	b := &mb.spare[0]
+	mb.spare = mb.spare[1:]
+	b.src, b.alive = src, -1
+	mb.used = slices.Insert(mb.used, i, b)
+	return b
+}
+
+// push enqueues m on its source's ring and unparks the owner if it is
+// parked. On a poisoned mailbox push is a no-op (the run is already
+// failing and the owner may have unwound), so queued/hw stay frozen at
+// their poison-time snapshot for the memory reports.
 func (mb *mailbox) push(m *message) {
 	mb.mu.Lock()
 	if mb.poisoned {
@@ -484,10 +338,9 @@ func (mb *mailbox) push(m *message) {
 	}
 	b := mb.bucket(int32(m.src))
 	if m.itag != 0 {
-		b.intlqFor(m.itag).push(m)
+		b.intl.push(m)
 	} else {
 		b.userqFor(m.mctx).push(m)
-		b.tagqFor(m.mctx, m.tag).push(m)
 		b.nUser++
 		mb.nUser++
 		if b.alive < 0 {
@@ -519,16 +372,15 @@ func (mb *mailbox) parkLocked(t *task) {
 	mb.mu.Lock()
 }
 
-// take finalizes the dequeue of a user-level message found by
-// matchUserLocked: the generation bump kills the entry in the index it
-// was not popped from, and the byte/liveness accounting is updated.
-func (mb *mailbox) take(m *message) {
-	m.gen.Add(1)
-	mb.queued -= m.bytes
-	b := mb.peek(int32(m.src))
+// take dequeues the user-level message f found and updates the byte and
+// liveness accounting.
+func (mb *mailbox) take(f found) {
+	f.q.remove(f.i)
+	mb.queued -= f.m.bytes
+	b := f.b
 	b.nUser--
 	mb.nUser--
-	if b.nUser == 0 && b.alive >= 0 {
+	if b.nUser == 0 {
 		last := len(mb.active) - 1
 		moved := mb.active[last]
 		mb.active[b.alive] = moved
@@ -537,23 +389,6 @@ func (mb *mailbox) take(m *message) {
 		mb.active = mb.active[:last]
 		b.alive = -1
 	}
-}
-
-// userFront returns the earliest live user-level message from bucket b
-// matching (tag, mctx), consulting the tag index for exact tags and the
-// arrival FIFO for AnyTag. Returns the queue it came from so the caller
-// can pop it.
-func (b *srcBucket) userFront(tag int, mctx int32) (*message, *msgq) {
-	var q *msgq
-	if tag == AnyTag {
-		q = b.userPeek(mctx)
-	} else {
-		q = b.tagPeek(mctx, tag)
-	}
-	if q == nil {
-		return nil, nil
-	}
-	return q.front(), q
 }
 
 // matchUserLocked finds the queued user-level message matching (src, tag)
@@ -567,87 +402,65 @@ func (b *srcBucket) userFront(tag int, mctx int32) (*message, *msgq) {
 // cores) can enqueue a late-stamped message ahead of an early-stamped
 // one, and processing the late one first would ratchet the receiver's
 // clock and contaminate every subsequent reply with artificial delay.
-// Per-source stamps are monotone, so each bucket FIFO is already in
-// arrival order and an AnySource wildcard only has to compare bucket
-// fronts; ties across sources break toward the lower source rank, and
-// messages from one source retain FIFO order, preserving MPI's
-// non-overtaking guarantee.
+// Per-source stamps are monotone, so each bucket ring is already in
+// arrival order and an AnySource wildcard only has to compare one
+// candidate per bucket; ties across sources break toward the lower
+// source rank, and messages from one source retain FIFO order,
+// preserving MPI's non-overtaking guarantee.
 //
 // Under perturbation (mb.pert with Ties), wildcard selection instead
-// draws uniformly among every front that is concurrently available —
-// arrival no later than max(now, earliest front arrival) — which is
+// draws uniformly among every candidate that is concurrently available —
+// arrival no later than max(now, earliest candidate arrival) — which is
 // exactly the set a real MPI implementation could legally hand back
-// first. Selection still only ever takes bucket fronts, so per-source
-// FIFO holds, and a front is by construction also the front of its
-// (comm, tag) index, so a probed wildcard status stays consistent with
-// the follow-up exact-source receive.
+// first. A candidate is its source's earliest message fitting (tag,
+// mctx), so per-source FIFO holds, and the follow-up receive of the
+// probed (source, tag) resolves to the same message.
 func (mb *mailbox) matchUserLocked(src, tag int, mctx int32, remove bool, now float64) *message {
-	var (
-		best  *message
-		bestq *msgq
-	)
+	var best found
 	if src != AnySource {
-		b := mb.peek(int32(src))
-		if b == nil || b.user == nil {
-			return nil
+		if b := mb.peek(int32(src)); b != nil {
+			best = b.first(tag, mctx)
 		}
-		best, bestq = b.userFront(tag, mctx)
 	} else if mb.pert != nil && mb.pert.Ties() {
-		best, bestq = mb.pickAnySourceLocked(tag, mctx, now)
+		best = mb.pickAnySourceLocked(tag, mctx, now)
 	} else {
 		for _, b := range mb.active {
-			m, q := b.userFront(tag, mctx)
-			if m == nil {
-				continue
-			}
-			if best == nil || m.arrive < best.arrive ||
-				(m.arrive == best.arrive && m.src < best.src) {
-				best, bestq = m, q
+			if f := b.first(tag, mctx); f.m != nil && (best.m == nil || f.before(best)) {
+				best = f
 			}
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	if remove {
-		bestq.popFront()
+	if best.m != nil && remove {
 		mb.take(best)
 	}
-	return best
+	return best.m
 }
 
 // pickAnySourceLocked implements perturbed wildcard selection: among
-// the bucket fronts matching (tag, mctx), every front with virtual
+// the per-bucket candidates matching (tag, mctx), every one with virtual
 // arrival <= max(now, earliest arrival) is concurrently available, and
 // one is drawn uniformly from the owner rank's perturbation stream.
 // The draw maps to candidates ordered by (arrive, src) — not by the
 // physical order of mb.active, which depends on goroutine scheduling —
 // so a seed replays the same choices given the same candidate sets.
-func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) (*message, *msgq) {
-	// Pass 1: earliest front arrival; the availability threshold can
+func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
+	// Pass 1: earliest candidate arrival; the availability threshold can
 	// never exclude it.
-	first := false
-	minArrive := 0.0
+	seen := false
+	thr := 0.0
 	for _, b := range mb.active {
-		m, _ := b.userFront(tag, mctx)
-		if m == nil {
-			continue
-		}
-		if !first || m.arrive < minArrive {
-			first, minArrive = true, m.arrive
+		if f := b.first(tag, mctx); f.m != nil && (!seen || f.m.arrive < thr) {
+			seen, thr = true, f.m.arrive
 		}
 	}
-	if !first {
-		return nil, nil
+	if !seen {
+		return found{}
 	}
-	thr := minArrive
-	if now > thr {
-		thr = now
-	}
+	thr = max(thr, now)
 	// Pass 2: count the available candidates and draw one.
 	k := 0
 	for _, b := range mb.active {
-		if m, _ := b.userFront(tag, mctx); m != nil && m.arrive <= thr {
+		if f := b.first(tag, mctx); f.m != nil && f.m.arrive <= thr {
 			k++
 		}
 	}
@@ -656,22 +469,18 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) (*messa
 	// counting, for each candidate, how many others precede it. O(k^2)
 	// in the candidate count, which is bounded by the source count.
 	for _, b := range mb.active {
-		m, q := b.userFront(tag, mctx)
-		if m == nil || m.arrive > thr {
+		f := b.first(tag, mctx)
+		if f.m == nil || f.m.arrive > thr {
 			continue
 		}
 		ord := 0
 		for _, b2 := range mb.active {
-			m2, _ := b2.userFront(tag, mctx)
-			if m2 == nil || m2 == m || m2.arrive > thr {
-				continue
-			}
-			if m2.arrive < m.arrive || (m2.arrive == m.arrive && m2.src < m.src) {
+			if g := b2.first(tag, mctx); g.m != nil && g.m.arrive <= thr && g.before(f) {
 				ord++
 			}
 		}
 		if ord == pick {
-			return m, q
+			return f
 		}
 	}
 	panic("mpi: pickAnySourceLocked: pick out of range")
@@ -684,67 +493,28 @@ func (mb *mailbox) matchInternalLocked(src int, itag int64, remove bool) *messag
 	if b == nil {
 		return nil
 	}
-	var e *intq
-	for i := range b.intl {
-		if b.intl[i].itag == itag {
-			e = &b.intl[i]
-			break
-		}
-	}
-	if e == nil {
-		return nil
-	}
-	m := e.q.front()
-	if m == nil {
-		return nil
-	}
-	if remove {
-		e.q.popFront()
+	m, i := b.intl.firstInternal(itag)
+	if m != nil && remove {
+		b.intl.remove(i)
 		mb.queued -= m.bytes
-		// Internal messages are single-indexed, so n == 0 means truly
-		// empty: retire the slot in place for reuse under the next fresh
-		// itag, shedding any backlog-spike ring on the way.
-		if e.q.n == 0 {
-			e.itag = 0
-			e.q.trim()
-		}
 	}
 	return m
 }
 
-// drainQueue releases every live message still in q and zeroes the
-// ring. front() discards dead entries (zeroing their slots) as it
-// walks, so after it returns nil the ring holds no message pointers.
-func drainQueue(q *msgq) {
-	for m := q.front(); m != nil; m = q.front() {
-		q.popFront()
-		m.release()
-	}
-}
-
 // reset drains and reinitializes a mailbox for reuse by the next run.
-// Live messages (protocols like the Send-Recv matcher legally finish
-// with stale traffic queued) go back to the message pool; the bucket
-// index entries and their rings are retained (trimmed of spike-sized
-// capacity), since communicator ids and internal tags restart
-// identically in a fresh world, so a pooled mailbox's steady state
-// carries over. Only mailboxes from clean runs are reset — failed or
-// poisoned runs discard the whole world state.
+// Queued messages (protocols like the Send-Recv matcher legally finish
+// with stale traffic queued) go back to the message pool; the buckets
+// and their rings are retained (trimmed of spike-sized capacity), since
+// a fresh world of the same size repeats the same neighborhoods and
+// communicator ids, so a pooled mailbox's steady state carries over.
+// Only mailboxes from clean runs are reset — failed or poisoned runs
+// discard the whole world state.
 func (mb *mailbox) reset() {
 	for _, b := range mb.used {
 		for i := range b.user {
-			drainQueue(&b.user[i].q) // primary index: releases each live message
-			b.user[i].q.trim()
+			b.user[i].q.reset()
 		}
-		for i := range b.tags {
-			drainQueue(&b.tags[i].q) // secondary index: all entries now dead
-			b.tags[i].q.trim()
-		}
-		for i := range b.intl {
-			drainQueue(&b.intl[i].q)
-			b.intl[i].itag = 0
-			b.intl[i].q.trim()
-		}
+		b.intl.reset()
 		b.nUser = 0
 		b.alive = -1
 	}

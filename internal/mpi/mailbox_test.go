@@ -2,18 +2,20 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sched"
 )
 
-// White-box tests for the bucketed mailbox: arrival-order selection,
-// per-source FIFO, dual-index lazy deletion under struct pooling, and
-// post-poison stability. These pin down the invariants the rewrite must
-// preserve (DESIGN §7): matching selects the earliest virtual arrival
-// regardless of physical enqueue order, and messages from one source
-// never overtake each other.
+// White-box tests for the bucketed mailbox. The centrepiece is a
+// differential against refStore, an obviously-correct flat-slice model of
+// MPI matching, driven by testing/quick (TestMailboxModelDifferential) and
+// by the fuzzer (FuzzMailboxModel) over one op-sequence encoding. The
+// remaining tests pin what the model does not express (DESIGN §7):
+// perturbed wildcard selection, post-poison stability, ring trimming on
+// reset, and the bucket list's shape.
 
 // pushAt fabricates a user-level world message with an explicit virtual
 // arrival time and pushes it, bypassing a Comm (payload = seq for
@@ -39,12 +41,11 @@ func drainAll(mb *mailbox) []*message {
 	}
 }
 
-// TestMailboxEarliestArrivalOutOfOrderEnqueue is the regression the old
-// flat-slice mailbox solved by linear scan: goroutine scheduling pushes a
-// late-stamped message physically before an early-stamped one, and the
-// receiver must still see them in virtual-arrival order.
+// TestMailboxEarliestArrivalOutOfOrderEnqueue: goroutine scheduling
+// pushes a late-stamped message physically before an early-stamped one,
+// and the receiver must still see them in virtual-arrival order.
 func TestMailboxEarliestArrivalOutOfOrderEnqueue(t *testing.T) {
-	mb := newMailbox(4)
+	mb := new(mailbox)
 	// Physical push order deliberately scrambles virtual arrivals across
 	// two sources; per-source stamps stay monotone (senders' clocks are).
 	pushAt(mb, 1, 7, 50, 0) // src 1: 50, 60
@@ -74,7 +75,7 @@ func TestMailboxEarliestArrivalOutOfOrderEnqueue(t *testing.T) {
 func TestMailboxOrderProperty(t *testing.T) {
 	const nSrc = 4
 	prop := func(deltas []uint8, srcs []uint8) bool {
-		mb := newMailbox(nSrc)
+		mb := new(mailbox)
 		clock := [nSrc]float64{}
 		count := [nSrc]int64{}
 		n := min(len(deltas), len(srcs))
@@ -137,7 +138,7 @@ func TestMailboxPerturbedOrderProperty(t *testing.T) {
 			pt := sched.New(0xc0ffee, sched.Profile{Ties: prof.Ties}, 1)
 			jit := sched.New(0xbeef, prof, nSrc)
 			prop := func(deltas []uint8, srcs []uint8) bool {
-				mb := newMailbox(nSrc)
+				mb := new(mailbox)
 				if pt != nil {
 					mb.pert = pt.Rank(0)
 				}
@@ -181,11 +182,10 @@ func TestMailboxPerturbedOrderProperty(t *testing.T) {
 // TestMailboxPerturbedProbeRecvConsistency pins the Drain pattern under
 // tie-permutation: whatever message a perturbed wildcard probe reports,
 // the follow-up exact (src, tag) match must return that same message —
-// a permuted pick is always a bucket front, hence also the front of its
-// tag index.
+// a permuted pick is always its source's earliest message.
 func TestMailboxPerturbedProbeRecvConsistency(t *testing.T) {
 	pt := sched.New(42, sched.Profile{Ties: true}, 1)
-	mb := newMailbox(4)
+	mb := new(mailbox)
 	mb.pert = pt.Rank(0)
 	seq := int64(0)
 	for s := 0; s < 4; s++ {
@@ -218,7 +218,7 @@ func TestMailboxTiePermutationActuallyPermutes(t *testing.T) {
 	orders := map[string]bool{}
 	for seed := uint64(0); seed < 16; seed++ {
 		pt := sched.New(seed, sched.Profile{Ties: true}, 1)
-		mb := newMailbox(4)
+		mb := new(mailbox)
 		mb.pert = pt.Rank(0)
 		for s := 0; s < 4; s++ {
 			pushAt(mb, s, 1, 10, int64(s)) // all tied
@@ -235,57 +235,11 @@ func TestMailboxTiePermutationActuallyPermutes(t *testing.T) {
 	}
 }
 
-// TestMailboxStaleTagEntrySurvivesReuse pins the interaction of lazy
-// dual-index deletion with struct pooling: a message dequeued through the
-// arrival FIFO leaves a stale pointer in its tag FIFO, and once the
-// struct is recycled for an unrelated send the stale entry must stay
-// dead — matching it would steal a message queued elsewhere and deadlock
-// the rightful receiver. The generation check in qent is what enforces
-// this.
-func TestMailboxStaleTagEntrySurvivesReuse(t *testing.T) {
-	a, b := newMailbox(2), newMailbox(2)
-	pushAt(a, 0, 1, 10, 100)
-	pushAt(a, 0, 2, 20, 200) // keeps bucket 0 of a live after the take
-
-	// Dequeue the tag-1 message through the wildcard (arrival-FIFO) path;
-	// its tags[{0,1}] queue now holds a stale entry.
-	a.mu.Lock()
-	m := a.matchUserLocked(AnySource, AnyTag, 0, true, 0)
-	a.mu.Unlock()
-	if m == nil || m.tag != 1 {
-		t.Fatalf("wildcard match = %+v, want the tag-1 message", m)
-	}
-
-	// Recycle the struct the way release+newMessage would when the pool
-	// hands the same struct back, and enqueue it on a different mailbox
-	// with the same source and tag.
-	m.release()
-	m2 := newMessage(0, 1, 0, 0, []int64{300})
-	m2.arrive = 5
-	b.push(m2)
-
-	// The stale entry in a must not resurrect, even if the recycled
-	// struct is the one it points at and looks live again.
-	a.mu.Lock()
-	stale := a.matchUserLocked(0, 1, 0, true, 0)
-	a.mu.Unlock()
-	if stale != nil {
-		t.Fatalf("mailbox a matched a recycled message: src %d tag %d data %v", stale.src, stale.tag, stale.data)
-	}
-	b.mu.Lock()
-	got := b.matchUserLocked(0, 1, 0, true, 0)
-	b.mu.Unlock()
-	if got == nil || got.data[0] != 300 {
-		t.Fatalf("mailbox b lost its message: %+v", got)
-	}
-}
-
 // TestMailboxExactTagMatchesWildcardView: Iprobe(AnySource) reports a
 // message's (src, tag); the follow-up exact Recv must find the same
-// message. This is the transport Drain pattern, and it exercises the tag
-// index against the arrival index.
+// message. This is the transport Drain pattern.
 func TestMailboxExactTagMatchesWildcardView(t *testing.T) {
-	mb := newMailbox(3)
+	mb := new(mailbox)
 	pushAt(mb, 2, 9, 30, 0)
 	pushAt(mb, 1, 4, 40, 1)
 	for i := 0; i < 2; i++ {
@@ -309,7 +263,7 @@ func TestMailboxExactTagMatchesWildcardView(t *testing.T) {
 // high-water snapshot a failed run reports is stable no matter how late
 // the surviving senders race.
 func TestMailboxPoisonedPushNoOp(t *testing.T) {
-	mb := newMailbox(2)
+	mb := new(mailbox)
 	pushAt(mb, 0, 1, 1, 0) // 8 bytes queued
 	if hw := mb.highWater(); hw != 8 {
 		t.Fatalf("high-water before poison = %d, want 8", hw)
@@ -331,109 +285,26 @@ func TestMailboxPoisonedPushNoOp(t *testing.T) {
 	}
 }
 
-// TestMailboxDenseSparseCrossover pins the bucket-storage crossover at
-// denseSrcLimit: a world of exactly denseSrcLimit ranks uses the dense
-// pointer table, one rank more uses the scan/map path — and matching
-// semantics (bucket resolution for edge sources, per-source FIFO,
-// AnySource ties breaking toward the lower source) are identical on
-// both sides of the threshold.
-func TestMailboxDenseSparseCrossover(t *testing.T) {
-	for _, n := range []int{denseSrcLimit, denseSrcLimit + 1} {
-		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			mb := newMailbox(n)
-			wantDense := n <= denseSrcLimit
-			if gotDense := mb.dense != nil; gotDense != wantDense {
-				t.Fatalf("n=%d: dense table present=%v, want %v", n, gotDense, wantDense)
-			}
-			if wantDense && len(mb.dense) != n {
-				t.Fatalf("dense table len %d, want %d", len(mb.dense), n)
-			}
-			// Sources at both edges of the id space, plus a middle one.
-			lo, mid, hi := 0, n/2, n-1
-			pushAt(mb, hi, 7, 30, 0) // ties at arrive=30 with mid: lower src wins
-			pushAt(mb, lo, 7, 40, 1)
-			pushAt(mb, mid, 7, 30, 2)
-			pushAt(mb, lo, 7, 41, 3) // FIFO behind lo's first
-			for _, src := range []int{lo, mid, hi} {
-				if mb.peek(int32(src)) == nil {
-					t.Fatalf("n=%d: bucket for src %d did not resolve", n, src)
-				}
-			}
-			if b := mb.peek(int32(mid + 1)); b != nil {
-				t.Fatalf("n=%d: phantom bucket for silent src %d", n, mid+1)
-			}
-			got := drainAll(mb)
-			wantSrc := []int{mid, hi, lo, lo}
-			wantSeq := []int64{2, 0, 1, 3}
-			if len(got) != len(wantSrc) {
-				t.Fatalf("drained %d messages, want %d", len(got), len(wantSrc))
-			}
-			for i, m := range got {
-				if m.src != wantSrc[i] || m.data[0] != wantSeq[i] {
-					t.Errorf("n=%d match %d: (src %d, seq %d), want (src %d, seq %d)",
-						n, i, m.src, m.data[0], wantSrc[i], wantSeq[i])
-				}
-				m.release()
-			}
-		})
-	}
-}
-
-// TestMailboxSparseMapSpill drives a large-world mailbox past
-// bucketScanLimit distinct sources: below the limit buckets are found by
-// scanning the used list (no map exists), above it the map is installed
-// once and every bucket — old and new — still resolves.
-func TestMailboxSparseMapSpill(t *testing.T) {
-	n := denseSrcLimit + 100
-	mb := newMailbox(n)
-	nsrc := bucketScanLimit + 4
-	for s := 0; s < nsrc; s++ {
-		pushAt(mb, s, 3, float64(s+1), int64(s))
-		if s == bucketScanLimit-2 && mb.sparse != nil {
-			t.Fatalf("map installed at %d sources, below the scan limit %d", s+1, bucketScanLimit)
-		}
-	}
-	if mb.sparse == nil {
-		t.Fatalf("map not installed after %d sources (scan limit %d)", nsrc, bucketScanLimit)
-	}
-	if len(mb.sparse) != nsrc {
-		t.Fatalf("spilled map holds %d buckets, want %d", len(mb.sparse), nsrc)
-	}
-	for s := 0; s < nsrc; s++ {
-		mb.mu.Lock()
-		m := mb.matchUserLocked(s, 3, 0, true, 0)
-		mb.mu.Unlock()
-		if m == nil || m.data[0] != int64(s) {
-			t.Fatalf("exact-source match for src %d failed after map spill: %+v", s, m)
-		}
-		m.release()
-	}
-}
-
-// TestMailboxRingTrimOnReset pins the backlog-spike shedding (the old
-// unbounded recycled-queue list): after a burst grows a ring well past
-// qRetainEnts, reset must cap the retained capacity, while a
-// steady-state-sized ring is kept for reuse.
+// TestMailboxRingTrimOnReset pins the backlog-spike shedding: after a
+// burst grows a ring well past qRetainEnts, reset must cap the retained
+// capacity, while a steady-state-sized ring is kept for reuse.
 func TestMailboxRingTrimOnReset(t *testing.T) {
-	mb := newMailbox(8)
+	mb := new(mailbox)
 	const burst = 4 * qRetainEnts
 	for i := 0; i < burst; i++ {
 		pushAt(mb, 1, 2, float64(i+1), int64(i))
 	}
 	pushAt(mb, 2, 2, 1, 0) // steady-sized ring on another source
 	b1 := mb.peek(1)
-	if c := cap(b1.userPeek(0).buf); c < burst {
+	if c := cap(b1.userqFor(0).buf); c < burst {
 		t.Fatalf("burst ring capacity %d, want >= %d", c, burst)
 	}
 	mb.reset() // releases the backlog and trims spike-sized rings
-	if c := cap(b1.userPeek(0).buf); c > qRetainEnts {
+	if c := cap(b1.userqFor(0).buf); c > qRetainEnts {
 		t.Errorf("user ring kept capacity %d after reset, want <= %d", c, qRetainEnts)
 	}
-	if c := cap(b1.tagPeek(0, 2).buf); c > qRetainEnts {
-		t.Errorf("tag ring kept capacity %d after reset, want <= %d", c, qRetainEnts)
-	}
 	b2 := mb.peek(2)
-	if q := b2.userPeek(0); q == nil || cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
+	if q := b2.userqFor(0); cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
 		t.Errorf("steady ring not retained for reuse: %+v", q)
 	}
 	if got := mb.pendingUser(); got != 0 {
@@ -441,40 +312,333 @@ func TestMailboxRingTrimOnReset(t *testing.T) {
 	}
 }
 
-// TestMailboxInternalSlotRetire pins the in-place retirement of internal
-// (itag) queue slots: draining an itag frees its slot (itag 0) and the
-// next fresh itag reuses slot and ring instead of growing the index.
-func TestMailboxInternalSlotRetire(t *testing.T) {
-	mb := newMailbox(4)
-	push := func(itag int64, seq int64) {
-		m := newMessage(1, 0, itag, 0, []int64{seq})
-		m.arrive = float64(seq)
-		mb.push(m)
+// refStore is the reference model the mailbox is checked against: a flat
+// slice in push order, matched by linear scan. A user match considers
+// each source's first entry that fits (comm, tag) — MPI's non-overtaking
+// rule — and returns the earliest (arrive, src) among them; an internal
+// match is the first entry from that source with the exact itag.
+type refStore struct {
+	msgs       []*message
+	queued, hw int64
+}
+
+func (r *refStore) push(m *message) {
+	r.msgs = append(r.msgs, m)
+	r.queued += m.bytes
+	r.hw = max(r.hw, r.queued)
+}
+
+func (r *refStore) removeAt(i int) {
+	r.queued -= r.msgs[i].bytes
+	r.msgs = slices.Delete(r.msgs, i, i+1)
+}
+
+func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *message {
+	best := -1
+	seen := map[int]bool{}
+	for i, m := range r.msgs {
+		if m.itag != 0 || m.mctx != mctx || seen[m.src] ||
+			(src != AnySource && m.src != src) || (tag != AnyTag && m.tag != tag) {
+			continue
+		}
+		seen[m.src] = true
+		if best < 0 || m.arrive < r.msgs[best].arrive ||
+			(m.arrive == r.msgs[best].arrive && m.src < r.msgs[best].src) {
+			best = i
+		}
 	}
-	take := func(itag int64, wantSeq int64) {
+	if best < 0 {
+		return nil
+	}
+	m := r.msgs[best]
+	if remove {
+		r.removeAt(best)
+	}
+	return m
+}
+
+func (r *refStore) matchInternal(src int, itag int64, remove bool) *message {
+	for i, m := range r.msgs {
+		if m.src == src && m.itag == itag {
+			if remove {
+				r.removeAt(i)
+			}
+			return m
+		}
+	}
+	return nil
+}
+
+func (r *refStore) pendingUser() int {
+	n := 0
+	for _, m := range r.msgs {
+		if m.itag == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// The op-sequence encoding shared by the quick differential, the fuzzer
+// and the hand-written cases: four bytes per op {kind, source, selector,
+// stamp delta}; trailing bytes are ignored. Sources are scattered over a
+// 5000-rank id space (both edges included) so bucket insertion order is
+// unrelated to source order.
+const (
+	opPushUser = iota
+	opPushInternal
+	opMatchUser
+	opMatchInternal
+	opReset
+	opKinds
+
+	modelSrcs = 24 // source byte modelSrcs = AnySource (matches only)
+	modelTags = 3  // tag selector modelTags = AnyTag (matches only)
+)
+
+func modelSrc(i int) int {
+	if i == modelSrcs-1 {
+		return 4999
+	}
+	return i * 1471 % 5000
+}
+
+// op encodes one op: a push (remove ignored) or match with tag selector
+// tag in communicator comm, or, for the internal kinds, itag selector tag
+// (comm ignored).
+func op(kind, src, tag, comm int, remove bool, delta byte) []byte {
+	sel := tag | comm<<2
+	if remove {
+		sel |= 1 << 3
+	}
+	return []byte{byte(kind), byte(src), byte(sel), delta}
+}
+
+// runMailboxModel decodes data into an op sequence, applies it to a
+// mailbox and a refStore side by side, and reports the first divergence:
+// a different message identity from any match, or different pendingUser,
+// queuedBytes or highWater after any op. It ends by draining both through
+// wildcards and checking the mailbox's own invariants.
+func runMailboxModel(data []byte) error {
+	mb, ref := new(mailbox), new(refStore)
+	var clock [modelSrcs]float64
+	check := func(i int, what string, got, want *message) error {
+		if got != want {
+			return fmt.Errorf("op %d (%s): mailbox matched %+v, model %+v", i, what, got, want)
+		}
+		if a, b := mb.pendingUser(), ref.pendingUser(); a != b {
+			return fmt.Errorf("op %d (%s): pendingUser %d, model %d", i, what, a, b)
+		}
+		if a, b := mb.queuedBytes(), ref.queued; a != b {
+			return fmt.Errorf("op %d (%s): queuedBytes %d, model %d", i, what, a, b)
+		}
+		if a, b := mb.highWater(), ref.hw; a != b {
+			return fmt.Errorf("op %d (%s): highWater %d, model %d", i, what, a, b)
+		}
+		return nil
+	}
+	matchUser := func(src, tag int, mctx int32, remove bool) (got, want *message) {
 		mb.mu.Lock()
-		m := mb.matchInternalLocked(1, itag, true)
+		got = mb.matchUserLocked(src, tag, mctx, remove, 0)
 		mb.mu.Unlock()
-		if m == nil || m.data[0] != wantSeq {
-			t.Fatalf("itag %d: got %+v, want seq %d", itag, m, wantSeq)
+		return got, ref.matchUser(src, tag, mctx, remove)
+	}
+	for i := 0; i+4 <= len(data); i += 4 {
+		kind, sb, sel, delta := int(data[i])%opKinds, int(data[i+1]), int(data[i+2]), data[i+3]
+		si := sb % modelSrcs
+		mctx, remove := int32(sel>>2&1), sel>>3&1 == 1
+		push := func(tag int, itag int64) {
+			// Monotone per source; small steps make cross-source ties common.
+			clock[si] += float64(delta % 4)
+			// Payload length varies so the byte accounting is exercised.
+			m := newMessage(modelSrc(si), tag, itag, mctx, make([]int64, 1+i%3))
+			m.arrive = clock[si]
+			mb.push(m)
+			ref.push(m)
+		}
+		var got, want *message
+		switch kind {
+		case opPushUser:
+			push(sel%modelTags, 0)
+		case opPushInternal:
+			mctx = 0
+			push(0, int64(1000+sel%modelTags))
+		case opMatchUser:
+			src, tag := AnySource, AnyTag
+			if s := sb % (modelSrcs + 1); s < modelSrcs {
+				src = modelSrc(s)
+			}
+			if tg := sel % (modelTags + 1); tg < modelTags {
+				tag = tg
+			}
+			got, want = matchUser(src, tag, mctx, remove)
+		case opMatchInternal:
+			itag := int64(1000 + sel%modelTags)
+			mb.mu.Lock()
+			got = mb.matchInternalLocked(modelSrc(si), itag, remove)
+			mb.mu.Unlock()
+			want = ref.matchInternal(modelSrc(si), itag, remove)
+		case opReset:
+			mb.reset() // releases what is queued; the mailbox is then reused
+			*ref = refStore{}
+			clock = [modelSrcs]float64{}
+		}
+		if err := check(i/4, fmt.Sprint(data[i:i+4]), got, want); err != nil {
+			return err
+		}
+	}
+	for mctx := int32(0); mctx < 2; mctx++ {
+		for {
+			got, want := matchUser(AnySource, AnyTag, mctx, true)
+			if err := check(len(data)/4, "drain", got, want); err != nil {
+				return err
+			}
+			if got == nil {
+				break
+			}
+		}
+	}
+	if len(mb.active) != 0 || mb.pendingUser() != 0 {
+		return fmt.Errorf("after drain: %d active buckets, %d pending", len(mb.active), mb.pendingUser())
+	}
+	for i := 1; i < len(mb.used); i++ {
+		if mb.used[i-1].src >= mb.used[i].src {
+			return fmt.Errorf("used not sorted by source: %d before %d", mb.used[i-1].src, mb.used[i].src)
+		}
+	}
+	return nil
+}
+
+// TestMailboxModelDifferential drives the mailbox and refStore with
+// random 256-op sequences.
+func TestMailboxModelDifferential(t *testing.T) {
+	prop := func(data [1024]byte) bool {
+		if err := runMailboxModel(data[:]); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mailboxModelCases are hand-written op sequences, run by go test as the
+// fuzzer's seed corpus.
+var mailboxModelCases = [][]byte{
+	// Out-of-order enqueue across the two edge sources, an equal-stamp tie
+	// (lower source wins), then a wildcard drain.
+	slices.Concat(op(opPushUser, modelSrcs-1, 0, 0, false, 2), op(opPushUser, 0, 1, 0, false, 2),
+		op(opPushUser, 0, 0, 0, false, 1), op(opMatchUser, modelSrcs, modelTags, 0, true, 0)),
+	// A message taken through the wildcard must not answer a later exact
+	// probe; the other tag from that source still does.
+	slices.Concat(op(opPushUser, 3, 1, 0, false, 1), op(opPushUser, 3, 2, 0, false, 1),
+		op(opMatchUser, modelSrcs, modelTags, 0, true, 0), op(opMatchUser, 3, 1, 0, false, 0),
+		op(opMatchUser, 3, 2, 0, true, 0)),
+	// Exact tag behind a same-source backlog, on two communicators.
+	slices.Concat(op(opPushUser, 5, 0, 0, false, 1), op(opPushUser, 5, 0, 1, false, 1),
+		op(opPushUser, 5, 1, 0, false, 1), op(opPushUser, 5, 2, 1, false, 1),
+		op(opMatchUser, 5, 1, 0, true, 0), op(opMatchUser, 5, 2, 1, true, 0),
+		op(opMatchUser, 5, modelTags, 0, true, 0)),
+	// Internal rounds under a fresh itag each, received out of order, with
+	// user traffic from the same source interleaved.
+	slices.Concat(op(opPushInternal, 7, 0, 0, false, 1), op(opPushInternal, 7, 1, 0, false, 1),
+		op(opPushUser, 7, 0, 0, false, 1), op(opPushInternal, 7, 0, 0, false, 1),
+		op(opMatchInternal, 7, 1, 0, true, 0), op(opMatchInternal, 7, 0, 0, true, 0),
+		op(opMatchInternal, 7, 0, 0, true, 0), op(opMatchInternal, 7, 2, 0, false, 0)),
+	// Reset with traffic queued, then reuse of the same buckets.
+	slices.Concat(op(opPushUser, 2, 0, 0, false, 3), op(opPushInternal, 2, 0, 0, false, 1),
+		op(opReset, 0, 0, 0, false, 0), op(opPushUser, 2, 1, 0, false, 1),
+		op(opMatchUser, 2, 0, 0, false, 0), op(opMatchUser, 2, 1, 0, true, 0)),
+}
+
+// FuzzMailboxModel feeds the differential arbitrary op sequences.
+func FuzzMailboxModel(f *testing.F) {
+	for _, c := range mailboxModelCases {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := runMailboxModel(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestMailboxManySources: buckets exist exactly for the sources that have
+// sent, whatever the id (both edges of a 5000-rank space included) and
+// whatever the order of first contact; the bucket list stays sorted; and
+// an all-tied wildcard drain goes in ascending source order.
+func TestMailboxManySources(t *testing.T) {
+	mb := new(mailbox)
+	for i := 0; i < modelSrcs; i++ {
+		pushAt(mb, modelSrc(i), 7, 30, int64(i))
+	}
+	if len(mb.used) != modelSrcs {
+		t.Fatalf("%d buckets for %d sources", len(mb.used), modelSrcs)
+	}
+	for i := 0; i < modelSrcs; i++ {
+		if b := mb.peek(int32(modelSrc(i))); b == nil || int(b.src) != modelSrc(i) {
+			t.Fatalf("bucket for src %d did not resolve: %+v", modelSrc(i), b)
+		}
+	}
+	for _, silent := range []int32{1, 2500, 4998} {
+		if mb.peek(silent) != nil {
+			t.Errorf("phantom bucket for silent src %d", silent)
+		}
+	}
+	got := drainAll(mb)
+	if len(got) != modelSrcs {
+		t.Fatalf("drained %d messages, want %d", len(got), modelSrcs)
+	}
+	for i, m := range got {
+		if int32(m.src) != mb.used[i].src {
+			t.Errorf("match %d from src %d, want %d (ascending sources)", i, m.src, mb.used[i].src)
 		}
 		m.release()
 	}
-	for round := int64(1); round <= 5; round++ {
-		itag := round * 1000 // fresh key every round, like topology sequence numbers
-		push(itag, round)
-		push(itag, round+100)
-		take(itag, round)
-		take(itag, round+100)
+}
+
+// TestMailboxExactTagBehindBacklog: an exact-tag receive behind other
+// tags from the same source removes from mid-ring and leaves the rest in
+// order (across the ring's wrap point too); a drained tag then misses.
+func TestMailboxExactTagBehindBacklog(t *testing.T) {
+	mb := new(mailbox)
+	match := func(tag int) *message {
+		mb.mu.Lock()
+		defer mb.mu.Unlock()
+		return mb.matchUserLocked(1, tag, 0, true, 0)
 	}
-	b := mb.peek(1)
-	if len(b.intl) != 1 {
-		t.Fatalf("internal index grew to %d slots across rounds, want 1 (retire-in-place)", len(b.intl))
+	// Grow the ring to 8 slots and leave its head at 5, so the 6-message
+	// backlog below wraps.
+	for i := 0; i < 5; i++ {
+		pushAt(mb, 1, 0, 0, -1)
 	}
-	if b.intl[0].itag != 0 {
-		t.Errorf("drained slot still keyed %d, want 0 (free)", b.intl[0].itag)
+	for i := 0; i < 5; i++ {
+		match(0).release()
 	}
-	if cap(b.intl[0].q.buf) == 0 {
-		t.Errorf("retired slot dropped its ring; want it retained for reuse")
+	tags := []int{5, 5, 9, 5, 6, 9}
+	for i, tag := range tags {
+		pushAt(mb, 1, tag, float64(i+1), int64(i))
+	}
+	for _, want := range []int64{2, 5} {
+		m := match(9)
+		if m == nil || m.data[0] != want {
+			t.Fatalf("tag 9: got %+v, want seq %d", m, want)
+		}
+		m.release()
+	}
+	if m := match(9); m != nil {
+		t.Fatalf("drained tag 9 matched seq %d", m.data[0])
+	}
+	for _, want := range []int64{0, 1, 3, 4} {
+		m := match(AnyTag)
+		if m == nil || m.data[0] != want {
+			t.Fatalf("remaining order: got %+v, want seq %d", m, want)
+		}
+		m.release()
+	}
+	if n := mb.pendingUser(); n != 0 {
+		t.Errorf("pending = %d, want 0", n)
 	}
 }

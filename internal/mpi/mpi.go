@@ -244,7 +244,7 @@ func Run(procs int, body func(c *Comm) error, opts ...Option) (*Report, error) {
 // whose lifetime ends with Run and whose contents do not escape into the
 // Report. Benchmark and experiment loops call Run thousands of times
 // with the same world size; recycling the skeleton removes the dominant
-// per-run setup cost (mailbox shells, bucket tables, task structs, the
+// per-run setup cost (mailbox shells and their buckets, task structs, the
 // collective hub's shard and deposit arrays). Statistics ledgers, trace
 // buffers and the Report are always fresh — they outlive the run.
 //
@@ -274,8 +274,8 @@ var worldPool sync.Pool
 
 // acquireWorldState returns a pooled skeleton for n ranks, or a fresh
 // one. Pooled skeletons are only reused at the exact same world size:
-// the hub's shard layout and the dense mailbox tables are sized to n,
-// and repeat callers (benchmarks, Explore sweeps) keep n fixed.
+// the arenas and the hub's shard layout are sized to n, and repeat
+// callers (benchmarks, Explore sweeps) keep n fixed.
 func acquireWorldState(n int) *worldState {
 	if v := worldPool.Get(); v != nil {
 		ws := v.(*worldState)
@@ -295,21 +295,8 @@ func acquireWorldState(n int) *worldState {
 		procs:     make([]procState, n),
 		hub:       newCollHub(n),
 	}
-	// Small worlds use dense per-source bucket tables; carving all n
-	// tables out of one n*n backing array costs one allocation for the
-	// whole world instead of one per mailbox.
-	var denseTabs []*srcBucket
-	if n <= denseSrcLimit {
-		denseTabs = make([]*srcBucket, n*n)
-	}
 	for i := 0; i < n; i++ {
-		mb := &ws.mbArena[i]
-		if denseTabs != nil {
-			mb.init(n, denseTabs[i*n:(i+1)*n:(i+1)*n])
-		} else {
-			mb.init(n, nil)
-		}
-		ws.mailboxes[i] = mb
+		ws.mailboxes[i] = &ws.mbArena[i]
 		t := &ws.taskArena[i]
 		t.initTask()
 		ws.tasks[i] = t

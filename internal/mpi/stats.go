@@ -62,8 +62,8 @@ type RankStats struct {
 	// variant is the memory hog at scale, Table VIII). Counted once per
 	// distinct destination at EagerBufPerPeer bytes. Peers are tracked
 	// densely for small worlds and in a lazily allocated set above
-	// denseSrcLimit ranks, for the same reason mailboxes bucket sparsely
-	// there: a rank talks to its process-graph neighbors, and a dense
+	// densePeerLimit ranks, for the same reason mailboxes bucket by
+	// source: a rank talks to its process-graph neighbors, and a dense
 	// []bool per rank would cost O(P^2) across the world.
 	PeerBufBytes int64
 	peerSeen     []bool
@@ -84,6 +84,10 @@ type RankStats struct {
 	MsgRow  []int64
 	ByteRow []int64
 }
+
+// densePeerLimit is the world size up to which a ledger tracks the
+// peers it has sent to in a dense bitmap rather than a set.
+const densePeerLimit = 1024
 
 // EagerBufPerPeer is the modeled per-peer buffer pool for point-to-point
 // connections (64 KiB, the order of MPICH/Cray eager-path pools).
@@ -113,7 +117,7 @@ func (rs *RankStats) notePeer(dst int) {
 		}
 		return
 	}
-	if int(rs.worldSize) <= denseSrcLimit {
+	if int(rs.worldSize) <= densePeerLimit {
 		rs.peerSeen = make([]bool, rs.worldSize)
 		rs.peerSeen[dst] = true
 		rs.PeerBufBytes += EagerBufPerPeer

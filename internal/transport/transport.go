@@ -27,6 +27,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/distgraph"
 	"repro/internal/mpi"
@@ -461,6 +462,7 @@ type P2PAgg struct {
 	c         *mpi.Comm
 	batch     int
 	out       map[int][]int64
+	dsts      []int   // keys of out, ascending
 	rbuf      []int64 // receive scratch, grown to the largest batch seen
 	accounted int64
 }
@@ -479,7 +481,12 @@ func NewP2PAgg(c *mpi.Comm, batch int) *P2PAgg {
 func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
 	t.note(dst)
 	t.c.Pack(1)
-	buf := append(t.out[dst], ctx, x, y)
+	buf, seen := t.out[dst]
+	if !seen {
+		i, _ := slices.BinarySearch(t.dsts, dst)
+		t.dsts = slices.Insert(t.dsts, i, dst)
+	}
+	buf = append(buf, ctx, x, y)
 	if len(buf) >= t.batch*recordWords {
 		t.c.Isend(dst, aggTag, buf)
 		buf = buf[:0]
@@ -493,9 +500,10 @@ func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
 // order, introducing a run-to-run send reordering that is NOT one of the
 // runtime's modeled perturbation points — it would break replayability
 // of perturbed schedules (same seed, different transcript) for a reason
-// no real MPI library has.
+// no real MPI library has. Only destinations ever buffered for are
+// visited, so a flush costs the rank's out-degree, not the world size.
 func (t *P2PAgg) flushAll() {
-	for dst := 0; dst < t.c.Size(); dst++ {
+	for _, dst := range t.dsts {
 		if buf := t.out[dst]; len(buf) > 0 {
 			t.c.Isend(dst, aggTag, buf)
 			t.out[dst] = buf[:0]
