@@ -112,53 +112,6 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	benchModels(b, g, 16, []matching.Model{matching.NSR, matching.NCL})
 }
 
-// BenchmarkAblationRMACounter compares the paper's precomputed remote
-// displacements (Fig 1) against the naive alternative it rejects: a
-// remote atomic counter fetched before every put (§IV-D(b): "maintaining
-// a distributed counter requires extra communication, and relatively
-// expensive atomic operations").
-func BenchmarkAblationRMACounter(b *testing.B) {
-	const (
-		procs   = 8
-		records = 2000 // records each rank pushes to its right neighbor
-	)
-	run := func(useCounter bool) float64 {
-		rep, err := mpi.Run(procs, func(c *mpi.Comm) error {
-			right := (c.Rank() + 1) % procs
-			win := c.WinCreate(records*3 + 1)
-			win.LockAll()
-			cursor := 0
-			for k := 0; k < records; k++ {
-				var disp int
-				if useCounter {
-					disp = int(win.FetchAndAdd(right, records*3, 3))
-				} else {
-					disp = cursor * 3
-					cursor++
-				}
-				win.Put(right, disp%(records*3), []int64{1, 2, 3})
-			}
-			win.UnlockAll()
-			win.Free()
-			return nil
-		}, mpi.WithDeadline(time.Minute))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep.MaxVirtualTime
-	}
-	var tPrefix, tCounter float64
-	for i := 0; i < b.N; i++ {
-		tPrefix += run(false)
-		tCounter += run(true)
-	}
-	b.ReportMetric(tPrefix*1e3/float64(b.N), "prefix-sum-ms/op")
-	b.ReportMetric(tCounter*1e3/float64(b.N), "atomic-counter-ms/op")
-	if tCounter <= tPrefix {
-		b.Fatalf("expected the atomic counter (%.3g) to cost more than precomputed displacements (%.3g)", tCounter, tPrefix)
-	}
-}
-
 // BenchmarkAblationTieBreak shows why hashed tie-breaking matters
 // (paper §III-A): on a path with adversarially ordered weights the
 // locally-dominant cascade serializes into a cross-rank chain, while

@@ -72,6 +72,24 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 }
 
+// TestBadRanksIsError: a rank-count cap the ranks experiment cannot run
+// (matchbench refuses the same values as a usage error) is a one-line
+// error from the experiment, not a panic out of the runtime.
+func TestBadRanksIsError(t *testing.T) {
+	for _, v := range []string{"1", "-5", "2097152"} {
+		code, stdout, errb := runCLI(t, "-exp", "ranks", "-ranks", v)
+		if code == 0 {
+			t.Errorf("-ranks %s: exit 0, want a failure", v)
+		}
+		if !strings.Contains(errb, "-ranks") || strings.Count(errb, "\n") != 1 {
+			t.Errorf("-ranks %s: stderr is not one line naming the flag: %q", v, errb)
+		}
+		if stdout != "" {
+			t.Errorf("-ranks %s: ran before rejecting the cap: %q", v, stdout)
+		}
+	}
+}
+
 func TestBadModelsIsUsageError(t *testing.T) {
 	if code, _, _ := runCLI(t, "-exp", "fig4c", "-models", "nope"); code != 2 {
 		t.Errorf("bad -models: exit code != 2")

@@ -85,9 +85,6 @@ type Protocol struct {
 	// MaxPerArc bounds protocol records per cross arc per direction;
 	// the buffered backends are sized from it.
 	MaxPerArc int64
-	// AggBatch is the NSRA per-destination batch size in records
-	// (0 = transport.DefaultAggBatch).
-	AggBatch int
 	// Detect declares that a rank's local count cannot see records
 	// still on their way to it, so termination is detected rather than
 	// counted: by mpi.Quiesce over a point-to-point backend, by a second
@@ -165,7 +162,6 @@ func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Result
 			Comm:      c,
 			Local:     r.Local,
 			MaxPerArc: p.MaxPerArc,
-			AggBatch:  p.AggBatch,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.App, err)

@@ -36,6 +36,10 @@ var ranksLadder = []int{1024, 4096, 16384, 65536, 131072}
 // Config.Ranks) unlocks the full curve.
 const ranksDefaultCap = 16384
 
+// ranksMaxCap is the largest cap the experiment accepts; a ring needs at
+// least two ranks.
+const ranksMaxCap = 1 << 20
+
 // ranksDirectCap bounds the legacy direct-mode comparison column: above
 // it, one OS-scheduled goroutine per rank is exactly the regime the
 // worker pool exists to avoid, so the column reads "-".
@@ -71,6 +75,9 @@ func init() {
 			rcap := cfg.Ranks
 			if rcap == 0 {
 				rcap = ranksDefaultCap
+			}
+			if rcap < 2 || rcap > ranksMaxCap {
+				return nil, fmt.Errorf("rank-count cap (-ranks) %d out of range (want 0 or 2..%d)", rcap, ranksMaxCap)
 			}
 			var sizes []int
 			for _, p := range ranksLadder {

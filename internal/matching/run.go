@@ -124,10 +124,6 @@ func (o Options) shared() driver.Options {
 // buffers are sized with it.
 const MaxMessagesPerCrossEdge = 2
 
-// aggBatchRecords is the per-destination batch size of the NSRA model's
-// aggregating Send-Recv transport.
-const aggBatchRecords = 64
-
 // ParallelResult is the outcome of a distributed run.
 type ParallelResult struct {
 	*Result
@@ -155,7 +151,7 @@ type ParallelResult struct {
 // fences them, with a two-count fence on the round-flavor ones.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 	mates := make([]int, g.NumVertices())
-	proto := driver.Protocol{App: "matching", MaxPerArc: MaxMessagesPerCrossEdge, AggBatch: aggBatchRecords}
+	proto := driver.Protocol{App: "matching", MaxPerArc: MaxMessagesPerCrossEdge}
 	var body func(*driver.Rank) error
 	if opt.Engine == EngineMaximal {
 		proto.MaxPerArc, proto.Detect, proto.ForceRounds = maximalMaxPerArc, true, opt.ForceRounds

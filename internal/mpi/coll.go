@@ -67,26 +67,6 @@ func (op ReduceOp) foldInt64(a, b int64) int64 {
 	panic("mpi: unknown ReduceOp")
 }
 
-func (op ReduceOp) foldFloat64(a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
-	case OpMax:
-		if b > a {
-			return b
-		}
-		return a
-	case OpProd:
-		return a * b
-	}
-	panic("mpi: ReduceOp " + op.String() + " not supported for float64")
-}
-
 const collAbort = "mpi: collective aborted: a peer rank failed"
 
 // hubShardShift sets the collective hub's shard width: ranks are mapped
@@ -198,17 +178,13 @@ type collHub struct {
 
 	// Deposit slots, one per member rank per parity, written by plain
 	// stores before the deposit barrier and read after it. They serve
-	// the data-movement collectives (alltoall, gather, bcast, float
-	// reductions) — the hot int64 reductions travel through the shard
-	// fold above and never touch them — so they are allocated lazily on
-	// first use (the sync.Once runs on every member before its deposit,
-	// and the deposit barrier publishes the arrays to pure readers).
+	// the data-movement collectives (allgather, bcast) — the hot int64
+	// reductions travel through the shard fold above and never touch
+	// them — so they are allocated lazily on first use (the sync.Once
+	// runs on every member before its deposit, and the deposit barrier
+	// publishes the arrays to pure readers).
 	ideps     [2][][]int64
-	fdeps     [2][][]float64
-	vdeps     [2][][][]int64
 	idepsOnce sync.Once
-	fdepsOnce sync.Once
-	vdepsOnce sync.Once
 
 	// adeps is the untyped publication slot set used by WinCreate and
 	// Split. It is deliberately single-buffered: unlike the typed slots,
@@ -250,20 +226,6 @@ func (h *collHub) ensureIdeps() {
 	})
 }
 
-func (h *collHub) ensureFdeps() {
-	h.fdepsOnce.Do(func() {
-		h.fdeps[0] = make([][]float64, h.n)
-		h.fdeps[1] = make([][]float64, h.n)
-	})
-}
-
-func (h *collHub) ensureVdeps() {
-	h.vdepsOnce.Do(func() {
-		h.vdeps[0] = make([][][]int64, h.n)
-		h.vdeps[1] = make([][][]int64, h.n)
-	})
-}
-
 func (h *collHub) ensureAdeps() {
 	h.adepsOnce.Do(func() {
 		h.adeps = make([]any, h.n)
@@ -283,8 +245,6 @@ func (h *collHub) poison() {
 func (h *collHub) clearDeps() {
 	for p := 0; p < 2; p++ {
 		clear(h.ideps[p])
-		clear(h.fdeps[p])
-		clear(h.vdeps[p])
 		h.vredOut[p] = h.vredOut[p][:0]
 	}
 	clear(h.adeps)
@@ -461,7 +421,6 @@ func (c *Comm) exitColl(tmax float64, last int, bytes int64) {
 	}
 	c.waitFor(end, WaitCollective, cause, tmax)
 	c.ps.rs.CollCount++
-	c.ps.rs.CollBytes += bytes
 	c.event(EvColl, -1, -1, bytes, c.ps.collStart)
 }
 
@@ -503,68 +462,6 @@ func (c *Comm) AllreduceScalarInt64(op ReduceOp, v int64) int64 {
 	return out
 }
 
-// AllreduceFloat64 is AllreduceInt64 for float64 vectors. Floating-point
-// folds are not associative, so this path keeps the deposit slots and
-// folds in rank order on every rank — the result is deterministic and
-// identical everywhere, at O(P) cost per rank.
-func (c *Comm) AllreduceFloat64(op ReduceOp, in []float64) []float64 {
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureFdeps()
-		h.fdeps[p][c.rank] = in
-	})
-	deps := h.fdeps[p]
-	out := append([]float64(nil), deps[0]...)
-	for r := 1; r < c.size(); r++ {
-		for i, v := range deps[r] {
-			out[i] = op.foldFloat64(out[i], v)
-		}
-	}
-	c.exitColl(tmax, last, int64(8*len(in)))
-	return out
-}
-
-// AlltoallInt64 exchanges fixed-size chunks: rank i's send[j*chunk:(j+1)*chunk]
-// is delivered to rank j, and the result holds rank j's chunk for this rank
-// at position j*chunk. len(send) must be Size()*chunk.
-func (c *Comm) AlltoallInt64(send []int64, chunk int) []int64 {
-	if len(send) != c.size()*chunk {
-		panic(fmt.Sprintf("mpi: AlltoallInt64: len(send)=%d, want %d*%d", len(send), c.size(), chunk))
-	}
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureIdeps()
-		h.ideps[p][c.rank] = send
-	})
-	deps := h.ideps[p]
-	out := make([]int64, c.size()*chunk)
-	for r := 0; r < c.size(); r++ {
-		copy(out[r*chunk:(r+1)*chunk], deps[r][c.rank*chunk:(c.rank+1)*chunk])
-	}
-	c.exitColl(tmax, last, int64(8*len(send)))
-	return out
-}
-
-// AlltoallvInt64 exchanges variable-size slices: send[j] goes to rank j;
-// the result's element r is what rank r sent to this rank. send must have
-// length Size(); entries may be nil/empty.
-func (c *Comm) AlltoallvInt64(send [][]int64) [][]int64 {
-	if len(send) != c.size() {
-		panic(fmt.Sprintf("mpi: AlltoallvInt64: len(send)=%d, want %d", len(send), c.size()))
-	}
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureVdeps()
-		h.vdeps[p][c.rank] = send
-	})
-	deps := h.vdeps[p]
-	out := make([][]int64, c.size())
-	var bytes int64
-	for r := 0; r < c.size(); r++ {
-		out[r] = append([]int64(nil), deps[r][c.rank]...)
-		bytes += int64(8 * len(send[r]))
-	}
-	c.exitColl(tmax, last, bytes)
-	return out
-}
-
 // AllgatherInt64 gathers each rank's vector onto all ranks; result[r] is
 // rank r's contribution. Contributions may differ in length (MPI's
 // Allgatherv generality).
@@ -594,47 +491,5 @@ func (c *Comm) BcastInt64(root int, data []int64) []int64 {
 	})
 	out := append([]int64(nil), h.ideps[p][root]...)
 	c.exitColl(tmax, last, int64(8*len(out)))
-	return out
-}
-
-// ReduceInt64 combines across ranks like AllreduceInt64, but only root
-// receives the result; other ranks return nil.
-func (c *Comm) ReduceInt64(root int, op ReduceOp, in []int64) []int64 {
-	c.checkRank(root, "reduce")
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureIdeps()
-		h.ideps[p][c.rank] = in
-	})
-	var out []int64
-	if c.rank == root {
-		deps := h.ideps[p]
-		out = append([]int64(nil), deps[0]...)
-		for r := 1; r < c.size(); r++ {
-			for i, v := range deps[r] {
-				out[i] = op.foldInt64(out[i], v)
-			}
-		}
-	}
-	c.exitColl(tmax, last, int64(8*len(in)))
-	return out
-}
-
-// GatherInt64 gathers each rank's vector onto root; root's result[r] is
-// rank r's contribution, other ranks return nil.
-func (c *Comm) GatherInt64(root int, mine []int64) [][]int64 {
-	c.checkRank(root, "gather")
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureIdeps()
-		h.ideps[p][c.rank] = mine
-	})
-	var out [][]int64
-	if c.rank == root {
-		deps := h.ideps[p]
-		out = make([][]int64, c.size())
-		for r := 0; r < c.size(); r++ {
-			out[r] = append([]int64(nil), deps[r]...)
-		}
-	}
-	c.exitColl(tmax, last, int64(8*len(mine)))
 	return out
 }

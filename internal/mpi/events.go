@@ -26,7 +26,7 @@ type EventKind uint8
 
 // Event kinds, one per traced primitive family.
 const (
-	// EvSend is an Isend/Send/Ssend completing at the sender.
+	// EvSend is an Isend/Ssend completing at the sender.
 	EvSend EventKind = iota
 	// EvRecv is a Recv/RecvInto completing (including its blocked time).
 	EvRecv
@@ -35,7 +35,7 @@ const (
 	// EvWait is a blocked interval: the clock jumping forward to a
 	// remote arrival or synchronization point.
 	EvWait
-	// EvColl is a global collective (Barrier, Allreduce, Alltoall, ...).
+	// EvColl is a global collective (Barrier, Allreduce, Allgather, ...).
 	EvColl
 	// EvNbrColl is a blocking neighborhood collective; Tag is the
 	// topology-local call sequence number (the round, for round-based
@@ -44,15 +44,11 @@ const (
 	// EvNbrStart is the injection half of a nonblocking neighborhood
 	// collective (INeighborAlltoallvInt64); Tag is the call sequence.
 	EvNbrStart
-	// EvNbrWait is the completion half (NbrRequest.Wait); Tag matches
+	// EvNbrWait is the completion half (NbrRequest.WaitInto); Tag matches
 	// the EvNbrStart it completes.
 	EvNbrWait
 	// EvPut is a one-sided put issue (origin side).
 	EvPut
-	// EvGet is a one-sided get (full round trip at the origin).
-	EvGet
-	// EvAtomic is a remote atomic: Accumulate, FetchAndAdd, CompareAndSwap.
-	EvAtomic
 	// EvFlush is an RMA flush draining pending puts; Bytes is the drained
 	// volume and Tag the number of distinct targets completed.
 	EvFlush
@@ -70,8 +66,6 @@ var eventKindNames = [numEventKinds]string{
 	EvNbrStart: "nbr_start",
 	EvNbrWait:  "nbr_wait",
 	EvPut:      "put",
-	EvGet:      "get",
-	EvAtomic:   "atomic",
 	EvFlush:    "flush",
 }
 
@@ -92,7 +86,7 @@ func (k EventKind) Category() string {
 		return "coll"
 	case EvNbrColl, EvNbrStart, EvNbrWait:
 		return "nbr"
-	case EvPut, EvGet, EvAtomic, EvFlush:
+	case EvPut, EvFlush:
 		return "rma"
 	case EvWait:
 		return "wait"

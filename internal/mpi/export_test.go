@@ -263,16 +263,13 @@ func everyKindRun(t *testing.T) *Report {
 		topo := c.CreateGraphTopo([]int{prev, next})
 		c.Compute(float64(500 * (p - c.Rank())))
 		topo.NeighborAlltoallvInt64([][]int64{{1}, {2, 3}})
-		topo.INeighborAlltoallvInt64([][]int64{{4}, {5}}).Wait()
+		topo.INeighborAlltoallvInt64([][]int64{{4}, {5}}).WaitInto(nil)
 
 		win := c.WinCreate(8)
 		win.LockAll()
 		win.Put(next, 0, []int64{7, 8})
-		win.Accumulate(next, 2, []int64{1})
-		win.FetchAndAdd(prev, 3, 1)
 		win.FlushAll()
 		c.Barrier()
-		win.Get(prev, 0, 2)
 		win.UnlockAll()
 		win.Free()
 

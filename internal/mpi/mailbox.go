@@ -486,15 +486,15 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	panic("mpi: pickAnySourceLocked: pick out of range")
 }
 
-// matchInternalLocked finds (and, if remove is set, dequeues) the oldest
-// internal message from src with the exact itag. The caller holds mb.mu.
-func (mb *mailbox) matchInternalLocked(src int, itag int64, remove bool) *message {
+// matchInternalLocked dequeues the oldest internal message from src with
+// the exact itag, or returns nil. The caller holds mb.mu.
+func (mb *mailbox) matchInternalLocked(src int, itag int64) *message {
 	b := mb.peek(int32(src))
 	if b == nil {
 		return nil
 	}
 	m, i := b.intl.firstInternal(itag)
-	if m != nil && remove {
+	if m != nil {
 		b.intl.remove(i)
 		mb.queued -= m.bytes
 	}

@@ -357,12 +357,10 @@ func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *message {
 	return m
 }
 
-func (r *refStore) matchInternal(src int, itag int64, remove bool) *message {
+func (r *refStore) matchInternal(src int, itag int64) *message {
 	for i, m := range r.msgs {
 		if m.src == src && m.itag == itag {
-			if remove {
-				r.removeAt(i)
-			}
+			r.removeAt(i)
 			return m
 		}
 	}
@@ -405,7 +403,7 @@ func modelSrc(i int) int {
 
 // op encodes one op: a push (remove ignored) or match with tag selector
 // tag in communicator comm, or, for the internal kinds, itag selector tag
-// (comm ignored).
+// (comm ignored; an internal match always removes).
 func op(kind, src, tag, comm int, remove bool, delta byte) []byte {
 	sel := tag | comm<<2
 	if remove {
@@ -475,9 +473,9 @@ func runMailboxModel(data []byte) error {
 		case opMatchInternal:
 			itag := int64(1000 + sel%modelTags)
 			mb.mu.Lock()
-			got = mb.matchInternalLocked(modelSrc(si), itag, remove)
+			got = mb.matchInternalLocked(modelSrc(si), itag)
 			mb.mu.Unlock()
-			want = ref.matchInternal(modelSrc(si), itag, remove)
+			want = ref.matchInternal(modelSrc(si), itag)
 		case opReset:
 			mb.reset() // releases what is queued; the mailbox is then reused
 			*ref = refStore{}

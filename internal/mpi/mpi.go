@@ -141,9 +141,9 @@ type procState struct {
 	// possible.
 	task *task
 	// pollMisses counts consecutive unfruitful non-blocking polls
-	// (Iprobe, NbrRequest.Test). Every pollYieldEvery-th miss yields the
-	// scheduler so a full worker pool cannot be starved by spinning
-	// pollers; any successful match resets it.
+	// (Iprobe). Every pollYieldEvery-th miss yields the scheduler so a
+	// full worker pool cannot be starved by spinning pollers; any
+	// successful match resets it.
 	pollMisses int
 	// ev is the structured event log, nil when tracing is off; the nil
 	// check is the entire cost of a disabled instrumentation point.
@@ -195,8 +195,6 @@ type Report struct {
 	// MaxVirtualTime is the modeled parallel execution time in seconds:
 	// the maximum final virtual clock over all ranks.
 	MaxVirtualTime float64
-	// TotalVirtualTime is the sum of final clocks (useful for averages).
-	TotalVirtualTime float64
 	// FinalTimes holds every rank's final virtual clock, indexed by
 	// world rank. MaxVirtualTime is its maximum; the post-mortem
 	// critical-path walk starts from its argmax.
@@ -496,7 +494,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 	for i, c := range comms {
 		rep.FinalTimes[i] = c.ps.now
 		rep.MaxVirtualTime = math.Max(rep.MaxVirtualTime, c.ps.now)
-		rep.TotalVirtualTime += c.ps.now
 	}
 	errMu.Lock()
 	defer errMu.Unlock()
@@ -536,9 +533,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in this communicator.
 func (c *Comm) Size() int { return c.size() }
 
-// WorldRank returns this process's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.wrank }
-
 // Now returns this rank's current virtual clock in seconds.
 func (c *Comm) Now() float64 { return c.ps.now }
 
@@ -558,15 +552,6 @@ func (c *Comm) Compute(units float64) {
 	dt := units * c.w.cost.ComputePerUnit
 	c.ps.now += dt
 	c.ps.rs.CompTime += dt
-}
-
-// AdvanceTime adds dt seconds of miscellaneous local activity to the
-// virtual clock without classifying it as compute or communication.
-func (c *Comm) AdvanceTime(dt float64) {
-	if dt < 0 {
-		panic("mpi: AdvanceTime with negative duration")
-	}
-	c.ps.now += dt
 }
 
 // Pack charges the CPU cost of appending n records to an aggregation

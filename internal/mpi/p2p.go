@@ -32,10 +32,10 @@ func (w *World) poison() {
 	}
 }
 
-// pollYieldEvery bounds how long a non-blocking poll loop (Iprobe,
-// NbrRequest.Test) may spin without yielding the scheduler. In pooled
-// mode a handful of spinning pollers could otherwise hold every worker
-// ticket and starve the very ranks whose sends they are polling for.
+// pollYieldEvery bounds how long a non-blocking poll loop (Iprobe) may
+// spin without yielding the scheduler. In pooled mode a handful of
+// spinning pollers could otherwise hold every worker ticket and starve
+// the very ranks whose sends they are polling for.
 const pollYieldEvery = 64
 
 // pollMiss records an unfruitful non-blocking poll, periodically
@@ -56,14 +56,7 @@ func (c *Comm) Isend(dst, tag int, data []int64) {
 	c.send(dst, tag, data, false)
 }
 
-// Send is a blocking standard-mode send. Under the runtime's eager
-// delivery it is equivalent to Isend; it exists so ported code reads
-// naturally.
-func (c *Comm) Send(dst, tag int, data []int64) {
-	c.send(dst, tag, data, false)
-}
-
-// Ssend is a synchronous-mode send: functionally identical to Send, but
+// Ssend is a synchronous-mode send: functionally identical to Isend, but
 // the sender is additionally charged a rendezvous round trip
 // (CostModel.SyncSendRTT). The MatchBox-P baseline model uses this.
 func (c *Comm) Ssend(dst, tag int, data []int64) {
@@ -81,7 +74,6 @@ func (c *Comm) send(dst, tag int, data []int64, sync bool) {
 	c.chargeComm(cost.SendOverhead)
 	if sync {
 		c.chargeComm(cost.SyncSendRTT)
-		c.ps.rs.SyncSends++
 	}
 	m.sent = c.ps.now
 	m.arrive = c.ps.now + c.perturbLatency(cost.AlphaP2P+cost.BetaP2P*float64(m.bytes))
@@ -171,7 +163,6 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 	}
 	start := c.ps.now
 	c.chargeComm(c.w.cost.ProbeOverhead)
-	c.ps.rs.ProbeCount++
 	// Perturbation may legally force a nonblocking probe to miss — a
 	// real MPI Iprobe can fail to observe a message whose envelope has
 	// not yet been processed. Misses are bounded (sched.Rank.ForceMiss)
@@ -190,7 +181,6 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 		c.pollMiss()
 		return false, Status{}
 	}
-	c.ps.rs.ProbeHits++
 	c.ps.pollMisses = 0
 	if c.ps.ev != nil {
 		c.event(EvProbe, c.worldRank(m.src), m.tag, m.bytes, start)
@@ -206,7 +196,6 @@ func (c *Comm) Probe(src, tag int) Status {
 	}
 	start := c.ps.now
 	c.chargeComm(c.w.cost.ProbeOverhead)
-	c.ps.rs.ProbeCount++
 	mb := c.mbox()
 	mb.mu.Lock()
 	var m *message
@@ -224,7 +213,6 @@ func (c *Comm) Probe(src, tag int) Status {
 		mb.parkLocked(c.ps.task)
 	}
 	mb.mu.Unlock()
-	c.ps.rs.ProbeHits++
 	// A blocking probe stalled on an in-flight message is a late-sender
 	// wait just like the receive that will follow it.
 	c.waitFor(m.arrive, WaitLateSender, c.worldRank(m.src), m.sent)
@@ -237,13 +225,6 @@ func (c *Comm) Probe(src, tag int) Status {
 // completeRecv applies receive-side timing and accounting for m.
 func (c *Comm) completeRecv(m *message) {
 	rs := c.ps.rs
-	if d := m.arrive - c.ps.now; d > 0 {
-		rs.RecvWaitTime += d
-		if d > rs.MaxRecvWait {
-			rs.MaxRecvWait = d
-			rs.MaxRecvWaitSrc = m.src
-		}
-	}
 	c.waitFor(m.arrive, WaitLateSender, c.worldRank(m.src), m.sent)
 	c.chargeComm(c.w.cost.RecvOverhead)
 	rs.RecvCount++
@@ -270,7 +251,7 @@ func (c *Comm) internalRecvMsg(src int, itag int64) *message {
 	mb.mu.Lock()
 	var m *message
 	for {
-		if m = mb.matchInternalLocked(src, itag, true); m != nil {
+		if m = mb.matchInternalLocked(src, itag); m != nil {
 			break
 		}
 		if mb.poisoned {
@@ -292,12 +273,6 @@ func (c *Comm) internalRecvAppend(src int, itag int64, buf []int64) []int64 {
 	buf = append(buf[:0], m.data...)
 	m.release()
 	return buf
-}
-
-// PendingMessages returns how many user-level messages are queued for this
-// rank (diagnostic; used by tests to verify clean shutdown).
-func (c *Comm) PendingMessages() int {
-	return c.mbox().pendingUser()
 }
 
 // QueuedBytes returns the bytes currently occupying this rank's eager

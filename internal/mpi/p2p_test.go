@@ -193,9 +193,6 @@ func TestSsendCharges(t *testing.T) {
 		}
 		if sync {
 			tSync = rep.MaxVirtualTime
-			if rep.Stats[0].SyncSends != 10 {
-				t.Errorf("SyncSends = %d, want 10", rep.Stats[0].SyncSends)
-			}
 		} else {
 			tEager = rep.MaxVirtualTime
 		}
@@ -309,28 +306,6 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
-func TestPendingMessagesDiagnostic(t *testing.T) {
-	_, err := runChecked(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Isend(1, 0, []int64{1})
-		}
-		c.Barrier()
-		if c.Rank() == 1 {
-			if n := c.PendingMessages(); n != 1 {
-				t.Errorf("pending = %d, want 1", n)
-			}
-			c.Recv(0, 0)
-			if n := c.PendingMessages(); n != 0 {
-				t.Errorf("pending after recv = %d, want 0", n)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeadlineWatchdogFires(t *testing.T) {
 	_, err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -357,7 +332,7 @@ func TestDeadlineNoGoroutineLeak(t *testing.T) {
 		"probe": func(c *Comm) { c.Probe(1, 0) },
 		"nbr": func(c *Comm) {
 			topo := c.CreateGraphTopo([]int{1})
-			topo.INeighborAlltoallvInt64([][]int64{{1}}).Wait() // peer never sends
+			topo.INeighborAlltoallvInt64([][]int64{{1}}).WaitInto(nil) // peer never sends
 		},
 	}
 	for name, blocked := range block {

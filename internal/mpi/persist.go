@@ -47,19 +47,14 @@ func (p *PersistentNbr) Start(send [][]int64) {
 	p.inflight = true
 }
 
-// Wait completes the in-flight round, returning the neighbors'
-// contributions in neighbor order.
-func (p *PersistentNbr) Wait() [][]int64 {
-	return p.WaitInto(nil)
-}
-
-// WaitInto completes the in-flight round, receiving into a
-// caller-supplied slice of per-neighbor buffers (see Topo.collect).
+// WaitInto completes the in-flight round, returning the neighbors'
+// contributions in neighbor order in a caller-supplied slice of
+// per-neighbor buffers (see Topo.collect; allocated when nil).
 // Unlike a nonblocking request, the operation stays valid: the next
 // Start reuses the same schedule.
 func (p *PersistentNbr) WaitInto(recv [][]int64) [][]int64 {
 	if !p.inflight {
-		panic("mpi: PersistentNbr.Wait without a started round")
+		panic("mpi: PersistentNbr.WaitInto without a started round")
 	}
 	p.inflight = false
 	return p.t.wait("PersistentNbr.WaitInto", p.seq, recv)

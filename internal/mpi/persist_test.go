@@ -14,8 +14,8 @@ func TestPersistentNbrRoundTripAndReuse(t *testing.T) {
 	const p = 5
 	const rounds = 4
 	_, err := runChecked(p, func(c *Comm) error {
-		topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
-		nbrs := topo.Neighbors()
+		nbrs := ringNeighbors(c.Rank(), p)
+		topo := c.CreateGraphTopo(nbrs)
 		pn := topo.NeighborAlltoallvInit()
 		send := make([][]int64, len(nbrs))
 		var recv [][]int64
@@ -59,7 +59,7 @@ func TestPersistentNbrCheaperThanPerCall(t *testing.T) {
 	timeOf := func(persistent bool) float64 {
 		rep, err := runChecked(p, func(c *Comm) error {
 			topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
-			send := make([][]int64, len(topo.Neighbors()))
+			send := make([][]int64, topo.Degree())
 			for i := range send {
 				send[i] = []int64{int64(c.Rank())}
 			}
@@ -202,14 +202,14 @@ func TestPersistentNbrMisusePanics(t *testing.T) {
 		pn := topo.NeighborAlltoallvInit()
 		send := [][]int64{{int64(c.Rank())}}
 		if c.Rank() == 0 {
-			expectPanic("Wait without a started round", func() { pn.Wait() })
+			expectPanic("WaitInto without a started round", func() { pn.WaitInto(nil) })
 			expectPanic("len(send)", func() { pn.Start(nil) })
 		}
 		pn.Start(send)
 		if c.Rank() == 0 {
 			expectPanic("while a round is in flight", func() { pn.Start(send) })
 		}
-		pn.Wait()
+		pn.WaitInto(nil)
 		return nil
 	})
 	if err != nil {

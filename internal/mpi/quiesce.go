@@ -84,7 +84,6 @@ type Quiesce struct {
 
 	done       bool
 	detectedAt float64 // virtual instant of rank 0's conclusion
-	circuits   int64   // completed token circuits (rank 0 only)
 
 	buf [2]int64 // send/receive scratch for detector payloads
 }
@@ -118,15 +117,6 @@ func (q *Quiesce) NoteRecv(n int) {
 
 // Done reports whether global termination has been detected.
 func (q *Quiesce) Done() bool { return q.done }
-
-// DetectedAt returns the virtual time at which rank 0 concluded
-// termination — identical on every rank (it travels in the TERM
-// message) — or -1 before detection.
-func (q *Quiesce) DetectedAt() float64 { return q.detectedAt }
-
-// Circuits returns how many full token circuits rank 0 has observed
-// (diagnostic; 0 on other ranks).
-func (q *Quiesce) Circuits() int64 { return q.circuits }
 
 // Idle drives the detector from a locally idle rank without blocking:
 // it launches or relays the token, consumes any detector traffic that
@@ -180,7 +170,6 @@ func (q *Quiesce) Block() {
 	c := q.app
 	start := c.ps.now
 	c.chargeComm(c.w.cost.ProbeOverhead)
-	c.ps.rs.ProbeCount++
 	mb := c.mbox()
 	mb.mu.Lock()
 	var m *message
@@ -200,7 +189,6 @@ func (q *Quiesce) Block() {
 		mb.parkLocked(c.ps.task)
 	}
 	mb.mu.Unlock()
-	c.ps.rs.ProbeHits++
 	c.waitFor(m.arrive, WaitLateSender, c.worldRank(m.src), m.sent)
 	if c.ps.ev != nil {
 		c.event(EvProbe, c.worldRank(m.src), m.tag, m.bytes, start)
@@ -253,7 +241,6 @@ func (q *Quiesce) launch() {
 func (q *Quiesce) handOff() {
 	q.holding = false
 	if q.rank == 0 {
-		q.circuits++
 		if !q.tokBlack && !q.black && q.tokAccum+q.deficit == 0 {
 			q.conclude()
 			return

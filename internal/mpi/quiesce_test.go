@@ -80,10 +80,10 @@ func TestQuiesceSingleRank(t *testing.T) {
 		if !q.Idle() {
 			return errors.New("balanced single rank did not conclude")
 		}
-		if q.DetectedAt() < 0 {
+		if q.detectedAt < 0 {
 			return errors.New("no detection instant recorded")
 		}
-		if got := q.Quiesce(); got != q.DetectedAt() {
+		if got := q.Quiesce(); got != q.detectedAt {
 			return errors.New("Quiesce after conclusion changed the instant")
 		}
 		return nil
@@ -139,8 +139,8 @@ func TestQuiesceInFlightNotTermination(t *testing.T) {
 					}
 					// Every rank must agree on the detection instant bit for bit
 					// (it is carried in the TERM message).
-					mx := c.AllreduceInt64(OpMax, []int64{int64(floatBits(q.DetectedAt()))})
-					if uint64(mx[0]) != floatBits(q.DetectedAt()) {
+					mx := c.AllreduceInt64(OpMax, []int64{int64(floatBits(q.detectedAt))})
+					if uint64(mx[0]) != floatBits(q.detectedAt) {
 						return fmt.Errorf("rank %d: detection instant disagrees with max", c.Rank())
 					}
 					return nil

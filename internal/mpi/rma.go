@@ -6,11 +6,11 @@ import (
 )
 
 // Win is an MPI-3 RMA window: every rank exposes a local buffer of int64
-// words that any other rank can target with one-sided Put, Get and atomic
-// operations. The runtime models passive-target synchronization
-// (MPI_Win_lock_all / MPI_Win_unlock_all around an epoch, with
-// MPI_Win_flush_all to complete outstanding operations), which is the mode
-// the paper's RMA implementation uses.
+// words that any other rank can target with one-sided Put. The runtime
+// models passive-target synchronization (MPI_Win_lock_all /
+// MPI_Win_unlock_all around an epoch, with MPI_Win_flush_all to complete
+// outstanding operations), which is the mode the paper's RMA
+// implementation uses.
 //
 // Consistency contract (identical to MPI's separate memory model used
 // correctly): a target may read a window region that a peer Put into only
@@ -120,7 +120,7 @@ func (v *winView) UnlockAll() {
 
 // Put copies data into target's window starting at word offset disp. The
 // origin pays only the issue cost; transfer bytes are drained at the next
-// Flush/FlushAll, modeling RDMA write pipelining.
+// FlushAll, modeling RDMA write pipelining.
 func (v *winView) Put(target, disp int, data []int64) {
 	c := v.c
 	c.checkRank(target, "Put")
@@ -141,99 +141,6 @@ func (v *winView) Put(target, disp int, data []int64) {
 	c.event(EvPut, c.worldRank(target), -1, bytes, start)
 }
 
-// Get copies count words from target's window starting at disp. Unlike
-// Put, a Get's result is needed immediately, so the origin pays the full
-// round trip.
-func (v *winView) Get(target, disp, count int) []int64 {
-	c := v.c
-	c.checkRank(target, "Get")
-	win := v.win
-	if disp < 0 || disp+count > len(win.bufs[target]) {
-		panic(fmt.Sprintf("mpi: Get: rank %d target %d range [%d,%d) outside window of %d words",
-			c.rank, target, disp, disp+count, len(win.bufs[target])))
-	}
-	out := make([]int64, count)
-	win.locks[target].Lock()
-	copy(out, win.bufs[target][disp:disp+count])
-	win.locks[target].Unlock()
-	bytes := int64(8 * count)
-	start := c.ps.now
-	c.chargeComm(c.w.cost.AlphaGet + c.w.cost.AlphaP2P + c.w.cost.BetaGet*float64(bytes))
-	c.ps.rs.GetCount++
-	c.ps.rs.GetBytes += bytes
-	c.event(EvGet, c.worldRank(target), -1, bytes, start)
-	return out
-}
-
-// Accumulate atomically adds each element of data into target's window at
-// disp (MPI_Accumulate with MPI_SUM).
-func (v *winView) Accumulate(target, disp int, data []int64) {
-	c := v.c
-	c.checkRank(target, "Accumulate")
-	win := v.win
-	if disp < 0 || disp+len(data) > len(win.bufs[target]) {
-		panic(fmt.Sprintf("mpi: Accumulate: range [%d,%d) outside window of %d words",
-			disp, disp+len(data), len(win.bufs[target])))
-	}
-	win.locks[target].Lock()
-	for i, x := range data {
-		win.bufs[target][disp+i] += x
-	}
-	win.locks[target].Unlock()
-	bytes := int64(8 * len(data))
-	start := c.ps.now
-	c.chargeComm(c.w.cost.AlphaPut)
-	v.pending += bytes
-	v.pendingTargets[target] = struct{}{}
-	c.ps.rs.AtomicCount++
-	c.ps.rs.notePut(c.worldRank(target), bytes)
-	c.event(EvAtomic, c.worldRank(target), -1, bytes, start)
-}
-
-// FetchAndAdd atomically adds delta to the single word at target:disp and
-// returns the previous value (MPI_Fetch_and_op with MPI_SUM). Used by the
-// ablation study comparing the paper's precomputed-displacement scheme
-// against a naive distributed counter; note the full round-trip charge.
-func (v *winView) FetchAndAdd(target, disp int, delta int64) int64 {
-	c := v.c
-	c.checkRank(target, "FetchAndAdd")
-	win := v.win
-	if disp < 0 || disp >= len(win.bufs[target]) {
-		panic(fmt.Sprintf("mpi: FetchAndAdd: disp %d outside window of %d words", disp, len(win.bufs[target])))
-	}
-	win.locks[target].Lock()
-	old := win.bufs[target][disp]
-	win.bufs[target][disp] = old + delta
-	win.locks[target].Unlock()
-	start := c.ps.now
-	c.chargeComm(c.w.cost.AtomicRTT)
-	c.ps.rs.AtomicCount++
-	c.event(EvAtomic, c.worldRank(target), -1, 8, start)
-	return old
-}
-
-// CompareAndSwap atomically replaces target:disp with swap if it equals
-// expect, returning the previous value (MPI_Compare_and_swap).
-func (v *winView) CompareAndSwap(target, disp int, expect, swap int64) int64 {
-	c := v.c
-	c.checkRank(target, "CompareAndSwap")
-	win := v.win
-	if disp < 0 || disp >= len(win.bufs[target]) {
-		panic(fmt.Sprintf("mpi: CompareAndSwap: disp %d outside window of %d words", disp, len(win.bufs[target])))
-	}
-	win.locks[target].Lock()
-	old := win.bufs[target][disp]
-	if old == expect {
-		win.bufs[target][disp] = swap
-	}
-	win.locks[target].Unlock()
-	start := c.ps.now
-	c.chargeComm(c.w.cost.AtomicRTT)
-	c.ps.rs.AtomicCount++
-	c.event(EvAtomic, c.worldRank(target), -1, 8, start)
-	return old
-}
-
 // FlushAll completes all outstanding RMA operations issued by this rank
 // (MPI_Win_flush_all): the virtual clock drains pending put bytes plus a
 // per-active-target completion round trip.
@@ -249,16 +156,7 @@ func (v *winView) FlushAll() {
 		c.w.cost.BetaPut*float64(drained)))
 	v.pending = 0
 	clear(v.pendingTargets)
-	c.ps.rs.FlushCount++
 	c.event(EvFlush, -1, targets, drained, start)
-}
-
-// Flush completes outstanding operations to one target. The runtime does
-// not track pending bytes per target, so this conservatively drains
-// everything, like FlushAll, but charges only the flush latency once.
-func (v *winView) Flush(target int) {
-	v.c.checkRank(target, "Flush")
-	v.FlushAll()
 }
 
 // Local returns this rank's own window buffer. Reads of regions written
@@ -266,9 +164,3 @@ func (v *winView) Flush(target int) {
 // (for example a count exchange) has been received, per the window
 // consistency contract.
 func (v *winView) Local() []int64 { return v.win.bufs[v.c.rank] }
-
-// TargetSize returns the window size (in words) of the given rank.
-func (v *winView) TargetSize(target int) int {
-	v.c.checkRank(target, "TargetSize")
-	return len(v.win.bufs[target])
-}

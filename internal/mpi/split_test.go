@@ -19,8 +19,8 @@ func TestSplitBasic(t *testing.T) {
 		if want := c.Rank() / 2; sub.Rank() != want {
 			t.Errorf("world %d: sub rank = %d, want %d", c.Rank(), sub.Rank(), want)
 		}
-		if sub.WorldRank() != c.Rank() {
-			t.Errorf("world rank mangled: %d vs %d", sub.WorldRank(), c.Rank())
+		if sub.wrank != c.Rank() {
+			t.Errorf("world rank mangled: %d vs %d", sub.wrank, c.Rank())
 		}
 		// Collectives run independently per group: sum of world ranks of
 		// the parity class.
@@ -123,12 +123,13 @@ func TestSplitConcurrentGroupWork(t *testing.T) {
 	const p = 6
 	_, err := runChecked(p, func(c *Comm) error {
 		sub := c.Split(c.Rank()/3, c.Rank()) // {0,1,2} and {3,4,5}
-		topo := sub.CreateGraphTopo(ringNeighbors(sub.Rank(), sub.Size()))
-		got := topo.NeighborAllgatherInt64([]int64{int64(c.Rank())})
-		for i, nb := range topo.Neighbors() {
+		nbrs := ringNeighbors(sub.Rank(), sub.Size())
+		topo := sub.CreateGraphTopo(nbrs)
+		got := topo.NeighborAlltoallInt64([]int64{int64(c.Rank()), int64(c.Rank())}, 1)
+		for i, nb := range nbrs {
 			wantWorld := int64(sub.worldRank(nb))
-			if got[i][0] != wantWorld {
-				t.Errorf("world %d: neighbor %d sent %d, want %d", c.Rank(), nb, got[i][0], wantWorld)
+			if got[i] != wantWorld {
+				t.Errorf("world %d: neighbor %d sent %d, want %d", c.Rank(), nb, got[i], wantWorld)
 			}
 		}
 		// Windows on the subcomm.

@@ -9,25 +9,17 @@ type RankStats struct {
 	Rank int
 
 	// Point-to-point.
-	SendCount  int64 // Isend/Send/Ssend operations issued
-	SendBytes  int64
-	RecvCount  int64 // Recv operations completed
-	RecvBytes  int64
-	ProbeCount int64 // Iprobe/Probe polls
-	ProbeHits  int64 // polls that found a message
-	SyncSends  int64 // synchronous-mode sends (MBP model)
+	SendCount int64 // Isend/Ssend operations issued
+	SendBytes int64
+	RecvCount int64 // Recv operations completed
+	RecvBytes int64
 	// Collectives.
 	CollCount    int64 // global collective operations
-	CollBytes    int64
 	NbrCollCount int64 // neighborhood collective operations
 	NbrCollBytes int64 // bytes sent into neighborhood collectives
 	// RMA.
-	PutCount    int64
-	PutBytes    int64
-	GetCount    int64
-	GetBytes    int64
-	FlushCount  int64
-	AtomicCount int64
+	PutCount int64
+	PutBytes int64
 
 	// Virtual-time breakdown (seconds).
 	CommTime float64 // time in communication calls, including waits
@@ -69,14 +61,6 @@ type RankStats struct {
 	peerSeen     []bool
 	peerSet      map[int]struct{}
 	worldSize    int32
-
-	// RecvWaitTime totals the virtual time this rank spent blocked
-	// waiting for messages to arrive; MaxRecvWait is the largest single
-	// wait and MaxRecvWaitSrc its sender (useful for diagnosing
-	// dependency chains and load imbalance).
-	RecvWaitTime   float64
-	MaxRecvWait    float64
-	MaxRecvWaitSrc int
 
 	// Optional per-destination matrices (row view), length = world size.
 	// MsgRow[d] counts messages this rank sent to d by any mechanism
@@ -180,12 +164,7 @@ type Totals struct {
 	PutMsgs, PutBytes int64
 	NbrOps, NbrBytes  int64
 	CollOps           int64
-	CommTimeSum       float64
-	CompTimeSum       float64
 	MaxMemoryBytes    int64
-	SumMemoryBytes    int64
-	MaxAllocHighWater int64
-	MaxQueueHighWater int64
 }
 
 // Aggregate folds per-rank ledgers into totals.
@@ -199,18 +178,8 @@ func Aggregate(stats []*RankStats) Totals {
 		t.NbrOps += rs.NbrCollCount
 		t.NbrBytes += rs.NbrCollBytes
 		t.CollOps += rs.CollCount
-		t.CommTimeSum += rs.CommTime
-		t.CompTimeSum += rs.CompTime
-		mem := rs.MemoryBytes()
-		t.SumMemoryBytes += mem
-		if mem > t.MaxMemoryBytes {
+		if mem := rs.MemoryBytes(); mem > t.MaxMemoryBytes {
 			t.MaxMemoryBytes = mem
-		}
-		if rs.AllocHighWater > t.MaxAllocHighWater {
-			t.MaxAllocHighWater = rs.AllocHighWater
-		}
-		if rs.QueueHighWater > t.MaxQueueHighWater {
-			t.MaxQueueHighWater = rs.QueueHighWater
 		}
 	}
 	t.Msgs = t.P2PMsgs + t.PutMsgs

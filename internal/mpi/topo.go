@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Topo is a distributed graph process topology, the analogue of a
 // communicator created with MPI_Dist_graph_create_adjacent. Each rank
@@ -97,9 +94,6 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 		index:     idx,
 	}
 }
-
-// Neighbors returns the topology's neighbor list for this rank (a copy).
-func (t *Topo) Neighbors() []int { return append([]int(nil), t.neighbors...) }
 
 // Degree returns the number of neighbors of this rank.
 func (t *Topo) Degree() int { return len(t.neighbors) }
@@ -273,51 +267,4 @@ func (t *Topo) NeighborAlltoallvInt64Into(send, recv [][]int64) [][]int64 {
 	recv, _ = t.collect(op, seq, recv)
 	c.event(EvNbrColl, -1, int(seq), moved, start)
 	return recv
-}
-
-// NeighborAllgatherInt64 is MPI_Neighbor_allgather: every rank sends the
-// same vector to all neighbors; the result's element i is neighbor i's
-// vector.
-func (t *Topo) NeighborAllgatherInt64(mine []int64) [][]int64 {
-	send := make([][]int64, len(t.neighbors))
-	for i := range send {
-		send[i] = mine
-	}
-	return t.NeighborAlltoallvInt64(send)
-}
-
-// TopoStats summarizes a process graph: number of undirected edges, and
-// degree distribution statistics, as reported in the paper's Tables III,
-// IV and VI.
-type TopoStats struct {
-	Procs    int
-	Edges    int64 // |Ep|: undirected process-graph edges
-	DegMin   int
-	DegMax   int     // dmax
-	DegAvg   float64 // davg
-	DegSigma float64 // sigma_d
-}
-
-// GatherTopoStats collectively computes process-graph statistics for the
-// topology. Every member receives the result.
-func (t *Topo) GatherTopoStats() TopoStats {
-	c := t.c
-	deg := int64(len(t.neighbors))
-	sums := c.AllreduceInt64(OpSum, []int64{deg, deg * deg})
-	maxs := c.AllreduceInt64(OpMax, []int64{deg})
-	mins := c.AllreduceInt64(OpMin, []int64{deg})
-	n := float64(c.size())
-	avg := float64(sums[0]) / n
-	variance := float64(sums[1])/n - avg*avg
-	if variance < 0 {
-		variance = 0
-	}
-	return TopoStats{
-		Procs:    c.size(),
-		Edges:    sums[0] / 2,
-		DegMin:   int(mins[0]),
-		DegMax:   int(maxs[0]),
-		DegAvg:   avg,
-		DegSigma: math.Sqrt(variance),
-	}
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // ringNeighbors returns the two ring neighbors of rank r in a world of p.
 func ringNeighbors(r, p int) []int {
@@ -19,8 +16,8 @@ func ringNeighbors(r, p int) []int {
 func TestNeighborAlltoallRing(t *testing.T) {
 	const p = 5
 	_, err := runChecked(p, func(c *Comm) error {
-		topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
-		nbrs := topo.Neighbors()
+		nbrs := ringNeighbors(c.Rank(), p)
+		topo := c.CreateGraphTopo(nbrs)
 		send := make([]int64, len(nbrs))
 		for i := range send {
 			send[i] = int64(c.Rank()*1000 + nbrs[i])
@@ -51,15 +48,14 @@ func TestNeighborAlltoallvVariableSizes(t *testing.T) {
 		}
 		topo := c.CreateGraphTopo(nbrs)
 		send := make([][]int64, topo.Degree())
-		for i, nb := range topo.Neighbors() {
-			// Rank r sends r copies of its rank to each neighbor.
+		for i := range nbrs {
+			// Rank r sends r+1 copies of its rank to each neighbor.
 			for k := 0; k < c.Rank()+1; k++ {
 				send[i] = append(send[i], int64(c.Rank()))
 			}
-			_ = nb
 		}
 		got := topo.NeighborAlltoallvInt64(send)
-		for i, nb := range topo.Neighbors() {
+		for i, nb := range nbrs {
 			if len(got[i]) != nb+1 {
 				t.Errorf("rank %d got %d words from %d, want %d", c.Rank(), len(got[i]), nb, nb+1)
 			}
@@ -68,23 +64,6 @@ func TestNeighborAlltoallvVariableSizes(t *testing.T) {
 					t.Errorf("rank %d corrupted payload from %d: %v", c.Rank(), nb, got[i])
 					break
 				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNeighborAllgather(t *testing.T) {
-	const p = 4
-	_, err := runChecked(p, func(c *Comm) error {
-		topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
-		got := topo.NeighborAllgatherInt64([]int64{int64(c.Rank()), int64(c.Rank())})
-		for i, nb := range topo.Neighbors() {
-			if len(got[i]) != 2 || got[i][0] != int64(nb) {
-				t.Errorf("rank %d allgather from %d = %v", c.Rank(), nb, got[i])
 			}
 		}
 		return nil
@@ -138,60 +117,33 @@ func TestAsymmetricTopologyPanics(t *testing.T) {
 func TestMultipleTopologiesAreIndependent(t *testing.T) {
 	const p = 3
 	_, err := runChecked(p, func(c *Comm) error {
-		ring := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
-		full := c.CreateGraphTopo(func() []int {
-			var out []int
-			for r := 0; r < p; r++ {
-				if r != c.Rank() {
-					out = append(out, r)
-				}
+		ringNbrs := ringNeighbors(c.Rank(), p)
+		var fullNbrs []int
+		for r := 0; r < p; r++ {
+			if r != c.Rank() {
+				fullNbrs = append(fullNbrs, r)
+			}
+		}
+		ring, full := c.CreateGraphTopo(ringNbrs), c.CreateGraphTopo(fullNbrs)
+		same := func(v int64, n int) []int64 {
+			out := make([]int64, n)
+			for i := range out {
+				out[i] = v
 			}
 			return out
-		}())
+		}
 		// Interleave calls on both topologies; traffic must not cross.
-		a := ring.NeighborAllgatherInt64([]int64{int64(10 + c.Rank())})
-		b := full.NeighborAllgatherInt64([]int64{int64(20 + c.Rank())})
-		for i, nb := range ring.Neighbors() {
-			if a[i][0] != int64(10+nb) {
+		a := ring.NeighborAlltoallInt64(same(int64(10+c.Rank()), len(ringNbrs)), 1)
+		b := full.NeighborAlltoallInt64(same(int64(20+c.Rank()), len(fullNbrs)), 1)
+		for i, nb := range ringNbrs {
+			if a[i] != int64(10+nb) {
 				t.Errorf("ring traffic corrupted: %v", a[i])
 			}
 		}
-		for i, nb := range full.Neighbors() {
-			if b[i][0] != int64(20+nb) {
+		for i, nb := range fullNbrs {
+			if b[i] != int64(20+nb) {
 				t.Errorf("full traffic corrupted: %v", b[i])
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherTopoStats(t *testing.T) {
-	const p = 4
-	_, err := runChecked(p, func(c *Comm) error {
-		// Star: center degree 3, leaves degree 1 -> |Ep| = 3.
-		var nbrs []int
-		if c.Rank() == 0 {
-			nbrs = []int{1, 2, 3}
-		} else {
-			nbrs = []int{0}
-		}
-		topo := c.CreateGraphTopo(nbrs)
-		st := topo.GatherTopoStats()
-		if st.Edges != 3 {
-			t.Errorf("edges = %d, want 3", st.Edges)
-		}
-		if st.DegMax != 3 || st.DegMin != 1 {
-			t.Errorf("deg range = [%d,%d], want [1,3]", st.DegMin, st.DegMax)
-		}
-		if math.Abs(st.DegAvg-1.5) > 1e-12 {
-			t.Errorf("avg = %g, want 1.5", st.DegAvg)
-		}
-		// Variance of {3,1,1,1} is (9+1+1+1)/4 - 2.25 = 0.75.
-		if math.Abs(st.DegSigma-math.Sqrt(0.75)) > 1e-12 {
-			t.Errorf("sigma = %g", st.DegSigma)
 		}
 		return nil
 	})
@@ -237,15 +189,16 @@ func TestNeighborCollectiveChargesDegree(t *testing.T) {
 func TestINeighborAlltoallvOverlap(t *testing.T) {
 	const p = 4
 	_, err := runChecked(p, func(c *Comm) error {
-		topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
+		nbrs := ringNeighbors(c.Rank(), p)
+		topo := c.CreateGraphTopo(nbrs)
 		send := make([][]int64, topo.Degree())
-		for i, nb := range topo.Neighbors() {
+		for i, nb := range nbrs {
 			send[i] = []int64{int64(c.Rank()*100 + nb)}
 		}
 		req := topo.INeighborAlltoallvInt64(send)
 		c.Compute(1000) // overlap with transfer
-		got := req.Wait()
-		for i, nb := range topo.Neighbors() {
+		got := req.WaitInto(nil)
+		for i, nb := range nbrs {
 			if got[i][0] != int64(nb*100+c.Rank()) {
 				t.Errorf("rank %d: got %v from %d", c.Rank(), got[i], nb)
 			}
@@ -257,36 +210,16 @@ func TestINeighborAlltoallvOverlap(t *testing.T) {
 	}
 }
 
-func TestNbrRequestTest(t *testing.T) {
-	const p = 2
-	_, err := runChecked(p, func(c *Comm) error {
-		topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), p))
-		req := topo.INeighborAlltoallvInt64([][]int64{{int64(c.Rank())}})
-		// Poll until complete; must terminate since the peer also sends.
-		for {
-			if got, ok := req.Test(); ok {
-				if got[0][0] != int64(1-c.Rank()) {
-					t.Errorf("rank %d got %v", c.Rank(), got)
-				}
-				return nil
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNbrRequestDoubleWaitPanics(t *testing.T) {
 	_, err := runChecked(2, func(c *Comm) error {
 		topo := c.CreateGraphTopo(ringNeighbors(c.Rank(), 2))
 		req := topo.INeighborAlltoallvInt64([][]int64{{1}})
-		req.Wait()
-		req.Wait() // must panic
+		req.WaitInto(nil)
+		req.WaitInto(nil) // must panic
 		return nil
 	})
 	if err == nil {
-		t.Fatal("double Wait must fail the run")
+		t.Fatal("double WaitInto must fail the run")
 	}
 }
 
@@ -303,7 +236,7 @@ func TestOverlapSavesVirtualTime(t *testing.T) {
 				if nonblocking {
 					req := topo.INeighborAlltoallvInt64(send)
 					c.Compute(work)
-					req.Wait()
+					req.WaitInto(nil)
 				} else {
 					topo.NeighborAlltoallvInt64(send)
 					c.Compute(work)

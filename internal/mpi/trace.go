@@ -65,12 +65,3 @@ func (r *Report) RenderTimeline(width int) []string {
 	}
 	return out
 }
-
-// TotalWaitTime sums rank r's recorded waits.
-func (r *Report) TotalWaitTime(rank int) float64 {
-	var t float64
-	for _, s := range r.WaitSpans(rank) {
-		t += s.Duration()
-	}
-	return t
-}

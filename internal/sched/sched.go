@@ -54,9 +54,8 @@ type Profile struct {
 	// always taking the earliest virtual arrival. Per-source FIFO order
 	// is preserved — only the interleaving across sources varies.
 	Ties bool
-	// ProbeMiss is the probability that a nonblocking probe (Iprobe,
-	// NbrRequest.Test) is forced to report "nothing there" even though a
-	// message is queued. Forced misses are bounded per call site (see
+	// ProbeMiss is the probability that a nonblocking probe (Iprobe) is
+	// forced to report "nothing there" even though a message is queued. Forced misses are bounded per call site (see
 	// maxConsecMiss), so poll loops still make progress. Blocking
 	// probes are never forced to miss.
 	ProbeMiss float64

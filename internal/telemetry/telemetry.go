@@ -9,7 +9,8 @@
 // get while the protocol converges.
 //
 // Every slice is preallocated at construction and Append is
-// bounds-checked stores plus copies (no heap traffic in steady state).
+// bounds-checked stores plus one pass over the per-destination ledger
+// (no heap traffic in steady state).
 // As with the event logs, rows beyond the capacity are counted in a
 // drop counter rather than evicting earlier ones, and a disabled log is
 // a nil pointer whose entire cost at each instrumentation point is one
@@ -26,7 +27,6 @@ import "fmt"
 // is written only by the owning rank goroutine during a run and read
 // only after the run completes, so it needs no synchronization.
 type RoundLog struct {
-	width int   // length of the per-destination byte vector per row
 	total int64 // work-item denominator for done fractions (owned vertices)
 
 	n       int
@@ -39,12 +39,15 @@ type RoundLog struct {
 	rej        []int64
 	inv        []int64
 	queue      []int64
-	nbr        []int64 // n rows of width cells, flat
+	bytes      []int64 // sum of the per-destination ledger at the row
+	maxLink    []int64 // largest per-destination growth since the previous row
+
+	prev []int64 // the previous row's ledger, zero-padded to the row width
 }
 
-// NewRoundLog returns a log holding up to capacity rounds, each with a
-// per-destination byte vector of the given width (the communicator
-// size; width 0 disables volume capture).
+// NewRoundLog returns a log holding up to capacity rounds, each
+// summarising a per-destination byte ledger of the given width (the
+// communicator size; width 0 disables volume capture).
 func NewRoundLog(capacity, width int) *RoundLog {
 	if capacity < 1 {
 		panic(fmt.Sprintf("telemetry: RoundLog capacity = %d", capacity))
@@ -53,7 +56,6 @@ func NewRoundLog(capacity, width int) *RoundLog {
 		panic(fmt.Sprintf("telemetry: RoundLog width = %d", width))
 	}
 	return &RoundLog{
-		width:      width,
 		time:       make([]float64, capacity),
 		unresolved: make([]int64, capacity),
 		done:       make([]int64, capacity),
@@ -61,7 +63,9 @@ func NewRoundLog(capacity, width int) *RoundLog {
 		rej:        make([]int64, capacity),
 		inv:        make([]int64, capacity),
 		queue:      make([]int64, capacity),
-		nbr:        make([]int64, capacity*width),
+		bytes:      make([]int64, capacity),
+		maxLink:    make([]int64, capacity),
+		prev:       make([]int64, width),
 	}
 }
 
@@ -74,8 +78,10 @@ func (l *RoundLog) SetTotal(total int64) { l.total = total }
 // state; req, rej and inv are the engine's cumulative per-kind protocol
 // send counters; queue is the rank's current mailbox occupancy in
 // bytes; nbrBytes is the transport's cumulative per-destination payload
-// ledger (copied; may be nil or shorter than the row width, in which
-// case the remainder stays zero). A nil receiver and a full log are
+// ledger (may be nil or shorter than the row width, in which case the
+// remainder counts as zero; cells past the width are ignored). The row
+// keeps the ledger's sum and its largest per-destination growth since
+// the previous row, not the ledger. A nil receiver and a full log are
 // both no-ops — the latter bumps the drop counter so truncation is
 // detectable.
 func (l *RoundLog) Append(now float64, unresolved, done, req, rej, inv, queue int64, nbrBytes []int64) {
@@ -94,11 +100,20 @@ func (l *RoundLog) Append(now float64, unresolved, done, req, rej, inv, queue in
 	l.rej[i] = rej
 	l.inv[i] = inv
 	l.queue[i] = queue
-	row := l.nbr[i*l.width : (i+1)*l.width]
-	if len(nbrBytes) > len(row) {
-		nbrBytes = nbrBytes[:len(row)]
+	var sum, maxLink int64
+	for d, was := range l.prev {
+		var b int64
+		if d < len(nbrBytes) {
+			b = nbrBytes[d]
+		}
+		sum += b
+		if b-was > maxLink {
+			maxLink = b - was
+		}
+		l.prev[d] = b
 	}
-	copy(row, nbrBytes)
+	l.bytes[i] = sum
+	l.maxLink[i] = maxLink
 	l.n++
 }
 
@@ -121,8 +136,7 @@ func (l *RoundLog) Drops() int64 {
 // Total returns the value set by SetTotal.
 func (l *RoundLog) Total() int64 { return l.total }
 
-// Round is one recorded row. Counters are cumulative as recorded;
-// NbrBytes aliases the log's storage and must not be modified.
+// Round is one recorded row. Counters are cumulative as recorded.
 type Round struct {
 	Time       float64
 	Unresolved int64
@@ -130,7 +144,6 @@ type Round struct {
 	Req, Rej   int64
 	Inv        int64
 	Queue      int64
-	NbrBytes   []int64
 }
 
 // Round returns row i.
@@ -143,7 +156,6 @@ func (l *RoundLog) Round(i int) Round {
 		Rej:        l.rej[i],
 		Inv:        l.inv[i],
 		Queue:      l.queue[i],
-		NbrBytes:   l.nbr[i*l.width : (i+1)*l.width],
 	}
 }
 
@@ -237,22 +249,12 @@ func Merge(logs []*RoundLog) *Series {
 			if row.Queue > p.MaxQueueBytes {
 				p.MaxQueueBytes = row.Queue
 			}
-			var prevRow []int64
-			if i > 0 {
-				prevRow = l.Round(i - 1).NbrBytes
-			}
-			for d, b := range row.NbrBytes {
-				cumBytes += b
-				delta := b
-				if prevRow != nil {
-					delta -= prevRow[d]
-				}
-				// Only ranks still producing rows at r compete for the
-				// per-round link hot spot; carried-forward rows have a
-				// zero delta by construction.
-				if i == r && delta > p.MaxLinkBytes {
-					p.MaxLinkBytes = delta
-				}
+			cumBytes += l.bytes[i]
+			// Only ranks still producing rows at r compete for the
+			// per-round link hot spot; a carried-forward row pushed
+			// nothing this round.
+			if i == r && l.maxLink[i] > p.MaxLinkBytes {
+				p.MaxLinkBytes = l.maxLink[i]
 			}
 		}
 		p.Req = cumReq - prevReq

@@ -1,6 +1,10 @@
 package telemetry
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestNewRoundLogPanics(t *testing.T) {
 	for _, tc := range []struct{ capacity, width int }{{0, 4}, {-1, 4}, {4, -1}} {
@@ -36,8 +40,8 @@ func TestAppendAndDrops(t *testing.T) {
 	if r.Time != 2.0 || r.Unresolved != 0 || r.Done != 5 || r.Req != 4 || r.Rej != 2 || r.Inv != 1 || r.Queue != 0 {
 		t.Errorf("row 1 = %+v", r)
 	}
-	if len(r.NbrBytes) != 2 || r.NbrBytes[0] != 48 {
-		t.Errorf("row 1 nbr = %v", r.NbrBytes)
+	if l.bytes[1] != 48 || l.maxLink[1] != 24 {
+		t.Errorf("row 1 volume = %d, link %d, want 48, 24", l.bytes[1], l.maxLink[1])
 	}
 }
 
@@ -46,11 +50,12 @@ func TestAppendToleratesShortOrNilVolume(t *testing.T) {
 	l.Append(1, 0, 0, 0, 0, 0, 0, nil)
 	l.Append(2, 0, 0, 0, 0, 0, 0, []int64{7})
 	l.Append(3, 0, 0, 0, 0, 0, 0, []int64{1, 2, 3, 4, 5}) // longer than width
-	if got := l.Round(1).NbrBytes; got[0] != 7 || got[1] != 0 {
-		t.Errorf("short copy: %v", got)
+	if l.bytes[0] != 0 || l.bytes[1] != 7 || l.maxLink[1] != 7 {
+		t.Errorf("short ledger: volume %v, link %v", l.bytes[:2], l.maxLink[:2])
 	}
-	if got := l.Round(2).NbrBytes; got[0] != 1 || got[2] != 3 {
-		t.Errorf("truncated copy: %v", got)
+	// 1+2+3; the link maximum is cell 2's 3-0, not the ignored 4 or 5.
+	if l.bytes[2] != 6 || l.maxLink[2] != 3 {
+		t.Errorf("truncated ledger: volume %d, link %d, want 6, 3", l.bytes[2], l.maxLink[2])
 	}
 }
 
@@ -99,6 +104,101 @@ func TestMergeCarryForward(t *testing.T) {
 	}
 	if f := s.Final(); f != p1 {
 		t.Errorf("Final() = %+v, want %+v", f, p1)
+	}
+}
+
+// refLog is the row-copy arithmetic RoundLog used before it kept two
+// scalars a row: every Append stores the whole zero-padded ledger, and
+// the merge derives a point's Bytes and MaxLinkBytes by walking each
+// row against the one before it. Kept as the reference the summarising
+// Append is held to.
+type refLog struct {
+	width int
+	rows  [][]int64
+}
+
+func (l *refLog) append(nbrBytes []int64) {
+	row := make([]int64, l.width)
+	copy(row, nbrBytes) // copies min(len, width) cells
+	l.rows = append(l.rows, row)
+}
+
+// refVolumes returns the per-round Bytes and MaxLinkBytes the row-copy
+// merge computed for the given per-rank logs.
+func refVolumes(logs []*refLog, rounds int) (bytes, maxLink []int64) {
+	bytes, maxLink = make([]int64, rounds), make([]int64, rounds)
+	prevBytes := int64(0)
+	for r := 0; r < rounds; r++ {
+		var cumBytes int64
+		for _, l := range logs {
+			if l == nil || len(l.rows) == 0 {
+				continue
+			}
+			i := min(r, len(l.rows)-1)
+			var prevRow []int64
+			if i > 0 {
+				prevRow = l.rows[i-1]
+			}
+			for d, b := range l.rows[i] {
+				cumBytes += b
+				delta := b
+				if prevRow != nil {
+					delta -= prevRow[d]
+				}
+				if i == r && delta > maxLink[r] {
+					maxLink[r] = delta
+				}
+			}
+		}
+		bytes[r] = cumBytes - prevBytes
+		prevBytes = cumBytes
+	}
+	return bytes, maxLink
+}
+
+// TestVolumesMatchRowCopyReference drives random logs — ranks stopping
+// at different rounds, full logs dropping rows, ledgers that are nil,
+// shorter or longer than the row width, and cells that shrink — through
+// Append and through the reference, and requires the merged volumes to
+// agree point for point.
+func TestVolumesMatchRowCopyReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		width, capacity := rng.Intn(6), 1+rng.Intn(8)
+		logs := make([]*RoundLog, 1+rng.Intn(5))
+		refs := make([]*refLog, len(logs))
+		rounds := 0
+		for k := range logs {
+			if rng.Intn(6) == 0 {
+				continue // a rank without a log
+			}
+			logs[k], refs[k] = NewRoundLog(capacity, width), &refLog{width: width}
+			ledger := make([]int64, rng.Intn(width+3))
+			for n := rng.Intn(capacity + 3); n > 0; n-- {
+				for d := range ledger {
+					ledger[d] += int64(rng.Intn(100) - 5) // mostly grows
+				}
+				arg := ledger
+				if rng.Intn(5) == 0 {
+					arg = ledger[:rng.Intn(len(ledger)+1)] // nil-like or short this round
+				}
+				logs[k].Append(0, 0, 0, 0, 0, 0, 0, arg)
+				if len(refs[k].rows) < capacity {
+					refs[k].append(arg)
+				}
+			}
+			rounds = max(rounds, logs[k].Len())
+		}
+		s := Merge(logs)
+		wantBytes, wantLink := refVolumes(refs, rounds)
+		gotBytes, gotLink := make([]int64, s.Rounds()), make([]int64, s.Rounds())
+		for r, p := range s.Points {
+			gotBytes[r], gotLink[r] = p.Bytes, p.MaxLinkBytes
+		}
+		if !reflect.DeepEqual(gotBytes, wantBytes) || !reflect.DeepEqual(gotLink, wantLink) {
+			t.Fatalf("trial %d (width %d, capacity %d): Bytes %v MaxLinkBytes %v, reference %v %v",
+				trial, width, capacity, gotBytes, gotLink, wantBytes, wantLink)
+		}
 	}
 }
 

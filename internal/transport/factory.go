@@ -26,22 +26,18 @@ type Backend interface {
 	VolumeByDest() []int64
 }
 
-// DefaultAggBatch is the per-destination batch size the aggregating
-// Send-Recv backend (NSRA) uses when Deps.AggBatch is zero.
+// DefaultAggBatch is the per-destination batch size, in records, of the
+// aggregating Send-Recv backend (NSRA).
 const DefaultAggBatch = 64
 
 // Deps carries everything a backend construction might need. Comm is
 // always required. The topology-based round models (NCL, RMA, NCLI,
-// NCLC) additionally need Local and MaxPerArc; they use Topo when set
-// and otherwise collectively create one from Local.NeighborRanks —
-// legal because the model (and therefore the need for a topology) is
-// uniform across ranks.
+// NCLC) additionally need Local and MaxPerArc, and collectively create
+// their topology from Local.NeighborRanks — legal because the model
+// (and therefore the need for a topology) is uniform across ranks.
 type Deps struct {
 	// Comm is the rank's communicator.
 	Comm *mpi.Comm
-	// Topo is the process-graph topology. Optional: when nil, round
-	// models create it from Local.NeighborRanks (a collective call).
-	Topo *mpi.Topo
 	// Local is the rank's partition view (neighbor ranks, cross-arc
 	// counts). Required by the round models.
 	Local *distgraph.Local
@@ -49,17 +45,14 @@ type Deps struct {
 	// buffered backends size overflow guards from it. Required (> 0) by
 	// the round models.
 	MaxPerArc int64
-	// AggBatch is the NSRA per-destination batch size (records);
-	// DefaultAggBatch when zero.
-	AggBatch int
 }
 
 // New constructs the backend for a model. It is collective when the
-// model needs a topology and Deps.Topo is nil (CreateGraphTopo, and for
-// RMA/NCLC their own collective setup). The returned Backend implements
-// Async when m.Flavor() == FlavorAsync and Round when FlavorRound.
-// Callers that construct round backends should release window resources
-// with Release after Finish.
+// model needs a topology (CreateGraphTopo, and for RMA/NCLC their own
+// collective setup). The returned Backend implements Async when
+// m.Flavor() == FlavorAsync and Round when FlavorRound. Callers that
+// construct round backends should release window resources with Release
+// after Finish.
 func New(m Model, d Deps) (Backend, error) {
 	if d.Comm == nil {
 		return nil, fmt.Errorf("transport: New(%v): nil Comm", m)
@@ -70,11 +63,7 @@ func New(m Model, d Deps) (Backend, error) {
 	case ModelMBP:
 		return NewP2P(d.Comm, true), nil
 	case ModelNSRA:
-		batch := d.AggBatch
-		if batch == 0 {
-			batch = DefaultAggBatch
-		}
-		return NewP2PAgg(d.Comm, batch), nil
+		return NewP2PAgg(d.Comm, DefaultAggBatch), nil
 	case ModelNCL, ModelRMA, ModelNCLI, ModelNCLC:
 		if d.Local == nil {
 			return nil, fmt.Errorf("transport: New(%v): nil Local", m)
@@ -82,10 +71,7 @@ func New(m Model, d Deps) (Backend, error) {
 		if d.MaxPerArc <= 0 {
 			return nil, fmt.Errorf("transport: New(%v): MaxPerArc = %d", m, d.MaxPerArc)
 		}
-		topo := d.Topo
-		if topo == nil {
-			topo = d.Comm.CreateGraphTopo(d.Local.NeighborRanks)
-		}
+		topo := d.Comm.CreateGraphTopo(d.Local.NeighborRanks)
 		switch m {
 		case ModelNCL:
 			return NewNCL(d.Comm, topo, d.Local, d.MaxPerArc), nil
