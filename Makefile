@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 perturb build test vet race bench-check bench-smoke bench-dense scale-smoke analyze-smoke async-smoke clean
+.PHONY: tier1 tier2 perturb build test vet race bench-check bench-smoke bench-dense scale-smoke analyze-smoke async-smoke pairs clean
 
 # tier1 is the gate every change must keep green: full build + vet +
 # full test suite.
@@ -46,6 +46,16 @@ race:
 # see it: an internal/ API change can break it while tier1 stays green.
 bench-check:
 	$(GO) vet -C bench . && $(GO) test -C bench .
+
+# pairs is the evidence a host-time claim needs (ROADMAP ground rules):
+# N alternating parent/change passes of benchmark workload W, each
+# side's median and quartiles, the pair wins and host.spin_ns for every
+# metric. The parent is HEAD when the tree is dirty, else HEAD~1;
+# ARGS passes tools/pairs flags through (-parent REV, -trace 1 for the
+# per-layer metrics, -seconds S).
+N ?= 10
+pairs:
+	$(GO) run ./tools/pairs -w $(W) -n $(N) $(ARGS)
 
 # bench-smoke compiles and runs every benchmark for a single iteration:
 # a fast CI-grade check that no benchmark has rotted, without measuring

@@ -30,7 +30,7 @@ func bandedBlockGraph(n, p, deg, band int, seed int64) *graph.CSR {
 	for v := 0; v < n; v++ {
 		blk := v / per
 		for e := 0; e < deg; e++ {
-			tb := (blk + r.Intn(2*band+1) - band + p) % p
+			tb := ((blk+r.Intn(2*band+1)-band)%p + p) % p // band may exceed p
 			u := tb*per + r.Intn(per)
 			if u == v {
 				continue

@@ -310,3 +310,20 @@ func TestExtColoringRuns(t *testing.T) {
 		t.Error("no rows")
 	}
 }
+
+// TestEveryExperimentRunsAtSmallScales: every registry experiment runs to
+// completion at the smallest scales matchbench gets asked for. Graph
+// constructors round sizes down, so a block or band count derived from
+// them can reach zero or pass the process count there (sbpWeak and
+// bandedBlockGraph did, and panicked). "ranks" ignores Scale; its world
+// ladder is capped at its first rung to keep the test small.
+func TestEveryExperimentRunsAtSmallScales(t *testing.T) {
+	for _, scale := range []float64{0.05, 0.1} {
+		for _, id := range IDs() {
+			cfg := Config{Scale: scale, Deadline: 10 * time.Minute, Ranks: 1024}
+			if err := RunOne(id, cfg, io.Discard); err != nil {
+				t.Errorf("%s at scale %g: %v", id, scale, err)
+			}
+		}
+	}
+}

@@ -78,7 +78,7 @@ func (c Config) sbpWeak(p int) *graph.CSR {
 		// the blocking collectives dominates and Send-Recv wins, the
 		// regime of the paper's Fig 4c.
 		n := c.scaled(700) * p
-		return gen.SBP(n, n/150, 9, 0.6, 3003+int64(p))
+		return gen.SBP(n, max(1, n/150), 9, 0.6, 3003+int64(p))
 	})
 }
 

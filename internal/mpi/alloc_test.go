@@ -68,3 +68,39 @@ func TestAllreduceScalarZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIprobeRecvIntoZeroAlloc: the Send-Recv drain's per-message path —
+// a wildcard matched probe-receive, with the ring's entry entering and
+// leaving the wildcard-front heap around every message — stays off the
+// heap once the rings and the heap array are warm.
+func TestIprobeRecvIntoZeroAlloc(t *testing.T) {
+	const runs = 100
+	_, err := RunChecked(2, func(c *Comm) error {
+		sbuf := [3]int64{1, 2, 3}
+		var rbuf [3]int64
+		peer := 1 - c.Rank()
+		roundTrip := func() {
+			c.Isend(peer, 0, sbuf[:])
+			c.Probe(AnySource, AnyTag) // park until the peer's message is queued
+			if ok, st := c.IprobeRecvInto(AnySource, AnyTag, rbuf[:]); !ok || st.Count != 3 {
+				t.Errorf("matched probe-receive after a successful Probe: ok=%v %+v", ok, st)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			roundTrip()
+		}
+		if c.Rank() == 0 {
+			if avg := testing.AllocsPerRun(runs, roundTrip); avg != 0 {
+				t.Errorf("Isend/Probe/IprobeRecvInto round trip: %.2f allocs/op, want 0", avg)
+			}
+		} else {
+			for i := 0; i < runs+1; i++ {
+				roundTrip()
+			}
+		}
+		return nil
+	}, WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+}

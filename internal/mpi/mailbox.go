@@ -17,28 +17,31 @@ import (
 // runtime-internal traffic (neighborhood collective chunks, RMA
 // control), each in the order its single sender pushed it. A receive or
 // probe names (source, tag): AnyTag is the front of that source's ring,
-// an exact tag is the earliest entry carrying it — the front whenever
-// the receiver follows a wildcard probe with the receive of what it
-// probed, which is what every caller in the repository does. An exact
-// tag behind a backlog of other tags from the same source walks the
-// ring, as MPICH's unexpected queue does, and removing it shifts the
-// entries ahead of it; no second index exists to make that case O(1).
-// Internal traffic is matched by exact itag the same way.
+// an exact tag is the earliest entry carrying it. An exact tag behind a
+// backlog of other tags from the same source walks the ring, as MPICH's
+// unexpected queue does, and removing it shifts the entries ahead of it;
+// no per-tag index exists to make that case O(1). Internal traffic is
+// matched by exact itag the same way.
 //
 // Per-source FIFO delivery (MPI's non-overtaking guarantee) is
 // structural: a match only ever takes a ring's earliest fitting entry.
-// AnySource wildcards compare the fitting entry of every bucket that
-// currently holds user traffic — O(#sources-with-pending), not
-// O(#messages) — and take the earliest virtual arrival (see
+// What the store does index is the wildcard front: every non-empty user
+// ring has one entry in mailbox.active, a binary min-heap keyed by the
+// (virtual arrival, source) of the ring's front message, with the key
+// held in the entry. The (AnySource, AnyTag) match every application
+// receive in the repository starts with reads the top — O(1), plus
+// O(log sources) to re-key the ring when the front is taken — and every
+// other AnySource shape (an exact tag, a second communicator's ring on
+// top, perturbed tie selection) walks the same array, one candidate per
+// ring, and takes the same (arrival, source) minimum (see
 // matchUserLocked).
 //
 // Buckets exist only for sources that have sent: a graph-topology rank
 // hears from its process-graph neighbors, not from all P peers. The
 // mailbox keeps them in a list sorted by source rank and finds one by
-// binary search; buckets with live user traffic are also linked into an
-// unordered active list, so wildcard scans never touch silent sources.
-// Bucket structs are allocated in small chunks and never move, so the
-// lists hold *srcBucket safely. A zero mailbox is ready for use.
+// binary search. Bucket structs are allocated in small chunks and never
+// move, so the list and the heap hold *srcBucket safely. A zero mailbox
+// is ready for use.
 //
 // Messages themselves are pooled: see message.release. Payloads of up to
 // inlineWords words (covering the 3-word protocol records that dominate
@@ -161,9 +164,9 @@ func (q *msgq) first(tag int) (*message, int) {
 
 // firstInternal is first for runtime-internal traffic: the earliest
 // message carrying exactly itag. It is not folded into first (as an
-// itag == 0 condition there): a wildcard scan reads only m.arrive of each
-// active bucket's front, and also reading m.itag, 48 bytes away, made
-// sbp-dense 3 % slower in 9 of 12 paired runs.
+// itag == 0 condition there): a wildcard walk reads only the tag and
+// arrival of each ring's candidate, and also reading m.itag, 48 bytes
+// away, made sbp-dense 3 % slower in 9 of 12 paired runs.
 func (q *msgq) firstInternal(itag int64) (*message, int) {
 	for i := 0; i < q.n; i++ {
 		if m := q.at(i); m.itag == itag {
@@ -209,54 +212,59 @@ type userq struct {
 // srcBucket holds everything queued from one source rank. For a fixed
 // communicator a source rank maps to exactly one sending goroutine, so
 // each ring has a single producer. userq entries hold their rings by
-// value; pointers into the slice are only ever used within one locked
-// mailbox call, never across appends.
+// value and are only ever appended, so an index into user is stable;
+// pointers into the slice are only ever used within one locked mailbox
+// call, never across appends.
 type srcBucket struct {
-	user  []userq // per-communicator FIFOs
-	intl  msgq    // runtime-internal traffic, matched by exact itag
-	src   int32   // source rank this bucket indexes
-	nUser int32   // user-level messages in this bucket
-	alive int32   // position in mailbox.active, or -1
+	user []userq // per-communicator FIFOs
+	intl msgq    // runtime-internal traffic, matched by exact itag
+	src  int32   // source rank this bucket indexes
 }
 
-// userqFor returns the FIFO for mctx, creating it if needed.
-func (b *srcBucket) userqFor(mctx int32) *msgq {
+// ringFor returns the index in b.user of the FIFO for mctx, creating it
+// if needed.
+func (b *srcBucket) ringFor(mctx int32) int {
 	for i := range b.user {
 		if b.user[i].mctx == mctx {
-			return &b.user[i].q
+			return i
 		}
 	}
 	b.user = append(b.user, userq{mctx: mctx})
-	return &b.user[len(b.user)-1].q
+	return len(b.user) - 1
+}
+
+// front is one entry of mailbox.active: a non-empty user ring and its
+// heap key, the virtual arrival of the ring's front message (ties go to
+// the lower source rank, read through the bucket). The key is held in
+// the entry so that a sift compares without chasing bucket -> ring ->
+// message. 24 bytes, and no wider: at 16K ranks the per-rank heap
+// follows the entry size.
+type front struct {
+	arrive float64
+	b      *srcBucket
+	mctx   int32
+	ring   int32 // index of the ring in b.user
+}
+
+func (e *front) q() *msgq { return &e.b.user[e.ring].q }
+
+// before orders entries by (front arrival, source rank).
+func (e *front) before(f *front) bool {
+	return e.arrive < f.arrive || (e.arrive == f.arrive && e.b.src < f.b.src)
 }
 
 // found is a matched user-level message and where it sits: m is i places
-// behind the front of ring q in bucket b. The zero value is "no match".
+// behind the front of the ring of heap entry h. The zero value is "no
+// match".
 type found struct {
 	m *message
-	b *srcBucket
-	q *msgq
+	h int
 	i int
 }
 
 // before orders matches by (virtual arrival, source rank).
 func (f found) before(g found) bool {
 	return f.m.arrive < g.m.arrive || (f.m.arrive == g.m.arrive && f.m.src < g.m.src)
-}
-
-// first returns the earliest message from b's source matching (tag,
-// mctx).
-func (b *srcBucket) first(tag int, mctx int32) found {
-	for i := range b.user {
-		if b.user[i].mctx == mctx {
-			q := &b.user[i].q
-			if m, at := q.first(tag); m != nil {
-				return found{m, b, q, at}
-			}
-			break
-		}
-	}
-	return found{}
 }
 
 // mailbox is one rank's receive queue. Senders push under mu; the single
@@ -267,24 +275,23 @@ type mailbox struct {
 	mu       sync.Mutex
 	owner    *task
 	used     []*srcBucket // every bucket of this mailbox, sorted by src
-	active   []*srcBucket // buckets with nUser > 0, unordered
+	active   []front      // min-heap of the non-empty user rings
 	spare    []srcBucket  // unused remainder of the last bucket chunk
-	nUser    int          // user-level messages across all buckets
 	parked   bool         // the owner's task is parked on this mailbox
 	queued   int64        // bytes currently queued (eager-buffer occupancy)
 	hw       int64        // high-water of queued
 	poisoned bool
 	// pert, when non-nil, permutes wildcard selection among concurrently
-	// available bucket fronts (sched Ties class). It is the owning
-	// rank's stream: matchUserLocked runs only on the owner's goroutine,
-	// so no additional synchronization is needed beyond mu.
+	// available ring fronts (sched Ties class). It is the owning rank's
+	// stream: matchUserLocked runs only on the owner's goroutine, so no
+	// additional synchronization is needed beyond mu.
 	pert *sched.Rank
 }
 
 // find binary-searches used for src: its position, or where a bucket
 // for it would be inserted. Hand-rolled because it runs on every push
-// and match: through slices.BinarySearchFunc's indirect comparator call
-// world-16k ran slower in 8 of 8 paired runs.
+// and named-source match: through slices.BinarySearchFunc's indirect
+// comparator call world-16k ran slower in 8 of 8 paired runs.
 func (mb *mailbox) find(src int32) (int, bool) {
 	lo, hi := 0, len(mb.used)
 	for lo < hi {
@@ -320,9 +327,55 @@ func (mb *mailbox) bucket(src int32) *srcBucket {
 	}
 	b := &mb.spare[0]
 	mb.spare = mb.spare[1:]
-	b.src, b.alive = src, -1
+	b.src = src
 	mb.used = slices.Insert(mb.used, i, b)
 	return b
+}
+
+// siftUp moves entry h toward the top until its parent is not after it.
+func (mb *mailbox) siftUp(h int) {
+	a := mb.active
+	e := a[h]
+	for h > 0 {
+		p := (h - 1) / 2
+		if !e.before(&a[p]) {
+			break
+		}
+		a[h] = a[p]
+		h = p
+	}
+	a[h] = e
+}
+
+// siftDown moves entry h toward the leaves until neither child is before
+// it.
+func (mb *mailbox) siftDown(h int) {
+	a := mb.active
+	e := a[h]
+	for {
+		c := 2*h + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1].before(&a[c]) {
+			c++
+		}
+		if !a[c].before(&e) {
+			break
+		}
+		a[h] = a[c]
+		h = c
+	}
+	a[h] = e
+}
+
+// fix restores the heap order after entry h's key changed either way.
+func (mb *mailbox) fix(h int) {
+	if h > 0 && mb.active[h].before(&mb.active[(h-1)/2]) {
+		mb.siftUp(h)
+	} else {
+		mb.siftDown(h)
+	}
 }
 
 // push enqueues m on its source's ring and unparks the owner if it is
@@ -340,12 +393,12 @@ func (mb *mailbox) push(m *message) {
 	if m.itag != 0 {
 		b.intl.push(m)
 	} else {
-		b.userqFor(m.mctx).push(m)
-		b.nUser++
-		mb.nUser++
-		if b.alive < 0 {
-			b.alive = int32(len(mb.active))
-			mb.active = append(mb.active, b)
+		ring := b.ringFor(m.mctx)
+		q := &b.user[ring].q
+		q.push(m)
+		if q.n == 1 {
+			mb.active = append(mb.active, front{m.arrive, b, m.mctx, int32(ring)})
+			mb.siftUp(len(mb.active) - 1)
 		}
 	}
 	mb.queued += m.bytes
@@ -372,23 +425,58 @@ func (mb *mailbox) parkLocked(t *task) {
 	mb.mu.Lock()
 }
 
-// take dequeues the user-level message f found and updates the byte and
-// liveness accounting.
+// take dequeues the user-level message f found and updates the byte
+// accounting and the heap: a ring whose front went is re-keyed from its
+// new front, or leaves the heap when that was its last message. The
+// re-keyed entry may have to move either way — under latency jitter the
+// stamps of one source are not monotone, so a new front can be earlier
+// than the one it replaces.
 func (mb *mailbox) take(f found) {
-	f.q.remove(f.i)
+	e := &mb.active[f.h]
+	q := e.q()
+	q.remove(f.i)
 	mb.queued -= f.m.bytes
-	b := f.b
-	b.nUser--
-	mb.nUser--
-	if b.nUser == 0 {
+	switch {
+	case f.i > 0:
+		// Taken from behind the front: the key stands.
+	case q.n > 0:
+		e.arrive = q.at(0).arrive
+		mb.fix(f.h)
+	default:
 		last := len(mb.active) - 1
-		moved := mb.active[last]
-		mb.active[b.alive] = moved
-		moved.alive = b.alive
-		mb.active[last] = nil
+		mb.active[f.h] = mb.active[last]
+		mb.active[last] = front{}
 		mb.active = mb.active[:last]
-		b.alive = -1
+		if f.h < last {
+			mb.fix(f.h)
+		}
 	}
+}
+
+// fit returns the earliest message of heap entry h's ring matching (tag,
+// mctx): the candidate that ring contributes to a match.
+func (mb *mailbox) fit(h, tag int, mctx int32) found {
+	e := &mb.active[h]
+	if e.mctx != mctx {
+		return found{}
+	}
+	m, i := e.q().first(tag)
+	return found{m, h, i}
+}
+
+// entryOf returns the heap index of the ring holding src's messages in
+// communicator mctx, or -1 when nothing from src is queued there. A
+// named source has no key to search the heap by, so this scans the
+// array.
+func (mb *mailbox) entryOf(src, mctx int32) int {
+	if b := mb.peek(src); b != nil {
+		for h := range mb.active {
+			if e := &mb.active[h]; e.b == b && e.mctx == mctx {
+				return h
+			}
+		}
+	}
+	return -1
 }
 
 // matchUserLocked finds the queued user-level message matching (src, tag)
@@ -402,30 +490,34 @@ func (mb *mailbox) take(f found) {
 // cores) can enqueue a late-stamped message ahead of an early-stamped
 // one, and processing the late one first would ratchet the receiver's
 // clock and contaminate every subsequent reply with artificial delay.
-// Per-source stamps are monotone, so each bucket ring is already in
-// arrival order and an AnySource wildcard only has to compare one
-// candidate per bucket; ties across sources break toward the lower
-// source rank, and messages from one source retain FIFO order,
-// preserving MPI's non-overtaking guarantee.
+// A source's candidate is the earliest entry of its ring that fits
+// (tag, mctx), so messages from one source retain FIFO order, preserving
+// MPI's non-overtaking guarantee, and an AnySource wildcard only has to
+// compare one candidate per ring; ties across sources break toward the
+// lower source rank. For (AnySource, AnyTag) the candidates are the ring
+// fronts the heap is keyed by, so when the top belongs to mctx it is the
+// answer; any other wildcard walks the array for the same minimum.
 //
 // Under perturbation (mb.pert with Ties), wildcard selection instead
 // draws uniformly among every candidate that is concurrently available —
 // arrival no later than max(now, earliest candidate arrival) — which is
 // exactly the set a real MPI implementation could legally hand back
-// first. A candidate is its source's earliest message fitting (tag,
-// mctx), so per-source FIFO holds, and the follow-up receive of the
+// first. Per-source FIFO holds as above, and a follow-up receive of the
 // probed (source, tag) resolves to the same message.
 func (mb *mailbox) matchUserLocked(src, tag int, mctx int32, remove bool, now float64) *message {
 	var best found
-	if src != AnySource {
-		if b := mb.peek(int32(src)); b != nil {
-			best = b.first(tag, mctx)
+	switch {
+	case src != AnySource:
+		if h := mb.entryOf(int32(src), mctx); h >= 0 {
+			best = mb.fit(h, tag, mctx)
 		}
-	} else if mb.pert != nil && mb.pert.Ties() {
+	case mb.pert != nil && mb.pert.Ties():
 		best = mb.pickAnySourceLocked(tag, mctx, now)
-	} else {
-		for _, b := range mb.active {
-			if f := b.first(tag, mctx); f.m != nil && (best.m == nil || f.before(best)) {
+	case tag == AnyTag && len(mb.active) > 0 && mb.active[0].mctx == mctx:
+		best = found{m: mb.active[0].q().at(0)}
+	default:
+		for h := range mb.active {
+			if f := mb.fit(h, tag, mctx); f.m != nil && (best.m == nil || f.before(best)) {
 				best = f
 			}
 		}
@@ -437,19 +529,19 @@ func (mb *mailbox) matchUserLocked(src, tag int, mctx int32, remove bool, now fl
 }
 
 // pickAnySourceLocked implements perturbed wildcard selection: among
-// the per-bucket candidates matching (tag, mctx), every one with virtual
+// the per-ring candidates matching (tag, mctx), every one with virtual
 // arrival <= max(now, earliest arrival) is concurrently available, and
 // one is drawn uniformly from the owner rank's perturbation stream.
-// The draw maps to candidates ordered by (arrive, src) — not by the
-// physical order of mb.active, which depends on goroutine scheduling —
-// so a seed replays the same choices given the same candidate sets.
+// The draw maps to candidates ordered by (arrive, src) — not by their
+// position in mb.active, which depends on goroutine scheduling — so a
+// seed replays the same choices given the same candidate sets.
 func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	// Pass 1: earliest candidate arrival; the availability threshold can
 	// never exclude it.
 	seen := false
 	thr := 0.0
-	for _, b := range mb.active {
-		if f := b.first(tag, mctx); f.m != nil && (!seen || f.m.arrive < thr) {
+	for h := range mb.active {
+		if f := mb.fit(h, tag, mctx); f.m != nil && (!seen || f.m.arrive < thr) {
 			seen, thr = true, f.m.arrive
 		}
 	}
@@ -459,8 +551,8 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	thr = max(thr, now)
 	// Pass 2: count the available candidates and draw one.
 	k := 0
-	for _, b := range mb.active {
-		if f := b.first(tag, mctx); f.m != nil && f.m.arrive <= thr {
+	for h := range mb.active {
+		if f := mb.fit(h, tag, mctx); f.m != nil && f.m.arrive <= thr {
 			k++
 		}
 	}
@@ -468,14 +560,14 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	// Pass 3: select the pick-th candidate in (arrive, src) order by
 	// counting, for each candidate, how many others precede it. O(k^2)
 	// in the candidate count, which is bounded by the source count.
-	for _, b := range mb.active {
-		f := b.first(tag, mctx)
+	for h := range mb.active {
+		f := mb.fit(h, tag, mctx)
 		if f.m == nil || f.m.arrive > thr {
 			continue
 		}
 		ord := 0
-		for _, b2 := range mb.active {
-			if g := b2.first(tag, mctx); g.m != nil && g.m.arrive <= thr && g.before(f) {
+		for h2 := range mb.active {
+			if g := mb.fit(h2, tag, mctx); g.m != nil && g.m.arrive <= thr && g.before(f) {
 				ord++
 			}
 		}
@@ -515,12 +607,9 @@ func (mb *mailbox) reset() {
 			b.user[i].q.reset()
 		}
 		b.intl.reset()
-		b.nUser = 0
-		b.alive = -1
 	}
 	clear(mb.active)
 	mb.active = mb.active[:0]
-	mb.nUser = 0
 	mb.owner = nil
 	mb.parked = false
 	mb.poisoned = false
@@ -533,7 +622,11 @@ func (mb *mailbox) reset() {
 func (mb *mailbox) pendingUser() int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.nUser
+	n := 0
+	for h := range mb.active {
+		n += mb.active[h].q().n
+	}
+	return n
 }
 
 func (mb *mailbox) poison() {

@@ -12,8 +12,9 @@ import (
 // White-box tests for the bucketed mailbox. The centrepiece is a
 // differential against refStore, an obviously-correct flat-slice model of
 // MPI matching, driven by testing/quick (TestMailboxModelDifferential) and
-// by the fuzzer (FuzzMailboxModel) over one op-sequence encoding. The
-// remaining tests pin what the model does not express (DESIGN §7):
+// by the fuzzer (FuzzMailboxModel) over one op-sequence encoding, with the
+// wildcard-front heap's own invariant (checkHeap) asserted after every op.
+// The remaining tests pin what the model does not express (DESIGN §7):
 // perturbed wildcard selection, post-poison stability, ring trimming on
 // reset, and the bucket list's shape.
 
@@ -296,15 +297,15 @@ func TestMailboxRingTrimOnReset(t *testing.T) {
 	}
 	pushAt(mb, 2, 2, 1, 0) // steady-sized ring on another source
 	b1 := mb.peek(1)
-	if c := cap(b1.userqFor(0).buf); c < burst {
+	if c := cap(b1.user[b1.ringFor(0)].q.buf); c < burst {
 		t.Fatalf("burst ring capacity %d, want >= %d", c, burst)
 	}
 	mb.reset() // releases the backlog and trims spike-sized rings
-	if c := cap(b1.userqFor(0).buf); c > qRetainEnts {
+	if c := cap(b1.user[b1.ringFor(0)].q.buf); c > qRetainEnts {
 		t.Errorf("user ring kept capacity %d after reset, want <= %d", c, qRetainEnts)
 	}
 	b2 := mb.peek(2)
-	if q := b2.userqFor(0); cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
+	if q := b2.user[b2.ringFor(0)].q; cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
 		t.Errorf("steady ring not retained for reuse: %+v", q)
 	}
 	if got := mb.pendingUser(); got != 0 {
@@ -357,6 +358,15 @@ func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *message {
 	return m
 }
 
+// probeTake is the matched probe-receive the slow way round: a probe of
+// (src, tag), then the receive of the probed message's own (source, tag).
+func (r *refStore) probeTake(src, tag int, mctx int32) *message {
+	if p := r.matchUser(src, tag, mctx, false); p != nil {
+		return r.matchUser(p.src, p.tag, mctx, true)
+	}
+	return nil
+}
+
 func (r *refStore) matchInternal(src int, itag int64) *message {
 	for i, m := range r.msgs {
 		if m.src == src && m.itag == itag {
@@ -377,17 +387,58 @@ func (r *refStore) pendingUser() int {
 	return n
 }
 
+// checkHeap asserts that mb.active is a min-heap by (front arrival,
+// source) over exactly the non-empty user rings: one entry per such ring,
+// its key the ring's current front.
+func checkHeap(mb *mailbox) error {
+	type ringID struct {
+		b    *srcBucket
+		ring int32
+	}
+	live := map[ringID]bool{}
+	for _, b := range mb.used {
+		for i := range b.user {
+			if b.user[i].q.n > 0 {
+				live[ringID{b, int32(i)}] = true
+			}
+		}
+	}
+	if len(mb.active) != len(live) {
+		return fmt.Errorf("heap has %d entries for %d non-empty user rings", len(mb.active), len(live))
+	}
+	for h := range mb.active {
+		e := &mb.active[h]
+		if !live[ringID{e.b, e.ring}] {
+			return fmt.Errorf("heap entry %d (src %d ring %d) is empty or listed twice", h, e.b.src, e.ring)
+		}
+		delete(live, ringID{e.b, e.ring})
+		if u := &e.b.user[e.ring]; u.mctx != e.mctx || u.q.at(0).arrive != e.arrive {
+			return fmt.Errorf("heap entry %d (src %d) keyed (comm %d, %g), ring front is (comm %d, %g)",
+				h, e.b.src, e.mctx, e.arrive, u.mctx, u.q.at(0).arrive)
+		}
+		if p := (h - 1) / 2; h > 0 && e.before(&mb.active[p]) {
+			return fmt.Errorf("heap entry %d (%g, src %d) is before its parent (%g, src %d)",
+				h, e.arrive, e.b.src, mb.active[p].arrive, mb.active[p].b.src)
+		}
+	}
+	return nil
+}
+
 // The op-sequence encoding shared by the quick differential, the fuzzer
 // and the hand-written cases: four bytes per op {kind, source, selector,
-// stamp delta}; trailing bytes are ignored. Sources are scattered over a
+// stamp}; trailing bytes are ignored. Sources are scattered over a
 // 5000-rank id space (both edges included) so bucket insertion order is
-// unrelated to source order.
+// unrelated to source order. The stamp byte's low two bits advance the
+// source's clock and the rest is latency jitter on top of it, so a
+// source's stamps need not be monotone (sched's Jitter class): a ring's
+// new front can be earlier than the one just taken.
 const (
 	opPushUser = iota
 	opPushInternal
 	opMatchUser
 	opMatchInternal
 	opReset
+	opProbeTake // the matched probe-receive: a removing match, checked against refStore.probeTake
 	opKinds
 
 	modelSrcs = 24 // source byte modelSrcs = AnySource (matches only)
@@ -403,7 +454,8 @@ func modelSrc(i int) int {
 
 // op encodes one op: a push (remove ignored) or match with tag selector
 // tag in communicator comm, or, for the internal kinds, itag selector tag
-// (comm ignored; an internal match always removes).
+// (comm ignored; an internal match always removes). stamp(step, jitter)
+// builds a push's last byte.
 func op(kind, src, tag, comm int, remove bool, delta byte) []byte {
 	sel := tag | comm<<2
 	if remove {
@@ -412,11 +464,13 @@ func op(kind, src, tag, comm int, remove bool, delta byte) []byte {
 	return []byte{byte(kind), byte(src), byte(sel), delta}
 }
 
+func stamp(step, jitter int) byte { return byte(step | jitter<<2) }
+
 // runMailboxModel decodes data into an op sequence, applies it to a
 // mailbox and a refStore side by side, and reports the first divergence:
 // a different message identity from any match, or different pendingUser,
-// queuedBytes or highWater after any op. It ends by draining both through
-// wildcards and checking the mailbox's own invariants.
+// queuedBytes or highWater after any op, or a broken heap (checkHeap). It
+// ends by draining both through wildcards and checking the bucket list.
 func runMailboxModel(data []byte) error {
 	mb, ref := new(mailbox), new(refStore)
 	var clock [modelSrcs]float64
@@ -433,24 +487,29 @@ func runMailboxModel(data []byte) error {
 		if a, b := mb.highWater(), ref.hw; a != b {
 			return fmt.Errorf("op %d (%s): highWater %d, model %d", i, what, a, b)
 		}
+		if err := checkHeap(mb); err != nil {
+			return fmt.Errorf("op %d (%s): %v", i, what, err)
+		}
 		return nil
 	}
-	matchUser := func(src, tag int, mctx int32, remove bool) (got, want *message) {
+	mbMatch := func(src, tag int, mctx int32, remove bool) *message {
 		mb.mu.Lock()
-		got = mb.matchUserLocked(src, tag, mctx, remove, 0)
-		mb.mu.Unlock()
-		return got, ref.matchUser(src, tag, mctx, remove)
+		defer mb.mu.Unlock()
+		return mb.matchUserLocked(src, tag, mctx, remove, 0)
+	}
+	matchUser := func(src, tag int, mctx int32, remove bool) (got, want *message) {
+		return mbMatch(src, tag, mctx, remove), ref.matchUser(src, tag, mctx, remove)
 	}
 	for i := 0; i+4 <= len(data); i += 4 {
 		kind, sb, sel, delta := int(data[i])%opKinds, int(data[i+1]), int(data[i+2]), data[i+3]
 		si := sb % modelSrcs
 		mctx, remove := int32(sel>>2&1), sel>>3&1 == 1
 		push := func(tag int, itag int64) {
-			// Monotone per source; small steps make cross-source ties common.
+			// Small steps make cross-source ties common.
 			clock[si] += float64(delta % 4)
 			// Payload length varies so the byte accounting is exercised.
 			m := newMessage(modelSrc(si), tag, itag, mctx, make([]int64, 1+i%3))
-			m.arrive = clock[si]
+			m.arrive = clock[si] + float64(delta>>2%8)
 			mb.push(m)
 			ref.push(m)
 		}
@@ -461,7 +520,7 @@ func runMailboxModel(data []byte) error {
 		case opPushInternal:
 			mctx = 0
 			push(0, int64(1000+sel%modelTags))
-		case opMatchUser:
+		case opMatchUser, opProbeTake:
 			src, tag := AnySource, AnyTag
 			if s := sb % (modelSrcs + 1); s < modelSrcs {
 				src = modelSrc(s)
@@ -469,7 +528,11 @@ func runMailboxModel(data []byte) error {
 			if tg := sel % (modelTags + 1); tg < modelTags {
 				tag = tg
 			}
-			got, want = matchUser(src, tag, mctx, remove)
+			if kind == opMatchUser {
+				got, want = matchUser(src, tag, mctx, remove)
+			} else {
+				got, want = mbMatch(src, tag, mctx, true), ref.probeTake(src, tag, mctx)
+			}
 		case opMatchInternal:
 			itag := int64(1000 + sel%modelTags)
 			mb.mu.Lock()
@@ -497,7 +560,7 @@ func runMailboxModel(data []byte) error {
 		}
 	}
 	if len(mb.active) != 0 || mb.pendingUser() != 0 {
-		return fmt.Errorf("after drain: %d active buckets, %d pending", len(mb.active), mb.pendingUser())
+		return fmt.Errorf("after drain: %d rings in the heap, %d pending", len(mb.active), mb.pendingUser())
 	}
 	for i := 1; i < len(mb.used); i++ {
 		if mb.used[i-1].src >= mb.used[i].src {
@@ -545,6 +608,22 @@ var mailboxModelCases = [][]byte{
 		op(opPushUser, 7, 0, 0, false, 1), op(opPushInternal, 7, 0, 0, false, 1),
 		op(opMatchInternal, 7, 1, 0, true, 0), op(opMatchInternal, 7, 0, 0, true, 0),
 		op(opMatchInternal, 7, 0, 0, true, 0), op(opMatchInternal, 7, 2, 0, false, 0)),
+	// Take-on-probe with another communicator's ring on top of the heap: the
+	// wildcard for communicator 0 must walk past it, and taking source 9's
+	// front re-keys that ring below source 4's.
+	slices.Concat(op(opPushUser, 2, 0, 1, false, stamp(1, 0)), op(opPushUser, 9, 1, 0, false, stamp(2, 0)),
+		op(opPushUser, 4, 0, 0, false, stamp(3, 0)), op(opPushUser, 9, 2, 0, false, stamp(3, 0)),
+		op(opProbeTake, modelSrcs, modelTags, 0, false, 0), op(opProbeTake, modelSrcs, modelTags, 0, false, 0),
+		op(opProbeTake, modelSrcs, modelTags, 1, false, 0), op(opProbeTake, modelSrcs, modelTags, 0, false, 0)),
+	// Jittered stamps: source 6's second message is stamped before its
+	// first, so once the first is taken from the bottom of the heap the
+	// re-keyed ring has to sift up past both other sources; per-source FIFO
+	// still holds the early stamp back until then.
+	slices.Concat(op(opPushUser, 1, 0, 0, false, stamp(2, 0)), op(opPushUser, 3, 0, 0, false, stamp(3, 0)),
+		op(opPushUser, 6, 0, 0, false, stamp(1, 7)), op(opPushUser, 6, 1, 0, false, stamp(0, 0)),
+		op(opPushUser, 1, 1, 0, false, stamp(3, 0)),
+		op(opProbeTake, modelSrcs, modelTags, 0, false, 0), op(opProbeTake, 6, modelTags, 0, false, 0),
+		op(opProbeTake, modelSrcs, modelTags, 0, false, 0), op(opMatchUser, modelSrcs, modelTags, 0, true, 0)),
 	// Reset with traffic queued, then reuse of the same buckets.
 	slices.Concat(op(opPushUser, 2, 0, 0, false, 3), op(opPushInternal, 2, 0, 0, false, 1),
 		op(opReset, 0, 0, 0, false, 0), op(opPushUser, 2, 1, 0, false, 1),

@@ -29,13 +29,23 @@
 //	rep, err := mpi.Run(2, func(c *mpi.Comm) error {
 //	    if c.Rank() == 0 {
 //	        c.Isend(1, 7, []int64{42})
-//	    } else if c.Rank() == 1 {
-//	        data, _ := c.Recv(0, 7)
-//	        _ = data
+//	    } else {
+//	        // The Send-Recv drivers' receive: poll with a wildcard probe
+//	        // that, on a hit, is also the receive of what it matched.
+//	        var buf [1]int64
+//	        for {
+//	            ok, st := c.IprobeRecvInto(mpi.AnySource, mpi.AnyTag, buf[:])
+//	            if ok { // st.Source == 0, st.Tag == 7, buf[0] == 42
+//	                _ = st
+//	                break
+//	            }
+//	        }
 //	    }
 //	    c.Barrier()
 //	    return nil
 //	}, mpi.WithMatrices())
+//
+// Blocking Recv/Probe and the separate Iprobe/RecvInto pair exist too.
 //
 // API errors that correspond to MPI usage errors (bad rank, negative tag)
 // panic, mirroring the default MPI_ERRORS_ARE_FATAL behavior; errors

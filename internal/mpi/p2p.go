@@ -139,7 +139,12 @@ func (c *Comm) Recv(src, tag int) ([]int64, Status) {
 // message; probe first when sizes are unknown.
 func (c *Comm) RecvInto(src, tag int, buf []int64) (int, Status) {
 	start := c.ps.now
-	m := c.recvMsg(src, tag, "recv")
+	return c.deliverInto(c.recvMsg(src, tag, "recv"), buf, start)
+}
+
+// deliverInto finishes a receive into buf that began at start: m is
+// dequeued and its receive-side timing applied.
+func (c *Comm) deliverInto(m *message, buf []int64, start float64) (int, Status) {
 	if c.ps.ev != nil {
 		// m.src is the sender's rank in this communicator.
 		c.event(EvRecv, c.worldRank(m.src), m.tag, m.bytes, start)
@@ -158,6 +163,36 @@ func (c *Comm) RecvInto(src, tag int, buf []int64) (int, Status) {
 // is queued. It charges the probe overhead so that poll-heavy code (the
 // Send-Recv matching driver) pays for its polling, as it does under MPI.
 func (c *Comm) Iprobe(src, tag int) (bool, Status) {
+	m := c.iprobe(src, tag, false)
+	if m == nil {
+		return false, Status{}
+	}
+	return true, Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
+}
+
+// IprobeRecvInto is the matched nonblocking probe-and-receive, MPI-3's
+// MPI_Improbe followed by MPI_Mrecv: when a message matching (src, tag)
+// is queued it is received into buf and its Status returned. In virtual
+// time, events, ledger and perturbation draws it is exactly Iprobe
+// followed, on a hit, by RecvInto of the probed (source, tag); on the
+// host the message is matched once, under one hold of the mailbox lock,
+// instead of being found a second time by the receive. Like RecvInto it
+// panics if buf cannot hold the message.
+func (c *Comm) IprobeRecvInto(src, tag int, buf []int64) (bool, Status) {
+	m := c.iprobe(src, tag, true)
+	if m == nil {
+		return false, Status{}
+	}
+	start := c.ps.now
+	c.completeRecv(m)
+	_, st := c.deliverInto(m, buf, start)
+	return true, st
+}
+
+// iprobe is the nonblocking probe behind Iprobe and IprobeRecvInto: it
+// returns the matched message, dequeued (and then owned by the caller)
+// when remove is set, or nil on a miss.
+func (c *Comm) iprobe(src, tag int, remove bool) *message {
 	if src != AnySource {
 		c.checkRank(src, "iprobe")
 	}
@@ -167,25 +202,23 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 	// real MPI Iprobe can fail to observe a message whose envelope has
 	// not yet been processed. Misses are bounded (sched.Rank.ForceMiss)
 	// so polling loops keep making progress.
-	if pt := c.ps.pert; pt != nil && pt.ForceMiss() {
-		c.event(EvProbe, -1, tag, 0, start)
-		c.pollMiss()
-		return false, Status{}
+	var m *message
+	if pt := c.ps.pert; pt == nil || !pt.ForceMiss() {
+		mb := c.mbox()
+		mb.mu.Lock()
+		m = mb.matchUserLocked(src, tag, c.ctx, remove, c.ps.now)
+		mb.mu.Unlock()
 	}
-	mb := c.mbox()
-	mb.mu.Lock()
-	m := mb.matchUserLocked(src, tag, c.ctx, false, c.ps.now)
-	mb.mu.Unlock()
 	if m == nil {
 		c.event(EvProbe, -1, tag, 0, start)
 		c.pollMiss()
-		return false, Status{}
+		return nil
 	}
 	c.ps.pollMisses = 0
 	if c.ps.ev != nil {
 		c.event(EvProbe, c.worldRank(m.src), m.tag, m.bytes, start)
 	}
-	return true, Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
+	return m
 }
 
 // Probe blocks until a message matching (src, tag) is queued and returns

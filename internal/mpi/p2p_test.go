@@ -1,10 +1,15 @@
 package mpi
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // runChecked and testRun run body under the standard test options:
@@ -351,5 +356,134 @@ func TestDeadlineNoGoroutineLeak(t *testing.T) {
 				t.Fatalf("deadline teardown leaked the blocked rank: %v", cerr)
 			}
 		})
+	}
+}
+
+// matchedRecvRun pre-queues traffic on two communicators (the second one
+// numbers the ranks in reverse, so its rings share buckets with other
+// sources' world traffic), fences, and has every rank drain its mailbox
+// through a rotation of wildcard, exact-tag and named-source polls —
+// either with IprobeRecvInto (matched) or with Iprobe followed by RecvInto
+// of the probed (source, tag). It returns the report and, per rank, what
+// was received in what order, the poll-miss counter, and a sample of the
+// next values of the rank's perturbation streams.
+func matchedRecvRun(t *testing.T, matched bool, mode SchedMode, seed uint64, prof sched.Profile) (*Report, [][]int64) {
+	t.Helper()
+	const p, per = 6, 6
+	out := make([][]int64, p)
+	opts := []Option{WithScheduler(mode), WithEventTrace(1 << 12), WithDeadline(30 * time.Second)}
+	if prof.Enabled() {
+		opts = append(opts, WithPerturb(seed, prof))
+	}
+	rep, err := Run(p, func(c *Comm) error {
+		me := c.Rank()
+		sub := c.Split(0, p-1-me)
+		for k := 0; k < per; k++ {
+			for d := 0; d < p; d++ {
+				if d != me {
+					c.Isend(d, k%3, []int64{int64(me), int64(k), 7}[:1+k%3])
+				}
+				if k%2 == 0 && d != sub.Rank() {
+					sub.Isend(d, 5+k%4, []int64{int64(sub.Rank()), int64(k)})
+				}
+			}
+		}
+		c.Barrier() // every message of the run is queued from here on
+		polls := []struct {
+			c        *Comm
+			src, tag int
+		}{
+			{c, AnySource, AnyTag},
+			{c, AnySource, 1},
+			{sub, (sub.Rank() + 1) % p, AnyTag},
+			{sub, AnySource, AnyTag},
+			{c, (me + 1) % p, AnyTag},
+		}
+		var buf [3]int64
+		log := []int64{}
+		for i, got := 0, 0; got < (p-1)*(per+per/2); i++ {
+			pl := polls[i%len(polls)]
+			var ok bool
+			var st Status
+			if matched {
+				ok, st = pl.c.IprobeRecvInto(pl.src, pl.tag, buf[:])
+			} else if ok, st = pl.c.Iprobe(pl.src, pl.tag); ok {
+				_, st = pl.c.RecvInto(st.Source, st.Tag, buf[:])
+			}
+			if ok {
+				got++
+				log = append(log, int64(i%len(polls)), int64(st.Source), int64(st.Tag), int64(st.Count))
+				log = append(log, buf[:st.Count]...)
+			}
+		}
+		log = append(log, int64(c.ps.pollMisses))
+		if pt := c.ps.pert; pt != nil {
+			log = append(log, int64(pt.Pick(1<<20)), int64(math.Float64bits(pt.Latency(1))))
+			for k := 0; k < 8; k++ {
+				if pt.ForceMiss() {
+					log = append(log, int64(k))
+				}
+			}
+		}
+		out[me] = log
+		c.Barrier()
+		return nil
+	}, opts...)
+	if err != nil {
+		t.Fatalf("matched=%v %v %v: %v", matched, mode, prof, err)
+	}
+	return rep, out
+}
+
+// TestIprobeRecvIntoEquivalence: the matched probe-receive is Iprobe
+// followed by RecvInto of what it probed in everything a run can observe —
+// received messages and their order, event logs, final clocks, ledgers,
+// poll-miss counting and the position of every perturbation stream —
+// under both schedulers and every perturbation profile.
+func TestIprobeRecvIntoEquivalence(t *testing.T) {
+	for pi, prof := range perturbProfiles {
+		for _, mode := range schedModes {
+			seed := uint64(pi) + 7
+			repA, outA := matchedRecvRun(t, true, mode, seed, prof)
+			repB, outB := matchedRecvRun(t, false, mode, seed, prof)
+			name := fmt.Sprintf("%v %v", prof, mode)
+			if !reflect.DeepEqual(outA, outB) {
+				t.Errorf("%s: received messages, poll misses or perturbation draws differ:\nmatched  %v\nseparate %v", name, outA, outB)
+			}
+			if !reflect.DeepEqual(repA.FinalTimes, repB.FinalTimes) {
+				t.Errorf("%s: final clocks differ: %v vs %v", name, repA.FinalTimes, repB.FinalTimes)
+			}
+			for r := range repA.Stats {
+				if !reflect.DeepEqual(repA.Stats[r], repB.Stats[r]) {
+					t.Errorf("%s: rank %d ledgers differ:\nmatched  %+v\nseparate %+v", name, r, repA.Stats[r], repB.Stats[r])
+				}
+				evA, evB := repA.Events(r), repB.Events(r)
+				if len(evA) == 0 || repA.EventDrops(r) != 0 {
+					t.Fatalf("%s: rank %d logged %d events, dropped %d", name, r, len(evA), repA.EventDrops(r))
+				}
+				if !reflect.DeepEqual(evA, evB) {
+					t.Errorf("%s: rank %d event logs differ (%d vs %d events)", name, r, len(evA), len(evB))
+				}
+			}
+		}
+	}
+}
+
+// TestPeerBufBytesDenseAndSparse: the per-peer pool is charged once per
+// distinct destination whichever way the ledger tracks peers — the bitmap
+// of small worlds or, above densePeerLimit, the set behind its
+// last-destination check — for a sequence with runs, alternations and
+// returns to an earlier peer.
+func TestPeerBufBytesDenseAndSparse(t *testing.T) {
+	dsts := []int{5, 5, 5, 9, 5, 9, 9, 0, 5, 0, 0, 1023, 5, 1023}
+	for _, n := range []int{densePeerLimit, densePeerLimit + 1} {
+		var rs RankStats
+		rs.init(0, n, false)
+		for _, d := range dsts {
+			rs.noteSend(d, 8)
+		}
+		if want := int64(4 * EagerBufPerPeer); rs.PeerBufBytes != want {
+			t.Errorf("world of %d: PeerBufBytes = %d, want %d (4 distinct peers)", n, rs.PeerBufBytes, want)
+		}
 	}
 }

@@ -146,10 +146,11 @@ func (q *Quiesce) Idle() bool {
 		// Nonblocking check for the token or TERM. A forced Iprobe miss
 		// is safe: the caller's Block wakes on the same message and the
 		// next Idle retries, and misses are bounded.
-		if ok, _ := q.tok.Iprobe(q.prev, AnyTag); !ok {
+		ok, st := q.tok.IprobeRecvInto(q.prev, AnyTag, q.buf[:])
+		if !ok {
 			return false
 		}
-		q.recvDetector()
+		q.applyDetector(st.Tag)
 	}
 	return true
 }
@@ -274,12 +275,17 @@ func (q *Quiesce) sendToken(accum int64, black bool) {
 }
 
 // recvDetector blocks for one detector message from the ring
-// predecessor and applies it: tokens are held for the next hand-off,
-// TERM is relayed (short of rank 0, which originated it) and finishes
-// this rank.
+// predecessor and applies it.
 func (q *Quiesce) recvDetector() {
 	_, st := q.tok.RecvInto(q.prev, AnyTag, q.buf[:])
-	switch st.Tag {
+	q.applyDetector(st.Tag)
+}
+
+// applyDetector applies the detector message just received into q.buf:
+// tokens are held for the next hand-off, TERM is relayed (short of rank
+// 0, which originated it) and finishes this rank.
+func (q *Quiesce) applyDetector(tag int) {
+	switch tag {
 	case quiesceTokenTag:
 		q.tokAccum, q.tokBlack = q.buf[0], q.buf[1] != 0
 		q.holding = true
@@ -290,6 +296,6 @@ func (q *Quiesce) recvDetector() {
 			q.tok.Isend(q.next, quiesceTermTag, q.buf[:1])
 		}
 	default:
-		panic(fmt.Sprintf("mpi: unexpected detector tag %d", st.Tag))
+		panic(fmt.Sprintf("mpi: unexpected detector tag %d", tag))
 	}
 }

@@ -61,6 +61,7 @@ type RankStats struct {
 	peerSeen     []bool
 	peerSet      map[int]struct{}
 	worldSize    int32
+	lastPeer     int32 // 1 + the destination peerSet was last asked about
 
 	// Optional per-destination matrices (row view), length = world size.
 	// MsgRow[d] counts messages this rank sent to d by any mechanism
@@ -107,6 +108,12 @@ func (rs *RankStats) notePeer(dst int) {
 		rs.PeerBufBytes += EagerBufPerPeer
 		return
 	}
+	// A rank sends to the same few peers over and over (a ring's successor,
+	// the owner of a run of ghosts): the last one answers without the map.
+	if int(rs.lastPeer) == dst+1 {
+		return
+	}
+	rs.lastPeer = int32(dst + 1)
 	if _, ok := rs.peerSet[dst]; !ok {
 		if rs.peerSet == nil {
 			rs.peerSet = make(map[int]struct{})

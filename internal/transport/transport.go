@@ -193,7 +193,7 @@ type P2P struct {
 	C           *mpi.Comm
 	Synchronous bool
 	sbuf        [2]int64 // send scratch (the runtime copies payloads)
-	rbuf        [2]int64 // receive scratch for RecvInto
+	rbuf        [2]int64 // receive scratch for IprobeRecvInto
 }
 
 // NewP2P returns a Send-Recv backend.
@@ -216,11 +216,10 @@ func (t *P2P) Send(dst int, ctx, x, y int64) {
 func (t *P2P) Drain(h Handler) bool {
 	any := false
 	for {
-		ok, st := t.C.Iprobe(mpi.AnySource, mpi.AnyTag)
+		ok, st := t.C.IprobeRecvInto(mpi.AnySource, mpi.AnyTag, t.rbuf[:])
 		if !ok {
 			return any
 		}
-		_, st = t.C.RecvInto(st.Source, st.Tag, t.rbuf[:])
 		h(int64(st.Tag), t.rbuf[0], t.rbuf[1])
 		any = true
 	}
@@ -461,9 +460,10 @@ type P2PAgg struct {
 	ledger
 	c         *mpi.Comm
 	batch     int
-	out       map[int][]int64
-	dsts      []int   // keys of out, ascending
-	rbuf      []int64 // receive scratch, grown to the largest batch seen
+	slot      map[int]int32 // destination -> index of its partial batch in out
+	out       [][]int64     // partial batches, in order of first use
+	dsts      []int         // keys of slot, ascending: the flush order
+	rbuf      []int64       // receive scratch: one full batch
 	accounted int64
 }
 
@@ -473,25 +473,31 @@ func NewP2PAgg(c *mpi.Comm, batch int) *P2PAgg {
 	if batch < 1 {
 		panic(fmt.Sprintf("transport: P2PAgg batch = %d", batch))
 	}
-	return &P2PAgg{ledger: ledger{size: c.Size()}, c: c, batch: batch, out: make(map[int][]int64)}
+	return &P2PAgg{ledger: ledger{size: c.Size()}, c: c, batch: batch, slot: make(map[int]int32), rbuf: make([]int64, batch*recordWords)}
 }
 
 // Send implements Sender: append to the destination's batch, flushing
-// when full.
+// when full. A record costs one map read: the batches live in a slice the
+// map indexes, so nothing is written back to the map. (A binary search of
+// dsts in the read's place was slower than the map write it was meant to
+// save, on sbp-dense's 63-neighbor ranks.)
 func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
 	t.note(dst)
 	t.c.Pack(1)
-	buf, seen := t.out[dst]
+	i, seen := t.slot[dst]
 	if !seen {
-		i, _ := slices.BinarySearch(t.dsts, dst)
-		t.dsts = slices.Insert(t.dsts, i, dst)
+		i = int32(len(t.out))
+		t.slot[dst] = i
+		t.out = append(t.out, nil)
+		at, _ := slices.BinarySearch(t.dsts, dst)
+		t.dsts = slices.Insert(t.dsts, at, dst)
 	}
-	buf = append(buf, ctx, x, y)
+	buf := append(t.out[i], ctx, x, y)
 	if len(buf) >= t.batch*recordWords {
 		t.c.Isend(dst, aggTag, buf)
 		buf = buf[:0]
 	}
-	t.out[dst] = buf
+	t.out[i] = buf
 	highWater(t.c, &t.accounted, int64(8*t.batch*recordWords*len(t.out)))
 }
 
@@ -504,9 +510,10 @@ func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
 // visited, so a flush costs the rank's out-degree, not the world size.
 func (t *P2PAgg) flushAll() {
 	for _, dst := range t.dsts {
-		if buf := t.out[dst]; len(buf) > 0 {
+		i := t.slot[dst]
+		if buf := t.out[i]; len(buf) > 0 {
 			t.c.Isend(dst, aggTag, buf)
-			t.out[dst] = buf[:0]
+			t.out[i] = buf[:0]
 		}
 	}
 }
@@ -515,18 +522,14 @@ func (t *P2PAgg) flushAll() {
 func (t *P2PAgg) Drain(h Handler) bool {
 	any := false
 	for {
-		ok, st := t.c.Iprobe(mpi.AnySource, mpi.AnyTag)
+		ok, st := t.c.IprobeRecvInto(mpi.AnySource, mpi.AnyTag, t.rbuf)
 		if !ok {
 			return any
 		}
 		if st.Tag != aggTag {
 			panic(fmt.Sprintf("transport: P2PAgg received non-batch tag %d", st.Tag))
 		}
-		if cap(t.rbuf) < st.Count {
-			t.rbuf = make([]int64, st.Count)
-		}
-		n, _ := t.c.RecvInto(st.Source, st.Tag, t.rbuf[:cap(t.rbuf)])
-		deliver(t.c, t.rbuf[:n], h)
+		deliver(t.c, t.rbuf[:st.Count], h)
 		any = true
 	}
 }
