@@ -20,6 +20,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -29,58 +31,109 @@ import (
 )
 
 func main() {
-	var (
-		family   = flag.String("family", "", "rgg | rmat | sbp | kmer | social | banded | path | grid")
-		n        = flag.Int("n", 10000, "vertices (rgg, sbp, social, banded, path)")
-		deg      = flag.Float64("deg", 8, "target average degree (rgg, sbp, social)")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		scale    = flag.Int("scale", 12, "rmat: log2 vertices")
-		edgef    = flag.Int("edgef", 16, "rmat: edge factor")
-		blocks   = flag.Int("blocks", 32, "sbp: number of blocks")
-		overlap  = flag.Float64("overlap", 0.5, "sbp: cross-block edge probability")
-		comps    = flag.Int("comps", 100, "kmer: grid components")
-		minSide  = flag.Int("minside", 5, "kmer: min grid side")
-		maxSide  = flag.Int("maxside", 9, "kmer: max grid side")
-		band     = flag.Int("band", 24, "banded: bandwidth")
-		fill     = flag.Float64("fill", 2.5, "banded: in-band edges per vertex")
-		long     = flag.Float64("long", 0.002, "banded: long-range edge fraction")
-		rows     = flag.Int("rows", 10, "grid: rows")
-		cols     = flag.Int("cols", 10, "grid: columns")
-		scramble = flag.Bool("scramble", false, "randomize vertex ids")
-		rcm      = flag.Bool("rcm", false, "apply Reverse Cuthill-McKee reordering")
-		out      = flag.String("o", "", "output file (binary CSR); omit to only print stats")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var g *graph.CSR
+// run is main without the process exit so tests can drive the CLI
+// end-to-end. Exit codes: 0 success, 1 output failure, 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gengraph", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		family   = fs.String("family", "", "rgg | rmat | sbp | kmer | social | banded | path | grid")
+		n        = fs.Int("n", 10000, "vertices (rgg, sbp, social, banded, path)")
+		deg      = fs.Float64("deg", 8, "target average degree (rgg, sbp, social)")
+		seed     = fs.Int64("seed", 1, "generator seed")
+		scale    = fs.Int("scale", 12, "rmat: log2 vertices")
+		edgef    = fs.Int("edgef", 16, "rmat: edge factor")
+		blocks   = fs.Int("blocks", 32, "sbp: number of blocks")
+		overlap  = fs.Float64("overlap", 0.5, "sbp: cross-block edge probability")
+		comps    = fs.Int("comps", 100, "kmer: grid components")
+		minSide  = fs.Int("minside", 5, "kmer: min grid side")
+		maxSide  = fs.Int("maxside", 9, "kmer: max grid side")
+		band     = fs.Int("band", 24, "banded: bandwidth")
+		fill     = fs.Float64("fill", 2.5, "banded: in-band edges per vertex")
+		long     = fs.Float64("long", 0.002, "banded: long-range edge fraction")
+		rows     = fs.Int("rows", 10, "grid: rows")
+		cols     = fs.Int("cols", 10, "grid: columns")
+		scramble = fs.Bool("scramble", false, "randomize vertex ids")
+		rcm      = fs.Bool("rcm", false, "apply Reverse Cuthill-McKee reordering")
+		out      = fs.String("o", "", "output file (binary CSR); omit to only print stats")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	// The generators panic on out-of-range parameters (a programming
+	// error for a library caller); here they are user input, so the
+	// chosen family's flags are checked first and the first bad one is
+	// reported.
+	var bad string
+	need := func(ok bool, format string, a ...any) {
+		if !ok && bad == "" {
+			bad = fmt.Sprintf(format, a...)
+		}
+	}
+	positive := func(flag string, v int) { need(v >= 1, "%s %d must be positive", flag, v) }
+	nonNegative := func(flag string, v float64) {
+		need(v >= 0 && !math.IsInf(v, 1), "%s %g must be finite and non-negative", flag, v)
+	}
+	var build func() *graph.CSR
 	switch *family {
 	case "rgg":
-		g = gen.RGG(*n, gen.RGGRadiusForDegree(*n, *deg), *seed)
+		positive("-n", *n)
+		r := gen.RGGRadiusForDegree(*n, *deg)
+		need(r > 0 && r <= 1, "-deg %g with -n %d implies an RGG radius of %g, outside (0,1]", *deg, *n, r)
+		build = func() *graph.CSR { return gen.RGG(*n, r, *seed) }
 	case "rmat":
-		g = gen.RMAT(*scale, *edgef, 0.57, 0.19, 0.19, 0.05, *seed)
+		// Vertex ids are int32, so 2^30 vertices is the largest power of two.
+		need(*scale >= 0 && *scale <= 30, "-scale %d out of range [0,30]", *scale)
+		positive("-edgef", *edgef)
+		build = func() *graph.CSR { return gen.RMAT(*scale, *edgef, 0.57, 0.19, 0.19, 0.05, *seed) }
 	case "sbp":
-		g = gen.SBP(*n, *blocks, *deg, *overlap, *seed)
+		positive("-n", *n)
+		need(*blocks >= 1 && *blocks <= *n, "-blocks %d out of range [1,%d]", *blocks, *n)
+		nonNegative("-deg", *deg)
+		need(*overlap >= 0 && *overlap < 1, "-overlap %g out of range [0,1)", *overlap)
+		build = func() *graph.CSR { return gen.SBP(*n, *blocks, *deg, *overlap, *seed) }
 	case "kmer":
-		g = gen.KMerGrids(*comps, *minSide, *maxSide, *seed)
+		positive("-comps", *comps)
+		positive("-minside", *minSide)
+		need(*maxSide >= *minSide, "-maxside %d is below -minside %d", *maxSide, *minSide)
+		build = func() *graph.CSR { return gen.KMerGrids(*comps, *minSide, *maxSide, *seed) }
 	case "social":
-		g = gen.Social(*n, *deg, *seed)
+		positive("-n", *n)
+		nonNegative("-deg", *deg)
+		build = func() *graph.CSR { return gen.Social(*n, *deg, *seed) }
 	case "banded":
-		g = gen.BandedMesh(*n, *band, *fill, *long, *seed)
+		positive("-n", *n)
+		positive("-band", *band)
+		nonNegative("-fill", *fill)
+		nonNegative("-long", *long)
+		build = func() *graph.CSR { return gen.BandedMesh(*n, *band, *fill, *long, *seed) }
 	case "path":
-		g = gen.Path(*n)
+		positive("-n", *n)
+		build = func() *graph.CSR { return gen.Path(*n) }
 	case "grid":
-		g = gen.Grid2D(*rows, *cols)
+		positive("-rows", *rows)
+		positive("-cols", *cols)
+		build = func() *graph.CSR { return gen.Grid2D(*rows, *cols) }
 	default:
-		fmt.Fprintln(os.Stderr, "gengraph: unknown -family (want rgg|rmat|sbp|kmer|social|banded|path|grid)")
-		os.Exit(2)
+		bad = fmt.Sprintf("unknown -family %q (want rgg|rmat|sbp|kmer|social|banded|path|grid)", *family)
 	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "gengraph:", bad)
+		return 2
+	}
+
+	g := build()
 	if *scramble {
 		g, _ = gen.Scramble(g, *seed^0x5ca1ab1e)
 	}
 	if *rcm {
 		g = order.Apply(g, order.RCM(g))
 	}
-	fmt.Println(g.Summary())
+	fmt.Fprintln(stdout, g.Summary())
 	if *out != "" {
 		var err error
 		if strings.HasSuffix(*out, ".mtx") {
@@ -95,9 +148,10 @@ func main() {
 			err = g.SaveFile(*out)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gengraph:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "gengraph:", err)
+			return 1
 		}
-		fmt.Println("wrote", *out)
+		fmt.Fprintln(stdout, "wrote", *out)
 	}
+	return 0
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/distgraph"
@@ -18,36 +19,54 @@ import (
 	"repro/internal/order"
 )
 
+// maxRanks bounds -p as matchbench bounds -ranks.
+const maxRanks = 1 << 20
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process exit so tests can drive the CLI
+// end-to-end. Exit codes: 0 success, 1 input failure, 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("graphinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		in  = flag.String("in", "", "input graph (binary CSR, from gengraph)")
-		p   = flag.Int("p", 32, "number of ranks for the 1-D block distribution")
-		rcm = flag.Bool("rcm", false, "apply RCM before computing distribution stats")
+		in  = fs.String("in", "", "input graph (binary CSR, from gengraph)")
+		p   = fs.Int("p", 32, "number of ranks for the 1-D block distribution")
+		rcm = fs.Bool("rcm", false, "apply RCM before computing distribution stats")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *in == "" {
-		fmt.Fprintln(os.Stderr, "graphinfo: -in required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "graphinfo: -in required")
+		return 2
+	}
+	if *p < 1 || *p > maxRanks {
+		fmt.Fprintf(stderr, "graphinfo: -p %d out of range [1,%d]\n", *p, maxRanks)
+		return 2
 	}
 	g, err := graph.LoadFile(*in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphinfo:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "graphinfo:", err)
+		return 1
 	}
-	fmt.Println("graph:   ", g.Summary())
+	fmt.Fprintln(stdout, "graph:   ", g.Summary())
 	if *rcm {
 		g = order.Apply(g, order.RCM(g))
-		fmt.Println("post-RCM:", g.Summary())
+		fmt.Fprintln(stdout, "post-RCM:", g.Summary())
 	}
 	d := distgraph.NewBlockDist(g, *p)
-	fmt.Println("topology:", d.ProcessGraphStats())
-	fmt.Println("ghosts:  ", d.GhostEdgeStats())
+	fmt.Fprintln(stdout, "topology:", d.ProcessGraphStats())
+	fmt.Fprintln(stdout, "ghosts:  ", d.GhostEdgeStats())
 	for r := 0; r < min(*p, 8); r++ {
 		l := d.BuildLocal(r)
-		fmt.Printf("rank %2d: owns [%d,%d) neighbors=%d crossArcs=%d |E'|=%d\n",
+		fmt.Fprintf(stdout, "rank %2d: owns [%d,%d) neighbors=%d crossArcs=%d |E'|=%d\n",
 			r, l.Lo, l.Hi, len(l.NeighborRanks), l.TotalCrossArcs, l.LocalArcs)
 	}
 	if *p > 8 {
-		fmt.Printf("... (%d more ranks)\n", *p-8)
+		fmt.Fprintf(stdout, "... (%d more ranks)\n", *p-8)
 	}
+	return 0
 }

@@ -9,9 +9,13 @@ import (
 
 // TestGeneratorsIndependentOfWorkerCount pins the chunked-stream
 // contract: every generator produces a bit-identical CSR under
-// GOMAXPROCS=1 and GOMAXPROCS=8. Sizes are chosen to exceed one sample
-// chunk (1<<14) so the multi-chunk path actually splits.
+// GOMAXPROCS 1, 2 and 8. Sizes are chosen to exceed one sample chunk
+// (1<<14) so the multi-chunk path actually splits, and the RGG's grid to
+// have more cell rows than workers, so its row passes split too.
 func TestGeneratorsIndependentOfWorkerCount(t *testing.T) {
+	if c := rggCells(20000, RGGRadiusForDegree(20000, 8)); c <= 8 {
+		t.Fatalf("RGG case has %d cell rows, want more than 8", c)
+	}
 	cases := []struct {
 		name string
 		f    func() *graph.CSR
@@ -29,22 +33,10 @@ func TestGeneratorsIndependentOfWorkerCount(t *testing.T) {
 		return f()
 	}
 	for _, tc := range cases {
-		a := at(1, tc.f)
-		b := at(8, tc.f)
-		if a.NumVertices() != b.NumVertices() || a.NumArcs() != b.NumArcs() {
-			t.Errorf("%s: sizes differ across worker counts: %d/%d arcs", tc.name, a.NumArcs(), b.NumArcs())
-			continue
-		}
-		for i := range a.Offsets {
-			if a.Offsets[i] != b.Offsets[i] {
-				t.Errorf("%s: offsets differ across worker counts", tc.name)
-				break
-			}
-		}
-		for i := range a.Adj {
-			if a.Adj[i] != b.Adj[i] || a.Weights[i] != b.Weights[i] {
-				t.Errorf("%s: graph differs across worker counts at arc %d", tc.name, i)
-				break
+		ref := at(1, tc.f)
+		for _, procs := range []int{2, 8} {
+			if d := csrDiff(ref, at(procs, tc.f)); d != "" {
+				t.Errorf("%s: GOMAXPROCS 1 vs %d: %s", tc.name, procs, d)
 			}
 		}
 	}

@@ -25,12 +25,14 @@
 // fanned out over workers. However the chunks land on workers, chunk c
 // always produces the same samples, so the edge multiset — and through
 // the canonicalizing CSR builder, the graph — is a pure function of
-// (params, seed).
+// (params, seed). The RGG writes its CSR rows itself, each at a
+// position fixed by the vertex id.
 package gen
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -90,11 +92,19 @@ func uniformWeight(s *rng.Stream) float64 {
 	return 100 * (1 - s.Float64())
 }
 
-// pairWeight is the pure-function form of uniformWeight for edges
-// discovered in parallel (RGG): the weight of edge {u,v} under seed,
-// independent of discovery order. Still in (0, 100].
-func pairWeight(seed int64, salt uint64, u, v int) float64 {
-	return 100 * (1 - rng.U01(rng.Derive(uint64(seed), salt, uint64(u), uint64(v))))
+// pairKey is the per-vertex prefix of an RGG edge weight. The weight of
+// edge {u,v}, u < v, is 100·(1 − U01(Derive(seed, saltRGGWeight, u, v))),
+// and Derive folds one value per step as acc = Mix(Mix(acc) ^ v), so all
+// but the last Mix depends on u alone: folded once per vertex here, it
+// leaves one Mix per arc (arcWeight).
+func pairKey(seed int64, u int32) uint64 {
+	return rng.Mix(rng.Derive(uint64(seed), saltRGGWeight, uint64(u)))
+}
+
+// arcWeight is the weight of RGG edge {u,v}, u < v, given key =
+// pairKey(seed, u): a pure function of (seed, u, v), in (0, 100].
+func arcWeight(key uint64, v int32) float64 {
+	return 100 * (1 - rng.U01(rng.Mix(key^uint64(v))))
 }
 
 // RGG generates a random geometric graph: n points uniform in the unit
@@ -105,125 +115,211 @@ func pairWeight(seed int64, salt uint64, u, v int) float64 {
 // adjacent strips — the property the paper's distributed RGG generator
 // guarantees.
 //
-// Points are sampled per chunk, neighbor search runs over a flat
-// counting-sorted cell grid, and edge discovery fans out over vertex
-// spans with pure per-pair weights — the discovered multiset is
-// worker-count independent even though per-span buffers are
-// concatenated in span order.
+// Points are sampled per chunk and sorted by x (sortByX); a cell grid
+// then writes the CSR rows directly (rggGrid.build), with no edge list
+// and no builder: the edge set is duplicate-free and symmetric by
+// construction, so sorted rows are exactly what graph.Builder would
+// make of it.
 func RGG(n int, radius float64, seed int64) *graph.CSR {
 	if radius <= 0 || radius > 1 {
 		panic(fmt.Sprintf("gen: RGG radius %g out of (0,1]", radius))
 	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
+	pts := make([]point, n)
 	forChunks(n, func(c, lo, hi int) {
 		s := chunkStream(seed, saltRGGPoint, c)
 		for i := lo; i < hi; i++ {
-			xs[i] = s.Float64()
-			ys[i] = s.Float64()
+			pts[i].x = s.Float64()
+			pts[i].y = s.Float64()
 		}
 	})
-	sort.Sort(&pointSorter{xs, ys})
+	return newRGGGrid(sortByX(pts), rggCells(n, radius), seed).build(radius)
+}
 
-	// Flat cell grid for O(n) expected neighbor search. Cell width is
-	// 1/cells >= radius (so 3x3 neighborhoods suffice); cells is capped
-	// near sqrt(n) to keep the grid O(n) even for tiny radii.
-	cells := int(1 / radius)
-	if cap := int(math.Sqrt(float64(n))) + 1; cells > cap {
-		cells = cap
+// point is one RGG sample in the unit square.
+type point struct{ x, y float64 }
+
+// sortByX returns pts ordered by x, ties in input (draw) order: a stable
+// counting sort into n/64+1 equal-width x buckets — x is uniform, so a
+// bucket holds ~64 points — then an insertion sort of each bucket, the
+// buckets fanned out in parallel. The bucket index is monotone in x, so
+// bucket order is x order and equal xs share a bucket.
+func sortByX(pts []point) []point {
+	nb := len(pts)/64 + 1
+	bucket := func(x float64) int { return min(int(x*float64(nb)), nb-1) }
+	off := make([]int32, nb+1)
+	for _, p := range pts {
+		off[bucket(p.x)+1]++
 	}
-	if cells < 1 {
-		cells = 1
+	for b := 0; b < nb; b++ {
+		off[b+1] += off[b]
 	}
-	cellOf := func(i int) int {
-		cx := int(xs[i] * float64(cells))
-		cy := int(ys[i] * float64(cells))
-		if cx >= cells {
-			cx = cells - 1
+	next := slices.Clone(off[:nb])
+	out := make([]point, len(pts))
+	for _, p := range pts {
+		b := bucket(p.x)
+		out[next[b]] = p
+		next[b]++
+	}
+	par.Ranges(nb, 256, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			s := out[off[b]:off[b+1]]
+			for i := 1; i < len(s); i++ {
+				p, j := s[i], i
+				for ; j > 0 && s[j-1].x > p.x; j-- {
+					s[j] = s[j-1]
+				}
+				s[j] = p
+			}
 		}
-		if cy >= cells {
-			cy = cells - 1
-		}
-		return cy*cells + cx
+	})
+	return out
+}
+
+// rggCells is the side of the RGG's square cell grid: cell width 1/cells
+// is at least radius, so a point's neighbours lie in its 3x3 block of
+// cells, and cells is capped near sqrt(n) to keep the grid O(n) even for
+// tiny radii.
+func rggCells(n int, radius float64) int {
+	return max(min(int(1/radius), int(math.Sqrt(float64(n)))+1), 1)
+}
+
+// rggGrid is the x-sorted points binned into a cells×cells grid, column
+// by column (cell id cx*cells+cy), with each point's coordinates, vertex
+// id and weight key copied in cell order (ascending id within a cell).
+// Cells cy-1..cy+1 of one column have consecutive cell ids, so a
+// neighbourhood scan reads three contiguous runs of slots; and since
+// vertex ids ascend with x, a column's points hold one contiguous id
+// range, so a span of columns writes one contiguous stretch of rows.
+type rggGrid struct {
+	cells int
+	off   []int32  // slots of cell c: [off[c], off[c+1])
+	pt    []point  // per slot
+	id    []int32  // per slot: the point's vertex id
+	key   []uint64 // per slot: pairKey of that id
+}
+
+func newRGGGrid(pts []point, cells int, seed int64) *rggGrid {
+	cellOf := func(p point) int32 {
+		cx := min(int(p.x*float64(cells)), cells-1)
+		cy := min(int(p.y*float64(cells)), cells-1)
+		return int32(cx*cells + cy)
 	}
-	// Counting-sort the point indices by cell (stable: ascending point id
-	// within each cell), replacing the old map-of-slices binning.
-	ncell := cells * cells
-	cell := make([]int32, n)
+	n, ncell := len(pts), cells*cells
 	off := make([]int32, ncell+1)
-	for i := 0; i < n; i++ {
-		cid := cellOf(i)
-		cell[i] = int32(cid)
-		off[cid+1]++
+	for _, p := range pts {
+		off[cellOf(p)+1]++
 	}
 	for c := 0; c < ncell; c++ {
 		off[c+1] += off[c]
 	}
-	binIdx := make([]int32, n)
-	cursor := make([]int32, ncell)
-	copy(cursor, off[:ncell])
-	for i := 0; i < n; i++ {
-		c := cell[i]
-		binIdx[cursor[c]] = int32(i)
-		cursor[c]++
+	g := &rggGrid{cells: cells, off: off, pt: make([]point, n), id: make([]int32, n), key: make([]uint64, n)}
+	next := slices.Clone(off[:ncell])
+	for v, p := range pts {
+		c := cellOf(p)
+		k := next[c]
+		next[c]++
+		g.pt[k], g.id[k] = p, int32(v)
 	}
+	par.Ranges(n, 4096, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			g.key[k] = pairKey(seed, g.id[k])
+		}
+	})
+	return g
+}
 
-	// Parallel edge discovery over vertex spans. Weights are a pure
-	// function of (seed, i, j), so the multiset is span-independent; the
-	// builder canonicalizes away the concatenation order.
-	r2 := radius * radius
-	spans := par.Split(n, 2048)
-	bufs := make([][]graph.Edge, len(spans))
-	par.Do(spans, func(si, lo, hi int) {
-		var buf []graph.Edge
-		for i := lo; i < hi; i++ {
-			cx, cy := int(cell[i])%cells, int(cell[i])/cells
-			for dy := -1; dy <= 1; dy++ {
-				ny := cy + dy
-				if ny < 0 || ny >= cells {
-					continue
+// scan calls visit for every slot p in the cell columns of each span,
+// spans in parallel, with the slot runs of p's 3x3 cell neighbourhood
+// (one run per neighbouring column, p's own slot included).
+func (g *rggGrid) scan(spans [][2]int, visit func(p int32, rs [3][2]int32, nr int)) {
+	par.Do(spans, func(_, lo, hi int) {
+		for cx := lo; cx < hi; cx++ {
+			x0, x1 := max(cx-1, 0), min(cx+1, g.cells-1)
+			for cy := 0; cy < g.cells; cy++ {
+				y0, y1 := max(cy-1, 0), min(cy+1, g.cells-1)
+				var rs [3][2]int32
+				nr := 0
+				for nx := x0; nx <= x1; nx++ {
+					rs[nr] = [2]int32{g.off[nx*g.cells+y0], g.off[nx*g.cells+y1+1]}
+					nr++
 				}
-				for dx := -1; dx <= 1; dx++ {
-					nx := cx + dx
-					if nx < 0 || nx >= cells {
-						continue
-					}
-					cid := ny*cells + nx
-					for _, j32 := range binIdx[off[cid]:off[cid+1]] {
-						j := int(j32)
-						if j <= i {
-							continue
-						}
-						ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
-						if ddx*ddx+ddy*ddy <= r2 {
-							buf = append(buf, graph.Edge{U: i, V: j, W: pairWeight(seed, saltRGGWeight, i, j)})
-						}
-					}
+				c := cx*g.cells + cy
+				for p := g.off[c]; p < g.off[c+1]; p++ {
+					visit(p, rs, nr)
 				}
 			}
 		}
-		bufs[si] = buf
 	})
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	edges := make([]graph.Edge, 0, total)
-	for _, b := range bufs {
-		edges = append(edges, b...)
-	}
-	b := graph.NewBuilder(n)
-	b.UseEdges(edges)
-	return b.Build()
 }
 
-type pointSorter struct{ xs, ys []float64 }
-
-func (p *pointSorter) Len() int           { return len(p.xs) }
-func (p *pointSorter) Less(i, j int) bool { return p.xs[i] < p.xs[j] }
-func (p *pointSorter) Swap(i, j int) {
-	p.xs[i], p.xs[j] = p.xs[j], p.xs[i]
-	p.ys[i], p.ys[j] = p.ys[j], p.ys[i]
+// build writes the CSR in two passes over cell-column spans: the first
+// counts each vertex's in-radius neighbours into Offsets, the second has
+// each vertex fill only its own row, insertion-sorted by neighbour id.
+// Every write lands at a position fixed by the vertex id, so the graph
+// is independent of the span split, and a−b = −(b−a) exactly, so both
+// ends of a pair agree on its distance.
+func (g *rggGrid) build(radius float64) *graph.CSR {
+	r2 := radius * radius
+	n := len(g.pt)
+	csr := &graph.CSR{Offsets: make([]int64, n+1)}
+	spans := par.Split(g.cells, 1)
+	g.scan(spans, func(p int32, rs [3][2]int32, nr int) {
+		pp, d := g.pt[p], int64(-1) // the scan meets p itself
+		for _, r := range rs[:nr] {
+			for _, qp := range g.pt[r[0]:r[1]] {
+				ddx, ddy := pp.x-qp.x, pp.y-qp.y
+				if ddx*ddx+ddy*ddy <= r2 {
+					d++
+				}
+			}
+		}
+		csr.Offsets[g.id[p]+1] = d
+	})
+	for v := 0; v < n; v++ {
+		csr.Offsets[v+1] += csr.Offsets[v]
+	}
+	adj := make([]int32, csr.Offsets[n])
+	wts := make([]float64, csr.Offsets[n])
+	g.scan(spans, func(p int32, rs [3][2]int32, nr int) {
+		pp, u := g.pt[p], g.id[p]
+		start := csr.Offsets[u]
+		end := start
+		// Candidates are screened into hit 64 at a time without a branch:
+		// the in-radius test is a near coin flip that a branch mispredicts.
+		var hit [64]int32
+		for _, r := range rs[:nr] {
+			for lo := r[0]; lo < r[1]; lo += int32(len(hit)) {
+				k := 0
+				for q := lo; q < min(lo+int32(len(hit)), r[1]); q++ {
+					ddx, ddy := pp.x-g.pt[q].x, pp.y-g.pt[q].y
+					hit[k] = q
+					if ddx*ddx+ddy*ddy <= r2 {
+						k++
+					}
+				}
+				for _, q := range hit[:k] {
+					if q == p {
+						continue
+					}
+					v := g.id[q]
+					var w float64
+					if u < v {
+						w = arcWeight(g.key[p], v)
+					} else {
+						w = arcWeight(g.key[q], u)
+					}
+					j := end
+					for ; j > start && adj[j-1] > v; j-- {
+						adj[j], wts[j] = adj[j-1], wts[j-1]
+					}
+					adj[j], wts[j] = v, w
+					end++
+				}
+			}
+		}
+	})
+	csr.Adj, csr.Weights = adj, wts
+	return csr
 }
 
 // RGGRadiusForDegree returns the radius giving expected average degree d

@@ -104,31 +104,6 @@ func DefaultCostModel() *CostModel {
 	}
 }
 
-// Scale returns a copy of the model with every parameter multiplied by f.
-// Useful for sensitivity sweeps in the ablation benchmarks.
-func (m *CostModel) Scale(f float64) *CostModel {
-	out := *m
-	out.AlphaP2P *= f
-	out.BetaP2P *= f
-	out.SendOverhead *= f
-	out.RecvOverhead *= f
-	out.ProbeOverhead *= f
-	out.SyncSendRTT *= f
-	out.AlphaColl *= f
-	out.BetaColl *= f
-	out.AlphaNbrCall *= f
-	out.AlphaNbrStart *= f
-	out.AlphaNbr *= f
-	out.BetaNbr *= f
-	out.PackOverhead *= f
-	out.AlphaPut *= f
-	out.BetaPut *= f
-	out.AlphaFlush *= f
-	out.FlushPerTarget *= f
-	out.ComputePerUnit *= f
-	return &out
-}
-
 // log2Ceil returns ceil(log2(n)) for n >= 1.
 func log2Ceil(n int) int {
 	if n <= 1 {

@@ -16,17 +16,6 @@ func TestDefaultCostModelValid(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	m := DefaultCostModel()
-	s := m.Scale(2)
-	if s.AlphaP2P != 2*m.AlphaP2P || s.ComputePerUnit != 2*m.ComputePerUnit {
-		t.Errorf("Scale(2) did not double parameters")
-	}
-	if m.AlphaP2P == s.AlphaP2P {
-		t.Error("Scale must not mutate the receiver")
-	}
-}
-
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 1025: 11}
 	for n, want := range cases {

@@ -28,7 +28,7 @@ var surfaceAllow = map[string]bool{
 // by a bare identifier inside this package or by an mpi.Name selector in
 // a file that imports it; a method by any .Name selector in this package
 // or in a file that imports it. A method whose name some other type also
-// uses in such a file (Wait, Scale) can therefore slip through; a name
+// uses in such a file (Wait, say) can therefore slip through; a name
 // nobody writes cannot.
 func TestExportedSurfaceIsCalled(t *testing.T) {
 	root := filepath.Join("..", "..")
