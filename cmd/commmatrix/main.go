@@ -70,9 +70,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "commmatrix: %d ranks out of range (want 2..%d)\n", *p, 1<<20)
 		return 2
 	}
+	// Every usage error is reported before the graph is loaded or built;
+	// the generators panic on out-of-range parameters.
+	m, err := transport.ParseModel(*model)
+	if err != nil {
+		fmt.Fprintln(stderr, "commmatrix:", err)
+		return 2
+	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "commmatrix: -n %d must be positive\n", *n)
+		return 2
+	}
 
 	var g *graph.CSR
-	var err error
 	if *in != "" {
 		g, err = graph.LoadFile(*in)
 		if err != nil {
@@ -82,11 +92,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		switch *family {
 		case "rmat":
+			// Vertex ids are int32, so 2^30 vertices is the largest power of two.
+			if *scale < 0 || *scale > 30 {
+				fmt.Fprintf(stderr, "commmatrix: -scale %d out of range [0,30]\n", *scale)
+				return 2
+			}
 			g = gen.Graph500(*scale, *seed)
 		case "social":
 			g = gen.Social(*n, 10, *seed)
 		case "sbp":
-			g = gen.SBP(*n, *n/150, 12, 0.55, *seed)
+			g = gen.SBP(*n, max(1, *n/150), 12, 0.55, *seed)
 		default:
 			fmt.Fprintf(stderr, "commmatrix: unknown -family %q (want rmat, social or sbp)\n", *family)
 			return 2
@@ -95,11 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, "graph:", g.Summary())
 
 	if *app == "matching" || *app == "both" {
-		m, err := transport.ParseModel(*model)
-		if err != nil {
-			fmt.Fprintln(stderr, "commmatrix:", err)
-			return 2
-		}
 		opt := matching.Options{Procs: *p, Model: m, TrackMatrices: true, Deadline: 10 * time.Minute}
 		if *timeline {
 			opt.TraceEvents = timelineEvents

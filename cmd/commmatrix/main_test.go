@@ -25,6 +25,12 @@ func TestUsageErrors(t *testing.T) {
 		{"ranks too small", []string{"-family", "rmat", "-scale", "8", "-ranks", "1"}},
 		{"ranks too large", []string{"-family", "rmat", "-scale", "8", "-ranks", "2097152"}},
 		{"p too small", []string{"-family", "rmat", "-scale", "8", "-p", "0"}},
+		{"rmat scale negative", []string{"-family", "rmat", "-scale", "-1"}},
+		{"rmat scale too large", []string{"-scale", "40"}},
+		{"n negative", []string{"-family", "social", "-n", "-5"}},
+		{"n zero", []string{"-n", "0", "-app", "bfs"}},
+		// A missing input would exit 1: the model is checked first.
+		{"model before input", []string{"-in", "/no/such/graph.csr", "-model", "bogus"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if code, _, errb := runCLI(t, tc.args...); code != 2 {
@@ -81,6 +87,14 @@ func TestDensityPlotEndToEnd(t *testing.T) {
 	}
 	if plotRows != 3 {
 		t.Errorf("found %d density rows, want 3:\n%s", plotRows, out)
+	}
+}
+
+// TestSmallSBPClampsBlocks: below 150 vertices n/150 is zero blocks,
+// which the generator rejects; the CLI clamps to one block instead.
+func TestSmallSBPClampsBlocks(t *testing.T) {
+	if code, out, errb := runCLI(t, "-family", "sbp", "-n", "100", "-p", "2"); code != 0 || !strings.Contains(out, "|V|=100") {
+		t.Fatalf("exit %d, stderr %q, stdout:\n%s", code, errb, out)
 	}
 }
 

@@ -186,15 +186,15 @@ type collHub struct {
 	ideps     [2][][]int64
 	idepsOnce sync.Once
 
-	// adeps is the untyped publication slot set used by WinCreate and
-	// Split. It is deliberately single-buffered: unlike the typed slots,
-	// its writers are mid-phase republishes into the writer's own slot
-	// (see WinCreate), which must remain visible across the next
-	// barrier regardless of parity. That is safe because no two
-	// adjacent rounds both touch adeps — every adeps rendezvous is
-	// preceded by an id-allocation collective that doesn't — so a
-	// deposit can never race the previous round's reads. Keep that
-	// invariant when adding adeps users.
+	// adeps is the untyped publication slot set used by WinCreate. It is
+	// deliberately single-buffered: unlike the typed slots, its writers
+	// are mid-phase republishes into the writer's own slot (see
+	// WinCreate), which must remain visible across the next barrier
+	// regardless of parity. That is safe because no two adjacent rounds
+	// both touch adeps — every adeps rendezvous is preceded by an
+	// id-allocation collective that doesn't — so a deposit can never
+	// race the previous round's reads. Keep that invariant when adding
+	// adeps users.
 	adeps     []any
 	adepsOnce sync.Once
 }
@@ -399,7 +399,7 @@ func (h *collHub) awaitFold(t *task, rank int, now float64, kind foldKind, op Re
 // advance before this rank itself deposits.
 func (c *Comm) enterColl(dep func(h *collHub, p int)) (*collHub, int, float64, int) {
 	c.ps.collStart = c.ps.now
-	h := c.hub
+	h := c.w.hub
 	p := int(h.gen.Load() & 1)
 	if dep != nil {
 		dep(h, p)
@@ -414,12 +414,8 @@ func (c *Comm) enterColl(dep func(h *collHub, p int)) (*collHub, int, float64, i
 // barrier — parity double-buffering (see collHub) makes the read phase
 // race-free without one.
 func (c *Comm) exitColl(tmax float64, last int, bytes int64) {
-	end := tmax + c.w.cost.collCost(c.size(), bytes)
-	cause := -1
-	if last >= 0 {
-		cause = c.worldRank(last)
-	}
-	c.waitFor(end, WaitCollective, cause, tmax)
+	end := tmax + c.w.cost.collCost(c.w.n, bytes)
+	c.waitFor(end, WaitCollective, last, tmax)
 	c.ps.rs.CollCount++
 	c.event(EvColl, -1, -1, bytes, c.ps.collStart)
 }
@@ -437,7 +433,7 @@ func (c *Comm) Barrier() {
 // communicator size.
 func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 {
 	c.ps.collStart = c.ps.now
-	h := c.hub
+	h := c.w.hub
 	p := h.gen.Load() & 1
 	tmax, last := h.awaitFold(c.ps.task, c.rank, c.ps.now, foldVec, op, 0, in)
 	out := append([]int64(nil), h.vredOut[p]...)
@@ -454,7 +450,7 @@ func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 {
 // steady-state hot path.
 func (c *Comm) AllreduceScalarInt64(op ReduceOp, v int64) int64 {
 	c.ps.collStart = c.ps.now
-	h := c.hub
+	h := c.w.hub
 	p := h.gen.Load() & 1
 	tmax, last := h.awaitFold(c.ps.task, c.rank, c.ps.now, foldScalar, op, v, nil)
 	out := h.redOut[p]
@@ -471,8 +467,8 @@ func (c *Comm) AllgatherInt64(mine []int64) [][]int64 {
 		h.ideps[p][c.rank] = mine
 	})
 	deps := h.ideps[p]
-	out := make([][]int64, c.size())
-	for r := 0; r < c.size(); r++ {
+	out := make([][]int64, c.w.n)
+	for r := range out {
 		out[r] = append([]int64(nil), deps[r]...)
 	}
 	c.exitColl(tmax, last, int64(8*len(mine)))

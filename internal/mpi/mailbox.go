@@ -13,7 +13,7 @@ import (
 // dequeues.
 //
 // Messages are bucketed by source. A bucket holds one FIFO ring per
-// communicator for user-level messages and one FIFO ring for
+// message context for user-level messages and one FIFO ring for
 // runtime-internal traffic (neighborhood collective chunks, RMA
 // control), each in the order its single sender pushed it. A receive or
 // probe names (source, tag): AnyTag is the front of that source's ring,
@@ -31,7 +31,7 @@ import (
 // held in the entry. The (AnySource, AnyTag) match every application
 // receive in the repository starts with reads the top — O(1), plus
 // O(log sources) to re-key the ring when the front is taken — and every
-// other AnySource shape (an exact tag, a second communicator's ring on
+// other AnySource shape (an exact tag, a second context's ring on
 // top, perturbed tie selection) walks the same array, one candidate per
 // ring, and takes the same (arrival, source) minimum (see
 // matchUserLocked).
@@ -75,10 +75,10 @@ const spillRetainWords = 1024
 // traffic (neighborhood collectives, RMA control) which is invisible to
 // user-level Recv/Probe.
 type message struct {
-	src    int // sender's rank within the sending communicator
+	src    int // sender's rank
 	tag    int
 	itag   int64
-	mctx   int32 // communicator id (user-level traffic only)
+	mctx   int32 // message context id (user-level traffic only)
 	data   []int64
 	bytes  int64
 	arrive float64 // virtual arrival time at the receiver

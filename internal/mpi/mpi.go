@@ -123,21 +123,9 @@ type World struct {
 	// pool is the worker pool in SchedWorkers mode, nil in SchedDirect.
 	pool *workerPool
 
-	// hubs registers every collective hub in the world — the world hub
-	// plus any sub-communicator hubs created by Split — so poison can
-	// flag them all before the wakeup sweep. Guarded by hubMu (Split may
-	// run concurrently on several ranks).
-	hubMu sync.Mutex
-	hubs  []*collHub
-
-	topoMu  sync.Mutex
-	topoSeq int
-
-	winMu  sync.Mutex
-	winSeq int
-
-	ctxMu  sync.Mutex
-	ctxSeq int32
+	// idSeq is the last id newID handed out. Only rank 0 draws, so the
+	// single-goroutine discipline of a rank body guards it.
+	idSeq int64
 }
 
 // procState is the per-process (per-goroutine) mutable state shared by
@@ -167,35 +155,16 @@ type procState struct {
 	collStart float64
 }
 
-// Comm is a rank's handle to a communicator. Exactly one goroutine (the
-// rank body) may use a given Comm; a process may hold several Comms
-// (the world plus any produced by Split), all sharing one clock and
-// ledger. All communication, timing and statistics methods hang off
-// Comm.
+// Comm is a rank's handle to the world communicator. Exactly one
+// goroutine (the rank body) may use a given Comm; a process may hold
+// several (the world plus each termination detector's copy on a private
+// message context), all sharing one clock and ledger. All communication,
+// timing and statistics methods hang off Comm.
 type Comm struct {
-	w     *World
-	wrank int   // rank in the world (mailbox / ledger index)
-	rank  int   // rank within this communicator
-	group []int // comm rank -> world rank; nil for the world communicator
-	hub   *collHub
-	ctx   int32 // communicator id isolating point-to-point traffic
-	ps    *procState
-}
-
-// size returns the number of ranks in this communicator.
-func (c *Comm) size() int {
-	if c.group == nil {
-		return c.w.n
-	}
-	return len(c.group)
-}
-
-// worldRank translates a rank of this communicator to a world rank.
-func (c *Comm) worldRank(r int) int {
-	if c.group == nil {
-		return r
-	}
-	return c.group[r]
+	w    *World
+	rank int
+	ctx  int32 // message context isolating point-to-point traffic
+	ps   *procState
 }
 
 // Report summarizes a completed run.
@@ -345,7 +314,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		tasks:     ws.tasks,
 		stats:     make([]*RankStats, cfg.Procs),
 	}
-	w.hubs = append(w.hubs, ws.hub)
 	mode := resolveSched(cfg.Sched, cfg.Procs)
 	if mode == SchedWorkers {
 		w.pool = newWorkerPool(workerCount(cfg.Procs))
@@ -406,7 +374,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 				mb.pert = ps.pert
 			}
 		}
-		*comms[r] = Comm{w: w, wrank: r, rank: r, hub: w.hub, ps: ps}
+		*comms[r] = Comm{w: w, rank: r, ps: ps}
 	}
 	for r := 0; r < cfg.Procs; r++ {
 		t := ws.tasks[r]
@@ -433,7 +401,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 					buf := make([]byte, 16<<10)
 					buf = buf[:runtime.Stack(buf, false)]
 					errMu.Lock()
-					errs = append(errs, fmt.Errorf("rank %d panicked: %v\n%s", c.wrank, p, buf))
+					errs = append(errs, fmt.Errorf("rank %d panicked: %v\n%s", c.rank, p, buf))
 					errMu.Unlock()
 					// Unblock peers that may be blocked waiting anywhere.
 					w.poison()
@@ -441,7 +409,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 			}()
 			if err := body(c); err != nil {
 				errMu.Lock()
-				errs = append(errs, fmt.Errorf("rank %d: %w", c.wrank, err))
+				errs = append(errs, fmt.Errorf("rank %d: %w", c.rank, err))
 				errMu.Unlock()
 				// A failed rank will never send or deposit again, so any
 				// peer waiting on it would block forever and an undeadlined
@@ -536,12 +504,11 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 	return rep, nil
 }
 
-// Rank returns this process's rank within this communicator, in
-// [0, Size()).
+// Rank returns this process's rank, in [0, Size()).
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in this communicator.
-func (c *Comm) Size() int { return c.size() }
+// Size returns the number of ranks in the world.
+func (c *Comm) Size() int { return c.w.n }
 
 // Now returns this rank's current virtual clock in seconds.
 func (c *Comm) Now() float64 { return c.ps.now }
@@ -626,10 +593,22 @@ func (c *Comm) waitFor(t float64, class WaitClass, cause int, causeT float64) {
 // waitUntil is waitFor without a known cause (no dependency edge).
 func (c *Comm) waitUntil(t float64) { c.waitFor(t, WaitNone, -1, 0) }
 
-func (c *Comm) mbox() *mailbox { return c.w.mailboxes[c.wrank] }
+func (c *Comm) mbox() *mailbox { return c.w.mailboxes[c.rank] }
 
 func (c *Comm) checkRank(r int, what string) {
-	if r < 0 || r >= c.size() {
-		panic(fmt.Sprintf("mpi: %s: rank %d out of range [0,%d)", what, r, c.size()))
+	if r < 0 || r >= c.w.n {
+		panic(fmt.Sprintf("mpi: %s: rank %d out of range [0,%d)", what, r, c.w.n))
 	}
+}
+
+// newID allocates a world-unique id every rank agrees on, the way
+// topology, window and detector-context creation agree on theirs: rank
+// 0 draws from the world sequence and broadcasts it. Collective.
+func (c *Comm) newID() int64 {
+	var id int64
+	if c.rank == 0 {
+		c.w.idSeq++
+		id = c.w.idSeq
+	}
+	return c.BcastInt64(0, []int64{id})[0]
 }

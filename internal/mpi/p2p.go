@@ -10,20 +10,15 @@ type Status struct {
 }
 
 // poison unblocks every rank in the world after a failure so the run can
-// unwind instead of deadlocking. All poisoned flags — every collective
-// hub's (the world's and any Split sub-communicators') and every
-// mailbox's — are raised first, and only then is every task unparked
-// once. The flag-before-wake order means a rank that is about to park
-// re-checks its predicate under the relevant lock (or atomic) and sees
-// the flag, so no rank can sleep through the teardown; a wakeup landing
-// on a healthy running rank just banks a notification its next park
-// consumes harmlessly.
+// unwind instead of deadlocking. All poisoned flags — the collective
+// hub's and every mailbox's — are raised first, and only then is every
+// task unparked once. The flag-before-wake order means a rank that is
+// about to park re-checks its predicate under the relevant lock (or
+// atomic) and sees the flag, so no rank can sleep through the teardown;
+// a wakeup landing on a healthy running rank just banks a notification
+// its next park consumes harmlessly.
 func (w *World) poison() {
-	w.hubMu.Lock()
-	for _, h := range w.hubs {
-		h.poison()
-	}
-	w.hubMu.Unlock()
+	w.hub.poison()
 	for _, mb := range w.mailboxes {
 		mb.poison()
 	}
@@ -77,9 +72,9 @@ func (c *Comm) send(dst, tag int, data []int64, sync bool) {
 	}
 	m.sent = c.ps.now
 	m.arrive = c.ps.now + c.perturbLatency(cost.AlphaP2P+cost.BetaP2P*float64(m.bytes))
-	c.ps.rs.noteSend(c.worldRank(dst), m.bytes)
-	c.event(EvSend, c.worldRank(dst), tag, m.bytes, start)
-	c.w.mailboxes[c.worldRank(dst)].push(m)
+	c.ps.rs.noteSend(dst, m.bytes)
+	c.event(EvSend, dst, tag, m.bytes, start)
+	c.w.mailboxes[dst].push(m)
 }
 
 // recvMsg blocks until a user-level message matching (src, tag) is
@@ -120,8 +115,7 @@ func (c *Comm) Recv(src, tag int) ([]int64, Status) {
 	start := c.ps.now
 	m := c.recvMsg(src, tag, "recv")
 	if c.ps.ev != nil {
-		// m.src is the sender's rank in this communicator.
-		c.event(EvRecv, c.worldRank(m.src), m.tag, m.bytes, start)
+		c.event(EvRecv, m.src, m.tag, m.bytes, start)
 	}
 	out := append([]int64(nil), m.data...)
 	st := Status{Source: m.src, Tag: m.tag, Count: len(out)}
@@ -146,8 +140,7 @@ func (c *Comm) RecvInto(src, tag int, buf []int64) (int, Status) {
 // dequeued and its receive-side timing applied.
 func (c *Comm) deliverInto(m *message, buf []int64, start float64) (int, Status) {
 	if c.ps.ev != nil {
-		// m.src is the sender's rank in this communicator.
-		c.event(EvRecv, c.worldRank(m.src), m.tag, m.bytes, start)
+		c.event(EvRecv, m.src, m.tag, m.bytes, start)
 	}
 	if len(m.data) > len(buf) {
 		defer m.release()
@@ -216,7 +209,7 @@ func (c *Comm) iprobe(src, tag int, remove bool) *message {
 	}
 	c.ps.pollMisses = 0
 	if c.ps.ev != nil {
-		c.event(EvProbe, c.worldRank(m.src), m.tag, m.bytes, start)
+		c.event(EvProbe, m.src, m.tag, m.bytes, start)
 	}
 	return m
 }
@@ -248,9 +241,9 @@ func (c *Comm) Probe(src, tag int) Status {
 	mb.mu.Unlock()
 	// A blocking probe stalled on an in-flight message is a late-sender
 	// wait just like the receive that will follow it.
-	c.waitFor(m.arrive, WaitLateSender, c.worldRank(m.src), m.sent)
+	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
 	if c.ps.ev != nil {
-		c.event(EvProbe, c.worldRank(m.src), m.tag, m.bytes, start)
+		c.event(EvProbe, m.src, m.tag, m.bytes, start)
 	}
 	return Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
 }
@@ -258,7 +251,7 @@ func (c *Comm) Probe(src, tag int) Status {
 // completeRecv applies receive-side timing and accounting for m.
 func (c *Comm) completeRecv(m *message) {
 	rs := c.ps.rs
-	c.waitFor(m.arrive, WaitLateSender, c.worldRank(m.src), m.sent)
+	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
 	c.chargeComm(c.w.cost.RecvOverhead)
 	rs.RecvCount++
 	rs.RecvBytes += m.bytes
@@ -273,7 +266,7 @@ func (c *Comm) internalSend(dst int, itag int64, data []int64, latency float64) 
 	m := newMessage(c.rank, 0, itag, 0, data)
 	m.sent = c.ps.now
 	m.arrive = c.ps.now + c.perturbLatency(latency)
-	c.w.mailboxes[c.worldRank(dst)].push(m)
+	c.w.mailboxes[dst].push(m)
 }
 
 // internalRecvMsg blocks for an internal message from src with the exact
@@ -294,7 +287,7 @@ func (c *Comm) internalRecvMsg(src int, itag int64) *message {
 		mb.parkLocked(c.ps.task)
 	}
 	mb.mu.Unlock()
-	c.waitFor(m.arrive, WaitNbrExchange, c.worldRank(m.src), m.sent)
+	c.waitFor(m.arrive, WaitNbrExchange, m.src, m.sent)
 	return m
 }
 

@@ -359,10 +359,10 @@ func TestDeadlineNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// matchedRecvRun pre-queues traffic on two communicators (the second one
-// numbers the ranks in reverse, so its rings share buckets with other
-// sources' world traffic), fences, and has every rank drain its mailbox
-// through a rotation of wildcard, exact-tag and named-source polls —
+// matchedRecvRun pre-queues traffic on two message contexts (the world's
+// and a termination detector's private one, so every source has a ring
+// on each context in one bucket), fences, and has every rank drain its
+// mailbox through a rotation of wildcard, exact-tag and named-source polls —
 // either with IprobeRecvInto (matched) or with Iprobe followed by RecvInto
 // of the probed (source, tag). It returns the report and, per rank, what
 // was received in what order, the poll-miss counter, and a sample of the
@@ -377,14 +377,15 @@ func matchedRecvRun(t *testing.T, matched bool, mode SchedMode, seed uint64, pro
 	}
 	rep, err := Run(p, func(c *Comm) error {
 		me := c.Rank()
-		sub := c.Split(0, p-1-me)
+		sub := NewQuiesce(c).tok
 		for k := 0; k < per; k++ {
 			for d := 0; d < p; d++ {
-				if d != me {
-					c.Isend(d, k%3, []int64{int64(me), int64(k), 7}[:1+k%3])
+				if d == me {
+					continue
 				}
-				if k%2 == 0 && d != sub.Rank() {
-					sub.Isend(d, 5+k%4, []int64{int64(sub.Rank()), int64(k)})
+				c.Isend(d, k%3, []int64{int64(me), int64(k), 7}[:1+k%3])
+				if k%2 == 0 {
+					sub.Isend(d, 5+k%4, []int64{int64(me), int64(k)})
 				}
 			}
 		}
@@ -395,7 +396,7 @@ func matchedRecvRun(t *testing.T, matched bool, mode SchedMode, seed uint64, pro
 		}{
 			{c, AnySource, AnyTag},
 			{c, AnySource, 1},
-			{sub, (sub.Rank() + 1) % p, AnyTag},
+			{sub, (me + 2) % p, AnyTag},
 			{sub, AnySource, AnyTag},
 			{c, (me + 1) % p, AnyTag},
 		}

@@ -14,11 +14,12 @@ import (
 // locally, so the runtime provides Safra's token-ring algorithm (EWD
 // 998) as a reusable detector.
 //
-// The detector rides on a private communicator obtained with Split —
-// the same trick real MPI libraries use (MPI_Comm_dup) to keep library
-// traffic out of the application's tag space, which matters doubly here
-// because the application side of an asynchronous engine receives with
-// (AnySource, AnyTag) wildcards that would otherwise swallow the token.
+// The detector's messages travel on a copy of the application's Comm
+// with a private message context — what real MPI libraries get from
+// MPI_Comm_dup to keep library traffic out of the application's tag
+// space. That matters doubly here, because the application side of an
+// asynchronous engine receives with (AnySource, AnyTag) wildcards that
+// would otherwise swallow the token.
 //
 // Algorithm (token forwarded rank 0 -> 1 -> ... -> p-1 -> 0):
 //
@@ -46,7 +47,7 @@ import (
 // Quiesce) are never forced to miss, so a quiescent system is always
 // detected after at most two further circuits: guaranteed progress.
 
-// Detector messages travel on the private communicator under these tags.
+// Detector messages travel on the private context under these tags.
 const (
 	quiesceTokenTag = 0 // payload: {accumulated deficit, token color}
 	quiesceTermTag  = 1 // payload: {detection instant, as float bits}
@@ -68,7 +69,7 @@ const (
 // rank sleeping on the token would stall the ring.
 type Quiesce struct {
 	app  *Comm // application communicator being monitored
-	tok  *Comm // private detector communicator (nil when p == 1)
+	tok  *Comm // app on the detector's private context (nil when p == 1)
 	p    int
 	rank int
 	prev int // ring predecessor (tokens arrive from it)
@@ -89,12 +90,14 @@ type Quiesce struct {
 }
 
 // NewQuiesce builds a detector over c. The call is collective: it
-// splits a private communicator for the detector's traffic (no-op in a
-// single-rank world, where quiescence is a local condition).
+// allocates a private message context for the detector's traffic (no-op
+// in a single-rank world, where quiescence is a local condition).
 func NewQuiesce(c *Comm) *Quiesce {
 	q := &Quiesce{app: c, p: c.Size(), rank: c.Rank(), detectedAt: -1}
 	if q.p > 1 {
-		q.tok = c.Split(0, c.Rank())
+		tok := *c
+		tok.ctx = int32(c.newID())
+		q.tok = &tok
 		q.prev = (q.rank + q.p - 1) % q.p
 		q.next = (q.rank + 1) % q.p
 	}
@@ -190,9 +193,9 @@ func (q *Quiesce) Block() {
 		mb.parkLocked(c.ps.task)
 	}
 	mb.mu.Unlock()
-	c.waitFor(m.arrive, WaitLateSender, c.worldRank(m.src), m.sent)
+	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
 	if c.ps.ev != nil {
-		c.event(EvProbe, c.worldRank(m.src), m.tag, m.bytes, start)
+		c.event(EvProbe, m.src, m.tag, m.bytes, start)
 	}
 }
 

@@ -250,6 +250,107 @@ func TestQuiesceDeterministicInstant(t *testing.T) {
 	}
 }
 
+// TestDetectorContextIsolated: the application sends on the detector's
+// own tag values (0 and 1) and receives with (AnySource, AnyTag) while a
+// detector runs. Only the private context keeps the two apart: the app
+// must receive nothing but its own records, and the detector must still
+// conclude after the last of them.
+func TestDetectorContextIsolated(t *testing.T) {
+	const procs, ttl, magic = 6, 30, 0x5a5a
+	for _, pp := range []struct {
+		name string
+		p    sched.Profile
+	}{{"none", sched.Profile{}}, {"full", sched.Full}} {
+		t.Run(pp.name, func(t *testing.T) {
+			_, err := RunChecked(procs, func(c *Comm) error {
+				r, n := c.Rank(), c.Size()
+				q := NewQuiesce(c)
+				// Every rank starts a ball; each hop forwards it on the tag
+				// of its remaining life's parity until it dies.
+				var buf [2]int64
+				sent, recvd := 1, 0
+				q.NoteSend(1)
+				c.Isend((r+1)%n, ttl%2, []int64{magic, ttl})
+				for {
+					ok, st := c.IprobeRecvInto(AnySource, AnyTag, buf[:])
+					if !ok {
+						if q.Idle() {
+							break
+						}
+						q.Block()
+						continue
+					}
+					if st.Count != 2 || buf[0] != magic || st.Tag != int(buf[1]%2) {
+						return fmt.Errorf("app wildcard received a foreign message: tag %d, %v", st.Tag, buf[:st.Count])
+					}
+					q.NoteRecv(1)
+					recvd++
+					if left := buf[1] - 1; left >= 0 {
+						q.NoteSend(1)
+						sent++
+						c.Isend((r+1+int(left)%(n-1))%n, int(left%2), []int64{magic, left})
+					}
+				}
+				tot := c.AllreduceInt64(OpSum, []int64{int64(sent), int64(recvd)})
+				if want := int64(procs * (ttl + 1)); tot[0] != want || tot[1] != want {
+					return fmt.Errorf("sent %d, received %d at termination, want %d each", tot[0], tot[1], want)
+				}
+				return nil
+			}, WithDeadline(30*time.Second), WithPerturb(0x5eed, pp.p))
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTwoLiveDetectors: two detectors live at once on one world each get
+// their own context. The first watches an application ring, the second
+// nothing; driven interleaved, neither consumes the other's token, the
+// first concludes only after the ring is delivered, every rank agrees on
+// each instant, and no detector message is left behind on either context.
+func TestTwoLiveDetectors(t *testing.T) {
+	for _, mode := range schedModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, err := RunChecked(5, func(c *Comm) error {
+				r, n := c.Rank(), c.Size()
+				q1, q2 := NewQuiesce(c), NewQuiesce(c)
+				if q1.tok.ctx == q2.tok.ctx || q1.tok.ctx == c.ctx || q2.tok.ctx == c.ctx {
+					return fmt.Errorf("contexts not distinct: app %d, detectors %d and %d", c.ctx, q1.tok.ctx, q2.tok.ctx)
+				}
+				q1.NoteSend(1)
+				c.Isend((r+1)%n, 0, []int64{int64(r)})
+				var buf [1]int64
+				recvd := 0
+				for !q1.Done() || !q2.Done() {
+					if ok, _ := c.IprobeRecvInto((r+n-1)%n, 0, buf[:]); ok {
+						q1.NoteRecv(1)
+						recvd++
+					}
+					q2.Idle()
+					if q1.Idle() && recvd != 1 {
+						return errors.New("first detector concluded before the ring arrived")
+					}
+				}
+				c.Barrier() // every TERM relay is queued from here on
+				for i, q := range []*Quiesce{q1, q2} {
+					if ok, st := q.tok.Iprobe(AnySource, AnyTag); ok {
+						return fmt.Errorf("detector %d left a tag-%d message from %d", i+1, st.Tag, st.Source)
+					}
+					mx := c.AllreduceInt64(OpMax, []int64{int64(floatBits(q.detectedAt))})
+					if uint64(mx[0]) != floatBits(q.detectedAt) {
+						return fmt.Errorf("detector %d instant disagrees with max", i+1)
+					}
+				}
+				return nil
+			}, WithScheduler(mode), WithDeadline(30*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestQuiesceTokenCostAccounted: detector traffic is real traffic — it
 // must show up in the run's send statistics, not ride for free.
 func TestQuiesceTokenCostAccounted(t *testing.T) {

@@ -20,9 +20,6 @@ import (
 // applied on delivery under a per-target lock, so conforming access
 // patterns are race-free.
 type Win struct {
-	w     *World
-	id    int64
-	size  int
 	bufs  [][]int64
 	locks []sync.Mutex
 }
@@ -47,31 +44,24 @@ func (c *Comm) WinCreate(localSize int) WinHandle {
 	if localSize < 0 {
 		panic(fmt.Sprintf("mpi: WinCreate: negative size %d", localSize))
 	}
-	var id int64
-	if c.rank == 0 {
-		c.w.winMu.Lock()
-		c.w.winSeq++
-		id = int64(c.w.winSeq)
-		c.w.winMu.Unlock()
-	}
-	id = c.BcastInt64(0, []int64{id})[0]
+	// The window-id agreement of MPI_Win_create. Nothing reads the id,
+	// but the round is part of the modelled cost, and it keeps the adeps
+	// deposit below from racing earlier adeps reads (see the adeps
+	// invariant on collHub).
+	c.newID()
 
 	buf := make([]int64, localSize)
 	c.AccountAlloc(int64(8 * localSize))
 
-	// Share buffer references through the hub. adeps is single-buffered;
-	// the preceding BcastInt64 round keeps this deposit from racing any
-	// earlier adeps reads (see the adeps invariant on collHub).
+	// Share buffer references through the hub.
 	h, _, tmax, last := c.enterColl(func(h *collHub, _ int) {
 		h.ensureAdeps()
 		h.adeps[c.rank] = buf
 	})
 	var win *Win
 	if c.rank == 0 {
-		win = &Win{w: c.w, id: id, size: localSize}
-		win.bufs = make([][]int64, c.size())
-		win.locks = make([]sync.Mutex, c.size())
-		for r := 0; r < c.size(); r++ {
+		win = &Win{bufs: make([][]int64, c.w.n), locks: make([]sync.Mutex, c.w.n)}
+		for r := range win.bufs {
 			win.bufs[r] = h.adeps[r].([]int64)
 		}
 		// Republish the assembled Win in rank 0's slot — an early deposit
@@ -137,8 +127,8 @@ func (v *winView) Put(target, disp int, data []int64) {
 	c.chargeComm(c.w.cost.AlphaPut)
 	v.pending += bytes
 	v.pendingTargets[target] = struct{}{}
-	c.ps.rs.notePut(c.worldRank(target), bytes)
-	c.event(EvPut, c.worldRank(target), -1, bytes, start)
+	c.ps.rs.notePut(target, bytes)
+	c.event(EvPut, target, -1, bytes, start)
 }
 
 // FlushAll completes all outstanding RMA operations issued by this rank

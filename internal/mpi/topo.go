@@ -35,18 +35,10 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 		idx[nb] = i
 	}
 
-	// Allocate a world-unique topology id (collective, so all members
-	// agree), then verify symmetry from the gathered adjacency lists.
-	var id int64
-	if c.rank == 0 {
-		c.w.topoMu.Lock()
-		c.w.topoSeq++
-		id = int64(c.w.topoSeq)
-		c.w.topoMu.Unlock()
-	}
-	id = c.BcastInt64(0, []int64{id})[0]
+	// Allocate a world-unique topology id, then verify symmetry.
+	id := c.newID()
 
-	if c.size() <= topoVerifyDenseLimit {
+	if c.w.n <= topoVerifyDenseLimit {
 		// Small worlds: gather every adjacency list and cross-check
 		// directly, yielding a precise panic naming the asymmetric pair.
 		mine := make([]int64, len(neighbors))
@@ -148,7 +140,7 @@ func (t *Topo) sendChunk(i int, seq int64, part []int64) int64 {
 	bytes := int64(8 * len(part))
 	latency := c.w.cost.AlphaNbr + c.w.cost.BetaNbr*float64(bytes)
 	c.chargeComm(latency)
-	c.ps.rs.noteNbrChunk(c.worldRank(nb), bytes)
+	c.ps.rs.noteNbrChunk(nb, bytes)
 	c.internalSend(nb, t.itag(seq), part, latency)
 	return bytes
 }
