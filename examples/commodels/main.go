@@ -78,6 +78,7 @@ func main() {
 		win.LockAll()
 		l, r := ringNeighbors(c.Rank())[0], ringNeighbors(c.Rank())[1]
 		left, right := int64(c.Rank()), int64(c.Rank())
+		var local []int64
 		for s := 0; s < steps; s++ {
 			win.Put(l, 1, []int64{left})
 			win.Put(r, 0, []int64{right})
@@ -85,7 +86,7 @@ func main() {
 			// The count exchange doubles as the arrival notification,
 			// exactly like the matching code's per-round handshake.
 			topo.NeighborAlltoallInt64([]int64{1, 1}, 1)
-			local := win.Local()
+			local = win.ReadLocal(local, 0, 2)
 			c.Compute(cells)
 			left, right = local[0]+1, local[1]+1
 		}

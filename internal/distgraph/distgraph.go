@@ -11,7 +11,9 @@ package distgraph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -96,43 +98,63 @@ type Local struct {
 	dist     *Dist
 }
 
-// BuildLocal computes rank r's local view.
+// ownerCounts is BuildLocal's scratch: cross-arc counts indexed by owner
+// rank, all zero between calls, and the owners a call has touched.
+type ownerCounts struct {
+	n       []int64
+	touched []int
+}
+
+// countScratch pools ownerCounts: every rank of a run builds its view at
+// start-up, so one buffer serves many calls.
+var countScratch sync.Pool
+
+// BuildLocal computes rank r's local view. Cross arcs are counted into a
+// pooled per-owner array; only the owners touched are sorted and reset,
+// so a call costs its arcs plus its degree, not the world size.
 func (d *Dist) BuildLocal(r int) *Local {
 	if r < 0 || r >= d.P {
 		panic(fmt.Sprintf("distgraph: BuildLocal(%d) with P=%d", r, d.P))
 	}
 	lo, hi := d.Range(r)
-	counts := make(map[int]int64)
+	cs, _ := countScratch.Get().(*ownerCounts)
+	if cs == nil || len(cs.n) < d.P {
+		cs = &ownerCounts{n: make([]int64, d.P)}
+	}
 	var localArcs int64
 	for v := lo; v < hi; v++ {
 		for _, a := range d.G.Neighbors(v) {
 			localArcs++
 			if int(a) < lo || int(a) >= hi {
-				counts[d.Owner(int(a))]++
+				q := d.Owner(int(a))
+				if cs.n[q] == 0 {
+					cs.touched = append(cs.touched, q)
+				}
+				cs.n[q]++
 			}
 		}
 	}
-	nbrs := make([]int, 0, len(counts))
-	for q := range counts {
-		nbrs = append(nbrs, q)
-	}
-	sort.Ints(nbrs)
+	slices.Sort(cs.touched)
+	deg := len(cs.touched)
 	l := &Local{
 		Rank:          r,
 		P:             d.P,
 		Lo:            lo,
 		Hi:            hi,
-		NeighborRanks: nbrs,
-		CrossArcs:     make([]int64, len(nbrs)),
+		NeighborRanks: slices.Clone(cs.touched),
+		CrossArcs:     make([]int64, deg),
 		LocalArcs:     localArcs,
-		nbrIndex:      make(map[int]int, len(nbrs)),
+		nbrIndex:      make(map[int]int, deg),
 		dist:          d,
 	}
-	for i, q := range nbrs {
-		l.CrossArcs[i] = counts[q]
-		l.TotalCrossArcs += counts[q]
+	for i, q := range cs.touched {
+		l.CrossArcs[i] = cs.n[q]
+		l.TotalCrossArcs += cs.n[q]
 		l.nbrIndex[q] = i
+		cs.n[q] = 0
 	}
+	cs.touched = cs.touched[:0]
+	countScratch.Put(cs)
 	return l
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -19,9 +20,65 @@ import (
 // exchange, exactly as in the paper (§IV-D). Put data is physically
 // applied on delivery under a per-target lock, so conforming access
 // patterns are race-free.
+//
+// Host pages vs modelled bytes: the modelled memory of a window is its
+// full size, charged to the allocation ledger by WinCreate and returned
+// by Free, as an MPI library allocates it. The host backs each rank's
+// buffer with winPageWords-word pages allocated on the first Put that
+// touches them; pages no Put has touched read as zeros. A window sized
+// at a protocol bound that the run never reaches costs the simulator
+// only the pages it writes.
 type Win struct {
-	bufs  [][]int64
-	locks []sync.Mutex
+	bufs []*winBuf // by rank
+}
+
+// winPageWords is the size of one host page of a window buffer (512
+// bytes). The RMA transport's per-neighbor regions are a few hundred
+// words each and fill from their start, so small pages are what lets an
+// untouched tail go unallocated: on a 64-rank SBP matching, 512-byte
+// pages back 44 % of the window, 4 KiB pages 90 %.
+const winPageWords = 64
+
+type winPage [winPageWords]int64
+
+// winBuf is one rank's window buffer: size words over a page table whose
+// entries stay nil until a Put touches them. mu serializes the Puts into
+// it (and the page allocations) with the owner's reads.
+type winBuf struct {
+	mu    sync.Mutex
+	size  int
+	pages []*winPage
+}
+
+// write copies data to words [disp, disp+len(data)), allocating the
+// pages it touches. The caller holds mu and has checked the range.
+func (b *winBuf) write(disp int, data []int64) {
+	for len(data) > 0 {
+		p, off := disp/winPageWords, disp%winPageWords
+		pg := b.pages[p]
+		if pg == nil {
+			pg = new(winPage)
+			b.pages[p] = pg
+		}
+		n := copy(pg[off:], data)
+		data, disp = data[n:], disp+n
+	}
+}
+
+// read copies words [disp, disp+len(dst)) into dst, zeros for pages no
+// Put has touched. The caller holds mu and has checked the range.
+func (b *winBuf) read(disp int, dst []int64) {
+	for len(dst) > 0 {
+		p, off := disp/winPageWords, disp%winPageWords
+		var n int
+		if pg := b.pages[p]; pg != nil {
+			n = copy(dst, pg[off:])
+		} else {
+			n = min(len(dst), winPageWords-off)
+			clear(dst[:n])
+		}
+		dst, disp = dst[n:], disp+n
+	}
 }
 
 // winView is a rank's handle to a window; pending tracks bytes put since
@@ -50,7 +107,7 @@ func (c *Comm) WinCreate(localSize int) WinHandle {
 	// invariant on collHub).
 	c.newID()
 
-	buf := make([]int64, localSize)
+	buf := &winBuf{size: localSize, pages: make([]*winPage, (localSize+winPageWords-1)/winPageWords)}
 	c.AccountAlloc(int64(8 * localSize))
 
 	// Share buffer references through the hub.
@@ -60,9 +117,9 @@ func (c *Comm) WinCreate(localSize int) WinHandle {
 	})
 	var win *Win
 	if c.rank == 0 {
-		win = &Win{bufs: make([][]int64, c.w.n), locks: make([]sync.Mutex, c.w.n)}
+		win = &Win{bufs: make([]*winBuf, c.w.n)}
 		for r := range win.bufs {
-			win.bufs[r] = h.adeps[r].([]int64)
+			win.bufs[r] = h.adeps[r].(*winBuf)
 		}
 		// Republish the assembled Win in rank 0's slot — an early deposit
 		// for the next rendezvous that only rank 0 writes and nobody
@@ -84,7 +141,7 @@ func (c *Comm) WinCreate(localSize int) WinHandle {
 func (v *winView) Free() {
 	c := v.c
 	c.Barrier()
-	c.AccountAlloc(int64(-8 * len(v.win.bufs[c.rank])))
+	c.AccountAlloc(int64(-8 * v.win.bufs[c.rank].size))
 }
 
 // LockAll opens a passive-target access epoch on all ranks (cheap: the
@@ -114,14 +171,14 @@ func (v *winView) UnlockAll() {
 func (v *winView) Put(target, disp int, data []int64) {
 	c := v.c
 	c.checkRank(target, "Put")
-	win := v.win
-	if disp < 0 || disp+len(data) > len(win.bufs[target]) {
+	b := v.win.bufs[target]
+	if disp < 0 || disp+len(data) > b.size {
 		panic(fmt.Sprintf("mpi: Put: rank %d target %d range [%d,%d) outside window of %d words",
-			c.rank, target, disp, disp+len(data), len(win.bufs[target])))
+			c.rank, target, disp, disp+len(data), b.size))
 	}
-	win.locks[target].Lock()
-	copy(win.bufs[target][disp:], data)
-	win.locks[target].Unlock()
+	b.mu.Lock()
+	b.write(disp, data)
+	b.mu.Unlock()
 	bytes := int64(8 * len(data))
 	start := c.ps.now
 	c.chargeComm(c.w.cost.AlphaPut)
@@ -149,8 +206,21 @@ func (v *winView) FlushAll() {
 	c.event(EvFlush, -1, targets, drained, start)
 }
 
-// Local returns this rank's own window buffer. Reads of regions written
-// by remote Puts are safe once a synchronizing message from the origin
-// (for example a count exchange) has been received, per the window
+// ReadLocal copies words [disp, disp+n) of this rank's own window buffer
+// into dst, growing it if its capacity is short, and returns dst[:n].
+// Words no Put has written read as zero. Reads of regions written by
+// remote Puts are safe once a synchronizing message from the origin (for
+// example a count exchange) has been received, per the window
 // consistency contract.
-func (v *winView) Local() []int64 { return v.win.bufs[v.c.rank] }
+func (v *winView) ReadLocal(dst []int64, disp, n int) []int64 {
+	b := v.win.bufs[v.c.rank]
+	if disp < 0 || n < 0 || disp+n > b.size {
+		panic(fmt.Sprintf("mpi: ReadLocal: rank %d range [%d,%d) outside window of %d words",
+			v.c.rank, disp, disp+n, b.size))
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	b.mu.Lock()
+	b.read(disp, dst)
+	b.mu.Unlock()
+	return dst
+}

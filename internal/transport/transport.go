@@ -17,12 +17,12 @@
 // target vertex (owned by the destination rank) and y the remote vertex.
 // What the backends share exists once, in this file: ledger is the
 // per-destination volume ledger behind every backend's VolumeByDest;
-// stage is the per-neighbor staging area — buffers sized from the
-// distribution's cross-arc counts times the application's per-edge
-// message bound, and the Send that fills them — embedded by the three
-// neighborhood-collective backends; deliver is the unpack loop at the
-// end of every buffered receive side. A backend adds only how its
-// records travel.
+// stage is the per-neighbor staging area — buffers that grow to what a
+// round stages, and the Send that fills them under the per-edge message
+// bound (the distribution's cross-arc counts times the application's
+// per-arc record limit) — embedded by the three neighborhood-collective
+// backends; deliver is the unpack loop at the end of every buffered
+// receive side. A backend adds only how its records travel.
 package transport
 
 import (
@@ -105,7 +105,9 @@ func (g *ledger) note(dst int) {
 // buffer footprint of bytes that exceeds its previous peak. Memory is
 // accounted from actual per-round usage: real implementations size
 // aggregation buffers to per-round volume, far below the lifetime
-// protocol bound the backends use as an overflow guard.
+// protocol bound the backends check as an overflow guard. The host's own
+// staging buffers grow the same way (see stage), so the model and the
+// simulator's footprint follow the same curve.
 func highWater(c *mpi.Comm, peak *int64, bytes int64) {
 	if bytes > *peak {
 		c.AccountAlloc(bytes - *peak)
@@ -127,24 +129,23 @@ func deliver(c *mpi.Comm, words []int64, h Handler) int {
 
 // stage is the per-neighbor record staging area of the three
 // neighborhood-collective backends (NCL, NCLI, NCLC): one buffer per
-// process-graph neighbor, its capacity — CrossArcs × maxPerArc records —
-// doubling as the per-edge protocol bound. Backends embed it, so its
-// Send is theirs.
+// process-graph neighbor. A buffer starts empty and grows by append to
+// the most a round has staged for its neighbor, keeping that capacity
+// across rounds, so host memory follows use; the per-edge protocol bound
+// — CrossArcs × maxPerArc records per round — is checked arithmetically
+// in Send. Backends embed it, so its Send is theirs.
 type stage struct {
 	ledger
-	model Model // named in Send's panics
-	c     *mpi.Comm
-	l     *distgraph.Local
-	out   [][]int64
-	peak  int64 // high-water of buffer bytes actually used
+	model     Model // named in Send's panics
+	c         *mpi.Comm
+	l         *distgraph.Local
+	maxPerArc int64
+	out       [][]int64
+	peak      int64 // high-water of buffer bytes actually used
 }
 
 func newStage(m Model, c *mpi.Comm, l *distgraph.Local, maxPerArc int64) stage {
-	s := stage{ledger: ledger{size: c.Size()}, model: m, c: c, l: l, out: make([][]int64, len(l.NeighborRanks))}
-	for i, arcs := range l.CrossArcs {
-		s.out[i] = make([]int64, 0, arcs*maxPerArc*recordWords)
-	}
-	return s
+	return stage{ledger: ledger{size: c.Size()}, model: m, c: c, l: l, maxPerArc: maxPerArc, out: make([][]int64, len(l.NeighborRanks))}
 }
 
 // Send implements Sender: stage the record for its process-graph
@@ -155,7 +156,7 @@ func (s *stage) Send(dst int, ctx, x, y int64) {
 		panic(fmt.Sprintf("transport: %v send to non-neighbor rank %d", s.model, dst))
 	}
 	s.note(dst)
-	if len(s.out[i])+recordWords > cap(s.out[i]) {
+	if int64(len(s.out[i])) >= s.l.CrossArcs[i]*s.maxPerArc*recordWords {
 		panic(fmt.Sprintf("transport: %v buffer overflow to rank %d (per-edge message bound violated)", s.model, dst))
 	}
 	s.c.Pack(1)
@@ -316,6 +317,7 @@ type RMA struct {
 	rec      [recordWords]int64
 	delta    []int64
 	incoming []int64
+	arrived  []int64 // one neighbor's records, read out of the window
 }
 
 // NewRMA collectively creates the window and exchanges displacement
@@ -369,11 +371,11 @@ func (t *RMA) Exchange(h Handler) int {
 		t.roundMark[i] = t.writeCursor[i]
 	}
 	incoming := t.topo.NeighborAlltoallInt64Into(t.delta, 1, t.incoming)
-	local := t.win.Local()
 	n := 0
 	for i := range incoming {
 		base := t.regionStart[i] + t.readCursor[i]*recordWords
-		n += deliver(t.c, local[base:base+incoming[i]*recordWords], h)
+		t.arrived = t.win.ReadLocal(t.arrived, int(base), int(incoming[i]*recordWords))
+		n += deliver(t.c, t.arrived, h)
 		t.readCursor[i] += incoming[i]
 	}
 	return n
@@ -389,8 +391,10 @@ func (t *RMA) Free() { t.win.Free() }
 
 // NCLI extends the study with MPI-3 nonblocking neighborhood collectives:
 // double-buffered rounds where round k's records travel while round
-// k-1's are processed. Receive buffers are implicitly preposted at the
-// per-edge bound, so no count exchange is needed.
+// k-1's are processed. The protocol needs no count exchange: a real
+// implementation preposts receives at the per-edge bound, which is what
+// Send enforces. The host's two staging halves each grow to what the
+// rounds they carry stage, like stage's own buffers.
 type NCLI struct {
 	stage
 	topo     *mpi.Topo
@@ -401,16 +405,12 @@ type NCLI struct {
 
 // NewNCLI returns the pipelined nonblocking backend.
 func NewNCLI(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *NCLI {
-	t := &NCLI{
+	return &NCLI{
 		stage: newStage(ModelNCLI, c, l, maxPerArc),
 		topo:  topo,
 		spare: make([][]int64, len(l.NeighborRanks)),
 		in:    make([][]int64, len(l.NeighborRanks)),
 	}
-	for i := range t.out {
-		t.spare[i] = make([]int64, 0, cap(t.out[i]))
-	}
-	return t
 }
 
 // Exchange implements Round: start the nonblocking send of the current
