@@ -48,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.Float64("scale", 1.0, "workload scale factor (with -exp)")
 		models   = fs.String("models", "", "comma-separated model filter (nsr,rma,ncl,mbp,ncli,nsra,nclc)")
 		timeout  = fs.Duration("timeout", 10*time.Minute, "per-run deadline")
-		topK     = fs.Int("top", 10, "cause-list and critical-path edge cap")
 		traceCap = fs.Int("trace-events", 1<<16, "per-rank event ring capacity")
 		roundCap = fs.Int("round-cap", 512, "per-rank round-log capacity (per-round wait resolution)")
 		ranks    = fs.Int("ranks", 0, "rank-count cap for the 'ranks' scaling experiment")
@@ -66,6 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var doc *harness.Document
 	var slowest *harness.RunInfo
+	var slowestAt int // slowest's index in the experiment's runs
 	if *in != "" {
 		var err error
 		doc, err = loadDocument(*in)
@@ -113,11 +113,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Models = ms
 		}
 		if *trace != "" {
+			// The harness records every run it reports here, in order.
+			n := 0
 			cfg.OnRun = func(info harness.RunInfo) {
 				if slowest == nil || info.Report.MaxVirtualTime > slowest.Report.MaxVirtualTime {
 					copied := info
-					slowest = &copied
+					slowest, slowestAt = &copied, n
 				}
+				n++
 			}
 		}
 		doc = harness.NewDocument("matchprof", *scale)
@@ -161,11 +164,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *trace != "" && slowest != nil {
-		rec, err := analysis.Analyze(slowest.Report, analysis.Options{
-			Model: slowest.Model, Telemetry: slowest.Telemetry, TopK: *topK,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "matchprof: trace:", err)
+		rec := doc.Experiments[0].Runs[slowestAt].Analysis
+		if rec == nil {
+			fmt.Fprintln(stderr, "matchprof: trace: the slowest run has no analysis")
 			return 1
 		}
 		if err := writeArtifact(*trace, func(w io.Writer) error {

@@ -58,6 +58,7 @@ func TestBadFlagIsUsageError(t *testing.T) {
 		{"-scale", []string{"-exp", "fig4c", "-scale", "NaN"}},
 		{"-trace-events", []string{"-exp", "fig4c", "-trace-events", "-4"}},
 		{"-round-cap", []string{"-exp", "fig4c", "-round-cap", "0"}},
+		{"-top", []string{"-exp", "fig4c", "-top", "3"}},
 	} {
 		code, stdout, errb := runCLI(t, tc.args...)
 		if code != 2 {

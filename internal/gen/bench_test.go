@@ -2,11 +2,9 @@ package gen
 
 import "testing"
 
-func BenchmarkRGG(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RGG(50000, RGGRadiusForDegree(50000, 8), int64(i))
-	}
-}
+// bench/'s gen.*_s rows time the RGG, Graph500, SBP and Social
+// generators at benchmark sizes. What stays here is the two Large
+// dev-loop instruments and the generators no row covers.
 
 // BenchmarkRGGLarge is the acceptance benchmark for end-to-end
 // generate+build on a ~1.6M-edge geometric graph.
@@ -21,24 +19,6 @@ func BenchmarkRGGLarge(b *testing.B) {
 func BenchmarkGraph500Large(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Graph500(16, int64(i))
-	}
-}
-
-func BenchmarkGraph500(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Graph500(14, int64(i))
-	}
-}
-
-func BenchmarkSBP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		SBP(50000, 300, 12, 0.5, int64(i))
-	}
-}
-
-func BenchmarkSocial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Social(50000, 10, int64(i))
 	}
 }
 

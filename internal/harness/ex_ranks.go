@@ -42,7 +42,7 @@ const ranksMaxCap = 1 << 20
 
 // ranksDirectCap bounds the legacy direct-mode comparison column: above
 // it, one OS-scheduled goroutine per rank is exactly the regime the
-// worker pool exists to avoid, so the column reads "-".
+// ticket pool exists to avoid, so the column reads "-".
 const ranksDirectCap = 16384
 
 // ranksVPR is the vertices-per-rank density of the matching workload.
@@ -69,7 +69,7 @@ func (c Config) ranksRing(p int, mode mpi.SchedMode) (*mpi.Report, time.Duration
 func init() {
 	register(&Experiment{
 		ID:    "ranks",
-		Title: "Rank-count scaling of the simulated runtime (worker-pool scheduler)",
+		Title: "Rank-count scaling of the simulated runtime (ticket-pool scheduler)",
 		Paper: "harness artifact, not a paper figure: the paper's evaluation spans 512-16K MPI ranks; the sharded scheduler sustains those world sizes in simulation (131K with -ranks 131072)",
 		Run: func(cfg Config) ([]*Table, error) {
 			rcap := cfg.Ranks
@@ -133,7 +133,7 @@ func init() {
 					fmt.Sprint(res.Rounds))
 			}
 			t.Notes = append(t.Notes,
-				"expected shape: ring wall-clock grows near-linearly in ranks under the worker pool (flat per-rank cost)",
+				"expected shape: ring wall-clock grows near-linearly in ranks under the ticket pool (flat per-rank cost)",
 				fmt.Sprintf("ladder capped at %d ranks (matchbench -ranks 131072 for the full curve)", rcap))
 			return []*Table{t}, nil
 		},

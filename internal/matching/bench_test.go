@@ -8,51 +8,18 @@ import (
 	"repro/internal/graph"
 )
 
-// Wall-clock micro-benchmarks of the matchers (simulation throughput).
-// The graph keeps its key-order index after the first call, so every
-// benchmark here but BenchmarkRunCold times a warm graph; the sort
-// itself is graph.BenchmarkKeyOrder.
-
-func BenchmarkSerialSocial(b *testing.B) {
-	g := gen.Social(20000, 10, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := Serial(g)
-		if r.Cardinality == 0 {
-			b.Fatal("empty matching")
-		}
-	}
-	b.ReportMetric(float64(g.NumEdges())/1e6, "Medges")
-}
-
-func BenchmarkSerialRGG(b *testing.B) {
-	n := 50000
-	g := gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Serial(g)
-	}
-}
+// Wall-clock micro-benchmarks of the matchers. Serial and per-model run
+// times are bench/'s matching.serial_s and matching.run_s.* rows; what
+// stays here is what those rows do not isolate. The graph keeps its
+// key-order index after the first call, so every benchmark here but
+// BenchmarkRunCold times a warm graph; the sort itself is
+// graph.BenchmarkKeyOrder.
 
 func BenchmarkGreedyOracle(b *testing.B) {
 	g := gen.Social(20000, 10, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Greedy(g)
-	}
-}
-
-func benchParallel(b *testing.B, m Model, procs int) {
-	g := gen.Social(10000, 10, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(g, Options{Procs: procs, Model: m, Deadline: time.Minute})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.Report.MaxVirtualTime*1e3, "modeled-ms")
-		}
 	}
 }
 
@@ -81,11 +48,6 @@ func BenchmarkRunCold(b *testing.B) {
 		return &graph.CSR{Offsets: g.Offsets, Adj: g.Adj, Weights: g.Weights}
 	})
 }
-
-func BenchmarkParallelNSR(b *testing.B) { benchParallel(b, NSR, 8) }
-func BenchmarkParallelRMA(b *testing.B) { benchParallel(b, RMA, 8) }
-func BenchmarkParallelNCL(b *testing.B) { benchParallel(b, NCL, 8) }
-func BenchmarkParallelMBP(b *testing.B) { benchParallel(b, MBP, 8) }
 
 func BenchmarkVerifyLocallyDominant(b *testing.B) {
 	g := gen.Social(20000, 10, 1)

@@ -103,7 +103,7 @@ type Config struct {
 	PerturbSeed uint64
 
 	// Sched selects how rank goroutines are scheduled (see SchedMode).
-	// The default, SchedAuto, uses the sharded worker pool for large
+	// The default, SchedAuto, uses the sharded ticket pool for large
 	// worlds and direct goroutine scheduling for small ones. Results are
 	// bit-identical across modes.
 	Sched SchedMode
@@ -120,8 +120,8 @@ type World struct {
 	stats     []*RankStats
 	// tasks holds every rank's scheduler task; poison unparks them all.
 	tasks []*task
-	// pool is the worker pool in SchedWorkers mode, nil in SchedDirect.
-	pool *workerPool
+	// pool is the ticket pool in SchedWorkers mode, nil in SchedDirect.
+	pool *ticketPool
 
 	// idSeq is the last id newID handed out. Only rank 0 draws, so the
 	// single-goroutine discipline of a rank body guards it.
@@ -139,9 +139,9 @@ type procState struct {
 	// possible.
 	task *task
 	// pollMisses counts consecutive unfruitful non-blocking polls
-	// (Iprobe). Every pollYieldEvery-th miss yields the scheduler so a
-	// full worker pool cannot be starved by spinning pollers; any
-	// successful match resets it.
+	// (Iprobe). Every pollYieldEvery-th miss yields the scheduler so
+	// spinning pollers cannot hold every ticket; any successful match
+	// resets it.
 	pollMisses int
 	// ev is the structured event log, nil when tracing is off; the nil
 	// check is the entire cost of a disabled instrumentation point.
@@ -314,13 +314,10 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		tasks:     ws.tasks,
 		stats:     make([]*RankStats, cfg.Procs),
 	}
-	mode := resolveSched(cfg.Sched, cfg.Procs)
-	if mode == SchedWorkers {
-		w.pool = newWorkerPool(workerCount(cfg.Procs))
-	}
-	nworkers := 1
-	if w.pool != nil {
-		nworkers = len(w.pool.workers)
+	nshards := 1
+	if resolveSched(cfg.Sched, cfg.Procs) == SchedWorkers {
+		nshards = ticketCount(cfg.Procs)
+		w.pool = newTicketPool(nshards)
 	}
 	// Ledgers escape into the Report, so they are freshly allocated every
 	// run — but as one backing array, not cfg.Procs separate objects.
@@ -357,7 +354,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		t := ws.tasks[r]
 		// Ranks map to scheduler shards in contiguous blocks so ring and
 		// mesh neighborhoods stay shard-local.
-		t.reset(int32(r), int32(r*nworkers/cfg.Procs), w.pool)
+		t.reset(int32(r), int32(r*nshards/cfg.Procs), w.pool)
 		ps := &ws.procs[r]
 		*ps = procState{rs: w.stats[r], task: t}
 		if events != nil {
@@ -381,20 +378,13 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		c := comms[r]
 		wg.Add(1)
 		go func() {
-			// Defer order matters in pooled mode: the worker ticket must be
-			// yielded (second defer) before wg.Done (first defer, runs last)
-			// lets Run proceed to pool.stop, or stop joins a worker that is
-			// still waiting for this task's ticket. The recover (third
-			// defer, runs first) fires while the ticket is still held, so
-			// poisoning may unpark peers freely.
 			defer wg.Done()
 			if w.pool != nil {
-				defer t.yieldTicket()
-				// Wait for the initial ticket: the seeding loop below has
-				// enqueued this task, and the worker that grabs it publishes
-				// the ticket and resumes the benaphore.
+				// Wait for a ticket (the seeding below queues this task),
+				// and pass it on when the body ends, after the recover
+				// below has poisoned the world if the body panicked.
 				t.block()
-				t.claimTicket()
+				defer func() { w.pool.pass(int(t.ticket)) }()
 			}
 			defer func() {
 				if p := recover(); p != nil {
@@ -421,12 +411,14 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		}()
 	}
 	if w.pool != nil {
-		// Seed every task into its shard, then start the workers; each
-		// rank goroutine begins running when a worker hands it a ticket.
+		// Queue every task on its shard, then pass each ticket, all of
+		// which this goroutine holds until now.
 		for _, t := range ws.tasks {
-			w.pool.ready(t)
+			w.pool.push(t)
 		}
-		w.pool.start()
+		for id := range nshards {
+			w.pool.pass(id)
+		}
 	}
 	go func() { wg.Wait(); close(doneCh) }()
 
@@ -455,14 +447,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 	} else {
 		<-doneCh
 	}
-	if w.pool != nil {
-		// All rank goroutines have yielded their tickets (wg.Done ordering
-		// above), so the queues are drained and no further ready() can
-		// occur: the workers exit and are joined before Run returns, which
-		// keeps CheckGoroutines exact.
-		w.pool.stop()
-	}
-
 	for i, mb := range w.mailboxes {
 		w.stats[i].QueueHighWater = mb.highWater()
 		w.stats[i].UnreceivedMsgs = int64(mb.pendingUser())

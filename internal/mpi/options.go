@@ -49,7 +49,7 @@ func WithPerturb(seed uint64, p sched.Profile) Option {
 }
 
 // WithScheduler selects the rank scheduling mode (see SchedMode). The
-// default SchedAuto picks the sharded worker pool for large worlds and
+// default SchedAuto picks the sharded ticket pool for large worlds and
 // direct goroutine scheduling for small ones; results are bit-identical
 // either way, so the choice is purely a wall-clock/memory trade.
 func WithScheduler(m SchedMode) Option {

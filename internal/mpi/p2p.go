@@ -29,8 +29,8 @@ func (w *World) poison() {
 
 // pollYieldEvery bounds how long a non-blocking poll loop (Iprobe) may
 // spin without yielding the scheduler. In pooled mode a handful of
-// spinning pollers could otherwise hold every worker ticket and starve
-// the very ranks whose sends they are polling for.
+// spinning pollers could otherwise hold every ticket and starve the very
+// ranks whose sends they are polling for.
 const pollYieldEvery = 64
 
 // pollMiss records an unfruitful non-blocking poll, periodically

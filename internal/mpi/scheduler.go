@@ -20,12 +20,13 @@ const (
 	// worlds; at tens of thousands of ranks the runnable set itself
 	// becomes the bottleneck.
 	SchedDirect
-	// SchedWorkers multiplexes rank tasks over a sharded worker pool of
-	// at most min(GOMAXPROCS, 64) workers: a rank goroutine runs only
-	// while it holds a worker ticket and parks (releasing the ticket)
-	// whenever it blocks in the runtime. Both modes execute the same
-	// deterministic virtual-time matching logic, so results are
-	// bit-identical across them.
+	// SchedWorkers bounds the runnable ranks by a pool of
+	// min(GOMAXPROCS, ranks, 64) tickets, one per sharded run queue: a
+	// rank goroutine runs only while it holds a ticket, and when it
+	// blocks in the runtime it hands the ticket straight to the next
+	// queued rank. Both modes execute the same deterministic
+	// virtual-time matching logic, so results are bit-identical across
+	// them.
 	SchedWorkers
 )
 
@@ -42,11 +43,11 @@ func (m SchedMode) String() string {
 }
 
 // pooledMinProcs is the world size at which SchedAuto switches to the
-// worker pool. Below it, spawning the pool costs more than it saves.
+// ticket pool. Below it, setting up the pool costs more than it saves.
 const pooledMinProcs = 256
 
-// maxWorkers bounds the pool so the idle set fits one atomic word.
-const maxWorkers = 64
+// maxTickets bounds the pool so the free set fits one atomic word.
+const maxTickets = 64
 
 func resolveSched(mode SchedMode, procs int) SchedMode {
 	if mode == SchedAuto {
@@ -58,18 +59,8 @@ func resolveSched(mode SchedMode, procs int) SchedMode {
 	return mode
 }
 
-func workerCount(procs int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > procs {
-		w = procs
-	}
-	if w > maxWorkers {
-		w = maxWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+func ticketCount(procs int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), procs, maxTickets))
 }
 
 // taskq is a growable FIFO ring of tasks (one per shard).
@@ -102,8 +93,8 @@ func (q *taskq) pop() *task {
 	return t
 }
 
-// schedShard is one worker's run queue. Ranks map to shards in blocks
-// (rank*W/n), so ring and mesh neighborhoods mostly wake tasks on their
+// schedShard is one ticket's run queue. Ranks map to shards in blocks
+// (rank*T/n), so ring and mesh neighborhoods mostly wake tasks on their
 // own shard and senders from other shards contend only on that shard's
 // lock, never on a global one.
 type schedShard struct {
@@ -113,83 +104,48 @@ type schedShard struct {
 	_ [40]byte
 }
 
-type worker struct {
-	id   int
-	pool *workerPool
-	// yield receives the ticket back from the task this worker resumed.
-	yield chan struct{}
-	// wakeCh receives an idle-wakeup token from ready()/stop().
-	wakeCh chan struct{}
+// ticketPool bounds how many rank goroutines run at once without
+// running any goroutine of its own. It has one ticket per shard; a
+// running rank holds exactly one, and a rank that parks, yields or
+// exits passes it on (pass): to the next task queued on the ticket's
+// shard, else to one stolen from another shard, else into the free
+// set. Two rules keep it fast and race-free:
+//
+//   - Ticket i belongs to shard i: pass drains the ticket's shard
+//     first, never the passing rank's. Passing to the parking rank's
+//     shard instead lets tickets drift onto one shard, where
+//     neighboring ring ranks then run against each other.
+//   - A rank reads its ticket id before it becomes visible to other
+//     goroutines (park before its running->parked CAS, yieldNow before
+//     it queues itself). After that, a passer may resume the task and
+//     overwrite the id.
+//
+// No wakeup is lost, by the usual two-sided protocol: ready pushes the
+// task and then claims a free ticket, while pass frees its ticket and
+// then re-scans every shard. Whichever side comes second sees the other.
+type ticketPool struct {
+	shards []schedShard
+	free   atomic.Uint64 // bit i set: ticket i is free
 }
 
-// workerPool schedules rank tasks over a fixed set of workers, one
-// shard (run queue) per worker, with work stealing. Lost wakeups are
-// impossible by a standard two-sided protocol: a worker publishes
-// itself idle and then re-scans every shard before sleeping, while
-// ready() enqueues first and then claims+wakes an idle worker; tokens
-// are sticky (capacity-1 channels), so a racing token is consumed by a
-// harmless extra scan.
-type workerPool struct {
-	shards   []schedShard
-	workers  []*worker
-	idleMask atomic.Uint64 // bit i set: worker i is (about to be) asleep
-	stopping atomic.Bool
-	wg       sync.WaitGroup
+// newTicketPool returns a pool whose tickets are all held by the
+// caller, which starts the world by passing each one.
+func newTicketPool(ntickets int) *ticketPool {
+	return &ticketPool{shards: make([]schedShard, ntickets)}
 }
 
-func newWorkerPool(nworkers int) *workerPool {
-	p := &workerPool{
-		shards:  make([]schedShard, nworkers),
-		workers: make([]*worker, nworkers),
-	}
-	for i := range p.workers {
-		p.workers[i] = &worker{
-			id:     i,
-			pool:   p,
-			yield:  make(chan struct{}, 1),
-			wakeCh: make(chan struct{}, 1),
-		}
-	}
-	return p
-}
-
-func (p *workerPool) start() {
-	p.wg.Add(len(p.workers))
-	for _, w := range p.workers {
-		go w.loop()
-	}
-}
-
-// ready enqueues t on its shard and wakes an idle worker if any.
-func (p *workerPool) ready(t *task) {
+// push enqueues t on its shard without claiming a ticket.
+func (p *ticketPool) push(t *task) {
 	sh := &p.shards[t.shard]
 	sh.mu.Lock()
 	sh.q.push(t)
 	sh.mu.Unlock()
-	p.wakeIdle(int(t.shard))
 }
 
-// wakeIdle claims one idle worker (preferring the shard's owner) and
-// sends it a token. Non-blocking: if the claimed worker still holds an
-// unconsumed token, that token already guarantees a future re-scan.
-func (p *workerPool) wakeIdle(prefer int) {
-	for {
-		mask := p.idleMask.Load()
-		if mask == 0 {
-			return
-		}
-		id := prefer
-		if mask&(1<<uint(id)) == 0 {
-			id = bits.TrailingZeros64(mask)
-		}
-		if p.idleMask.CompareAndSwap(mask, mask&^(1<<uint(id))) {
-			select {
-			case p.workers[id].wakeCh <- struct{}{}:
-			default:
-			}
-			return
-		}
-	}
+// ready enqueues t on its shard and, if a ticket is free, passes it.
+func (p *ticketPool) ready(t *task) {
+	p.push(t)
+	p.claimFree(int(t.shard))
 }
 
 // readyBatch unparks every claimable task in ts except skip, taking each
@@ -200,7 +156,7 @@ func (p *workerPool) wakeIdle(prefer int) {
 // batch degenerates to one lock round-trip per shard in the common
 // case. Tasks that are not parked get a banked notification, exactly as
 // unpark would do.
-func (p *workerPool) readyBatch(ts []*task, skip *task) {
+func (p *ticketPool) readyBatch(ts []*task, skip *task) {
 	i, n := 0, len(ts)
 	for i < n {
 		t := ts[i]
@@ -227,29 +183,66 @@ func (p *workerPool) readyBatch(ts []*task, skip *task) {
 			}
 		}
 		sh.mu.Unlock()
-		p.wakeIdle(int(shard))
+		p.claimFree(int(shard))
 	}
 }
 
-// stop asks all workers to exit once their queues drain and joins them.
-// Callers must ensure no further ready() calls can occur.
-func (p *workerPool) stop() {
-	p.stopping.Store(true)
-	for _, w := range p.workers {
-		select {
-		case w.wakeCh <- struct{}{}:
-		default:
+// claimFree claims one free ticket, preferring the shard's own, and
+// passes it.
+func (p *ticketPool) claimFree(prefer int) {
+	for {
+		mask := p.free.Load()
+		if mask == 0 {
+			return
+		}
+		id := prefer
+		if mask&(1<<uint(id)) == 0 {
+			id = bits.TrailingZeros64(mask)
+		}
+		if p.take(id) {
+			p.pass(id)
+			return
 		}
 	}
-	p.wg.Wait()
 }
 
-// grab pops a task from w's own shard, stealing from the others when
-// it is empty.
-func (p *workerPool) grab(w *worker) *task {
+// take clears ticket id's free bit, reporting whether it was set.
+func (p *ticketPool) take(id int) bool {
+	for {
+		old := p.free.Load()
+		if old&(1<<uint(id)) == 0 {
+			return false
+		}
+		if p.free.CompareAndSwap(old, old&^(1<<uint(id))) {
+			return true
+		}
+	}
+}
+
+// pass hands ticket id to the next queued task, or frees it when
+// nothing is queued. The re-scan after freeing finds any task a ready
+// pushed without seeing the free bit; if the ticket is claimed again in
+// between, its new holder runs that task instead.
+func (p *ticketPool) pass(id int) {
+	for {
+		if t := p.grab(id); t != nil {
+			t.ticket = int32(id)
+			t.resume()
+			return
+		}
+		atomicOr(&p.free, 1<<uint(id))
+		if !p.queued() || !p.take(id) {
+			return
+		}
+	}
+}
+
+// grab pops a task from shard id, stealing from the others when it is
+// empty.
+func (p *ticketPool) grab(id int) *task {
 	n := len(p.shards)
 	for i := 0; i < n; i++ {
-		sh := &p.shards[(w.id+i)%n]
+		sh := &p.shards[(id+i)%n]
 		sh.mu.Lock()
 		t := sh.q.pop()
 		sh.mu.Unlock()
@@ -260,55 +253,26 @@ func (p *workerPool) grab(w *worker) *task {
 	return nil
 }
 
-func (w *worker) loop() {
-	p := w.pool
-	defer p.wg.Done()
-	for {
-		t := p.grab(w)
-		if t == nil {
-			if p.stopping.Load() {
-				return
-			}
-			// Publish idle, then re-scan: a ready() that missed the bit
-			// has already pushed, so this scan finds its task; a ready()
-			// that saw the bit sends a token below.
-			atomicOr(&p.idleMask, 1<<uint(w.id))
-			if t = p.grab(w); t == nil {
-				if p.stopping.Load() {
-					atomicAnd(&p.idleMask, ^uint64(1<<uint(w.id)))
-					return
-				}
-				<-w.wakeCh
-				atomicAnd(&p.idleMask, ^uint64(1<<uint(w.id)))
-				continue
-			}
-			atomicAnd(&p.idleMask, ^uint64(1<<uint(w.id)))
+// queued reports whether any shard holds a task.
+func (p *ticketPool) queued() bool {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n := sh.q.n
+		sh.mu.Unlock()
+		if n > 0 {
+			return true
 		}
-		// Publish the ticket, resume the task and wait for the ticket
-		// back (park, yield or exit). The task may be resumed later by
-		// any worker.
-		t.handoff = w
-		t.resume()
-		<-w.yield
 	}
+	return false
 }
 
-// atomicOr and atomicAnd are CAS loops standing in for the
-// atomic.Uint64.Or/And methods, which require a go1.23 module.
-
+// atomicOr is a CAS loop standing in for atomic.Uint64.Or, which
+// requires a go1.23 module.
 func atomicOr(u *atomic.Uint64, bitsToSet uint64) {
 	for {
 		old := u.Load()
 		if old&bitsToSet == bitsToSet || u.CompareAndSwap(old, old|bitsToSet) {
-			return
-		}
-	}
-}
-
-func atomicAnd(u *atomic.Uint64, mask uint64) {
-	for {
-		old := u.Load()
-		if old&^mask == 0 || u.CompareAndSwap(old, old&mask) {
 			return
 		}
 	}

@@ -6,13 +6,14 @@ import (
 	"math/bits"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
 )
 
-// This file exercises the sharded worker-pool scheduler: mode resolution,
+// This file exercises the sharded ticket-pool scheduler: mode resolution,
 // correctness of a pooled world, clock and result determinism across
 // scheduling modes and GOMAXPROCS settings, perturbation replay (with a
 // termination detector's private message context beside the world's),
@@ -51,11 +52,11 @@ func TestSchedModeResolution(t *testing.T) {
 	if got := resolveSched(SchedWorkers, 2); got != SchedWorkers {
 		t.Errorf("explicit workers not honored at small world: got %v", got)
 	}
-	if n := workerCount(2); n < 1 || n > 2 {
-		t.Errorf("workerCount(2) = %d, want in [1,2]", n)
+	if n := ticketCount(2); n < 1 || n > 2 {
+		t.Errorf("ticketCount(2) = %d, want in [1,2]", n)
 	}
-	if n := workerCount(1 << 20); n > maxWorkers {
-		t.Errorf("workerCount(1<<20) = %d, want <= %d", n, maxWorkers)
+	if n := ticketCount(1 << 20); n > maxTickets {
+		t.Errorf("ticketCount(1<<20) = %d, want <= %d", n, maxTickets)
 	}
 	for _, m := range []SchedMode{SchedAuto, SchedDirect, SchedWorkers} {
 		if m.String() == "" || strings.Contains(m.String(), "SchedMode") {
@@ -65,7 +66,7 @@ func TestSchedModeResolution(t *testing.T) {
 }
 
 // TestWorkerPoolBasic runs a world big enough that SchedAuto selects the
-// worker pool and checks a mixed point-to-point + collective workload for
+// ticket pool and checks a mixed point-to-point + collective workload for
 // correct results, balanced ledgers and zero leaked goroutines.
 func TestWorkerPoolBasic(t *testing.T) {
 	const p = pooledMinProcs + 44 // force pooled under SchedAuto
@@ -474,7 +475,7 @@ func TestLargeWorldSmoke(t *testing.T) {
 }
 
 // Pooled-mode variants of the steady-state allocation contracts: parking
-// and unparking through the worker pool must stay off the heap just as
+// and unparking through the ticket pool must stay off the heap just as
 // the legacy condvar path does.
 
 func TestRoundTripZeroAllocPooled(t *testing.T) {
@@ -530,5 +531,132 @@ func TestAllreduceScalarZeroAllocPooled(t *testing.T) {
 	}, WithScheduler(SchedWorkers), WithDeadline(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolBoundsRunning checks the pool's two promises at GOMAXPROCS 1,
+// 2 and 4: no more ranks run user code at once than there are tickets,
+// and no goroutine runs besides the ranks and Run's one waiter. Every
+// rank counts itself running between runtime calls; the body covers a
+// ring, a scalar allreduce and an Iprobe poll loop long enough to reach
+// yieldNow.
+func TestPoolBoundsRunning(t *testing.T) {
+	const p = 512
+	for _, procs := range []int{1, 2, 4} {
+		withMaxProcs(procs, func() {
+			var running, peak, peakG atomic.Int64
+			raise := func(m *atomic.Int64, v int64) {
+				for old := m.Load(); v > old && !m.CompareAndSwap(old, v); old = m.Load() {
+				}
+			}
+			// call runs one runtime call with this rank counted out.
+			call := func(f func()) {
+				running.Add(-1)
+				f()
+				raise(&peak, running.Add(1))
+			}
+			baseline := runtime.NumGoroutine()
+			_, err := RunChecked(p, func(c *Comm) error {
+				raise(&peak, running.Add(1))
+				defer running.Add(-1)
+				r, n := c.Rank(), c.Size()
+				var buf [1]int64
+				call(func() { c.Isend((r+1)%n, 0, []int64{int64(r)}) })
+				call(func() { c.RecvInto((r-1+n)%n, 0, buf[:]) })
+				var sum int64
+				call(func() { sum = c.AllreduceScalarInt64(OpSum, 1) })
+				if sum != int64(n) {
+					return fmt.Errorf("rank %d: allreduce = %d", r, sum)
+				}
+				raise(&peakG, int64(runtime.NumGoroutine()))
+				// Even ranks poll for a message their odd partner sends only
+				// after hearing from them, which they send only after
+				// 2*pollYieldEvery misses: every poller yields at least twice.
+				partner := r ^ 1
+				if r%2 == 1 {
+					call(func() { c.RecvInto(partner, 2, buf[:]) })
+					call(func() { c.Isend(partner, 1, []int64{1}) })
+					return nil
+				}
+				for misses := 0; ; misses++ {
+					var ok bool
+					call(func() { ok, _ = c.Iprobe(partner, 1) })
+					if ok {
+						break
+					}
+					if misses == 2*pollYieldEvery {
+						call(func() { c.Isend(partner, 2, []int64{2}) })
+					}
+				}
+				call(func() { c.RecvInto(partner, 1, buf[:]) })
+				return nil
+			}, WithScheduler(SchedWorkers), WithDeadline(60*time.Second))
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			}
+			if got, want := peak.Load(), int64(ticketCount(p)); got > want {
+				t.Errorf("GOMAXPROCS=%d: %d ranks ran at once, want <= %d tickets", procs, got, want)
+			}
+			if got, want := peakG.Load(), int64(baseline+p+1); got > want {
+				t.Errorf("GOMAXPROCS=%d: %d goroutines during the run, want <= %d (baseline %d + %d ranks + Run's waiter)",
+					procs, got, want, baseline, p)
+			}
+		})
+	}
+}
+
+// TestCleanRunAfterFailure runs a world that fails — a body error, a
+// panic or a blown deadline, each after leaving messages unreceived —
+// and then a checked world of the same size under the same scheduler:
+// it must complete with every mailbox empty at start and no goroutine
+// left behind.
+func TestCleanRunAfterFailure(t *testing.T) {
+	const p = 300
+	failures := []struct {
+		name string
+		fail func(c *Comm) error
+		opts []Option
+	}{
+		{"error", func(c *Comm) error { return fmt.Errorf("injected failure") }, nil},
+		{"panic", func(c *Comm) error { panic("injected panic") }, nil},
+		{"deadline", func(c *Comm) error { c.Recv(1, 5); return nil }, []Option{WithDeadline(300 * time.Millisecond)}},
+	}
+	for _, mode := range schedModes {
+		for _, f := range failures {
+			mode, f := mode, f
+			t.Run(mode.String()+"/"+f.name, func(t *testing.T) {
+				_, err := Run(p, func(c *Comm) error {
+					r, n := c.Rank(), c.Size()
+					c.Isend((r+1)%n, 0, []int64{int64(r)})
+					switch r {
+					case 3:
+						return f.fail(c)
+					case 0:
+						c.Recv(3, 5) // never sent: unblocked by the poison or the deadline
+					}
+					return nil
+				}, append([]Option{WithScheduler(mode)}, f.opts...)...)
+				if err == nil {
+					t.Fatal("failing run returned nil error")
+				}
+				_, err = RunChecked(p, func(c *Comm) error {
+					if n := c.mbox().pendingUser(); n != 0 {
+						return fmt.Errorf("rank %d starts with %d pending messages", c.Rank(), n)
+					}
+					c.Barrier()
+					r, n := c.Rank(), c.Size()
+					var buf [1]int64
+					c.Isend((r+1)%n, 0, []int64{int64(r)})
+					c.RecvInto((r-1+n)%n, 0, buf[:])
+					if got := c.AllreduceScalarInt64(OpSum, buf[0]); got != int64(n*(n-1)/2) {
+						return fmt.Errorf("rank %d: allreduce = %d", r, got)
+					}
+					return nil
+				}, WithScheduler(mode), WithDeadline(60*time.Second))
+				if err != nil {
+					t.Fatalf("run after %s: %v", f.name, err)
+				}
+			})
+		}
 	}
 }

@@ -12,8 +12,10 @@ import (
 // (a message push, a barrier release, a poison sweep). The rank body
 // still runs on its own goroutine — arbitrary Go code needs a real
 // stack — but in pooled mode the goroutine only runs while it holds a
-// worker ticket, so at most workerCount ranks are runnable at once and
-// the Go scheduler never sees a 64K-wide runnable set.
+// ticket (see ticketPool), so at most ticketCount ranks are runnable at
+// once and the Go scheduler never sees a 64K-wide runnable set. A rank
+// that blocks passes its ticket directly to the next queued rank's
+// task; no scheduler goroutine sits in between.
 //
 // Park/unpark is a saturating one-slot notification (the futex/eventcount
 // shape): unpark on a running task sets a sticky "notified" token that
@@ -38,17 +40,14 @@ type task struct {
 	sem   atomic.Int32
 	rank  int32
 	shard int32
+	// ticket is the id of the ticket this task holds while running
+	// (pooled mode). The passer writes it before resume(), so it is the
+	// benaphore that publishes it; the task must read it before it parks
+	// or queues itself, after which the next passer may overwrite it.
+	ticket int32
 	// pool is nil in direct (legacy) scheduling mode; park/unpark then
 	// degrade to a bare benaphore handoff with no ticket accounting.
-	pool *workerPool
-	// w is the ticket currently held (pooled mode, while running). Only
-	// the task's own goroutine touches it.
-	w *worker
-	// handoff is where the resuming worker publishes the ticket before
-	// resume(); the task claims it after block(). The next write cannot
-	// happen until this task parks again, so the field needs no further
-	// synchronization beyond the benaphore's.
-	handoff *worker
+	pool *ticketPool
 	// mu rests locked; resume unlocks it only when a blocker is waiting.
 	mu sync.Mutex
 }
@@ -87,12 +86,10 @@ func (t *task) resume() {
 
 // reset prepares a pooled task for a new run. Only tasks from clean runs
 // are reset, so sem is 0 and mu rests locked; the stores are defensive.
-func (t *task) reset(rank, shard int32, pool *workerPool) {
+func (t *task) reset(rank, shard int32, pool *ticketPool) {
 	t.rank, t.shard, t.pool = rank, shard, pool
 	t.status.Store(taskRunning)
 	t.sem.Store(0)
-	t.w = nil
-	t.handoff = nil
 }
 
 // park blocks the calling task until unpark, consuming a banked
@@ -102,25 +99,16 @@ func (t *task) park() {
 	if t.status.CompareAndSwap(taskNotified, taskRunning) {
 		return // wakeup already banked: consume it, don't block
 	}
+	id := t.ticket // before the CAS: an unparker may resume t right after it
 	if !t.status.CompareAndSwap(taskRunning, taskParked) {
 		// An unpark slipped in between the two CASes and set Notified.
 		t.status.Store(taskRunning)
 		return
 	}
 	if t.pool != nil {
-		t.yieldTicket()
-		t.block()
-		t.claimTicket()
-		return
+		t.pool.pass(int(id))
 	}
 	t.block()
-}
-
-// claimTicket takes ownership of the worker ticket published by the
-// resuming worker.
-func (t *task) claimTicket() {
-	t.w = t.handoff
-	t.handoff = nil
 }
 
 // claimParked attempts the parked->running transition. True means the
@@ -156,27 +144,18 @@ func (t *task) unpark() {
 	}
 }
 
-// yieldTicket returns the held worker ticket to its worker loop. The
-// worker resumes scheduling other tasks; this task must next block on
-// the benaphore (or exit).
-func (t *task) yieldTicket() {
-	w := t.w
-	t.w = nil
-	w.yield <- struct{}{}
-}
-
 // yieldNow reschedules the task to the back of its shard's run queue,
 // giving other ranks a turn. Poll loops that spin without blocking
-// (Iprobe under a miss streak) call it so a full worker pool cannot
-// starve the ranks whose messages the poller is waiting for.
+// (Iprobe under a miss streak) call it so ranks holding every ticket
+// cannot starve the ranks whose messages the poller is waiting for.
 func (t *task) yieldNow() {
 	p := t.pool
 	if p == nil {
 		runtime.Gosched()
 		return
 	}
-	p.ready(t) // requeue self; a worker will publish a fresh ticket
-	t.yieldTicket()
+	id := t.ticket // before the push: a passer may resume t right after it
+	p.push(t)      // requeue self; the ticket passed below covers the push
+	p.pass(int(id))
 	t.block()
-	t.claimTicket()
 }
