@@ -186,6 +186,11 @@ type collHub struct {
 	ideps     [2][][]int64
 	idepsOnce sync.Once
 
+	// tdeps are the same parity slots for CreateGraphTopo's creation
+	// round (joinTopo): every member's topology handle.
+	tdeps     [2][]*Topo
+	tdepsOnce sync.Once
+
 	// adeps is the untyped publication slot set used by WinCreate. It is
 	// deliberately single-buffered: unlike the typed slots, its writers
 	// are mid-phase republishes into the writer's own slot (see
@@ -226,6 +231,13 @@ func (h *collHub) ensureIdeps() {
 	})
 }
 
+func (h *collHub) ensureTdeps() {
+	h.tdepsOnce.Do(func() {
+		h.tdeps[0] = make([]*Topo, h.n)
+		h.tdeps[1] = make([]*Topo, h.n)
+	})
+}
+
 func (h *collHub) ensureAdeps() {
 	h.adepsOnce.Do(func() {
 		h.adeps = make([]any, h.n)
@@ -241,10 +253,11 @@ func (h *collHub) poison() {
 }
 
 // clearDeps drops deposit-slot references so a pooled hub does not pin
-// caller buffers across runs.
+// caller buffers or topologies across runs.
 func (h *collHub) clearDeps() {
 	for p := 0; p < 2; p++ {
 		clear(h.ideps[p])
+		clear(h.tdeps[p])
 		h.vredOut[p] = h.vredOut[p][:0]
 	}
 	clear(h.adeps)

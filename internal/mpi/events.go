@@ -109,9 +109,8 @@ const (
 	// event's Peer is the sending world rank and CauseT the sender's
 	// clock at injection.
 	WaitLateSender
-	// WaitNbrExchange is a stall on runtime-internal neighborhood
-	// traffic: a neighborhood-collective chunk or topology handshake
-	// still in flight from the Peer rank.
+	// WaitNbrExchange is a stall on a neighborhood-collective chunk
+	// still in flight from the Peer rank, which injected it at CauseT.
 	WaitNbrExchange
 	// WaitCollective is synchronization delay inside a global
 	// collective: the Peer rank was the last to enter, at clock CauseT.

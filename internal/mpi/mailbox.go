@@ -8,24 +8,23 @@ import (
 )
 
 // This file implements the runtime's receive-side message store: MPI's
-// unexpected-message queue. Every rank owns one mailbox; senders push
-// under the mailbox lock and the owning rank matches, probes and
-// dequeues.
+// unexpected-message queue for point-to-point traffic. Every rank owns
+// one mailbox; senders push under the mailbox lock and the owning rank
+// matches, probes and dequeues. Neighborhood-collective chunks never
+// enter it: they wait in their sender's box until the receiver pulls
+// them (topo.go), so everything queued here is a user-level message.
 //
 // Messages are bucketed by source. A bucket holds one FIFO ring per
-// message context for user-level messages and one FIFO ring for
-// runtime-internal traffic (neighborhood collective chunks, RMA
-// control), each in the order its single sender pushed it. A receive or
-// probe names (source, tag): AnyTag is the front of that source's ring,
-// an exact tag is the earliest entry carrying it. An exact tag behind a
-// backlog of other tags from the same source walks the ring, as MPICH's
-// unexpected queue does, and removing it shifts the entries ahead of it;
-// no per-tag index exists to make that case O(1). Internal traffic is
-// matched by exact itag the same way.
+// message context, in the order its single sender pushed it. A receive
+// or probe names (source, tag): AnyTag is the front of that source's
+// ring, an exact tag is the earliest entry carrying it. An exact tag
+// behind a backlog of other tags from the same source walks the ring, as
+// MPICH's unexpected queue does, and removing it shifts the entries
+// ahead of it; no per-tag index exists to make that case O(1).
 //
 // Per-source FIFO delivery (MPI's non-overtaking guarantee) is
 // structural: a match only ever takes a ring's earliest fitting entry.
-// What the store does index is the wildcard front: every non-empty user
+// What the store does index is the wildcard front: every non-empty
 // ring has one entry in mailbox.active, a binary min-heap keyed by the
 // (virtual arrival, source) of the ring's front message, with the key
 // held in the entry. The (AnySource, AnyTag) match every application
@@ -71,14 +70,11 @@ const qRetainEnts = 64
 // buffer in the process-wide pool for the rest of its life.
 const spillRetainWords = 1024
 
-// message is an in-flight payload. itag != 0 marks runtime-internal
-// traffic (neighborhood collectives, RMA control) which is invisible to
-// user-level Recv/Probe.
+// message is an in-flight point-to-point payload.
 type message struct {
 	src    int // sender's rank
 	tag    int
-	itag   int64
-	mctx   int32 // message context id (user-level traffic only)
+	mctx   int32 // message context id
 	data   []int64
 	bytes  int64
 	arrive float64 // virtual arrival time at the receiver
@@ -98,9 +94,9 @@ var msgPool = sync.Pool{New: func() any { return new(message) }}
 
 // newMessage obtains a pooled message and copies data into it. The caller
 // may reuse data immediately (MPI eager-buffering semantics).
-func newMessage(src, tag int, itag int64, mctx int32, data []int64) *message {
+func newMessage(src, tag int, mctx int32, data []int64) *message {
 	m := msgPool.Get().(*message)
-	m.src, m.tag, m.itag, m.mctx = src, tag, itag, mctx
+	m.src, m.tag, m.mctx = src, tag, mctx
 	n := len(data)
 	if n <= inlineWords {
 		m.data = m.inline[:n:inlineWords]
@@ -151,25 +147,11 @@ func (q *msgq) push(m *message) {
 	q.n++
 }
 
-// first returns the earliest user-level message carrying tag (AnyTag:
-// the front) and its distance from the front, or nil.
+// first returns the earliest message carrying tag (AnyTag: the front)
+// and its distance from the front, or nil.
 func (q *msgq) first(tag int) (*message, int) {
 	for i := 0; i < q.n; i++ {
 		if m := q.at(i); tag == AnyTag || m.tag == tag {
-			return m, i
-		}
-	}
-	return nil, 0
-}
-
-// firstInternal is first for runtime-internal traffic: the earliest
-// message carrying exactly itag. It is not folded into first (as an
-// itag == 0 condition there): a wildcard walk reads only the tag and
-// arrival of each ring's candidate, and also reading m.itag, 48 bytes
-// away, made sbp-dense 3 % slower in 9 of 12 paired runs.
-func (q *msgq) firstInternal(itag int64) (*message, int) {
-	for i := 0; i < q.n; i++ {
-		if m := q.at(i); m.itag == itag {
 			return m, i
 		}
 	}
@@ -217,7 +199,6 @@ type userq struct {
 // call, never across appends.
 type srcBucket struct {
 	user []userq // per-communicator FIFOs
-	intl msgq    // runtime-internal traffic, matched by exact itag
 	src  int32   // source rank this bucket indexes
 }
 
@@ -390,16 +371,12 @@ func (mb *mailbox) push(m *message) {
 		return
 	}
 	b := mb.bucket(int32(m.src))
-	if m.itag != 0 {
-		b.intl.push(m)
-	} else {
-		ring := b.ringFor(m.mctx)
-		q := &b.user[ring].q
-		q.push(m)
-		if q.n == 1 {
-			mb.active = append(mb.active, front{m.arrive, b, m.mctx, int32(ring)})
-			mb.siftUp(len(mb.active) - 1)
-		}
+	ring := b.ringFor(m.mctx)
+	q := &b.user[ring].q
+	q.push(m)
+	if q.n == 1 {
+		mb.active = append(mb.active, front{m.arrive, b, m.mctx, int32(ring)})
+		mb.siftUp(len(mb.active) - 1)
 	}
 	mb.queued += m.bytes
 	if mb.queued > mb.hw {
@@ -578,21 +555,6 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	panic("mpi: pickAnySourceLocked: pick out of range")
 }
 
-// matchInternalLocked dequeues the oldest internal message from src with
-// the exact itag, or returns nil. The caller holds mb.mu.
-func (mb *mailbox) matchInternalLocked(src int, itag int64) *message {
-	b := mb.peek(int32(src))
-	if b == nil {
-		return nil
-	}
-	m, i := b.intl.firstInternal(itag)
-	if m != nil {
-		b.intl.remove(i)
-		mb.queued -= m.bytes
-	}
-	return m
-}
-
 // reset drains and reinitializes a mailbox for reuse by the next run.
 // Queued messages (protocols like the Send-Recv matcher legally finish
 // with stale traffic queued) go back to the message pool; the buckets
@@ -606,7 +568,6 @@ func (mb *mailbox) reset() {
 		for i := range b.user {
 			b.user[i].q.reset()
 		}
-		b.intl.reset()
 	}
 	clear(mb.active)
 	mb.active = mb.active[:0]

@@ -22,7 +22,7 @@ import (
 // arrival time and pushes it, bypassing a Comm (payload = seq for
 // identification).
 func pushAt(mb *mailbox, src, tag int, arrive float64, seq int64) {
-	m := newMessage(src, tag, 0, 0, []int64{seq})
+	m := newMessage(src, tag, 0, []int64{seq})
 	m.arrive = arrive
 	mb.push(m)
 }
@@ -316,8 +316,7 @@ func TestMailboxRingTrimOnReset(t *testing.T) {
 // refStore is the reference model the mailbox is checked against: a flat
 // slice in push order, matched by linear scan. A user match considers
 // each source's first entry that fits (comm, tag) — MPI's non-overtaking
-// rule — and returns the earliest (arrive, src) among them; an internal
-// match is the first entry from that source with the exact itag.
+// rule — and returns the earliest (arrive, src) among them.
 type refStore struct {
 	msgs       []*message
 	queued, hw int64
@@ -338,7 +337,7 @@ func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *message {
 	best := -1
 	seen := map[int]bool{}
 	for i, m := range r.msgs {
-		if m.itag != 0 || m.mctx != mctx || seen[m.src] ||
+		if m.mctx != mctx || seen[m.src] ||
 			(src != AnySource && m.src != src) || (tag != AnyTag && m.tag != tag) {
 			continue
 		}
@@ -367,25 +366,7 @@ func (r *refStore) probeTake(src, tag int, mctx int32) *message {
 	return nil
 }
 
-func (r *refStore) matchInternal(src int, itag int64) *message {
-	for i, m := range r.msgs {
-		if m.src == src && m.itag == itag {
-			r.removeAt(i)
-			return m
-		}
-	}
-	return nil
-}
-
-func (r *refStore) pendingUser() int {
-	n := 0
-	for _, m := range r.msgs {
-		if m.itag == 0 {
-			n++
-		}
-	}
-	return n
-}
+func (r *refStore) pendingUser() int { return len(r.msgs) }
 
 // checkHeap asserts that mb.active is a min-heap by (front arrival,
 // source) over exactly the non-empty user rings: one entry per such ring,
@@ -434,9 +415,7 @@ func checkHeap(mb *mailbox) error {
 // new front can be earlier than the one just taken.
 const (
 	opPushUser = iota
-	opPushInternal
 	opMatchUser
-	opMatchInternal
 	opReset
 	opProbeTake // the matched probe-receive: a removing match, checked against refStore.probeTake
 	opKinds
@@ -453,9 +432,8 @@ func modelSrc(i int) int {
 }
 
 // op encodes one op: a push (remove ignored) or match with tag selector
-// tag in communicator comm, or, for the internal kinds, itag selector tag
-// (comm ignored; an internal match always removes). stamp(step, jitter)
-// builds a push's last byte.
+// tag in communicator comm. stamp(step, jitter) builds a push's last
+// byte.
 func op(kind, src, tag, comm int, remove bool, delta byte) []byte {
 	sel := tag | comm<<2
 	if remove {
@@ -504,22 +482,16 @@ func runMailboxModel(data []byte) error {
 		kind, sb, sel, delta := int(data[i])%opKinds, int(data[i+1]), int(data[i+2]), data[i+3]
 		si := sb % modelSrcs
 		mctx, remove := int32(sel>>2&1), sel>>3&1 == 1
-		push := func(tag int, itag int64) {
-			// Small steps make cross-source ties common.
-			clock[si] += float64(delta % 4)
-			// Payload length varies so the byte accounting is exercised.
-			m := newMessage(modelSrc(si), tag, itag, mctx, make([]int64, 1+i%3))
-			m.arrive = clock[si] + float64(delta>>2%8)
-			mb.push(m)
-			ref.push(m)
-		}
 		var got, want *message
 		switch kind {
 		case opPushUser:
-			push(sel%modelTags, 0)
-		case opPushInternal:
-			mctx = 0
-			push(0, int64(1000+sel%modelTags))
+			// Small steps make cross-source ties common.
+			clock[si] += float64(delta % 4)
+			// Payload length varies so the byte accounting is exercised.
+			m := newMessage(modelSrc(si), sel%modelTags, mctx, make([]int64, 1+i%3))
+			m.arrive = clock[si] + float64(delta>>2%8)
+			mb.push(m)
+			ref.push(m)
 		case opMatchUser, opProbeTake:
 			src, tag := AnySource, AnyTag
 			if s := sb % (modelSrcs + 1); s < modelSrcs {
@@ -533,12 +505,6 @@ func runMailboxModel(data []byte) error {
 			} else {
 				got, want = mbMatch(src, tag, mctx, true), ref.probeTake(src, tag, mctx)
 			}
-		case opMatchInternal:
-			itag := int64(1000 + sel%modelTags)
-			mb.mu.Lock()
-			got = mb.matchInternalLocked(modelSrc(si), itag)
-			mb.mu.Unlock()
-			want = ref.matchInternal(modelSrc(si), itag)
 		case opReset:
 			mb.reset() // releases what is queued; the mailbox is then reused
 			*ref = refStore{}
@@ -602,12 +568,13 @@ var mailboxModelCases = [][]byte{
 		op(opPushUser, 5, 1, 0, false, 1), op(opPushUser, 5, 2, 1, false, 1),
 		op(opMatchUser, 5, 1, 0, true, 0), op(opMatchUser, 5, 2, 1, true, 0),
 		op(opMatchUser, 5, modelTags, 0, true, 0)),
-	// Internal rounds under a fresh itag each, received out of order, with
-	// user traffic from the same source interleaved.
-	slices.Concat(op(opPushInternal, 7, 0, 0, false, 1), op(opPushInternal, 7, 1, 0, false, 1),
-		op(opPushUser, 7, 0, 0, false, 1), op(opPushInternal, 7, 0, 0, false, 1),
-		op(opMatchInternal, 7, 1, 0, true, 0), op(opMatchInternal, 7, 0, 0, true, 0),
-		op(opMatchInternal, 7, 0, 0, true, 0), op(opMatchInternal, 7, 2, 0, false, 0)),
+	// One source's tags received newest first by exact tag, with the
+	// other communicator's traffic from the same source in between and a
+	// miss on a drained tag.
+	slices.Concat(op(opPushUser, 7, 0, 0, false, 1), op(opPushUser, 7, 1, 0, false, 1),
+		op(opPushUser, 7, 0, 1, false, 1), op(opPushUser, 7, 2, 0, false, 1),
+		op(opMatchUser, 7, 2, 0, true, 0), op(opMatchUser, 7, 1, 0, true, 0),
+		op(opMatchUser, 7, 0, 0, true, 0), op(opMatchUser, 7, 2, 0, false, 0)),
 	// Take-on-probe with another communicator's ring on top of the heap: the
 	// wildcard for communicator 0 must walk past it, and taking source 9's
 	// front re-keys that ring below source 4's.
@@ -625,7 +592,7 @@ var mailboxModelCases = [][]byte{
 		op(opProbeTake, modelSrcs, modelTags, 0, false, 0), op(opProbeTake, 6, modelTags, 0, false, 0),
 		op(opProbeTake, modelSrcs, modelTags, 0, false, 0), op(opMatchUser, modelSrcs, modelTags, 0, true, 0)),
 	// Reset with traffic queued, then reuse of the same buckets.
-	slices.Concat(op(opPushUser, 2, 0, 0, false, 3), op(opPushInternal, 2, 0, 0, false, 1),
+	slices.Concat(op(opPushUser, 2, 0, 0, false, 3), op(opPushUser, 2, 2, 1, false, 1),
 		op(opReset, 0, 0, 0, false, 0), op(opPushUser, 2, 1, 0, false, 1),
 		op(opMatchUser, 2, 0, 0, false, 0), op(opMatchUser, 2, 1, 0, true, 0)),
 }

@@ -586,8 +586,8 @@ func (c *Comm) checkRank(r int, what string) {
 }
 
 // newID allocates a world-unique id every rank agrees on, the way
-// topology, window and detector-context creation agree on theirs: rank
-// 0 draws from the world sequence and broadcasts it. Collective.
+// window and detector-context creation agree on theirs: rank 0 draws
+// from the world sequence and broadcasts it. Collective.
 func (c *Comm) newID() int64 {
 	var id int64
 	if c.rank == 0 {

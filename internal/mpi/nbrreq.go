@@ -6,7 +6,7 @@ package mpi
 // exchange progresses and must eventually call WaitInto exactly once.
 //
 // Real MPI requires receive counts when the operation is posted; the
-// runtime sizes receives from the arriving messages instead, which models
+// runtime sizes receives from the arriving chunks instead, which models
 // an implementation with preposted maximum-size buffers — valid whenever
 // the application can bound per-neighbor volume, as the matching protocol
 // can (MaxMessagesPerCrossEdge).
@@ -24,12 +24,13 @@ func (t *Topo) INeighborAlltoallvInt64(send [][]int64) *NbrRequest {
 }
 
 // WaitInto blocks until every neighbor's contribution has arrived and
-// returns them in neighbor order, receiving into a caller-supplied slice
-// of per-neighbor buffers (see Topo.collect; allocated when nil). The
-// caller's clock advances only to the latest arrival — time spent
-// computing since the start overlaps the transfer, which is the point of
-// the nonblocking form. The pipelined transport keeps one receive set
-// across rounds so steady-state completion allocates nothing.
+// returns them in neighbor order in a caller-supplied slice of Degree()
+// entries (allocated when nil): read-only views valid until this rank's
+// next operation on the topology (see Topo.collect). The caller's clock
+// advances only to the latest arrival — time spent computing since the
+// start overlaps the transfer, which is the point of the nonblocking
+// form. The pipelined transport keeps one slice across rounds so
+// steady-state completion allocates nothing.
 func (r *NbrRequest) WaitInto(recv [][]int64) [][]int64 {
 	if r.finished {
 		panic("mpi: NbrRequest.WaitInto called twice")

@@ -64,7 +64,7 @@ func (c *Comm) send(dst, tag int, data []int64, sync bool) {
 		panic(fmt.Sprintf("mpi: send with negative tag %d (tags < 0 are reserved)", tag))
 	}
 	start := c.ps.now
-	m := newMessage(c.rank, tag, 0, c.ctx, data)
+	m := newMessage(c.rank, tag, c.ctx, data)
 	cost := c.w.cost
 	c.chargeComm(cost.SendOverhead)
 	if sync {
@@ -257,53 +257,10 @@ func (c *Comm) completeRecv(m *message) {
 	rs.RecvBytes += m.bytes
 }
 
-// internalSend delivers runtime-internal traffic (neighborhood collective
-// chunks, the topology handshake) outside the user tag space, arriving
-// latency after now. Charging the sender's clock and attributing the
-// bytes in the ledger is the caller's business (Topo.sendChunk); the
-// zero-cost handshake does neither.
-func (c *Comm) internalSend(dst int, itag int64, data []int64, latency float64) {
-	m := newMessage(c.rank, 0, itag, 0, data)
-	m.sent = c.ps.now
-	m.arrive = c.ps.now + c.perturbLatency(latency)
-	c.w.mailboxes[dst].push(m)
-}
-
-// internalRecvMsg blocks for an internal message from src with the exact
-// itag, advances the clock to its arrival and returns it. The caller owns
-// the message and must release it after copying the payload out.
-func (c *Comm) internalRecvMsg(src int, itag int64) *message {
-	mb := c.mbox()
-	mb.mu.Lock()
-	var m *message
-	for {
-		if m = mb.matchInternalLocked(src, itag); m != nil {
-			break
-		}
-		if mb.poisoned {
-			mb.mu.Unlock()
-			panic("mpi: internal recv aborted: a peer rank failed")
-		}
-		mb.parkLocked(c.ps.task)
-	}
-	mb.mu.Unlock()
-	c.waitFor(m.arrive, WaitNbrExchange, m.src, m.sent)
-	return m
-}
-
-// internalRecvAppend receives an internal message from src with the exact
-// itag and appends its payload to buf[:0], reusing buf's capacity. The
-// returned slice is caller-owned.
-func (c *Comm) internalRecvAppend(src int, itag int64, buf []int64) []int64 {
-	m := c.internalRecvMsg(src, itag)
-	buf = append(buf[:0], m.data...)
-	m.release()
-	return buf
-}
-
 // QueuedBytes returns the bytes currently occupying this rank's eager
-// buffer (user and internal messages alike). RankStats.QueueHighWater is
-// the post-run maximum; this is the live value, which the round-telemetry
+// buffer: queued point-to-point messages (neighborhood collective chunks
+// wait in their sender's box, not here). RankStats.QueueHighWater is the
+// post-run maximum; this is the live value, which the round-telemetry
 // layer samples at round boundaries.
 func (c *Comm) QueuedBytes() int64 {
 	return c.mbox().queuedBytes()

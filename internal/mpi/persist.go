@@ -13,8 +13,8 @@ package mpi
 // Usage mirrors MPI persistent requests: Init once, then any number of
 // Start/WaitInto pairs. Start while a round is in flight, or WaitInto
 // without a Start, panic — the same misuse MPI defines as erroneous.
-// Like the nonblocking form, receive buffers are sized from the arriving
-// messages, modeling preposted maximum-size buffers (valid whenever the
+// Like the nonblocking form, receives are sized from the arriving
+// chunks, modeling preposted maximum-size buffers (valid whenever the
 // application can bound per-neighbor volume).
 type PersistentNbr struct {
 	t        *Topo
@@ -37,8 +37,8 @@ func (t *Topo) NeighborAlltoallvInit() *PersistentNbr {
 // Start begins one round of the persistent exchange: send[i] is
 // delivered to neighbor i. The injection cost is charged at start;
 // transit overlaps with whatever the caller does before WaitInto. The
-// runtime copies payloads, so the caller may reuse send buffers
-// immediately after Start returns.
+// runtime copies payloads into its send box, so the caller may reuse
+// send buffers immediately after Start returns.
 func (p *PersistentNbr) Start(send [][]int64) {
 	if p.inflight {
 		panic("mpi: PersistentNbr.Start while a round is in flight")
@@ -48,8 +48,9 @@ func (p *PersistentNbr) Start(send [][]int64) {
 }
 
 // WaitInto completes the in-flight round, returning the neighbors'
-// contributions in neighbor order in a caller-supplied slice of
-// per-neighbor buffers (see Topo.collect; allocated when nil).
+// contributions in neighbor order in a caller-supplied slice (allocated
+// when nil) of views valid until this rank's next operation on the
+// topology (see Topo.collect).
 // Unlike a nonblocking request, the operation stays valid: the next
 // Start reuses the same schedule.
 func (p *PersistentNbr) WaitInto(recv [][]int64) [][]int64 {

@@ -17,8 +17,8 @@ import (
 // correctness of a pooled world, clock and result determinism across
 // scheduling modes and GOMAXPROCS settings, perturbation replay (with a
 // termination detector's private message context beside the world's),
-// poison teardown, world-skeleton pooling, the large-world symmetry
-// handshake, and the 16K-rank smoke/leak test.
+// poison teardown, world-skeleton pooling, the large-world topology
+// creation path, and the 16K-rank smoke/leak test.
 
 // schedModes are the two concrete scheduling strategies; every behavioral
 // test in this file runs under both so pooled execution is held to exactly
@@ -398,12 +398,12 @@ func TestBodyErrorPoisonsPeers(t *testing.T) {
 	}
 }
 
-// TestTopoHandshakePath forces the pairwise symmetry handshake (normally
+// TestTopoLargeWorldPath forces the large-world creation path (normally
 // reserved for worlds above topoVerifyDenseLimit) at a small size and
 // checks both a symmetric topology (must work, including a neighborhood
-// collective over it) and an asymmetric one (must surface as a deadline
-// teardown rather than a hang).
-func TestTopoHandshakePath(t *testing.T) {
+// collective over it) and an asymmetric one (must panic naming the pair,
+// as small worlds do, rather than run into the deadline).
+func TestTopoLargeWorldPath(t *testing.T) {
 	defer func(old int) { topoVerifyDenseLimit = old }(topoVerifyDenseLimit)
 	topoVerifyDenseLimit = 4
 
@@ -418,21 +418,20 @@ func TestTopoHandshakePath(t *testing.T) {
 		return nil
 	}, WithDeadline(30*time.Second))
 	if err != nil {
-		t.Fatalf("symmetric handshake topology: %v", err)
+		t.Fatalf("symmetric large-world topology: %v", err)
 	}
 
-	// Asymmetric: rank 0 lists rank 1, but not vice versa. The handshake
-	// rank 0 waits for never comes; the watchdog must name the deadlock.
+	// Asymmetric: rank 5 lists rank 2, but not vice versa.
 	_, err = Run(p, func(c *Comm) error {
 		var nbrs []int
-		if c.Rank() == 0 {
-			nbrs = []int{1}
+		if c.Rank() == 5 {
+			nbrs = []int{2}
 		}
 		c.CreateGraphTopo(nbrs)
 		return nil
-	}, WithDeadline(300*time.Millisecond))
-	if err == nil || !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("asymmetric handshake topology: err = %v, want deadline error", err)
+	}, WithDeadline(5*time.Second))
+	if want := "asymmetric topology: rank 5 lists 2 but not vice versa"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("asymmetric large-world topology: err = %v, want %q", err, want)
 	}
 }
 

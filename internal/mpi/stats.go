@@ -38,8 +38,10 @@ type RankStats struct {
 	AllocCurrent   int64 // live application comm-buffer bytes
 	AllocHighWater int64 // high-water of AllocCurrent
 	// QueueHighWater is the high-water mark of bytes queued in this rank's
-	// mailbox (unreceived eager messages) — the analogue of MPI internal
-	// eager-buffer memory. It is folded in from the mailbox by Finalize.
+	// mailbox (unreceived eager point-to-point messages) — the analogue of
+	// MPI internal eager-buffer memory. Neighborhood-collective chunks
+	// wait in their sender's box, not here, and do not count. It is
+	// folded in from the mailbox by Finalize.
 	QueueHighWater int64
 	// UnreceivedMsgs is the number of user-level messages still queued in
 	// this rank's mailbox when the run ended (folded in like

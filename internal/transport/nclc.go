@@ -37,7 +37,7 @@ type nclcPhase struct {
 	fwdIdx int // position of the forward peer in the phase topo
 	pn     *mpi.PersistentNbr
 	sendv  [][]int64 // per-peer send views; only fwdIdx ever carries data
-	recv   [][]int64 // per-peer receive scratch, reused across rounds
+	recv   [][]int64 // per-peer received chunks: views valid until the phase's next round
 	buf    []int64   // outgoing bundle: wire records whose lowest unresolved distance bit is j
 }
 
@@ -170,8 +170,9 @@ func (t *NCLC) Exchange(h Handler) int {
 		ph.sendv[ph.fwdIdx] = ph.buf
 		usage += int64(len(ph.buf))
 		ph.pn.Start(ph.sendv)
-		// The runtime copied the payload at Start; the bundle buffer is
-		// immediately reusable for records this phase forwards onward.
+		// Start copied the payload into the runtime's send box; the bundle
+		// buffer is immediately reusable for records this phase forwards
+		// onward.
 		ph.buf = ph.buf[:0]
 		ph.recv = ph.pn.WaitInto(ph.recv)
 		for _, data := range ph.recv {

@@ -244,7 +244,8 @@ type NCL struct {
 	topo *mpi.Topo
 
 	// Per-round scratch, reused so a steady-state Exchange allocates
-	// nothing: outgoing/incoming counts and the receive buffers.
+	// nothing: outgoing/incoming counts, and the received chunks — views
+	// into the neighbors' send boxes, valid until the next exchange.
 	counts   []int64
 	incoming []int64
 	in       [][]int64
@@ -399,7 +400,7 @@ type NCLI struct {
 	stage
 	topo     *mpi.Topo
 	spare    [][]int64 // the other half of the double buffer
-	in       [][]int64 // receive scratch reused across rounds
+	in       [][]int64 // received chunks: views valid until the next exchange
 	inflight *mpi.NbrRequest
 }
 

@@ -492,8 +492,8 @@ func TestTelemetryRoundZeroAlloc(t *testing.T) {
 // TestNCLRoundZeroAlloc asserts the steady-state allocation contract of
 // one full NCL aggregation round — queue a record, exchange counts and
 // payloads, deliver, and run the termination reduction — exercising the
-// pooled internal messages, the Into receive variants and the scalar
-// allreduce scratch together. AllocsPerRun executes its body runs+1
+// send boxes, the Into receive variants and the scalar allreduce scratch
+// together. AllocsPerRun executes its body runs+1
 // times on rank 0; rank 1 runs the same count so the collective stays in
 // lockstep.
 func TestNCLRoundZeroAlloc(t *testing.T) {
