@@ -67,12 +67,11 @@ bench-smoke:
 # exchange + collectives) must complete within CI budgets and hold the
 # per-rank steady-state memory ceiling (footprint_test.go), and the
 # rank-count scaling experiment must pass at its default cap, which
-# runs NCL matching at the paper's 16384 processes. It runs without
-# -json: run records turn on round logs, whose per-destination byte
-# rows are O(ranks) per rank (3.1 GB and ~5 s of the run at 16384).
+# runs NCL matching at the paper's 16384 processes, with run records
+# (and so round logs) on; ranks_records.json is the CI artifact.
 scale-smoke:
 	$(GO) test -run 'TestLargeWorldSmoke|TestWorldFootprintCeiling16K' -v -timeout 10m ./internal/mpi/
-	$(GO) run ./cmd/matchbench -exp ranks -ranks 16384
+	$(GO) run ./cmd/matchbench -exp ranks -ranks 16384 -json ranks_records.json
 
 # bench-dense runs the process-graph density sweep: the NCL vs NCLC
 # (message-combining neighborhood collectives) crossover on ring-banded

@@ -87,11 +87,6 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 		var sent, recvd, visited int64
 		frontier := make([]int32, 0, nOwned)
 		next := make([]int32, 0, nOwned)
-		record := func() {
-			if r.Log != nil {
-				r.Log.Append(c.Now(), int64(len(frontier)), visited, sent, 0, 0, c.QueuedBytes(), r.Vol)
-			}
-		}
 		visit := func(v, from, lvl int64) {
 			vi := int(v) - l.Lo
 			if parent[vi] != -1 && level[vi] <= lvl {
@@ -116,7 +111,7 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 			visit(int64(root), int64(root), 0)
 		}
 		frontier, next = next, frontier[:0]
-		record()
+		r.Record(int64(len(frontier)), visited, sent, 0, 0)
 
 		for {
 			// Expand the frontier: local visits immediately, cross edges
@@ -150,7 +145,7 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 				}
 			}
 			frontier, next = next, frontier[:0]
-			record()
+			r.Record(int64(len(frontier)), visited, sent, 0, 0)
 			if nextTotal == 0 {
 				break
 			}

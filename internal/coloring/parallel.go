@@ -179,15 +179,10 @@ func (e *jpEngine) arcIndex(x, y int64) int64 {
 	return e.g.Offsets[x] + int64(i)
 }
 
-// Record appends one telemetry row at a loop round boundary. The
-// announcement count rides in the request slot; Jones-Plassmann has no
-// reject/invalid traffic. One nil check when off.
-func (e *jpEngine) Record(log *telemetry.RoundLog, vol []int64) {
-	if log == nil {
-		return
-	}
-	log.Append(e.c.Now(), e.pendingArcs, e.ncolored, e.sent, 0, 0,
-		e.c.QueuedBytes(), vol)
+// Row implements driver.Kernel. The announcement count rides in the
+// request slot; Jones-Plassmann has no reject/invalid traffic.
+func (e *jpEngine) Row() (unresolved, done, req, rej, inv int64) {
+	return e.pendingArcs, e.ncolored, e.sent, 0, 0
 }
 
 func (e *jpEngine) DrainWork() {

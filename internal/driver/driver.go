@@ -102,9 +102,8 @@ type Rank struct {
 	Local   *distgraph.Local
 	Backend transport.Backend
 	// Log is the rank's telemetry log, nil unless Options.RoundLog is
-	// set; Vol is then the backend's live per-destination byte ledger.
+	// set; Record appends to it.
 	Log *telemetry.RoundLog
-	Vol []int64
 	// Quiesce is the termination detector the kernel reports every
 	// record it pushes and handles to; nil unless the run is detected
 	// and barrier-free.
@@ -116,6 +115,17 @@ type Rank struct {
 
 	detect bool      // Protocol.Detect
 	fence  *mpi.Comm // set when a point-to-point backend runs in fenced rounds
+	vol    []int64   // the backend's live per-neighbor byte ledger, with Log
+}
+
+// Record appends one telemetry row at a round boundary: the rank's clock
+// and mailbox occupancy, the application's counters as given (Kernel.Row)
+// and the backend's per-neighbor volume ledger. One nil check when
+// telemetry is off.
+func (r *Rank) Record(unresolved, done, req, rej, inv int64) {
+	if r.Log != nil {
+		r.Log.Append(r.Comm.Now(), unresolved, done, req, rej, inv, r.Comm.QueuedBytes(), r.vol)
+	}
 }
 
 // Result is what a run leaves behind besides the application's own
@@ -168,12 +178,10 @@ func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Result
 		}
 		r.Backend = t
 		if logs != nil {
-			r.Log = telemetry.NewRoundLog(opt.RoundLog, opt.Procs)
+			r.Log = telemetry.NewRoundLog(opt.RoundLog, len(r.Local.NeighborRanks))
 			r.Log.SetTotal(int64(r.Local.NumOwned()))
 			logs[c.Rank()] = r.Log
-			// The ledger is O(world size) per rank and allocated on first
-			// use: an untelemetered 64K-rank run must not pay for it.
-			r.Vol = t.VolumeByDest()
+			r.vol = t.VolumeByNeighbor()
 		}
 		if p.Detect && p2p && r.fence == nil {
 			r.Quiesce = mpi.NewQuiesce(c)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/matching"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -25,11 +24,11 @@ func (k *stuck) Start() {
 		k.q.NoteSend(1)
 	}
 }
-func (k *stuck) DrainWork()                          {}
-func (k *stuck) Pending() int64                      { return 1 }
-func (k *stuck) InFlight() int64                     { return 0 }
-func (k *stuck) Record(*telemetry.RoundLog, []int64) {}
-func (k *stuck) handle(ctx, x, y int64)              {}
+func (k *stuck) DrainWork()                 {}
+func (k *stuck) Pending() int64             { return 1 }
+func (k *stuck) InFlight() int64            { return 0 }
+func (k *stuck) Row() (_, _, _, _, _ int64) { return 1, 0, 0, 0, 0 }
+func (k *stuck) handle(ctx, x, y int64)     {}
 
 // TestFailurePaths drives every way a run can fail through the one
 // scaffolding: the body fails on one rank while its peers are inside a

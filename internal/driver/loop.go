@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -22,8 +21,10 @@ type Kernel interface {
 	// protocol is over when it is zero (on this rank for the poll loop,
 	// summed over ranks for the round loop).
 	Pending() int64
-	// Record appends one telemetry row; log is nil when telemetry is off.
-	Record(log *telemetry.RoundLog, vol []int64)
+	// Row is the kernel's half of a telemetry row (Rank.Record): its
+	// unfinished work items, finished ones, and cumulative per-kind
+	// protocol send counters.
+	Row() (unresolved, done, req, rej, inv int64)
 }
 
 // Detected is the Kernel of a Protocol.Detect run: its Pending cannot
@@ -42,7 +43,7 @@ type Detected interface {
 // iteration. h is k's record handler.
 func (r *Rank) Loop(k Kernel, h transport.Handler) {
 	k.Start()
-	k.Record(r.Log, r.Vol)
+	r.Record(k.Row())
 	a, p2p := r.Backend.(transport.Async)
 	switch {
 	case r.Quiesce != nil:
@@ -65,7 +66,7 @@ func (r *Rank) pollCounted(k Kernel, h transport.Handler, t transport.Async) {
 	for k.Pending() > 0 {
 		progressed := t.Drain(h)
 		k.DrainWork()
-		k.Record(r.Log, r.Vol)
+		r.Record(k.Row())
 		if k.Pending() == 0 {
 			return
 		}
@@ -87,7 +88,7 @@ func (r *Rank) pollDetected(k Kernel, h transport.Handler, t transport.Async) {
 		k.DrainWork()
 		if progressed {
 			r.Rounds++
-			k.Record(r.Log, r.Vol)
+			r.Record(k.Row())
 			continue
 		}
 		t.Finish()
@@ -97,7 +98,7 @@ func (r *Rank) pollDetected(k Kernel, h transport.Handler, t transport.Async) {
 		r.Quiesce.Block()
 		r.Rounds++
 	}
-	k.Record(r.Log, r.Vol)
+	r.Record(k.Row())
 	if n := k.Pending(); n != 0 {
 		panic(fmt.Sprintf("%T: rank %d: quiescence detected with %d work items pending (false termination)", k, r.Comm.Rank(), n))
 	}
@@ -121,7 +122,7 @@ func (r *Rank) rounds(k Kernel, h transport.Handler) {
 			done = r.Comm.AllreduceScalarInt64(mpi.OpSum, k.Pending()) == 0
 		}
 		r.Rounds++
-		k.Record(r.Log, r.Vol)
+		r.Record(k.Row())
 		if done {
 			return
 		}

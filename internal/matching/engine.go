@@ -7,7 +7,6 @@ import (
 	"repro/internal/distgraph"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -138,17 +137,10 @@ func (e *engine) push(ctx, x, y int64) {
 // owes nothing to anyone.
 func (e *engine) Pending() int64 { return e.pending }
 
-// Record appends one telemetry row at a loop round boundary: the
-// rank's clock, unresolved cross-arc count, matched vertices, the
-// cumulative per-kind protocol counters, the live mailbox occupancy and
-// the transport's per-destination volume ledger. One nil check when off.
-func (e *engine) Record(log *telemetry.RoundLog, vol []int64) {
-	if log == nil {
-		return
-	}
-	log.Append(e.c.Now(), e.pending, e.nmatched,
-		e.kind[ctxRequest], e.kind[ctxReject], e.kind[ctxInvalid],
-		e.c.QueuedBytes(), vol)
+// Row implements driver.Kernel: unresolved cross arcs, matched
+// vertices and the cumulative per-kind protocol counters.
+func (e *engine) Row() (unresolved, done, req, rej, inv int64) {
+	return e.pending, e.nmatched, e.kind[ctxRequest], e.kind[ctxReject], e.kind[ctxInvalid]
 }
 
 // availableArc reports whether the neighbor at row position pos of owned

@@ -6,7 +6,6 @@ import (
 	"repro/internal/distgraph"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -132,17 +131,11 @@ func (e *mxEngine) Pending() int64 { return e.unsettled }
 // InFlight implements driver.Detected.
 func (e *mxEngine) InFlight() int64 { return e.sent - e.recvd }
 
-// Record appends one telemetry row at a loop epoch boundary. The
-// columns reuse the round-log schema with the analogous meaning per
-// slot: unresolved = unsettled vertices, req = proposals,
-// rej = declines, inv = accepts.
-func (e *mxEngine) Record(log *telemetry.RoundLog, vol []int64) {
-	if log == nil {
-		return
-	}
-	log.Append(e.c.Now(), e.unsettled, e.nmatched,
-		e.kind[mxPropose], e.kind[mxDecline], e.kind[mxAccept],
-		e.c.QueuedBytes(), vol)
+// Row implements driver.Kernel, reusing the round-log schema with the
+// analogous meaning per slot: unresolved = unsettled vertices,
+// req = proposals, rej = declines, inv = accepts.
+func (e *mxEngine) Row() (unresolved, done, req, rej, inv int64) {
+	return e.unsettled, e.nmatched, e.kind[mxPropose], e.kind[mxDecline], e.kind[mxAccept]
 }
 
 // setMatched finalizes owned vertex vi with the given partner.

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -82,24 +83,42 @@ func TestRoundLogDisabledByDefault(t *testing.T) {
 	}
 }
 
-// benchTelemetry measures a full distributed run with telemetry off or
-// on; comparing the two quantifies the observer cost of the round logs
-// (bench/ tracks it as matching.run_s.nsr/.ncl on traced-mixed, observers
-// on, against sbp-dense, off, plus telemetry.merge_s).
-func benchTelemetry(b *testing.B, m Model, roundLog int) {
-	g := gen.Social(4000, 8, 21)
-	o := opts(8, m)
-	o.RoundLog = roundLog
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// telemetryCeilingPerRank is TestTelemetryFootprint's gate on the heap a
+// rank's telemetry allocates over a run: about 1670 bytes/rank measured
+// at 4096 ranks (2-CPU x86-64 VM, Go 1.24), with ample headroom.
+// World-width rows (a ledger cell and a previous-row cell per rank,
+// 64 KB at 4096 ranks) or rows preallocated to the log's capacity
+// (36 KB at 512) would exceed it many times over.
+const telemetryCeilingPerRank = 8192
+
+// TestTelemetryFootprint runs NCL matching on 4096 ranks, four vertices
+// each, with round logs of capacity 512 and without, and bounds the
+// difference in bytes allocated per rank: a rank's telemetry must cost
+// its degree and the rounds it records, not the world size or the
+// capacity.
+func TestTelemetryFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4096-rank runs; skipped under -short")
+	}
+	const p = 4096
+	n := 4 * p
+	g := gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 7001+p)
+	allocated := func(roundLog int) uint64 {
+		var before, after runtime.MemStats
+		o := opts(p, NCL)
+		o.RoundLog = roundLog
+		runtime.ReadMemStats(&before)
 		if _, err := Run(g, o); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(0) // fill the world pool, so both measured runs reuse it
+	off, on := allocated(0), allocated(512)
+	perRank := (float64(on) - float64(off)) / p
+	t.Logf("telemetry allocates %.0f bytes/rank (%d with round logs, %d without)", perRank, on, off)
+	if perRank > telemetryCeilingPerRank {
+		t.Errorf("telemetry allocates %.0f bytes/rank, ceiling %d", perRank, telemetryCeilingPerRank)
 	}
 }
-
-func BenchmarkRunNSRTelemetryOff(b *testing.B) { benchTelemetry(b, NSR, 0) }
-func BenchmarkRunNSRTelemetryOn(b *testing.B)  { benchTelemetry(b, NSR, 1024) }
-func BenchmarkRunNCLTelemetryOff(b *testing.B) { benchTelemetry(b, NCL, 0) }
-func BenchmarkRunNCLTelemetryOn(b *testing.B)  { benchTelemetry(b, NCL, 1024) }

@@ -178,9 +178,9 @@ type collHub struct {
 
 	// Deposit slots, one per member rank per parity, written by plain
 	// stores before the deposit barrier and read after it. They serve
-	// the data-movement collectives (allgather, bcast) — the hot int64
-	// reductions travel through the shard fold above and never touch
-	// them — so they are allocated lazily on first use (the sync.Once
+	// the data-movement collectives (bcast; allgather in tests) — the hot
+	// int64 reductions travel through the shard fold above and never
+	// touch them — so they are allocated lazily on first use (the sync.Once
 	// runs on every member before its deposit, and the deposit barrier
 	// publishes the arrays to pure readers).
 	ideps     [2][][]int64
@@ -468,23 +468,6 @@ func (c *Comm) AllreduceScalarInt64(op ReduceOp, v int64) int64 {
 	tmax, last := h.awaitFold(c.ps.task, c.rank, c.ps.now, foldScalar, op, v, nil)
 	out := h.redOut[p]
 	c.exitColl(tmax, int(last), 8)
-	return out
-}
-
-// AllgatherInt64 gathers each rank's vector onto all ranks; result[r] is
-// rank r's contribution. Contributions may differ in length (MPI's
-// Allgatherv generality).
-func (c *Comm) AllgatherInt64(mine []int64) [][]int64 {
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureIdeps()
-		h.ideps[p][c.rank] = mine
-	})
-	deps := h.ideps[p]
-	out := make([][]int64, c.w.n)
-	for r := range out {
-		out[r] = append([]int64(nil), deps[r]...)
-	}
-	c.exitColl(tmax, last, int64(8*len(mine)))
 	return out
 }
 

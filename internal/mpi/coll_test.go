@@ -58,10 +58,29 @@ func TestAllreduceInt64Ops(t *testing.T) {
 	}
 }
 
+// allgatherInt64 gathers each rank's vector onto all ranks; result[r] is
+// rank r's contribution. Contributions may differ in length (MPI's
+// Allgatherv generality). No application gathers, so it lives here: the
+// tests use it to drive the hub's deposit slots, and the neighborhood
+// reference (refTopo) to verify topologies as CreateGraphTopo once did.
+func (c *Comm) allgatherInt64(mine []int64) [][]int64 {
+	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
+		h.ensureIdeps()
+		h.ideps[p][c.rank] = mine
+	})
+	deps := h.ideps[p]
+	out := make([][]int64, c.w.n)
+	for r := range out {
+		out[r] = append([]int64(nil), deps[r]...)
+	}
+	c.exitColl(tmax, last, int64(8*len(mine)))
+	return out
+}
+
 func TestAllgatherBcastGatherReduce(t *testing.T) {
 	const p = 4
 	_, err := runChecked(p, func(c *Comm) error {
-		all := c.AllgatherInt64([]int64{int64(c.Rank() * 2)})
+		all := c.allgatherInt64([]int64{int64(c.Rank() * 2)})
 		for r := 0; r < p; r++ {
 			if all[r][0] != int64(r*2) {
 				t.Errorf("allgather[%d] = %v", r, all[r])
@@ -126,7 +145,7 @@ func TestCollectiveDeterministicAcrossRanks(t *testing.T) {
 	_, err := runChecked(p, func(c *Comm) error {
 		in := []int64{math.MaxInt64/3 + int64(c.Rank())}
 		out := c.AllreduceInt64(OpProd, in)
-		all := c.AllgatherInt64(out)
+		all := c.allgatherInt64(out)
 		for r := 1; r < p; r++ {
 			if all[r][0] != all[0][0] {
 				t.Error("allreduce result differs between ranks")

@@ -35,7 +35,7 @@ const (
 	// EvWait is a blocked interval: the clock jumping forward to a
 	// remote arrival or synchronization point.
 	EvWait
-	// EvColl is a global collective (Barrier, Allreduce, Allgather, ...).
+	// EvColl is a global collective (Barrier, Allreduce, Bcast, ...).
 	EvColl
 	// EvNbrColl is a blocking neighborhood collective; Tag is the
 	// topology-local call sequence number (the round, for round-based

@@ -38,7 +38,7 @@ func newRefTopo(c *Comm, neighbors []int) *refTopo {
 		for i, nb := range neighbors {
 			mine[i] = int64(nb)
 		}
-		c.AllgatherInt64(mine)
+		c.allgatherInt64(mine)
 	} else {
 		for _, nb := range neighbors {
 			r.send(nb, refHandshake, []int64{int64(c.rank)}, 0)

@@ -134,7 +134,7 @@ func clockBody(rounds int) func(c *Comm) error {
 		// reuse bug lands here. Each result feeds the next round's input
 		// or the local clock, so a wrong value shifts the fingerprint even
 		// if the final payloads happen to agree.
-		all := c.AllgatherInt64([]int64{int64(r*7 + 1)})
+		all := c.allgatherInt64([]int64{int64(r*7 + 1)})
 		if got := all[prev][0]; got != int64(prev*7+1) {
 			return fmt.Errorf("rank %d: allgather[%d] = %d", r, prev, got)
 		}

@@ -56,13 +56,11 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 
 	if c.w.n <= topoVerifyDenseLimit {
 		// Worlds this small pay for verification as an adjacency
-		// allgather (the goldens pin its cost). The check itself is the
-		// lookup below, the same at every size.
-		mine := make([]int64, len(neighbors))
-		for i, nb := range neighbors {
-			mine[i] = int64(nb)
-		}
-		c.AllgatherInt64(mine)
+		// allgather (the goldens pin its cost): the round and its bytes
+		// are booked, and no list moves. The check itself is the lookup
+		// below, the same at every size.
+		_, _, tmax, last := c.enterColl(nil)
+		c.exitColl(tmax, last, int64(8*len(neighbors)))
 	} else {
 		// Larger worlds once verified with a zero-latency handshake per
 		// neighbor. Both ends leave joinTopo at the same synchronized

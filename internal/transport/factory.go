@@ -17,29 +17,31 @@ type Backend interface {
 	// the algorithm decides termination (parked aggregation batches,
 	// in-flight pipelined rounds). Safe to call on every backend.
 	Finish()
-	// VolumeByDest returns the cumulative per-destination payload
-	// ledger: element d is the total record bytes this rank has pushed
-	// toward rank d through Send since the first VolumeByDest call,
-	// which allocates it (see ledger). The slice is live backend state —
-	// the round-telemetry layer snapshots it once per round; callers
-	// must not retain or modify it.
-	VolumeByDest() []int64
+	// VolumeByNeighbor returns the cumulative per-neighbor payload
+	// ledger: element i is the total record bytes this rank has pushed
+	// toward Local.NeighborRanks[i] through Send since the first
+	// VolumeByNeighbor call, which allocates it (see ledger). The slice
+	// is live backend state — the round-telemetry layer snapshots it once
+	// per round; callers must not retain or modify it.
+	VolumeByNeighbor() []int64
 }
 
 // DefaultAggBatch is the per-destination batch size, in records, of the
 // aggregating Send-Recv backend (NSRA).
 const DefaultAggBatch = 64
 
-// Deps carries everything a backend construction might need. Comm is
-// always required. The topology-based round models (NCL, RMA, NCLI,
-// NCLC) additionally need Local and MaxPerArc, and collectively create
-// their topology from Local.NeighborRanks — legal because the model
-// (and therefore the need for a topology) is uniform across ranks.
+// Deps carries everything a backend construction might need. Comm and
+// Local are always required: every backend sends only within
+// Local.NeighborRanks and keys its volume ledger by them. The round
+// models (NCL, RMA, NCLI, NCLC) additionally need MaxPerArc, and
+// collectively create their topology from Local.NeighborRanks — legal
+// because the model (and therefore the need for a topology) is uniform
+// across ranks.
 type Deps struct {
 	// Comm is the rank's communicator.
 	Comm *mpi.Comm
 	// Local is the rank's partition view (neighbor ranks, cross-arc
-	// counts). Required by the round models.
+	// counts).
 	Local *distgraph.Local
 	// MaxPerArc bounds protocol records per cross arc per direction;
 	// buffered backends size overflow guards from it. Required (> 0) by
@@ -57,17 +59,17 @@ func New(m Model, d Deps) (Backend, error) {
 	if d.Comm == nil {
 		return nil, fmt.Errorf("transport: New(%v): nil Comm", m)
 	}
+	if d.Local == nil {
+		return nil, fmt.Errorf("transport: New(%v): nil Local", m)
+	}
 	switch m {
 	case ModelNSR:
-		return NewP2P(d.Comm, false), nil
+		return NewP2P(d.Comm, d.Local, false), nil
 	case ModelMBP:
-		return NewP2P(d.Comm, true), nil
+		return NewP2P(d.Comm, d.Local, true), nil
 	case ModelNSRA:
-		return NewP2PAgg(d.Comm, DefaultAggBatch), nil
+		return NewP2PAgg(d.Comm, d.Local, DefaultAggBatch), nil
 	case ModelNCL, ModelRMA, ModelNCLI, ModelNCLC:
-		if d.Local == nil {
-			return nil, fmt.Errorf("transport: New(%v): nil Local", m)
-		}
 		if d.MaxPerArc <= 0 {
 			return nil, fmt.Errorf("transport: New(%v): MaxPerArc = %d", m, d.MaxPerArc)
 		}

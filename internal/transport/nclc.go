@@ -11,7 +11,7 @@ import (
 
 // nclcWireWords is the in-transit record size for combined bundles:
 // {dst, ctx, x, y}. The destination rank rides with the payload because
-// intermediate ranks must route it; VolumeByDest still accounts the
+// intermediate ranks must route it; VolumeByNeighbor still accounts the
 // uniform 3-word logical record toward the final destination, keeping
 // per-model volume ledgers comparable (the extra routing word is wire
 // framing, like the P2P path's tag or the batched paths' count headers).
@@ -119,7 +119,7 @@ func log2Ceil(n int) int {
 
 // ForwardedBytes returns the cumulative wire bytes this rank has relayed
 // on behalf of other ranks (received in a bundle and re-sent toward the
-// destination). Endpoint traffic is in VolumeByDest, accounted toward
+// destination). Endpoint traffic is in VolumeByNeighbor, accounted toward
 // the record's final destination at Send time uniformly with every other
 // backend; the sum of both is the rank's true injection load.
 func (t *NCLC) ForwardedBytes() int64 { return t.fwdBytes }

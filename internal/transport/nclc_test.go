@@ -125,8 +125,8 @@ func TestNCLCSparseFallsBackToDirect(t *testing.T) {
 // TestNCLCForwardingAccounting checks the relay ledgers: on K_8 the
 // ring distances 3, 5, 6, 7 need more than one hop, so intermediates
 // must report forwarded traffic — and none of it may leak into
-// VolumeByDest, which stays endpoint-uniform (24 bytes per sent record
-// toward the final destination).
+// VolumeByNeighbor, which stays endpoint-uniform (24 bytes per sent
+// record toward the final destination).
 func TestNCLCForwardingAccounting(t *testing.T) {
 	const p = 8
 	g := completeK(p)
@@ -136,11 +136,9 @@ func TestNCLCForwardingAccounting(t *testing.T) {
 		l := d.BuildLocal(c.Rank())
 		topo := c.CreateGraphTopo(l.NeighborRanks)
 		tr := NewNCLC(c, topo, l, 2).(*NCLC)
-		vol := tr.VolumeByDest()
-		var sent int64
+		vol := tr.VolumeByNeighbor()
 		for _, nb := range l.NeighborRanks {
 			tr.Send(nb, 1, int64(nb), int64(c.Rank()))
-			sent++
 		}
 		n := tr.Exchange(func(ctx, x, y int64) {})
 		if n != p-1 {
@@ -150,15 +148,10 @@ func TestNCLCForwardingAccounting(t *testing.T) {
 		if tr.ForwardedBytes() != tr.ForwardedRecords()*nclcWireWords*8 {
 			t.Errorf("rank %d: %d forwarded bytes for %d records", c.Rank(), tr.ForwardedBytes(), tr.ForwardedRecords())
 		}
-		var sum int64
-		for dst, b := range vol {
-			sum += b
-			if dst == c.Rank() && b != 0 {
-				t.Errorf("rank %d accounted %d bytes toward itself", c.Rank(), b)
+		for i, b := range vol {
+			if b != recordBytes {
+				t.Errorf("rank %d accounted %d bytes toward %d, want %d", c.Rank(), b, l.NeighborRanks[i], recordBytes)
 			}
-		}
-		if sum != sent*recordBytes {
-			t.Errorf("rank %d ledger %d bytes, want %d", c.Rank(), sum, sent*recordBytes)
 		}
 		tr.Finish()
 		return nil

@@ -16,18 +16,18 @@
 // tag on the point-to-point path, per the paper's §IV-B), x is the
 // target vertex (owned by the destination rank) and y the remote vertex.
 // What the backends share exists once, in this file: ledger is the
-// per-destination volume ledger behind every backend's VolumeByDest;
-// stage is the per-neighbor staging area — buffers that grow to what a
-// round stages, and the Send that fills them under the per-edge message
-// bound (the distribution's cross-arc counts times the application's
-// per-arc record limit) — embedded by the three neighborhood-collective
-// backends; deliver is the unpack loop at the end of every buffered
-// receive side. A backend adds only how its records travel.
+// rank's process-graph neighborhood and the per-neighbor volume ledger
+// behind every backend's VolumeByNeighbor; stage is the per-neighbor
+// staging area — buffers that grow to what a round stages, and the Send
+// that fills them under the per-edge message bound (the distribution's
+// cross-arc counts times the application's per-arc record limit) —
+// embedded by the three neighborhood-collective backends; deliver is the
+// unpack loop at the end of every buffered receive side. A backend adds
+// only how its records travel.
 package transport
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/distgraph"
 	"repro/internal/mpi"
@@ -36,7 +36,7 @@ import (
 // recordWords is the wire size of one record for buffered backends.
 const recordWords = 3
 
-// recordBytes is the ledger cost of one record in VolumeByDest: every
+// recordBytes is the ledger cost of one record in VolumeByNeighbor: every
 // backend moves the same three-word logical record, so volumes stay
 // comparable across models regardless of wire framing (the P2P path
 // carries ctx in the tag, batched paths add count headers).
@@ -74,30 +74,43 @@ type Round interface {
 	Exchange(h Handler) int
 }
 
-// ledger is the cumulative per-destination payload ledger behind every
-// backend's VolumeByDest (see Backend). It is O(world size) per rank, so
-// it is allocated lazily on the first VolumeByDest call: an
-// untelemetered 64K-rank run carries no ledgers at all, while the
-// telemetry layer (which calls VolumeByDest before the backend's first
-// Send) still observes every byte. Sends before the first VolumeByDest
-// call are deliberately not back-filled.
+// ledger is the rank's view of its process-graph neighborhood: the
+// Local whose NeighborRanks every send must target, and the cumulative
+// per-neighbor payload ledger behind every backend's VolumeByNeighbor
+// (see Backend), element i toward Local.NeighborRanks[i]. The ledger is
+// allocated on the first VolumeByNeighbor call, so an untelemetered run
+// carries none and the point-to-point backends skip the neighbor lookup;
+// the telemetry layer calls it before the backend's first Send and so
+// still observes every byte. Sends before that call are deliberately not
+// back-filled.
 type ledger struct {
-	size int // world size
-	vol  []int64
+	model Model // named in the non-neighbor panic
+	l     *distgraph.Local
+	vol   []int64
 }
 
-// VolumeByDest implements Backend; the first call allocates the ledger.
-func (g *ledger) VolumeByDest() []int64 {
+// VolumeByNeighbor implements Backend; the first call allocates the ledger.
+func (g *ledger) VolumeByNeighbor() []int64 {
 	if g.vol == nil {
-		g.vol = make([]int64, g.size)
+		g.vol = make([]int64, len(g.l.NeighborRanks))
 	}
 	return g.vol
 }
 
-// note accounts one record toward rank dst.
-func (g *ledger) note(dst int) {
+// neighbor returns dst's position in the process graph; a send outside
+// it is a protocol error.
+func (g *ledger) neighbor(dst int) int {
+	i := g.l.NeighborIndex(dst)
+	if i < 0 {
+		panic(fmt.Sprintf("transport: %v send to non-neighbor rank %d", g.model, dst))
+	}
+	return i
+}
+
+// note accounts one record toward neighbor i.
+func (g *ledger) note(i int) {
 	if g.vol != nil {
-		g.vol[dst] += recordBytes
+		g.vol[i] += recordBytes
 	}
 }
 
@@ -136,26 +149,21 @@ func deliver(c *mpi.Comm, words []int64, h Handler) int {
 // in Send. Backends embed it, so its Send is theirs.
 type stage struct {
 	ledger
-	model     Model // named in Send's panics
 	c         *mpi.Comm
-	l         *distgraph.Local
 	maxPerArc int64
 	out       [][]int64
 	peak      int64 // high-water of buffer bytes actually used
 }
 
 func newStage(m Model, c *mpi.Comm, l *distgraph.Local, maxPerArc int64) stage {
-	return stage{ledger: ledger{size: c.Size()}, model: m, c: c, l: l, maxPerArc: maxPerArc, out: make([][]int64, len(l.NeighborRanks))}
+	return stage{ledger: ledger{model: m, l: l}, c: c, maxPerArc: maxPerArc, out: make([][]int64, len(l.NeighborRanks))}
 }
 
 // Send implements Sender: stage the record for its process-graph
 // neighbor, bounded by the per-arc protocol guarantee.
 func (s *stage) Send(dst int, ctx, x, y int64) {
-	i := s.l.NeighborIndex(dst)
-	if i < 0 {
-		panic(fmt.Sprintf("transport: %v send to non-neighbor rank %d", s.model, dst))
-	}
-	s.note(dst)
+	i := s.neighbor(dst)
+	s.note(i)
 	if int64(len(s.out[i])) >= s.l.CrossArcs[i]*s.maxPerArc*recordWords {
 		panic(fmt.Sprintf("transport: %v buffer overflow to rank %d (per-edge message bound violated)", s.model, dst))
 	}
@@ -197,14 +205,21 @@ type P2P struct {
 	rbuf        [2]int64 // receive scratch for IprobeRecvInto
 }
 
-// NewP2P returns a Send-Recv backend.
-func NewP2P(c *mpi.Comm, synchronous bool) *P2P {
-	return &P2P{ledger: ledger{size: c.Size()}, C: c, Synchronous: synchronous}
+// NewP2P returns a Send-Recv backend over the neighborhood l.
+func NewP2P(c *mpi.Comm, l *distgraph.Local, synchronous bool) *P2P {
+	m := ModelNSR
+	if synchronous {
+		m = ModelMBP
+	}
+	return &P2P{ledger: ledger{model: m, l: l}, C: c, Synchronous: synchronous}
 }
 
-// Send implements Sender.
+// Send implements Sender. The destination is looked up, and checked to
+// be a neighbor, only while the ledger is live.
 func (t *P2P) Send(dst int, ctx, x, y int64) {
-	t.note(dst)
+	if t.vol != nil {
+		t.note(t.neighbor(dst))
+	}
 	t.sbuf[0], t.sbuf[1] = x, y
 	if t.Synchronous {
 		t.C.Ssend(dst, int(ctx), t.sbuf[:])
@@ -303,7 +318,6 @@ type RMA struct {
 	ledger
 	c    *mpi.Comm
 	topo *mpi.Topo
-	l    *distgraph.Local
 	win  mpi.WinHandle
 
 	maxPerArc   int64
@@ -326,8 +340,8 @@ type RMA struct {
 func NewRMA(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *RMA {
 	deg := len(l.NeighborRanks)
 	t := &RMA{
-		c: c, topo: topo, l: l, maxPerArc: maxPerArc,
-		ledger:      ledger{size: c.Size()},
+		c: c, topo: topo, maxPerArc: maxPerArc,
+		ledger:      ledger{model: ModelRMA, l: l},
 		regionStart: make([]int64, deg),
 		writeCursor: make([]int64, deg),
 		roundMark:   make([]int64, deg),
@@ -349,11 +363,8 @@ func NewRMA(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *R
 // Send implements Sender with a one-sided put at the precomputed
 // displacement.
 func (t *RMA) Send(dst int, ctx, x, y int64) {
-	i := t.l.NeighborIndex(dst)
-	if i < 0 {
-		panic(fmt.Sprintf("transport: RMA send to non-neighbor rank %d", dst))
-	}
-	t.note(dst)
+	i := t.neighbor(dst)
+	t.note(i)
 	if t.writeCursor[i] >= t.l.CrossArcs[i]*t.maxPerArc {
 		panic(fmt.Sprintf("transport: RMA region overflow to rank %d (per-edge message bound violated)", dst))
 	}
@@ -461,37 +472,33 @@ type P2PAgg struct {
 	ledger
 	c         *mpi.Comm
 	batch     int
-	slot      map[int]int32 // destination -> index of its partial batch in out
-	out       [][]int64     // partial batches, in order of first use
-	dsts      []int         // keys of slot, ascending: the flush order
-	rbuf      []int64       // receive scratch: one full batch
+	out       [][]int64 // partial batches, by neighbor position
+	used      int       // neighbors ever batched for
+	rbuf      []int64   // receive scratch: one full batch
 	accounted int64
 }
 
-// NewP2PAgg returns an aggregating Send-Recv backend batching up to
-// batch records per destination (batch >= 1).
-func NewP2PAgg(c *mpi.Comm, batch int) *P2PAgg {
+// NewP2PAgg returns an aggregating Send-Recv backend over the
+// neighborhood l, batching up to batch records per destination
+// (batch >= 1).
+func NewP2PAgg(c *mpi.Comm, l *distgraph.Local, batch int) *P2PAgg {
 	if batch < 1 {
 		panic(fmt.Sprintf("transport: P2PAgg batch = %d", batch))
 	}
-	return &P2PAgg{ledger: ledger{size: c.Size()}, c: c, batch: batch, slot: make(map[int]int32), rbuf: make([]int64, batch*recordWords)}
+	return &P2PAgg{ledger: ledger{model: ModelNSRA, l: l}, c: c, batch: batch, out: make([][]int64, len(l.NeighborRanks)), rbuf: make([]int64, batch*recordWords)}
 }
 
 // Send implements Sender: append to the destination's batch, flushing
-// when full. A record costs one map read: the batches live in a slice the
-// map indexes, so nothing is written back to the map. (A binary search of
-// dsts in the read's place was slower than the map write it was meant to
-// save, on sbp-dense's 63-neighbor ranks.)
+// when full. The one neighbor lookup a record costs finds both its batch
+// and its ledger cell. The modeled footprint is one full batch per
+// destination used so far.
 func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
-	t.note(dst)
+	i := t.neighbor(dst)
+	t.note(i)
 	t.c.Pack(1)
-	i, seen := t.slot[dst]
-	if !seen {
-		i = int32(len(t.out))
-		t.slot[dst] = i
-		t.out = append(t.out, nil)
-		at, _ := slices.BinarySearch(t.dsts, dst)
-		t.dsts = slices.Insert(t.dsts, at, dst)
+	if t.out[i] == nil {
+		t.used++
+		highWater(t.c, &t.accounted, int64(8*t.batch*recordWords*t.used))
 	}
 	buf := append(t.out[i], ctx, x, y)
 	if len(buf) >= t.batch*recordWords {
@@ -499,21 +506,19 @@ func (t *P2PAgg) Send(dst int, ctx, x, y int64) {
 		buf = buf[:0]
 	}
 	t.out[i] = buf
-	highWater(t.c, &t.accounted, int64(8*t.batch*recordWords*len(t.out)))
 }
 
-// flushAll transmits every partial batch, in destination-rank order: a
-// map range here would emit the flushes in Go's randomized iteration
-// order, introducing a run-to-run send reordering that is NOT one of the
-// runtime's modeled perturbation points — it would break replayability
-// of perturbed schedules (same seed, different transcript) for a reason
-// no real MPI library has. Only destinations ever buffered for are
-// visited, so a flush costs the rank's out-degree, not the world size.
+// flushAll transmits every partial batch in neighbor order, which is
+// ascending rank. A map range here would emit the flushes in Go's
+// randomized iteration order, introducing a run-to-run send reordering
+// that is NOT one of the runtime's modeled perturbation points — it would
+// break replayability of perturbed schedules (same seed, different
+// transcript) for a reason no real MPI library has. A flush costs the
+// rank's degree, not the world size.
 func (t *P2PAgg) flushAll() {
-	for _, dst := range t.dsts {
-		i := t.slot[dst]
-		if buf := t.out[i]; len(buf) > 0 {
-			t.c.Isend(dst, aggTag, buf)
+	for i, buf := range t.out {
+		if len(buf) > 0 {
+			t.c.Isend(t.l.NeighborRanks[i], aggTag, buf)
 			t.out[i] = buf[:0]
 		}
 	}

@@ -1,9 +1,9 @@
 // Black-box conformance suite for the transport factory contract: every
 // model constructed through transport.New — whatever its wire strategy —
 // must deliver the sent record multiset exactly once, preserve
-// per-source record order, keep a consistent per-destination volume
-// ledger, honor Finish, and (round models) enforce the neighborhood and
-// per-arc protocol bounds. Drivers rely on precisely this surface and
+// per-source record order, keep a consistent per-neighbor volume
+// ledger, honor Finish, refuse sends outside the process graph, and
+// (round models) enforce the per-arc protocol bound. Drivers rely on precisely this surface and
 // nothing else, so the suite runs against the exported API only.
 package transport_test
 
@@ -59,8 +59,8 @@ func pump(c *mpi.Comm, bk transport.Backend, h transport.Handler, sent, recvd *i
 // TestConformanceDeliveryOrderVolume drives every model through the same
 // multi-round exchange on a complete process graph and checks the three
 // ledger invariants at once: exact-once delivery, per-source FIFO, and
-// VolumeByDest accounting 24 bytes per record toward the final
-// destination (never toward self, never toward a relay).
+// VolumeByNeighbor accounting 24 bytes per record toward the final
+// destination (never toward a relay).
 func TestConformanceDeliveryOrderVolume(t *testing.T) {
 	const p = 6
 	const rounds = 3
@@ -80,7 +80,7 @@ func TestConformanceDeliveryOrderVolume(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				vol := bk.VolumeByDest()
+				vol := bk.VolumeByNeighbor()
 				var sent, recvd int64
 				lastSeq := make([]int64, p) // per-source FIFO watermark
 				got := make([]int64, p)     // per-source delivery count
@@ -118,15 +118,13 @@ func TestConformanceDeliveryOrderVolume(t *testing.T) {
 						t.Errorf("%v: rank %d received %d records from %d, want %d", m, c.Rank(), got[src], src, want)
 					}
 				}
-				var volSum int64
-				for dst, b := range vol {
-					volSum += b
-					if dst == c.Rank() && b != 0 {
-						t.Errorf("%v: %d bytes accounted toward self", m, b)
-					}
+				if len(vol) != p-1 {
+					t.Errorf("%v: ledger has %d cells, want one per neighbor (%d)", m, len(vol), p-1)
 				}
-				if volSum != sent*24 {
-					t.Errorf("%v: ledger holds %d bytes, want %d (24 per sent record)", m, volSum, sent*24)
+				for i, b := range vol {
+					if want := int64(rounds * perRound * 24); b != want {
+						t.Errorf("%v: %d bytes accounted toward %d, want %d (24 per sent record)", m, b, l.NeighborRanks[i], want)
+					}
 				}
 				return nil
 			}, mpi.WithDeadline(time.Minute))
@@ -172,11 +170,13 @@ func TestConformanceFlavorLoops(t *testing.T) {
 	}
 }
 
-// TestConformanceRoundBounds asserts the two protocol panics every
-// buffered round backend owes its caller: sending to a rank outside the
-// process graph, and exceeding the per-arc record bound. Two inputs, so
-// NCLC owes them in both of its modes: a path (sparse: the factory hands
-// back the direct exchange) and K_8 less one edge (dense: combining).
+// TestConformanceRoundBounds asserts the protocol panics the backends
+// owe their caller: every backend refuses a send to a rank outside the
+// process graph (NSR and MBP check only while their ledger is live, so
+// the test activates it), and every buffered round backend refuses to
+// exceed the per-arc record bound. Two inputs, so NCLC owes them in both
+// of its modes: a path (sparse: the factory hands back the direct
+// exchange) and K_8 less one edge (dense: combining).
 func TestConformanceRoundBounds(t *testing.T) {
 	expectPanic := func(m transport.Model, substr string, f func()) {
 		defer func() {
@@ -204,15 +204,13 @@ func TestConformanceRoundBounds(t *testing.T) {
 	} {
 		d := distgraph.NewBlockDist(in.g, in.p)
 		for _, m := range transport.Models {
-			if m.Flavor() != transport.FlavorRound {
-				continue
-			}
 			_, err := mpi.Run(in.p, func(c *mpi.Comm) error {
 				l := d.BuildLocal(c.Rank())
 				bk, err := transport.New(m, transport.Deps{Comm: c, Local: l, MaxPerArc: 1})
 				if err != nil {
 					return err
 				}
+				bk.VolumeByNeighbor()
 				if _, ok := bk.(*transport.NCLC); m == transport.ModelNCLC && ok != in.combining {
 					t.Errorf("%s: NCLC backend is %T, want combining = %v", in.name, bk, in.combining)
 				}
@@ -224,12 +222,15 @@ func TestConformanceRoundBounds(t *testing.T) {
 					expectPanic(m, "non-neighbor rank", func() { bk.Send(far, 1, 0, 0) })
 				}
 				// One cross arc per adjacent rank and MaxPerArc=1: the second
-				// record to the same neighbor must trip the overflow guard.
+				// record to the same neighbor must trip a round backend's
+				// overflow guard.
 				nb := l.NeighborRanks[0]
 				lo, _ := d.Range(nb)
 				x := int64(lo) // a vertex the destination owns
 				bk.Send(nb, 1, x, 0)
-				expectPanic(m, "per-edge message bound violated", func() { bk.Send(nb, 1, x, 1) })
+				if m.Flavor() == transport.FlavorRound {
+					expectPanic(m, "per-edge message bound violated", func() { bk.Send(nb, 1, x, 1) })
+				}
 				// The surviving staged record still delivers cleanly.
 				var sent, recvd int64 = 1, 0
 				pump(c, bk, func(ctx, x, y int64) { recvd++ }, &sent, &recvd)
@@ -251,14 +252,15 @@ func TestConformanceFactoryErrors(t *testing.T) {
 		t.Error("nil Comm accepted")
 	}
 	_, err := mpi.Run(2, func(c *mpi.Comm) error {
-		if _, err := transport.New(transport.ModelNCL, transport.Deps{Comm: c}); err == nil {
-			t.Error("round model with nil Local accepted")
+		for _, m := range []transport.Model{transport.ModelNSR, transport.ModelNCL} {
+			if _, err := transport.New(m, transport.Deps{Comm: c}); err == nil {
+				t.Errorf("%v with nil Local accepted", m)
+			}
 		}
-		if _, err := transport.New(transport.Model(99), transport.Deps{Comm: c}); err == nil {
+		l := distgraph.NewBlockDist(gen.Path(8), 2).BuildLocal(c.Rank())
+		if _, err := transport.New(transport.Model(99), transport.Deps{Comm: c, Local: l}); err == nil {
 			t.Error("unknown model accepted")
 		}
-		g := gen.Path(8)
-		l := distgraph.NewBlockDist(g, 2).BuildLocal(c.Rank())
 		if _, err := transport.New(transport.ModelRMA, transport.Deps{Comm: c, Local: l}); err == nil {
 			t.Error("round model with zero MaxPerArc accepted")
 		}

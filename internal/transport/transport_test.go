@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -27,9 +28,15 @@ func run(p int, body func(c *mpi.Comm) error) (*mpi.Report, error) {
 
 type rec struct{ ctx, x, y int64 }
 
+// clique returns rank c's partition of K_p, one vertex per rank: every
+// other rank is a process-graph neighbor.
+func clique(c *mpi.Comm) *distgraph.Local {
+	return distgraph.NewBlockDist(completeK(c.Size()), c.Size()).BuildLocal(c.Rank())
+}
+
 func TestP2PRoundTrip(t *testing.T) {
 	_, err := run(2, func(c *mpi.Comm) error {
-		tr := NewP2P(c, false)
+		tr := NewP2P(c, clique(c), false)
 		if c.Rank() == 0 {
 			tr.Send(1, 3, 10, 20)
 			tr.Send(1, 4, 11, 21)
@@ -52,7 +59,7 @@ func TestP2PRoundTrip(t *testing.T) {
 
 func TestP2PAggBatchingAndFlush(t *testing.T) {
 	rep, err := run(2, func(c *mpi.Comm) error {
-		tr := NewP2PAgg(c, 4) // 4 records per batch
+		tr := NewP2PAgg(c, clique(c), 4) // 4 records per batch
 		if c.Rank() == 0 {
 			for k := int64(0); k < 10; k++ {
 				tr.Send(1, 1, k, k)
@@ -98,7 +105,7 @@ func TestP2PAggBatchingAndFlush(t *testing.T) {
 func TestP2PAggFlushRankOrder(t *testing.T) {
 	const p = 5
 	rep, err := mpi.Run(p, func(c *mpi.Comm) error {
-		tr := NewP2PAgg(c, 64) // batch far above 1: nothing auto-flushes
+		tr := NewP2PAgg(c, clique(c), 64) // batch far above 1: nothing auto-flushes
 		for dst := p - 1; dst >= 0; dst-- {
 			if dst != c.Rank() {
 				tr.Send(dst, 1, int64(dst), int64(c.Rank()))
@@ -140,9 +147,9 @@ func TestP2PAggFewerMessagesThanP2P(t *testing.T) {
 	const records = 200
 	run := func(agg bool) int64 {
 		rep, err := run(2, func(c *mpi.Comm) error {
-			var tr Async = NewP2P(c, false)
+			var tr Async = NewP2P(c, clique(c), false)
 			if agg {
-				tr = NewP2PAgg(c, 32)
+				tr = NewP2PAgg(c, clique(c), 32)
 			}
 			if c.Rank() == 0 {
 				for k := int64(0); k < records; k++ {
@@ -386,63 +393,90 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 	}
 }
 
-// TestVolumeByDest asserts the per-destination byte ledger every backend
-// exposes for round telemetry: one 3-word record costs recordBytes
-// toward its destination, uniformly across models. The ledger is lazy —
-// allocated by the first VolumeByDest call, exactly how the telemetry
-// layer uses it (snapshot before any Send) — so the test activates it
-// first; untelemetered runs never pay the O(P) slice.
-func TestVolumeByDest(t *testing.T) {
-	g := gen.Path(8)
-	d := distgraph.NewBlockDist(g, 2)
-	_, err := run(2, func(c *mpi.Comm) error {
-		l := d.BuildLocal(c.Rank())
-		topo := c.CreateGraphTopo(l.NeighborRanks)
-		peer := 1 - c.Rank()
-		x, y := int64(3), int64(4)
-		if c.Rank() == 0 {
-			x, y = 4, 3
-		}
-		for _, tr := range []Backend{
-			NewP2P(c, false),
-			NewP2PAgg(c, 4),
-			NewNCL(c, topo, l, 8),
-			NewRMA(c, topo, l, 8),
-			NewNCLI(c, topo, l, 8),
-		} {
-			tr.VolumeByDest() // activate the lazy ledger before sending
-			tr.Send(peer, 1, x, y)
-			tr.Send(peer, 1, x, y)
-			vol := tr.VolumeByDest()
-			if len(vol) != 2 || vol[peer] != 2*recordBytes || vol[c.Rank()] != 0 {
-				t.Errorf("%T: vol = %v, want %d at %d", tr, vol, 2*recordBytes, peer)
+// TestVolumeByNeighbor asserts the per-neighbor byte ledger every
+// factory-built backend exposes for round telemetry: after rounds of
+// sends to random neighbors, element i holds recordBytes per record sent
+// to NeighborRanks[i], uniformly across models. Each round's ledger feeds
+// one RoundLog, and a world-width row the test keeps by destination rank
+// feeds another: the merged series must agree on Bytes and MaxLinkBytes,
+// so keying the row by neighbor loses nothing the telemetry reports.
+func TestVolumeByNeighbor(t *testing.T) {
+	const p, rounds, perRound = 8, 4, 6
+	d := distgraph.NewBlockDist(gen.SBP(240, p, 6, 0.2, 3), p)
+	for _, m := range Models {
+		nbrLogs, refLogs := make([]*telemetry.RoundLog, p), make([]*telemetry.RoundLog, p)
+		_, err := run(p, func(c *mpi.Comm) error {
+			l := d.BuildLocal(c.Rank())
+			bk, err := New(m, Deps{Comm: c, Local: l, MaxPerArc: rounds * perRound})
+			if err != nil {
+				return err
 			}
-			// Settle in-flight traffic so the next backend starts clean.
-			switch b := tr.(type) {
-			case Async:
-				b.Finish()
-				c.Barrier()
-				b.Drain(func(ctx, rx, ry int64) {})
-			case Round:
-				b.Exchange(func(ctx, rx, ry int64) {})
-				b.Exchange(func(ctx, rx, ry int64) {})
-				b.Finish()
+			vol := bk.VolumeByNeighbor() // activate the lazy ledger before sending
+			nbrLogs[c.Rank()] = telemetry.NewRoundLog(rounds, len(l.NeighborRanks))
+			refLogs[c.Rank()] = telemetry.NewRoundLog(rounds, p)
+			ref := make([]int64, p) // bytes by destination rank
+			sends := make([]int64, p)
+			rng := rand.New(rand.NewSource(int64(c.Rank())))
+			var sent, recvd int64
+			h := func(ctx, x, y int64) { recvd++ }
+			for r := 0; r < rounds; r++ {
+				for k := 0; k < perRound && len(l.NeighborRanks) > 0; k++ {
+					nb := l.NeighborRanks[rng.Intn(len(l.NeighborRanks))]
+					lo, _ := d.Range(nb)
+					bk.Send(nb, 1, int64(lo), int64(c.Rank()))
+					sends[nb]++
+					ref[nb] += recordBytes
+					sent++
+				}
+				// Move records until none is in flight anywhere.
+				for settled := false; !settled; {
+					switch b := bk.(type) {
+					case Round:
+						b.Exchange(h)
+					case Async:
+						b.Finish()
+						b.Drain(h)
+					}
+					settled = c.AllreduceScalarInt64(mpi.OpSum, sent-recvd) == 0
+				}
+				nbrLogs[c.Rank()].Append(0, 0, 0, 0, 0, 0, 0, vol)
+				refLogs[c.Rank()].Append(0, 0, 0, 0, 0, 0, 0, ref)
 			}
-			c.Barrier()
+			bk.Finish()
+			Release(bk)
+			if len(vol) != len(l.NeighborRanks) {
+				t.Errorf("%v rank %d: ledger has %d cells, degree %d", m, c.Rank(), len(vol), len(l.NeighborRanks))
+			}
+			for i, nb := range l.NeighborRanks {
+				if vol[i] != sends[nb]*recordBytes {
+					t.Errorf("%v rank %d: ledger[%d] = %d, want %d (%d sends to rank %d)", m, c.Rank(), i, vol[i], sends[nb]*recordBytes, sends[nb], nb)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		got, want := telemetry.Merge(nbrLogs), telemetry.Merge(refLogs)
+		if got.Rounds() != rounds || want.Rounds() != rounds {
+			t.Fatalf("%v: merged %d and %d rounds, want %d", m, got.Rounds(), want.Rounds(), rounds)
+		}
+		for r := range got.Points {
+			g, w := got.Points[r], want.Points[r]
+			if g.Bytes != w.Bytes || g.MaxLinkBytes != w.MaxLinkBytes {
+				t.Errorf("%v round %d: neighbor row gives Bytes %d MaxLinkBytes %d, world row %d %d", m, r, g.Bytes, g.MaxLinkBytes, w.Bytes, w.MaxLinkBytes)
+			}
+		}
 	}
 }
 
 // TestTelemetryRoundZeroAlloc extends the NCL aggregation-round contract
 // below with the full telemetry hot path: after each exchange the rank
-// samples its clock, mailbox occupancy and per-destination volume ledger
-// and appends a row to a preallocated RoundLog. The instrumented round
-// must stay allocation-free, so enabling -rounds/-json telemetry cannot
-// perturb the steady state it measures.
+// samples its clock, mailbox occupancy and per-neighbor volume ledger
+// and appends a row to a RoundLog. The instrumented round must stay
+// allocation-free in amortised terms (the log's rows grow by doubling,
+// a handful of growths over the measured rounds), so enabling
+// -rounds/-json telemetry cannot perturb the steady state it measures.
 func TestTelemetryRoundZeroAlloc(t *testing.T) {
 	const runs = 50
 	g := gen.Path(8)
@@ -451,7 +485,7 @@ func TestTelemetryRoundZeroAlloc(t *testing.T) {
 		l := d.BuildLocal(c.Rank())
 		topo := c.CreateGraphTopo(l.NeighborRanks)
 		tr := NewNCL(c, topo, l, 8)
-		log := telemetry.NewRoundLog(1024, c.Size())
+		log := telemetry.NewRoundLog(1024, len(l.NeighborRanks))
 		peer := 1 - c.Rank()
 		x, y := int64(3), int64(4)
 		if c.Rank() == 0 {
@@ -465,7 +499,7 @@ func TestTelemetryRoundZeroAlloc(t *testing.T) {
 			}
 			c.AllreduceScalarInt64(mpi.OpSum, 1)
 			done++
-			log.Append(c.Now(), unresolved, done, done, 0, 0, c.QueuedBytes(), tr.VolumeByDest())
+			log.Append(c.Now(), unresolved, done, done, 0, 0, c.QueuedBytes(), tr.VolumeByNeighbor())
 		}
 		for i := 0; i < 8; i++ {
 			round() // warm buffers, rings and pools
