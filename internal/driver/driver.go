@@ -116,6 +116,7 @@ type Rank struct {
 	detect bool      // Protocol.Detect
 	fence  *mpi.Comm // set when a point-to-point backend runs in fenced rounds
 	vol    []int64   // the backend's live per-neighbor byte ledger, with Log
+	loop   roundLoop // the round loop's state across its waits
 }
 
 // Record appends one telemetry row at a round boundary: the rank's clock

@@ -110,23 +110,82 @@ func (r *Rank) pollDetected(k Kernel, h transport.Handler, t transport.Async) {
 // (§V-D). A counted protocol sums Pending alone; a detected one also
 // sums the send/receive imbalance, which covers pipelined backends that
 // hold records a round in flight.
+//
+// The loop runs as a resumable step (mpi.Comm.Steps) over the step forms
+// of the exchange and the reduction: it stops wherever it would wait — a
+// neighbor's chunk, a fence, the reduction — and resumes there, so in a
+// pooled world no rank's goroutine parks at any of them.
 func (r *Rank) rounds(k Kernel, h transport.Handler) {
+	r.loop = roundLoop{r: r, k: k, h: h}
+	r.Comm.Steps(r.loop.step)
+}
+
+// roundLoop is the state rounds keeps across its waits.
+type roundLoop struct {
+	r *Rank
+	k Kernel
+	h transport.Handler
+	// reducing: the round's exchange and local work are done and its
+	// reduction is under way. fenced: over a point-to-point backend, the
+	// round's flush is done and its fence under way.
+	reducing, fenced bool
+	st               [2]int64
+}
+
+func (s *roundLoop) step() bool {
+	r, k := s.r, s.k
 	for {
-		exchange(r.Backend, h, r.fence)
-		k.DrainWork()
+		if !s.reducing {
+			if !s.exchange() {
+				return false
+			}
+			k.DrainWork()
+			s.reducing = true
+		}
 		var done bool
 		if r.detect {
-			st := r.Comm.AllreduceInt64(mpi.OpSum, []int64{k.Pending(), k.(Detected).InFlight()})
+			s.st[0], s.st[1] = k.Pending(), k.(Detected).InFlight()
+			st, ok := r.Comm.AllreduceInt64Step(mpi.OpSum, s.st[:], s.st[:])
+			if !ok {
+				return false
+			}
 			done = st[0] == 0 && st[1] == 0
 		} else {
-			done = r.Comm.AllreduceScalarInt64(mpi.OpSum, k.Pending()) == 0
+			total, ok := r.Comm.AllreduceScalarInt64Step(mpi.OpSum, k.Pending())
+			if !ok {
+				return false
+			}
+			done = total == 0
 		}
+		s.reducing = false
 		r.Rounds++
 		r.Record(k.Row())
 		if done {
-			return
+			return true
 		}
 	}
+}
+
+// exchange is one communication round's step. A point-to-point backend
+// is adapted: flush, so every record of the round is on the wire; with
+// a fence, a barrier, after which they are in their destination
+// mailboxes; deliver.
+func (s *roundLoop) exchange() bool {
+	a, p2p := s.r.Backend.(transport.Async)
+	if !p2p {
+		_, ok := s.r.Backend.(transport.Round).ExchangeStep(s.h)
+		return ok
+	}
+	if !s.fenced {
+		a.Finish()
+		s.fenced = true
+	}
+	if s.r.fence != nil && !s.r.fence.BarrierStep() {
+		return false
+	}
+	s.fenced = false
+	a.Drain(s.h)
+	return true
 }
 
 // Pump moves records once and delivers what has arrived to h, without
@@ -136,21 +195,11 @@ func (r *Rank) rounds(k Kernel, h transport.Handler) {
 // blocks on arrivals — a rank with nothing arriving may owe nothing
 // while others still exchange — so the caller's own reduction is the
 // fence that keeps every rank pumping until delivery completes.
-func Pump(bk transport.Backend, h transport.Handler) { exchange(bk, h, nil) }
-
-// exchange performs one communication round on any backend. A
-// point-to-point backend is adapted: flush, so every record of the round
-// is on the wire; with a fence, a barrier, after which they are in their
-// destination mailboxes; deliver.
-func exchange(bk transport.Backend, h transport.Handler, fence *mpi.Comm) {
-	a, p2p := bk.(transport.Async)
-	if !p2p {
-		bk.(transport.Round).Exchange(h)
+func Pump(bk transport.Backend, h transport.Handler) {
+	if a, p2p := bk.(transport.Async); p2p {
+		a.Finish()
+		a.Drain(h)
 		return
 	}
-	a.Finish()
-	if fence != nil {
-		fence.Barrier()
-	}
-	a.Drain(h)
+	bk.(transport.Round).Exchange(h)
 }

@@ -263,16 +263,20 @@ func (h *collHub) clearDeps() {
 	clear(h.adeps)
 }
 
-// waitGen blocks the task until the hub's round advances past gen.
-// Wakeups may be spurious (a banked notification from unrelated
-// traffic), hence the re-check loop.
-func (h *collHub) waitGen(t *task, gen int64) {
+// released reports whether the hub's round has advanced past gen.
+// Otherwise it suspends the task and reports false; the releaser unparks
+// every waiter of the round. Wakeups may be spurious (a banked
+// notification from unrelated traffic), hence the caller asks again.
+func (h *collHub) released(t *task, gen int64) bool {
 	for h.gen.Load() == gen {
 		if h.poisoned.Load() {
 			panic(collAbort)
 		}
-		t.park()
+		if t.suspend() {
+			return false
+		}
 	}
+	return true
 }
 
 // await is a reusable full barrier over the communicator that also folds
@@ -281,18 +285,28 @@ func (h *collHub) waitGen(t *task, gen int64) {
 // lowest rank so the result is schedule-independent). Task t must be
 // the goroutine's own task and rank its rank within this hub.
 func (h *collHub) await(t *task, rank int, now float64) (float64, int32) {
-	return h.awaitFold(t, rank, now, foldNone, OpSum, 0, nil)
+	if gen, last := h.deposit(t, rank, now, foldNone, OpSum, 0, nil); !last {
+		for !h.released(t, gen) {
+			t.sleep()
+		}
+	}
+	return h.roundMax, h.roundMaxRank
 }
 
-// awaitFold is await plus a shard-local int64 reduction: each arrival
-// folds v (foldScalar) or vec (foldVec) into its shard's accumulator
-// under the shard lock it already holds, and the releaser folds the
-// O(n/64) shard partials and publishes the result in redOut/vredOut at
-// the round's parity. This replaces the old per-rank read of all n
-// deposit slots — O(n^2) total work per collective, the superlinear
-// wall in the ranks-scaling curve — with O(n) total. All members of a
-// round must pass the same kind and op (the MPI collective contract).
-func (h *collHub) awaitFold(t *task, rank int, now float64, kind foldKind, op ReduceOp, v int64, vec []int64) (float64, int32) {
+// deposit is the arrival half of a collective round, plus a shard-local
+// int64 reduction: each arrival folds v (foldScalar) or vec (foldVec)
+// into its shard's accumulator under the shard lock it already holds,
+// and the releaser folds the O(n/64) shard partials and publishes the
+// result in redOut/vredOut at the round's parity. This replaces the old
+// per-rank read of all n deposit slots — O(n^2) total work per
+// collective, the superlinear wall in the ranks-scaling curve — with
+// O(n) total. All members of a round must pass the same kind and op (the
+// MPI collective contract). It returns the round's generation and
+// whether this rank was the last to arrive, which released the round;
+// any other waits (released) until the generation advances. Either way
+// the round's outputs and roundMax/roundMaxRank are then readable until
+// this rank enters its next collective.
+func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op ReduceOp, v int64, vec []int64) (int64, bool) {
 	sh := &h.shards[rank>>hubShardShift]
 	sh.mu.Lock()
 	if h.poisoned.Load() {
@@ -331,8 +345,7 @@ func (h *collHub) awaitFold(t *task, rank int, now float64, kind foldKind, op Re
 	sh.waiters = append(sh.waiters, t) // self-append BEFORE the decrement below
 	sh.mu.Unlock()
 	if !last || h.pendingShards.Add(-1) > 0 {
-		h.waitGen(t, gen)
-		return h.roundMax, h.roundMaxRank
+		return gen, false
 	}
 	// This rank completed the last pending shard: release the round.
 	p := gen & 1
@@ -400,7 +413,7 @@ func (h *collHub) awaitFold(t *task, rank int, now float64, kind foldKind, op Re
 			}
 		}
 	}
-	return maxNow, maxRank
+	return gen, true
 }
 
 // enterColl deposits this rank's payload (dep performs plain writes to
@@ -435,23 +448,46 @@ func (c *Comm) exitColl(tmax float64, last int, bytes int64) {
 
 // Barrier blocks until all ranks have entered it.
 func (c *Comm) Barrier() {
-	_, _, tmax, last := c.enterColl(nil)
-	c.exitColl(tmax, last, 8)
+	for !c.BarrierStep() {
+		c.Park()
+	}
+}
+
+// BarrierStep is the step form of Barrier (see Steps).
+func (c *Comm) BarrierStep() bool {
+	if _, ok := c.reduceStep(foldNone, OpSum, 0, nil); !ok {
+		return false
+	}
+	c.exitColl(c.w.hub.roundMax, int(c.w.hub.roundMaxRank), 8)
+	return true
 }
 
 // AllreduceInt64 combines in element-wise across all ranks with op and
 // returns the combined vector on every rank. All ranks must pass vectors
 // of the same length. The fold happens inside the deposit barrier (see
-// awaitFold), so each rank's cost is O(len(in)), independent of the
+// deposit), so each rank's cost is O(len(in)), independent of the
 // communicator size.
 func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 {
-	c.ps.collStart = c.ps.now
+	for {
+		if out, ok := c.AllreduceInt64Step(op, in, nil); ok {
+			return out
+		}
+		c.Park()
+	}
+}
+
+// AllreduceInt64Step is the step form of AllreduceInt64 (see Steps): the
+// combined vector is appended to out[:0] and returned with true; with
+// false, out is returned unchanged and must not be stored.
+func (c *Comm) AllreduceInt64Step(op ReduceOp, in, out []int64) ([]int64, bool) {
+	p, ok := c.reduceStep(foldVec, op, 0, in)
+	if !ok {
+		return out, false
+	}
 	h := c.w.hub
-	p := h.gen.Load() & 1
-	tmax, last := h.awaitFold(c.ps.task, c.rank, c.ps.now, foldVec, op, 0, in)
-	out := append([]int64(nil), h.vredOut[p]...)
-	c.exitColl(tmax, int(last), int64(8*len(in)))
-	return out
+	out = append(out[:0], h.vredOut[p]...)
+	c.exitColl(h.roundMax, int(h.roundMaxRank), int64(8*len(in)))
+	return out, true
 }
 
 // AllreduceScalarInt64 combines a single int64 across all ranks with op
@@ -462,13 +498,47 @@ func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 {
 // round for termination detection, which makes it part of the
 // steady-state hot path.
 func (c *Comm) AllreduceScalarInt64(op ReduceOp, v int64) int64 {
-	c.ps.collStart = c.ps.now
+	for {
+		if out, ok := c.AllreduceScalarInt64Step(op, v); ok {
+			return out
+		}
+		c.Park()
+	}
+}
+
+// AllreduceScalarInt64Step is the step form of AllreduceScalarInt64 (see
+// Steps).
+func (c *Comm) AllreduceScalarInt64Step(op ReduceOp, v int64) (int64, bool) {
+	p, ok := c.reduceStep(foldScalar, op, v, nil)
+	if !ok {
+		return 0, false
+	}
 	h := c.w.hub
-	p := h.gen.Load() & 1
-	tmax, last := h.awaitFold(c.ps.task, c.rank, c.ps.now, foldScalar, op, v, nil)
 	out := h.redOut[p]
-	c.exitColl(tmax, int(last), 8)
-	return out
+	c.exitColl(h.roundMax, int(h.roundMaxRank), 8)
+	return out, true
+}
+
+// reduceStep deposits the rank's contribution on its first call and
+// reports, then and on every later call, whether the round has been
+// released; when it has, it returns the round's parity for reading the
+// outputs.
+func (c *Comm) reduceStep(kind foldKind, op ReduceOp, v int64, vec []int64) (int64, bool) {
+	ps, h := c.ps, c.w.hub
+	if ps.collGen == 0 {
+		ps.collStart = ps.now
+		gen, last := h.deposit(ps.task, c.rank, ps.now, kind, op, v, vec)
+		if last {
+			return gen & 1, true
+		}
+		ps.collGen = gen + 1
+	}
+	gen := ps.collGen - 1
+	if !h.released(ps.task, gen) {
+		return 0, false
+	}
+	ps.collGen = 0
+	return gen & 1, true
 }
 
 // BcastInt64 broadcasts root's data to all ranks; every rank returns a

@@ -153,6 +153,9 @@ type procState struct {
 	// collStart snapshots the clock at enterColl so exitColl can record
 	// the collective as one event spanning the whole synchronization.
 	collStart float64
+	// collGen is one more than the generation of the collective round a
+	// step form left waiting, else 0 (reduceStep).
+	collGen int64
 }
 
 // Comm is a rank's handle to the world communicator. Exactly one

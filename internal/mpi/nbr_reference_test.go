@@ -216,6 +216,37 @@ func (s *msgSide) wait(k int) [][]int64 {
 func (s *msgSide) pstart(send [][]int64) { s.pseq = s.startAt(s.r.c.w.cost.AlphaNbrStart, send) }
 func (s *msgSide) pwait() [][]int64      { return s.waitFor(s.pseq) }
 
+// stepSide runs the carrier's step forms inside Comm.Steps: each op
+// reports false where the blocking form would wait and is called again,
+// with the same arguments, when the rank resumes.
+type stepSide struct {
+	boxSide
+	flatRecv []int64
+}
+
+func (s *stepSide) flat(send []int64, chunk int) ([]int64, bool) {
+	if s.flatRecv == nil {
+		s.flatRecv = make([]int64, len(send))
+	}
+	if !s.t.NeighborAlltoallInt64Step(send, chunk, s.flatRecv) {
+		return nil, false
+	}
+	recv := s.flatRecv
+	s.flatRecv = nil
+	return recv, true
+}
+func (s *stepSide) vector(send [][]int64) ([][]int64, bool) {
+	return s.recv, s.t.NeighborAlltoallvInt64Step(send, s.recv)
+}
+func (s *stepSide) wait(k int) ([][]int64, bool) {
+	if !s.reqs[k].WaitStep(s.recv) {
+		return nil, false
+	}
+	s.reqs = append(s.reqs[:k], s.reqs[k+1:]...)
+	return s.recv, true
+}
+func (s *stepSide) pwait() ([][]int64, bool) { return s.recv, s.pn.WaitStep(s.recv) }
+
 // Script op kinds. Every rank runs the same script over its own
 // neighbors.
 const (
@@ -302,10 +333,17 @@ func nbrScript(rng *rand.Rand) (adj [][]int, steps []nbrStep) {
 	return adj, steps
 }
 
+// The sides nbrScriptRun can drive.
+const (
+	sideBoxes     = "boxes"
+	sideReference = "reference"
+	sideSteps     = "steps"
+)
+
 // nbrScriptRun runs the script on one side and returns the report plus,
 // per rank, every received word (with its op index and neighbor length)
 // and the next value of its jitter stream.
-func nbrScriptRun(t *testing.T, adj [][]int, steps []nbrStep, reference bool, mode SchedMode, seed uint64, prof sched.Profile) (*Report, [][]int64) {
+func nbrScriptRun(t *testing.T, adj [][]int, steps []nbrStep, which string, mode SchedMode, seed uint64, prof sched.Profile) (*Report, [][]int64) {
 	t.Helper()
 	p := len(adj)
 	out := make([][]int64, p)
@@ -316,13 +354,18 @@ func nbrScriptRun(t *testing.T, adj [][]int, steps []nbrStep, reference bool, mo
 	rep, err := Run(p, func(c *Comm) error {
 		me, nbrs := c.Rank(), adj[c.Rank()]
 		var side nbrSide
-		if reference {
+		var stepped *stepSide
+		switch which {
+		case sideReference:
 			r := newRefTopo(c, nbrs)
 			c.chargeComm(c.w.cost.AlphaNbrCall) // NeighborAlltoallvInit's one-time charge
 			side = &msgSide{r: r}
-		} else {
+		case sideBoxes:
 			topo := c.CreateGraphTopo(nbrs)
 			side = &boxSide{t: topo, pn: topo.NeighborAlltoallvInit()}
+		default:
+			topo := c.CreateGraphTopo(nbrs)
+			stepped = &stepSide{boxSide: boxSide{t: topo, pn: topo.NeighborAlltoallvInit(), recv: make([][]int64, len(nbrs))}}
 		}
 		log := []int64{}
 		got := func(j int, recv [][]int64) {
@@ -340,24 +383,62 @@ func nbrScriptRun(t *testing.T, adj [][]int, steps []nbrStep, reference bool, mo
 			}
 			return send
 		}
-		for j, st := range steps {
-			switch st.kind {
-			case nbrFlat:
-				send := make([]int64, len(nbrs)*st.chunk)
-				for i := range send {
-					send[i] = int64(me*1_000_000 + j*100 + i)
+		flat := func(j int, st nbrStep) []int64 {
+			send := make([]int64, len(nbrs)*st.chunk)
+			for i := range send {
+				send[i] = int64(me*1_000_000 + j*100 + i)
+			}
+			return send
+		}
+		if stepped != nil {
+			j := 0
+			c.Steps(func() bool {
+				for ; j < len(steps); j++ {
+					st := steps[j]
+					var recv [][]int64
+					ok := true
+					switch st.kind {
+					case nbrFlat:
+						var r []int64
+						if r, ok = stepped.flat(flat(j, st), st.chunk); ok {
+							recv = [][]int64{r}
+						}
+					case nbrVector:
+						recv, ok = stepped.vector(vec(j, st))
+					case nbrStart:
+						stepped.start(vec(j, st))
+					case nbrWait:
+						recv, ok = stepped.wait(st.k)
+					case nbrPStart:
+						stepped.pstart(vec(j, st))
+					case nbrPWait:
+						recv, ok = stepped.pwait()
+					}
+					if !ok {
+						return false
+					}
+					if recv != nil {
+						got(j, recv)
+					}
 				}
-				got(j, [][]int64{side.flat(send, st.chunk)})
-			case nbrVector:
-				got(j, side.vector(vec(j, st)))
-			case nbrStart:
-				side.start(vec(j, st))
-			case nbrWait:
-				got(j, side.wait(st.k))
-			case nbrPStart:
-				side.pstart(vec(j, st))
-			case nbrPWait:
-				got(j, side.pwait())
+				return true
+			})
+		} else {
+			for j, st := range steps {
+				switch st.kind {
+				case nbrFlat:
+					got(j, [][]int64{side.flat(flat(j, st), st.chunk)})
+				case nbrVector:
+					got(j, side.vector(vec(j, st)))
+				case nbrStart:
+					side.start(vec(j, st))
+				case nbrWait:
+					got(j, side.wait(st.k))
+				case nbrPStart:
+					side.pstart(vec(j, st))
+				case nbrPWait:
+					got(j, side.pwait())
+				}
 			}
 		}
 		if pt := c.ps.pert; pt != nil {
@@ -367,16 +448,17 @@ func nbrScriptRun(t *testing.T, adj [][]int, steps []nbrStep, reference bool, mo
 		return nil
 	}, opts...)
 	if err != nil {
-		t.Fatalf("reference=%v %v %v: %v", reference, mode, prof, err)
+		t.Fatalf("%s %v %v: %v", which, mode, prof, err)
 	}
 	return rep, out
 }
 
 // TestNbrCarrierMatchesReference drives random symmetric topologies
-// through the box carrier and the message-based reference, crossed with
-// both creation paths, both schedulers and every perturbation profile:
-// the payloads, clock bits, event logs, neighborhood call counts, byte
-// rows and perturbation stream positions must be identical.
+// through the box carrier — its blocking forms, and its step forms run
+// as Comm.Steps — and the message-based reference, crossed with both
+// creation paths, both schedulers and every perturbation profile: the
+// payloads, clock bits, event logs, neighborhood call counts, byte rows
+// and perturbation stream positions must be identical.
 func TestNbrCarrierMatchesReference(t *testing.T) {
 	defer func(old int) { topoVerifyDenseLimit = old }(topoVerifyDenseLimit)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -386,21 +468,23 @@ func TestNbrCarrierMatchesReference(t *testing.T) {
 			for pi, prof := range perturbProfiles {
 				for _, mode := range schedModes {
 					name := fmt.Sprintf("seed %d (p=%d, %d ops) limit %d %v %v", seed, len(adj), len(steps), limit, prof, mode)
-					repA, outA := nbrScriptRun(t, adj, steps, false, mode, uint64(pi)+3, prof)
-					repB, outB := nbrScriptRun(t, adj, steps, true, mode, uint64(pi)+3, prof)
-					if !reflect.DeepEqual(outA, outB) {
-						t.Fatalf("%s: payloads or stream positions differ:\nboxes     %v\nreference %v", name, outA, outB)
-					}
-					if !reflect.DeepEqual(repA.FinalTimes, repB.FinalTimes) {
-						t.Fatalf("%s: final clocks differ: %v vs %v", name, repA.FinalTimes, repB.FinalTimes)
-					}
-					for r := range repA.Stats {
-						a, b := repA.Stats[r], repB.Stats[r]
-						if a.NbrCollCount != b.NbrCollCount || !reflect.DeepEqual(a.ByteRow, b.ByteRow) {
-							t.Fatalf("%s: rank %d calls/bytes %d %v, reference %d %v", name, r, a.NbrCollCount, a.ByteRow, b.NbrCollCount, b.ByteRow)
+					repB, outB := nbrScriptRun(t, adj, steps, sideReference, mode, uint64(pi)+3, prof)
+					for _, which := range []string{sideBoxes, sideSteps} {
+						repA, outA := nbrScriptRun(t, adj, steps, which, mode, uint64(pi)+3, prof)
+						if !reflect.DeepEqual(outA, outB) {
+							t.Fatalf("%s %s: payloads or stream positions differ:\n%s %v\nreference %v", name, which, which, outA, outB)
 						}
-						if evA, evB := repA.Events(r), repB.Events(r); !reflect.DeepEqual(evA, evB) {
-							t.Fatalf("%s: rank %d event logs differ:\nboxes     %v\nreference %v", name, r, evA, evB)
+						if !reflect.DeepEqual(repA.FinalTimes, repB.FinalTimes) {
+							t.Fatalf("%s %s: final clocks differ: %v vs %v", name, which, repA.FinalTimes, repB.FinalTimes)
+						}
+						for r := range repA.Stats {
+							a, b := repA.Stats[r], repB.Stats[r]
+							if a.NbrCollCount != b.NbrCollCount || !reflect.DeepEqual(a.ByteRow, b.ByteRow) {
+								t.Fatalf("%s %s: rank %d calls/bytes %d %v, reference %d %v", name, which, r, a.NbrCollCount, a.ByteRow, b.NbrCollCount, b.ByteRow)
+							}
+							if evA, evB := repA.Events(r), repB.Events(r); !reflect.DeepEqual(evA, evB) {
+								t.Fatalf("%s %s: rank %d event logs differ:\n%s %v\nreference %v", name, which, r, which, evA, evB)
+							}
 						}
 					}
 				}

@@ -32,9 +32,23 @@ func (t *Topo) INeighborAlltoallvInt64(send [][]int64) *NbrRequest {
 // form. The pipelined transport keeps one slice across rounds so
 // steady-state completion allocates nothing.
 func (r *NbrRequest) WaitInto(recv [][]int64) [][]int64 {
+	recv = r.t.recvInto("NbrRequest.WaitInto", recv)
+	for !r.WaitStep(recv) {
+		r.t.c.Park()
+	}
+	return recv
+}
+
+// WaitStep is the step form of WaitInto (see Steps); recv must be
+// supplied.
+func (r *NbrRequest) WaitStep(recv [][]int64) bool {
 	if r.finished {
 		panic("mpi: NbrRequest.WaitInto called twice")
 	}
+	r.t.recvInto("NbrRequest.WaitInto", recv)
+	if !r.t.wait(r.seq, recv) {
+		return false
+	}
 	r.finished = true
-	return r.t.wait("NbrRequest.WaitInto", r.seq, recv)
+	return true
 }

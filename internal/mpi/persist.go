@@ -54,9 +54,23 @@ func (p *PersistentNbr) Start(send [][]int64) {
 // Unlike a nonblocking request, the operation stays valid: the next
 // Start reuses the same schedule.
 func (p *PersistentNbr) WaitInto(recv [][]int64) [][]int64 {
+	recv = p.t.recvInto("PersistentNbr.WaitInto", recv)
+	for !p.WaitStep(recv) {
+		p.t.c.Park()
+	}
+	return recv
+}
+
+// WaitStep is the step form of WaitInto (see Steps); recv must be
+// supplied.
+func (p *PersistentNbr) WaitStep(recv [][]int64) bool {
 	if !p.inflight {
 		panic("mpi: PersistentNbr.WaitInto without a started round")
 	}
+	p.t.recvInto("PersistentNbr.WaitInto", recv)
+	if !p.t.wait(p.seq, recv) {
+		return false
+	}
 	p.inflight = false
-	return p.t.wait("PersistentNbr.WaitInto", p.seq, recv)
+	return true
 }

@@ -99,9 +99,18 @@ func (q *taskq) pop() *task {
 // lock, never on a global one.
 type schedShard struct {
 	mu sync.Mutex
-	q  taskq
+	q  taskq // goroutines waiting for a ticket
+	sq taskq // stepping ranks whose step can run (see steps)
 	// pad keeps neighboring shards' locks off one cache line.
-	_ [40]byte
+	_ [16]byte
+}
+
+// queue is the queue t waits in: the step queue while t runs a step.
+func (sh *schedShard) queue(t *task) *taskq {
+	if t.step != nil {
+		return &sh.sq
+	}
+	return &sh.q
 }
 
 // ticketPool bounds how many rank goroutines run at once without
@@ -116,9 +125,9 @@ type schedShard struct {
 //     shard instead lets tickets drift onto one shard, where
 //     neighboring ring ranks then run against each other.
 //   - A rank reads its ticket id before it becomes visible to other
-//     goroutines (park before its running->parked CAS, yieldNow before
-//     it queues itself). After that, a passer may resume the task and
-//     overwrite the id.
+//     goroutines (suspend before its running->parked CAS, yieldNow
+//     before it queues itself). After that, a passer may resume the
+//     task and overwrite the id.
 //
 // No wakeup is lost, by the usual two-sided protocol: ready pushes the
 // task and then claims a free ticket, while pass frees its ticket and
@@ -126,6 +135,16 @@ type schedShard struct {
 type ticketPool struct {
 	shards []schedShard
 	free   atomic.Uint64 // bit i set: ticket i is free
+
+	// idle holds the stepping goroutines asleep without a ticket, which
+	// pass wakes to run queued steps; nidle is its length, read without
+	// the lock. Every move into or out of execIdle happens under idleMu.
+	idleMu sync.Mutex
+	idle   []*task
+	nidle  atomic.Int32
+	// faults holds the panic of each step that failed, by rank, until
+	// the rank's goroutine re-raises it (under idleMu).
+	faults map[int32]any
 }
 
 // newTicketPool returns a pool whose tickets are all held by the
@@ -138,7 +157,7 @@ func newTicketPool(ntickets int) *ticketPool {
 func (p *ticketPool) push(t *task) {
 	sh := &p.shards[t.shard]
 	sh.mu.Lock()
-	sh.q.push(t)
+	sh.queue(t).push(t)
 	sh.mu.Unlock()
 }
 
@@ -167,7 +186,7 @@ func (p *ticketPool) readyBatch(ts []*task, skip *task) {
 		shard := t.shard
 		sh := &p.shards[shard]
 		sh.mu.Lock()
-		sh.q.push(t)
+		sh.queue(t).push(t)
 		for i < n {
 			t2 := ts[i]
 			if t2 == skip {
@@ -179,7 +198,7 @@ func (p *ticketPool) readyBatch(ts []*task, skip *task) {
 			}
 			i++
 			if t2.claimParked() {
-				sh.q.push(t2)
+				sh.queue(t2).push(t2)
 			}
 		}
 		sh.mu.Unlock()
@@ -219,15 +238,21 @@ func (p *ticketPool) take(id int) bool {
 	}
 }
 
-// pass hands ticket id to the next queued task, or frees it when
-// nothing is queued. The re-scan after freeing finds any task a ready
-// pushed without seeing the free bit; if the ticket is claimed again in
+// pass hands ticket id to the next queued goroutine, else to an idle
+// stepping goroutine when steps are queued, or frees it when neither is
+// waiting. The re-scan after freeing finds any task a ready pushed
+// without seeing the free bit; if the ticket is claimed again in
 // between, its new holder runs that task instead.
 func (p *ticketPool) pass(id int) {
 	for {
-		if t := p.grab(id); t != nil {
+		if t := p.grab(id, false); t != nil {
 			t.ticket = int32(id)
 			t.resume()
+			return
+		}
+		if e := p.wakeIdle(); e != nil {
+			e.ticket = int32(id)
+			e.resume()
 			return
 		}
 		atomicOr(&p.free, 1<<uint(id))
@@ -237,14 +262,19 @@ func (p *ticketPool) pass(id int) {
 	}
 }
 
-// grab pops a task from shard id, stealing from the others when it is
-// empty.
-func (p *ticketPool) grab(id int) *task {
+// grab pops a task from shard id's goroutine queue (step queue, when
+// steps), stealing from the others when it is empty.
+func (p *ticketPool) grab(id int, steps bool) *task {
 	n := len(p.shards)
 	for i := 0; i < n; i++ {
 		sh := &p.shards[(id+i)%n]
 		sh.mu.Lock()
-		t := sh.q.pop()
+		var t *task
+		if steps {
+			t = sh.sq.pop()
+		} else {
+			t = sh.q.pop()
+		}
 		sh.mu.Unlock()
 		if t != nil {
 			return t
@@ -253,18 +283,201 @@ func (p *ticketPool) grab(id int) *task {
 	return nil
 }
 
-// queued reports whether any shard holds a task.
+// queued reports whether any shard holds a goroutine waiting for a
+// ticket, or a step while an idle goroutine could run it.
 func (p *ticketPool) queued() bool {
+	idle := p.nidle.Load() > 0
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		n := sh.q.n
+		if idle {
+			n += sh.sq.n
+		}
 		sh.mu.Unlock()
 		if n > 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// Steps in pooled mode. A rank that enters Comm.Steps keeps its
+// goroutine, but the goroutine no longer waits for its own rank: while
+// it holds a ticket it is an executor, running whatever steps are queued
+// — its own or any other rank's — each until it would wait, and parks
+// only when no step is runnable or it hands its ticket to a queued
+// goroutine. A waiting step costs a status CAS and a queue push instead
+// of a goroutine park and resume. The goroutine leaves steps, holding a
+// ticket, once its own rank's step is done, whoever ran it.
+//
+// A stepping goroutine is execActive (holding a ticket), execIdle
+// (asleep in idle, no ticket) or execDone (its step finished; it takes
+// the next ticket it gets back to its own body). Moves into and out of
+// execIdle happen under idleMu, so a goroutine is woken once: by pass
+// with a ticket for queued steps (wakeIdle), or through the goroutine
+// queue when its step finishes while it sleeps (finish). No wakeup is
+// lost, by the pool's two-sided rule: a goroutine going idle lists
+// itself before freeing its ticket and re-scans after, and pass checks
+// the idle list after finding no goroutine to run.
+
+const (
+	execActive = int32(iota)
+	execIdle
+	execDone
+)
+
+// steps runs the executor loop for t, the calling goroutine's own task,
+// whose step is set and which holds t.ticket. It returns, holding
+// t.ticket, once t's step is done.
+func (p *ticketPool) steps(t *task) {
+	id := int(t.ticket)
+	p.run(t)
+	for {
+		if t.exec.Load() == execDone {
+			t.ticket = int32(id)
+			return
+		}
+		if s := p.grab(id, true); s != nil {
+			p.run(s)
+			continue
+		}
+		if !p.goIdle(t) {
+			continue // the step finished after all: keep the ticket
+		}
+		if g := p.grab(id, false); g != nil {
+			g.ticket = int32(id)
+			g.resume()
+		} else {
+			atomicOr(&p.free, 1<<uint(id))
+			if p.queued() && p.take(id) {
+				if p.unidle(t) {
+					continue
+				}
+				// Woken or finished meanwhile: a ticket is on its way.
+				p.pass(id)
+			}
+		}
+		t.block()
+		id = int(t.ticket)
+	}
+}
+
+// run runs s's step once; a step that panics counts as done, its panic
+// kept for the rank's goroutine to raise.
+func (p *ticketPool) run(s *task) {
+	done := func() (done bool) {
+		defer func() {
+			if v := recover(); v != nil {
+				p.idleMu.Lock()
+				if p.faults == nil {
+					p.faults = make(map[int32]any)
+				}
+				p.faults[s.rank] = v
+				p.idleMu.Unlock()
+				done = true
+			}
+		}()
+		return s.step()
+	}()
+	if done {
+		p.finish(s)
+	}
+}
+
+// finish ends s's step: its goroutine, active, sees execDone; asleep, it
+// is taken off the idle list and queued for a ticket.
+func (p *ticketPool) finish(s *task) {
+	s.step = nil
+	p.idleMu.Lock()
+	wake := s.exec.Load() == execIdle
+	if wake {
+		p.unlist(s)
+	}
+	s.exec.Store(execDone)
+	p.idleMu.Unlock()
+	if wake {
+		p.ready(s)
+	}
+}
+
+// goIdle lists t's goroutine as idle, unless its step is already done.
+func (p *ticketPool) goIdle(t *task) bool {
+	p.idleMu.Lock()
+	defer p.idleMu.Unlock()
+	if t.exec.Load() == execDone {
+		return false
+	}
+	t.exec.Store(execIdle)
+	t.idleAt = int32(len(p.idle))
+	p.idle = append(p.idle, t)
+	p.nidle.Add(1)
+	return true
+}
+
+// unidle takes t's goroutine back off the idle list, reporting false if
+// it has been woken or its step finished since it listed itself.
+func (p *ticketPool) unidle(t *task) bool {
+	p.idleMu.Lock()
+	defer p.idleMu.Unlock()
+	if t.exec.Load() != execIdle {
+		return false
+	}
+	p.unlist(t)
+	t.exec.Store(execActive)
+	return true
+}
+
+// wakeIdle claims an idle goroutine to run queued steps, or returns nil
+// when there is none or no step is queued.
+func (p *ticketPool) wakeIdle() *task {
+	if p.nidle.Load() == 0 || !p.stepsQueued() {
+		return nil
+	}
+	p.idleMu.Lock()
+	defer p.idleMu.Unlock()
+	if len(p.idle) == 0 {
+		return nil
+	}
+	e := p.idle[len(p.idle)-1]
+	p.unlist(e)
+	e.exec.Store(execActive)
+	return e
+}
+
+// unlist removes t from the idle list (under idleMu), moving the last
+// entry into its place.
+func (p *ticketPool) unlist(t *task) {
+	n := len(p.idle) - 1
+	last := p.idle[n]
+	p.idle[t.idleAt] = last
+	last.idleAt = t.idleAt
+	p.idle[n] = nil
+	p.idle = p.idle[:n]
+	p.nidle.Add(-1)
+}
+
+// stepsQueued reports whether any shard has a step queued.
+func (p *ticketPool) stepsQueued() bool {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n := sh.sq.n
+		sh.mu.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// fault removes and returns the panic of t's failed step, if any.
+func (p *ticketPool) fault(t *task) (any, bool) {
+	p.idleMu.Lock()
+	defer p.idleMu.Unlock()
+	v, ok := p.faults[t.rank]
+	delete(p.faults, t.rank)
+	return v, ok
 }
 
 // atomicOr is a CAS loop standing in for atomic.Uint64.Or, which

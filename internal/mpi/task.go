@@ -45,9 +45,21 @@ type task struct {
 	// benaphore that publishes it; the task must read it before it parks
 	// or queues itself, after which the next passer may overwrite it.
 	ticket int32
+	// held is the ticket the task held when it last suspended, which the
+	// sleep that follows passes on.
+	held int32
+	// exec is the state of a stepping rank's goroutine in pooled mode:
+	// execActive, execIdle or execDone (see ticketPool.steps); idleAt is
+	// its position in the pool's idle list while execIdle.
+	exec   atomic.Int32
+	idleAt int32
 	// pool is nil in direct (legacy) scheduling mode; park/unpark then
 	// degrade to a bare benaphore handoff with no ticket accounting.
 	pool *ticketPool
+	// step is the rank's resumable program while it runs one
+	// (Comm.Steps), else nil. A parked stepping task is woken onto its
+	// shard's step queue, where any ticket holder runs it.
+	step func() bool
 	// mu rests locked; resume unlocks it only when a blocker is waiting.
 	mu sync.Mutex
 }
@@ -87,28 +99,54 @@ func (t *task) resume() {
 // reset prepares a pooled task for a new run. Only tasks from clean runs
 // are reset, so sem is 0 and mu rests locked; the stores are defensive.
 func (t *task) reset(rank, shard int32, pool *ticketPool) {
-	t.rank, t.shard, t.pool = rank, shard, pool
+	t.rank, t.shard, t.pool, t.step = rank, shard, pool, nil
 	t.status.Store(taskRunning)
 	t.sem.Store(0)
+}
+
+// suspend moves the running task to parked, to be made runnable again by
+// unpark. It reports false instead when a wakeup is already banked, which
+// it consumes: the caller then re-checks its predicate rather than
+// waiting. Only the task's own program may call it, and a true return
+// must be followed by sleep — or, in a step, by returning false.
+func (t *task) suspend() bool {
+	if t.status.CompareAndSwap(taskNotified, taskRunning) {
+		return false // wakeup already banked: consume it, don't wait
+	}
+	if t.step == nil {
+		// Before the CAS: an unparker may resume t right after it. A step
+		// holds no ticket of its own; its goroutine may be using one.
+		t.held = t.ticket
+	}
+	if !t.status.CompareAndSwap(taskRunning, taskParked) {
+		// An unpark slipped in between the two CASes and set Notified.
+		t.status.Store(taskRunning)
+		return false
+	}
+	return true
+}
+
+// sleep blocks a suspended task's goroutine until unpark, passing the
+// ticket it held on first. A step cannot sleep: the goroutine running it
+// may be another rank's.
+func (t *task) sleep() {
+	if t.step != nil {
+		t.status.CompareAndSwap(taskParked, taskRunning)
+		panic("mpi: blocking call inside a step (use its step form)")
+	}
+	if t.pool != nil {
+		t.pool.pass(int(t.held))
+	}
+	t.block()
 }
 
 // park blocks the calling task until unpark, consuming a banked
 // notification instead of blocking when one is pending. Only the task's
 // own goroutine may call it, and never while holding a runtime lock.
 func (t *task) park() {
-	if t.status.CompareAndSwap(taskNotified, taskRunning) {
-		return // wakeup already banked: consume it, don't block
+	if t.suspend() {
+		t.sleep()
 	}
-	id := t.ticket // before the CAS: an unparker may resume t right after it
-	if !t.status.CompareAndSwap(taskRunning, taskParked) {
-		// An unpark slipped in between the two CASes and set Notified.
-		t.status.Store(taskRunning)
-		return
-	}
-	if t.pool != nil {
-		t.pool.pass(int(id))
-	}
-	t.block()
 }
 
 // claimParked attempts the parked->running transition. True means the
@@ -150,6 +188,9 @@ func (t *task) unpark() {
 // cannot starve the ranks whose messages the poller is waiting for.
 func (t *task) yieldNow() {
 	p := t.pool
+	if t.step != nil {
+		return // a step ends at its next wait anyway
+	}
 	if p == nil {
 		runtime.Gosched()
 		return

@@ -19,13 +19,25 @@ type Topo struct {
 	seq       int64 // per-call sequence, advances identically on all members
 
 	// The carrier (see "The carrier" below). peers and at are fixed at
-	// creation; ring, pub and parked are read by the neighbors.
+	// creation; ring, pub and waitOn are read by the neighbors.
 	peers  []*Topo // neighbor i's handle on this topology
 	at     []int32 // this rank's position in neighbor i's list: its entry in their boxes
 	ring   atomic.Pointer[[]*box]
-	pub    atomic.Int64 // calls published: call s is readable once pub > s
-	parked atomic.Bool  // the owner is parked until a neighbor publishes
-	held   []*box       // neighbors' boxes the last receive half returned views into
+	pub    atomic.Int64         // calls published: call s is readable once pub > s
+	waitOn atomic.Pointer[Topo] // the neighbor whose next publication wakes the suspended owner
+	held   []*box               // neighbors' boxes the last receive half returned views into
+	rx     nbrRecv              // the receive half in progress
+}
+
+// nbrRecv is the receive half of one call in progress: kept across the
+// suspensions of a step form, so the resumed call pulls from the neighbor
+// it stopped at and books its event as the uninterrupted call would.
+type nbrRecv struct {
+	seq       int64   // the call being received
+	next      int     // the next neighbor to pull from
+	from      float64 // the call's start, for its event
+	sent, got int64   // bytes sent and received by the call
+	live      bool
 }
 
 // CreateGraphTopo collectively creates a distributed graph topology from
@@ -128,8 +140,9 @@ func (t *Topo) NeighborIndex(nb int) int { return slices.Index(t.neighbors, nb) 
 // releasing s. Split-phase forms keep more calls live (NCLI's
 // start(k+1)-before-wait(k) keeps four), so a ring whose next box is
 // still held doubles instead of waiting. A rank whose neighbor has not
-// published parks; the wake is a Dekker pair on the puller's parked flag
-// (pull sets it, then re-checks pub; publish stores pub, then loads it).
+// published suspends until one named neighbor publishes; the wake is a
+// Dekker pair on the puller's waitOn (arrived sets it, then re-checks
+// pub; publish stores pub, then loads it) and wakes no one else.
 
 // box is one published call.
 type box struct {
@@ -177,13 +190,13 @@ func (t *Topo) claim(seq int64, words int) *box {
 	return b
 }
 
-// publish makes call seq's box readable and wakes the neighbors parked
-// waiting for it.
+// publish makes call seq's box readable and wakes the neighbors
+// suspended waiting for it.
 func (t *Topo) publish(b *box, seq int64) {
 	b.left.Store(int32(len(t.neighbors)))
 	t.pub.Store(seq + 1)
 	for _, p := range t.peers {
-		if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		if p.waitOn.Load() == t && p.waitOn.CompareAndSwap(t, nil) {
 			p.c.ps.task.unpark()
 		}
 	}
@@ -191,39 +204,54 @@ func (t *Topo) publish(b *box, seq int64) {
 
 const nbrAbort = "mpi: neighborhood collective aborted: a peer rank failed"
 
-// pull waits for neighbor i's chunk of call seq, advances the clock to
-// its arrival, and returns its words — a view into the neighbor's box —
-// and the box, which the caller must release.
-func (t *Topo) pull(i int, seq int64) (*box, []int64) {
-	p := t.peers[i]
-	if p.pub.Load() <= seq {
-		t.await(p, seq)
+// pull takes neighbor i's chunk of call seq: it advances the clock to
+// the chunk's arrival and returns its words — a view into the neighbor's
+// box — and the box, which the caller must release. It reports false,
+// with the rank suspended, while the neighbor has not published seq.
+func (t *Topo) pull(i int, seq int64) (*box, []int64, bool) {
+	if !t.arrived(i, seq) {
+		return nil, nil, false
 	}
+	p := t.peers[i]
 	ring := *p.ring.Load()
 	b := ring[seq&int64(len(ring)-1)]
 	e := b.ents[t.at[i]]
 	t.c.waitFor(e.arrive, WaitNbrExchange, t.neighbors[i], e.sent)
-	return b, b.words[e.off : e.off+e.n : e.off+e.n]
+	return b, b.words[e.off : e.off+e.n : e.off+e.n], true
 }
 
-// await parks until p has published call seq. A wakeup may be spurious
-// (a banked notification, another neighbor's publication), hence the
-// re-check after park.
-func (t *Topo) await(p *Topo, seq int64) {
+// arrived reports whether neighbor i has published call seq. Otherwise
+// it suspends the rank and reports false, to be woken when the last
+// neighbor from i on that has not published seq does so: the receive
+// half needs every one of them, neighbors tend to publish in rank order,
+// and waiting for the first would wake the rank once per neighbor. A
+// wakeup may be spurious (a banked notification), so the caller asks
+// again.
+func (t *Topo) arrived(i int, seq int64) bool {
 	for {
+		if t.peers[i].pub.Load() > seq {
+			return true
+		}
 		if t.c.w.hub.poisoned.Load() {
 			panic(nbrAbort)
 		}
-		t.parked.Store(true)
-		if p.pub.Load() > seq {
-			break
+		w := t.peers[i]
+		for j := len(t.peers) - 1; j > i; j-- {
+			if t.peers[j].pub.Load() <= seq {
+				w = t.peers[j]
+				break
+			}
 		}
-		t.c.ps.task.park()
-		if p.pub.Load() > seq {
-			break
+		t.waitOn.Store(w)
+		if w.pub.Load() > seq {
+			t.waitOn.Store(nil)
+			continue
 		}
+		if t.c.ps.task.suspend() {
+			return false
+		}
+		t.waitOn.Store(nil)
 	}
-	t.parked.Store(false)
 }
 
 // release gives back the boxes the last receive half held views into.
@@ -292,31 +320,47 @@ func (t *Topo) post(op string, callCost float64, send [][]int64) (seq, moved int
 	return seq, moved
 }
 
-// collect is the vector receive half: it waits for call seq's chunk from
-// every neighbor in order and sets recv[i] to it (recv is allocated when
-// nil). The chunks are views into the neighbors' boxes, valid until the
-// rank's next operation on the topology; returns recv and the bytes
-// received.
-func (t *Topo) collect(op string, seq int64, recv [][]int64) ([][]int64, int64) {
+// recvInto checks that recv has one entry per neighbor, allocating it
+// when nil. op names the calling form in the panic.
+func (t *Topo) recvInto(op string, recv [][]int64) [][]int64 {
 	if recv == nil {
-		recv = make([][]int64, len(t.neighbors))
-	} else if len(recv) != len(t.neighbors) {
+		return make([][]int64, len(t.neighbors))
+	}
+	if len(recv) != len(t.neighbors) {
 		panic(fmt.Sprintf("mpi: %s: len(recv)=%d, want degree %d", op, len(recv), len(t.neighbors)))
 	}
-	t.release()
-	var got int64
-	for i := range t.neighbors {
-		b, data := t.pull(i, seq)
-		t.held = append(t.held, b)
-		recv[i] = data
-		got += int64(8 * len(data))
+	return recv
+}
+
+// collect is the vector receive half of the call in t.rx: it takes the
+// call's chunk from every neighbor in order into recv. The chunks are
+// views into the neighbors' boxes, valid until the rank's next operation
+// on the topology. It reports false, suspended, at a neighbor that has
+// not published; called again, it resumes there.
+func (t *Topo) collect(recv [][]int64) bool {
+	if t.rx.next == 0 {
+		t.release()
 	}
-	return recv, got
+	for ; t.rx.next < len(t.neighbors); t.rx.next++ {
+		b, data, ok := t.pull(t.rx.next, t.rx.seq)
+		if !ok {
+			return false
+		}
+		t.held = append(t.held, b)
+		recv[t.rx.next] = data
+		t.rx.got += int64(8 * len(data))
+	}
+	return true
+}
+
+// open records the call whose receive half starts now.
+func (t *Topo) open(seq int64, from float64, sent int64) {
+	t.rx = nbrRecv{seq: seq, from: from, sent: sent, live: true}
 }
 
 // start and wait are the split-phase shells shared by the nonblocking
 // request and the persistent schedule: the send half plus EvNbrStart,
-// and the receive half plus EvNbrWait.
+// and the receive half plus EvNbrWait. wait is a step form.
 func (t *Topo) start(op string, callCost float64, send [][]int64) int64 {
 	from := t.c.ps.now
 	seq, sent := t.post(op, callCost, send)
@@ -324,11 +368,18 @@ func (t *Topo) start(op string, callCost float64, send [][]int64) int64 {
 	return seq
 }
 
-func (t *Topo) wait(op string, seq int64, recv [][]int64) [][]int64 {
-	from := t.c.ps.now
-	recv, got := t.collect(op, seq, recv)
-	t.c.event(EvNbrWait, -1, int(seq), got, from)
-	return recv
+func (t *Topo) wait(seq int64, recv [][]int64) bool {
+	if !t.rx.live {
+		t.open(seq, t.c.ps.now, 0)
+	} else if t.rx.seq != seq {
+		panic("mpi: neighborhood wait resumed on another call")
+	}
+	if !t.collect(recv) {
+		return false
+	}
+	t.rx.live = false
+	t.c.event(EvNbrWait, -1, int(seq), t.rx.got, t.rx.from)
+	return true
 }
 
 // NeighborAlltoallInt64 is MPI_Neighbor_alltoall: each rank sends a
@@ -346,35 +397,53 @@ func (t *Topo) NeighborAlltoallInt64(send []int64, chunk int) []int64 {
 // which it returns. Transports reuse one buffer across rounds to keep the
 // per-round count exchange allocation-free.
 func (t *Topo) NeighborAlltoallInt64Into(send []int64, chunk int, recv []int64) []int64 {
-	if len(send) != len(t.neighbors)*chunk {
-		panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: len(send)=%d, want %d*%d", len(send), len(t.neighbors), chunk))
-	}
 	if recv == nil {
 		recv = make([]int64, len(t.neighbors)*chunk)
-	} else if len(recv) != len(t.neighbors)*chunk {
-		panic(fmt.Sprintf("mpi: NeighborAlltoallInt64Into: len(recv)=%d, want %d*%d", len(recv), len(t.neighbors), chunk))
 	}
+	for !t.NeighborAlltoallInt64Step(send, chunk, recv) {
+		t.c.Park()
+	}
+	return recv
+}
+
+// NeighborAlltoallInt64Step is the step form of
+// NeighborAlltoallInt64Into (see Steps); recv must be supplied.
+func (t *Topo) NeighborAlltoallInt64Step(send []int64, chunk int, recv []int64) bool {
 	c := t.c
-	start := c.ps.now
-	seq := t.begin(c.w.cost.AlphaNbrCall)
-	b := t.claim(seq, len(send))
-	var moved int64
-	for i := range t.neighbors {
-		moved += t.sendChunk(b, i, i*chunk, send[i*chunk:(i+1)*chunk])
+	if !t.rx.live {
+		if len(send) != len(t.neighbors)*chunk {
+			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: len(send)=%d, want %d*%d", len(send), len(t.neighbors), chunk))
+		}
+		if len(recv) != len(t.neighbors)*chunk {
+			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64Into: len(recv)=%d, want %d*%d", len(recv), len(t.neighbors), chunk))
+		}
+		start := c.ps.now
+		seq := t.begin(c.w.cost.AlphaNbrCall)
+		b := t.claim(seq, len(send))
+		var moved int64
+		for i := range t.neighbors {
+			moved += t.sendChunk(b, i, i*chunk, send[i*chunk:(i+1)*chunk])
+		}
+		t.publish(b, seq)
+		t.open(seq, start, moved)
 	}
-	t.publish(b, seq)
 	// Fixed-size chunks are copied into the flat buffer, so the boxes go
 	// back at once.
-	for i, nb := range t.neighbors {
-		pb, data := t.pull(i, seq)
+	for ; t.rx.next < len(t.neighbors); t.rx.next++ {
+		i := t.rx.next
+		pb, data, ok := t.pull(i, t.rx.seq)
+		if !ok {
+			return false
+		}
 		if len(data) != chunk {
-			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: rank %d received %d words from %d, want chunk %d", c.rank, len(data), nb, chunk))
+			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: rank %d received %d words from %d, want chunk %d", c.rank, len(data), t.neighbors[i], chunk))
 		}
 		copy(recv[i*chunk:], data)
 		pb.left.Add(-1)
 	}
-	c.event(EvNbrColl, -1, int(seq), moved, start)
-	return recv
+	t.rx.live = false
+	c.event(EvNbrColl, -1, int(t.rx.seq), t.rx.sent, t.rx.from)
+	return true
 }
 
 // NeighborAlltoallvInt64 is MPI_Neighbor_alltoallv: send[i] is delivered
@@ -393,11 +462,28 @@ func (t *Topo) NeighborAlltoallvInt64(send [][]int64) [][]int64 {
 // collect), valid until this rank's next operation on the topology:
 // nothing is copied, and a steady-state exchange allocates nothing.
 func (t *Topo) NeighborAlltoallvInt64Into(send, recv [][]int64) [][]int64 {
+	recv = t.recvInto("NeighborAlltoallvInt64Into", recv)
+	for !t.NeighborAlltoallvInt64Step(send, recv) {
+		t.c.Park()
+	}
+	return recv
+}
+
+// NeighborAlltoallvInt64Step is the step form of
+// NeighborAlltoallvInt64Into (see Steps); recv must be supplied.
+func (t *Topo) NeighborAlltoallvInt64Step(send, recv [][]int64) bool {
 	const op = "NeighborAlltoallvInt64Into"
 	c := t.c
-	start := c.ps.now
-	seq, moved := t.post(op, c.w.cost.AlphaNbrCall, send)
-	recv, _ = t.collect(op, seq, recv)
-	c.event(EvNbrColl, -1, int(seq), moved, start)
-	return recv
+	if !t.rx.live {
+		t.recvInto(op, recv)
+		start := c.ps.now
+		seq, moved := t.post(op, c.w.cost.AlphaNbrCall, send)
+		t.open(seq, start, moved)
+	}
+	if !t.collect(recv) {
+		return false
+	}
+	t.rx.live = false
+	c.event(EvNbrColl, -1, int(t.rx.seq), t.rx.sent, t.rx.from)
+	return true
 }

@@ -69,6 +69,13 @@ type NCLC struct {
 	home       []int64 // records destined here, delivered at Exchange end
 	fwdRecords int64
 	fwdBytes   int64
+
+	// The round in progress, kept across the step form's suspensions:
+	// its current phase and whether that phase has started, and the
+	// round's buffer words so far.
+	busy, started bool
+	phase         int
+	usage         int64
 }
 
 // NewNCLC collectively constructs the model's backend: an allreduce
@@ -149,38 +156,50 @@ func (t *NCLC) dist(dst int) int {
 // there, its remaining distance d - 2^j0 has only bits above j0 set, so
 // its next phase j1 > j0 has not run yet this round. Induction gives
 // every record home within the round's k phases.
-func (t *NCLC) Exchange(h Handler) int {
-	usage := t.staged()
-	// Distribute staged records (3 words) into wire bundles (4 words,
-	// destination prepended) keyed by the distance's lowest set bit.
-	for i, buf := range t.out {
-		if len(buf) == 0 {
-			continue
+func (t *NCLC) Exchange(h Handler) int { return exchange(t.c, t, h) }
+
+// ExchangeStep implements Round.
+func (t *NCLC) ExchangeStep(h Handler) (int, bool) {
+	if !t.busy {
+		t.usage = t.staged()
+		// Distribute staged records (3 words) into wire bundles (4 words,
+		// destination prepended) keyed by the distance's lowest set bit.
+		for i, buf := range t.out {
+			if len(buf) == 0 {
+				continue
+			}
+			dst := t.l.NeighborRanks[i]
+			ph := &t.phases[bits.TrailingZeros(uint(t.dist(dst)))]
+			for k := 0; k+recordWords <= len(buf); k += recordWords {
+				ph.buf = append(ph.buf, int64(dst), buf[k], buf[k+1], buf[k+2])
+			}
 		}
-		dst := t.l.NeighborRanks[i]
-		ph := &t.phases[bits.TrailingZeros(uint(t.dist(dst)))]
-		for k := 0; k+recordWords <= len(buf); k += recordWords {
-			ph.buf = append(ph.buf, int64(dst), buf[k], buf[k+1], buf[k+2])
-		}
+		t.reset()
+		t.home = t.home[:0]
+		t.busy, t.phase = true, 0
 	}
-	t.reset()
-	home := t.home[:0]
-	for j := range t.phases {
-		ph := &t.phases[j]
-		ph.sendv[ph.fwdIdx] = ph.buf
-		usage += int64(len(ph.buf))
-		ph.pn.Start(ph.sendv)
-		// Start copied the payload into the runtime's send box; the bundle
-		// buffer is immediately reusable for records this phase forwards
-		// onward.
-		ph.buf = ph.buf[:0]
-		ph.recv = ph.pn.WaitInto(ph.recv)
+	for ; t.phase < len(t.phases); t.phase++ {
+		ph := &t.phases[t.phase]
+		if !t.started {
+			ph.sendv[ph.fwdIdx] = ph.buf
+			t.usage += int64(len(ph.buf))
+			ph.pn.Start(ph.sendv)
+			// Start copied the payload into the runtime's send box; the
+			// bundle buffer is immediately reusable for records this phase
+			// forwards onward.
+			ph.buf = ph.buf[:0]
+			t.started = true
+		}
+		if !ph.pn.WaitStep(ph.recv) {
+			return 0, false
+		}
+		t.started = false
 		for _, data := range ph.recv {
-			usage += int64(len(data))
+			t.usage += int64(len(data))
 			for k := 0; k+nclcWireWords <= len(data); k += nclcWireWords {
 				dst := int(data[k])
 				if dst == t.c.Rank() {
-					home = append(home, data[k+1], data[k+2], data[k+3])
+					t.home = append(t.home, data[k+1], data[k+2], data[k+3])
 					continue
 				}
 				// Split and re-combine: this rank is an intermediate hop.
@@ -194,11 +213,11 @@ func (t *NCLC) Exchange(h Handler) int {
 			}
 		}
 	}
-	t.home = home
-	t.account(usage + int64(len(home)))
+	t.busy = false
+	t.account(t.usage + int64(len(t.home)))
 	// Deliver after the staging buffers were reset: handlers queue
 	// next-round records into the same buffers.
-	return deliver(t.c, home, h)
+	return deliver(t.c, t.home, h), true
 }
 
 // Finish implements Round: every phase completes within its Exchange,

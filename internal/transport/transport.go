@@ -72,6 +72,20 @@ type Round interface {
 	// Exchange performs one communication round and delivers received
 	// records to h, returning how many were delivered.
 	Exchange(h Handler) int
+	// ExchangeStep is the step form of Exchange (see mpi.Comm.Steps): it
+	// reports false, with the rank suspended, where Exchange would wait
+	// on a neighbor, and a later call resumes the round there.
+	ExchangeStep(h Handler) (int, bool)
+}
+
+// exchange is Exchange over a backend's step form.
+func exchange(c *mpi.Comm, r Round, h Handler) int {
+	for {
+		if n, ok := r.ExchangeStep(h); ok {
+			return n
+		}
+		c.Park()
+	}
 }
 
 // ledger is the rank's view of its process-graph neighborhood: the
@@ -264,6 +278,7 @@ type NCL struct {
 	counts   []int64
 	incoming []int64
 	in       [][]int64
+	counted  bool // this round's count exchange is done
 }
 
 // NewNCL returns a blocking neighborhood-collective backend whose
@@ -281,12 +296,23 @@ func NewNCL(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *N
 
 // Exchange implements Round: counts via MPI_Neighbor_alltoall, payloads
 // via MPI_Neighbor_alltoallv, then delivery.
-func (t *NCL) Exchange(h Handler) int {
-	for i := range t.out {
-		t.counts[i] = int64(len(t.out[i]))
+func (t *NCL) Exchange(h Handler) int { return exchange(t.c, t, h) }
+
+// ExchangeStep implements Round.
+func (t *NCL) ExchangeStep(h Handler) (int, bool) {
+	if !t.counted {
+		for i := range t.out {
+			t.counts[i] = int64(len(t.out[i]))
+		}
+		if !t.topo.NeighborAlltoallInt64Step(t.counts, 1, t.incoming) {
+			return 0, false
+		}
+		t.counted = true
 	}
-	incoming := t.topo.NeighborAlltoallInt64Into(t.counts, 1, t.incoming)
-	t.in = t.topo.NeighborAlltoallvInt64Into(t.out, t.in)
+	if !t.topo.NeighborAlltoallvInt64Step(t.out, t.in) {
+		return 0, false
+	}
+	t.counted = false
 	usage := t.staged()
 	for _, data := range t.in {
 		usage += int64(len(data))
@@ -295,12 +321,12 @@ func (t *NCL) Exchange(h Handler) int {
 	t.reset()
 	n := 0
 	for i, data := range t.in {
-		if int64(len(data)) != incoming[i] {
-			panic(fmt.Sprintf("transport: NCL count exchange disagrees with payload: %d vs %d", incoming[i], len(data)))
+		if int64(len(data)) != t.incoming[i] {
+			panic(fmt.Sprintf("transport: NCL count exchange disagrees with payload: %d vs %d", t.incoming[i], len(data)))
 		}
 		n += deliver(t.c, data, h)
 	}
-	return n
+	return n, true
 }
 
 // Finish implements Round (no-op for the blocking backend).
@@ -333,6 +359,7 @@ type RMA struct {
 	delta    []int64
 	incoming []int64
 	arrived  []int64 // one neighbor's records, read out of the window
+	flushed  bool    // this round's flush is done
 }
 
 // NewRMA collectively creates the window and exchanges displacement
@@ -376,21 +403,30 @@ func (t *RMA) Send(dst int, ctx, x, y int64) {
 
 // Exchange implements Round: flush, neighborhood count exchange, then
 // read newly arrived records from the local window.
-func (t *RMA) Exchange(h Handler) int {
-	t.win.FlushAll()
-	for i := range t.delta {
-		t.delta[i] = t.writeCursor[i] - t.roundMark[i]
-		t.roundMark[i] = t.writeCursor[i]
+func (t *RMA) Exchange(h Handler) int { return exchange(t.c, t, h) }
+
+// ExchangeStep implements Round.
+func (t *RMA) ExchangeStep(h Handler) (int, bool) {
+	if !t.flushed {
+		t.win.FlushAll()
+		for i := range t.delta {
+			t.delta[i] = t.writeCursor[i] - t.roundMark[i]
+			t.roundMark[i] = t.writeCursor[i]
+		}
+		t.flushed = true
 	}
-	incoming := t.topo.NeighborAlltoallInt64Into(t.delta, 1, t.incoming)
+	if !t.topo.NeighborAlltoallInt64Step(t.delta, 1, t.incoming) {
+		return 0, false
+	}
+	t.flushed = false
 	n := 0
-	for i := range incoming {
+	for i, arrived := range t.incoming {
 		base := t.regionStart[i] + t.readCursor[i]*recordWords
-		t.arrived = t.win.ReadLocal(t.arrived, int(base), int(incoming[i]*recordWords))
+		t.arrived = t.win.ReadLocal(t.arrived, int(base), int(arrived*recordWords))
 		n += deliver(t.c, t.arrived, h)
-		t.readCursor[i] += incoming[i]
+		t.readCursor[i] += arrived
 	}
-	return n
+	return n, true
 }
 
 // Finish implements Round.
@@ -413,6 +449,8 @@ type NCLI struct {
 	spare    [][]int64 // the other half of the double buffer
 	in       [][]int64 // received chunks: views valid until the next exchange
 	inflight *mpi.NbrRequest
+	started  *mpi.NbrRequest // this round's exchange, once started
+	usage    int64           // this round's buffer words so far
 }
 
 // NewNCLI returns the pipelined nonblocking backend.
@@ -427,22 +465,29 @@ func NewNCLI(c *mpi.Comm, topo *mpi.Topo, l *distgraph.Local, maxPerArc int64) *
 
 // Exchange implements Round: start the nonblocking send of the current
 // buffers, then complete and deliver the previous round's exchange.
-func (t *NCLI) Exchange(h Handler) int {
-	usage := 2 * t.staged() // double-buffered: filling + in-flight copies
-	req := t.topo.INeighborAlltoallvInt64(t.out)
-	t.out, t.spare = t.spare, t.out
-	t.reset()
+func (t *NCLI) Exchange(h Handler) int { return exchange(t.c, t, h) }
+
+// ExchangeStep implements Round.
+func (t *NCLI) ExchangeStep(h Handler) (int, bool) {
+	if t.started == nil {
+		t.usage = 2 * t.staged() // double-buffered: filling + in-flight copies
+		t.started = t.topo.INeighborAlltoallvInt64(t.out)
+		t.out, t.spare = t.spare, t.out
+		t.reset()
+	}
 	n := 0
 	if t.inflight != nil {
-		t.in = t.inflight.WaitInto(t.in)
+		if !t.inflight.WaitStep(t.in) {
+			return 0, false
+		}
 		for _, data := range t.in {
-			usage += int64(len(data))
+			t.usage += int64(len(data))
 			n += deliver(t.c, data, h)
 		}
 	}
-	t.account(usage)
-	t.inflight = req
-	return n
+	t.account(t.usage)
+	t.inflight, t.started = t.started, nil
+	return n, true
 }
 
 // Finish drains the final in-flight exchange; anything it carries is

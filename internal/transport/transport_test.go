@@ -570,3 +570,62 @@ func TestNCLRoundZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNCLStepRoundZeroAlloc is TestNCLRoundZeroAlloc with the round run
+// the way the driver's round loop runs it: as a resumable step over the
+// step forms, under the ticket pool. Suspending at a pull or at the
+// reduction, being queued and resumed by whichever rank holds a ticket,
+// must stay off the heap too.
+func TestNCLStepRoundZeroAlloc(t *testing.T) {
+	const runs = 50
+	g := gen.Path(8)
+	d := distgraph.NewBlockDist(g, 2)
+	_, err := mpi.Run(2, func(c *mpi.Comm) error {
+		l := d.BuildLocal(c.Rank())
+		topo := c.CreateGraphTopo(l.NeighborRanks)
+		tr := NewNCL(c, topo, l, 8)
+		peer := 1 - c.Rank()
+		x, y := int64(3), int64(4)
+		if c.Rank() == 0 {
+			x, y = 4, 3
+		}
+		exchanged := false
+		step := func() bool {
+			if !exchanged {
+				n, ok := tr.ExchangeStep(func(ctx, rx, ry int64) {})
+				if !ok {
+					return false
+				}
+				if n != 1 {
+					t.Errorf("exchange delivered %d records, want 1", n)
+				}
+				exchanged = true
+			}
+			if _, ok := c.AllreduceScalarInt64Step(mpi.OpSum, 1); !ok {
+				return false
+			}
+			exchanged = false
+			return true
+		}
+		round := func() {
+			tr.Send(peer, 1, x, y)
+			c.Steps(step)
+		}
+		for i := 0; i < 8; i++ {
+			round()
+		}
+		if c.Rank() == 0 && !raceEnabled { // see TestNCLCRoundZeroAlloc
+			if avg := testing.AllocsPerRun(runs, round); avg != 0 {
+				t.Errorf("stepped NCL round: %.2f allocs/op, want 0", avg)
+			}
+		} else {
+			for i := 0; i < runs+1; i++ {
+				round()
+			}
+		}
+		return nil
+	}, mpi.WithScheduler(mpi.SchedWorkers), mpi.WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
