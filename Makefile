@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 perturb build test vet race bench-check bench-smoke bench-dense scale-smoke analyze-smoke async-smoke pairs clean
+.PHONY: tier1 tier2 perturb build test vet race inline-check bench-check bench-smoke bench-dense scale-smoke analyze-smoke async-smoke pairs clean
 
 # tier1 is the gate every change must keep green: full build + vet +
 # full test suite.
@@ -40,6 +40,17 @@ vet:
 # runtime is heavily concurrent, so this is the second gate).
 race:
 	$(GO) test -race ./...
+
+# inline-check fails unless the compiler still inlines two hot paths of
+# the runtime: (*Comm).pollMiss, run on every Iprobe miss, and
+# (*Comm).event, whose nil check is the whole cost of a disabled
+# instrumentation point. A helper grown past the inlining budget shows
+# up only as a few percent of host time, so it is checked here.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/mpi 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in pollMiss event; do \
+		echo "$$out" | grep -q "can inline (\*Comm)\.$$f$$" || { echo "inline-check: (*Comm).$$f is no longer inlined"; exit 1; }; \
+	done
 
 # bench-check vets and tests the repository's benchmark (bench/, run by
 # BENCHMARK.json). It is a module of its own, so tier1's ./... does not

@@ -99,7 +99,8 @@ type Local struct {
 }
 
 // ownerCounts is BuildLocal's scratch: cross-arc counts indexed by owner
-// rank, all zero between calls, and the owners a call has touched.
+// rank less the call's lowest owner, all zero between calls, and the
+// owners a call has touched.
 type ownerCounts struct {
 	n       []int64
 	touched []int
@@ -111,27 +112,37 @@ var countScratch sync.Pool
 
 // BuildLocal computes rank r's local view. Cross arcs are counted into a
 // pooled per-owner array; only the owners touched are sorted and reset,
-// so a call costs its arcs plus its degree, not the world size.
+// so a call costs its arcs plus its degree, not the world size. The array
+// spans only the owners between the lowest and highest far endpoint
+// (Owner is monotone): a few ranks on a spatial graph, at any P. Ranks
+// that build their views at once each miss the pool, and a world-wide
+// array per miss would cost O(P) bytes per rank.
 func (d *Dist) BuildLocal(r int) *Local {
 	if r < 0 || r >= d.P {
 		panic(fmt.Sprintf("distgraph: BuildLocal(%d) with P=%d", r, d.P))
 	}
 	lo, hi := d.Range(r)
-	cs, _ := countScratch.Get().(*ownerCounts)
-	if cs == nil || len(cs.n) < d.P {
-		cs = &ownerCounts{n: make([]int64, d.P)}
+	arcs := d.G.Adj[d.G.Offsets[lo]:d.G.Offsets[hi]]
+	vmin, vmax := lo, hi-1
+	for _, a := range arcs {
+		vmin, vmax = min(vmin, int(a)), max(vmax, int(a))
 	}
-	var localArcs int64
-	for v := lo; v < hi; v++ {
-		for _, a := range d.G.Neighbors(v) {
-			localArcs++
-			if int(a) < lo || int(a) >= hi {
-				q := d.Owner(int(a))
-				if cs.n[q] == 0 {
-					cs.touched = append(cs.touched, q)
-				}
-				cs.n[q]++
+	base, span := 0, 0
+	if len(arcs) > 0 {
+		base = d.Owner(vmin)
+		span = d.Owner(vmax) - base + 1
+	}
+	cs, _ := countScratch.Get().(*ownerCounts)
+	if cs == nil || len(cs.n) < span {
+		cs = &ownerCounts{n: make([]int64, span)}
+	}
+	for _, a := range arcs {
+		if int(a) < lo || int(a) >= hi {
+			q := d.Owner(int(a))
+			if cs.n[q-base] == 0 {
+				cs.touched = append(cs.touched, q)
 			}
+			cs.n[q-base]++
 		}
 	}
 	slices.Sort(cs.touched)
@@ -143,15 +154,15 @@ func (d *Dist) BuildLocal(r int) *Local {
 		Hi:            hi,
 		NeighborRanks: slices.Clone(cs.touched),
 		CrossArcs:     make([]int64, deg),
-		LocalArcs:     localArcs,
+		LocalArcs:     int64(len(arcs)),
 		nbrIndex:      make(map[int]int, deg),
 		dist:          d,
 	}
 	for i, q := range cs.touched {
-		l.CrossArcs[i] = cs.n[q]
-		l.TotalCrossArcs += cs.n[q]
+		l.CrossArcs[i] = cs.n[q-base]
+		l.TotalCrossArcs += cs.n[q-base]
 		l.nbrIndex[q] = i
-		cs.n[q] = 0
+		cs.n[q-base] = 0
 	}
 	cs.touched = cs.touched[:0]
 	countScratch.Put(cs)

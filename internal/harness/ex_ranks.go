@@ -20,8 +20,7 @@ import (
 //
 //   - ring: a raw mpi.Run world doing a 4-round neighbor ring exchange
 //     plus a scalar allreduce — the NSR-style p2p skeleton, measuring
-//     pure runtime overhead (and, below the direct-mode cutoff, the
-//     legacy scheduler side by side);
+//     pure runtime overhead;
 //   - NCL match: a full half-approximate matching run under the NCL
 //     model on a weak-scaled RGG strip (ranksVPR vertices per rank), the
 //     lightest per-rank real workload.
@@ -40,15 +39,10 @@ const ranksDefaultCap = 16384
 // least two ranks.
 const ranksMaxCap = 1 << 20
 
-// ranksDirectCap bounds the legacy direct-mode comparison column: above
-// it, one OS-scheduled goroutine per rank is exactly the regime the
-// ticket pool exists to avoid, so the column reads "-".
-const ranksDirectCap = 16384
-
 // ranksVPR is the vertices-per-rank density of the matching workload.
 const ranksVPR = 4
 
-func (c Config) ranksRing(p int, mode mpi.SchedMode) (*mpi.Report, time.Duration, error) {
+func (c Config) ranksRing(p int) (*mpi.Report, time.Duration, error) {
 	deadline := c.Deadline
 	if deadline == 0 {
 		deadline = 10 * time.Minute
@@ -62,15 +56,15 @@ func (c Config) ranksRing(p int, mode mpi.SchedMode) (*mpi.Report, time.Duration
 		}
 		cm.AllreduceScalarInt64(mpi.OpMax, int64(r))
 		return nil
-	}, mpi.WithScheduler(mode), mpi.WithDeadline(deadline))
+	}, mpi.WithDeadline(deadline))
 	return rep, time.Since(start), err
 }
 
 func init() {
 	register(&Experiment{
 		ID:    "ranks",
-		Title: "Rank-count scaling of the simulated runtime (ticket-pool scheduler)",
-		Paper: "harness artifact, not a paper figure: the paper's evaluation spans 512-16K MPI ranks; the sharded scheduler sustains those world sizes in simulation (131K with -ranks 131072)",
+		Title: "Rank-count scaling of the simulated runtime",
+		Paper: "harness artifact, not a paper figure: the paper's evaluation spans 512-16K MPI ranks; the runtime sustains those world sizes in simulation (131K with -ranks 131072)",
 		Run: func(cfg Config) ([]*Table, error) {
 			rcap := cfg.Ranks
 			if rcap == 0 {
@@ -91,27 +85,18 @@ func init() {
 				sizes = []int{rcap}
 			}
 			t := &Table{ID: "ranks", Title: "world-size scaling (wall = physical simulation time)",
-				Headers: []string{"ranks", "ring-wall(pool)", "ring-wall(direct)", "ring-msgs", "ncl-wall", "ncl-virt", "rounds"}}
+				Headers: []string{"ranks", "ring-wall", "ring-msgs", "ncl-wall", "ncl-virt", "rounds"}}
 			for _, p := range sizes {
-				cfg.logf("ranks: p=%d ring (pooled)", p)
-				rep, wall, err := cfg.ranksRing(p, mpi.SchedWorkers)
+				cfg.logf("ranks: p=%d ring", p)
+				rep, wall, err := cfg.ranksRing(p)
 				if err != nil {
-					return nil, fmt.Errorf("p=%d ring pooled: %w", p, err)
+					return nil, fmt.Errorf("p=%d ring: %w", p, err)
 				}
 				cfg.observe(RunInfo{
-					Label: fmt.Sprintf("ring pooled p=%d", p),
+					Label: fmt.Sprintf("ring p=%d", p),
 					App:   "ring", Input: "ring", Model: "nsr-skeleton",
 					Procs: p, Report: rep,
 				})
-				directCell := "-"
-				if p <= ranksDirectCap {
-					cfg.logf("ranks: p=%d ring (direct)", p)
-					_, dwall, err := cfg.ranksRing(p, mpi.SchedDirect)
-					if err != nil {
-						return nil, fmt.Errorf("p=%d ring direct: %w", p, err)
-					}
-					directCell = dwall.Round(time.Millisecond).String()
-				}
 				g := cfg.memo(fmt.Sprintf("ranks-rgg-%d", p), func() *graph.CSR {
 					n := ranksVPR * p
 					return gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 7001+int64(p))
@@ -126,14 +111,13 @@ func init() {
 				tot := rep.Totals()
 				t.AddRow(fmt.Sprint(p),
 					wall.Round(time.Millisecond).String(),
-					directCell,
 					fmt.Sprint(tot.Msgs),
 					mwall.Round(time.Millisecond).String(),
 					ms(res.Report.MaxVirtualTime),
 					fmt.Sprint(res.Rounds))
 			}
 			t.Notes = append(t.Notes,
-				"expected shape: ring wall-clock grows near-linearly in ranks under the ticket pool (flat per-rank cost)",
+				"expected shape: ring wall-clock grows near-linearly in ranks (flat per-rank cost)",
 				fmt.Sprintf("ladder capped at %d ranks (matchbench -ranks 131072 for the full curve)", rcap))
 			return []*Table{t}, nil
 		},

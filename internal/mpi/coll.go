@@ -279,20 +279,6 @@ func (h *collHub) released(t *task, gen int64) bool {
 	return true
 }
 
-// await is a reusable full barrier over the communicator that also folds
-// now across all ranks: every caller returns max(now_r) plus the comm
-// rank that deposited it (the round's last entrant; ties break to the
-// lowest rank so the result is schedule-independent). Task t must be
-// the goroutine's own task and rank its rank within this hub.
-func (h *collHub) await(t *task, rank int, now float64) (float64, int32) {
-	if gen, last := h.deposit(t, rank, now, foldNone, OpSum, 0, nil); !last {
-		for !h.released(t, gen) {
-			t.sleep()
-		}
-	}
-	return h.roundMax, h.roundMaxRank
-}
-
 // deposit is the arrival half of a collective round, plus a shard-local
 // int64 reduction: each arrival folds v (foldScalar) or vec (foldVec)
 // into its shard's accumulator under the shard lock it already holds,
@@ -418,20 +404,24 @@ func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op Redu
 
 // enterColl deposits this rank's payload (dep performs plain writes to
 // the rank's own slots at parity p; no lock needed, the barrier orders
-// them) and runs the deposit barrier. It returns the round's parity for
-// the read phase plus the synchronized clock — the maximum virtual time
-// across all ranks at entry — and the comm rank that brought it (the
-// last entrant). The parity read is stable: the hub's round cannot
-// advance before this rank itself deposits.
+// them) and runs the deposit barrier, a foldNone round waited out as
+// Barrier waits. It returns the round's parity for the read phase plus
+// the synchronized clock — the maximum virtual time across all ranks at
+// entry — and the comm rank that brought it (the last entrant; ties
+// break to the lowest rank so the result is schedule-independent). The
+// parity read is stable: the hub's round cannot advance before this rank
+// itself deposits.
 func (c *Comm) enterColl(dep func(h *collHub, p int)) (*collHub, int, float64, int) {
-	c.ps.collStart = c.ps.now
 	h := c.w.hub
-	p := int(h.gen.Load() & 1)
 	if dep != nil {
-		dep(h, p)
+		dep(h, int(h.gen.Load()&1))
 	}
-	tmax, lastRank := h.await(c.ps.task, c.rank, c.ps.now)
-	return h, p, tmax, int(lastRank)
+	for {
+		if p, ok := c.reduceStep(foldNone, OpSum, 0, nil); ok {
+			return h, int(p), h.roundMax, int(h.roundMaxRank)
+		}
+		c.Park()
+	}
 }
 
 // exitColl applies the synchronized clock and books the collective.

@@ -251,7 +251,7 @@ func (f found) before(g found) bool {
 // mailbox is one rank's receive queue. Senders push under mu; the single
 // owning rank matches and dequeues. The owner parks its task (not a
 // condvar) when nothing matches; push unparks it, so a sender's wakeup
-// is one CAS plus, in pooled mode, a shard-local enqueue.
+// is one CAS plus the owner's resume.
 type mailbox struct {
 	mu       sync.Mutex
 	owner    *task

@@ -102,9 +102,10 @@ type Config struct {
 	Perturb     sched.Profile
 	PerturbSeed uint64
 
-	// Sched selects how rank goroutines are scheduled (see SchedMode).
+	// Sched selects how ranks' steps (Comm.Steps) are executed (see
+	// SchedMode); rank goroutines are the Go runtime's in every mode.
 	// The default, SchedAuto, uses the sharded ticket pool for large
-	// worlds and direct goroutine scheduling for small ones. Results are
+	// worlds and each rank's own goroutine for small ones. Results are
 	// bit-identical across modes.
 	Sched SchedMode
 }
@@ -139,9 +140,8 @@ type procState struct {
 	// possible.
 	task *task
 	// pollMisses counts consecutive unfruitful non-blocking polls
-	// (Iprobe). Every pollYieldEvery-th miss yields the scheduler so
-	// spinning pollers cannot hold every ticket; any successful match
-	// resets it.
+	// (Iprobe). Every pollYieldEvery-th miss yields the scheduler; any
+	// successful match resets it.
 	pollMisses int
 	// ev is the structured event log, nil when tracing is off; the nil
 	// check is the entire cost of a disabled instrumentation point.
@@ -348,11 +348,11 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 			events[i] = newEventLog(cfg.TraceEvents)
 		}
 	}
-	// Set up every rank before spawning any: in direct mode an early
-	// rank's body may immediately send into a later rank's mailbox, and
-	// that push reads mb.owner and task state. The `go` statements below
-	// happen-after this whole loop, so all setup writes are visible to
-	// every rank goroutine.
+	// Set up every rank before spawning any: an early rank's body may
+	// immediately send into a later rank's mailbox, and that push reads
+	// mb.owner and task state. The `go` statements below happen-after
+	// this whole loop, so all setup writes are visible to every rank
+	// goroutine.
 	for r := 0; r < cfg.Procs; r++ {
 		t := ws.tasks[r]
 		// Ranks map to scheduler shards in contiguous blocks so ring and
@@ -377,18 +377,10 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		*comms[r] = Comm{w: w, rank: r, ps: ps}
 	}
 	for r := 0; r < cfg.Procs; r++ {
-		t := ws.tasks[r]
 		c := comms[r]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if w.pool != nil {
-				// Wait for a ticket (the seeding below queues this task),
-				// and pass it on when the body ends, after the recover
-				// below has poisoned the world if the body panicked.
-				t.block()
-				defer func() { w.pool.pass(int(t.ticket)) }()
-			}
 			defer func() {
 				if p := recover(); p != nil {
 					buf := make([]byte, 16<<10)
@@ -412,16 +404,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 				w.poison()
 			}
 		}()
-	}
-	if w.pool != nil {
-		// Queue every task on its shard, then pass each ticket, all of
-		// which this goroutine holds until now.
-		for _, t := range ws.tasks {
-			w.pool.push(t)
-		}
-		for id := range nshards {
-			w.pool.pass(id)
-		}
 	}
 	go func() { wg.Wait(); close(doneCh) }()
 

@@ -48,10 +48,11 @@ func WithPerturb(seed uint64, p sched.Profile) Option {
 	return func(cfg *Config) { cfg.PerturbSeed, cfg.Perturb = seed, p }
 }
 
-// WithScheduler selects the rank scheduling mode (see SchedMode). The
-// default SchedAuto picks the sharded ticket pool for large worlds and
-// direct goroutine scheduling for small ones; results are bit-identical
-// either way, so the choice is purely a wall-clock/memory trade.
+// WithScheduler selects how ranks' steps are executed (see SchedMode).
+// The default SchedAuto runs them on the sharded ticket pool in large
+// worlds and on each rank's own goroutine in small ones; results are
+// bit-identical either way, so the choice is purely a wall-clock/memory
+// trade.
 func WithScheduler(m SchedMode) Option {
 	return func(cfg *Config) { cfg.Sched = m }
 }

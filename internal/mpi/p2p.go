@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Status describes a received or probed message, like MPI_Status.
 type Status struct {
@@ -28,19 +31,25 @@ func (w *World) poison() {
 }
 
 // pollYieldEvery bounds how long a non-blocking poll loop (Iprobe) may
-// spin without yielding the scheduler. In pooled mode a handful of
-// spinning pollers could otherwise hold every ticket and starve the very
-// ranks whose sends they are polling for.
+// spin without yielding the Go scheduler, so that a poller does not burn
+// the rest of its time slice while the ranks whose sends it polls for
+// wait for a CPU.
 const pollYieldEvery = 64
 
 // pollMiss records an unfruitful non-blocking poll, periodically
-// rescheduling the rank to the back of its run queue.
+// yielding the scheduler.
 func (c *Comm) pollMiss() {
 	c.ps.pollMisses++
 	if c.ps.pollMisses%pollYieldEvery == 0 {
-		c.ps.task.yieldNow()
+		yieldNow()
 	}
 }
+
+// yieldNow gives other goroutines a turn. It stays out of line so that
+// pollMiss inlines into every Iprobe miss.
+//
+//go:noinline
+func yieldNow() { runtime.Gosched() }
 
 // Isend posts a nonblocking standard-mode send of data to rank dst with
 // the given tag (tag must be >= 0). The payload is copied, so the caller

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// SchedMode selects how rank goroutines are scheduled (see WithScheduler).
+// SchedMode selects how ranks' steps are executed (see WithScheduler).
+// Rank goroutines are scheduled by the Go runtime in every mode; the
+// modes differ only for a rank inside Comm.Steps.
 type SchedMode int
 
 const (
@@ -15,16 +17,15 @@ const (
 	// pooledMinProcs ranks and SchedDirect below that, where per-run
 	// pool setup would dominate.
 	SchedAuto SchedMode = iota
-	// SchedDirect is the legacy mode: every rank goroutine is runnable
-	// whenever the Go scheduler pleases. Simple and fastest for small
-	// worlds; at tens of thousands of ranks the runnable set itself
-	// becomes the bottleneck.
+	// SchedDirect runs a rank's steps on its own goroutine, which parks
+	// at each wait and is resumed by whatever ends it. Simple and fastest
+	// for small worlds.
 	SchedDirect
-	// SchedWorkers bounds the runnable ranks by a pool of
-	// min(GOMAXPROCS, ranks, 64) tickets, one per sharded run queue: a
-	// rank goroutine runs only while it holds a ticket, and when it
-	// blocks in the runtime it hands the ticket straight to the next
-	// queued rank. Both modes execute the same deterministic
+	// SchedWorkers runs steps on a ticket pool of min(GOMAXPROCS, ranks,
+	// 64) tickets, one per sharded step queue: a step that would wait is
+	// queued when its wait ends, and any stepping goroutine holding a
+	// ticket runs it, so a wait costs a queue push instead of a goroutine
+	// park and resume. Both modes execute the same deterministic
 	// virtual-time matching logic, so results are bit-identical across
 	// them.
 	SchedWorkers
@@ -93,52 +94,43 @@ func (q *taskq) pop() *task {
 	return t
 }
 
-// schedShard is one ticket's run queue. Ranks map to shards in blocks
-// (rank*T/n), so ring and mesh neighborhoods mostly wake tasks on their
-// own shard and senders from other shards contend only on that shard's
+// schedShard is one ticket's step queue. Ranks map to shards in blocks
+// (rank*T/n), so ring and mesh neighborhoods mostly queue steps on their
+// own shard and wakers from other shards contend only on that shard's
 // lock, never on a global one.
 type schedShard struct {
 	mu sync.Mutex
-	q  taskq // goroutines waiting for a ticket
-	sq taskq // stepping ranks whose step can run (see steps)
+	q  taskq // stepping ranks whose step can run (see steps)
 	// pad keeps neighboring shards' locks off one cache line.
 	_ [16]byte
 }
 
-// queue is the queue t waits in: the step queue while t runs a step.
-func (sh *schedShard) queue(t *task) *taskq {
-	if t.step != nil {
-		return &sh.sq
-	}
-	return &sh.q
-}
-
-// ticketPool bounds how many rank goroutines run at once without
-// running any goroutine of its own. It has one ticket per shard; a
-// running rank holds exactly one, and a rank that parks, yields or
-// exits passes it on (pass): to the next task queued on the ticket's
-// shard, else to one stolen from another shard, else into the free
-// set. Two rules keep it fast and race-free:
+// ticketPool bounds how many goroutines execute steps at once, without
+// running any goroutine of its own. Only a rank goroutine inside
+// Comm.Steps takes part, and it runs steps only while it holds one of the
+// pool's tickets; every other goroutine is the Go runtime's to schedule.
+// Ticket i belongs to shard i: its holder drains shard i's step queue
+// first and steals from the others when it is empty. Draining the shard
+// of the holder's own rank instead lets tickets drift onto one shard,
+// where neighboring ranks then run against each other.
 //
-//   - Ticket i belongs to shard i: pass drains the ticket's shard
-//     first, never the passing rank's. Passing to the parking rank's
-//     shard instead lets tickets drift onto one shard, where
-//     neighboring ring ranks then run against each other.
-//   - A rank reads its ticket id before it becomes visible to other
-//     goroutines (suspend before its running->parked CAS, yieldNow
-//     before it queues itself). After that, a passer may resume the
-//     task and overwrite the id.
-//
-// No wakeup is lost, by the usual two-sided protocol: ready pushes the
-// task and then claims a free ticket, while pass frees its ticket and
-// then re-scans every shard. Whichever side comes second sees the other.
+// A stepping goroutine is execActive (holding a ticket or about to take
+// one), execIdle (asleep in idle, no ticket) or execDone (its step
+// finished; it leaves steps). Moves into and out of execIdle happen under
+// idleMu, so a goroutine is woken once: by pass with a ticket for queued
+// steps (wakeIdle), or without one when its own step finishes while it
+// sleeps (finish). No wakeup is lost, by the usual two-sided protocol:
+// queueing a step, listing an idle goroutine and freeing a ticket are
+// each followed by a check for the other two (ready and steps claim a
+// free ticket; pass re-scans after freeing). Whichever side comes second
+// sees the other.
 type ticketPool struct {
 	shards []schedShard
 	free   atomic.Uint64 // bit i set: ticket i is free
 
 	// idle holds the stepping goroutines asleep without a ticket, which
 	// pass wakes to run queued steps; nidle is its length, read without
-	// the lock. Every move into or out of execIdle happens under idleMu.
+	// the lock.
 	idleMu sync.Mutex
 	idle   []*task
 	nidle  atomic.Int32
@@ -147,34 +139,36 @@ type ticketPool struct {
 	faults map[int32]any
 }
 
-// newTicketPool returns a pool whose tickets are all held by the
-// caller, which starts the world by passing each one.
+// newTicketPool returns a pool whose tickets are all free.
 func newTicketPool(ntickets int) *ticketPool {
-	return &ticketPool{shards: make([]schedShard, ntickets)}
+	p := &ticketPool{shards: make([]schedShard, ntickets)}
+	p.free.Store(^uint64(0) >> (64 - ntickets))
+	return p
 }
 
-// push enqueues t on its shard without claiming a ticket.
+// push queues t's step on its shard without claiming a ticket.
 func (p *ticketPool) push(t *task) {
 	sh := &p.shards[t.shard]
 	sh.mu.Lock()
-	sh.queue(t).push(t)
+	sh.q.push(t)
 	sh.mu.Unlock()
 }
 
-// ready enqueues t on its shard and, if a ticket is free, passes it.
+// ready queues t's step on its shard and, if a ticket is free, passes it.
 func (p *ticketPool) ready(t *task) {
 	p.push(t)
 	p.claimFree(int(t.shard))
 }
 
-// readyBatch unparks every claimable task in ts except skip, taking each
-// scheduler shard's lock once per run of same-shard tasks instead of
-// once per task. Collective releasers call it with waiter lists that
+// readyBatch unparks every claimable task in ts except skip: a stepping
+// task's step is queued, any other task's goroutine resumed. It takes
+// each scheduler shard's lock once per run of same-shard tasks instead
+// of once per step. Collective releasers call it with waiter lists that
 // are walked in hub-shard (≈ rank) order; ranks map to scheduler shards
 // in contiguous blocks, so the list is nearly sorted by shard and the
-// batch degenerates to one lock round-trip per shard in the common
-// case. Tasks that are not parked get a banked notification, exactly as
-// unpark would do.
+// batch degenerates to one lock round-trip per shard in the common case.
+// Tasks that are not parked get a banked notification, exactly as unpark
+// would do.
 func (p *ticketPool) readyBatch(ts []*task, skip *task) {
 	i, n := 0, len(ts)
 	for i < n {
@@ -183,10 +177,14 @@ func (p *ticketPool) readyBatch(ts []*task, skip *task) {
 		if t == skip || !t.claimParked() {
 			continue
 		}
+		if t.step == nil {
+			t.resume()
+			continue
+		}
 		shard := t.shard
 		sh := &p.shards[shard]
 		sh.mu.Lock()
-		sh.queue(t).push(t)
+		sh.q.push(t)
 		for i < n {
 			t2 := ts[i]
 			if t2 == skip {
@@ -197,8 +195,13 @@ func (p *ticketPool) readyBatch(ts []*task, skip *task) {
 				break
 			}
 			i++
-			if t2.claimParked() {
-				sh.queue(t2).push(t2)
+			if !t2.claimParked() {
+				continue
+			}
+			if t2.step == nil {
+				t2.resume()
+			} else {
+				sh.q.push(t2)
 			}
 		}
 		sh.mu.Unlock()
@@ -238,18 +241,12 @@ func (p *ticketPool) take(id int) bool {
 	}
 }
 
-// pass hands ticket id to the next queued goroutine, else to an idle
-// stepping goroutine when steps are queued, or frees it when neither is
-// waiting. The re-scan after freeing finds any task a ready pushed
-// without seeing the free bit; if the ticket is claimed again in
-// between, its new holder runs that task instead.
+// pass hands ticket id to an idle stepping goroutine when steps are
+// queued, or frees it. The re-scan after freeing finds any step queued,
+// or goroutine listed idle, without seeing the free bit; if the ticket is
+// claimed again in between, its new holder wakes that goroutine instead.
 func (p *ticketPool) pass(id int) {
 	for {
-		if t := p.grab(id, false); t != nil {
-			t.ticket = int32(id)
-			t.resume()
-			return
-		}
 		if e := p.wakeIdle(); e != nil {
 			e.ticket = int32(id)
 			e.resume()
@@ -262,19 +259,14 @@ func (p *ticketPool) pass(id int) {
 	}
 }
 
-// grab pops a task from shard id's goroutine queue (step queue, when
-// steps), stealing from the others when it is empty.
-func (p *ticketPool) grab(id int, steps bool) *task {
+// grab pops a step from shard id's queue, stealing from the others when
+// it is empty.
+func (p *ticketPool) grab(id int) *task {
 	n := len(p.shards)
 	for i := 0; i < n; i++ {
 		sh := &p.shards[(id+i)%n]
 		sh.mu.Lock()
-		var t *task
-		if steps {
-			t = sh.sq.pop()
-		} else {
-			t = sh.q.pop()
-		}
+		t := sh.q.pop()
 		sh.mu.Unlock()
 		if t != nil {
 			return t
@@ -283,17 +275,16 @@ func (p *ticketPool) grab(id int, steps bool) *task {
 	return nil
 }
 
-// queued reports whether any shard holds a goroutine waiting for a
-// ticket, or a step while an idle goroutine could run it.
+// queued reports whether any shard holds a step while an idle goroutine
+// could run it.
 func (p *ticketPool) queued() bool {
-	idle := p.nidle.Load() > 0
+	if p.nidle.Load() == 0 {
+		return false
+	}
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		n := sh.q.n
-		if idle {
-			n += sh.sq.n
-		}
 		sh.mu.Unlock()
 		if n > 0 {
 			return true
@@ -302,25 +293,6 @@ func (p *ticketPool) queued() bool {
 	return false
 }
 
-// Steps in pooled mode. A rank that enters Comm.Steps keeps its
-// goroutine, but the goroutine no longer waits for its own rank: while
-// it holds a ticket it is an executor, running whatever steps are queued
-// — its own or any other rank's — each until it would wait, and parks
-// only when no step is runnable or it hands its ticket to a queued
-// goroutine. A waiting step costs a status CAS and a queue push instead
-// of a goroutine park and resume. The goroutine leaves steps, holding a
-// ticket, once its own rank's step is done, whoever ran it.
-//
-// A stepping goroutine is execActive (holding a ticket), execIdle
-// (asleep in idle, no ticket) or execDone (its step finished; it takes
-// the next ticket it gets back to its own body). Moves into and out of
-// execIdle happen under idleMu, so a goroutine is woken once: by pass
-// with a ticket for queued steps (wakeIdle), or through the goroutine
-// queue when its step finishes while it sleeps (finish). No wakeup is
-// lost, by the pool's two-sided rule: a goroutine going idle lists
-// itself before freeing its ticket and re-scans after, and pass checks
-// the idle list after finding no goroutine to run.
-
 const (
 	execActive = int32(iota)
 	execIdle
@@ -328,38 +300,36 @@ const (
 )
 
 // steps runs the executor loop for t, the calling goroutine's own task,
-// whose step is set and which holds t.ticket. It returns, holding
-// t.ticket, once t's step is done.
+// whose step is set. It queues that step, then runs queued steps — its
+// own or any other rank's, each until it would wait — while it holds a
+// ticket, and sleeps idle while it holds none. It returns once t's step
+// is done, whoever ran it, passing on the ticket it holds by then.
 func (p *ticketPool) steps(t *task) {
-	id := int(t.ticket)
-	p.run(t)
+	t.ticket = -1
+	p.push(t)
 	for {
+		id := int(t.ticket)
 		if t.exec.Load() == execDone {
-			t.ticket = int32(id)
-			return
-		}
-		if s := p.grab(id, true); s != nil {
-			p.run(s)
-			continue
-		}
-		if !p.goIdle(t) {
-			continue // the step finished after all: keep the ticket
-		}
-		if g := p.grab(id, false); g != nil {
-			g.ticket = int32(id)
-			g.resume()
-		} else {
-			atomicOr(&p.free, 1<<uint(id))
-			if p.queued() && p.take(id) {
-				if p.unidle(t) {
-					continue
-				}
-				// Woken or finished meanwhile: a ticket is on its way.
+			if id >= 0 {
 				p.pass(id)
 			}
+			return
+		}
+		if id >= 0 {
+			if s := p.grab(id); s != nil {
+				p.run(s)
+				continue
+			}
+		}
+		if !p.goIdle(t) {
+			continue // the step finished after all
+		}
+		if id >= 0 {
+			p.pass(id)
+		} else {
+			p.claimFree(int(t.shard))
 		}
 		t.block()
-		id = int(t.ticket)
 	}
 }
 
@@ -386,7 +356,7 @@ func (p *ticketPool) run(s *task) {
 }
 
 // finish ends s's step: its goroutine, active, sees execDone; asleep, it
-// is taken off the idle list and queued for a ticket.
+// is taken off the idle list and resumed without a ticket.
 func (p *ticketPool) finish(s *task) {
 	s.step = nil
 	p.idleMu.Lock()
@@ -397,11 +367,12 @@ func (p *ticketPool) finish(s *task) {
 	s.exec.Store(execDone)
 	p.idleMu.Unlock()
 	if wake {
-		p.ready(s)
+		s.resume()
 	}
 }
 
-// goIdle lists t's goroutine as idle, unless its step is already done.
+// goIdle lists t's goroutine as idle, holding no ticket, unless its step
+// is already done.
 func (p *ticketPool) goIdle(t *task) bool {
 	p.idleMu.Lock()
 	defer p.idleMu.Unlock()
@@ -409,29 +380,17 @@ func (p *ticketPool) goIdle(t *task) bool {
 		return false
 	}
 	t.exec.Store(execIdle)
+	t.ticket = -1
 	t.idleAt = int32(len(p.idle))
 	p.idle = append(p.idle, t)
 	p.nidle.Add(1)
 	return true
 }
 
-// unidle takes t's goroutine back off the idle list, reporting false if
-// it has been woken or its step finished since it listed itself.
-func (p *ticketPool) unidle(t *task) bool {
-	p.idleMu.Lock()
-	defer p.idleMu.Unlock()
-	if t.exec.Load() != execIdle {
-		return false
-	}
-	p.unlist(t)
-	t.exec.Store(execActive)
-	return true
-}
-
 // wakeIdle claims an idle goroutine to run queued steps, or returns nil
 // when there is none or no step is queued.
 func (p *ticketPool) wakeIdle() *task {
-	if p.nidle.Load() == 0 || !p.stepsQueued() {
+	if !p.queued() {
 		return nil
 	}
 	p.idleMu.Lock()
@@ -455,20 +414,6 @@ func (p *ticketPool) unlist(t *task) {
 	p.idle[n] = nil
 	p.idle = p.idle[:n]
 	p.nidle.Add(-1)
-}
-
-// stepsQueued reports whether any shard has a step queued.
-func (p *ticketPool) stepsQueued() bool {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		n := sh.sq.n
-		sh.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // fault removes and returns the panic of t's failed step, if any.

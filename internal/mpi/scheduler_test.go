@@ -13,16 +13,17 @@ import (
 	"repro/internal/sched"
 )
 
-// This file exercises the sharded ticket-pool scheduler: mode resolution,
-// correctness of a pooled world, clock and result determinism across
-// scheduling modes and GOMAXPROCS settings, perturbation replay (with a
-// termination detector's private message context beside the world's),
-// poison teardown, world-skeleton pooling, the large-world topology
-// creation path, and the 16K-rank smoke/leak test.
+// This file exercises the scheduler modes and the ticket pool that runs
+// steps in pooled worlds: mode resolution, correctness of a pooled
+// world, clock and result determinism across scheduling modes and
+// GOMAXPROCS settings, perturbation replay (with a termination detector's
+// private message context beside the world's), poison teardown,
+// world-skeleton pooling, the pool's bound on running steps, the
+// large-world topology creation path, and the 16K-rank smoke/leak test.
 
 // schedModes are the two concrete scheduling strategies; every behavioral
-// test in this file runs under both so pooled execution is held to exactly
-// the semantics of the legacy one-goroutine-per-rank path.
+// test in this file runs under both so pooled step execution is held to
+// exactly the semantics of a rank running its steps on its own goroutine.
 var schedModes = []SchedMode{SchedDirect, SchedWorkers}
 
 func mix64(h, v uint64) uint64 {
@@ -534,67 +535,81 @@ func TestAllreduceScalarZeroAllocPooled(t *testing.T) {
 }
 
 // TestPoolBoundsRunning checks the pool's two promises at GOMAXPROCS 1,
-// 2 and 4: no more ranks run user code at once than there are tickets,
-// and no goroutine runs besides the ranks and Run's one waiter. Every
-// rank counts itself running between runtime calls; the body covers a
-// ring, a scalar allreduce and an Iprobe poll loop long enough to reach
-// yieldNow.
+// 2 and 4: no more goroutines execute steps at once than there are
+// tickets, and no goroutine runs besides the ranks and Run's one waiter.
+// Every step counts itself running for its whole call and yields the
+// scheduler while counted; the body also covers a ring and an Iprobe poll
+// loop long enough to reach yieldNow.
 func TestPoolBoundsRunning(t *testing.T) {
 	const p = 512
 	for _, procs := range []int{1, 2, 4} {
 		withMaxProcs(procs, func() {
-			var running, peak, peakG atomic.Int64
+			var stepping, peak, peakG atomic.Int64
 			raise := func(m *atomic.Int64, v int64) {
 				for old := m.Load(); v > old && !m.CompareAndSwap(old, v); old = m.Load() {
 				}
 			}
-			// call runs one runtime call with this rank counted out.
-			call := func(f func()) {
-				running.Add(-1)
-				f()
-				raise(&peak, running.Add(1))
-			}
 			baseline := runtime.NumGoroutine()
 			_, err := RunChecked(p, func(c *Comm) error {
-				raise(&peak, running.Add(1))
-				defer running.Add(-1)
 				r, n := c.Rank(), c.Size()
 				var buf [1]int64
-				call(func() { c.Isend((r+1)%n, 0, []int64{int64(r)}) })
-				call(func() { c.RecvInto((r-1+n)%n, 0, buf[:]) })
+				c.Isend((r+1)%n, 0, []int64{int64(r)})
+				c.RecvInto((r-1+n)%n, 0, buf[:])
+				var stage int
 				var sum int64
-				call(func() { sum = c.AllreduceScalarInt64(OpSum, 1) })
-				if sum != int64(n) {
-					return fmt.Errorf("rank %d: allreduce = %d", r, sum)
+				c.Steps(func() bool {
+					raise(&peak, stepping.Add(1))
+					defer stepping.Add(-1)
+					runtime.Gosched()
+					for ; stage < 4; stage++ {
+						if stage%2 == 0 {
+							if !c.BarrierStep() {
+								return false
+							}
+							if stage == 2 {
+								// Every rank has started and none can end before
+								// this one deposits below: goroutines are neither
+								// created nor exiting, so the count is exact.
+								raise(&peakG, int64(runtime.NumGoroutine()))
+							}
+							continue
+						}
+						v, ok := c.AllreduceScalarInt64Step(OpSum, 1)
+						if !ok {
+							return false
+						}
+						sum += v
+					}
+					return true
+				})
+				if sum != int64(2*n) {
+					return fmt.Errorf("rank %d: allreduce sum = %d", r, sum)
 				}
-				raise(&peakG, int64(runtime.NumGoroutine()))
 				// Even ranks poll for a message their odd partner sends only
 				// after hearing from them, which they send only after
 				// 2*pollYieldEvery misses: every poller yields at least twice.
 				partner := r ^ 1
 				if r%2 == 1 {
-					call(func() { c.RecvInto(partner, 2, buf[:]) })
-					call(func() { c.Isend(partner, 1, []int64{1}) })
+					c.RecvInto(partner, 2, buf[:])
+					c.Isend(partner, 1, []int64{1})
 					return nil
 				}
 				for misses := 0; ; misses++ {
-					var ok bool
-					call(func() { ok, _ = c.Iprobe(partner, 1) })
-					if ok {
+					if ok, _ := c.Iprobe(partner, 1); ok {
 						break
 					}
 					if misses == 2*pollYieldEvery {
-						call(func() { c.Isend(partner, 2, []int64{2}) })
+						c.Isend(partner, 2, []int64{2})
 					}
 				}
-				call(func() { c.RecvInto(partner, 1, buf[:]) })
+				c.RecvInto(partner, 1, buf[:])
 				return nil
 			}, WithScheduler(SchedWorkers), WithDeadline(60*time.Second))
 			if err != nil {
 				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
 			if got, want := peak.Load(), int64(ticketCount(p)); got > want {
-				t.Errorf("GOMAXPROCS=%d: %d ranks ran at once, want <= %d tickets", procs, got, want)
+				t.Errorf("GOMAXPROCS=%d: %d steps ran at once, want <= %d tickets", procs, got, want)
 			}
 			if got, want := peakG.Load(), int64(baseline+p+1); got > want {
 				t.Errorf("GOMAXPROCS=%d: %d goroutines during the run, want <= %d (baseline %d + %d ranks + Run's waiter)",

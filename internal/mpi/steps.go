@@ -13,7 +13,7 @@ package mpi
 // Steps runs a rank's program written over step forms. In a direct-mode
 // world it is that loop. In a pooled world the rank's goroutine parks no
 // more at each wait: the suspended step is queued when what it waits for
-// happens, and whichever goroutine holds a ticket runs it (see
+// happens, and whichever stepping goroutine holds a ticket runs it (see
 // ticketPool.steps).
 
 // Steps runs step, a resumable program of the calling rank, until it

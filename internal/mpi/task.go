@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -10,12 +9,11 @@ import (
 // that parks when it cannot make progress (empty mailbox, barrier not
 // yet full) and is unparked by the event that makes progress possible
 // (a message push, a barrier release, a poison sweep). The rank body
-// still runs on its own goroutine — arbitrary Go code needs a real
-// stack — but in pooled mode the goroutine only runs while it holds a
-// ticket (see ticketPool), so at most ticketCount ranks are runnable at
-// once and the Go scheduler never sees a 64K-wide runnable set. A rank
-// that blocks passes its ticket directly to the next queued rank's
-// task; no scheduler goroutine sits in between.
+// runs on its own goroutine — arbitrary Go code needs a real stack —
+// which the Go runtime schedules in every mode. Only a rank inside
+// Comm.Steps differs in pooled mode: its waits park the step, not the
+// goroutine, and the step is queued for whichever stepping goroutine
+// holds one of the pool's tickets (see ticketPool).
 //
 // Park/unpark is a saturating one-slot notification (the futex/eventcount
 // shape): unpark on a running task sets a sticky "notified" token that
@@ -40,21 +38,17 @@ type task struct {
 	sem   atomic.Int32
 	rank  int32
 	shard int32
-	// ticket is the id of the ticket this task holds while running
-	// (pooled mode). The passer writes it before resume(), so it is the
-	// benaphore that publishes it; the task must read it before it parks
-	// or queues itself, after which the next passer may overwrite it.
+	// ticket is the id of the ticket the task's goroutine holds while it
+	// executes steps (pooled mode), or -1. The passer writes it before
+	// resume(), so it is the benaphore that publishes it.
 	ticket int32
-	// held is the ticket the task held when it last suspended, which the
-	// sleep that follows passes on.
-	held int32
 	// exec is the state of a stepping rank's goroutine in pooled mode:
 	// execActive, execIdle or execDone (see ticketPool.steps); idleAt is
 	// its position in the pool's idle list while execIdle.
 	exec   atomic.Int32
 	idleAt int32
-	// pool is nil in direct (legacy) scheduling mode; park/unpark then
-	// degrade to a bare benaphore handoff with no ticket accounting.
+	// pool is nil in direct scheduling mode, where a step parks its
+	// goroutine like any other wait.
 	pool *ticketPool
 	// step is the rank's resumable program while it runs one
 	// (Comm.Steps), else nil. A parked stepping task is woken onto its
@@ -113,11 +107,6 @@ func (t *task) suspend() bool {
 	if t.status.CompareAndSwap(taskNotified, taskRunning) {
 		return false // wakeup already banked: consume it, don't wait
 	}
-	if t.step == nil {
-		// Before the CAS: an unparker may resume t right after it. A step
-		// holds no ticket of its own; its goroutine may be using one.
-		t.held = t.ticket
-	}
 	if !t.status.CompareAndSwap(taskRunning, taskParked) {
 		// An unpark slipped in between the two CASes and set Notified.
 		t.status.Store(taskRunning)
@@ -126,16 +115,12 @@ func (t *task) suspend() bool {
 	return true
 }
 
-// sleep blocks a suspended task's goroutine until unpark, passing the
-// ticket it held on first. A step cannot sleep: the goroutine running it
-// may be another rank's.
+// sleep blocks a suspended task's goroutine until unpark. A step cannot
+// sleep: the goroutine running it may be another rank's.
 func (t *task) sleep() {
 	if t.step != nil {
 		t.status.CompareAndSwap(taskParked, taskRunning)
 		panic("mpi: blocking call inside a step (use its step form)")
-	}
-	if t.pool != nil {
-		t.pool.pass(int(t.held))
 	}
 	t.block()
 }
@@ -168,35 +153,17 @@ func (t *task) claimParked() bool {
 	}
 }
 
-// unpark makes a parked task runnable (enqueuing it on its shard in
-// pooled mode) or banks a notification if the task is running. Safe
-// from any goroutine, idempotent, non-blocking.
+// unpark makes a parked task runnable — queueing its step when it is
+// stepping in pooled mode, else resuming its goroutine — or banks a
+// notification if the task is running. Safe from any goroutine,
+// idempotent, non-blocking.
 func (t *task) unpark() {
 	if !t.claimParked() {
 		return
 	}
-	if p := t.pool; p != nil {
+	if p := t.pool; p != nil && t.step != nil {
 		p.ready(t)
 	} else {
 		t.resume()
 	}
-}
-
-// yieldNow reschedules the task to the back of its shard's run queue,
-// giving other ranks a turn. Poll loops that spin without blocking
-// (Iprobe under a miss streak) call it so ranks holding every ticket
-// cannot starve the ranks whose messages the poller is waiting for.
-func (t *task) yieldNow() {
-	p := t.pool
-	if t.step != nil {
-		return // a step ends at its next wait anyway
-	}
-	if p == nil {
-		runtime.Gosched()
-		return
-	}
-	id := t.ticket // before the push: a passer may resume t right after it
-	p.push(t)      // requeue self; the ticket passed below covers the push
-	p.pass(int(id))
-	t.block()
 }
