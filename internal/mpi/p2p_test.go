@@ -3,8 +3,10 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -472,9 +474,10 @@ func TestIprobeRecvIntoEquivalence(t *testing.T) {
 
 // TestPeerBufBytesDenseAndSparse: the per-peer pool is charged once per
 // distinct destination whichever way the ledger tracks peers — the bitmap
-// of small worlds or, above densePeerLimit, the set behind its
-// last-destination check — for a sequence with runs, alternations and
-// returns to an earlier peer.
+// of small worlds or, above densePeerLimit, the sorted list behind its
+// last-destination check — for a fixed sequence with runs, alternations
+// and returns to an earlier peer, and for random sequences of that shape
+// checked send by send against a map of the destinations seen.
 func TestPeerBufBytesDenseAndSparse(t *testing.T) {
 	dsts := []int{5, 5, 5, 9, 5, 9, 9, 0, 5, 0, 0, 1023, 5, 1023}
 	for _, n := range []int{densePeerLimit, densePeerLimit + 1} {
@@ -485,6 +488,50 @@ func TestPeerBufBytesDenseAndSparse(t *testing.T) {
 		}
 		if want := int64(4 * EagerBufPerPeer); rs.PeerBufBytes != want {
 			t.Errorf("world of %d: PeerBufBytes = %d, want %d (4 distinct peers)", n, rs.PeerBufBytes, want)
+		}
+	}
+	for _, n := range []int{densePeerLimit, densePeerLimit + 1, 16384} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			// A pool of a few dozen peers, so destinations repeat.
+			pool := make([]int, 1+rng.Intn(48))
+			for i := range pool {
+				pool[i] = rng.Intn(n)
+			}
+			var rs RankStats
+			rs.init(0, n, false)
+			ref := map[int]struct{}{}
+			prev, prev2 := pool[0], pool[0]
+			for step := 0; step < 400; step++ {
+				var d int
+				switch k := rng.Intn(10); {
+				case k < 3:
+					d = prev // a run
+				case k < 5:
+					d = prev2 // an alternation
+				case k < 9:
+					d = pool[rng.Intn(len(pool))]
+				default:
+					d = rng.Intn(n) // a fresh peer, anywhere in the world
+				}
+				prev, prev2 = d, prev
+				rs.noteSend(d, 8)
+				ref[d] = struct{}{}
+				if want := int64(len(ref)) * EagerBufPerPeer; rs.PeerBufBytes != want {
+					t.Fatalf("world of %d, seed %d, send %d to %d: PeerBufBytes = %d, want %d (%d distinct peers)",
+						n, seed, step, d, rs.PeerBufBytes, want, len(ref))
+				}
+			}
+			if n > densePeerLimit {
+				want := make([]int32, 0, len(ref))
+				for d := range ref {
+					want = append(want, int32(d))
+				}
+				slices.Sort(want)
+				if !slices.Equal(rs.peerList, want) {
+					t.Fatalf("world of %d, seed %d: peer list %v, want %v", n, seed, rs.peerList, want)
+				}
+			}
 		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 // GOMAXPROCS settings, perturbation replay (with a termination detector's
 // private message context beside the world's), poison teardown,
 // world-skeleton pooling, the pool's bound on running steps, the
-// large-world topology creation path, and the 16K-rank smoke/leak test.
+// large-world topology creation path, the 16K-rank smoke/leak test, and
+// the tasks' one-slot wake channels.
 
 // schedModes are the two concrete scheduling strategies; every behavioral
 // test in this file runs under both so pooled step execution is held to
@@ -671,6 +672,89 @@ func TestCleanRunAfterFailure(t *testing.T) {
 					t.Fatalf("run after %s: %v", f.name, err)
 				}
 			})
+		}
+	}
+}
+
+// TestTaskWakeSlot pins the wait primitive under park/unpark: a resume
+// that runs before its block is banked in the task's one-slot channel,
+// the block consumes it without sleeping, and a second resume with the
+// slot still full panics naming the rank rather than blocking the
+// resumer (or being lost) — as does reusing a task that holds one. After
+// clean pooled runs, the second reusing the first's skeleton, no task
+// holds a wakeup.
+func TestTaskWakeSlot(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			v := recover()
+			if v == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+			if msg := fmt.Sprint(v); !strings.Contains(msg, "rank 7") {
+				t.Fatalf("%s panicked with %q, want it to name rank 7", what, msg)
+			}
+		}()
+		f()
+	}
+	var tk task
+	tk.initTask()
+	tk.reset(7, 0, nil)
+	tk.resume()
+	if len(tk.wake) != 1 {
+		t.Fatalf("resume before block: slot holds %d wakeups, want 1 banked", len(tk.wake))
+	}
+	tk.block() // returns at once: the banked wakeup is consumed
+	if len(tk.wake) != 0 {
+		t.Fatalf("block left %d wakeups in the slot", len(tk.wake))
+	}
+	tk.resume()
+	mustPanic("second resume", tk.resume)
+	mustPanic("reset with a banked wakeup", func() { tk.reset(7, 0, nil) })
+	tk.block()
+
+	const p = 512
+	body := func(c *Comm) error {
+		r, n := c.Rank(), c.Size()
+		var buf [1]int64
+		for k := 0; k < 4; k++ {
+			c.Isend((r+1)%n, 0, []int64{int64(r)})
+			c.RecvInto((r-1+n)%n, 0, buf[:])
+		}
+		var stage int
+		var sum int64
+		c.Steps(func() bool {
+			for ; stage < 4; stage++ {
+				if stage%2 == 0 {
+					if !c.BarrierStep() {
+						return false
+					}
+					continue
+				}
+				v, ok := c.AllreduceScalarInt64Step(OpSum, 1)
+				if !ok {
+					return false
+				}
+				sum += v
+			}
+			return true
+		})
+		if sum != int64(2*n) {
+			return fmt.Errorf("rank %d: allreduce sum = %d", r, sum)
+		}
+		c.AllreduceScalarInt64(OpMax, int64(r))
+		return nil
+	}
+	for run := 0; run < 2; run++ {
+		if _, err := RunChecked(p, body, WithScheduler(SchedWorkers), WithDeadline(60*time.Second)); err != nil {
+			t.Fatalf("pooled run %d: %v", run, err)
+		}
+	}
+	ws := acquireWorldState(p)
+	defer releaseWorldState(ws)
+	for r, pooled := range ws.tasks {
+		if n := len(pooled.wake); n != 0 {
+			t.Errorf("after clean pooled runs, rank %d's slot holds %d wakeups", r, n)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package mpi
 
+import "slices"
+
 // RankStats is one rank's traffic and resource ledger. During a run it is
 // written only by the owning rank goroutine (message-queue high-water marks
 // are tracked inside the receiver's mailbox under its lock and folded in
@@ -55,15 +57,15 @@ type RankStats struct {
 	// point-to-point traffic with (the reason the paper's Send-Recv
 	// variant is the memory hog at scale, Table VIII). Counted once per
 	// distinct destination at EagerBufPerPeer bytes. Peers are tracked
-	// densely for small worlds and in a lazily allocated set above
-	// densePeerLimit ranks, for the same reason mailboxes bucket by
+	// densely for small worlds and in a lazily allocated sorted list
+	// above densePeerLimit ranks, for the same reason mailboxes bucket by
 	// source: a rank talks to its process-graph neighbors, and a dense
 	// []bool per rank would cost O(P^2) across the world.
 	PeerBufBytes int64
 	peerSeen     []bool
-	peerSet      map[int]struct{}
+	peerList     []int32 // sorted distinct destinations, large worlds
 	worldSize    int32
-	lastPeer     int32 // 1 + the destination peerSet was last asked about
+	lastPeer     int32 // 1 + the destination peerList was last asked about
 
 	// Optional per-destination matrices (row view), length = world size.
 	// MsgRow[d] counts messages this rank sent to d by any mechanism
@@ -94,8 +96,8 @@ func (rs *RankStats) init(rank, n int, matrices bool) {
 }
 
 // notePeer charges the per-peer connection pool the first time dst is
-// targeted. The dense bitmap (small worlds) and the sparse set (large
-// worlds) are both allocated on the rank's first send.
+// targeted. The dense bitmap (small worlds) and the sorted peer list
+// (large worlds) are both allocated on the rank's first send.
 func (rs *RankStats) notePeer(dst int) {
 	if rs.peerSeen != nil {
 		if !rs.peerSeen[dst] {
@@ -111,16 +113,13 @@ func (rs *RankStats) notePeer(dst int) {
 		return
 	}
 	// A rank sends to the same few peers over and over (a ring's successor,
-	// the owner of a run of ghosts): the last one answers without the map.
+	// the owner of a run of ghosts): the last one answers without a search.
 	if int(rs.lastPeer) == dst+1 {
 		return
 	}
 	rs.lastPeer = int32(dst + 1)
-	if _, ok := rs.peerSet[dst]; !ok {
-		if rs.peerSet == nil {
-			rs.peerSet = make(map[int]struct{})
-		}
-		rs.peerSet[dst] = struct{}{}
+	if i, found := slices.BinarySearch(rs.peerList, int32(dst)); !found {
+		rs.peerList = slices.Insert(rs.peerList, i, int32(dst))
 		rs.PeerBufBytes += EagerBufPerPeer
 	}
 }

@@ -1,7 +1,7 @@
 package mpi
 
 import (
-	"sync"
+	"fmt"
 	"sync/atomic"
 )
 
@@ -21,26 +21,24 @@ import (
 // spurious wakeups by construction — every blocking site re-checks its
 // predicate under the relevant lock after park returns.
 //
-// The blocking primitive underneath is a benaphore (counting semaphore
-// built from an atomic counter plus a mutex that rests locked) instead
-// of the earlier per-task buffered channel: a channel costs ~100 heap
-// bytes per rank plus a pointer, which at 64K-131K ranks is megabytes of
-// per-world state and GC-visible pointers for a strictly 1:1
-// block/resume handoff. The benaphore is two inline words. resume() may
-// run before block() — the counter banks it, exactly like the old
-// capacity-1 channel — and the mutex is only touched when the task
-// really has to sleep.
+// The blocking primitive underneath is a channel of capacity one per
+// task: block receives, resume sends, and a resume that runs before its
+// block waits in the slot. A sleeping goroutine waits on the channel's
+// own queue. A semaphore built from an atomic count and a mutex fits in
+// the task itself and would save the 104 bytes per rank the channel
+// adds to a pooled 16384-rank world's steady state, but its sleepers
+// spin in the mutex's slow path and then queue in the runtime's global
+// semaphore table. At 16384 ranks on a 2-CPU host that table's lock and
+// tree cost 15% of a ring's CPU; the channel takes 15-22% off the ring
+// and a fifth off the wall time of the benchmark's world-16k workload.
 type task struct {
 	// status is one of taskRunning/taskNotified/taskParked (below).
 	status atomic.Int32
-	// sem is the benaphore count: 1 when a resume is banked, -1 while a
-	// blocker holds (or is acquiring) mu, 0 at rest.
-	sem   atomic.Int32
-	rank  int32
-	shard int32
+	rank   int32
+	shard  int32
 	// ticket is the id of the ticket the task's goroutine holds while it
 	// executes steps (pooled mode), or -1. The passer writes it before
-	// resume(), so it is the benaphore that publishes it.
+	// resume(), so it is the channel send that publishes it.
 	ticket int32
 	// exec is the state of a stepping rank's goroutine in pooled mode:
 	// execActive, execIdle or execDone (see ticketPool.steps); idleAt is
@@ -54,8 +52,8 @@ type task struct {
 	// (Comm.Steps), else nil. A parked stepping task is woken onto its
 	// shard's step queue, where any ticket holder runs it.
 	step func() bool
-	// mu rests locked; resume unlocks it only when a blocker is waiting.
-	mu sync.Mutex
+	// wake holds at most one resume not yet consumed by block.
+	wake chan struct{}
 }
 
 const (
@@ -64,38 +62,38 @@ const (
 	taskParked                 // blocked in park awaiting unpark
 )
 
-// initTask locks the benaphore mutex into its rest state. Called exactly
-// once when the task's backing storage is created, never on pooled reuse.
+// initTask makes the wake slot. Called exactly once when the task's
+// backing storage is created, never on pooled reuse.
 func (t *task) initTask() {
-	t.mu.Lock()
+	t.wake = make(chan struct{}, 1)
 }
 
 // block waits for one resume, consuming a banked one without sleeping.
-// Rest state: sem == 0 and mu locked. A first-mover blocker drives sem
-// to -1 and sleeps in mu.Lock(); the matching resume drives sem back to
-// 0 and unlocks, so the blocker's Lock succeeds and mu rests locked
-// again.
 func (t *task) block() {
-	if t.sem.Add(-1) < 0 {
-		t.mu.Lock()
-	}
+	<-t.wake
 }
 
 // resume delivers one block's worth of progress: it wakes a sleeping
 // blocker, or banks the wakeup for the next block. Strictly paired 1:1
-// with block by the park/unpark protocol.
+// with block by the park/unpark protocol, so it never blocks: a full
+// slot means a second resume without a block in between, a protocol
+// bug that would otherwise surface only as a rare hang.
 func (t *task) resume() {
-	if t.sem.Add(1) <= 0 {
-		t.mu.Unlock()
+	select {
+	case t.wake <- struct{}{}:
+	default:
+		panic(fmt.Sprintf("mpi: rank %d resumed twice without blocking", t.rank))
 	}
 }
 
 // reset prepares a pooled task for a new run. Only tasks from clean runs
-// are reset, so sem is 0 and mu rests locked; the stores are defensive.
+// are reset, and in a clean run every resume met its block.
 func (t *task) reset(rank, shard int32, pool *ticketPool) {
+	if len(t.wake) != 0 {
+		panic(fmt.Sprintf("mpi: pooled task of rank %d holds a wakeup from its last run", t.rank))
+	}
 	t.rank, t.shard, t.pool, t.step = rank, shard, pool, nil
 	t.status.Store(taskRunning)
-	t.sem.Store(0)
 }
 
 // suspend moves the running task to parked, to be made runnable again by
