@@ -93,21 +93,19 @@ bench-dense:
 
 # analyze-smoke is the profiler CI gate: matchprof re-runs a small
 # ranks x models grid of the SBP weak-scaling experiment with the trace
-# analyzer on, writes the analyzed records as an artifact, and the
-# wait-attribution shape check must pass over freshly generated records.
+# analyzer on and writes the analyzed records as an artifact. The
+# wait-attribution shape check over such records runs in tier2.
 analyze-smoke:
 	$(GO) run ./cmd/matchprof -exp fig4c -scale 0.25 -models nsr,ncl,rma -json analysis_records.json
-	RUN_SHAPE_CHECKS=1 SHAPE_SCALE=0.5 $(GO) test -run 'TestPaperShapes/fig4c-wait-attribution' -v ./internal/shape/
 
 # async-smoke is the asynchronous-engine CI gate: the maximal-matching
 # engine (Safra termination detection) vs its round-fenced baseline,
 # every matching verified maximal, records written as an artifact, plus
 # the explorer sweep over the engine and the detector at a reduced seed
-# budget and the ext-async shape check over freshly generated records.
+# budget. The ext-async shape check runs in tier2.
 async-smoke:
 	$(GO) run ./cmd/matchbench -exp ext-async -scale 0.5 -json async_records.json
 	$(GO) test -run 'TestExploreAsyncMaximal|TestExploreQuiesceDetector' -short -v ./internal/sched/
-	RUN_SHAPE_CHECKS=1 SHAPE_SCALE=0.5 $(GO) test -run 'TestPaperShapes/ext-async-beats-rounds' -v ./internal/shape/
 
 clean:
 	$(GO) clean ./...

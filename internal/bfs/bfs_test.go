@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mpi"
 	"repro/internal/order"
 	"repro/internal/transport"
 )
@@ -82,7 +81,7 @@ func TestBFSSingleRankNoMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := mpi.Aggregate(res.Report.Stats)
+	tot := res.Report.Totals()
 	if tot.P2PMsgs != 0 {
 		t.Errorf("single rank sent %d messages", tot.P2PMsgs)
 	}
@@ -96,7 +95,7 @@ func TestBFSCommMatrixDiffersFromEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := mpi.MsgMatrix(res.Report.Stats)
+	mm := res.Report.MsgMatrix()
 	var nonzero int
 	for i := range mm {
 		for j := range mm[i] {
@@ -179,7 +178,7 @@ func TestBFSModesAgree(t *testing.T) {
 		}
 	}
 	// The collective mode must not use point-to-point sends.
-	tot := mpi.Aggregate(b.Report.Stats)
+	tot := b.Report.Totals()
 	if tot.P2PMsgs != 0 {
 		t.Errorf("neighborhood mode sent %d p2p messages", tot.P2PMsgs)
 	}

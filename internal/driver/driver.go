@@ -56,8 +56,9 @@ type Options struct {
 	PerturbSeed uint64
 }
 
-// mpiOptions translates the runtime knobs to mpi.Run options.
-func (o Options) mpiOptions() []mpi.Option {
+// MPIOptions translates the runtime knobs to mpi.Run options, for Run
+// and for callers that launch a world of their own.
+func (o Options) MPIOptions() []mpi.Option {
 	opts := make([]mpi.Option, 0, 5)
 	if o.Cost != nil {
 		opts = append(opts, mpi.WithCost(o.Cost))
@@ -193,7 +194,7 @@ func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Result
 		transport.Release(t)
 		rounds[c.Rank()], sent[c.Rank()] = r.Rounds, r.Sent
 		return nil
-	}, opt.mpiOptions()...)
+	}, opt.MPIOptions()...)
 	if err != nil {
 		return nil, err
 	}

@@ -99,10 +99,9 @@ func init() {
 					var times [3]float64
 					var colors int
 					for i, m := range scalingModels {
-						res, err := coloring.Run(in.g, coloring.Options{
-							Procs: p, Model: m, Cost: cfg.Cost, Deadline: cfg.Deadline,
-							TraceEvents: cfg.TraceEvents, RoundLog: cfg.Rounds,
-						})
+						opts := cfg.runOptions(p)
+						opts.Model = m
+						res, err := coloring.Run(in.g, opts)
 						if err != nil {
 							return nil, fmt.Errorf("%s/%v: %w", in.name, m, err)
 						}

@@ -43,10 +43,6 @@ const ranksMaxCap = 1 << 20
 const ranksVPR = 4
 
 func (c Config) ranksRing(p int) (*mpi.Report, time.Duration, error) {
-	deadline := c.Deadline
-	if deadline == 0 {
-		deadline = 10 * time.Minute
-	}
 	start := time.Now()
 	rep, err := mpi.Run(p, func(cm *mpi.Comm) error {
 		r, n := cm.Rank(), cm.Size()
@@ -56,7 +52,7 @@ func (c Config) ranksRing(p int) (*mpi.Report, time.Duration, error) {
 		}
 		cm.AllreduceScalarInt64(mpi.OpMax, int64(r))
 		return nil
-	}, mpi.WithDeadline(deadline))
+	}, c.runOptions(p).MPIOptions()...)
 	return rep, time.Since(start), err
 }
 

@@ -4,9 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/distgraph"
+	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/matching"
 )
+
+// runOptions are the run knobs a launch on p ranks takes from the
+// Config: cost, deadline, tracing, round logs and perturbation. The
+// launches that do not go through match (the ranks ring, colouring and
+// BFS) start from them.
+func (c Config) runOptions(p int) driver.Options {
+	return driver.Options{
+		Procs: p, Cost: c.Cost, Deadline: c.Deadline, TraceEvents: c.TraceEvents,
+		RoundLog: c.Rounds, Perturb: c.Perturb, PerturbSeed: c.PerturbSeed,
+	}
+}
 
 // match runs one distributed matching configuration on the named input
 // and returns the result (with virtual time in Report.MaxVirtualTime).

@@ -178,7 +178,9 @@ func commMatrixTables(cfg Config, id string, bytes bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bres, err := bfs.Run(g, 0, bfs.Options{Procs: p, Cost: cfg.Cost, TrackMatrices: true, Deadline: cfg.Deadline, TraceEvents: cfg.TraceEvents, RoundLog: cfg.Rounds})
+	bopts := cfg.runOptions(p)
+	bopts.TrackMatrices = true
+	bres, err := bfs.Run(g, 0, bopts)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ type Config struct {
 	// 65536 runs the full curve. Other experiments ignore it — their
 	// rank counts are paper artifacts scaled by Scale.
 	Ranks int
-	// Perturb, when enabled, runs every matching launch under seeded
+	// Perturb, when enabled, runs every launch under seeded
 	// schedule perturbation with PerturbSeed (matchbench -perturb /
 	// -perturb-seed; see internal/sched). Results are unchanged for the
 	// default protocol — only delivery schedules and virtual timings
@@ -315,16 +315,6 @@ func RunOneRecord(id string, cfg Config, w io.Writer) (*ExperimentRecord, error)
 		prof.Render(w)
 	}
 	return rec, nil
-}
-
-// RunAll executes every registered experiment.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, id := range IDs() {
-		if err := RunOne(id, cfg, w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // f2 formats a float with 2 decimals; f3 with 3; fx chooses compactly.

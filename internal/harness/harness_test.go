@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
+	"repro/internal/sched"
 )
 
 func testConfig() Config {
@@ -323,6 +326,67 @@ func TestEveryExperimentRunsAtSmallScales(t *testing.T) {
 			cfg := Config{Scale: scale, Deadline: 10 * time.Minute, Ranks: 1024}
 			if err := RunOne(id, cfg, io.Discard); err != nil {
 				t.Errorf("%s at scale %g: %v", id, scale, err)
+			}
+		}
+	}
+}
+
+// TestLaunchesTakeTheConfig: the launches that do not go through
+// Config.match — the ranks ring, colouring and BFS — run with the
+// Config's cost model, event tracing and perturbation, as the matching
+// launches do. The test's cost model puts every message and
+// neighbourhood chunk in flight for exactly 1 ms, far above any
+// per-message overhead, so receivers keep finding data still in flight;
+// a classified wait shows that latency as End - CauseT (the arrival
+// minus the injection of what it waited on). Perturbation stretches
+// latencies by a factor in [1, 3), so a perturbed run must show a
+// stretched wait and an unperturbed one none.
+func TestLaunchesTakeTheConfig(t *testing.T) {
+	const alpha = 1e-3
+	cost := mpi.DefaultCostModel()
+	cost.AlphaP2P, cost.AlphaNbr, cost.BetaP2P, cost.BetaNbr = alpha, alpha, 0, 0
+	for _, id := range []string{"ranks", "ext-coloring", "fig2"} {
+		for _, pert := range []sched.Profile{{}, sched.Full} {
+			cfg := Config{Scale: 0.05, Deadline: 10 * time.Minute, Ranks: 64,
+				Cost: cost, TraceEvents: 1 << 16, Perturb: pert, PerturbSeed: 11}
+			var runs []RunInfo
+			cfg.OnRun = func(info RunInfo) { runs = append(runs, info) }
+			if err := RunOne(id, cfg, io.Discard); err != nil {
+				t.Fatalf("%s perturb=%v: %v", id, pert, err)
+			}
+			if len(runs) == 0 {
+				t.Fatalf("%s: no runs observed", id)
+			}
+			for _, info := range runs {
+				rep := info.Report
+				waits, stretched, events := 0, 0, 0
+				for r := 0; r < rep.Procs; r++ {
+					evs := rep.Events(r)
+					events += len(evs)
+					for _, e := range evs {
+						if e.Kind != mpi.EvWait || (e.Class != mpi.WaitLateSender && e.Class != mpi.WaitNbrExchange) {
+							continue
+						}
+						waits++
+						lat := e.End - e.CauseT
+						if lat < alpha*(1-1e-9) || lat > 3*alpha*(1+1e-9) {
+							t.Fatalf("%s perturb=%v: %s: a wait on a message in flight for %g s; the cost model's latency is %g s", id, pert, info.Label, lat, alpha)
+						}
+						if lat > alpha*(1+1e-6) {
+							stretched++
+						}
+					}
+				}
+				switch {
+				case events == 0:
+					t.Errorf("%s perturb=%v: %s traced no events", id, pert, info.Label)
+				case waits == 0:
+					t.Errorf("%s perturb=%v: %s has no wait on a message to check", id, pert, info.Label)
+				case pert.Enabled() && stretched == 0:
+					t.Errorf("%s: %s was not perturbed: all %d waited-on latencies are the unperturbed %g s", id, info.Label, waits, alpha)
+				case !pert.Enabled() && stretched > 0:
+					t.Errorf("%s: %s is unperturbed, yet %d of %d waited-on latencies were stretched", id, info.Label, stretched, waits)
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/mpi"
 )
 
 func opts(p int, m Model) Options {
@@ -232,7 +231,7 @@ func TestCommunicationMatrixShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := mpi.MsgMatrix(res.Report.Stats)
+	mm := res.Report.MsgMatrix()
 	for i := range mm {
 		for j := range mm[i] {
 			if mm[i][j] > 0 && (j < i-1 || j > i+1) {

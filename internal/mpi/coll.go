@@ -138,7 +138,11 @@ type collShard struct {
 // round's — is instead handled by parity double-buffering: round r uses
 // slot set r&1. Round r+2 reuses round r's set, and by then every rank
 // has deposited round r+1, which it can only do after finishing its
-// round-r reads, so the overwrite cannot race them. Clock arithmetic is
+// round-r reads, so the overwrite cannot race them. The same argument
+// lets a rank write a slot of round r+1's set during round r's read
+// phase, as WinCreate republishes its assembled window for a round r+1
+// that deposits nothing: the round-(r-1) readers of that set all
+// deposited round r first. Clock arithmetic is
 // unchanged: the old release barrier deposited now=0 everywhere and
 // contributed nothing to virtual time.
 //
@@ -176,32 +180,16 @@ type collHub struct {
 	redOut  [2]int64
 	vredOut [2][]int64
 
-	// Deposit slots, one per member rank per parity, written by plain
-	// stores before the deposit barrier and read after it. They serve
-	// the data-movement collectives (bcast; allgather in tests) — the hot
+	// deps are the deposit slots, one per member rank per parity,
+	// written by plain stores before the deposit barrier and read after
+	// it. They serve the data-movement collectives — BcastInt64 (and so
+	// newID), CreateGraphTopo's creation round and WinCreate; the hot
 	// int64 reductions travel through the shard fold above and never
-	// touch them — so they are allocated lazily on first use (the sync.Once
-	// runs on every member before its deposit, and the deposit barrier
-	// publishes the arrays to pure readers).
-	ideps     [2][][]int64
-	idepsOnce sync.Once
-
-	// tdeps are the same parity slots for CreateGraphTopo's creation
-	// round (joinTopo): every member's topology handle.
-	tdeps     [2][]*Topo
-	tdepsOnce sync.Once
-
-	// adeps is the untyped publication slot set used by WinCreate. It is
-	// deliberately single-buffered: unlike the typed slots, its writers
-	// are mid-phase republishes into the writer's own slot (see
-	// WinCreate), which must remain visible across the next barrier
-	// regardless of parity. That is safe because no two adjacent rounds
-	// both touch adeps — every adeps rendezvous is preceded by an
-	// id-allocation collective that doesn't — so a deposit can never
-	// race the previous round's reads. Keep that invariant when adding
-	// adeps users.
-	adeps     []any
-	adepsOnce sync.Once
+	// touch them — so they are allocated lazily on first use (the
+	// sync.Once runs on every member before its deposit, and the deposit
+	// barrier publishes the arrays to pure readers).
+	deps     [2][]any
+	depsOnce sync.Once
 }
 
 func newCollHub(n int) *collHub {
@@ -224,23 +212,10 @@ func newCollHub(n int) *collHub {
 	return h
 }
 
-func (h *collHub) ensureIdeps() {
-	h.idepsOnce.Do(func() {
-		h.ideps[0] = make([][]int64, h.n)
-		h.ideps[1] = make([][]int64, h.n)
-	})
-}
-
-func (h *collHub) ensureTdeps() {
-	h.tdepsOnce.Do(func() {
-		h.tdeps[0] = make([]*Topo, h.n)
-		h.tdeps[1] = make([]*Topo, h.n)
-	})
-}
-
-func (h *collHub) ensureAdeps() {
-	h.adepsOnce.Do(func() {
-		h.adeps = make([]any, h.n)
+func (h *collHub) ensureDeps() {
+	h.depsOnce.Do(func() {
+		h.deps[0] = make([]any, h.n)
+		h.deps[1] = make([]any, h.n)
 	})
 }
 
@@ -256,11 +231,9 @@ func (h *collHub) poison() {
 // caller buffers or topologies across runs.
 func (h *collHub) clearDeps() {
 	for p := 0; p < 2; p++ {
-		clear(h.ideps[p])
-		clear(h.tdeps[p])
+		clear(h.deps[p])
 		h.vredOut[p] = h.vredOut[p][:0]
 	}
-	clear(h.adeps)
 }
 
 // released reports whether the hub's round has advanced past gen.
@@ -536,12 +509,12 @@ func (c *Comm) reduceStep(kind foldKind, op ReduceOp, v int64, vec []int64) (int
 func (c *Comm) BcastInt64(root int, data []int64) []int64 {
 	c.checkRank(root, "bcast")
 	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureIdeps()
+		h.ensureDeps()
 		if c.rank == root {
-			h.ideps[p][root] = data
+			h.deps[p][root] = data
 		}
 	})
-	out := append([]int64(nil), h.ideps[p][root]...)
+	out := append([]int64(nil), h.deps[p][root].([]int64)...)
 	c.exitColl(tmax, last, int64(8*len(out)))
 	return out
 }

@@ -1,10 +1,12 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
@@ -65,13 +67,13 @@ func TestAllreduceInt64Ops(t *testing.T) {
 // reference (refTopo) to verify topologies as CreateGraphTopo once did.
 func (c *Comm) allgatherInt64(mine []int64) [][]int64 {
 	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureIdeps()
-		h.ideps[p][c.rank] = mine
+		h.ensureDeps()
+		h.deps[p][c.rank] = mine
 	})
-	deps := h.ideps[p]
+	deps := h.deps[p]
 	out := make([][]int64, c.w.n)
 	for r := range out {
-		out[r] = append([]int64(nil), deps[r]...)
+		out[r] = append([]int64(nil), deps[r].([]int64)...)
 	}
 	c.exitColl(tmax, last, int64(8*len(mine)))
 	return out
@@ -161,4 +163,71 @@ func TestCollectiveDeterministicAcrossRanks(t *testing.T) {
 
 func floatBits(f float64) uint64 {
 	return math.Float64bits(f)
+}
+
+// TestDepositSlotsShared: newID, CreateGraphTopo, WinCreate and
+// BcastInt64 share the hub's one parity set of deposit slots. The body
+// creates one window after an odd number of collectives and one after
+// an even number, so WinCreate's republish into the next round's set
+// lands in both parities, and it checks every rank's windows, topology
+// peers, ids and broadcast values. It runs in a direct world and twice
+// in a pooled one; the body's collective count is odd, so a second run
+// on a reused skeleton, whose hub carries on from the first run's round
+// count, swaps the parities.
+func TestDepositSlotsShared(t *testing.T) {
+	for _, tc := range []struct{ n, runs int }{{40, 1}, {pooledMinProcs + 44, 2}} {
+		for run := 0; run < tc.runs; run++ {
+			n := tc.n
+			wins := make([][2]*Win, n)
+			_, err := Run(n, func(c *Comm) error {
+				r := c.Rank()
+				id0 := c.newID()                                               // 1 collective before the first window
+				a := c.WinCreate(r + 1)                                        // 3 more
+				topo := c.CreateGraphTopo([]int{(r + n - 1) % n, (r + 1) % n}) // 2 more
+				b := c.WinCreate(2*r + 3)                                      // after 6
+				var data []int64
+				if r == n-1 {
+					data = []int64{int64(run), 77}
+				}
+				got := c.BcastInt64(n-1, data)
+				id1 := c.newID() // 11 collectives in all
+				wins[r] = [2]*Win{a.win, b.win}
+
+				if id0 != 1 || id1 != 4 {
+					return fmt.Errorf("rank %d: ids %d, %d, want 1, 4", r, id0, id1)
+				}
+				if len(got) != 2 || got[0] != int64(run) || got[1] != 77 {
+					return fmt.Errorf("rank %d: bcast %v, want [%d 77]", r, got, run)
+				}
+				for k, v := range []WinHandle{a, b} {
+					if len(v.win.bufs) != n {
+						return fmt.Errorf("rank %d: window %d has %d buffers, want %d", r, k, len(v.win.bufs), n)
+					}
+					for q, buf := range v.win.bufs {
+						if want := []int{q + 1, 2*q + 3}[k]; buf.size != want {
+							return fmt.Errorf("rank %d: window %d buffer of rank %d holds %d words, want %d", r, k, q, buf.size, want)
+						}
+					}
+				}
+				for i, p := range topo.peers {
+					if p.c.rank != topo.neighbors[i] || p.NeighborIndex(r) != int(topo.at[i]) {
+						return fmt.Errorf("rank %d: peer %d is rank %d's topology, want rank %d's", r, i, p.c.rank, topo.neighbors[i])
+					}
+				}
+				recv := topo.NeighborAlltoallInt64([]int64{int64(r), int64(r)}, 1)
+				if recv[0] != int64(topo.neighbors[0]) || recv[1] != int64(topo.neighbors[1]) {
+					return fmt.Errorf("rank %d: exchange got %v from %v", r, recv, topo.neighbors)
+				}
+				return nil
+			}, WithDeadline(30*time.Second))
+			if err != nil {
+				t.Fatalf("n=%d run %d: %v", n, run, err)
+			}
+			for r, w := range wins {
+				if w != wins[0] || w[0] == w[1] {
+					t.Fatalf("n=%d run %d: rank %d holds windows %p, %p; rank 0 %p, %p", n, run, r, w[0], w[1], wins[0][0], wins[0][1])
+				}
+			}
+		}
+	}
 }

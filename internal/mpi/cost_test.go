@@ -110,7 +110,7 @@ func TestAggregateTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := Aggregate(rep.Stats)
+	tot := rep.Totals()
 	if tot.P2PMsgs != 1 || tot.P2PBytes != 16 {
 		t.Errorf("totals = %+v", tot)
 	}

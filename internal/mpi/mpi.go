@@ -191,17 +191,6 @@ type Report struct {
 	events []*eventLog
 }
 
-// Totals aggregates all per-rank ledgers (Aggregate over Stats).
-func (r *Report) Totals() Totals { return Aggregate(r.Stats) }
-
-// MsgMatrix returns the per-pair message-count matrix (row = sender),
-// or nil if the run did not track matrices.
-func (r *Report) MsgMatrix() [][]int64 { return MsgMatrix(r.Stats) }
-
-// ByteMatrix returns the per-pair byte-volume matrix (row = sender),
-// or nil if the run did not track matrices.
-func (r *Report) ByteMatrix() [][]int64 { return ByteMatrix(r.Stats) }
-
 // Run launches procs rank goroutines executing body and waits for all
 // of them, with the run configured by functional options:
 //

@@ -94,12 +94,24 @@ func (c *Comm) recvMsg(src, tag int, what string) *message {
 	if src != AnySource {
 		c.checkRank(src, what)
 	}
+	m := c.await(what, func(mb *mailbox) *message {
+		return mb.matchUserLocked(src, tag, c.ctx, true, c.ps.now)
+	})
+	c.completeRecv(m)
+	return m
+}
+
+// await parks the rank on its mailbox until match, called under the
+// mailbox lock, finds a message, and returns that message. A poisoned
+// mailbox aborts the wait with the peer-failure panic, naming the call
+// what.
+func (c *Comm) await(what string, match func(mb *mailbox) *message) *message {
 	mb := c.mbox()
 	mb.mu.Lock()
-	var m *message
 	for {
-		if m = mb.matchUserLocked(src, tag, c.ctx, true, c.ps.now); m != nil {
-			break
+		if m := match(mb); m != nil {
+			mb.mu.Unlock()
+			return m
 		}
 		if mb.poisoned {
 			mb.mu.Unlock()
@@ -107,9 +119,6 @@ func (c *Comm) recvMsg(src, tag int, what string) *message {
 		}
 		mb.parkLocked(c.ps.task)
 	}
-	mb.mu.Unlock()
-	c.completeRecv(m)
-	return m
 }
 
 // Recv blocks until a message matching (src, tag) is available and returns
@@ -229,27 +238,21 @@ func (c *Comm) Probe(src, tag int) Status {
 	if src != AnySource {
 		c.checkRank(src, "probe")
 	}
+	return c.probeWait("Probe", func(mb *mailbox) *message {
+		return mb.matchUserLocked(src, tag, c.ctx, false, c.ps.now)
+	})
+}
+
+// probeWait is a blocking probe: one probe overhead, then the wait for a
+// message match finds, left queued. Blocking probes are never forced to
+// miss: a probe that has observed a message must return it, or a
+// perturbed run could livelock where a real MPI run cannot. A stall on
+// an in-flight message is a late-sender wait just like the receive that
+// will follow it.
+func (c *Comm) probeWait(what string, match func(mb *mailbox) *message) Status {
 	start := c.ps.now
 	c.chargeComm(c.w.cost.ProbeOverhead)
-	mb := c.mbox()
-	mb.mu.Lock()
-	var m *message
-	for {
-		// Blocking probes are never forced to miss: a Probe that has
-		// observed a message must return it, or a perturbed run could
-		// livelock where a real MPI run cannot.
-		if m = mb.matchUserLocked(src, tag, c.ctx, false, c.ps.now); m != nil {
-			break
-		}
-		if mb.poisoned {
-			mb.mu.Unlock()
-			panic("mpi: Probe aborted: a peer rank failed")
-		}
-		mb.parkLocked(c.ps.task)
-	}
-	mb.mu.Unlock()
-	// A blocking probe stalled on an in-flight message is a late-sender
-	// wait just like the receive that will follow it.
+	m := c.await(what, match)
 	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
 	if c.ps.ev != nil {
 		c.event(EvProbe, m.src, m.tag, m.bytes, start)

@@ -245,8 +245,8 @@ func TestMessageMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm := MsgMatrix(rep.Stats)
-	bm := ByteMatrix(rep.Stats)
+	mm := rep.MsgMatrix()
+	bm := rep.ByteMatrix()
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			wantM, wantB := int64(0), int64(0)

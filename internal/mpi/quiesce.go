@@ -172,31 +172,12 @@ func (q *Quiesce) Block() {
 		panic("mpi: Quiesce.Block called while holding the token; call Idle first")
 	}
 	c := q.app
-	start := c.ps.now
-	c.chargeComm(c.w.cost.ProbeOverhead)
-	mb := c.mbox()
-	mb.mu.Lock()
-	var m *message
-	for {
-		if m = mb.matchUserLocked(AnySource, AnyTag, c.ctx, false, c.ps.now); m != nil {
-			break
+	c.probeWait("quiescence wait", func(mb *mailbox) *message {
+		if m := mb.matchUserLocked(AnySource, AnyTag, c.ctx, false, c.ps.now); m != nil || q.tok == nil {
+			return m
 		}
-		if q.tok != nil {
-			if m = mb.matchUserLocked(q.prev, AnyTag, q.tok.ctx, false, c.ps.now); m != nil {
-				break
-			}
-		}
-		if mb.poisoned {
-			mb.mu.Unlock()
-			panic("mpi: quiescence wait aborted: a peer rank failed")
-		}
-		mb.parkLocked(c.ps.task)
-	}
-	mb.mu.Unlock()
-	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
-	if c.ps.ev != nil {
-		c.event(EvProbe, m.src, m.tag, m.bytes, start)
-	}
+		return mb.matchUserLocked(q.prev, AnyTag, q.tok.ctx, false, c.ps.now)
+	})
 }
 
 // Quiesce drives the detector to conclusion using only blocking,

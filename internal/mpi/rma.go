@@ -102,35 +102,31 @@ func (c *Comm) WinCreate(localSize int) WinHandle {
 		panic(fmt.Sprintf("mpi: WinCreate: negative size %d", localSize))
 	}
 	// The window-id agreement of MPI_Win_create. Nothing reads the id,
-	// but the round is part of the modelled cost, and it keeps the adeps
-	// deposit below from racing earlier adeps reads (see the adeps
-	// invariant on collHub).
+	// but the round is part of the modelled cost.
 	c.newID()
 
 	buf := &winBuf{size: localSize, pages: make([]*winPage, (localSize+winPageWords-1)/winPageWords)}
 	c.AccountAlloc(int64(8 * localSize))
 
 	// Share buffer references through the hub.
-	h, _, tmax, last := c.enterColl(func(h *collHub, _ int) {
-		h.ensureAdeps()
-		h.adeps[c.rank] = buf
+	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
+		h.ensureDeps()
+		h.deps[p][c.rank] = buf
 	})
-	var win *Win
 	if c.rank == 0 {
-		win = &Win{bufs: make([]*winBuf, c.w.n)}
+		win := &Win{bufs: make([]*winBuf, c.w.n)}
 		for r := range win.bufs {
-			win.bufs[r] = h.adeps[r].(*winBuf)
+			win.bufs[r] = h.deps[p][r].(*winBuf)
 		}
-		// Republish the assembled Win in rank 0's slot — an early deposit
-		// for the next rendezvous that only rank 0 writes and nobody
-		// reads this round; the second deposit barrier below orders it
-		// before the other ranks' reads.
-		h.adeps[0] = win
+		// Republish the assembled Win in rank 0's slot of the next
+		// round, which deposits nothing; that round's barrier orders the
+		// write before the other ranks' reads (see collHub).
+		h.deps[p^1][0] = win
 	}
 	c.exitColl(tmax, last, 8)
 	// Second rendezvous so non-root ranks can pick up the Win object.
-	h, _, tmax, last = c.enterColl(nil)
-	win = h.adeps[0].(*Win)
+	h, p, tmax, last = c.enterColl(nil)
+	win := h.deps[p][0].(*Win)
 	c.exitColl(tmax, last, 8)
 
 	return &winView{win: win, c: c, pendingTargets: make(map[int]struct{})}

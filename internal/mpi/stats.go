@@ -175,10 +175,10 @@ type Totals struct {
 	MaxMemoryBytes    int64
 }
 
-// Aggregate folds per-rank ledgers into totals.
-func Aggregate(stats []*RankStats) Totals {
+// Totals aggregates all per-rank ledgers.
+func (r *Report) Totals() Totals {
 	var t Totals
-	for _, rs := range stats {
+	for _, rs := range r.Stats {
 		t.P2PMsgs += rs.SendCount
 		t.P2PBytes += rs.SendBytes
 		t.PutMsgs += rs.PutCount
@@ -195,27 +195,26 @@ func Aggregate(stats []*RankStats) Totals {
 	return t
 }
 
-// MsgMatrix assembles the full per-pair message-count matrix from per-rank
-// rows; returns nil if matrices were not tracked. Row = sender, column =
-// receiver, matching the paper's communication plots.
-func MsgMatrix(stats []*RankStats) [][]int64 {
-	return gatherRows(stats, func(rs *RankStats) []int64 { return rs.MsgRow })
+// MsgMatrix returns the per-pair message-count matrix, or nil if the run
+// did not track matrices. Row = sender, column = receiver, matching the
+// paper's communication plots.
+func (r *Report) MsgMatrix() [][]int64 {
+	return r.gatherRows(func(rs *RankStats) []int64 { return rs.MsgRow })
 }
 
-// ByteMatrix assembles the per-pair byte-volume matrix; nil if untracked.
-func ByteMatrix(stats []*RankStats) [][]int64 {
-	return gatherRows(stats, func(rs *RankStats) []int64 { return rs.ByteRow })
+// ByteMatrix returns the per-pair byte-volume matrix (row = sender), or
+// nil if the run did not track matrices.
+func (r *Report) ByteMatrix() [][]int64 {
+	return r.gatherRows(func(rs *RankStats) []int64 { return rs.ByteRow })
 }
 
-func gatherRows(stats []*RankStats, row func(*RankStats) []int64) [][]int64 {
-	if len(stats) == 0 || row(stats[0]) == nil {
+func (r *Report) gatherRows(row func(*RankStats) []int64) [][]int64 {
+	if len(r.Stats) == 0 || row(r.Stats[0]) == nil {
 		return nil
 	}
-	m := make([][]int64, len(stats))
-	for i, rs := range stats {
-		r := make([]int64, len(row(rs)))
-		copy(r, row(rs))
-		m[i] = r
+	m := make([][]int64, len(r.Stats))
+	for i, rs := range r.Stats {
+		m[i] = slices.Clone(row(rs))
 	}
 	return m
 }

@@ -27,6 +27,7 @@ type Topo struct {
 	waitOn atomic.Pointer[Topo] // the neighbor whose next publication wakes the suspended owner
 	held   []*box               // neighbors' boxes the last receive half returned views into
 	rx     nbrRecv              // the receive half in progress
+	parts  [][]int64            // the fixed-chunk form's per-neighbor views, sent then received
 }
 
 // nbrRecv is the receive half of one call in progress: kept across the
@@ -52,7 +53,7 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 			panic(fmt.Sprintf("mpi: CreateGraphTopo: rank %d listed itself as a neighbor", c.rank))
 		}
 	}
-	t := &Topo{c: c, neighbors: slices.Clone(neighbors)}
+	t := &Topo{c: c, neighbors: slices.Clone(neighbors), held: make([]*box, 0, len(neighbors))}
 	distinct := t.neighbors
 	if !slices.IsSorted(distinct) {
 		distinct = slices.Clone(neighbors)
@@ -100,12 +101,12 @@ func (c *Comm) CreateGraphTopo(neighbors []int) *Topo {
 // read for the topology's life.
 func (c *Comm) joinTopo(t *Topo) []*Topo {
 	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureTdeps()
-		h.tdeps[p][c.rank] = t
+		h.ensureDeps()
+		h.deps[p][c.rank] = t
 	})
 	peers := make([]*Topo, len(t.neighbors))
 	for i, nb := range t.neighbors {
-		peers[i] = h.tdeps[p][nb]
+		peers[i] = h.deps[p][nb].(*Topo)
 	}
 	c.exitColl(tmax, last, 8)
 	return peers
@@ -262,50 +263,34 @@ func (t *Topo) release() {
 	t.held = t.held[:0]
 }
 
-// The neighborhood all-to-all-v exists in four forms — flat and vector
-// blocking calls, the nonblocking request (nbrreq.go) and the persistent
-// schedule (persist.go) — that differ only in when the schedule is paid
-// for and which event they record. What is exchanged, and what it costs
-// per neighbor, is the same: begin + sendChunk per neighbor + publish is
-// the send half, collect the receive half, and every form is a shell
-// around them.
+// The neighborhood all-to-all exists in four forms — the fixed-chunk
+// and vector blocking calls, the nonblocking request (nbrreq.go) and the
+// persistent schedule (persist.go) — that differ only in when the
+// schedule is paid for, which event they record and, for the
+// fixed-chunk form, a copy into its flat receive buffer. What is
+// exchanged, and what it costs per neighbor, is the same: post is the
+// send half, collect the receive half, and every form is a shell around
+// them.
 
-// begin opens one exchange: it releases the views the rank held, takes
-// the next call sequence (advancing identically on all members), counts
-// the call and charges callCost — AlphaNbrCall for a form that derives
-// its schedule per call, AlphaNbrStart for a persistent one that derived
-// it at init.
-func (t *Topo) begin(callCost float64) int64 {
-	t.release()
-	seq := t.seq
-	t.seq++
-	t.c.ps.rs.NbrCollCount++
-	t.c.chargeComm(callCost)
-	return seq
-}
-
-// sendChunk puts part into b at off as neighbor i's chunk, charging the
-// per-neighbor cost to the sender's clock and the bytes to its ledger,
-// and stamping it as a message injected now with that latency would be;
-// returns the bytes moved.
-func (t *Topo) sendChunk(b *box, i, off int, part []int64) int64 {
-	c := t.c
-	bytes := int64(8 * len(part))
-	latency := c.w.cost.AlphaNbr + c.w.cost.BetaNbr*float64(bytes)
-	c.chargeComm(latency)
-	c.ps.rs.noteNbrChunk(t.neighbors[i], bytes)
-	b.ents[i] = chunk{sent: c.ps.now, arrive: c.ps.now + c.perturbLatency(latency), off: int32(off), n: int32(len(part))}
-	copy(b.words[off:], part)
-	return bytes
-}
-
-// post is the vector send half: send[i] goes to neighbor i. op names the
-// calling form in the length panic.
+// post is the send half: it releases the views the rank held, takes the
+// next call sequence (advancing identically on all members), counts the
+// call and charges callCost — AlphaNbrCall for a form that derives its
+// schedule per call, AlphaNbrStart for a persistent one that derived it
+// at init. Then it puts send[i] in the call's box as neighbor i's chunk,
+// charging the per-neighbor cost to the sender's clock and the bytes to
+// its ledger, and stamping it as a message injected then with that
+// latency would be. It returns the call's sequence and the bytes moved;
+// op names the calling form in the length panic.
 func (t *Topo) post(op string, callCost float64, send [][]int64) (seq, moved int64) {
 	if len(send) != len(t.neighbors) {
 		panic(fmt.Sprintf("mpi: %s: len(send)=%d, want degree %d", op, len(send), len(t.neighbors)))
 	}
-	seq = t.begin(callCost)
+	t.release()
+	seq = t.seq
+	t.seq++
+	c := t.c
+	c.ps.rs.NbrCollCount++
+	c.chargeComm(callCost)
 	words := 0
 	for _, part := range send {
 		words += len(part)
@@ -313,8 +298,14 @@ func (t *Topo) post(op string, callCost float64, send [][]int64) (seq, moved int
 	b := t.claim(seq, words)
 	off := 0
 	for i, part := range send {
-		moved += t.sendChunk(b, i, off, part)
+		bytes := int64(8 * len(part))
+		latency := c.w.cost.AlphaNbr + c.w.cost.BetaNbr*float64(bytes)
+		c.chargeComm(latency)
+		c.ps.rs.noteNbrChunk(t.neighbors[i], bytes)
+		b.ents[i] = chunk{sent: c.ps.now, arrive: c.ps.now + c.perturbLatency(latency), off: int32(off), n: int32(len(part))}
+		copy(b.words[off:], part)
 		off += len(part)
+		moved += bytes
 	}
 	t.publish(b, seq)
 	return seq, moved
@@ -407,39 +398,38 @@ func (t *Topo) NeighborAlltoallInt64Into(send []int64, chunk int, recv []int64) 
 }
 
 // NeighborAlltoallInt64Step is the step form of
-// NeighborAlltoallInt64Into (see Steps); recv must be supplied.
+// NeighborAlltoallInt64Into (see Steps); recv must be supplied. It is the
+// vector form over per-neighbor views: post sends send's chunks, collect
+// receives into the topology's scratch, and the chunks are copied into
+// recv.
 func (t *Topo) NeighborAlltoallInt64Step(send []int64, chunk int, recv []int64) bool {
+	const op = "NeighborAlltoallInt64"
 	c := t.c
 	if !t.rx.live {
 		if len(send) != len(t.neighbors)*chunk {
-			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: len(send)=%d, want %d*%d", len(send), len(t.neighbors), chunk))
+			panic(fmt.Sprintf("mpi: %s: len(send)=%d, want %d*%d", op, len(send), len(t.neighbors), chunk))
 		}
 		if len(recv) != len(t.neighbors)*chunk {
 			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64Into: len(recv)=%d, want %d*%d", len(recv), len(t.neighbors), chunk))
 		}
-		start := c.ps.now
-		seq := t.begin(c.w.cost.AlphaNbrCall)
-		b := t.claim(seq, len(send))
-		var moved int64
-		for i := range t.neighbors {
-			moved += t.sendChunk(b, i, i*chunk, send[i*chunk:(i+1)*chunk])
+		if t.parts == nil {
+			t.parts = make([][]int64, len(t.neighbors))
 		}
-		t.publish(b, seq)
+		for i := range t.parts {
+			t.parts[i] = send[i*chunk : (i+1)*chunk]
+		}
+		start := c.ps.now
+		seq, moved := t.post(op, c.w.cost.AlphaNbrCall, t.parts)
 		t.open(seq, start, moved)
 	}
-	// Fixed-size chunks are copied into the flat buffer, so the boxes go
-	// back at once.
-	for ; t.rx.next < len(t.neighbors); t.rx.next++ {
-		i := t.rx.next
-		pb, data, ok := t.pull(i, t.rx.seq)
-		if !ok {
-			return false
-		}
+	if !t.collect(t.parts) {
+		return false
+	}
+	for i, data := range t.parts {
 		if len(data) != chunk {
-			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64: rank %d received %d words from %d, want chunk %d", c.rank, len(data), t.neighbors[i], chunk))
+			panic(fmt.Sprintf("mpi: %s: rank %d received %d words from %d, want chunk %d", op, c.rank, len(data), t.neighbors[i], chunk))
 		}
 		copy(recv[i*chunk:], data)
-		pb.left.Add(-1)
 	}
 	t.rx.live = false
 	c.event(EvNbrColl, -1, int(t.rx.seq), t.rx.sent, t.rx.from)
