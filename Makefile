@@ -12,7 +12,7 @@ tier1: build vet test
 # tier2 is the paper-shape regression gate: it regenerates the key
 # evaluation artifacts at reduced scale and asserts the paper's
 # qualitative claims (which model wins where) over the machine-readable
-# run records. Slower than tier1 (about a minute); records land in
+# run records. Takes ~10-15 s on a 2-CPU VM; records land in
 # shape_records.json (untracked) for inspection or plotting.
 tier2:
 	RUN_SHAPE_CHECKS=1 SHAPE_RECORDS=$(CURDIR)/shape_records.json $(GO) test -run TestPaperShapes -v ./internal/shape/
@@ -91,12 +91,14 @@ scale-smoke:
 bench-dense:
 	$(GO) run ./cmd/matchbench -exp ext-density -scale 0.5 -json density_records.json
 
-# analyze-smoke is the profiler CI gate: matchprof re-runs a small
-# ranks x models grid of the SBP weak-scaling experiment with the trace
-# analyzer on and writes the analyzed records as an artifact. The
-# wait-attribution shape check over such records runs in tier2.
+# analyze-smoke is the profiler CI gate: matchbench -analyze re-runs a
+# small ranks x models grid of the SBP weak-scaling experiment with the
+# trace analyzer on and writes the analyzed records as an artifact, then
+# matchbench -in re-renders them from the file. The wait-attribution
+# shape check over such records runs in tier2.
 analyze-smoke:
-	$(GO) run ./cmd/matchprof -exp fig4c -scale 0.25 -models nsr,ncl,rma -json analysis_records.json
+	$(GO) run ./cmd/matchbench -exp fig4c -scale 0.25 -models nsr,ncl,rma -analyze -json analysis_records.json
+	$(GO) run ./cmd/matchbench -in analysis_records.json
 
 # async-smoke is the asynchronous-engine CI gate: the maximal-matching
 # engine (Safra termination detection) vs its round-fenced baseline,

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n        = fs.Int("n", 50000, "vertices when generating social/sbp")
 		seed     = fs.Int64("seed", 1, "generator seed")
 		p        = fs.Int("p", 32, "ranks")
-		ranks    = fs.Int("ranks", 0, "alias of -p (takes precedence when set)")
 		app      = fs.String("app", "matching", "matching | bfs | both")
 		model    = fs.String("model", "nsr", "matching model: nsr | rma | ncl | mbp | ncli | nsra | nclc")
 		bytes    = fs.Bool("bytes", false, "report byte volumes instead of message counts")
@@ -62,9 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "commmatrix: unknown -app %q (want matching, bfs or both)\n", *app)
 		return 2
-	}
-	if *ranks != 0 {
-		*p = *ranks
 	}
 	if *p < 2 || *p > 1<<20 {
 		fmt.Fprintf(stderr, "commmatrix: %d ranks out of range (want 2..%d)\n", *p, 1<<20)

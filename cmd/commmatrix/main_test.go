@@ -22,8 +22,8 @@ func TestUsageErrors(t *testing.T) {
 		{"bad app", []string{"-app", "sorting"}},
 		{"bad family", []string{"-family", "hypercube"}},
 		{"bad model", []string{"-family", "rmat", "-scale", "8", "-p", "2", "-model", "smoke-signals"}},
-		{"ranks too small", []string{"-family", "rmat", "-scale", "8", "-ranks", "1"}},
-		{"ranks too large", []string{"-family", "rmat", "-scale", "8", "-ranks", "2097152"}},
+		{"ranks too small", []string{"-family", "rmat", "-scale", "8", "-p", "1"}},
+		{"ranks too large", []string{"-family", "rmat", "-scale", "8", "-p", "2097152"}},
 		{"p too small", []string{"-family", "rmat", "-scale", "8", "-p", "0"}},
 		{"rmat scale negative", []string{"-family", "rmat", "-scale", "-1"}},
 		{"rmat scale too large", []string{"-scale", "40"}},
@@ -69,10 +69,9 @@ func TestTinyBothEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDensityPlotEndToEnd also exercises -ranks, the validated alias
-// of -p: three plot rows means three ranks.
+// TestDensityPlotEndToEnd: three plot rows means three ranks.
 func TestDensityPlotEndToEnd(t *testing.T) {
-	code, out, errb := runCLI(t, "-family", "sbp", "-n", "2000", "-ranks", "3", "-app", "matching", "-model", "ncl")
+	code, out, errb := runCLI(t, "-family", "sbp", "-n", "2000", "-p", "3", "-app", "matching", "-model", "ncl")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb)
 	}

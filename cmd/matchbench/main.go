@@ -9,6 +9,8 @@
 //	matchbench -exp fig4c -models nsr,ncl     # restrict the model set
 //	matchbench -exp fig4a -engine maximal     # asynchronous maximal engine (DESIGN §4f)
 //	matchbench -exp fig4c -trace fig4c.json   # Chrome trace of every run
+//	matchbench -exp fig4c -analyze            # wait states, critical path, efficiency (§V-D)
+//	matchbench -in out.json                   # re-render the analysis in a -json -analyze document
 //	matchbench -exp tab8 -profile             # phase-profile table (§V-D)
 //	matchbench -exp fig4a -json out.json      # machine-readable run records
 //	matchbench -exp fig4a -rounds             # per-round convergence tables
@@ -24,9 +26,17 @@
 // table and every runtime launch — including, when round telemetry is on,
 // the per-round protocol series — for the shape-regression suite and for
 // plotting (see internal/harness/record.go).
+//
+// -analyze runs the post-mortem trace analyzer (internal/analysis) over
+// every launch and prints its report per run: wait-state tables with
+// causing ranks, the virtual-time critical path, POP-style efficiency
+// factors and per-round efficiency, then a model comparison. With
+// -trace, each run's process also gets the analyzer's counter tracks
+// (outstanding messages, wait depth) and a critical-path track.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +46,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/harness"
 	"repro/internal/matching"
 	"repro/internal/mpi"
@@ -64,10 +75,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace    = fs.String("trace", "", "write every run as a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
 		traceCap = fs.Int("trace-events", 1<<16, "per-rank event ring capacity when tracing")
 		profile  = fs.Bool("profile", false, "append a per-experiment phase-profile table (compute/pack/exchange/unpack/wait)")
-		analyze  = fs.Bool("analyze", false, "run the post-mortem trace analyzer on every launch: embeds analysis in -json records and prints each run's top critical-path edges (matchprof renders the full report)")
+		analyze  = fs.Bool("analyze", false, "run the post-mortem trace analyzer on every launch: prints each run's report and a model comparison, embeds the analysis in -json records and overlays it on -trace")
+		in       = fs.String("in", "", "render the analysis embedded in a matchbench -json -analyze document instead of running (excludes -exp)")
 		jsonOut  = fs.String("json", "", "write tables and run records as schema-versioned JSON")
 		rounds   = fs.Bool("rounds", false, "print a per-round convergence table after each run")
-		roundCap = fs.Int("round-cap", 512, "per-rank round-log capacity when -json or -rounds is set")
+		roundCap = fs.Int("round-cap", 512, "per-rank round-log capacity when -json, -rounds or -analyze is set")
 		ranks    = fs.Int("ranks", 0, "rank-count cap for the 'ranks' scaling experiment (0 = default 16384; 65536 runs the full curve)")
 		perturb  = fs.String("perturb", "", "schedule-perturbation profile: off, full, or jitter=F,slowdown=F,ties,probemiss=F (see DESIGN §4)")
 		pseed    = fs.Uint64("perturb-seed", 1, "perturbation seed (replays the schedule decisions of a PERTURB_SEED repro)")
@@ -85,8 +97,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	if *in != "" {
+		if *exp != "" {
+			fmt.Fprintln(stderr, "matchbench: -in and -exp are mutually exclusive")
+			return 2
+		}
+		return renderDocument(*in, stdout, stderr)
+	}
 	if *exp == "" {
-		fmt.Fprintln(stderr, "matchbench: -exp required (or -list); e.g. matchbench -exp fig4a")
+		fmt.Fprintln(stderr, "matchbench: -exp required (or -list or -in); e.g. matchbench -exp fig4a")
 		return 2
 	}
 	ids := harness.IDs()
@@ -113,8 +132,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "matchbench: -trace-events %d must be positive (it sizes the event rings -trace and -analyze read)\n", *traceCap)
 		return 2
 	}
-	if (*jsonOut != "" || *rounds) && *roundCap <= 0 {
-		fmt.Fprintf(stderr, "matchbench: -round-cap %d must be positive (it sizes the round logs -json and -rounds read)\n", *roundCap)
+	if (*jsonOut != "" || *rounds || *analyze) && *roundCap <= 0 {
+		fmt.Fprintf(stderr, "matchbench: -round-cap %d must be positive (it sizes the round logs -json, -rounds and -analyze read)\n", *roundCap)
 		return 2
 	}
 
@@ -179,12 +198,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.PerturbSeed = *pseed
 	}
 	var collector *mpi.ChromeTrace
+	var traced []harness.RunInfo // the current experiment's runs, in record order
 	if *trace != "" {
 		collector = mpi.NewChromeTrace()
 		cfg.TraceEvents = *traceCap
-		cfg.OnRun = func(info harness.RunInfo) { collector.Add(info.Label, info.Report) }
+		cfg.OnRun = func(info harness.RunInfo) { traced = append(traced, info) }
 	}
-	if *jsonOut != "" || *rounds {
+	if *jsonOut != "" || *rounds || *analyze {
 		cfg.Rounds = *roundCap
 	}
 	if *analyze {
@@ -196,6 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	doc := harness.NewDocument("matchbench", *scale)
+	var analyzed []*analysis.Record
 	for _, id := range ids {
 		rec, err := harness.RunOneRecord(id, cfg, stdout)
 		if err != nil {
@@ -203,17 +224,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		doc.Add(rec)
+		// The harness observes every run it records, in order.
+		for i, info := range traced {
+			var overlay mpi.Overlay
+			if a := rec.Runs[i].Analysis; a != nil {
+				overlay = a.AppendTrace
+			}
+			collector.Add(info.Label, info.Report, overlay)
+		}
+		traced = traced[:0]
 		if *rounds {
 			for i := range rec.Runs {
 				rec.Runs[i].RenderRounds(stdout)
 			}
 		}
-		if *analyze {
-			for i := range rec.Runs {
-				renderTopEdges(stdout, stderr, &rec.Runs[i])
-			}
-		}
+		analyzed = renderAnalysis(stdout, stderr, rec.Runs, analyzed)
 	}
+	renderComparison(stdout, analyzed)
 
 	if collector != nil {
 		if err := writeArtifact(*trace, collector.Write); err != nil {
@@ -238,26 +265,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// renderTopEdges prints a run's top-5 critical-path edges (-analyze):
-// the cross-rank dependencies that bounded the run's virtual time. The
-// full analyzer report is matchprof's job.
-func renderTopEdges(stdout, stderr io.Writer, r *harness.RunRecord) {
-	if r.Analysis == nil {
-		return
+// renderDocument renders the analysis embedded in the matchbench -json
+// document at path (-in) without re-running anything.
+func renderDocument(path string, stdout, stderr io.Writer) int {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(stderr, "matchbench:", err)
+		return 1
 	}
-	if r.EventsTruncated {
-		fmt.Fprintf(stderr, "matchbench: WARNING: %s dropped %d events — analysis is a prefix view (raise -trace-events)\n",
-			r.Label, r.Analysis.DroppedEvents)
+	var doc harness.Document
+	if err := json.Unmarshal(blob, &doc); err != nil || len(doc.Experiments) == 0 {
+		fmt.Fprintf(stderr, "matchbench: %s is not a matchbench -json document\n", path)
+		return 1
 	}
-	cp := &r.Analysis.CriticalPath
-	fmt.Fprintf(stdout, "# %s critical path: %.3gs over %d hops; top edges:\n", r.Label, cp.LengthSec, cp.Hops)
-	edges := cp.TopEdges
-	if len(edges) > 5 {
-		edges = edges[:5]
+	if doc.Schema > harness.SchemaVersion {
+		fmt.Fprintf(stderr, "matchbench: %s: schema v%d is newer than this binary understands (v%d)\n",
+			path, doc.Schema, harness.SchemaVersion)
+		return 1
 	}
-	for _, e := range edges {
-		fmt.Fprintf(stdout, "#   r%d<-r%d %s wait %.3gs transfer %.3gs\n",
-			e.Rank, e.Peer, e.Class, e.WaitSec, e.TransferSec)
+	var analyzed []*analysis.Record
+	for _, e := range doc.Experiments {
+		analyzed = renderAnalysis(stdout, stderr, e.Runs, analyzed)
+	}
+	if len(analyzed) == 0 {
+		fmt.Fprintf(stderr, "matchbench: %s has no analyzed runs (write one with -json and -analyze)\n", path)
+		return 1
+	}
+	renderComparison(stdout, analyzed)
+	return 0
+}
+
+// renderAnalysis prints the analyzer report of every run that carries
+// one and returns analyzed with their records appended.
+func renderAnalysis(stdout, stderr io.Writer, runs []harness.RunRecord, analyzed []*analysis.Record) []*analysis.Record {
+	for i := range runs {
+		r := &runs[i]
+		if r.Analysis == nil {
+			continue
+		}
+		if r.Analysis.EventsTruncated {
+			fmt.Fprintf(stderr, "matchbench: WARNING: %s dropped %d events — analysis is a prefix view (raise -trace-events)\n",
+				r.Label, r.Analysis.DroppedEvents)
+		}
+		r.Analysis.Render(stdout, r.Label)
+		fmt.Fprintln(stdout)
+		analyzed = append(analyzed, r.Analysis)
+	}
+	return analyzed
+}
+
+// renderComparison prints the model comparison when more than one run
+// was analyzed.
+func renderComparison(stdout io.Writer, analyzed []*analysis.Record) {
+	if len(analyzed) > 1 {
+		fmt.Fprintln(stdout, "== model comparison ==")
+		analysis.RenderComparison(stdout, analyzed)
 	}
 }
 

@@ -75,6 +75,7 @@ func TestBadFlagIsUsageError(t *testing.T) {
 		{"-trace-events", []string{"-exp", "fig4a", "-analyze", "-trace-events", "0"}},
 		{"-round-cap", []string{"-exp", "fig4a", "-rounds", "-round-cap", "0"}},
 		{"-round-cap", []string{"-exp", "fig4a", "-json", out, "-round-cap", "-1"}},
+		{"-round-cap", []string{"-exp", "fig4a", "-analyze", "-round-cap", "0"}},
 	} {
 		code, stdout, errb := runCLI(t, tc.args...)
 		if code != 2 {
@@ -116,14 +117,7 @@ func TestRanksExperimentCapped(t *testing.T) {
 	if !strings.Contains(out, "== ranks") {
 		t.Fatalf("stdout missing ranks table:\n%s", out)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc harness.Document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
+	doc := readDocument(t, path)
 	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "ranks" {
 		t.Fatalf("experiments = %+v", doc.Experiments)
 	}
@@ -166,14 +160,7 @@ func TestTinyExperimentToJSON(t *testing.T) {
 	if !strings.Contains(out, "== fig4a") || !strings.Contains(out, "== rounds: convergence of") {
 		t.Errorf("stdout missing experiment or convergence tables:\n%s", out)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc harness.Document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("decoding %s: %v", path, err)
-	}
+	doc := readDocument(t, path)
 	if doc.Schema != harness.SchemaVersion {
 		t.Errorf("schema = %d, want %d", doc.Schema, harness.SchemaVersion)
 	}
@@ -253,17 +240,201 @@ func TestTraceWriteFailureIsReported(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFlagPrintsTopEdges: -analyze embeds the post-mortem record
-// in the JSON artifact and prints each run's top critical-path edges.
-func TestAnalyzeFlagPrintsTopEdges(t *testing.T) {
+// TestAnalyzeFlagPrintsFullReport: -analyze prints each run's full
+// analyzer report — wait states, critical path, efficiency and, with
+// round logs turned on by -analyze itself, per-round rows — then the
+// model comparison, and embeds the record in the JSON artifact.
+func TestAnalyzeFlagPrintsFullReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
-	code, out, errb := runCLI(t, "-exp", "fig4a", "-scale", "0.2", "-models", "nsr", "-analyze", "-json", path)
+	code, out, errb := runCLI(t, "-exp", "fig4a", "-scale", "0.2", "-models", "nsr,ncl", "-analyze", "-json", path)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb)
 	}
-	if !strings.Contains(out, "critical path:") || !strings.Contains(out, "top edges:") {
-		t.Errorf("stdout missing critical-path summary:\n%s", out)
+	for _, want := range []string{"late_sender", "critical path", "efficiency: parallel", "round  end", "== model comparison ==", "NCL "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q:\n%s", want, out)
+		}
 	}
+	for _, r := range readDocument(t, path).Experiments[0].Runs {
+		if r.Analysis == nil {
+			t.Fatalf("%s: no embedded analysis despite -analyze", r.Label)
+		}
+		if r.Analysis.CriticalPath.LengthSec != r.TimeSec {
+			t.Errorf("%s: path length %v != run time %v",
+				r.Label, r.Analysis.CriticalPath.LengthSec, r.TimeSec)
+		}
+		if len(r.Analysis.WaitStates) == 0 {
+			t.Errorf("%s: no wait states", r.Label)
+		}
+		if len(r.Analysis.Rounds) == 0 {
+			t.Errorf("%s: no per-round efficiency", r.Label)
+		}
+	}
+}
+
+// TestAnalyzeJSONRoundTrip: -in re-renders a -json -analyze document
+// without re-running, and prints the report the run printed.
+func TestAnalyzeJSONRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "analysis.json")
+	code, out, errb := runCLI(t, "-exp", "fig4c", "-scale", "0.25", "-models", "nsr,ncl", "-analyze", "-json", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb)
+	}
+	code, out2, errb := runCLI(t, "-in", path)
+	if code != 0 {
+		t.Fatalf("-in exit %d, stderr %q", code, errb)
+	}
+	// The run's stdout is its tables, the reports, then trailing notes.
+	start := strings.Index(out, "== sbp-weak")
+	end := strings.Index(out, "# wrote")
+	if start < 0 || end < start {
+		t.Fatalf("run output has no analyzer report:\n%s", out)
+	}
+	if report := out[start:end]; out2 != report {
+		t.Errorf("-in rendered\n%s\nthe run rendered\n%s", out2, report)
+	}
+}
+
+// TestInBadDocumentIsRuntimeError: a document -in cannot render exits 1
+// with one line naming the problem.
+func TestInBadDocumentIsRuntimeError(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, doc any) string {
+		path := filepath.Join(dir, name)
+		blob, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	plain := harness.NewDocument("test", 1)
+	plain.Add(&harness.ExperimentRecord{ID: "x", Runs: []harness.RunRecord{{Label: "plain run"}}})
+	newer := *plain
+	newer.Schema = harness.SchemaVersion + 1
+	for _, tc := range []struct {
+		name, path, want string
+	}{
+		{"missing file", filepath.Join(dir, "absent.json"), "absent.json"},
+		{"garbage", write("garbage.json", map[string]bool{"nope": true}), "not a matchbench -json document"},
+		{"no analysis", write("plain.json", plain), "no analyzed runs"},
+		{"newer schema", write("newer.json", &newer), "newer than this binary"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errb := runCLI(t, "-in", tc.path)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1", code)
+			}
+			if !strings.Contains(errb, tc.want) || strings.Count(errb, "\n") != 1 {
+				t.Errorf("stderr is not one line saying %q: %q", tc.want, errb)
+			}
+			if out != "" {
+				t.Errorf("rendered something: %q", out)
+			}
+		})
+	}
+}
+
+func TestInWithExpIsUsageError(t *testing.T) {
+	code, out, errb := runCLI(t, "-exp", "fig4c", "-in", "x.json")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errb, "-in") || out != "" {
+		t.Errorf("stdout %q, stderr %q", out, errb)
+	}
+}
+
+// TestAnalyzeInvocationErrors: with -analyze set, a bad invocation is
+// still refused before anything runs (exit 2, stderr naming the
+// problem), and a failing -json write of the analysis is an error exit.
+func TestAnalyzeInvocationErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want []string // each must appear in stderr
+	}{
+		{"no mode", []string{"-analyze"}, 2, []string{"-exp", "-in"}},
+		{"unknown exp", []string{"-exp", "fig99", "-analyze"}, 2, []string{"fig99", "fig4c"}},
+		{"bad flag", []string{"-analyze", "-no-such-flag"}, 2, []string{"-no-such-flag"}},
+		{"bad flag top", []string{"-exp", "fig4c", "-analyze", "-top", "3"}, 2, []string{"-top"}},
+		{"bad flag scale", []string{"-exp", "fig4c", "-analyze", "-scale", "NaN"}, 2, []string{"-scale"}},
+		{"bad flag trace events", []string{"-exp", "fig4c", "-analyze", "-trace-events", "-4"}, 2, []string{"-trace-events"}},
+		{"bad ranks", []string{"-exp", "ranks", "-analyze", "-ranks", "1"}, 2, []string{"-ranks"}},
+		{"bad models", []string{"-exp", "fig4c", "-analyze", "-models", "nope"}, 2, []string{"nope"}},
+		{"json write failure", []string{"-exp", "fig4c", "-scale", "0.25", "-models", "nsr", "-analyze",
+			"-json", filepath.Join(t.TempDir(), "no", "such", "dir.json")}, 1, []string{"json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errb := runCLI(t, tc.args...)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d (stderr %q)", code, tc.code, errb)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(errb, w) {
+					t.Errorf("stderr does not mention %q: %q", w, errb)
+				}
+			}
+			if tc.code == 2 && out != "" {
+				t.Errorf("ran before rejecting the invocation: %q", out)
+			}
+		})
+	}
+}
+
+// TestAnalyzeTraceOverlaysEveryRun: with -analyze, -trace draws every
+// run with the analyzer's counter and critical-path tracks under the
+// run's own process id.
+func TestAnalyzeTraceOverlaysEveryRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	code, _, errb := runCLI(t, "-exp", "fig4c", "-scale", "0.25", "-models", "nsr", "-analyze", "-trace", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Pid  int            `json:"pid"`
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatalf("-trace artifact does not parse: %v", err)
+	}
+	tracks := map[int]map[string]bool{} // pid -> overlay tracks seen
+	for _, e := range doc.TraceEvents {
+		name := e.Name
+		switch e.Name {
+		case "process_name":
+			tracks[e.Pid] = map[string]bool{}
+			continue
+		case "thread_name":
+			name, _ = e.Args["name"].(string)
+		}
+		tracks[e.Pid][name] = true
+	}
+	if len(tracks) != 3 {
+		t.Fatalf("trace holds %d runs, want fig4c's 3", len(tracks))
+	}
+	for pid, seen := range tracks {
+		for _, want := range []string{"outstanding msgs", "wait depth", "critical path"} {
+			if !seen[want] {
+				t.Errorf("run %d has no %q track", pid, want)
+			}
+		}
+	}
+}
+
+// readDocument decodes the -json artifact at path.
+func readDocument(t *testing.T, path string) *harness.Document {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -272,18 +443,5 @@ func TestAnalyzeFlagPrintsTopEdges(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range doc.Experiments {
-		for _, r := range e.Runs {
-			if r.Analysis == nil {
-				t.Fatalf("%s: no embedded analysis despite -analyze", r.Label)
-			}
-			if r.Analysis.CriticalPath.LengthSec != r.TimeSec {
-				t.Errorf("%s: path length %v != run time %v",
-					r.Label, r.Analysis.CriticalPath.LengthSec, r.TimeSec)
-			}
-			if len(r.Analysis.WaitStates) == 0 {
-				t.Errorf("%s: no wait states", r.Label)
-			}
-		}
-	}
+	return &doc
 }

@@ -18,7 +18,6 @@
 //	internal/distgraph 1-D distribution, ghosts, process-graph stats
 //	internal/matching  the paper's contribution: serial + 4 parallel
 //	                   matchers over pluggable transports
-//	internal/core      facade over internal/matching
 //	internal/bfs       Graph500-style distributed BFS (comm contrast)
 //	internal/metrics   energy/EDP model, performance profiles
 //	internal/harness   one experiment per paper table/figure

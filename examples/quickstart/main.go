@@ -9,7 +9,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/matching"
 )
@@ -22,7 +21,7 @@ func main() {
 	fmt.Println("input:", g.Summary())
 
 	// Serial baseline: the locally-dominant algorithm (paper Alg. 2).
-	serial := core.MatchSerial(g)
+	serial := matching.Serial(g)
 	fmt.Printf("serial: weight=%.1f cardinality=%d\n\n", serial.Weight, serial.Cardinality)
 
 	// Distributed runs. With hashed tie-breaking the locally-dominant
@@ -31,8 +30,8 @@ func main() {
 	const procs = 16
 	fmt.Printf("%-6s %12s %10s %12s %10s\n", "model", "time(ms)", "rounds", "messages", "speedup")
 	var nsrTime float64
-	for _, model := range core.Models {
-		res, err := core.Match(g, core.Options{
+	for _, model := range matching.Models {
+		res, err := matching.Run(g, matching.Options{
 			Procs:    procs,
 			Model:    model,
 			Deadline: time.Minute,
@@ -47,7 +46,7 @@ func main() {
 			log.Fatalf("%v weight %.3f differs from serial %.3f", model, res.Weight, serial.Weight)
 		}
 		t := res.Report.MaxVirtualTime
-		if model == core.NSR {
+		if model == matching.NSR {
 			nsrTime = t
 		}
 		fmt.Printf("%-6v %12.3f %10d %12d %9.2fx\n",

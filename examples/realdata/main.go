@@ -16,9 +16,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/order"
 )
 
@@ -52,11 +52,11 @@ func main() {
 	fmt.Println()
 
 	const procs = 16
-	serial := core.MatchSerial(reordered)
+	serial := matching.Serial(reordered)
 	fmt.Printf("serial matching: weight=%.1f cardinality=%d\n\n", serial.Weight, serial.Cardinality)
 	var nsr float64
-	for _, model := range core.Models {
-		res, err := core.Match(reordered, core.Options{Procs: procs, Model: model, Deadline: 2 * time.Minute})
+	for _, model := range matching.Models {
+		res, err := matching.Run(reordered, matching.Options{Procs: procs, Model: model, Deadline: 2 * time.Minute})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func main() {
 			log.Fatalf("%v disagrees with serial", model)
 		}
 		t := res.Report.MaxVirtualTime
-		if model == core.NSR {
+		if model == matching.NSR {
 			nsr = t
 			fmt.Printf("%-5v %9.3fms\n", model, t*1e3)
 			continue

@@ -12,10 +12,10 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/distgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/matching"
 	"repro/internal/order"
 )
 
@@ -45,13 +45,13 @@ func main() {
 		fmt.Printf("          ghosts:   %s\n", d.GhostEdgeStats())
 
 		var nsr float64
-		for _, model := range []core.Model{core.NSR, core.RMA, core.NCL, core.MBP} {
-			res, err := core.Match(in.g, core.Options{Procs: procs, Model: model, Deadline: 2 * time.Minute})
+		for _, model := range []matching.Model{matching.NSR, matching.RMA, matching.NCL, matching.MBP} {
+			res, err := matching.Run(in.g, matching.Options{Procs: procs, Model: model, Deadline: 2 * time.Minute})
 			if err != nil {
 				log.Fatal(err)
 			}
 			t := res.Report.MaxVirtualTime
-			if model == core.NSR {
+			if model == matching.NSR {
 				nsr = t
 				fmt.Printf("          %-4v %8.3fms\n", model, t*1e3)
 				continue

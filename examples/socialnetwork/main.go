@@ -12,9 +12,9 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/distgraph"
 	"repro/internal/gen"
+	"repro/internal/matching"
 )
 
 func main() {
@@ -29,13 +29,13 @@ func main() {
 		fmt.Printf("p=%-3d process graph: %s\n", procs, st)
 
 		var nsr float64
-		for _, model := range []core.Model{core.NSR, core.RMA, core.NCL} {
-			res, err := core.Match(g, core.Options{Procs: procs, Model: model, Deadline: 2 * time.Minute})
+		for _, model := range []matching.Model{matching.NSR, matching.RMA, matching.NCL} {
+			res, err := matching.Run(g, matching.Options{Procs: procs, Model: model, Deadline: 2 * time.Minute})
 			if err != nil {
 				log.Fatal(err)
 			}
 			t := res.Report.MaxVirtualTime
-			if model == core.NSR {
+			if model == matching.NSR {
 				nsr = t
 				fmt.Printf("      %-4v %8.3fms\n", model, t*1e3)
 				continue

@@ -174,7 +174,7 @@ type RoundEff struct {
 }
 
 // Record is the analyzer's schema-versioned output, embedded in the
-// harness RunRecord JSON and rendered by cmd/matchprof.
+// harness RunRecord JSON and rendered by matchbench -analyze.
 type Record struct {
 	Schema int    `json:"schema"`
 	Model  string `json:"model,omitempty"`

@@ -413,10 +413,7 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	// The second label holds what a JSON string must escape: a quote, a
 	// backslash, a newline, a control byte and a byte that is not UTF-8.
 	for _, label := range []string{"nsr test", "a\"b\\c\nd\x01e\xfff"} {
-		var buf bytes.Buffer
-		if err := WriteChromeTrace(&buf, label, res.Report, rec); err != nil {
-			t.Fatal(err)
-		}
+		buf := overlayTrace(t, label, res.Report, rec)
 		if !json.Valid(buf.Bytes()) {
 			t.Fatalf("exporter emitted invalid JSON (first 400 bytes):\n%.400s", buf.String())
 		}
@@ -446,19 +443,30 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	}
 }
 
-// TestChromeTraceRankTracksMatchBase pins the overlay exporter to the
-// base one: the rank tracks of the two documents — every thread_name row
+// overlayTrace writes rep as the one run of a trace, drawn with rec's
+// overlay.
+func overlayTrace(t *testing.T, label string, rep *mpi.Report, rec *Record) *bytes.Buffer {
+	t.Helper()
+	tr := mpi.NewChromeTrace()
+	tr.Add(label, rep, rec.AppendTrace)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// TestChromeTraceRankTracksMatchBase: the overlay only adds tracks. The
+// rank tracks of a run drawn with and without it — every thread_name row
 // and every event slice — are the same bytes.
 func TestChromeTraceRankTracksMatchBase(t *testing.T) {
 	res := runModel(t, testGraph(t), matching.NSR, 4)
 	rec := analyzeModel(t, res, matching.NSR)
-	var base, overlay bytes.Buffer
+	var base bytes.Buffer
 	if err := res.Report.WriteChromeTrace(&base); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&overlay, "", res.Report, rec); err != nil {
-		t.Fatal(err)
-	}
+	overlay := overlayTrace(t, "overlay", res.Report, rec)
 	// rankLines keeps the rows of tracks 0..Procs-1; the overlay's extra
 	// rows are counters (no tid) and the critical-path track (tid Procs).
 	rankLines := func(doc string) []string {

@@ -7,8 +7,8 @@ import (
 	"text/tabwriter"
 )
 
-// Text rendering for cmd/matchprof and matchbench -analyze. The package
-// deliberately does not import internal/harness (harness will embed
+// Text rendering for matchbench -analyze and -in. The package
+// deliberately does not import internal/harness (harness embeds
 // analysis Records), so it carries its own small tabwriter helpers; the
 // output style matches the harness tables.
 
@@ -124,7 +124,7 @@ func (r *Record) RenderRounds(w io.Writer) {
 }
 
 // RenderComparison writes one row per record: the per-model efficiency
-// comparison matchprof prints when asked for several models.
+// comparison matchbench -analyze prints when several runs were analyzed.
 func RenderComparison(w io.Writer, recs []*Record) {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "model\tprocs\ttime\twait%\tpar eff\tload bal\tcomm eff\thops\tdominant wait")

@@ -32,8 +32,9 @@ func (k *stuck) handle(ctx, x, y int64)     {}
 
 // TestFailurePaths drives every way a run can fail through the one
 // scaffolding: the body fails on one rank while its peers are inside a
-// loop, the deadline expires inside each of the three loops, and the
-// backend cannot be built. The error must surface, no rank goroutine may
+// loop (NCLI's pipelined rounds among them), the deadline expires inside
+// each of the three loops under every backend shape, and the backend
+// cannot be built. The error must surface, no rank goroutine may
 // outlive the run, and a real run of the same world size right after —
 // served from the world pool the clean run before it filled — must be
 // exact and balanced.
@@ -63,11 +64,15 @@ func TestFailurePaths(t *testing.T) {
 	}{
 		{"body-error/poll", transport.ModelNSR, driver.Protocol{MaxPerArc: 1}, failOnRank1, "boom"},
 		{"body-error/rounds", transport.ModelNCL, driver.Protocol{MaxPerArc: 1}, failOnRank1, "boom"},
+		{"body-error/rounds-pipelined", transport.ModelNCLI, driver.Protocol{MaxPerArc: 1}, failOnRank1, "boom"},
 		{"deadline/poll-counted", transport.ModelNSR, driver.Protocol{MaxPerArc: 1}, loop, "deadline"},
 		{"deadline/poll-detected", transport.ModelNSRA, driver.Protocol{MaxPerArc: 1, Detect: true}, loop, "deadline"},
 		{"deadline/rounds", transport.ModelNCL, driver.Protocol{MaxPerArc: 1}, loop, "deadline"},
 		{"deadline/rounds-detected", transport.ModelRMA, driver.Protocol{MaxPerArc: 1, Detect: true}, loop, "deadline"},
 		{"deadline/rounds-fenced", transport.ModelNSR, driver.Protocol{MaxPerArc: 1, Detect: true, ForceRounds: true}, loop, "deadline"},
+		{"deadline/poll-synchronous", transport.ModelMBP, driver.Protocol{MaxPerArc: 1}, loop, "deadline"},
+		{"deadline/rounds-pipelined", transport.ModelNCLI, driver.Protocol{MaxPerArc: 1}, loop, "deadline"},
+		{"deadline/rounds-combined", transport.ModelNCLC, driver.Protocol{MaxPerArc: 1}, loop, "deadline"},
 		{"backend-rejected/rounds", transport.ModelNCL, driver.Protocol{MaxPerArc: 0}, loop, "MaxPerArc"},
 		{"backend-rejected/unknown-model", transport.Model(99), driver.Protocol{MaxPerArc: 1}, loop, "unknown model"},
 	}

@@ -1,23 +1,23 @@
-package core_test
+package matching_test
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/matching"
 )
 
-// ExampleMatch demonstrates the high-level API: generate a deterministic
-// graph, match it distributed under the neighborhood-collective model,
-// and confirm the result is exactly the serial locally-dominant matching.
-func ExampleMatch() {
+// ExampleRun generates a deterministic graph, matches it distributed
+// under the neighborhood-collective model, and confirms the result is
+// exactly the serial locally-dominant matching.
+func ExampleRun() {
 	g := gen.Social(5000, 8, 42)
-	serial := core.MatchSerial(g)
+	serial := matching.Serial(g)
 
-	res, err := core.Match(g, core.Options{
+	res, err := matching.Run(g, matching.Options{
 		Procs:    8,
-		Model:    core.NCL,
+		Model:    matching.NCL,
 		Deadline: time.Minute,
 	})
 	if err != nil {
@@ -25,21 +25,21 @@ func ExampleMatch() {
 		return
 	}
 	fmt.Println("matches serial:", res.Weight == serial.Weight && res.Cardinality == serial.Cardinality)
-	fmt.Println("valid:", core.Verify(g, res.Result) == nil)
+	fmt.Println("valid:", matching.Verify(g, res.Result) == nil)
 	// Output:
 	// matches serial: true
 	// valid: true
 }
 
-// ExampleMatch_compareModels runs a volume-heavy social graph under the
+// ExampleRun_compareModels runs a volume-heavy social graph under the
 // point-to-point baseline and the neighborhood-collective model and
 // reports which modeled faster (the paper's Fig 6 regime, where
 // aggregation wins by severalfold).
-func ExampleMatch_compareModels() {
+func ExampleRun_compareModels() {
 	g := gen.Social(30000, 10, 7)
 	var times [2]float64
-	for i, m := range []core.Model{core.NSR, core.NCL} {
-		res, err := core.Match(g, core.Options{Procs: 16, Model: m, Deadline: 5 * time.Minute})
+	for i, m := range []matching.Model{matching.NSR, matching.NCL} {
+		res, err := matching.Run(g, matching.Options{Procs: 16, Model: m, Deadline: 5 * time.Minute})
 		if err != nil {
 			fmt.Println("error:", err)
 			return

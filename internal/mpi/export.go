@@ -20,27 +20,38 @@ import (
 // io.Writer whenever it passes traceFlushBytes, so an export costs one
 // buffer whatever the trace's size and nothing per event. It is
 // hand-formatted (not encoding/json) so the output is deterministic
-// byte-for-byte — the golden-file test depends on that. AppendTraceSlice,
-// AppendUsec and AppendJSONString are exported because the analysis
-// overlay exporter (internal/analysis) renders its rank tracks with them.
+// byte-for-byte — the golden-file test depends on that. A run may carry
+// an Overlay, which appends further elements to the run's process
+// through the same buffer; AppendUsec, AppendJSONString and
+// AppendTrackName are exported for overlays (internal/analysis draws its
+// counter and critical-path tracks with them).
 
 // ChromeTrace accumulates one or more completed runs for export into a
 // single trace file, e.g. the same experiment under every communication
 // model side by side.
 type ChromeTrace struct {
-	labels  []string
-	reports []*Report
+	labels   []string
+	reports  []*Report
+	overlays []Overlay
 }
+
+// An Overlay appends extra elements for one run after the run's rank
+// tracks, under its process id pid. elem starts each element as Write
+// starts its own, writing out the buffer when it is full; track ids
+// rep.Procs and up are free.
+type Overlay func(b []byte, elem func([]byte) []byte, pid int, rep *Report) []byte
 
 // NewChromeTrace returns an empty trace accumulator.
 func NewChromeTrace() *ChromeTrace { return &ChromeTrace{} }
 
-// Add appends a completed run under the given process label. Reports
+// Add appends a completed run under the given process label, drawn
+// with overlay after its rank tracks unless overlay is nil. Reports
 // without event tracing enabled still get their track skeleton (useful
 // to spot them missing) but contribute no slices.
-func (t *ChromeTrace) Add(label string, rep *Report) {
+func (t *ChromeTrace) Add(label string, rep *Report, overlay Overlay) {
 	t.labels = append(t.labels, label)
 	t.reports = append(t.reports, rep)
+	t.overlays = append(t.overlays, overlay)
 }
 
 // Len returns the number of runs accumulated.
@@ -79,11 +90,7 @@ func (t *ChromeTrace) Write(w io.Writer) error {
 		b = AppendJSONString(b, t.labels[pid])
 		b = append(b, `}}`...)
 		for rank := 0; rank < rep.Procs; rank++ {
-			b = append(elem(b), `{"ph":"M","pid":`...)
-			b = strconv.AppendInt(b, int64(pid), 10)
-			b = append(b, `,"tid":`...)
-			b = strconv.AppendInt(b, int64(rank), 10)
-			b = append(b, `,"name":"thread_name","args":{"name":"rank `...)
+			b = append(appendThreadName(elem(b), pid, rank), `"rank `...)
 			b = strconv.AppendInt(b, int64(rank), 10)
 			if d := rep.EventDrops(rank); d > 0 {
 				b = append(b, ` (dropped `...)
@@ -92,8 +99,11 @@ func (t *ChromeTrace) Write(w io.Writer) error {
 			}
 			b = append(b, `"}}`...)
 			for _, e := range rep.Events(rank) {
-				b = AppendTraceSlice(elem(b), pid, rank, e)
+				b = appendTraceSlice(elem(b), pid, rank, e)
 			}
+		}
+		if o := t.overlays[pid]; o != nil {
+			b = o(b, elem, pid, rep)
 		}
 	}
 	b = append(b, "\n],\"displayTimeUnit\":\"ms\"}\n"...)
@@ -108,16 +118,32 @@ func (t *ChromeTrace) Write(w io.Writer) error {
 // valid but empty of slices otherwise).
 func (r *Report) WriteChromeTrace(w io.Writer) error {
 	t := NewChromeTrace()
-	t.Add("mpi run", r)
+	t.Add("mpi run", r, nil)
 	return t.Write(w)
 }
 
-// AppendTraceSlice appends e to b as one complete ("X") trace_event
+// appendThreadName appends the head of the metadata row naming track
+// (pid, tid), up to where the name's string value begins.
+func appendThreadName(b []byte, pid, tid int) []byte {
+	b = append(b, `{"ph":"M","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	return append(b, `,"name":"thread_name","args":{"name":`...)
+}
+
+// AppendTrackName appends the metadata row naming an overlay's track
+// (pid, tid).
+func AppendTrackName(b []byte, pid, tid int, name string) []byte {
+	return append(AppendJSONString(appendThreadName(b, pid, tid), name), `}}`...)
+}
+
+// appendTraceSlice appends e to b as one complete ("X") trace_event
 // slice on track (pid, tid): timestamp and duration in microseconds,
 // the kind as name, and peer, tag and bytes as args. A classified wait
 // carries its dependency edge instead of a tag: the causing rank as
 // peer, the wait class, and that rank's clock when it enabled progress.
-func AppendTraceSlice(b []byte, pid, tid int, e Event) []byte {
+func appendTraceSlice(b []byte, pid, tid int, e Event) []byte {
 	b = append(b, `{"ph":"X","pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)

@@ -85,9 +85,9 @@ func TestChromeTraceDeterministic(t *testing.T) {
 // complete ("X") slices with microsecond timestamps and args.
 func TestChromeTraceStructure(t *testing.T) {
 	tr := NewChromeTrace()
-	tr.Add("run A", goldenTraceRun(t))
-	tr.Add("run B", goldenTraceRun(t))
-	tr.Add(awkwardLabel, goldenTraceRun(t))
+	tr.Add("run A", goldenTraceRun(t), nil)
+	tr.Add("run B", goldenTraceRun(t), nil)
+	tr.Add(awkwardLabel, goldenTraceRun(t), nil)
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
@@ -314,8 +314,8 @@ func everyKindRun(t *testing.T) *Report {
 // can record, a rank with drops, and a second run in the same document.
 func TestChromeTraceMatchesReference(t *testing.T) {
 	tr := NewChromeTrace()
-	tr.Add("every kind", everyKindRun(t))
-	tr.Add("golden", goldenTraceRun(t))
+	tr.Add("every kind", everyKindRun(t), nil)
+	tr.Add("golden", goldenTraceRun(t), nil)
 	var got, want bytes.Buffer
 	if err := tr.Write(&got); err != nil {
 		t.Fatal(err)
@@ -334,6 +334,65 @@ func TestChromeTraceMatchesReference(t *testing.T) {
 	}
 	if !json.Valid(got.Bytes()) {
 		t.Error("exporter emitted invalid JSON")
+	}
+}
+
+// TestChromeTraceOverlay: an overlay's elements land right after its
+// run's rank tracks, under the run's pid, through the writer's flush
+// path; without them the document is the one written with no overlay.
+func TestChromeTraceOverlay(t *testing.T) {
+	const rows = 4 * traceFlushBytes / 40 // several buffers' worth
+	overlay := func(b []byte, elem func([]byte) []byte, pid int, rep *Report) []byte {
+		for i := 0; i < rows; i++ {
+			b = append(elem(b), `{"ph":"C","pid":`...)
+			b = strconv.AppendInt(b, int64(pid), 10)
+			b = append(b, `,"name":"n","ts":`...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			b = append(b, `,"args":{"value":`...)
+			b = strconv.AppendInt(b, int64(rep.Procs), 10)
+			b = append(b, `}}`...)
+		}
+		return b
+	}
+	plain, drawn := NewChromeTrace(), NewChromeTrace()
+	plain.Add("run A", goldenTraceRun(t), nil)
+	plain.Add("run B", goldenTraceRun(t), nil)
+	drawn.Add("run A", goldenTraceRun(t), nil)
+	drawn.Add("run B", goldenTraceRun(t), overlay)
+	var want, got bytes.Buffer
+	if err := plain.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := drawn.Write(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(got.Bytes()) {
+		t.Fatal("exporter emitted invalid JSON")
+	}
+	lines := strings.Split(got.String(), "\n")
+	const row = `{"ph":"C","pid":1,"name":"n","ts":`
+	first := -1
+	var kept []string
+	for i, line := range lines {
+		if strings.HasPrefix(line, row) {
+			if first < 0 {
+				first = i
+			}
+			continue
+		}
+		kept = append(kept, line)
+	}
+	if n := len(lines) - len(kept); n != rows {
+		t.Fatalf("document holds %d overlay rows, want %d", n, rows)
+	}
+	// The document ends "\n],...}\n": the footer and an empty line.
+	if want := len(lines) - 2 - rows; first != want {
+		t.Errorf("overlay rows start at line %d, want %d: after run B's rank tracks", first, want)
+	}
+	// Without the overlay, run B's last rank row ends the list.
+	kept[first-1] = strings.TrimSuffix(kept[first-1], ",")
+	if strings.Join(kept, "\n") != want.String() {
+		t.Errorf("rows outside the overlay differ from the document written without it")
 	}
 }
 
@@ -359,7 +418,7 @@ func TestChromeTraceWriteError(t *testing.T) {
 	rep := everyKindRun(t)
 	tr := NewChromeTrace()
 	for i := 0; i < 4; i++ { // several buffers' worth
-		tr.Add("run", rep)
+		tr.Add("run", rep, nil)
 	}
 	var all bytes.Buffer
 	if err := tr.Write(&all); err != nil {
