@@ -21,6 +21,7 @@ import (
 	"repro/internal/bfs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/harness"
 	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/transport"
@@ -159,28 +160,7 @@ func dump(w io.Writer, rep *mpi.Report, bytes, csv bool) {
 		}
 		return
 	}
-	var max int64
-	for _, row := range m {
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	levels := []byte{' ', '.', ':', '*', '#', '@'}
-	for _, row := range m {
-		line := make([]byte, len(row))
-		for j, v := range row {
-			if v == 0 {
-				line[j] = ' '
-				continue
-			}
-			idx := 1 + int(int64(len(levels)-1)*v/(max+1))
-			if idx >= len(levels) {
-				idx = len(levels) - 1
-			}
-			line[j] = levels[idx]
-		}
-		fmt.Fprintln(w, "|"+string(line)+"|")
+	for _, line := range harness.MatrixDensity(m, len(m)) {
+		fmt.Fprintln(w, line)
 	}
 }

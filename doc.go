@@ -24,8 +24,8 @@
 //	cmd/...            matchbench, gengraph, graphinfo, commmatrix
 //	examples/...       runnable scenarios
 //
-// The benchmarks in bench_test.go regenerate every evaluation artifact
-// of the paper; `go run ./cmd/matchbench -exp all` prints them as text
-// tables. See DESIGN.md for the system inventory and EXPERIMENTS.md for
+// `go run ./cmd/matchbench -exp all` regenerates every evaluation
+// artifact of the paper as text tables; bench_test.go holds the
+// ablations no experiment reports. See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.
 package repro

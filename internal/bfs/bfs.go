@@ -14,7 +14,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 )
 
 // maxVisitsPerCrossArc sizes the round backends' buffers: the driver
@@ -43,13 +42,11 @@ type Result struct {
 	Visited int
 	// Levels is the number of BFS levels (eccentricity of the root + 1).
 	Levels int
-	// Report carries runtime statistics and virtual time.
-	Report *mpi.Report
-	// Telemetry is the merged per-level series (nil unless
-	// Options.RoundLog was set). Unresolved is the frontier size entering
-	// the next level, Done the visited count, and Req the cumulative
-	// cross-edge visit messages; Rej and Inv are always zero.
-	Telemetry *telemetry.Series
+	// Outcome's Rounds counts the levels too. Its Telemetry rows are
+	// per level: Unresolved is the frontier size entering the next
+	// level, Done the visited count, and Req the cross-edge visit
+	// records; Rej and Inv are always zero.
+	*driver.Outcome
 }
 
 // Run executes a level-synchronous distributed BFS from root. Cross-edge
@@ -146,6 +143,7 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 			}
 			frontier, next = next, frontier[:0]
 			r.Record(int64(len(frontier)), visited, sent, 0, 0)
+			r.Rounds++
 			if nextTotal == 0 {
 				break
 			}
@@ -160,10 +158,9 @@ func Run(g *graph.CSR, root int, opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		Parent:    make([]int, len(parentGlobal)),
-		Level:     make([]int, len(levelGlobal)),
-		Report:    out.Report,
-		Telemetry: out.Telemetry,
+		Parent:  make([]int, len(parentGlobal)),
+		Level:   make([]int, len(levelGlobal)),
+		Outcome: out,
 	}
 	for v := range parentGlobal {
 		res.Parent[v] = int(parentGlobal[v])

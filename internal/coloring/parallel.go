@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -22,16 +21,13 @@ type Model = matching.Model
 // every application shares.
 type Options = driver.Options
 
-// ParallelResult is the outcome of a distributed coloring.
+// ParallelResult is the outcome of a distributed coloring: the colors
+// and the driver's Outcome. Its Telemetry rows count color
+// announcements in Req; Rej and Inv are always zero for
+// Jones-Plassmann.
 type ParallelResult struct {
 	*Result
-	Rounds   int
-	Messages int64
-	Report   *mpi.Report
-	// Telemetry is the merged round-level series (nil unless
-	// Options.RoundLog was set). Req counts color announcements; Rej and
-	// Inv are always zero for Jones-Plassmann.
-	Telemetry *telemetry.Series
+	*driver.Outcome
 }
 
 // ctxColor announces "vertex y (mine) adjacent to your x is colored c";
@@ -233,5 +229,5 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 			res.Colors = int(c) + 1
 		}
 	}
-	return &ParallelResult{Result: res, Rounds: out.Rounds, Messages: out.Messages, Report: out.Report, Telemetry: out.Telemetry}, nil
+	return &ParallelResult{res, out}, nil
 }

@@ -45,7 +45,7 @@ type Options struct {
 	// RenderTimeline).
 	TraceEvents int
 	// RoundLog, when > 0, enables round-level protocol telemetry with a
-	// per-rank log of this capacity (Result.Telemetry). Rows beyond the
+	// per-rank log of this capacity (Outcome.Telemetry). Rows beyond the
 	// capacity are dropped, not wrapped; see Series.Drops.
 	RoundLog int
 	// Perturb, when enabled, runs under seeded schedule perturbation
@@ -130,9 +130,9 @@ func (r *Rank) Record(unresolved, done, req, rej, inv int64) {
 	}
 }
 
-// Result is what a run leaves behind besides the application's own
-// output.
-type Result struct {
+// Outcome is what a run leaves behind besides the application's own
+// output. Every application's result embeds it.
+type Outcome struct {
 	// Report carries the runtime's virtual time and traffic ledgers.
 	Report *mpi.Report
 	// Dist is the distribution used (for process-graph statistics).
@@ -140,8 +140,9 @@ type Result struct {
 	// Telemetry is the merged round-level series (nil unless
 	// Options.RoundLog was set).
 	Telemetry *telemetry.Series
-	// Rounds is the maximum of Rank.Rounds, Messages the sum of
-	// Rank.Sent.
+	// Rounds is the maximum of Rank.Rounds (for the round models, the
+	// number of exchange rounds; for BFS, its levels), Messages the sum
+	// of Rank.Sent: the protocol records pushed by all ranks.
 	Rounds   int
 	Messages int64
 }
@@ -152,7 +153,7 @@ type Result struct {
 // loop (Rank.Loop, or its own over Pump), and copies the rank's share of
 // the result out. An error from any rank's body, a deadline, or a
 // backend the model cannot construct fails the run.
-func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Result, error) {
+func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Outcome, error) {
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("%s: Procs = %d", p.App, opt.Procs)
 	}
@@ -199,7 +200,7 @@ func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Result
 		return nil, err
 	}
 
-	res := &Result{Report: rep, Dist: d}
+	res := &Outcome{Report: rep, Dist: d}
 	if logs != nil {
 		res.Telemetry = telemetry.Merge(logs)
 	}

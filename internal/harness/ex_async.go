@@ -62,18 +62,9 @@ func (c Config) asyncInputs(p int) []asyncInput {
 // run with the driver encoded in the model name: "NSR" is the
 // barrier-free detector path, "NSR-rounds" the ForceRounds baseline.
 func (c Config) matchMaximal(input string, g *graph.CSR, p int, m matching.Model, forceRounds bool) (*matching.ParallelResult, error) {
-	res, err := matching.Run(g, matching.Options{
-		Procs:       p,
-		Model:       m,
-		Engine:      matching.EngineMaximal,
-		ForceRounds: forceRounds,
-		Cost:        c.Cost,
-		Deadline:    c.Deadline,
-		TraceEvents: c.TraceEvents,
-		RoundLog:    c.Rounds,
-		Perturb:     c.Perturb,
-		PerturbSeed: c.PerturbSeed,
-	})
+	opt := c.matchOptions(p, m)
+	opt.Engine, opt.ForceRounds = matching.EngineMaximal, forceRounds
+	res, err := matching.Run(g, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -84,19 +75,7 @@ func (c Config) matchMaximal(input string, g *graph.CSR, p int, m matching.Model
 	if forceRounds {
 		model += "-rounds"
 	}
-	c.observe(RunInfo{
-		Label:     fmt.Sprintf("%s maximal %s p=%d |V|=%d", input, model, p, g.NumVertices()),
-		App:       "matching",
-		Input:     input,
-		Model:     model,
-		Procs:     p,
-		Vertices:  g.NumVertices(),
-		Edges:     g.NumEdges(),
-		Rounds:    res.Rounds,
-		Messages:  res.Messages,
-		Report:    res.Report,
-		Telemetry: res.Telemetry,
-	})
+	c.observe(fmt.Sprintf("%s maximal %s p=%d |V|=%d", input, model, p, g.NumVertices()), "matching", input, model, g, p, res.Outcome)
 	return res, nil
 }
 

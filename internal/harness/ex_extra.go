@@ -105,19 +105,8 @@ func init() {
 						if err != nil {
 							return nil, fmt.Errorf("%s/%v: %w", in.name, m, err)
 						}
-						cfg.observe(RunInfo{
-							Label:     fmt.Sprintf("coloring %s %v p=%d |V|=%d", in.name, m, p, in.g.NumVertices()),
-							App:       "coloring",
-							Input:     in.name,
-							Model:     m.String(),
-							Procs:     p,
-							Vertices:  in.g.NumVertices(),
-							Edges:     in.g.NumEdges(),
-							Rounds:    res.Rounds,
-							Messages:  res.Messages,
-							Report:    res.Report,
-							Telemetry: res.Telemetry,
-						})
+						cfg.observe(fmt.Sprintf("coloring %s %v p=%d |V|=%d", in.name, m, p, in.g.NumVertices()),
+							"coloring", in.name, m.String(), in.g, p, res.Outcome)
 						times[i] = res.Report.MaxVirtualTime
 						colors = res.Colors
 					}

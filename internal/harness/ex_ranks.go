@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/driver"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matching"
@@ -88,11 +89,7 @@ func init() {
 				if err != nil {
 					return nil, fmt.Errorf("p=%d ring: %w", p, err)
 				}
-				cfg.observe(RunInfo{
-					Label: fmt.Sprintf("ring p=%d", p),
-					App:   "ring", Input: "ring", Model: "nsr-skeleton",
-					Procs: p, Report: rep,
-				})
+				cfg.observe(fmt.Sprintf("ring p=%d", p), "ring", "ring", "nsr-skeleton", nil, p, &driver.Outcome{Report: rep})
 				g := cfg.memo(fmt.Sprintf("ranks-rgg-%d", p), func() *graph.CSR {
 					n := ranksVPR * p
 					return gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 7001+int64(p))

@@ -52,9 +52,10 @@ func adjacencyDensity(g *graph.CSR, buckets int) []string {
 	return renderGrid(grid, max)
 }
 
-// matrixDensity renders a per-pair communication matrix as a density
-// grid (Figs 2, 9, 11).
-func matrixDensity(m [][]int64, buckets int) []string {
+// MatrixDensity renders a per-pair communication matrix as a density
+// grid of at most buckets x buckets cells (Figs 2, 9, 11); with buckets
+// = len(m) each cell is one rank pair.
+func MatrixDensity(m [][]int64, buckets int) []string {
 	n := len(m)
 	if n == 0 {
 		return nil
@@ -258,7 +259,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				grids[i] = matrixDensity(res.Report.ByteMatrix(), min(24, p))
+				grids[i] = MatrixDensity(res.Report.ByteMatrix(), min(24, p))
 			}
 			t := &Table{ID: "fig9", Title: fmt.Sprintf("byte volume matrices on %d processes (sender rows, receiver cols)", p),
 				Headers: []string{"original", "RCM"}}

@@ -10,13 +10,22 @@ import (
 )
 
 // runOptions are the run knobs a launch on p ranks takes from the
-// Config: cost, deadline, tracing, round logs and perturbation. The
-// launches that do not go through match (the ranks ring, colouring and
-// BFS) start from them.
+// Config: cost, deadline, tracing, round logs and perturbation. Every
+// launch starts from them.
 func (c Config) runOptions(p int) driver.Options {
 	return driver.Options{
 		Procs: p, Cost: c.Cost, Deadline: c.Deadline, TraceEvents: c.TraceEvents,
 		RoundLog: c.Rounds, Perturb: c.Perturb, PerturbSeed: c.PerturbSeed,
+	}
+}
+
+// matchOptions are runOptions for a matching launch of model m under
+// the Config's engine; match and matchMaximal start from them.
+func (c Config) matchOptions(p int, m matching.Model) matching.Options {
+	o := c.runOptions(p)
+	return matching.Options{
+		Procs: o.Procs, Model: m, Engine: c.Engine, Cost: o.Cost, Deadline: o.Deadline,
+		TraceEvents: o.TraceEvents, RoundLog: o.RoundLog, Perturb: o.Perturb, PerturbSeed: o.PerturbSeed,
 	}
 }
 
@@ -25,34 +34,14 @@ func (c Config) runOptions(p int) driver.Options {
 // Successful runs are reported to Config.OnRun for trace, profile and
 // record collection.
 func (c Config) match(input string, g *graph.CSR, p int, m matching.Model, trackMatrices bool) (*matching.ParallelResult, error) {
-	res, err := matching.Run(g, matching.Options{
-		Procs:         p,
-		Model:         m,
-		Engine:        c.Engine,
-		Cost:          c.Cost,
-		Deadline:      c.Deadline,
-		TrackMatrices: trackMatrices,
-		TraceEvents:   c.TraceEvents,
-		RoundLog:      c.Rounds,
-		Perturb:       c.Perturb,
-		PerturbSeed:   c.PerturbSeed,
-	})
-	if err == nil {
-		c.observe(RunInfo{
-			Label:     fmt.Sprintf("%s %v p=%d |V|=%d", input, m, p, g.NumVertices()),
-			App:       "matching",
-			Input:     input,
-			Model:     m.String(),
-			Procs:     p,
-			Vertices:  g.NumVertices(),
-			Edges:     g.NumEdges(),
-			Rounds:    res.Rounds,
-			Messages:  res.Messages,
-			Report:    res.Report,
-			Telemetry: res.Telemetry,
-		})
+	opt := c.matchOptions(p, m)
+	opt.TrackMatrices = trackMatrices
+	res, err := matching.Run(g, opt)
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	c.observe(fmt.Sprintf("%s %v p=%d |V|=%d", input, m, p, g.NumVertices()), "matching", input, m.String(), g, p, res.Outcome)
+	return res, nil
 }
 
 // scalingTable runs the given models over (graph(p), p) pairs and emits

@@ -184,25 +184,15 @@ func commMatrixTables(cfg Config, id string, bytes bool) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.observe(RunInfo{
-		Label:     fmt.Sprintf("rmat-weak BFS p=%d |V|=%d", p, g.NumVertices()),
-		App:       "bfs",
-		Input:     "rmat-weak",
-		Procs:     p,
-		Vertices:  g.NumVertices(),
-		Edges:     g.NumEdges(),
-		Rounds:    bres.Levels,
-		Report:    bres.Report,
-		Telemetry: bres.Telemetry,
-	})
+	cfg.observe(fmt.Sprintf("rmat-weak BFS p=%d |V|=%d", p, g.NumVertices()), "bfs", "rmat-weak", "", g, p, bres.Outcome)
 	pick := (*mpi.Report).MsgMatrix
 	unit := "messages"
 	if bytes {
 		pick = (*mpi.Report).ByteMatrix
 		unit = "bytes"
 	}
-	a := matrixDensity(pick(mres.Report), min(24, p))
-	b := matrixDensity(pick(bres.Report), min(24, p))
+	a := MatrixDensity(pick(mres.Report), min(24, p))
+	b := MatrixDensity(pick(bres.Report), min(24, p))
 	t := &Table{ID: id, Title: fmt.Sprintf("%s exchanged on %d processes, matching |E|=%d vs BFS |E|=%d (left: matching, right: BFS)", unit, p, mg.NumEdges(), g.NumEdges()),
 		Headers: []string{"half-approx matching", "Graph500 BFS"}}
 	for i := range a {

@@ -13,10 +13,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/driver"
+	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 )
 
 // Config scales and parameterizes experiment runs.
@@ -83,7 +84,7 @@ type RunInfo struct {
 	// Label identifies the configuration in human-readable output
 	// ("rgg-weak NCL p=16 |V|=4096").
 	Label string
-	// App is the algorithm: "matching", "coloring" or "bfs".
+	// App is the algorithm: "matching", "coloring", "bfs" or "ring".
 	App string
 	// Input is the workload identifier ("rgg-weak", "Friendster-analogue").
 	Input string
@@ -95,14 +96,10 @@ type RunInfo struct {
 	// Vertices and Edges describe the input graph.
 	Vertices int
 	Edges    int64
-	// Rounds is the driver round (or BFS level) count; Messages the total
-	// protocol messages pushed.
-	Rounds   int
-	Messages int64
-	// Report carries the runtime's virtual time and traffic ledgers.
-	Report *mpi.Report
-	// Telemetry is the merged round series (nil unless Config.Rounds).
-	Telemetry *telemetry.Series
+	// Outcome is the driver's record of the run: rounds (BFS levels),
+	// protocol messages, the runtime report and the merged round series
+	// (nil unless Config.Rounds).
+	*driver.Outcome
 }
 
 // DefaultConfig returns the standard full-scale configuration.
@@ -153,11 +150,18 @@ func (c Config) models(defaults []matching.Model) []matching.Model {
 	return out
 }
 
-// observe reports a finished run to Config.OnRun, if registered.
-func (c Config) observe(info RunInfo) {
-	if c.OnRun != nil {
-		c.OnRun(info)
+// observe reports a finished launch on g (nil for a run without an
+// input graph) to Config.OnRun, if registered. Every RunInfo is built
+// here.
+func (c Config) observe(label, app, input, model string, g *graph.CSR, p int, out *driver.Outcome) {
+	if c.OnRun == nil {
+		return
 	}
+	info := RunInfo{Label: label, App: app, Input: input, Model: model, Procs: p, Outcome: out}
+	if g != nil {
+		info.Vertices, info.Edges = g.NumVertices(), g.NumEdges()
+	}
+	c.OnRun(info)
 }
 
 func (c Config) logf(format string, args ...any) {

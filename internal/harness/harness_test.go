@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"encoding/json"
 	"io"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bfs"
 	"repro/internal/mpi"
 	"repro/internal/sched"
 )
@@ -390,4 +393,93 @@ func TestLaunchesTakeTheConfig(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunRecordsCarryTheOutcome: every launch site — match (fig11's
+// NSR matching), matchMaximal (ext-async), colouring (ext-coloring),
+// BFS (fig11) and the ranks ring — records the driver's Outcome
+// unchanged: virtual time, phase profile, round series, rounds and
+// messages. BFS records its level count as its rounds. The profile and
+// round-series objects keep the schema's key order.
+func TestRunRecordsCarryTheOutcome(t *testing.T) {
+	apps := map[string]int{}
+	for _, id := range []string{"fig11", "ext-async", "ext-coloring", "ranks"} {
+		cfg := Config{Scale: 0.05, Deadline: 10 * time.Minute, Rounds: 256, Ranks: 64}
+		var runs []RunInfo
+		cfg.OnRun = func(info RunInfo) { runs = append(runs, info) }
+		rec, err := RunOneRecord(id, cfg, io.Discard)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(rec.Runs) != len(runs) || len(runs) == 0 {
+			t.Fatalf("%s: %d records for %d observed runs", id, len(rec.Runs), len(runs))
+		}
+		for i, info := range runs {
+			r := rec.Runs[i]
+			apps[r.App]++
+			if r.Label != info.Label || r.Rounds != info.Rounds || r.Messages != info.Messages {
+				t.Errorf("%s: record %q rounds=%d messages=%d, launch %q rounds=%d messages=%d",
+					id, r.Label, r.Rounds, r.Messages, info.Label, info.Rounds, info.Messages)
+			}
+			if r.TimeSec != info.Report.MaxVirtualTime {
+				t.Errorf("%s: time_sec %g, report %g", r.Label, r.TimeSec, info.Report.MaxVirtualTime)
+			}
+			if r.Profile != info.Report.Profile() {
+				t.Errorf("%s: profile %+v, report %+v", r.Label, r.Profile, info.Report.Profile())
+			}
+			if info.Telemetry == nil {
+				if r.App != "ring" || len(r.RoundSeries) != 0 {
+					t.Errorf("%s: no telemetry with round logs on, %d series rows", r.Label, len(r.RoundSeries))
+				}
+			} else if len(r.RoundSeries) != info.Telemetry.Rounds() {
+				t.Errorf("%s: %d series rows, telemetry has %d", r.Label, len(r.RoundSeries), info.Telemetry.Rounds())
+			}
+			switch r.App {
+			case "matching", "coloring":
+				if r.Rounds <= 0 || r.Messages <= 0 {
+					t.Errorf("%s: rounds=%d messages=%d, want both > 0", r.Label, r.Rounds, r.Messages)
+				}
+			case "bfs":
+				g := cfg.rmatWeak(cfg.scaledProcs(16))
+				b, err := bfs.Run(g, 0, bfs.Options{Procs: r.Procs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Vertices != g.NumVertices() || r.Rounds != b.Levels || r.Messages != 0 {
+					t.Errorf("%s: |V|=%d rounds=%d messages=%d, want |V|=%d rounds=%d levels, messages 0",
+						r.Label, r.Vertices, r.Rounds, r.Messages, g.NumVertices(), b.Levels)
+				}
+			}
+		}
+		if id == "fig11" {
+			profile, err := json.Marshal(rec.Runs[0].Profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := jsonKeys(profile), "compute pack exchange unpack wait"; got != want {
+				t.Errorf("profile keys %q, want %q", got, want)
+			}
+			point, err := json.Marshal(rec.Runs[0].RoundSeries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := jsonKeys(point), "round time_sec unresolved done_frac requests rejects invalids bytes max_link_bytes max_queue_bytes"; got != want {
+				t.Errorf("round_series keys %q, want %q", got, want)
+			}
+		}
+	}
+	for _, app := range []string{"matching", "coloring", "bfs", "ring"} {
+		if apps[app] == 0 {
+			t.Errorf("no %s run recorded", app)
+		}
+	}
+}
+
+// jsonKeys lists the keys of a JSON object of numbers in encoded order.
+func jsonKeys(obj []byte) string {
+	var keys []string
+	for _, m := range regexp.MustCompile(`"(\w+)":`).FindAllSubmatch(obj, -1) {
+		keys = append(keys, string(m[1]))
+	}
+	return strings.Join(keys, " ")
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 
 	"repro/internal/analysis"
+	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // SchemaVersion identifies the JSON layout of Document and its nested
@@ -17,33 +19,6 @@ import (
 // analysis record (RunRecord.Analysis); v1 documents remain readable
 // (both additions are optional fields).
 const SchemaVersion = 2
-
-// RoundPoint is one merged round (or BFS level) of a run's telemetry
-// series. Counts are per-round deltas summed over ranks; Unresolved and
-// DoneFrac are instantaneous; Time, MaxLinkBytes and MaxQueueBytes are
-// maxima over ranks (see telemetry.Point).
-type RoundPoint struct {
-	Round         int     `json:"round"`
-	Time          float64 `json:"time_sec"`
-	Unresolved    int64   `json:"unresolved"`
-	DoneFrac      float64 `json:"done_frac"`
-	Requests      int64   `json:"requests"`
-	Rejects       int64   `json:"rejects"`
-	Invalids      int64   `json:"invalids"`
-	Bytes         int64   `json:"bytes"`
-	MaxLinkBytes  int64   `json:"max_link_bytes"`
-	MaxQueueBytes int64   `json:"max_queue_bytes"`
-}
-
-// ProfileRecord is the §V-D phase breakdown in virtual seconds summed
-// over ranks.
-type ProfileRecord struct {
-	Compute  float64 `json:"compute"`
-	Pack     float64 `json:"pack"`
-	Exchange float64 `json:"exchange"`
-	Unpack   float64 `json:"unpack"`
-	Wait     float64 `json:"wait"`
-}
 
 // RunRecord serializes one runtime launch.
 type RunRecord struct {
@@ -62,13 +37,15 @@ type RunRecord struct {
 	// Msgs/Bytes are the runtime ledger totals (every MPI-level message,
 	// including collectives), as opposed to Messages, which counts
 	// application protocol records.
-	Msgs           int64         `json:"mpi_msgs"`
-	Bytes          int64         `json:"mpi_bytes"`
-	CollOps        int64         `json:"coll_ops"`
-	MaxMemoryBytes int64         `json:"max_memory_bytes"`
-	Profile        ProfileRecord `json:"profile"`
-	RoundSeries    []RoundPoint  `json:"round_series,omitempty"`
-	TelemetryDrops int64         `json:"telemetry_drops,omitempty"`
+	Msgs           int64 `json:"mpi_msgs"`
+	Bytes          int64 `json:"mpi_bytes"`
+	CollOps        int64 `json:"coll_ops"`
+	MaxMemoryBytes int64 `json:"max_memory_bytes"`
+	// Profile is the §V-D phase breakdown in virtual seconds summed
+	// over ranks; RoundSeries is the merged round (or BFS level) series.
+	Profile        mpi.PhaseProfile  `json:"profile"`
+	RoundSeries    []telemetry.Point `json:"round_series,omitempty"`
+	TelemetryDrops int64             `json:"telemetry_drops,omitempty"`
 	// EventsTruncated is set when event tracing was enabled and at least
 	// one rank's ring dropped events: any trace-derived view of this run
 	// (including Analysis) undercounts late activity.
@@ -131,27 +108,23 @@ func (d *Document) Write(w io.Writer) error {
 // runs over the finished report and its record is embedded.
 func newRunRecord(info RunInfo, cfg Config) RunRecord {
 	tot := info.Report.Totals()
-	p := info.Report.Profile()
 	rr := RunRecord{
-		Label:    info.Label,
-		App:      info.App,
-		Input:    info.Input,
-		Model:    info.Model,
-		Procs:    info.Procs,
-		Vertices: info.Vertices,
-		Edges:    info.Edges,
-		TimeSec:  info.Report.MaxVirtualTime,
-		Rounds:   info.Rounds,
-		Messages: info.Messages,
-		Msgs:     tot.Msgs,
-		Bytes:    tot.Bytes,
-		CollOps:  tot.CollOps,
-		Profile: ProfileRecord{
-			Compute: p.Compute, Pack: p.Pack, Exchange: p.Exchange,
-			Unpack: p.Unpack, Wait: p.Wait,
-		},
+		Label:          info.Label,
+		App:            info.App,
+		Input:          info.Input,
+		Model:          info.Model,
+		Procs:          info.Procs,
+		Vertices:       info.Vertices,
+		Edges:          info.Edges,
+		TimeSec:        info.Report.MaxVirtualTime,
+		Rounds:         info.Rounds,
+		Messages:       info.Messages,
+		Msgs:           tot.Msgs,
+		Bytes:          tot.Bytes,
+		CollOps:        tot.CollOps,
+		MaxMemoryBytes: tot.MaxMemoryBytes,
+		Profile:        info.Report.Profile(),
 	}
-	rr.MaxMemoryBytes = tot.MaxMemoryBytes
 	if info.Report.EventTracing() {
 		for r := 0; r < info.Report.Procs; r++ {
 			if info.Report.EventDrops(r) > 0 {
@@ -171,21 +144,7 @@ func newRunRecord(info RunInfo, cfg Config) RunRecord {
 	}
 	if s := info.Telemetry; s != nil {
 		rr.TelemetryDrops = s.Drops
-		rr.RoundSeries = make([]RoundPoint, len(s.Points))
-		for i, pt := range s.Points {
-			rr.RoundSeries[i] = RoundPoint{
-				Round:         pt.Round,
-				Time:          pt.Time,
-				Unresolved:    pt.Unresolved,
-				DoneFrac:      pt.DoneFrac,
-				Requests:      pt.Req,
-				Rejects:       pt.Rej,
-				Invalids:      pt.Inv,
-				Bytes:         pt.Bytes,
-				MaxLinkBytes:  pt.MaxLinkBytes,
-				MaxQueueBytes: pt.MaxQueueBytes,
-			}
-		}
+		rr.RoundSeries = s.Points
 	}
 	return rr
 }
@@ -222,7 +181,7 @@ func (r *RunRecord) RenderRounds(w io.Writer) {
 	for _, p := range r.RoundSeries {
 		t.AddRow(fmt.Sprint(p.Round), fmt.Sprintf("%.3f", p.Time*1e3),
 			fmt.Sprint(p.Unresolved), f2(100*p.DoneFrac),
-			fmt.Sprint(p.Requests), fmt.Sprint(p.Rejects), fmt.Sprint(p.Invalids),
+			fmt.Sprint(p.Req), fmt.Sprint(p.Rej), fmt.Sprint(p.Inv),
 			fmt.Sprint(p.Bytes), fmt.Sprint(p.MaxLinkBytes), fmt.Sprint(p.MaxQueueBytes))
 	}
 	if r.TelemetryDrops > 0 {

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/distgraph"
 	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -124,21 +122,12 @@ func (o Options) shared() driver.Options {
 // buffers are sized with it.
 const MaxMessagesPerCrossEdge = 2
 
-// ParallelResult is the outcome of a distributed run.
+// ParallelResult is the outcome of a distributed run: the matching and
+// the driver's Outcome (for NCL/RMA, Rounds counts the neighborhood
+// exchange rounds).
 type ParallelResult struct {
 	*Result
-	// Rounds is the maximum loop iteration count over ranks (for
-	// NCL/RMA, the number of neighborhood exchange rounds).
-	Rounds int
-	// Messages is the total protocol messages pushed by all ranks.
-	Messages int64
-	// Report carries the runtime's virtual time and traffic ledgers.
-	Report *mpi.Report
-	// Dist is the distribution used (for process-graph statistics).
-	Dist *distgraph.Dist
-	// Telemetry is the merged round-level series (nil unless
-	// Options.RoundLog was set).
-	Telemetry *telemetry.Series
+	*driver.Outcome
 }
 
 // Run executes distributed matching on g under the given options and
@@ -180,12 +169,5 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelResult{
-		Result:    NewResult(g, mates),
-		Rounds:    out.Rounds,
-		Messages:  out.Messages,
-		Report:    out.Report,
-		Dist:      out.Dist,
-		Telemetry: out.Telemetry,
-	}, nil
+	return &ParallelResult{NewResult(g, mates), out}, nil
 }

@@ -7,20 +7,21 @@ package mpi
 // into one comparable breakdown per rank or per run.
 
 // PhaseProfile is a virtual-time breakdown of one rank (or, summed, a
-// whole run), in seconds.
+// whole run), in seconds. The field order and JSON tags are the run
+// record's profile schema.
 type PhaseProfile struct {
 	// Compute is protocol computation charged via Comm.Compute.
-	Compute float64
+	Compute float64 `json:"compute"`
 	// Pack and Unpack are aggregation-buffer fill/parse CPU time
 	// (Comm.Pack / Comm.Unpack); zero for non-aggregating transports.
-	Pack   float64
-	Unpack float64
+	Pack float64 `json:"pack"`
 	// Exchange is active communication-call time: overheads, probes and
 	// injection costs, excluding blocked time.
-	Exchange float64
+	Exchange float64 `json:"exchange"`
+	Unpack   float64 `json:"unpack"`
 	// Wait is time blocked for remote progress (message arrivals,
 	// collective synchronization, flush completion of peers).
-	Wait float64
+	Wait float64 `json:"wait"`
 }
 
 func profileOf(rs *RankStats) PhaseProfile {

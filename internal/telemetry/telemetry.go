@@ -136,23 +136,24 @@ func (l *RoundLog) Round(i int) Round { return l.rows[i].Round }
 // Point is one round of a merged run-level Series. Message-kind counts
 // and byte volumes are per-round deltas summed over ranks; Unresolved
 // and Done are instantaneous sums; Time, MaxLinkBytes and
-// MaxQueueBytes are maxima over ranks.
+// MaxQueueBytes are maxima over ranks. The JSON tags are the run
+// record's round_series schema.
 type Point struct {
-	Round      int
-	Time       float64 // latest rank clock at this round boundary
-	Unresolved int64   // the paper's nghosts sum across ranks
-	Done       int64   // matched / colored / visited work items
-	DoneFrac   float64 // Done over the run's total work items
-	Req        int64   // REQUEST (or announcement / visit) records this round
-	Rej        int64   // REJECT records this round
-	Inv        int64   // INVALID records this round
-	Bytes      int64   // payload bytes pushed this round, all ranks and links
+	Round      int     `json:"round"`
+	Time       float64 `json:"time_sec"`   // latest rank clock at this round boundary
+	Unresolved int64   `json:"unresolved"` // the paper's nghosts sum across ranks
+	Done       int64   `json:"-"`          // matched / colored / visited work items
+	DoneFrac   float64 `json:"done_frac"`  // Done over the run's total work items
+	Req        int64   `json:"requests"`   // REQUEST (or announcement / visit) records this round
+	Rej        int64   `json:"rejects"`    // REJECT records this round
+	Inv        int64   `json:"invalids"`   // INVALID records this round
+	Bytes      int64   `json:"bytes"`      // payload bytes pushed this round, all ranks and links
 	// MaxLinkBytes is the heaviest single (rank, destination) volume
 	// this round — the per-neighbor hot spot.
-	MaxLinkBytes int64
+	MaxLinkBytes int64 `json:"max_link_bytes"`
 	// MaxQueueBytes is the deepest mailbox occupancy any rank reported
 	// at this round boundary.
-	MaxQueueBytes int64
+	MaxQueueBytes int64 `json:"max_queue_bytes"`
 }
 
 // Series is the run-level view of per-rank RoundLogs: one Point per
