@@ -19,13 +19,6 @@ const (
 	ctxInvalid int64 = 3 // sender's vertex exhausted candidates; deactivate
 )
 
-// Per-cross-arc state bits, kept by the owning side of each arc.
-const (
-	arcEvicted   uint8 = 1 << iota // far endpoint no longer a candidate
-	arcRequested                   // far endpoint has requested this edge
-	arcResolved                    // termination accounting done for this arc
-)
-
 // Vertex states.
 const (
 	stUnmatched uint8 = iota
@@ -37,6 +30,11 @@ const (
 // one rank. It is transport-agnostic — a driver.Kernel: the loop feeds
 // incoming messages to handleMessage and drains the local work stack;
 // outgoing messages go through the sender.
+//
+// Host state is what the protocol needs and no more: 9 B per owned vertex
+// (ptr, cand, state) and two bits per local arc (asked, closed). The
+// mates live in the caller's result vector. The modeled MPI rank's
+// memory is charged separately (AccountAlloc in newEngine).
 type engine struct {
 	c  *mpi.Comm
 	l  *distgraph.Local
@@ -50,14 +48,19 @@ type engine struct {
 	// DESIGN.md §3); used as an ablation.
 	eagerReject bool
 
-	lo, hi   int
-	order    []int32 // the graph's KeyOrder: row v's arc positions by descending key at Offsets[v]
-	ptr      []int32
-	cand     []int64 // global candidate id, or -1
-	state    []uint8
-	mate     []int64 // global partner id, or -1
-	arcFlags []uint8 // indexed by global arc index - arcBase
-	arcBase  int64
+	lo, hi  int
+	order   []int32 // the graph's KeyOrder: row v's arc positions by descending key at Offsets[v]
+	ptr     []int32
+	cand    []int32 // global candidate id, or -1
+	state   []uint8
+	mate    []int // this rank's [lo:hi] view of the result vector: global partner id, or -1
+	arcBase int64 // global index of the rank's first arc; bit a of the sets below is arc arcBase+a
+
+	// Two bits per local arc, used on cross arcs only (by the owning side
+	// of each). closed: the far endpoint is no longer a candidate and the
+	// arc's termination accounting is done (eviction and resolution always
+	// happen together). asked: the far endpoint has requested this edge.
+	closed, asked []uint64
 
 	pending  int64    // unresolved cross arcs owned by this rank (the paper's nghosts sum)
 	work     []int32  // stack of owned-vertex local indices to re-point
@@ -69,43 +72,43 @@ type engine struct {
 // newEngine builds one rank's engine around the graph's shared read-only
 // key-order index (graph.CSR.KeyOrder). The rank still charges the setup
 // to its virtual clock — the index rows it consumes represent the same
-// O(local arcs) of sorting work an MPI rank would do locally.
-func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order []int32) *engine {
+// O(local arcs) of sorting work an MPI rank would do locally. The engine
+// writes its owned vertices' mates straight into mates[l.Lo:l.Hi].
+func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order []int32, mates []int) *engine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
+	arcs := g.Offsets[l.Hi] - g.Offsets[l.Lo]
+	words := (arcs + 63) / 64
 	e := &engine{
 		c: c, l: l, g: g, tr: tr,
 		eagerReject: eagerReject,
 		lo:          l.Lo, hi: l.Hi,
-		order:    order,
-		ptr:      make([]int32, nOwned),
-		cand:     make([]int64, nOwned),
-		state:    make([]uint8, nOwned),
-		mate:     make([]int64, nOwned),
-		arcBase:  g.Offsets[l.Lo],
-		arcFlags: make([]uint8, g.Offsets[l.Hi]-g.Offsets[l.Lo]),
-		pending:  l.TotalCrossArcs,
+		order:   order,
+		ptr:     make([]int32, nOwned),
+		cand:    make([]int32, nOwned),
+		state:   make([]uint8, nOwned),
+		mate:    mates[l.Lo:l.Hi],
+		arcBase: g.Offsets[l.Lo],
+		closed:  make([]uint64, words),
+		asked:   make([]uint64, words),
+		pending: l.TotalCrossArcs,
 	}
 	for i := range e.cand {
 		e.cand[i] = -1
 		e.mate[i] = -1
 	}
 	c.Compute(float64(l.LocalArcs))
-	// Per-vertex protocol state memory (mirrors what an MPI rank holds).
-	c.AccountAlloc(int64(nOwned)*(4+8+1+8) + int64(len(e.arcFlags)))
+	// Per-vertex protocol state memory of the modeled MPI rank (int32
+	// pointer, int64 candidate, state byte, int64 mate) plus a flag byte
+	// per arc — not the Go layout above.
+	c.AccountAlloc(int64(nOwned)*(4+8+1+8) + arcs)
 	return e
 }
 
-// sortedAt returns the row position of the i-th heaviest neighbor of
-// owned vertex v (global id), reading the shared index.
-func (e *engine) sortedAt(v int, i int32) int32 {
-	return e.order[e.g.Offsets[v]+int64(i)]
-}
-
 // owns reports whether global vertex v is owned here.
-func (e *engine) owns(v int64) bool { return int(v) >= e.lo && int(v) < e.hi }
+func (e *engine) owns(v int) bool { return v >= e.lo && v < e.hi }
 
-// arcIndex locates the global arc position of edge (x, y) in x's row;
+// arcIndex locates the rank-local arc index of edge (x, y) in x's row;
 // x must be owned. CSR rows are sorted by neighbor id.
 func (e *engine) arcIndex(x, y int64) int64 {
 	nbrs := e.g.Neighbors(int(x))
@@ -113,17 +116,37 @@ func (e *engine) arcIndex(x, y int64) int64 {
 	if i == len(nbrs) || nbrs[i] != int32(y) {
 		panic(fmt.Sprintf("matching: rank %d: message references nonexistent edge {%d,%d}", e.c.Rank(), x, y))
 	}
-	return e.g.Offsets[x] + int64(i)
+	return e.g.Offsets[x] + int64(i) - e.arcBase
 }
 
-func (e *engine) flags(arc int64) *uint8 { return &e.arcFlags[arc-e.arcBase] }
+// isClosed reports whether local arc a is closed.
+func (e *engine) isClosed(a int64) bool { return e.closed[a>>6]&(1<<(a&63)) != 0 }
 
-// resolve marks a cross arc's termination accounting complete.
-func (e *engine) resolve(f *uint8) {
-	if *f&arcResolved == 0 {
-		*f |= arcResolved
-		e.pending--
+// close evicts and resolves local arc a, reporting whether it was still
+// open; only the first close of an arc counts against pending.
+func (e *engine) close(a int64) bool {
+	w, b := &e.closed[a>>6], uint64(1)<<(a&63)
+	if *w&b != 0 {
+		return false
 	}
+	*w |= b
+	e.pending--
+	return true
+}
+
+// isAsked reports whether local arc a's far endpoint has requested it.
+func (e *engine) isAsked(a int64) bool { return e.asked[a>>6]&(1<<(a&63)) != 0 }
+
+// ask remembers a REQUEST received over local arc a.
+func (e *engine) ask(a int64) { e.asked[a>>6] |= 1 << (a & 63) }
+
+// open reports whether neighbor u of owned vertex v, across local arc
+// a, is still a matching candidate. A self loop never is.
+func (e *engine) open(v, u int, a int64) bool {
+	if e.owns(u) {
+		return u != v && e.state[u-e.lo] == stUnmatched
+	}
+	return !e.isClosed(a)
 }
 
 // push emits a protocol message for the owner of ghost vertex x.
@@ -143,16 +166,6 @@ func (e *engine) Row() (unresolved, done, req, rej, inv int64) {
 	return e.pending, e.nmatched, e.kind[ctxRequest], e.kind[ctxReject], e.kind[ctxInvalid]
 }
 
-// availableArc reports whether the neighbor at row position pos of owned
-// vertex v is still a matching candidate. A self loop never is.
-func (e *engine) availableArc(v int, pos int32) bool {
-	nbr := int(e.g.Neighbors(v)[pos])
-	if nbr >= e.lo && nbr < e.hi {
-		return nbr != v && e.state[nbr-e.lo] == stUnmatched
-	}
-	return e.arcFlags[e.g.Offsets[v]+int64(pos)-e.arcBase]&arcEvicted == 0
-}
-
 // findMate implements the paper's FINDMATE (Algorithm 4) for owned
 // vertex index vi: point at the heaviest available neighbor, matching
 // immediately when the pointing is mutual (locally, or via a remembered
@@ -164,48 +177,50 @@ func (e *engine) findMate(vi int32) {
 		return
 	}
 	v := int(vi) + e.lo
-	row := e.g.Neighbors(v)
-	if c := e.cand[vi]; c >= 0 {
-		if e.availableArc(v, e.sortedAt(v, e.ptr[vi])) {
+	base := e.g.Offsets[v]
+	row := e.g.Adj[base:e.g.Offsets[v+1]]
+	order := e.order[base : base+int64(len(row))]
+	local := base - e.arcBase // the row's first local arc
+	p := e.ptr[vi]
+	if e.cand[vi] >= 0 {
+		if pos := order[p]; e.open(v, int(row[pos]), local+int64(pos)) {
 			return
 		}
 	}
-	for e.ptr[vi] < int32(len(row)) {
+	for ; p < int32(len(row)); p++ {
 		e.c.Compute(1)
-		if e.availableArc(v, e.sortedAt(v, e.ptr[vi])) {
+		if pos := order[p]; e.open(v, int(row[pos]), local+int64(pos)) {
 			break
 		}
-		e.ptr[vi]++
 	}
-	if e.ptr[vi] == int32(len(row)) {
+	e.ptr[vi] = p
+	if p == int32(len(row)) {
 		e.die(vi)
 		return
 	}
-	pos := e.sortedAt(v, e.ptr[vi])
-	u := int64(row[pos])
+	pos := order[p]
+	u := row[pos]
 	e.cand[vi] = u
-	if e.owns(u) {
-		ui := int32(int(u) - e.lo)
-		if e.cand[ui] == int64(v) {
+	if e.owns(int(u)) {
+		ui := u - int32(e.lo)
+		if e.cand[ui] == int32(v) {
 			e.matchLocal(vi, ui)
 		}
 		return
 	}
-	arc := e.g.Offsets[v] + int64(pos)
-	f := e.flags(arc)
-	if *f&arcRequested != 0 {
+	a := local + int64(pos)
+	if e.isAsked(a) {
 		// The ghost already requested us: the pointing is mutual. Match
 		// here and send our REQUEST so the ghost's owner completes too.
-		e.mate[vi] = u
+		e.mate[vi] = int(u)
 		e.state[vi] = stMatched
 		e.nmatched++
-		*f |= arcEvicted
-		e.resolve(f)
-		e.push(ctxRequest, u, int64(v))
+		e.close(a)
+		e.push(ctxRequest, int64(u), int64(v))
 		e.afterMatch(vi)
 		return
 	}
-	e.push(ctxRequest, u, int64(v))
+	e.push(ctxRequest, int64(u), int64(v))
 }
 
 // die implements FINDMATE's invalidation branch: the vertex has no
@@ -213,36 +228,18 @@ func (e *engine) findMate(vi int32) {
 // arcs and release local vertices pointing at it. (Under the default
 // protocol every cross arc is already resolved by the time a vertex
 // exhausts its pointer — eviction only travels with resolution — so the
-// broadcast loop is defensive; under EagerReject it can fire.)
+// broadcast is defensive; under EagerReject it can fire.)
 func (e *engine) die(vi int32) {
 	e.cand[vi] = -1
 	e.state[vi] = stDead
-	v := int64(int(vi) + e.lo)
-	row := e.g.Neighbors(int(v))
-	for i, a := range row {
-		e.c.Compute(1)
-		if e.owns(int64(a)) {
-			ai := int32(int(a) - e.lo)
-			if e.state[ai] == stUnmatched && e.cand[ai] == v {
-				e.work = append(e.work, ai)
-			}
-			continue
-		}
-		arc := e.g.Offsets[v] + int64(i)
-		f := e.flags(arc)
-		if *f&arcResolved == 0 {
-			*f |= arcEvicted
-			e.resolve(f)
-			e.push(ctxInvalid, int64(a), v)
-		}
-	}
+	e.release(vi, ctxInvalid)
 }
 
 // matchLocal records the match of two owned vertices and processes both
 // neighborhoods.
 func (e *engine) matchLocal(vi, ui int32) {
-	e.mate[vi] = int64(int(ui) + e.lo)
-	e.mate[ui] = int64(int(vi) + e.lo)
+	e.mate[vi] = int(ui) + e.lo
+	e.mate[ui] = int(vi) + e.lo
 	e.state[vi] = stMatched
 	e.state[ui] = stMatched
 	e.nmatched += 2
@@ -253,27 +250,32 @@ func (e *engine) matchLocal(vi, ui int32) {
 // afterMatch implements PROCESSNEIGHBORS (Algorithm 5) for a newly
 // matched owned vertex: reject all other still-active cross arcs and
 // re-point local vertices that were pointing here.
-func (e *engine) afterMatch(vi int32) {
-	v := int64(int(vi) + e.lo)
-	row := e.g.Neighbors(int(v))
-	for i, a := range row {
+func (e *engine) afterMatch(vi int32) { e.release(vi, ctxReject) }
+
+// release is the neighborhood walk shared by afterMatch (ctx REJECT)
+// and die (ctx INVALID): every arc but the one to vi's mate (a dead
+// vertex has none) closes with a ctx notification if still open, and
+// local vertices pointing at vi are queued to re-point.
+func (e *engine) release(vi int32, ctx int64) {
+	v := int(vi) + e.lo
+	base := e.g.Offsets[v]
+	row := e.g.Adj[base:e.g.Offsets[v+1]]
+	local := base - e.arcBase
+	mate := e.mate[vi]
+	for i, u := range row {
 		e.c.Compute(1)
-		if int64(a) == e.mate[vi] {
+		if int(u) == mate {
 			continue
 		}
-		if e.owns(int64(a)) {
-			ai := int32(int(a) - e.lo)
-			if e.state[ai] == stUnmatched && e.cand[ai] == v {
-				e.work = append(e.work, ai)
+		if e.owns(int(u)) {
+			ui := u - int32(e.lo)
+			if e.state[ui] == stUnmatched && e.cand[ui] == int32(v) {
+				e.work = append(e.work, ui)
 			}
 			continue
 		}
-		arc := e.g.Offsets[v] + int64(i)
-		f := e.flags(arc)
-		if *f&arcResolved == 0 {
-			*f |= arcEvicted
-			e.resolve(f)
-			e.push(ctxReject, int64(a), v)
+		if e.close(local + int64(i)) {
+			e.push(ctx, int64(u), int64(v))
 		}
 	}
 }
@@ -282,48 +284,43 @@ func (e *engine) afterMatch(vi int32) {
 // record targeting owned vertex x from remote vertex y.
 func (e *engine) handleMessage(ctx, x, y int64) {
 	e.c.Compute(1)
-	if !e.owns(x) {
+	if !e.owns(int(x)) {
 		panic(fmt.Sprintf("matching: rank %d received message for vertex %d outside [%d,%d)", e.c.Rank(), x, e.lo, e.hi))
 	}
 	xi := int32(int(x) - e.lo)
-	arc := e.arcIndex(x, y)
-	f := e.flags(arc)
+	a := e.arcIndex(x, y)
 	switch ctx {
 	case ctxRequest:
-		if *f&arcResolved != 0 {
+		if e.isClosed(a) {
 			// Stale: we already matched elsewhere / rejected this edge;
 			// our notification is in flight to them.
 			return
 		}
-		if e.state[xi] == stUnmatched && e.cand[xi] == y {
+		if e.state[xi] == stUnmatched && int64(e.cand[xi]) == y {
 			// Mutual pointing: complete the match on this side. The
 			// requester completes on receiving our REQUEST (already sent
 			// when we pointed at y).
-			e.mate[xi] = y
+			e.mate[xi] = int(y)
 			e.state[xi] = stMatched
 			e.nmatched++
-			*f |= arcEvicted
-			e.resolve(f)
+			e.close(a)
 			e.afterMatch(xi)
 			return
 		}
 		if e.eagerReject {
 			// Paper's literal Algorithm 6: no memory of requesters —
 			// deactivate the edge and reject immediately.
-			*f |= arcEvicted
-			e.resolve(f)
+			e.close(a)
 			e.push(ctxReject, y, x)
 			return
 		}
-		*f |= arcRequested
+		e.ask(a)
 	case ctxReject, ctxInvalid:
-		if *f&arcResolved != 0 {
+		if !e.close(a) {
 			// Both sides deactivated concurrently; nothing left to do.
 			return
 		}
-		*f |= arcEvicted
-		e.resolve(f)
-		if e.state[xi] == stUnmatched && e.cand[xi] == y {
+		if e.state[xi] == stUnmatched && int64(e.cand[xi]) == y {
 			e.work = append(e.work, xi)
 		}
 	default:
@@ -347,13 +344,5 @@ func (e *engine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.findMate(vi)
 		e.DrainWork()
-	}
-}
-
-// writeMates copies this rank's owned mate values into the shared global
-// result vector (disjoint ranges per rank, so no synchronization needed).
-func (e *engine) writeMates(global []int) {
-	for i, m := range e.mate {
-		global[e.lo+i] = int(m)
 	}
 }

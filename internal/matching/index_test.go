@@ -50,7 +50,7 @@ func TestRunSharesOneIndex(t *testing.T) {
 // on a graph that already has it allocates less than the index alone
 // would (4 bytes an arc), so the sort cannot silently come back. The
 // graph is dense and the world one rank, so that what a run does
-// allocate — per-vertex state, one flag byte an arc, no per-cross-arc
+// allocate — per-vertex state, two bits an arc, no per-cross-arc
 // transport buffers — stays far below that.
 func TestWarmRunDoesNotSort(t *testing.T) {
 	g := gen.SBP(3000, 6, 120, 0.3, 5)

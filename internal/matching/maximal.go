@@ -76,7 +76,7 @@ type mxEngine struct {
 	lo, hi   int
 	ptr      []int32 // scan cursor into the (ascending) adjacency row
 	state    []uint8
-	mate     []int64   // global partner id, or -1
+	mate     []int     // this rank's [lo:hi] view of the result vector: global partner id, or -1
 	deferred [][]int64 // proposer ids parked at a pending target
 
 	unsettled int64 // owned vertices not yet matched or exhausted
@@ -87,7 +87,9 @@ type mxEngine struct {
 	nmatched  int64
 }
 
-func newMxEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, q *mpi.Quiesce) *mxEngine {
+// newMxEngine builds one rank's maximal engine; it writes its owned
+// vertices' mates straight into mates[l.Lo:l.Hi].
+func newMxEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, q *mpi.Quiesce, mates []int) *mxEngine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
 	e := &mxEngine{
@@ -95,14 +97,15 @@ func newMxEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, q *mpi.Qu
 		lo: l.Lo, hi: l.Hi,
 		ptr:       make([]int32, nOwned),
 		state:     make([]uint8, nOwned),
-		mate:      make([]int64, nOwned),
+		mate:      mates[l.Lo:l.Hi],
 		deferred:  make([][]int64, nOwned),
 		unsettled: int64(nOwned),
 	}
 	for i := range e.mate {
 		e.mate[i] = -1
 	}
-	// Per-vertex protocol state memory (mirrors what an MPI rank holds).
+	// Per-vertex protocol state memory of the modeled MPI rank (cursor,
+	// state, int64 mate, deferred-list header).
 	c.AccountAlloc(int64(nOwned) * (4 + 1 + 8 + 24))
 	return e
 }
@@ -148,7 +151,7 @@ func (e *mxEngine) setMatched(vi int32, mate int64) {
 		e.unsettled--
 	}
 	e.state[vi] = mxsMatched
-	e.mate[vi] = mate
+	e.mate[vi] = int(mate)
 	e.nmatched++
 }
 
@@ -322,13 +325,5 @@ func (e *mxEngine) Start() {
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.advance(vi)
 		e.DrainWork()
-	}
-}
-
-// writeMates copies this rank's owned mate values into the shared global
-// result vector (disjoint ranges per rank, so no synchronization needed).
-func (e *mxEngine) writeMates(global []int) {
-	for i, m := range e.mate {
-		global[e.lo+i] = int(m)
 	}
 }

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -136,7 +137,7 @@ func (s *captureSender) Send(dst int, ctx, x, y int64) {
 // be forced to produce on demand:
 //
 //	(a) INVALID then REJECT for the same arc — the second delivery must
-//	    be a no-op (arcResolved guard), not a double resolution;
+//	    be a no-op (the closed-bit guard), not a double resolution;
 //	(b) REJECT then a stale REQUEST for the same arc — the REQUEST must
 //	    hit the stale guard, not revive the edge;
 //	(c) a remembered REQUEST followed by INVALID from the same ghost —
@@ -163,7 +164,11 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		defer c.Barrier()
 		tr := &captureSender{}
-		e := newEngine(c, d.BuildLocal(0), tr, false, g.KeyOrder())
+		mates := make([]int, g.NumVertices())
+		for i := range mates {
+			mates[i] = 99 // rank 1's range must stay untouched
+		}
+		e := newEngine(c, d.BuildLocal(0), tr, false, g.KeyOrder(), mates)
 		e.Start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
 		if e.cand[0] != 3 {
 			t.Errorf("after start: cand[0] = %d, want ghost 3", e.cand[0])
@@ -207,6 +212,10 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		if e.pending != 0 {
 			t.Errorf("pending = %d after all arcs settled, want 0", e.pending)
+		}
+		// The engine's mates are the caller's vector, written in place.
+		if want := []int{5, 2, 1, 99, 99, 99}; !slices.Equal(mates, want) {
+			t.Errorf("mates = %v, want %v", mates, want)
 		}
 		return nil
 	})

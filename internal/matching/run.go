@@ -145,9 +145,8 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 	if opt.Engine == EngineMaximal {
 		proto.MaxPerArc, proto.Detect, proto.ForceRounds = maximalMaxPerArc, true, opt.ForceRounds
 		body = func(r *driver.Rank) error {
-			e := newMxEngine(r.Comm, r.Local, r.Backend, r.Quiesce)
+			e := newMxEngine(r.Comm, r.Local, r.Backend, r.Quiesce, mates)
 			r.Loop(e, e.handleMessage)
-			e.writeMates(mates)
 			r.Sent = e.sent
 			return nil
 		}
@@ -158,9 +157,8 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 		// to its virtual clock).
 		order := g.KeyOrder()
 		body = func(r *driver.Rank) error {
-			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order)
+			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order, mates)
 			r.Loop(e, e.handleMessage)
-			e.writeMates(mates)
 			r.Sent = e.sent
 			return nil
 		}
