@@ -44,14 +44,19 @@ race:
 # inline-check fails unless the compiler still inlines the hot paths'
 # helpers: in the runtime, (*Comm).pollMiss, run on every Iprobe miss,
 # and (*Comm).event, whose nil check is the whole cost of a disabled
-# instrumentation point; in the matching engine, the per-arc bit helpers
-# (*engine).isClosed, close, isAsked, ask and open, run on every arc the
-# protocol touches. A helper grown past the inlining budget shows up
-# only as a few percent of host time, so it is checked here.
+# instrumentation point; the event-log view's EventLog.Len and
+# EventLog.At, run inside the critical-path walk's binary search; in
+# the matching engine, the per-arc bit helpers (*engine).isClosed,
+# close, isAsked, ask and open, run on every arc the protocol touches.
+# A helper grown past the inlining budget shows up only as a few
+# percent of host time, so it is checked here.
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/mpi 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in pollMiss event; do \
 		echo "$$out" | grep -q "can inline (\*Comm)\.$$f$$" || { echo "inline-check: (*Comm).$$f is no longer inlined"; exit 1; }; \
+	done; \
+	for f in Len At; do \
+		echo "$$out" | grep -q "can inline EventLog\.$$f$$" || { echo "inline-check: EventLog.$$f is no longer inlined"; exit 1; }; \
 	done; \
 	out=$$($(GO) build -gcflags=-m ./internal/matching 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in isClosed close isAsked ask open; do \

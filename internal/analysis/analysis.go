@@ -276,27 +276,30 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 			rec.DroppedEvents += d
 		}
 		events := rep.Events(rank)
-		rec.Events += len(events)
-		for _, e := range events {
-			switch e.Kind {
-			case mpi.EvWait:
-				d := e.Duration()
-				rec.TotalWaitSec += d
-				switch e.Class {
-				case mpi.WaitLateSender:
-					state(ClassLateSender).add(e.Peer, d)
-				case mpi.WaitNbrExchange:
-					state(exchangeClass).add(e.Peer, d)
-				case mpi.WaitCollective:
-					state(ClassCollective).add(e.Peer, d)
-				default:
-					state(ClassUnclassified).add(-1, d)
-				}
-			case mpi.EvProbe:
-				if e.Peer < 0 {
-					// A miss: pure polling overhead, the Send-Recv
-					// driver's active busy-wait.
-					state(ClassProbeSpin).add(-1, e.Duration())
+		rec.Events += events.Len()
+		for _, chunk := range events.Chunks() {
+			for i := range chunk {
+				e := &chunk[i]
+				switch e.Kind {
+				case mpi.EvWait:
+					d := e.Duration()
+					rec.TotalWaitSec += d
+					switch e.Class {
+					case mpi.WaitLateSender:
+						state(ClassLateSender).add(int(e.Peer), d)
+					case mpi.WaitNbrExchange:
+						state(exchangeClass).add(int(e.Peer), d)
+					case mpi.WaitCollective:
+						state(ClassCollective).add(int(e.Peer), d)
+					default:
+						state(ClassUnclassified).add(-1, d)
+					}
+				case mpi.EvProbe:
+					if e.Peer < 0 {
+						// A miss: pure polling overhead, the Send-Recv
+						// driver's active busy-wait.
+						state(ClassProbeSpin).add(-1, e.Duration())
+					}
 				}
 			}
 		}
@@ -321,7 +324,7 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 // is reconstructed as send end + alpha + beta*bytes. The blame lands on
 // the receiving rank: it is the late party.
 func lateReceiver(rep *mpi.Report, cost *mpi.CostModel, out *classState) {
-	type flow struct{ dst, tag int }
+	type flow struct{ dst, tag int32 }
 	// Per sending rank, its EvSend ring indices grouped by (dst, tag)
 	// flow, built lazily on the first receive naming that sender. Ring
 	// order is send order and within one flow receives consume sends in
@@ -330,33 +333,36 @@ func lateReceiver(rep *mpi.Report, cost *mpi.CostModel, out *classState) {
 	sendIdx := make([]map[flow][]int32, rep.Procs)
 	taken := make([]map[flow]int, rep.Procs)
 	for d := 0; d < rep.Procs; d++ {
-		for _, e := range rep.Events(d) {
-			if e.Kind != mpi.EvRecv || e.Peer < 0 || e.Peer >= rep.Procs {
-				continue
-			}
-			s := e.Peer
-			sendEvents := rep.Events(s)
-			if sendIdx[s] == nil {
-				sendIdx[s] = make(map[flow][]int32)
-				taken[s] = make(map[flow]int)
-				for i := range sendEvents {
-					if se := &sendEvents[i]; se.Kind == mpi.EvSend {
-						sf := flow{dst: se.Peer, tag: se.Tag}
-						sendIdx[s][sf] = append(sendIdx[s][sf], int32(i))
+		for _, chunk := range rep.Events(d).Chunks() {
+			for i := range chunk {
+				e := &chunk[i]
+				if e.Kind != mpi.EvRecv || e.Peer < 0 || int(e.Peer) >= rep.Procs {
+					continue
+				}
+				s := int(e.Peer)
+				sendEvents := rep.Events(s)
+				if sendIdx[s] == nil {
+					sendIdx[s] = make(map[flow][]int32)
+					taken[s] = make(map[flow]int)
+					for j := 0; j < sendEvents.Len(); j++ {
+						if se := sendEvents.At(j); se.Kind == mpi.EvSend {
+							sf := flow{dst: se.Peer, tag: se.Tag}
+							sendIdx[s][sf] = append(sendIdx[s][sf], int32(j))
+						}
 					}
 				}
-			}
-			f := flow{dst: d, tag: e.Tag}
-			k := taken[s][f]
-			taken[s][f] = k + 1
-			idx := sendIdx[s][f]
-			if k >= len(idx) {
-				continue // sender's ring truncated before this message
-			}
-			send := &sendEvents[idx[k]]
-			arrive := send.End + cost.AlphaP2P + cost.BetaP2P*float64(send.Bytes)
-			if late := e.Start - arrive; late > 1e-12 {
-				out.add(d, late)
+				f := flow{dst: int32(d), tag: e.Tag}
+				k := taken[s][f]
+				taken[s][f] = k + 1
+				idx := sendIdx[s][f]
+				if k >= len(idx) {
+					continue // sender's ring truncated before this message
+				}
+				send := sendEvents.At(int(idx[k]))
+				arrive := send.End + cost.AlphaP2P + cost.BetaP2P*float64(send.Bytes)
+				if late := e.Start - arrive; late > 1e-12 {
+					out.add(d, late)
+				}
 			}
 		}
 	}
@@ -453,7 +459,7 @@ func roundEfficiency(rep *mpi.Report, series *telemetry.Series, exchangeClass st
 	if len(pts) == 0 {
 		return nil
 	}
-	classOf := func(e mpi.Event) string {
+	classOf := func(e *mpi.Event) string {
 		switch e.Class {
 		case mpi.WaitLateSender:
 			return ClassLateSender
@@ -479,26 +485,28 @@ func roundEfficiency(rep *mpi.Report, series *telemetry.Series, exchangeClass st
 		return pts[i-1].Time
 	}
 	for rank := 0; rank < rep.Procs; rank++ {
-		events := rep.Events(rank)
 		w := 0 // window cursor; both events (by End) and windows are time-sorted
-		for _, e := range events {
-			if e.Kind != mpi.EvWait {
-				continue
-			}
-			for w < len(pts) && pts[w].Time <= e.Start {
-				w++
-			}
-			// Spread the interval over the windows it crosses.
-			for i, lo := w, e.Start; i < len(pts) && lo < e.End; i++ {
-				hi := pts[i].Time
-				if hi > e.End {
-					hi = e.End
+		for _, chunk := range rep.Events(rank).Chunks() {
+			for j := range chunk {
+				e := &chunk[j]
+				if e.Kind != mpi.EvWait {
+					continue
 				}
-				if d := hi - lo; d > 0 {
-					accs[i].wait += d
-					accs[i].byClass[classOf(e)] += d
+				for w < len(pts) && pts[w].Time <= e.Start {
+					w++
 				}
-				lo = hi
+				// Spread the interval over the windows it crosses.
+				for i, lo := w, e.Start; i < len(pts) && lo < e.End; i++ {
+					hi := pts[i].Time
+					if hi > e.End {
+						hi = e.End
+					}
+					if d := hi - lo; d > 0 {
+						accs[i].wait += d
+						accs[i].byClass[classOf(e)] += d
+					}
+					lo = hi
+				}
 			}
 		}
 	}

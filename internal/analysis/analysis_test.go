@@ -194,16 +194,14 @@ func TestLateReceiverSynthetic(t *testing.T) {
 	// Expected parking time from the actual event timestamps.
 	cost := mpi.DefaultCostModel()
 	var send, recv *mpi.Event
-	for _, e := range rep.Events(0) {
-		if e.Kind == mpi.EvSend {
-			send = &e
-			break
+	for ev, i := rep.Events(0), 0; i < ev.Len() && send == nil; i++ {
+		if e := ev.At(i); e.Kind == mpi.EvSend {
+			send = e
 		}
 	}
-	for _, e := range rep.Events(1) {
-		if e.Kind == mpi.EvRecv {
-			recv = &e
-			break
+	for ev, i := rep.Events(1), 0; i < ev.Len() && recv == nil; i++ {
+		if e := ev.At(i); e.Kind == mpi.EvRecv {
+			recv = e
 		}
 	}
 	if send == nil || recv == nil {
@@ -316,10 +314,9 @@ func TestRoundEfficiencySynthetic(t *testing.T) {
 	// One boundary strictly inside rank 1's late-sender wait: the wait
 	// must be split across the two windows.
 	var wait *mpi.Event
-	for _, e := range rep.Events(1) {
-		if e.Kind == mpi.EvWait && e.Class == mpi.WaitLateSender {
-			wait = &e
-			break
+	for ev, i := rep.Events(1), 0; i < ev.Len() && wait == nil; i++ {
+		if e := ev.At(i); e.Kind == mpi.EvWait && e.Class == mpi.WaitLateSender {
+			wait = e
 		}
 	}
 	if wait == nil {
@@ -483,7 +480,7 @@ func TestChromeTraceRankTracksMatchBase(t *testing.T) {
 	got, want := rankLines(overlay.String()), rankLines(base.String())
 	events := 0
 	for rank := 0; rank < res.Report.Procs; rank++ {
-		events += len(res.Report.Events(rank))
+		events += res.Report.Events(rank).Len()
 	}
 	if len(want) != events+res.Report.Procs {
 		t.Fatalf("base exporter wrote %d rank rows for %d events on %d ranks", len(want), events, res.Report.Procs)

@@ -47,7 +47,7 @@ func BenchmarkAnalyze(b *testing.B) {
 			rep := benchReport(b, cfg.procs, cfg.rounds)
 			var events int
 			for r := 0; r < rep.Procs; r++ {
-				events += len(rep.Events(r))
+				events += rep.Events(r).Len()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

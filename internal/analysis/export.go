@@ -29,15 +29,17 @@ const maxCounterPoints = 4096
 func (r *Record) AppendTrace(b []byte, elem func([]byte) []byte, pid int, rep *mpi.Report) []byte {
 	var msgDeltas, waitDeltas []counterDelta
 	for rank := 0; rank < rep.Procs; rank++ {
-		for _, e := range rep.Events(rank) {
-			switch e.Kind {
-			case mpi.EvSend:
-				msgDeltas = append(msgDeltas, counterDelta{e.End, 1})
-			case mpi.EvRecv:
-				msgDeltas = append(msgDeltas, counterDelta{e.End, -1})
-			case mpi.EvWait:
-				waitDeltas = append(waitDeltas,
-					counterDelta{e.Start, 1}, counterDelta{e.End, -1})
+		for _, chunk := range rep.Events(rank).Chunks() {
+			for i := range chunk {
+				switch e := &chunk[i]; e.Kind {
+				case mpi.EvSend:
+					msgDeltas = append(msgDeltas, counterDelta{e.End, 1})
+				case mpi.EvRecv:
+					msgDeltas = append(msgDeltas, counterDelta{e.End, -1})
+				case mpi.EvWait:
+					waitDeltas = append(waitDeltas,
+						counterDelta{e.Start, 1}, counterDelta{e.End, -1})
+				}
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func criticalPath(rep *mpi.Report, exchangeClass string, topK int) Path {
 	// event count; the cap is a safety net against malformed timestamps.
 	maxSteps := n + 1
 	for r := 0; r < n; r++ {
-		maxSteps += len(rep.Events(r))
+		maxSteps += rep.Events(r).Len()
 	}
 	for step := 0; t > 0; step++ {
 		if step > maxSteps {
@@ -56,8 +56,8 @@ func criticalPath(rep *mpi.Report, exchangeClass string, topK int) Path {
 		events := rep.Events(rank)
 		// Latest EvWait with End <= t. Positions only move downward per
 		// rank across visits, so the backward scans never re-cover ground.
-		i := sort.Search(len(events), func(k int) bool { return events[k].End > t }) - 1
-		for i >= 0 && events[i].Kind != mpi.EvWait {
+		i := sort.Search(events.Len(), func(k int) bool { return events.At(k).End > t }) - 1
+		for i >= 0 && events.At(i).Kind != mpi.EvWait {
 			i--
 		}
 		if i < 0 {
@@ -67,22 +67,22 @@ func criticalPath(rep *mpi.Report, exchangeClass string, topK int) Path {
 			p.Hops = len(edges)
 			break
 		}
-		w := events[i]
+		w := events.At(i)
 		localSec[rank] += attributeWindow(events, w.End, t, p.ByKind)
-		if w.Class != mpi.WaitNone && w.Peer >= 0 && w.Peer < n && w.CauseT < w.End {
+		if w.Class != mpi.WaitNone && w.Peer >= 0 && int(w.Peer) < n && w.CauseT < w.End {
 			// A usable dependency edge: (CauseT, w.End] was in flight.
 			transfer := w.End - w.CauseT
 			p.ByKind["transfer"] += transfer
 			localSec[rank] += transfer
 			edges = append(edges, Edge{
 				Rank:        rank,
-				Peer:        w.Peer,
+				Peer:        int(w.Peer),
 				Class:       pathClass(w.Class, exchangeClass),
 				WaitSec:     w.End - w.Start,
 				TransferSec: transfer,
 				AtSec:       w.End,
 			})
-			rank, t = w.Peer, w.CauseT
+			rank, t = int(w.Peer), w.CauseT
 			continue
 		}
 		// No causal edge recorded (unclassified wait, or a cause clock
@@ -138,14 +138,14 @@ func pathClass(c mpi.WaitClass, exchangeClass string) string {
 // window by their Chrome-trace category, uncovered time as compute.
 // Overlapping events (a recv slice spanning the blocked probe inside it)
 // are coverage-merged so no second is counted twice. Returns hi - lo.
-func attributeWindow(events []mpi.Event, lo, hi float64, byKind map[string]float64) float64 {
+func attributeWindow(events mpi.EventLog, lo, hi float64, byKind map[string]float64) float64 {
 	if hi <= lo {
 		return 0
 	}
-	i := sort.Search(len(events), func(k int) bool { return events[k].End > lo })
+	i := sort.Search(events.Len(), func(k int) bool { return events.At(k).End > lo })
 	cov := lo
-	for ; i < len(events) && events[i].End <= hi; i++ {
-		e := events[i]
+	for ; i < events.Len() && events.At(i).End <= hi; i++ {
+		e := events.At(i)
 		if e.Kind == mpi.EvWait {
 			continue // none strictly inside by construction; skip zero-width edges
 		}

@@ -365,8 +365,9 @@ func TestLaunchesTakeTheConfig(t *testing.T) {
 				waits, stretched, events := 0, 0, 0
 				for r := 0; r < rep.Procs; r++ {
 					evs := rep.Events(r)
-					events += len(evs)
-					for _, e := range evs {
+					events += evs.Len()
+					for i := 0; i < evs.Len(); i++ {
+						e := evs.At(i)
 						if e.Kind != mpi.EvWait || (e.Class != mpi.WaitLateSender && e.Class != mpi.WaitNbrExchange) {
 							continue
 						}

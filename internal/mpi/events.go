@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Structured event tracing. When Config.TraceEvents > 0 every rank
 // records one Event per runtime primitive — sends, receives, probes,
@@ -143,11 +140,11 @@ type Event struct {
 	// or put, source of a receive or probe hit, causing rank of a
 	// classified wait), or -1 when there is no single peer
 	// (unclassified waits, probe misses, flushes).
-	Peer int
+	Peer int32
 	// Tag is the user tag for point-to-point events, the call sequence
 	// number for neighborhood events, the target count for flushes, and
 	// -1 otherwise.
-	Tag int
+	Tag int32
 	// Bytes is the payload volume the event moved (0 for barriers,
 	// waits and probe misses).
 	Bytes int64
@@ -168,47 +165,52 @@ type Event struct {
 func (e Event) Duration() float64 { return e.End - e.Start }
 
 // eventChunk is how many events a log claims at a time. 256 events of
-// 56 B are 14336 B, a runtime size class, so a chunk wastes no tail; an
+// 48 B are 12288 B, a runtime size class, so a chunk wastes no tail; an
 // Event holds no pointer, so the collector never scans one.
 const eventChunk = 256
 
 // eventLog is one rank's capacity-bounded event log. It is written only
-// by the owning rank goroutine during the run and read only after Run
-// returns; readers synchronize among themselves through join.
+// by the owning rank goroutine during the run, trimmed once by seal when
+// the run ends, and only read after that.
 type eventLog struct {
 	// chunks holds the events in order; every chunk but the last is
-	// eventChunk long and full. Nil once joined.
+	// eventChunk long and full, and once sealed the last is trimmed to
+	// the events it holds.
 	chunks  [][]Event
 	n       int // events stored
 	limit   int // the WithEventTrace capacity
 	dropped int64
-
-	join   sync.Once
-	joined []Event // a multi-chunk log as one slice, built on first read
 }
 
 func newEventLog(capacity int) *eventLog { return &eventLog{limit: capacity} }
 
-// events returns the log as one slice. A log that fits one chunk is
-// returned as stored; a longer one is joined on first read and the
-// chunks released, so the log holds one copy either way and a log nobody
-// reads is never copied. Safe for concurrent readers after the run.
-func (l *eventLog) events() []Event {
-	if l.n == 0 {
-		return []Event{}
+// seal trims the last chunk to its filled length, so every chunk a
+// reader sees holds only recorded events. Called once, after every rank
+// has returned.
+func (l *eventLog) seal() {
+	if k := len(l.chunks); k > 0 {
+		l.chunks[k-1] = l.chunks[k-1][:l.n-(k-1)*eventChunk]
 	}
-	if l.n <= eventChunk {
-		return l.chunks[0][:l.n]
-	}
-	l.join.Do(func() {
-		all := make([]Event, l.n)
-		for i, c := range l.chunks {
-			copy(all[i*eventChunk:], c) // the last chunk may be part empty
-		}
-		l.joined, l.chunks = all, nil
-	})
-	return l.joined
 }
+
+// EventLog is a read-only view of one rank's recorded events, in
+// completion order, over the log's own chunks: reading one copies
+// nothing and allocates nothing, and any number of readers may share it.
+// Callers must not modify the events. The zero value is an empty log.
+type EventLog struct {
+	chunks [][]Event
+	n      int
+}
+
+// Len returns the number of events in the log.
+func (v EventLog) Len() int { return v.n }
+
+// At returns the i-th event, 0 <= i < Len().
+func (v EventLog) At(i int) *Event { return &v.chunks[uint(i)/eventChunk][uint(i)%eventChunk] }
+
+// Chunks returns the log as consecutive slices, in order, for sequential
+// scans; their lengths sum to Len().
+func (v EventLog) Chunks() [][]Event { return v.chunks }
 
 // event records one primitive if tracing is enabled. The End timestamp
 // is the rank's current clock, so callers capture Start before charging
@@ -237,18 +239,18 @@ func (c *Comm) record(kind EventKind, class WaitClass, peer, tag int, bytes int6
 	if i == 0 {
 		l.chunks = append(l.chunks, make([]Event, min(eventChunk, l.limit-l.n)))
 	}
-	l.chunks[len(l.chunks)-1][i] = Event{Kind: kind, Class: class, Peer: peer, Tag: tag, Bytes: bytes, Start: start, End: c.ps.now, CauseT: causeT}
+	l.chunks[len(l.chunks)-1][i] = Event{Kind: kind, Class: class, Peer: int32(peer), Tag: int32(tag), Bytes: bytes, Start: start, End: c.ps.now, CauseT: causeT}
 	l.n++
 }
 
-// Events returns rank r's recorded events in completion order (nil
-// unless the run enabled event tracing). The slice is the log's own
-// storage, the same on every call; callers must not modify it.
-func (r *Report) Events(rank int) []Event {
+// Events returns a view of rank r's recorded events in completion order
+// (empty unless the run enabled event tracing), read in place.
+func (r *Report) Events(rank int) EventLog {
 	if r.events == nil || r.events[rank] == nil {
-		return nil
+		return EventLog{}
 	}
-	return r.events[rank].events()
+	l := r.events[rank]
+	return EventLog{chunks: l.chunks, n: l.n}
 }
 
 // EventTracing reports whether the run recorded structured events at

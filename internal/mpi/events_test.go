@@ -8,15 +8,25 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // eventRun runs body with event tracing at the given ring capacity.
 func eventRun(p, capacity int, body func(c *Comm) error) (*Report, error) {
 	return Run(p, body, WithEventTrace(capacity), WithDeadline(30*time.Second))
+}
+
+// flatEvents copies a log view into one slice, for tests that compare
+// whole logs.
+func flatEvents(v EventLog) []Event {
+	out := make([]Event, 0, v.Len())
+	for _, c := range v.Chunks() {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // checkEventOrdering asserts the per-rank trace invariants: nonnegative
@@ -26,7 +36,7 @@ func checkEventOrdering(t *testing.T, rep *Report) {
 	t.Helper()
 	for rank := 0; rank < rep.Procs; rank++ {
 		prev := 0.0
-		for i, e := range rep.Events(rank) {
+		for i, e := range flatEvents(rep.Events(rank)) {
 			if e.Start < 0 || e.End < e.Start {
 				t.Errorf("rank %d event %d (%v): span [%g, %g] invalid", rank, i, e.Kind, e.Start, e.End)
 			}
@@ -51,8 +61,8 @@ func TestEventsDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < 2; rank++ {
-		if ev := rep.Events(rank); ev != nil {
-			t.Errorf("rank %d has %d events without WithEventTrace", rank, len(ev))
+		if ev := rep.Events(rank); ev.Len() != 0 || ev.Chunks() != nil {
+			t.Errorf("rank %d has %d events without WithEventTrace", rank, ev.Len())
 		}
 		if d := rep.EventDrops(rank); d != 0 {
 			t.Errorf("rank %d reports %d drops without WithEventTrace", rank, d)
@@ -92,12 +102,12 @@ func TestEventOrderingProperty(t *testing.T) {
 		// Matched pairs agree on bytes: for every ordered (sender,
 		// receiver) pair the multiset of sent sizes equals the multiset
 		// of received sizes.
-		type pair struct{ s, r int }
+		type pair struct{ s, r int32 }
 		sent := map[pair][]int64{}
 		recvd := map[pair][]int64{}
 		var sends, recvs, colls int
-		for rank := 0; rank < p; rank++ {
-			for _, e := range rep.Events(rank) {
+		for rank := int32(0); rank < int32(p); rank++ {
+			for _, e := range flatEvents(rep.Events(int(rank))) {
 				switch e.Kind {
 				case EvSend:
 					sent[pair{rank, e.Peer}] = append(sent[pair{rank, e.Peer}], e.Bytes)
@@ -109,7 +119,7 @@ func TestEventOrderingProperty(t *testing.T) {
 					colls++
 				}
 			}
-			if d := rep.EventDrops(rank); d != 0 {
+			if d := rep.EventDrops(int(rank)); d != 0 {
 				t.Errorf("p=%d rank %d dropped %d events with ample capacity", p, rank, d)
 			}
 		}
@@ -151,7 +161,7 @@ func TestEventRingBounded(t *testing.T) {
 	}
 	checkEventOrdering(t, rep)
 	for rank := 0; rank < 2; rank++ {
-		n, d := len(rep.Events(rank)), rep.EventDrops(rank)
+		n, d := rep.Events(rank).Len(), rep.EventDrops(rank)
 		if n != capacity {
 			t.Errorf("rank %d retained %d events, want ring capacity %d", rank, n, capacity)
 		}
@@ -187,7 +197,7 @@ func TestRMAAndNeighborhoodEvents(t *testing.T) {
 	}
 	checkEventOrdering(t, rep)
 	var put, flush, nbr *Event
-	for _, e := range rep.Events(0) {
+	for _, e := range flatEvents(rep.Events(0)) {
 		e := e
 		switch e.Kind {
 		case EvPut:
@@ -217,11 +227,78 @@ func TestRMAAndNeighborhoodEvents(t *testing.T) {
 	}
 }
 
-// TestEventLogMatchesFlatReference drives the chunked log beside an
+// recordAgainstFlat drives a chunked log of the given capacity beside an
 // obviously-correct flat one — append everything, keep the first
-// capacity — with a random interleaving of the two recording entry
-// points, at capacities on every side of the chunk size.
+// capacity — with n records from a random interleaving of the two
+// recording entry points, seals it as a run's end does, and checks the
+// view's Len, At and Chunks and the drop count against the reference.
+func recordAgainstFlat(t *testing.T, r *rand.Rand, capacity, n int) bool {
+	t.Helper()
+	c := &Comm{ps: &procState{rs: &RankStats{}, ev: newEventLog(capacity)}}
+	rep := &Report{Procs: 1, events: []*eventLog{c.ps.ev}}
+	var flat []Event
+	for i := 0; i < n; i++ {
+		start := c.ps.now
+		if r.Intn(3) == 0 {
+			class, cause, causeT := WaitClass(r.Intn(int(numWaitClasses))), r.Intn(64), r.Float64()
+			c.waitFor(start+1+r.Float64(), class, cause, causeT)
+			flat = append(flat, Event{Kind: EvWait, Class: class, Peer: int32(cause), Tag: -1, Start: start, End: c.ps.now, CauseT: causeT})
+		} else {
+			kind, peer, tag, bytes := EventKind(r.Intn(int(numEventKinds))), r.Intn(64)-1, r.Intn(100)-1, r.Int63n(1<<20)
+			c.ps.now += r.Float64()
+			c.event(kind, peer, tag, bytes, start)
+			flat = append(flat, Event{Kind: kind, Peer: int32(peer), Tag: int32(tag), Bytes: bytes, Start: start, End: c.ps.now})
+		}
+	}
+	c.ps.ev.seal()
+
+	kept := min(capacity, n)
+	want := flat[:kept]
+	v := rep.Events(0)
+	if v.Len() != kept {
+		t.Errorf("capacity %d, %d records: Len = %d, want %d", capacity, n, v.Len(), kept)
+		return false
+	}
+	for i := range want {
+		if *v.At(i) != want[i] {
+			t.Errorf("capacity %d, %d records: At(%d) = %+v, want %+v", capacity, n, i, *v.At(i), want[i])
+			return false
+		}
+	}
+	chunks := v.Chunks()
+	if len(chunks) != (kept+eventChunk-1)/eventChunk {
+		t.Errorf("capacity %d, %d records: %d chunks for %d events", capacity, n, len(chunks), kept)
+		return false
+	}
+	for i, ch := range chunks {
+		if i < len(chunks)-1 && len(ch) != eventChunk || len(ch) == 0 {
+			t.Errorf("capacity %d, %d records: chunk %d of %d holds %d events", capacity, n, i, len(chunks), len(ch))
+			return false
+		}
+	}
+	if kept > 0 && !reflect.DeepEqual(flatEvents(v), want) {
+		t.Errorf("capacity %d, %d records: Chunks are not the first %d records in order", capacity, n, kept)
+		return false
+	}
+	if d := rep.EventDrops(0); d != int64(n-kept) {
+		t.Errorf("capacity %d, %d records: EventDrops = %d, want %d", capacity, n, d, n-kept)
+		return false
+	}
+	return true
+}
+
+// TestEventLogMatchesFlatReference checks the chunked log and its view
+// against the flat reference at the chunk boundaries, then at random
+// capacities on every side of the chunk size.
 func TestEventLogMatchesFlatReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, eventChunk - 1, eventChunk, eventChunk + 1, 3*eventChunk + 17} {
+		recordAgainstFlat(t, r, 1<<14, n)
+	}
+	// A capacity that cuts the last chunk short, with drops after it.
+	recordAgainstFlat(t, r, 3*eventChunk+17, 3*eventChunk+17+100)
+	recordAgainstFlat(t, r, eventChunk+1, 2*eventChunk)
+
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		capacity := []int{
@@ -236,49 +313,16 @@ func TestEventLogMatchesFlatReference(t *testing.T) {
 		if r.Intn(4) == 0 {
 			n = r.Intn(capacity + 1) // never full
 		}
-
-		c := &Comm{ps: &procState{rs: &RankStats{}, ev: newEventLog(capacity)}}
-		rep := &Report{Procs: 1, events: []*eventLog{c.ps.ev}}
-		var flat []Event
-		for i := 0; i < n; i++ {
-			start := c.ps.now
-			if r.Intn(3) == 0 {
-				class, cause, causeT := WaitClass(r.Intn(int(numWaitClasses))), r.Intn(64), r.Float64()
-				c.waitFor(start+1+r.Float64(), class, cause, causeT)
-				flat = append(flat, Event{Kind: EvWait, Class: class, Peer: cause, Tag: -1, Start: start, End: c.ps.now, CauseT: causeT})
-			} else {
-				kind, peer, tag, bytes := EventKind(r.Intn(int(numEventKinds))), r.Intn(64)-1, r.Intn(100)-1, r.Int63n(1<<20)
-				c.ps.now += r.Float64()
-				c.event(kind, peer, tag, bytes, start)
-				flat = append(flat, Event{Kind: kind, Peer: peer, Tag: tag, Bytes: bytes, Start: start, End: c.ps.now})
-			}
-		}
-
-		kept := min(capacity, n)
-		got := rep.Events(0)
-		if len(got) != kept || (kept > 0 && !reflect.DeepEqual(got, flat[:kept])) {
-			t.Errorf("seed %d: capacity %d, %d records: Events is not the first %d of them (len %d)", seed, capacity, n, kept, len(got))
-			return false
-		}
-		if d := rep.EventDrops(0); d != int64(n-kept) {
-			t.Errorf("seed %d: capacity %d, %d records: EventDrops = %d, want %d", seed, capacity, n, d, n-kept)
-			return false
-		}
-		if again := rep.Events(0); len(again) != kept || (kept > 0 && &again[0] != &got[0]) {
-			t.Errorf("seed %d: a second Events call returned other storage", seed)
-			return false
-		}
-		return true
+		return recordAgainstFlat(t, r, capacity, n)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestEventsConcurrentReaders: a multi-chunk log is joined on first
-// read, and readers arriving together must all get that one joined
-// slice (run under -race in CI).
-func TestEventsConcurrentReaders(t *testing.T) {
+// TestEventLogReadZeroAlloc: reading a multi-chunk log, by index and by
+// chunk, copies nothing and allocates nothing.
+func TestEventLogReadZeroAlloc(t *testing.T) {
 	const polls = 3*eventChunk + 17
 	rep, err := eventRun(2, 1<<14, func(c *Comm) error {
 		for i := 0; i < polls; i++ {
@@ -289,30 +333,41 @@ func TestEventsConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const readers = 8
-	got := make([][]Event, readers)
-	var wg sync.WaitGroup
-	for i := range got {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = rep.Events(0)
-		}()
-	}
-	wg.Wait()
-	for i, ev := range got {
-		if len(ev) != polls || &ev[0] != &got[0][0] {
-			t.Fatalf("reader %d got %d events at %p, reader 0 %d at %p; want %d in one shared slice",
-				i, len(ev), &ev[0], len(got[0]), &got[0][0], polls)
+	var byIndex, byChunk int
+	read := func() {
+		byIndex, byChunk = 0, 0
+		v := rep.Events(0)
+		for i := 0; i < v.Len(); i++ {
+			if e := v.At(i); e.Kind == EvProbe && e.Peer == -1 {
+				byIndex++
+			}
+		}
+		for _, events := range v.Chunks() {
+			for i := range events {
+				if e := &events[i]; e.Kind == EvProbe && e.Peer == -1 {
+					byChunk++
+				}
+			}
 		}
 	}
-	for i, e := range got[0] {
-		if e.Kind != EvProbe || e.Peer != -1 {
-			t.Fatalf("event %d = %+v, want a probe miss", i, e)
-		}
+	if avg := testing.AllocsPerRun(20, read); avg != 0 {
+		t.Errorf("reading a %d-event log: %.2f allocs/op, want 0", polls, avg)
+	}
+	if byIndex != polls || byChunk != polls {
+		t.Errorf("read %d probe misses by index and %d by chunk, want %d each", byIndex, byChunk, polls)
 	}
 	checkEventOrdering(t, rep)
+}
+
+// TestEventLayout pins the event's size and a chunk's: 48 B events make
+// a 256-event chunk 12288 B, a runtime size class with no wasted tail.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 48 {
+		t.Errorf("Event is %d bytes, want 48", got)
+	}
+	if got := eventChunk * unsafe.Sizeof(Event{}); got != 12288 {
+		t.Errorf("an event chunk is %d bytes, want 12288", got)
+	}
 }
 
 // TestTracedRunAllocatesWhatItRecords: the capacity is a cap, not a
@@ -339,7 +394,7 @@ func TestTracedRunAllocatesWhatItRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < p; rank++ {
-		if n := len(rep.Events(rank)); n == 0 || n >= 100 {
+		if n := rep.Events(rank).Len(); n == 0 || n >= 100 {
 			t.Fatalf("rank %d recorded %d events, want 1..99", rank, n)
 		}
 	}
@@ -393,7 +448,7 @@ func TestTracedRoundTripZeroAlloc(t *testing.T) {
 	// A round trip records at most three events (send, wait, recv), so
 	// 16+51 of them stay inside the chunk the warm-up claimed...
 	rep := pingPong(2*eventChunk, 51, zeroAlloc("inside a chunk", 50))
-	if n := len(rep.Events(0)); n > eventChunk || rep.EventDrops(0) != 0 {
+	if n := rep.Events(0).Len(); n > eventChunk || rep.EventDrops(0) != 0 {
 		t.Errorf("in-chunk case recorded %d events with %d drops: it left its first chunk", n, rep.EventDrops(0))
 	}
 	// ...and the warm-up alone overfills a 32-event log.
@@ -435,7 +490,7 @@ func TestTracedRoundTripZeroAlloc(t *testing.T) {
 		if rep.EventDrops(rank) != 0 {
 			t.Fatalf("rank %d dropped events below its capacity", rank)
 		}
-		chunks += (len(rep.Events(rank)) + eventChunk - 1) / eventChunk
+		chunks += len(rep.Events(rank).Chunks())
 	}
 	if chunks < 100 {
 		t.Fatalf("only %d chunks claimed: not a many-chunk run", chunks)

@@ -98,8 +98,10 @@ func (t *ChromeTrace) Write(w io.Writer) error {
 				b = append(b, ')')
 			}
 			b = append(b, `"}}`...)
-			for _, e := range rep.Events(rank) {
-				b = appendTraceSlice(elem(b), pid, rank, e)
+			for _, events := range rep.Events(rank).Chunks() {
+				for i := range events {
+					b = appendTraceSlice(elem(b), pid, rank, &events[i])
+				}
 			}
 		}
 		if o := t.overlays[pid]; o != nil {
@@ -143,7 +145,7 @@ func AppendTrackName(b []byte, pid, tid int, name string) []byte {
 // the kind as name, and peer, tag and bytes as args. A classified wait
 // carries its dependency edge instead of a tag: the causing rank as
 // peer, the wait class, and that rank's clock when it enabled progress.
-func appendTraceSlice(b []byte, pid, tid int, e Event) []byte {
+func appendTraceSlice(b []byte, pid, tid int, e *Event) []byte {
 	b = append(b, `{"ph":"X","pid":`...)
 	b = strconv.AppendInt(b, int64(pid), 10)
 	b = append(b, `,"tid":`...)

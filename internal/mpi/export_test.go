@@ -218,7 +218,7 @@ func referenceWrite(t *ChromeTrace, w io.Writer) error {
 				emit(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"rank %d"}}`,
 					pid, rank, rank)
 			}
-			for _, e := range rep.Events(rank) {
+			for _, e := range flatEvents(rep.Events(rank)) {
 				if e.Kind == EvWait && e.Class != WaitNone {
 					emit(`{"ph":"X","pid":%d,"tid":%d,"ts":%s,"dur":%s,"name":"%s","cat":"wait","args":{"peer":%d,"bytes":0,"class":"%s","cause_t":%s}}`,
 						pid, rank, referenceUsec(e.Start), referenceUsec(e.Duration()),
@@ -286,7 +286,7 @@ func everyKindRun(t *testing.T) *Report {
 	var kinds [numEventKinds]bool
 	var classes [numWaitClasses]bool
 	for rank := 0; rank < p; rank++ {
-		for _, e := range rep.Events(rank) {
+		for _, e := range flatEvents(rep.Events(rank)) {
 			kinds[e.Kind] = true
 			if e.Kind == EvWait {
 				classes[e.Class] = true

@@ -425,6 +425,9 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		w.stats[i].QueueHighWater = mb.highWater()
 		w.stats[i].UnreceivedMsgs = int64(mb.pendingUser())
 	}
+	for _, l := range events {
+		l.seal()
+	}
 	rep := &Report{Procs: cfg.Procs, Wall: time.Since(start), Stats: w.stats, events: events}
 	rep.FinalTimes = make([]float64, cfg.Procs)
 	for i, c := range comms {

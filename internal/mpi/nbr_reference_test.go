@@ -482,7 +482,7 @@ func TestNbrCarrierMatchesReference(t *testing.T) {
 							if a.NbrCollCount != b.NbrCollCount || !reflect.DeepEqual(a.ByteRow, b.ByteRow) {
 								t.Fatalf("%s %s: rank %d calls/bytes %d %v, reference %d %v", name, which, r, a.NbrCollCount, a.ByteRow, b.NbrCollCount, b.ByteRow)
 							}
-							if evA, evB := repA.Events(r), repB.Events(r); !reflect.DeepEqual(evA, evB) {
+							if evA, evB := flatEvents(repA.Events(r)), flatEvents(repB.Events(r)); !reflect.DeepEqual(evA, evB) {
 								t.Fatalf("%s %s: rank %d event logs differ:\n%s %v\nreference %v", name, which, r, which, evA, evB)
 							}
 						}

@@ -460,7 +460,7 @@ func TestIprobeRecvIntoEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(repA.Stats[r], repB.Stats[r]) {
 					t.Errorf("%s: rank %d ledgers differ:\nmatched  %+v\nseparate %+v", name, r, repA.Stats[r], repB.Stats[r])
 				}
-				evA, evB := repA.Events(r), repB.Events(r)
+				evA, evB := flatEvents(repA.Events(r)), flatEvents(repB.Events(r))
 				if len(evA) == 0 || repA.EventDrops(r) != 0 {
 					t.Fatalf("%s: rank %d logged %d events, dropped %d", name, r, len(evA), repA.EventDrops(r))
 				}

@@ -190,7 +190,7 @@ func TestStepsMatchBlocking(t *testing.T) {
 						if rep.FinalTimes[r] != wantRep.FinalTimes[r] {
 							t.Fatalf("%s: rank %d clock %v, want %v", label, r, rep.FinalTimes[r], wantRep.FinalTimes[r])
 						}
-						if got, want := fmt.Sprint(rep.Events(r)), fmt.Sprint(wantRep.Events(r)); got != want {
+						if got, want := fmt.Sprint(flatEvents(rep.Events(r))), fmt.Sprint(flatEvents(wantRep.Events(r))); got != want {
 							t.Fatalf("%s: rank %d events differ:\n got  %s\n want %s", label, r, got, want)
 						}
 					}

@@ -13,19 +13,6 @@ import (
 // NCL-degradation findings — directly visible. A log that filled
 // (Report.EventDrops) loses the waits past that point.
 
-// WaitSpans returns rank r's blocked intervals: the EvWait events of its
-// log, in order (nil unless the run traced events). Safe to call after
-// Run returns.
-func (r *Report) WaitSpans(rank int) []Event {
-	var out []Event
-	for _, e := range r.Events(rank) {
-		if e.Kind == EvWait {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // RenderTimeline draws per-rank virtual-time utilization as text: each
 // row is one rank, each column a bucket of the run's duration; '#' marks
 // buckets dominated by waiting, ':' mixed, '.' busy. Requires a run with
@@ -38,12 +25,18 @@ func (r *Report) RenderTimeline(width int) []string {
 	out := make([]string, r.Procs)
 	for rank := 0; rank < r.Procs; rank++ {
 		waitPerBucket := make([]float64, width)
-		for _, s := range r.WaitSpans(rank) {
-			for b := int(s.Start / bucket); b < width && float64(b)*bucket < s.End; b++ {
-				lo := max(float64(b)*bucket, s.Start)
-				hi := min(float64(b+1)*bucket, s.End)
-				if hi > lo {
-					waitPerBucket[b] += hi - lo
+		for _, events := range r.Events(rank).Chunks() {
+			for i := range events {
+				s := &events[i]
+				if s.Kind != EvWait {
+					continue
+				}
+				for b := int(s.Start / bucket); b < width && float64(b)*bucket < s.End; b++ {
+					lo := max(float64(b)*bucket, s.Start)
+					hi := min(float64(b+1)*bucket, s.End)
+					if hi > lo {
+						waitPerBucket[b] += hi - lo
+					}
 				}
 			}
 		}

@@ -19,10 +19,19 @@ func TestWaitSpansRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spans := rep.WaitSpans(0); len(spans) != 0 {
+	waits := func(rank int) []Event {
+		var out []Event
+		for _, e := range flatEvents(rep.Events(rank)) {
+			if e.Kind == EvWait {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	if spans := waits(0); len(spans) != 0 {
 		t.Fatalf("busy sender recorded waits: %v", spans)
 	}
-	spans := rep.WaitSpans(1)
+	spans := waits(1)
 	if len(spans) == 0 || spans[0].Duration() <= 0 {
 		t.Fatalf("spans = %v", spans)
 	}
@@ -58,7 +67,7 @@ func TestTimelineDisabledWithoutTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.RenderTimeline(10) != nil || rep.WaitSpans(0) != nil {
+	if rep.RenderTimeline(10) != nil || rep.Events(0).Len() != 0 {
 		t.Error("tracing data present without event tracing")
 	}
 }

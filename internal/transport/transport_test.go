@@ -125,9 +125,10 @@ func TestP2PAggFlushRankOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < p; r++ {
-		last := -1
+		last := int32(-1)
 		flushed := 0
-		for _, e := range rep.Events(r) {
+		for ev, i := rep.Events(r), 0; i < ev.Len(); i++ {
+			e := ev.At(i)
 			if e.Kind != mpi.EvSend || e.Tag != aggTag {
 				continue
 			}
