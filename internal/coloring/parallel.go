@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/distgraph"
 	"repro/internal/driver"
@@ -167,9 +166,8 @@ func (e *jpEngine) handleMessage(ctx, x, packed int64) {
 }
 
 func (e *jpEngine) arcIndex(x, y int64) int64 {
-	nbrs := e.g.Neighbors(int(x))
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= int32(y) })
-	if i == len(nbrs) || nbrs[i] != int32(y) {
+	i, ok := e.g.SearchNeighbor(int(x), int(y))
+	if !ok {
 		panic(fmt.Sprintf("coloring: message references nonexistent edge {%d,%d}", x, y))
 	}
 	return e.g.Offsets[x] + int64(i)

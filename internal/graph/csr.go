@@ -12,7 +12,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/par"
@@ -96,19 +95,34 @@ func (g *CSR) NeighborWeights(v int) []float64 {
 	return g.Weights[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// HasEdge reports whether the arc u->v exists (neighbors are sorted by
-// the builder, so this is a binary search).
-func (g *CSR) HasEdge(u, v int) bool {
+// SearchNeighbor binary-searches u's row (the builder sorts it) for v:
+// its position in Neighbors(u), or where v would be inserted, and whether
+// the arc u->v exists. Hand-rolled because it runs once per received
+// record in the engines and once per look-up in tally and Verify: a
+// sort.Search closure's indirect call costs more than the compare.
+func (g *CSR) SearchNeighbor(u, v int) (int, bool) {
 	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= int32(v) })
-	return i < len(nbrs) && nbrs[i] == int32(v)
+	lo, hi := 0, len(nbrs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nbrs[mid] < int32(v) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(nbrs) && nbrs[lo] == int32(v)
+}
+
+// HasEdge reports whether the arc u->v exists.
+func (g *CSR) HasEdge(u, v int) bool {
+	_, ok := g.SearchNeighbor(u, v)
+	return ok
 }
 
 // EdgeWeight returns the weight of arc u->v; ok is false if absent.
 func (g *CSR) EdgeWeight(u, v int) (w float64, ok bool) {
-	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= int32(v) })
-	if i < len(nbrs) && nbrs[i] == int32(v) {
+	if i, ok := g.SearchNeighbor(u, v); ok {
 		return g.NeighborWeights(u)[i], true
 	}
 	return 0, false

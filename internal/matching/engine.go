@@ -2,7 +2,6 @@ package matching
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/distgraph"
 	"repro/internal/graph"
@@ -111,9 +110,8 @@ func (e *engine) owns(v int) bool { return v >= e.lo && v < e.hi }
 // arcIndex locates the rank-local arc index of edge (x, y) in x's row;
 // x must be owned. CSR rows are sorted by neighbor id.
 func (e *engine) arcIndex(x, y int64) int64 {
-	nbrs := e.g.Neighbors(int(x))
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= int32(y) })
-	if i == len(nbrs) || nbrs[i] != int32(y) {
+	i, ok := e.g.SearchNeighbor(int(x), int(y))
+	if !ok {
 		panic(fmt.Sprintf("matching: rank %d: message references nonexistent edge {%d,%d}", e.c.Rank(), x, y))
 	}
 	return e.g.Offsets[x] + int64(i) - e.arcBase

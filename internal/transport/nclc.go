@@ -37,8 +37,10 @@ type nclcPhase struct {
 	fwdIdx int // position of the forward peer in the phase topo
 	pn     *mpi.PersistentNbr
 	sendv  [][]int64 // per-peer send views; only fwdIdx ever carries data
-	recv   [][]int64 // per-peer received chunks: views valid until the phase's next round
-	buf    []int64   // outgoing bundle: wire records whose lowest unresolved distance bit is j
+	// recv holds the per-peer received chunks: views into the peers' send
+	// boxes, valid until this rank's next Start on the phase, so a round's
+	// later gathers and its delivery read them in place.
+	recv [][]int64
 }
 
 // NCLC is the message-combining neighborhood-collective backend (Träff
@@ -50,11 +52,14 @@ type nclcPhase struct {
 // Phase j moves one combined bundle distance 2^j; a record for a rank at
 // ring distance t travels the set bits of t in increasing order, with
 // intermediate ranks splitting received bundles and re-combining the
-// records into their next direction's bundle. Each rank therefore posts
-// O(ceil(log2 p)) transfers per round regardless of neighborhood degree,
-// and every phase reuses a persistent exchange schedule
-// (Topo.NeighborAlltoallvInit) computed once at construction — the
-// rounds are isomorphic, so the schedule never changes.
+// records into their next direction's bundle. A record is copied once
+// per hop, into the runtime's send box: a phase's bundle is gathered at
+// its Start into one scratch buffer (Start copies it out), and records
+// for this rank are delivered straight from the received views. Each
+// rank therefore posts O(ceil(log2 p)) transfers per round regardless of
+// neighborhood degree, and every phase reuses a persistent exchange
+// schedule (Topo.NeighborAlltoallvInit) computed once at construction —
+// the rounds are isomorphic, so the schedule never changes.
 //
 // When the neighborhood is sparse (global average degree at or below
 // nclcCombineFactor * ceil(log2 p)), combining cannot pay for the extra
@@ -66,16 +71,17 @@ type NCLC struct {
 
 	p          int
 	phases     []nclcPhase
-	home       []int64 // records destined here, delivered at Exchange end
+	scratch    []int64 // the bundle being started, reused by every phase and round
 	fwdRecords int64
 	fwdBytes   int64
 
 	// The round in progress, kept across the step form's suspensions:
-	// its current phase and whether that phase has started, and the
-	// round's buffer words so far.
+	// its current phase and whether that phase has started, the round's
+	// buffer words so far, and the records for this rank received so far.
 	busy, started bool
 	phase         int
 	usage         int64
+	home          int64
 }
 
 // NewNCLC collectively constructs the model's backend: an allreduce
@@ -143,13 +149,17 @@ func (t *NCLC) dist(dst int) int {
 	return d
 }
 
-// Exchange implements Round: route staged records into their first
-// direction's bundle, then run the k phases in order — each a persistent
-// Start/WaitInto with the forward peer — re-combining received records
-// that are not yet home into their next direction. Records for this rank
-// are delivered after all phases complete, so delivery order is a pure
-// function of the staged sends (deterministic regardless of schedule
-// perturbation, like the blocking direct exchange).
+// hop returns the phase that next carries a record for dst != rank: the
+// lowest set bit of the remaining ring distance.
+func (t *NCLC) hop(dst int) int { return bits.TrailingZeros(uint(t.dist(dst))) }
+
+// Exchange implements Round: run the k phases in order — each a
+// persistent Start/WaitInto with the forward peer, its bundle gathered
+// from the staged records and the earlier phases' received records whose
+// next hop it is. Records for this rank are delivered after all phases
+// complete, so delivery order is a pure function of the staged sends
+// (deterministic regardless of schedule perturbation, like the blocking
+// direct exchange).
 //
 // Correctness of the in-round forwarding: a record staged with ring
 // distance d first travels in phase j0 = lowest set bit of d; arriving
@@ -162,32 +172,16 @@ func (t *NCLC) Exchange(h Handler) int { return exchange(t.c, t, h) }
 func (t *NCLC) ExchangeStep(h Handler) (int, bool) {
 	if !t.busy {
 		t.usage = t.staged()
-		// Distribute staged records (3 words) into wire bundles (4 words,
-		// destination prepended) keyed by the distance's lowest set bit.
-		for i, buf := range t.out {
-			if len(buf) == 0 {
-				continue
-			}
-			dst := t.l.NeighborRanks[i]
-			ph := &t.phases[bits.TrailingZeros(uint(t.dist(dst)))]
-			for k := 0; k+recordWords <= len(buf); k += recordWords {
-				ph.buf = append(ph.buf, int64(dst), buf[k], buf[k+1], buf[k+2])
-			}
-		}
-		t.reset()
-		t.home = t.home[:0]
+		t.home = 0
 		t.busy, t.phase = true, 0
 	}
+	me := t.c.Rank()
 	for ; t.phase < len(t.phases); t.phase++ {
 		ph := &t.phases[t.phase]
 		if !t.started {
-			ph.sendv[ph.fwdIdx] = ph.buf
-			t.usage += int64(len(ph.buf))
+			ph.sendv[ph.fwdIdx] = t.gather(t.phase)
+			t.usage += int64(len(t.scratch))
 			ph.pn.Start(ph.sendv)
-			// Start copied the payload into the runtime's send box; the
-			// bundle buffer is immediately reusable for records this phase
-			// forwards onward.
-			ph.buf = ph.buf[:0]
 			t.started = true
 		}
 		if !ph.pn.WaitStep(ph.recv) {
@@ -197,27 +191,67 @@ func (t *NCLC) ExchangeStep(h Handler) (int, bool) {
 		for _, data := range ph.recv {
 			t.usage += int64(len(data))
 			for k := 0; k+nclcWireWords <= len(data); k += nclcWireWords {
-				dst := int(data[k])
-				if dst == t.c.Rank() {
-					t.home = append(t.home, data[k+1], data[k+2], data[k+3])
+				if int(data[k]) == me {
+					t.home++
 					continue
 				}
-				// Split and re-combine: this rank is an intermediate hop.
-				// The next set bit of the remaining distance is > j, so
-				// the target bundle has not been sent this round.
+				// Split and re-combine: this rank is an intermediate hop,
+				// and a later phase's gather picks the record up from
+				// this view.
 				t.c.Pack(1)
 				t.fwdRecords++
 				t.fwdBytes += nclcWireWords * 8
-				t.phases[bits.TrailingZeros(uint(t.dist(dst)))].buf = append(
-					t.phases[bits.TrailingZeros(uint(t.dist(dst)))].buf, data[k:k+nclcWireWords]...)
 			}
 		}
 	}
 	t.busy = false
-	t.account(t.usage + int64(len(t.home)))
-	// Deliver after the staging buffers were reset: handlers queue
-	// next-round records into the same buffers.
-	return deliver(t.c, t.home, h), true
+	// Every gather has read the staging buffers; reset them before
+	// delivery, because handlers queue next-round records into them.
+	t.reset()
+	t.account(t.usage + recordWords*t.home)
+	for j := range t.phases {
+		for _, data := range t.phases[j].recv {
+			for k := 0; k+nclcWireWords <= len(data); k += nclcWireWords {
+				if int(data[k]) == me {
+					t.c.Unpack(1)
+					h(data[k+1], data[k+2], data[k+3])
+				}
+			}
+		}
+	}
+	return int(t.home), true
+}
+
+// gather builds phase j's bundle in t.scratch and returns it: the staged
+// records whose first hop is j, in neighbor order with the destination
+// prepended (3 words become 4), then the records received in phases
+// 0..j-1 whose next hop is j, in phase, view and record order.
+func (t *NCLC) gather(j int) []int64 {
+	b := t.scratch[:0]
+	for i, buf := range t.out {
+		if len(buf) == 0 {
+			continue
+		}
+		dst := t.l.NeighborRanks[i]
+		if t.hop(dst) != j {
+			continue
+		}
+		for k := 0; k+recordWords <= len(buf); k += recordWords {
+			b = append(b, int64(dst), buf[k], buf[k+1], buf[k+2])
+		}
+	}
+	me := t.c.Rank()
+	for i := 0; i < j; i++ {
+		for _, data := range t.phases[i].recv {
+			for k := 0; k+nclcWireWords <= len(data); k += nclcWireWords {
+				if dst := int(data[k]); dst != me && t.hop(dst) == j {
+					b = append(b, data[k:k+nclcWireWords]...)
+				}
+			}
+		}
+	}
+	t.scratch = b
+	return b
 }
 
 // Finish implements Round: every phase completes within its Exchange,

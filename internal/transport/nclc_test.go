@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"math/bits"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -26,7 +29,8 @@ func completeK(n int) *graph.CSR {
 
 // nclcRun executes a fixed 3-round workload — every rank sends one
 // tagged record to every process-graph neighbor per round — and returns
-// each rank's received records sorted, plus whether combining was on.
+// each rank's received records in delivery order, plus whether combining
+// was on.
 func nclcRun(t *testing.T, p int, opts ...mpi.Option) ([][]rec, bool) {
 	t.Helper()
 	g := completeK(p)
@@ -55,19 +59,22 @@ func nclcRun(t *testing.T, p int, opts ...mpi.Option) ([][]rec, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range got {
-		sort.Slice(g, func(i, j int) bool {
-			a, b := g[i], g[j]
-			if a.ctx != b.ctx {
-				return a.ctx < b.ctx
-			}
-			if a.x != b.x {
-				return a.x < b.x
-			}
-			return a.y < b.y
-		})
-	}
 	return got, combining
+}
+
+// sortRecs orders records by (ctx, x, y), turning a delivery stream into
+// a canonical multiset.
+func sortRecs(rs []rec) {
+	sort.Slice(rs, func(i, j int) bool {
+		a, b := rs[i], rs[j]
+		if a.ctx != b.ctx {
+			return a.ctx < b.ctx
+		}
+		if a.x != b.x {
+			return a.x < b.x
+		}
+		return a.y < b.y
+	})
 }
 
 // TestNCLCCombiningMatchesDirect pins the tentpole's core equivalence:
@@ -89,6 +96,8 @@ func TestNCLCCombiningMatchesDirect(t *testing.T) {
 		t.Fatal("unreachable threshold should select direct mode")
 	}
 	for r := 0; r < p; r++ {
+		sortRecs(combined[r])
+		sortRecs(direct[r])
 		if len(combined[r]) != len(direct[r]) {
 			t.Fatalf("rank %d: combining delivered %d records, direct %d", r, len(combined[r]), len(direct[r]))
 		}
@@ -172,9 +181,10 @@ func TestNCLCForwardingAccounting(t *testing.T) {
 
 // TestNCLCRoundZeroAlloc asserts the steady-state allocation contract of
 // a full combining round: stage one record per neighbor, run all
-// ceil(log2 8) persistent phase exchanges with forwarding, deliver, and
-// run the termination reduction — all from reused buffers, pooled
-// runtime messages and the persistent schedules. AllocsPerRun executes
+// ceil(log2 8) persistent phase exchanges, each bundle gathered into the
+// one reused scratch buffer, deliver from the received views, and run
+// the termination reduction — all from reused buffers, pooled runtime
+// messages and the persistent schedules. AllocsPerRun executes
 // its body runs+1 times on rank 0; the other ranks run the same count so
 // the collectives stay in lockstep.
 func TestNCLCRoundZeroAlloc(t *testing.T) {
@@ -199,7 +209,7 @@ func TestNCLCRoundZeroAlloc(t *testing.T) {
 			c.AllreduceScalarInt64(mpi.OpSum, 1)
 		}
 		for i := 0; i < 8; i++ {
-			round() // warm bundles, receive scratch, rings and pools
+			round() // warm the staging and scratch buffers, rings and pools
 		}
 		if raceEnabled {
 			// Race-mode sync.Pool drops Puts by design, so the pooled
@@ -230,9 +240,12 @@ func TestNCLCRoundZeroAlloc(t *testing.T) {
 // delivered record streams (per rank, in delivery order) are
 // bit-identical across scheduler modes, GOMAXPROCS settings, and every
 // schedule-perturbation profile — delivery order is a pure function of
-// the staged sends, like the direct blocking exchange.
+// the staged sends, like the direct blocking exchange. The default run's
+// fingerprint is pinned too, so a change of the delivery order itself
+// (phase, view or record order) fails even though it is deterministic.
 func TestNCLCDeterministicEverywhere(t *testing.T) {
 	const p = 8
+	const want = 0xe79795c013c6e795
 	fingerprint := func(opts ...mpi.Option) uint64 {
 		got, on := nclcRun(t, p, opts...)
 		if !on {
@@ -249,6 +262,9 @@ func TestNCLCDeterministicEverywhere(t *testing.T) {
 		return h
 	}
 	base := fingerprint()
+	if base != want {
+		t.Errorf("default run: fingerprint %x, want %x", base, uint64(want))
+	}
 	for name, opts := range map[string][]mpi.Option{
 		"direct-sched":  {mpi.WithScheduler(mpi.SchedDirect)},
 		"worker-sched":  {mpi.WithScheduler(mpi.SchedWorkers)},
@@ -265,5 +281,141 @@ func TestNCLCDeterministicEverywhere(t *testing.T) {
 	runtime.GOMAXPROCS(old)
 	if got != base {
 		t.Errorf("GOMAXPROCS=1: fingerprint %x, want %x", got, base)
+	}
+}
+
+// nclcReference is a sequential model of the append-based ring-power
+// router, one round over all p ranks at once. out[r][i] holds the words
+// rank r staged toward nbrs[r][i]. Each rank first appends its staged
+// records, destination prepended, to the bundle of their first phase;
+// phase j then moves rank r's bundle to r+2^j, which files each record
+// as home or appends it to the bundle of its next phase. It returns each
+// rank's delivered records in order and its forwarded-record count.
+func nclcReference(p int, nbrs [][]int, out [][][]int64) ([][]rec, []int64) {
+	k := log2Ceil(p)
+	hop := func(r, dst int) int { return bits.TrailingZeros(uint((dst - r + p) % p)) }
+	bundles := make([][][]int64, p)
+	for r := range bundles {
+		bundles[r] = make([][]int64, k)
+		for i, dst := range nbrs[r] {
+			w := out[r][i]
+			for n := 0; n+recordWords <= len(w); n += recordWords {
+				j := hop(r, dst)
+				bundles[r][j] = append(bundles[r][j], int64(dst), w[n], w[n+1], w[n+2])
+			}
+		}
+	}
+	home := make([][]rec, p)
+	fwd := make([]int64, p)
+	for j := 0; j < k; j++ {
+		sent := make([][]int64, p)
+		for r := range sent {
+			sent[r], bundles[r][j] = bundles[r][j], nil
+		}
+		for r, b := range sent {
+			to := (r + 1<<j) % p
+			for n := 0; n+nclcWireWords <= len(b); n += nclcWireWords {
+				dst := int(b[n])
+				if dst == to {
+					home[to] = append(home[to], rec{b[n+1], b[n+2], b[n+3]})
+					continue
+				}
+				fwd[to]++
+				next := hop(to, dst)
+				bundles[to][next] = append(bundles[to][next], b[n:n+nclcWireWords]...)
+			}
+		}
+	}
+	return home, fwd
+}
+
+// TestNCLCMatchesAppendReference is the differential test of the
+// combining router: on K_p, ranks stage 0-3 random records per neighbor
+// per round (half of them from inside the previous round's handler), and
+// every rank's per-round delivery sequence, Exchange's count and the
+// forwarding ledgers must equal nclcReference's exactly. p = 6, 12, 33
+// are not powers of two; at p = 8 and 16 the last phase has one peer
+// (2·step = p).
+func TestNCLCMatchesAppendReference(t *testing.T) {
+	const rounds = 6
+	for _, p := range []int{6, 8, 12, 16, 33} {
+		g := completeK(p)
+		d := distgraph.NewBlockDist(g, p)
+		nbrs := make([][]int, p)
+		for r := range nbrs {
+			nbrs[r] = d.BuildLocal(r).NeighborRanks
+		}
+		rng := rand.New(rand.NewSource(int64(p)))
+		staged := make([][][][]int64, rounds) // round, rank, neighbor position
+		for rd := range staged {
+			staged[rd] = make([][][]int64, p)
+			for r := range staged[rd] {
+				staged[rd][r] = make([][]int64, len(nbrs[r]))
+				for i := range nbrs[r] {
+					for n := rng.Intn(4); n > 0; n-- {
+						staged[rd][r][i] = append(staged[rd][r][i], int64(rd+1), rng.Int63n(1000), rng.Int63n(1000))
+					}
+				}
+			}
+		}
+		got := make([][][]rec, p) // rank, round
+		count := make([][]int, p)
+		fwd := make([][2]int64, p)
+		_, err := mpi.Run(p, func(c *mpi.Comm) error {
+			me := c.Rank()
+			l := d.BuildLocal(me)
+			tr, ok := NewNCLC(c, c.CreateGraphTopo(l.NeighborRanks), l, 3).(*NCLC)
+			if !ok {
+				t.Errorf("p=%d rank %d: K_p should combine", p, me)
+				return nil
+			}
+			stage := func(rd int) {
+				for i, w := range staged[rd][me] {
+					for n := 0; n < len(w); n += recordWords {
+						tr.Send(l.NeighborRanks[i], w[n], w[n+1], w[n+2])
+					}
+				}
+			}
+			got[me] = make([][]rec, rounds)
+			stage(0)
+			for rd := 0; rd < rounds; rd++ {
+				next := rd+1 < rounds && rd%2 == 0 // stage round rd+1 from the handler
+				n := tr.Exchange(func(ctx, x, y int64) {
+					if next {
+						stage(rd + 1)
+						next = false
+					}
+					got[me][rd] = append(got[me][rd], rec{ctx, x, y})
+				})
+				count[me] = append(count[me], n)
+				if rd+1 < rounds && (rd%2 == 1 || next) {
+					stage(rd + 1)
+				}
+			}
+			fwd[me] = [2]int64{tr.ForwardedRecords(), tr.ForwardedBytes()}
+			tr.Finish()
+			return nil
+		}, mpi.WithDeadline(time.Minute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFwd := make([]int64, p)
+		for rd := 0; rd < rounds; rd++ {
+			home, f := nclcReference(p, nbrs, staged[rd])
+			for r := 0; r < p; r++ {
+				wantFwd[r] += f[r]
+				if count[r][rd] != len(home[r]) {
+					t.Errorf("p=%d round %d rank %d: Exchange returned %d, want %d", p, rd, r, count[r][rd], len(home[r]))
+				}
+				if !slices.Equal(got[r][rd], home[r]) {
+					t.Errorf("p=%d round %d rank %d: delivered %v, want %v", p, rd, r, got[r][rd], home[r])
+				}
+			}
+		}
+		for r := 0; r < p; r++ {
+			if want := [2]int64{wantFwd[r], wantFwd[r] * nclcWireWords * 8}; fwd[r] != want {
+				t.Errorf("p=%d rank %d: forwarded (records, bytes) %v, want %v", p, r, fwd[r], want)
+			}
+		}
 	}
 }
