@@ -5,7 +5,7 @@
 // Usage:
 //
 //	commmatrix -in graph.csr -p 32 -app matching -model nsr
-//	commmatrix -in graph.csr -p 32 -app bfs -csv > bfs.csv
+//	commmatrix -in graph.mtx -p 32 -app bfs -csv > bfs.csv
 //	commmatrix -family rmat -scale 13 -p 32 -app both
 //	commmatrix -family sbp -p 16 -model ncl -timeline
 package main
@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("commmatrix", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in       = fs.String("in", "", "input graph file (binary CSR)")
+		in       = fs.String("in", "", "input graph file: Matrix Market if it ends in .mtx, else binary CSR")
 		family   = fs.String("family", "rmat", "generate instead of loading: rmat | social | sbp")
 		scale    = fs.Int("scale", 13, "rmat scale when generating")
 		n        = fs.Int("n", 50000, "vertices when generating social/sbp")

@@ -1,11 +1,12 @@
 // Command gengraph generates the synthetic graph families from the
 // paper's Table II, prints their statistics, and optionally saves them in
-// the repository's binary CSR format.
+// the repository's binary CSR format or, for a .mtx file, as Matrix
+// Market.
 //
 // Usage:
 //
 //	gengraph -family rgg -n 100000 -deg 8 -seed 1 -o rgg.csr
-//	gengraph -family rmat -scale 14
+//	gengraph -family rmat -scale 14 -o rmat.mtx
 //	gengraph -family sbp -n 50000 -blocks 200 -deg 16 -overlap 0.55
 //	gengraph -family kmer -comps 1000 -minside 5 -maxside 9
 //	gengraph -family social -n 80000 -deg 10
@@ -58,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cols     = fs.Int("cols", 10, "grid: columns")
 		scramble = fs.Bool("scramble", false, "randomize vertex ids")
 		rcm      = fs.Bool("rcm", false, "apply Reverse Cuthill-McKee reordering")
-		out      = fs.String("o", "", "output file (binary CSR); omit to only print stats")
+		out      = fs.String("o", "", "output file (Matrix Market if it ends in .mtx, else binary CSR); omit to only print stats")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

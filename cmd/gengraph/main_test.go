@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -90,5 +92,41 @@ func TestTinyRGGToFile(t *testing.T) {
 	}
 	if code, _, errb := runCLI(t, "-family", "path", "-n", "10", "-o", t.TempDir()); code != 1 || errb == "" {
 		t.Errorf("unwritable -o: exit %d, stderr %q; want 1 and a message", code, errb)
+	}
+}
+
+// TestMatrixMarketAcrossCLIs writes g.mtx with gengraph and reads it
+// with graphinfo -rcm and commmatrix -app matching: the .mtx suffix
+// selects Matrix Market on every side, the format the paper's
+// SuiteSparse inputs come in. The readers are other main packages, so
+// they run through the go tool.
+func TestMatrixMarketAcrossCLIs(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH:", err)
+	}
+	path := filepath.Join(t.TempDir(), "g.mtx")
+	if code, _, errb := runCLI(t, "-family", "banded", "-n", "600", "-band", "8", "-scramble", "-o", path); code != 0 {
+		t.Fatalf("gengraph: exit %d, stderr %q", code, errb)
+	}
+	head, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(head, []byte("%%MatrixMarket")) {
+		t.Fatalf("g.mtx is not Matrix Market: %.40q", head)
+	}
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"../graphinfo", []string{"-in", path, "-p", "4", "-rcm"}, "post-RCM:"},
+		{"../commmatrix", []string{"-in", path, "-p", "4", "-app", "matching", "-model", "ncl"}, "matching (NCL): weight="},
+	} {
+		out, err := exec.Command(goTool, append([]string{"run", tc.cmd}, tc.args...)...).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "graph:") || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s %v: %v, want %q in:\n%s", tc.cmd, tc.args, err, tc.want, out)
+		}
 	}
 }

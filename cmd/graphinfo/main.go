@@ -1,11 +1,13 @@
 // Command graphinfo reports graph, distribution, and process-topology
-// statistics for a saved graph file: the quantities behind the paper's
+// statistics for a saved graph file (binary CSR, or Matrix Market when
+// the name ends in .mtx): the quantities behind the paper's
 // Tables III-VI (|Ep|, dmax, davg, sigma_d, |E'| family).
 //
 // Usage:
 //
 //	graphinfo -in graph.csr -p 32
 //	graphinfo -in graph.csr -p 32 -rcm     # stats after RCM reordering
+//	graphinfo -in cage15.mtx -p 64         # a SuiteSparse matrix
 package main
 
 import (
@@ -32,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("graphinfo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in  = fs.String("in", "", "input graph (binary CSR, from gengraph)")
+		in  = fs.String("in", "", "input graph: Matrix Market if it ends in .mtx, else binary CSR (gengraph -o)")
 		p   = fs.Int("p", 32, "number of ranks for the 1-D block distribution")
 		rcm = fs.Bool("rcm", false, "apply RCM before computing distribution stats")
 	)

@@ -16,13 +16,16 @@
 //	internal/gen       deterministic generators for every input family
 //	internal/order     BFS, pseudo-peripheral roots, RCM reordering
 //	internal/distgraph 1-D distribution, ghosts, process-graph stats
-//	internal/matching  the paper's contribution: serial + 4 parallel
-//	                   matchers over pluggable transports
+//	internal/matching  the paper's contribution: a serial matcher and
+//	                   seven communication models over shared transports
 //	internal/bfs       Graph500-style distributed BFS (comm contrast)
 //	internal/metrics   energy/EDP model, performance profiles
 //	internal/harness   one experiment per paper table/figure
 //	cmd/...            matchbench, gengraph, graphinfo, commmatrix
-//	examples/...       runnable scenarios
+//
+// The Example functions of internal/matching and internal/mpi are the
+// runnable walk-throughs: `go test -run Example -v ./internal/matching
+// ./internal/mpi`.
 //
 // `go run ./cmd/matchbench -exp all` regenerates every evaluation
 // artifact of the paper as text tables; bench_test.go holds the

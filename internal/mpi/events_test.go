@@ -179,13 +179,11 @@ func TestEventRingBounded(t *testing.T) {
 func TestRMAAndNeighborhoodEvents(t *testing.T) {
 	rep, err := eventRun(2, 256, func(c *Comm) error {
 		win := c.WinCreate(64)
-		win.LockAll()
 		if c.Rank() == 0 {
 			win.Put(1, 0, []int64{1, 2, 3, 4}) // 32 bytes
 		}
 		win.FlushAll()
 		c.Barrier()
-		win.UnlockAll()
 		win.Free()
 
 		topo := c.CreateGraphTopo([]int{1 - c.Rank()})
@@ -203,9 +201,7 @@ func TestRMAAndNeighborhoodEvents(t *testing.T) {
 		case EvPut:
 			put = &e
 		case EvFlush:
-			if flush == nil { // UnlockAll flushes again, with nothing pending
-				flush = &e
-			}
+			flush = &e
 		case EvNbrColl:
 			nbr = &e
 		}

@@ -266,11 +266,9 @@ func everyKindRun(t *testing.T) *Report {
 		topo.INeighborAlltoallvInt64([][]int64{{4}, {5}}).WaitInto(nil)
 
 		win := c.WinCreate(8)
-		win.LockAll()
 		win.Put(next, 0, []int64{7, 8})
 		win.FlushAll()
 		c.Barrier()
-		win.UnlockAll()
 		win.Free()
 
 		if c.Rank() == 0 {

@@ -8,10 +8,10 @@ import (
 
 // Win is an MPI-3 RMA window: every rank exposes a local buffer of int64
 // words that any other rank can target with one-sided Put. The runtime
-// models passive-target synchronization (MPI_Win_lock_all /
-// MPI_Win_unlock_all around an epoch, with MPI_Win_flush_all to complete
-// outstanding operations), which is the mode the paper's RMA
-// implementation uses.
+// models passive-target synchronization, the mode the paper's RMA
+// implementation uses: a window is open to Put from WinCreate to Free,
+// as if inside one MPI_Win_lock_all epoch, and FlushAll
+// (MPI_Win_flush_all) completes a rank's outstanding operations.
 //
 // Consistency contract (identical to MPI's separate memory model used
 // correctly): a target may read a window region that a peer Put into only
@@ -88,7 +88,6 @@ type winView struct {
 	c              *Comm
 	pending        int64
 	pendingTargets map[int]struct{}
-	locked         bool
 }
 
 // WinHandle is what ranks use to operate on a window.
@@ -138,27 +137,6 @@ func (v *winView) Free() {
 	c := v.c
 	c.Barrier()
 	c.AccountAlloc(int64(-8 * v.win.bufs[c.rank].size))
-}
-
-// LockAll opens a passive-target access epoch on all ranks (cheap: the
-// runtime's windows are always accessible; the call exists for fidelity
-// and charges a small synchronization cost).
-func (v *winView) LockAll() {
-	if v.locked {
-		panic("mpi: LockAll: epoch already open")
-	}
-	v.locked = true
-	v.c.chargeComm(v.c.w.cost.AlphaFlush)
-}
-
-// UnlockAll closes the passive-target epoch, completing all outstanding
-// operations like FlushAll.
-func (v *winView) UnlockAll() {
-	if !v.locked {
-		panic("mpi: UnlockAll: no epoch open")
-	}
-	v.FlushAll()
-	v.locked = false
 }
 
 // Put copies data into target's window starting at word offset disp. The

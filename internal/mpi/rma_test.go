@@ -12,7 +12,6 @@ import (
 func TestPutGetBasic(t *testing.T) {
 	_, err := runChecked(2, func(c *Comm) error {
 		win := c.WinCreate(8)
-		win.LockAll()
 		if c.Rank() == 0 {
 			win.Put(1, 2, []int64{10, 20, 30})
 			win.FlushAll()
@@ -27,7 +26,6 @@ func TestPutGetBasic(t *testing.T) {
 				t.Errorf("put touched bytes outside its range: %v", local)
 			}
 		}
-		win.UnlockAll()
 		c.Barrier()
 		if c.Rank() == 0 {
 			if got := win.ReadLocal(nil, 0, 1)[0]; got != 0 {
@@ -51,7 +49,6 @@ func TestPutVisibilityAcrossCountExchange(t *testing.T) {
 		deg := topo.Degree()
 		const slot = 4 // words reserved per neighbor
 		win := c.WinCreate(deg * slot)
-		win.LockAll()
 
 		// Each rank puts (rank, seq) pairs into the slot its target
 		// reserved for it. The target's slot for us is at index
@@ -90,7 +87,6 @@ func TestPutVisibilityAcrossCountExchange(t *testing.T) {
 				}
 			}
 		}
-		win.UnlockAll()
 		win.Free()
 		return nil
 	})

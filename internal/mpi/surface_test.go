@@ -22,27 +22,29 @@ var surfaceAllow = map[string]bool{
 }
 
 // TestExportedSurfaceIsCalled fails when internal/mpi exports a func or
-// method that no non-test source of cmd/, examples/, internal/ or bench/
-// names: the runtime carries what runs, nothing else. It is syntactic
-// (go/parser, no type information): a package-level func counts as named
-// by a bare identifier inside this package or by an mpi.Name selector in
-// a file that imports it; a method by any .Name selector in this package
-// or in a file that imports it. A method whose name some other type also
-// uses in such a file (Wait, say) can therefore slip through; a name
-// nobody writes cannot.
+// method that no non-test source of cmd/, internal/ or bench/ names: the
+// runtime carries what runs, nothing else. It is syntactic (go/parser,
+// no type information): a package-level func counts as named by a bare
+// identifier inside this package or by an mpi.Name selector in a file
+// that imports it; a method by any .Name selector in this package or in
+// a file that imports it. A method whose name some other type also uses
+// in such a file (Wait, say) can therefore slip through; a name nobody
+// writes cannot. A method is exported when its receiver type is, or
+// when an exported alias names the type (WinHandle = *winView).
 func TestExportedSurfaceIsCalled(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	type decl struct {
-		name   string
-		method bool
-		pos    token.Pos
+		name string
+		recv string // receiver type; "" for a package-level func
+		pos  token.Pos
 	}
 	var decls []decl
+	aliased := map[string]bool{}   // unexported types an exported alias names
 	idents := map[string]bool{}    // bare identifiers used inside package mpi
 	selectors := map[string]bool{} // .Name selectors in mpi or its importers
 
-	for _, dir := range []string{"cmd", "examples", "internal", "bench"} {
+	for _, dir := range []string{"cmd", "internal", "bench"} {
 		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -67,13 +69,22 @@ func TestExportedSurfaceIsCalled(t *testing.T) {
 			declared := map[*ast.Ident]bool{}
 			if own {
 				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok {
-						continue
-					}
-					declared[fd.Name] = true
-					if fd.Name.IsExported() && (fd.Recv == nil || recvExported(fd.Recv)) {
-						decls = append(decls, decl{fd.Name.Name, fd.Recv != nil, fd.Name.Pos()})
+					switch d := d.(type) {
+					case *ast.GenDecl:
+						for _, s := range d.Specs {
+							if ts, ok := s.(*ast.TypeSpec); ok && ts.Assign.IsValid() && ts.Name.IsExported() {
+								aliased[typeName(ts.Type)] = true
+							}
+						}
+					case *ast.FuncDecl:
+						declared[d.Name] = true
+						if d.Name.IsExported() {
+							recv := ""
+							if d.Recv != nil {
+								recv = typeName(d.Recv.List[0].Type)
+							}
+							decls = append(decls, decl{d.Name.Name, recv, d.Name.Pos()})
+						}
 					}
 				}
 			}
@@ -103,10 +114,13 @@ func TestExportedSurfaceIsCalled(t *testing.T) {
 
 	var dead []string
 	for _, d := range decls {
+		if d.recv != "" && !token.IsExported(d.recv) && !aliased[d.recv] {
+			continue // a method on an unexported type is not surface
+		}
 		if surfaceAllow[d.name] || d.name == "String" {
 			continue
 		}
-		if selectors[d.name] || (!d.method && idents[d.name]) {
+		if selectors[d.name] || (d.recv == "" && idents[d.name]) {
 			continue
 		}
 		dead = append(dead, fset.Position(d.pos).String()+": "+d.name)
@@ -117,16 +131,17 @@ func TestExportedSurfaceIsCalled(t *testing.T) {
 	}
 }
 
-// recvExported reports whether a method's receiver type is exported (a
-// method on an unexported type is not part of the package's surface).
-func recvExported(recv *ast.FieldList) bool {
-	typ := recv.List[0].Type
+// typeName is the name of the type a receiver or alias denotes,
+// through one pointer and type arguments; "" for any other form.
+func typeName(typ ast.Expr) string {
 	if s, ok := typ.(*ast.StarExpr); ok {
 		typ = s.X
 	}
 	if ix, ok := typ.(*ast.IndexExpr); ok {
 		typ = ix.X
 	}
-	id, ok := typ.(*ast.Ident)
-	return ok && id.IsExported()
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
