@@ -41,7 +41,7 @@ var docAllow = map[string]string{
 	"MPI_Comm_dup":           "MPI standard: the idiom behind a detector's private context",
 	"MPI_Improbe":            "MPI standard: matched probe, the model for Comm.IprobeRecvInto",
 	"MPI_Mrecv":              "MPI standard: matched receive, the model for Comm.IprobeRecvInto",
-	"sync.Pool":              "Go standard library: message and world pools",
+	"sync.Pool":              "Go standard library: the message pool and distgraph's count scratch",
 	"sync.Once":              "Go standard library: the key-order index is built under one",
 	"GOMAXPROCS":             "Go runtime: the processor count, set by the environment or runtime.GOMAXPROCS",
 	"strconv.FormatFloat":    "Go standard library: the reference AppendUsec matches",

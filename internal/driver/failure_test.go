@@ -35,9 +35,10 @@ func (k *stuck) handle(ctx, x, y int64)     {}
 // loop (NCLI's pipelined rounds among them), the deadline expires inside
 // each of the three loops under every backend shape, and the backend
 // cannot be built. The error must surface, no rank goroutine may
-// outlive the run, and a real run of the same world size right after —
-// served from the world pool the clean run before it filled — must be
-// exact and balanced.
+// outlive the run, and a real run of the same world size right after
+// must be exact and balanced. A failed world's skeleton is never kept
+// for reuse, so the run after starts on a skeleton no failed run
+// touched.
 func TestFailurePaths(t *testing.T) {
 	const procs = 4
 	g := gen.SBP(300, 6, 8, 0.5, 7)

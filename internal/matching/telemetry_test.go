@@ -114,7 +114,7 @@ func TestTelemetryFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	allocated(0) // fill the world pool, so both measured runs reuse it
+	allocated(0) // leave a skeleton idle, so both measured runs reuse it
 	off, on := allocated(0), allocated(512)
 	perRank := (float64(on) - float64(off)) / p
 	t.Logf("telemetry allocates %.0f bytes/rank (%d with round logs, %d without)", perRank, on, off)

@@ -171,16 +171,27 @@ func floatBits(f float64) uint64 {
 // an even number, so WinCreate's republish into the next round's set
 // lands in both parities, and it checks every rank's windows, topology
 // peers, ids and broadcast values. It runs in a direct world and twice
-// in a pooled one; the body's collective count is odd, so a second run
-// on a reused skeleton, whose hub carries on from the first run's round
-// count, swaps the parities.
+// in a pooled one; the body's collective count is odd, so the second
+// run, which reuses the first's kept skeleton and so its hub, carries on
+// from the first run's round count and swaps the parities.
 func TestDepositSlotsShared(t *testing.T) {
 	for _, tc := range []struct{ n, runs int }{{40, 1}, {pooledMinProcs + 44, 2}} {
+		var prevHub *collHub
+		var prevGen int64
 		for run := 0; run < tc.runs; run++ {
 			n := tc.n
 			wins := make([][2]*Win, n)
+			var hub *collHub
+			var startGen int64
 			_, err := Run(n, func(c *Comm) error {
 				r := c.Rank()
+				gen := c.w.hub.gen.Load()
+				if r == 0 {
+					hub, startGen = c.w.hub, gen
+				}
+				if run > 0 && (c.w.hub != prevHub || gen != prevGen) {
+					return fmt.Errorf("rank %d: run %d starts on hub %p at round %d, want the first run's %p at round %d", r, run, c.w.hub, gen, prevHub, prevGen)
+				}
 				id0 := c.newID()                                               // 1 collective before the first window
 				a := c.WinCreate(r + 1)                                        // 3 more
 				topo := c.CreateGraphTopo([]int{(r + n - 1) % n, (r + 1) % n}) // 2 more
@@ -222,6 +233,10 @@ func TestDepositSlotsShared(t *testing.T) {
 			}, WithDeadline(30*time.Second))
 			if err != nil {
 				t.Fatalf("n=%d run %d: %v", n, run, err)
+			}
+			prevHub, prevGen = hub, hub.gen.Load()
+			if (prevGen-startGen)%2 != 1 {
+				t.Fatalf("n=%d run %d took rounds %d to %d, want an odd count", n, run, startGen, prevGen)
 			}
 			for r, w := range wins {
 				if w != wins[0] || w[0] == w[1] {

@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// Steady-state memory footprint of a pooled world. The measurement
-// protocol matters: sync.Pool drops its contents after two GC cycles
-// (the victim cache survives one), so the skeleton is pulled out of the
-// pool with acquireWorldState and held across the final GC, and the
-// Report (whose stats ledgers legitimately outlive the run) is dropped
-// first. What remains is the recyclable per-rank state a resident world
-// pins between runs: mailboxes with their retained buckets and rings,
-// tasks, comms, procState, and the collective hub.
+// Steady-state memory footprint of a kept world. The idle set is
+// emptied before the baseline snapshot, so no skeleton an earlier run
+// left idle is counted in it; the Report (whose stats ledgers
+// legitimately outlive the run) is dropped before the final GC, and the
+// skeleton the two runs shared is checked to have survived it. What
+// remains is the recyclable per-rank state an idle world pins between
+// runs: mailboxes with their retained buckets and rings, tasks, comms,
+// procState, and the collective hub.
 
 // footprintBody is the workload that populates the skeleton: the same
 // 4-round ring exchange + scalar allreduce as bench/'s mpi.ring_s.*.16k,
@@ -30,30 +30,35 @@ func footprintBody(c *Comm) error {
 }
 
 // measureFootprint returns the steady-state live-heap bytes retained by
-// a pooled n-rank world after two runs of footprintBody (the second run
+// an idle n-rank world after two runs of footprintBody (the second run
 // reuses the first's skeleton, so retained rings and buckets are at
 // their steady state).
 func measureFootprint(tb testing.TB, n int) (total int64, perRank float64) {
 	tb.Helper()
 	var before, after runtime.MemStats
+	releaseWorlds()
 	runtime.GC()
-	runtime.GC() // flush pool victims from earlier tests
+	runtime.GC() // the second flushes the message pool's victims
 	runtime.ReadMemStats(&before)
+	var kept *worldState
 	for i := 0; i < 2; i++ {
 		rep, err := Run(n, footprintBody, WithDeadline(5*time.Minute))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		_ = rep // dropped before the final GC: ledgers outlive runs by design
-	}
-	ws := acquireWorldState(n) // pin the skeleton so GC cannot drop it
-	if ws.n != n {
-		tb.Fatalf("pooled skeleton lost before measurement (got size %d, want %d)", ws.n, n)
+		ws := idleWorld(n)
+		if ws == nil || (kept != nil && ws != kept) {
+			tb.Fatalf("run %d of %d ranks did not keep its skeleton, or did not reuse the first run's", i, n)
+		}
+		kept = ws
 	}
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	releaseWorldState(ws)
+	if idleWorld(n) != kept {
+		tb.Fatalf("the kept %d-rank skeleton did not survive the final GC", n)
+	}
 	total = int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if total < 0 {
 		total = 0
@@ -68,8 +73,8 @@ func measureFootprint(tb testing.TB, n int) (total int64, perRank float64) {
 // growth.
 const footprintCeiling16K = 1350
 
-// TestWorldFootprintCeiling16K guards the per-rank memory diet: a
-// pooled 16K-rank world must retain at most footprintCeiling16K bytes
+// TestWorldFootprintCeiling16K guards the per-rank memory diet: an
+// idle 16K-rank world must retain at most footprintCeiling16K bytes
 // per rank between runs. Part of make scale-smoke.
 func TestWorldFootprintCeiling16K(t *testing.T) {
 	if raceEnabled {

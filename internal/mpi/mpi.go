@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -211,15 +212,19 @@ func Run(procs int, body func(c *Comm) error, opts ...Option) (*Report, error) {
 
 // worldState is the reusable skeleton of a run: every per-rank object
 // whose lifetime ends with Run and whose contents do not escape into the
-// Report. Benchmark and experiment loops call Run thousands of times
-// with the same world size; recycling the skeleton removes the dominant
-// per-run setup cost (mailbox shells and their buckets, task structs, the
-// collective hub's shard and deposit arrays). Statistics ledgers, trace
-// buffers and the Report are always fresh — they outlive the run.
+// Report (mailbox shells and their buckets, task structs and their wake
+// channels, the collective hub's shard and deposit arrays). Statistics
+// ledgers, trace buffers and the Report are always fresh — they outlive
+// the run.
 //
-// Only skeletons from clean runs are recycled: a failed or poisoned
-// world may hold ranks unwinding concurrently with Run's return, so it
-// is simply dropped for the GC.
+// Skeletons are kept by rule in the idle set: a clean run releases its
+// skeleton, which is kept unless one of the same size is already idle,
+// at most one per size and at most maxIdleWorlds sizes, the least
+// recently released evicted first; the next Run of that size takes it.
+// So a loop alternating two world sizes builds each once. A failed or
+// poisoned world may hold ranks unwinding concurrently with Run's
+// return, so it is never released and is simply dropped for the GC.
+//
 // All per-rank fixed-size state lives in arenas — one backing array of
 // structs per kind instead of n individual heap objects — which removes
 // n-1 allocations per kind, the per-object heap headers, and most of the
@@ -239,20 +244,31 @@ type worldState struct {
 	hub       *collHub
 }
 
-var worldPool sync.Pool
+// maxIdleWorlds is the number of world sizes the idle set keeps: the
+// benchmarked loops run one world size, or two that alternate
+// (16384-rank rings and 4096-rank matching in bench/'s world-16k).
+const maxIdleWorlds = 2
 
-// acquireWorldState returns a pooled skeleton for n ranks, or a fresh
-// one. Pooled skeletons are only reused at the exact same world size:
-// the arenas and the hub's shard layout are sized to n, and repeat
-// callers (benchmarks, Explore sweeps) keep n fixed.
+var (
+	idleMu sync.Mutex
+	// idleWorlds holds at most one skeleton per size, least recently
+	// released first.
+	idleWorlds []*worldState
+)
+
+// acquireWorldState takes the idle skeleton for n ranks, or builds a
+// fresh one. A skeleton serves only its own size: the arenas and the
+// hub's shard layout are sized to n.
 func acquireWorldState(n int) *worldState {
-	if v := worldPool.Get(); v != nil {
-		ws := v.(*worldState)
+	idleMu.Lock()
+	for i, ws := range idleWorlds {
 		if ws.n == n {
+			idleWorlds = slices.Delete(idleWorlds, i, i+1)
+			idleMu.Unlock()
 			return ws
 		}
-		// Wrong size: drop it and build fresh below.
 	}
+	idleMu.Unlock()
 	ws := &worldState{
 		n:         n,
 		mbArena:   make([]mailbox, n),
@@ -274,10 +290,12 @@ func acquireWorldState(n int) *worldState {
 	return ws
 }
 
-// releaseWorldState drains the skeleton and returns it to the pool.
-// procState and Comm structs are zeroed: they hold pointers into the
-// run's statistics ledgers (which escape into the Report), and a pooled
-// skeleton must not pin a dead run's O(P) ledger memory.
+// releaseWorldState drains the skeleton and adds it to the idle set,
+// unless a skeleton of its size is already idle; a full set evicts its
+// least recently released skeleton. procState and Comm structs are
+// zeroed: they hold pointers into the run's statistics ledgers (which
+// escape into the Report), and an idle skeleton must not pin a dead
+// run's O(P) ledger memory.
 func releaseWorldState(ws *worldState) {
 	for _, mb := range ws.mailboxes {
 		mb.reset()
@@ -285,7 +303,17 @@ func releaseWorldState(ws *worldState) {
 	ws.hub.clearDeps()
 	clear(ws.procs)
 	clear(ws.commArena)
-	worldPool.Put(ws)
+	idleMu.Lock()
+	defer idleMu.Unlock()
+	for _, idle := range idleWorlds {
+		if idle.n == ws.n {
+			return
+		}
+	}
+	if len(idleWorlds) == maxIdleWorlds {
+		idleWorlds = slices.Delete(idleWorlds, 0, 1)
+	}
+	idleWorlds = append(idleWorlds, ws)
 }
 
 func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {

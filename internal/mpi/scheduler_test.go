@@ -329,9 +329,10 @@ func TestDeadlinePoisonBothModes(t *testing.T) {
 }
 
 // TestWorldStatePooling leaves unreceived messages behind in one run and
-// verifies that subsequent runs of the same size always start with clean
-// mailboxes — the skeleton-recycling reset must drain everything a
-// previous world queued, whether or not the sync.Pool actually hits.
+// verifies that subsequent runs of the same size, each on the skeleton
+// the run before it kept, always start with clean mailboxes — the
+// skeleton-recycling reset must drain everything a previous world
+// queued.
 func TestWorldStatePooling(t *testing.T) {
 	rep, err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -745,13 +746,21 @@ func TestTaskWakeSlot(t *testing.T) {
 		c.AllreduceScalarInt64(OpMax, int64(r))
 		return nil
 	}
-	for run := 0; run < 2; run++ {
-		if _, err := RunChecked(p, body, WithScheduler(SchedWorkers), WithDeadline(60*time.Second)); err != nil {
+	var hubs [2]*collHub
+	for run := range hubs {
+		if _, err := RunChecked(p, func(c *Comm) error {
+			if c.Rank() == 0 {
+				hubs[run] = c.w.hub
+			}
+			return body(c)
+		}, WithScheduler(SchedWorkers), WithDeadline(60*time.Second)); err != nil {
 			t.Fatalf("pooled run %d: %v", run, err)
 		}
 	}
-	ws := acquireWorldState(p)
-	defer releaseWorldState(ws)
+	ws := idleWorld(p)
+	if ws == nil || ws.hub != hubs[0] || ws.hub != hubs[1] {
+		t.Fatalf("the idle %d-rank skeleton is not the one both runs used", p)
+	}
 	for r, pooled := range ws.tasks {
 		if n := len(pooled.wake); n != 0 {
 			t.Errorf("after clean pooled runs, rank %d's slot holds %d wakeups", r, n)
