@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // Result describes a matching.
@@ -66,75 +65,36 @@ func Verify(g *graph.CSR, r *Result) error {
 	return nil
 }
 
-// tally looks tallyChunk vertices up in parallel before summing them, so
-// its weight scratch is that long rather than NumVertices long.
-const (
-	tallyChunk = 1 << 16
-	tallyGrain = 2048
-)
-
 // tally validates a mate vector against g and returns the weight and
-// cardinality of the matching it describes. The per-vertex checks and
-// edge-weight look-ups fan out over vertex spans; the weights are then
-// added serially in vertex order, each edge at its lower endpoint, so
-// the sum is bit-identical however the spans fell. The error is the one
-// a serial scan would hit first.
+// cardinality of the matching it describes. One serial pass in vertex
+// order checks each entry and searches each matched edge once, from its
+// lower endpoint, adding its weight there: the CSR is symmetric
+// (graph.Validate), so the arc back exists iff this one does, and the
+// error is the first a scan meets.
 func tally(g *graph.CSR, mate []int) (weight float64, card int, err error) {
 	n := g.NumVertices()
 	if len(mate) != n {
 		return 0, 0, fmt.Errorf("matching: mate vector has %d entries for %d vertices", len(mate), n)
 	}
-	ws := make([]float64, min(n, tallyChunk))
-	for base := 0; base < n; base += tallyChunk {
-		end := min(base+tallyChunk, n)
-		spans := par.Split(end-base, tallyGrain)
-		errs := make([]error, len(spans))
-		par.Do(spans, func(si, lo, hi int) {
-			for v := base + lo; v < base+hi; v++ {
-				w, err := mateWeight(g, mate, v)
-				if err != nil {
-					errs[si] = err
-					return
-				}
-				ws[v-base] = w
+	for v, u := range mate {
+		switch {
+		case u == -1:
+		case u < 0 || u >= n:
+			return 0, 0, fmt.Errorf("matching: vertex %d matched to out-of-range %d", v, u)
+		case u == v:
+			return 0, 0, fmt.Errorf("matching: vertex %d matched to itself", v)
+		case mate[u] != v:
+			return 0, 0, fmt.Errorf("matching: asymmetric mates: %d->%d but %d->%d", v, u, u, mate[u])
+		case u > v:
+			w, ok := g.EdgeWeight(v, u)
+			if !ok {
+				return 0, 0, fmt.Errorf("matching: matched pair {%d,%d} is not an edge", v, u)
 			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		for v := base; v < end; v++ {
-			if mate[v] > v {
-				weight += ws[v-base]
-				card++
-			}
+			weight += w
+			card++
 		}
 	}
 	return weight, card, nil
-}
-
-// mateWeight checks vertex v's entry of a mate vector and returns the
-// weight of its matched edge (0 if v is unmatched).
-func mateWeight(g *graph.CSR, mate []int, v int) (float64, error) {
-	u := mate[v]
-	if u == -1 {
-		return 0, nil
-	}
-	if u < 0 || u >= len(mate) {
-		return 0, fmt.Errorf("matching: vertex %d matched to out-of-range %d", v, u)
-	}
-	if u == v {
-		return 0, fmt.Errorf("matching: vertex %d matched to itself", v)
-	}
-	if mate[u] != v {
-		return 0, fmt.Errorf("matching: asymmetric mates: %d->%d but %d->%d", v, u, u, mate[u])
-	}
-	w, ok := g.EdgeWeight(v, u)
-	if !ok {
-		return 0, fmt.Errorf("matching: matched pair {%d,%d} is not an edge", v, u)
-	}
-	return w, nil
 }
 
 // VerifyMaximal checks that r is a valid matching of g with no

@@ -36,24 +36,24 @@ func TestSelfMateRejected(t *testing.T) {
 	}()
 }
 
-// withSelfLoops copies g with a self loop, heavier than any edge, added
-// to every third vertex: what a decoded file may hold and the builder
-// never emits.
-func withSelfLoops(g *graph.CSR) *graph.CSR {
+// withSelfLoops copies g with a self loop of weight loop[v] put into
+// the row of every vertex v with loop[v] != 0, in its sorted place: what
+// a decoded file may hold and the builder never emits.
+func withSelfLoops(g *graph.CSR, loop []float64) *graph.CSR {
 	n := g.NumVertices()
 	h := &graph.CSR{Offsets: make([]int64, n+1)}
 	for v := 0; v < n; v++ {
 		ws := g.NeighborWeights(v)
-		looped := v%3 != 0
+		looped := loop[v] == 0
 		for i, a := range g.Neighbors(v) {
 			if !looped && int(a) > v {
-				h.Adj, h.Weights = append(h.Adj, int32(v)), append(h.Weights, 1e9)
+				h.Adj, h.Weights = append(h.Adj, int32(v)), append(h.Weights, loop[v])
 				looped = true
 			}
 			h.Adj, h.Weights = append(h.Adj, a), append(h.Weights, ws[i])
 		}
 		if !looped {
-			h.Adj, h.Weights = append(h.Adj, int32(v)), append(h.Weights, 1e9)
+			h.Adj, h.Weights = append(h.Adj, int32(v)), append(h.Weights, loop[v])
 		}
 		h.Offsets[v+1] = int64(len(h.Adj))
 	}
@@ -61,10 +61,15 @@ func withSelfLoops(g *graph.CSR) *graph.CSR {
 }
 
 // No matcher may pick a self loop: on a graph with loops every one of
-// them computes the matching of the graph without.
+// them computes the matching of the graph without. Every third vertex
+// gets a loop heavier than any edge.
 func TestSelfLoopsNeverMatched(t *testing.T) {
 	plain := gen.Social(600, 6, 9)
-	g := withSelfLoops(plain)
+	loops := make([]float64, plain.NumVertices())
+	for v := 0; v < len(loops); v += 3 {
+		loops[v] = 1e9
+	}
+	g := withSelfLoops(plain, loops)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +126,12 @@ func verifySerial(g *graph.CSR, mate []int) error {
 	return nil
 }
 
-// The parallel scan must report what the serial one would: the violation
-// at the lowest vertex, whichever span or chunk found which. The graph
-// spans several chunks, and each round plants a few corruptions of
-// random kinds at random vertices.
+// Verify, which searches each matched edge once, must report what the
+// reference scan checking every vertex in full would: the violation at
+// the lowest vertex. Each round plants a few corruptions of random kinds
+// at random vertices.
 func TestVerifyReportsLowestViolation(t *testing.T) {
-	n := 3*tallyChunk + 1234
+	n := 3<<16 + 1234
 	g := gen.RGG(n, gen.RGGRadiusForDegree(n, 6), 4)
 	good := Serial(g)
 	if err := Verify(g, good); err != nil {
@@ -160,5 +165,24 @@ func TestVerifyReportsLowestViolation(t *testing.T) {
 		if got == nil || got.Error() != want.Error() {
 			t.Fatalf("round %d: Verify = %v, serial scan = %v", round, got, want)
 		}
+	}
+
+	// A symmetric pair that is not an edge, its old partners unmatched:
+	// tally searches only from an edge's lower endpoint, and that is
+	// where the error must come from.
+	copy(mate, good.Mate)
+	v, u := n/2+17, 100
+	for g.HasEdge(v, u) {
+		u++
+	}
+	for _, x := range []int{v, u} {
+		if mate[x] >= 0 {
+			mate[mate[x]] = -1
+		}
+	}
+	mate[v], mate[u] = u, v
+	want := fmt.Sprintf("matching: matched pair {%d,%d} is not an edge", u, v)
+	if got := Verify(g, &Result{Mate: mate}); got == nil || got.Error() != want {
+		t.Errorf("non-edge pair {%d,%d}: Verify = %v, want %q", u, v, got, want)
 	}
 }
