@@ -29,7 +29,7 @@ const (
 	goldenDeadline = 2 * time.Minute
 )
 
-func hashInts(v []int) uint64 {
+func hashInts[T int | int32](v []T) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, x := range v {

@@ -52,8 +52,8 @@ type engine struct {
 	ptr     []int32
 	cand    []int32 // global candidate id, or -1
 	state   []uint8
-	mate    []int // this rank's [lo:hi] view of the result vector: global partner id, or -1
-	arcBase int64 // global index of the rank's first arc; bit a of the sets below is arc arcBase+a
+	mate    []int32 // this rank's [lo:hi] view of the result vector: global partner id, or -1
+	arcBase int64   // global index of the rank's first arc; bit a of the sets below is arc arcBase+a
 
 	// Two bits per local arc, used on cross arcs only (by the owning side
 	// of each). closed: the far endpoint is no longer a candidate and the
@@ -73,7 +73,7 @@ type engine struct {
 // to its virtual clock — the index rows it consumes represent the same
 // O(local arcs) of sorting work an MPI rank would do locally. The engine
 // writes its owned vertices' mates straight into mates[l.Lo:l.Hi].
-func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order []int32, mates []int) *engine {
+func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order []int32, mates []int32) *engine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
 	arcs := g.Offsets[l.Hi] - g.Offsets[l.Lo]
@@ -210,7 +210,7 @@ func (e *engine) findMate(vi int32) {
 	if e.isAsked(a) {
 		// The ghost already requested us: the pointing is mutual. Match
 		// here and send our REQUEST so the ghost's owner completes too.
-		e.mate[vi] = int(u)
+		e.mate[vi] = u
 		e.state[vi] = stMatched
 		e.nmatched++
 		e.close(a)
@@ -236,8 +236,8 @@ func (e *engine) die(vi int32) {
 // matchLocal records the match of two owned vertices and processes both
 // neighborhoods.
 func (e *engine) matchLocal(vi, ui int32) {
-	e.mate[vi] = int(ui) + e.lo
-	e.mate[ui] = int(vi) + e.lo
+	e.mate[vi] = ui + int32(e.lo)
+	e.mate[ui] = vi + int32(e.lo)
 	e.state[vi] = stMatched
 	e.state[ui] = stMatched
 	e.nmatched += 2
@@ -262,7 +262,7 @@ func (e *engine) release(vi int32, ctx int64) {
 	mate := e.mate[vi]
 	for i, u := range row {
 		e.c.Compute(1)
-		if int(u) == mate {
+		if u == mate {
 			continue
 		}
 		if e.owns(int(u)) {
@@ -298,7 +298,7 @@ func (e *engine) handleMessage(ctx, x, y int64) {
 			// Mutual pointing: complete the match on this side. The
 			// requester completes on receiving our REQUEST (already sent
 			// when we pointed at y).
-			e.mate[xi] = int(y)
+			e.mate[xi] = int32(y)
 			e.state[xi] = stMatched
 			e.nmatched++
 			e.close(a)

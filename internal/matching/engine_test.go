@@ -25,7 +25,7 @@ func TestEngineHostFootprint(t *testing.T) {
 	order := g.KeyOrder()
 	d := distgraph.NewBlockDist(g, 2)
 	l := d.BuildLocal(0)
-	mates := make([]int, n)
+	mates := make([]int32, n)
 	var alloc uint64
 	rep, err := mpi.RunChecked(2, func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
@@ -103,7 +103,7 @@ func TestEngineArcBitBoundaries(t *testing.T) {
 		defer c.Barrier()
 		start := func() (*engine, *captureSender) {
 			tr := &captureSender{}
-			e := newEngine(c, l, tr, false, order, make([]int, g.NumVertices()))
+			e := newEngine(c, l, tr, false, order, make([]int32, g.NumVertices()))
 			if e.arcBase != arcs {
 				t.Fatalf("arcBase = %d, want %d", e.arcBase, arcs)
 			}

@@ -14,7 +14,7 @@ import (
 func TestRunSharesOneIndex(t *testing.T) {
 	g := gen.Social(3000, 8, 11)
 	models := []Model{NSR, RMA, NCL, MBP, NCLI, NSRA, NCLC, NCL}
-	mates := make([][]int, len(models))
+	mates := make([][]int32, len(models))
 	index := make([]*int32, len(models))
 	var wg sync.WaitGroup
 	wg.Add(len(models))

@@ -27,8 +27,9 @@ import (
 
 // Result describes a matching.
 type Result struct {
-	// Mate[v] is v's partner, or -1 if v is unmatched.
-	Mate []int
+	// Mate[v] is v's partner, or -1 if v is unmatched. Vertex ids are
+	// int32, as in the CSR's adjacency.
+	Mate []int32
 	// Weight is the sum of matched edge weights.
 	Weight float64
 	// Cardinality is the number of matched edges.
@@ -38,7 +39,7 @@ type Result struct {
 // NewResult assembles a Result from a mate vector, computing weight and
 // cardinality. It panics if mate is not a valid matching of g (see
 // Verify, which reports the same conditions as errors).
-func NewResult(g *graph.CSR, mate []int) *Result {
+func NewResult(g *graph.CSR, mate []int32) *Result {
 	weight, card, err := tally(g, mate)
 	if err != nil {
 		panic(err)
@@ -71,19 +72,20 @@ func Verify(g *graph.CSR, r *Result) error {
 // lower endpoint, adding its weight there: the CSR is symmetric
 // (graph.Validate), so the arc back exists iff this one does, and the
 // error is the first a scan meets.
-func tally(g *graph.CSR, mate []int) (weight float64, card int, err error) {
+func tally(g *graph.CSR, mate []int32) (weight float64, card int, err error) {
 	n := g.NumVertices()
 	if len(mate) != n {
 		return 0, 0, fmt.Errorf("matching: mate vector has %d entries for %d vertices", len(mate), n)
 	}
-	for v, u := range mate {
+	for v, m := range mate {
+		u := int(m)
 		switch {
 		case u == -1:
 		case u < 0 || u >= n:
 			return 0, 0, fmt.Errorf("matching: vertex %d matched to out-of-range %d", v, u)
 		case u == v:
 			return 0, 0, fmt.Errorf("matching: vertex %d matched to itself", v)
-		case mate[u] != v:
+		case int(mate[u]) != v:
 			return 0, 0, fmt.Errorf("matching: asymmetric mates: %d->%d but %d->%d", v, u, u, mate[u])
 		case u > v:
 			w, ok := g.EdgeWeight(v, u)
@@ -130,8 +132,8 @@ func VerifyLocallyDominant(g *graph.CSR, r *Result) error {
 	}
 	matchKey := make([]graph.EdgeKey, g.NumVertices())
 	hasKey := make([]bool, g.NumVertices())
-	for v, u := range r.Mate {
-		if u >= 0 {
+	for v, m := range r.Mate {
+		if u := int(m); u >= 0 {
 			w, _ := g.EdgeWeight(v, u)
 			matchKey[v] = graph.KeyOf(v, u, w)
 			hasKey[v] = true
@@ -168,7 +170,7 @@ func Serial(g *graph.CSR) *Result {
 	ptr := make([]int32, n)
 	cand := make([]int32, n)
 	state := make([]uint8, n) // 0 unmatched, 1 matched, 2 dead
-	mate := make([]int, n)
+	mate := make([]int32, n)
 	for i := range cand {
 		cand[i] = -1
 		mate[i] = -1
@@ -215,7 +217,7 @@ func Serial(g *graph.CSR) *Result {
 		cand[v] = u
 		if cand[u] == v {
 			state[v], state[u] = matched, matched
-			mate[v], mate[u] = int(u), int(v)
+			mate[v], mate[u] = u, v
 			repoint(v)
 			repoint(u)
 		}
@@ -252,13 +254,13 @@ func Greedy(g *graph.CSR) *Result {
 		}
 	}
 	sort.Slice(edges, func(i, j int) bool { return edges[j].key.Less(edges[i].key) })
-	mate := make([]int, g.NumVertices())
+	mate := make([]int32, g.NumVertices())
 	for i := range mate {
 		mate[i] = -1
 	}
 	for _, e := range edges {
 		if mate[e.u] == -1 && mate[e.v] == -1 {
-			mate[e.u], mate[e.v] = int(e.v), int(e.u)
+			mate[e.u], mate[e.v] = e.v, e.u
 		}
 	}
 	return NewResult(g, mate)

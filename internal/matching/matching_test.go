@@ -117,20 +117,20 @@ func TestSerialSingleEdge(t *testing.T) {
 func TestVerifyCatchesBadMatchings(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	// Asymmetric.
-	if err := Verify(g, &Result{Mate: []int{1, -1, -1, -1}}); err == nil {
+	if err := Verify(g, &Result{Mate: []int32{1, -1, -1, -1}}); err == nil {
 		t.Error("asymmetric mate accepted")
 	}
 	// Non-edge.
-	if err := Verify(g, &Result{Mate: []int{2, -1, 0, -1}, Cardinality: 1}); err == nil {
+	if err := Verify(g, &Result{Mate: []int32{2, -1, 0, -1}, Cardinality: 1}); err == nil {
 		t.Error("non-edge match accepted")
 	}
 	// Wrong cardinality.
-	if err := Verify(g, &Result{Mate: []int{1, 0, -1, -1}, Cardinality: 2, Weight: 1}); err == nil {
+	if err := Verify(g, &Result{Mate: []int32{1, 0, -1, -1}, Cardinality: 2, Weight: 1}); err == nil {
 		t.Error("wrong cardinality accepted")
 	}
 	// Not locally dominant: match the light edge, leave the heavy one.
 	g2 := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 10}, {U: 2, V: 3, W: 1}})
-	bad := &Result{Mate: []int{1, 0, 3, 2}, Cardinality: 2, Weight: 2}
+	bad := &Result{Mate: []int32{1, 0, 3, 2}, Cardinality: 2, Weight: 2}
 	if err := Verify(g2, bad); err != nil {
 		t.Fatalf("valid matching rejected: %v", err)
 	}

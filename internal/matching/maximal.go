@@ -76,7 +76,7 @@ type mxEngine struct {
 	lo, hi   int
 	ptr      []int32 // scan cursor into the (ascending) adjacency row
 	state    []uint8
-	mate     []int     // this rank's [lo:hi] view of the result vector: global partner id, or -1
+	mate     []int32   // this rank's [lo:hi] view of the result vector: global partner id, or -1
 	deferred [][]int64 // proposer ids parked at a pending target
 
 	unsettled int64 // owned vertices not yet matched or exhausted
@@ -89,7 +89,7 @@ type mxEngine struct {
 
 // newMxEngine builds one rank's maximal engine; it writes its owned
 // vertices' mates straight into mates[l.Lo:l.Hi].
-func newMxEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, q *mpi.Quiesce, mates []int) *mxEngine {
+func newMxEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, q *mpi.Quiesce, mates []int32) *mxEngine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
 	e := &mxEngine{
@@ -151,7 +151,7 @@ func (e *mxEngine) setMatched(vi int32, mate int64) {
 		e.unsettled--
 	}
 	e.state[vi] = mxsMatched
-	e.mate[vi] = int(mate)
+	e.mate[vi] = int32(mate)
 	e.nmatched++
 }
 

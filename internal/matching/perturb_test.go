@@ -164,7 +164,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		defer c.Barrier()
 		tr := &captureSender{}
-		mates := make([]int, g.NumVertices())
+		mates := make([]int32, g.NumVertices())
 		for i := range mates {
 			mates[i] = 99 // rank 1's range must stay untouched
 		}
@@ -214,7 +214,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 			t.Errorf("pending = %d after all arcs settled, want 0", e.pending)
 		}
 		// The engine's mates are the caller's vector, written in place.
-		if want := []int{5, 2, 1, 99, 99, 99}; !slices.Equal(mates, want) {
+		if want := []int32{5, 2, 1, 99, 99, 99}; !slices.Equal(mates, want) {
 			t.Errorf("mates = %v, want %v", mates, want)
 		}
 		return nil

@@ -139,7 +139,7 @@ type ParallelResult struct {
 // quiescence detector on the async-flavor models unless ForceRounds
 // fences them, with a two-count fence on the round-flavor ones.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
-	mates := make([]int, g.NumVertices())
+	mates := make([]int32, g.NumVertices())
 	proto := driver.Protocol{App: "matching", MaxPerArc: MaxMessagesPerCrossEdge}
 	var body func(*driver.Rank) error
 	if opt.Engine == EngineMaximal {

@@ -19,7 +19,7 @@ func TestSelfMateRejected(t *testing.T) {
 		Adj:     []int32{0, 2, 1},
 		Weights: []float64{7, 1, 1},
 	}
-	mate := []int{0, 2, 1}
+	mate := []int32{0, 2, 1}
 	if err := Verify(g, &Result{Mate: mate, Weight: 1, Cardinality: 1}); err == nil {
 		t.Error("Verify accepted a vertex matched to itself (uncounted)")
 	}
@@ -109,15 +109,16 @@ func TestSelfLoopsNeverMatched(t *testing.T) {
 
 // verifySerial is the obviously-correct reference for Verify's scan: one
 // vertex after the other, first violation wins.
-func verifySerial(g *graph.CSR, mate []int) error {
-	for v, u := range mate {
+func verifySerial(g *graph.CSR, mate []int32) error {
+	for v, m := range mate {
+		u := int(m)
 		switch {
 		case u == -1:
 		case u < 0 || u >= len(mate):
 			return fmt.Errorf("matching: vertex %d matched to out-of-range %d", v, u)
 		case u == v:
 			return fmt.Errorf("matching: vertex %d matched to itself", v)
-		case mate[u] != v:
+		case int(mate[u]) != v:
 			return fmt.Errorf("matching: asymmetric mates: %d->%d but %d->%d", v, u, u, mate[u])
 		case !g.HasEdge(v, u):
 			return fmt.Errorf("matching: matched pair {%d,%d} is not an edge", v, u)
@@ -138,23 +139,23 @@ func TestVerifyReportsLowestViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(8))
-	mate := make([]int, n)
+	mate := make([]int32, n)
 	for round := 0; round < 40; round++ {
 		copy(mate, good.Mate)
 		for k := 1 + r.Intn(4); k > 0; k-- {
 			v := r.Intn(n)
 			switch r.Intn(5) {
 			case 0:
-				mate[v] = n + r.Intn(3)
+				mate[v] = int32(n + r.Intn(3))
 			case 1:
 				mate[v] = -2
 			case 2:
-				mate[v] = v
+				mate[v] = int32(v)
 			case 3:
-				mate[v] = r.Intn(n) // asymmetric, or symmetric by luck
+				mate[v] = int32(r.Intn(n)) // asymmetric, or symmetric by luck
 			default:
 				u := r.Intn(n) // symmetric, but an edge only by luck
-				mate[v], mate[u] = u, v
+				mate[v], mate[u] = int32(u), int32(v)
 			}
 		}
 		want := verifySerial(g, mate)
@@ -180,7 +181,7 @@ func TestVerifyReportsLowestViolation(t *testing.T) {
 			mate[mate[x]] = -1
 		}
 	}
-	mate[v], mate[u] = u, v
+	mate[v], mate[u] = int32(u), int32(v)
 	want := fmt.Sprintf("matching: matched pair {%d,%d} is not an edge", u, v)
 	if got := Verify(g, &Result{Mate: mate}); got == nil || got.Error() != want {
 		t.Errorf("non-edge pair {%d,%d}: Verify = %v, want %q", u, v, got, want)

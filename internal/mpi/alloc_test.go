@@ -6,8 +6,10 @@ import (
 )
 
 // Steady-state allocation contracts for the hot path: after warmup the
-// pooled-message runtime must complete point-to-point round trips and
-// scalar reductions without touching the heap. testing.AllocsPerRun
+// runtime, whose messages live by value in kept mailbox rings, must
+// complete point-to-point round trips (3-word payloads, so the spill
+// path too) and scalar reductions without touching the heap.
+// testing.AllocsPerRun
 // calls its body runs+1 times with GOMAXPROCS(1) and counts mallocs
 // process-wide, so the measuring rank's peer executes exactly runs+1
 // matching iterations (themselves allocation-free in steady state).
@@ -22,7 +24,7 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 			c.Isend(peer, 0, sbuf[:])
 			c.RecvInto(peer, 0, rbuf[:])
 		}
-		// Warm the message pool and the mailbox rings.
+		// Warm the mailbox rings and their spill slots.
 		for i := 0; i < 16; i++ {
 			roundTrip()
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -455,20 +454,12 @@ func TestTracedRoundTripZeroAlloc(t *testing.T) {
 
 	// Many chunks: what tracing adds to the same loop untraced (which is
 	// heap-free per trip, not in total) is the chunks and their index.
-	if raceEnabled {
-		// Under the race detector sync.Pool drops a random quarter of its
-		// Puts, so the two runs' message allocations differ by more than
-		// the chunk count being bounded.
-		return
-	}
 	const trips = 8000
 	mallocsOver := func(capacity int) (*Report, uint64) {
 		var mallocs uint64
 		rep := pingPong(capacity, trips, func(roundTrip func()) {
-			// One processor, as AllocsPerRun measures; no collection, whose
-			// pool eviction would have the runtime allocate messages afresh.
+			// One processor, as AllocsPerRun measures.
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for i := 0; i < trips; i++ {

@@ -38,7 +38,6 @@ func measureFootprint(tb testing.TB, n int) (total int64, perRank float64) {
 	var before, after runtime.MemStats
 	releaseWorlds()
 	runtime.GC()
-	runtime.GC() // the second flushes the message pool's victims
 	runtime.ReadMemStats(&before)
 	var kept *worldState
 	for i := 0; i < 2; i++ {
@@ -67,10 +66,10 @@ func measureFootprint(tb testing.TB, n int) (total int64, perRank float64) {
 }
 
 // footprintCeiling16K is the regression gate asserted by
-// TestWorldFootprintCeiling16K: the measured steady-state bytes/rank at
-// 16K ranks (1061, of which 104 are the tasks' wake channels) plus
-// ~25% headroom. Raise it only with a re-measurement justifying the
-// growth.
+// TestWorldFootprintCeiling16K, set at the 1061 bytes/rank a 16K-rank
+// world measured then plus ~25% headroom. It measures 1220 (104 bytes
+// of them the tasks' wake channels, 192 a rank's one ring of 4 entries).
+// Raise it only with a re-measurement justifying the growth.
 const footprintCeiling16K = 1350
 
 // TestWorldFootprintCeiling16K guards the per-rank memory diet: an

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/sched"
 )
@@ -33,7 +35,7 @@ import (
 // other AnySource shape (an exact tag, a second context's ring on
 // top, perturbed tie selection) walks the same array, one candidate per
 // ring, and takes the same (arrival, source) minimum (see
-// matchUserLocked).
+// match).
 //
 // Buckets exist only for sources that have sent: a graph-topology rank
 // hears from its process-graph neighbors, not from all P peers. The
@@ -42,15 +44,26 @@ import (
 // move, so the list and the heap hold *srcBucket safely. A zero mailbox
 // is ready for use.
 //
-// Messages themselves are pooled: see message.release. Payloads of up to
-// inlineWords words (covering the 3-word protocol records that dominate
-// matching traffic) live inline in the struct; larger payloads use a
-// spill buffer that is recycled with the struct.
+// Messages live by value in their rings: an entry is the envelope plus
+// up to inlineWords of payload, and a longer payload sits in one of the
+// mailbox's spill slots. push copies the payload in under the lock and
+// every receive copies it out under the lock, so no message object
+// outlives either call. A reset keeps the rings and slots a run grew, up
+// to retainBytes a mailbox (see reset).
 
-// inlineWords is the payload capacity stored directly inside a pooled
-// message struct. Four words cover the {ctx, x, y} protocol records and
-// the one-word control messages that dominate the runtime's traffic.
-const inlineWords = 4
+// inlineWords is the payload capacity of a ring entry. Two words cover
+// the {x, y} records of the Send-Recv transports (the record's context
+// rides in the tag) and the termination detector's control messages,
+// which are nearly all of the runtime's point-to-point traffic; an
+// aggregated batch spills. Each inline word costs 8 bytes in every ring
+// slot a kept skeleton holds.
+const inlineWords = 2
+
+// minRingEnts is a ring's first capacity. Most rings of a large world
+// never hold more than one message at a time (of the 95K rings a
+// 4096-rank NSR matching of 4 vertices a rank keeps, 85K), and a kept
+// skeleton holds every ring's capacity, so rings start at one entry.
+const minRingEnts = 1
 
 // bucketChunk is how many srcBucket structs are allocated at once when
 // a mailbox needs a new bucket. Graph topologies have small in-degrees
@@ -59,106 +72,83 @@ const inlineWords = 4
 // saves.
 const bucketChunk = 2
 
-// qRetainEnts caps the ring capacity a reset queue keeps for reuse.
-// Rings grow by doubling during backlog spikes (a 1K-message burst grows
-// one ring to 8 KiB); without the cap a pooled world pins every spike's
-// high-water ring forever.
-const qRetainEnts = 64
+// retainBytes bounds the ring and spill-slot capacity a reset mailbox
+// keeps for the next run on its skeleton. Under it a mailbox keeps what
+// the run grew, so a repeated workload's steady state allocates no
+// ring; a backlog spike past it is shed. The bound trades allocation
+// for resident memory, since a kept ring stays live between runs
+// (DESIGN §4c has the measurements it was chosen by).
+const retainBytes = 320 << 10
 
-// spillRetainWords caps the spill-buffer capacity a pooled message
-// keeps, for the same reason: one huge payload must not pin an 8 KiB+
-// buffer in the process-wide pool for the rest of its life.
-const spillRetainWords = 1024
+// maxTag is the largest tag a send accepts (MPI's MPI_TAG_UB): tags are
+// stored in 32 bits.
+const maxTag = math.MaxInt32
 
-// message is an in-flight point-to-point payload.
-type message struct {
-	src    int // sender's rank
-	tag    int
-	mctx   int32 // message context id
-	data   []int64
-	bytes  int64
+// entry is one queued point-to-point message, held by value in its
+// ring. A payload of more than inlineWords words lives in the mailbox's
+// spill slot inline[0]. Entries hold no pointers, so the collector never
+// scans a ring, and take 48 bytes.
+type entry struct {
 	arrive float64 // virtual arrival time at the receiver
 	// sent is the sender's virtual clock at injection (arrive minus the
 	// in-flight latency). Classified waits record it as the cause
 	// timestamp, linking the receiver's blocked interval back to the
 	// point on the sender's timeline that bounds it.
 	sent   float64
+	src    int32 // sender's rank
+	tag    int32
+	mctx   int32 // message context id
+	n      int32 // payload words
 	inline [inlineWords]int64
-	spill  []int64 // reusable storage for payloads > inlineWords
 }
 
-// msgPool recycles message structs (with their spill buffers) across the
-// whole process. Senders allocate from it in newMessage; receivers return
-// structs via release once the payload has been copied out.
-var msgPool = sync.Pool{New: func() any { return new(message) }}
+// entryBytes is the size of a ring slot.
+const entryBytes = int64(unsafe.Sizeof(entry{}))
 
-// newMessage obtains a pooled message and copies data into it. The caller
-// may reuse data immediately (MPI eager-buffering semantics).
-func newMessage(src, tag int, mctx int32, data []int64) *message {
-	m := msgPool.Get().(*message)
-	m.src, m.tag, m.mctx = src, tag, mctx
-	n := len(data)
-	if n <= inlineWords {
-		m.data = m.inline[:n:inlineWords]
-	} else {
-		if cap(m.spill) < n {
-			m.spill = make([]int64, n)
-		}
-		m.data = m.spill[:n]
-	}
-	copy(m.data, data)
-	m.bytes = int64(8 * n)
-	return m
-}
+// bytes is the payload size the cost model and the eager-buffer
+// accounting charge.
+func (e *entry) bytes() int64 { return 8 * int64(e.n) }
 
-// release returns a message to the pool. The caller must have dequeued
-// it and copied out everything it needs: after release, m.data may be
-// overwritten by an unrelated send at any time.
-func (m *message) release() {
-	m.data = nil
-	if cap(m.spill) > spillRetainWords {
-		m.spill = nil
-	}
-	msgPool.Put(m)
-}
-
-// msgq is a FIFO ring of messages from one sender, in push order.
-// Capacity is a power of two, grows by doubling and is retained for
-// reuse (capped at qRetainEnts on reset), so steady-state operation does
-// not allocate.
+// msgq is a FIFO ring of entries from one sender, in push order.
+// Capacity is a power of two, grows by doubling and is kept across
+// resets (within retainBytes), so steady-state operation does not
+// allocate.
 type msgq struct {
-	buf  []*message
+	buf  []entry
 	head int // index of the front element (valid when n > 0)
 	n    int // queued messages
 }
 
-// at returns the message i places behind the front.
-func (q *msgq) at(i int) *message { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+// at returns the entry i places behind the front.
+func (q *msgq) at(i int) *entry { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-func (q *msgq) push(m *message) {
+// push appends a slot at the back of the ring, growing the ring when
+// it is full, and returns it for the caller to fill.
+func (q *msgq) push() *entry {
 	if q.n == len(q.buf) {
-		grown := make([]*message, max(4, 2*len(q.buf)))
+		grown := make([]entry, max(minRingEnts, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
-			grown[i] = q.at(i)
+			grown[i] = *q.at(i)
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
+	e := q.at(q.n)
 	q.n++
+	return e
 }
 
-// first returns the earliest message carrying tag (AnyTag: the front)
+// first returns the earliest entry carrying tag (AnyTag: the front)
 // and its distance from the front, or nil.
-func (q *msgq) first(tag int) (*message, int) {
+func (q *msgq) first(tag int) (*entry, int) {
 	for i := 0; i < q.n; i++ {
-		if m := q.at(i); tag == AnyTag || m.tag == tag {
-			return m, i
+		if e := q.at(i); tag == AnyTag || int(e.tag) == tag {
+			return e, i
 		}
 	}
 	return nil, 0
 }
 
-// remove dequeues the message i places behind the front, closing the gap
+// remove dequeues the entry i places behind the front, closing the gap
 // by shifting the i entries ahead of it; the order of the rest is kept.
 // i is 0 for every receive in FIFO order.
 func (q *msgq) remove(i int) {
@@ -166,22 +156,8 @@ func (q *msgq) remove(i int) {
 	for ; i > 0; i-- {
 		q.buf[(q.head+i)&mask] = q.buf[(q.head+i-1)&mask]
 	}
-	q.buf[q.head] = nil
 	q.head = (q.head + 1) & mask
 	q.n--
-}
-
-// reset releases every queued message and drops an oversized ring, so a
-// pooled world sheds backlog spikes.
-func (q *msgq) reset() {
-	for q.n > 0 {
-		m := q.at(0)
-		q.remove(0)
-		m.release()
-	}
-	if cap(q.buf) > qRetainEnts {
-		q.buf, q.head = nil, 0
-	}
 }
 
 // userq is one per-communicator FIFO: every user-level message from this
@@ -234,18 +210,19 @@ func (e *front) before(f *front) bool {
 	return e.arrive < f.arrive || (e.arrive == f.arrive && e.b.src < f.b.src)
 }
 
-// found is a matched user-level message and where it sits: m is i places
-// behind the front of the ring of heap entry h. The zero value is "no
-// match".
+// found is a matched user-level message and where it sits: e is i
+// places behind the front of the ring of heap entry h. e points into
+// the ring, so it is valid only while the mailbox lock is held and the
+// ring unchanged. The zero value is "no match".
 type found struct {
-	m *message
+	e *entry
 	h int
 	i int
 }
 
 // before orders matches by (virtual arrival, source rank).
 func (f found) before(g found) bool {
-	return f.m.arrive < g.m.arrive || (f.m.arrive == g.m.arrive && f.m.src < g.m.src)
+	return f.e.arrive < g.e.arrive || (f.e.arrive == g.e.arrive && f.e.src < g.e.src)
 }
 
 // mailbox is one rank's receive queue. Senders push under mu; the single
@@ -258,14 +235,15 @@ type mailbox struct {
 	used     []*srcBucket // every bucket of this mailbox, sorted by src
 	active   []front      // min-heap of the non-empty user rings
 	spare    []srcBucket  // unused remainder of the last bucket chunk
-	parked   bool         // the owner's task is parked on this mailbox
+	spill    *spillStore  // nil until the first payload longer than inlineWords
 	queued   int64        // bytes currently queued (eager-buffer occupancy)
 	hw       int64        // high-water of queued
+	parked   bool         // the owner's task is parked on this mailbox
 	poisoned bool
 	// pert, when non-nil, permutes wildcard selection among concurrently
 	// available ring fronts (sched Ties class). It is the owning rank's
-	// stream: matchUserLocked runs only on the owner's goroutine, so no
-	// additional synchronization is needed beyond mu.
+	// stream: match runs only on the owner's goroutine, so no additional
+	// synchronization is needed beyond mu.
 	pert *sched.Rank
 }
 
@@ -359,26 +337,36 @@ func (mb *mailbox) fix(h int) {
 	}
 }
 
-// push enqueues m on its source's ring and unparks the owner if it is
-// parked. On a poisoned mailbox push is a no-op (the run is already
-// failing and the owner may have unwound), so queued/hw stay frozen at
-// their poison-time snapshot for the memory reports.
-func (mb *mailbox) push(m *message) {
+// push enqueues a message from src carrying a copy of data, and unparks
+// the owner if it is parked. The caller may reuse data at once (MPI
+// eager-buffering semantics). On a poisoned mailbox push is a no-op (the
+// run is already failing and the owner may have unwound), so queued/hw
+// stay frozen at their poison-time snapshot for the memory reports.
+func (mb *mailbox) push(src, tag int, mctx int32, sent, arrive float64, data []int64) {
 	mb.mu.Lock()
 	if mb.poisoned {
 		mb.mu.Unlock()
-		m.release()
 		return
 	}
-	b := mb.bucket(int32(m.src))
-	ring := b.ringFor(m.mctx)
+	b := mb.bucket(int32(src))
+	ring := b.ringFor(mctx)
 	q := &b.user[ring].q
-	q.push(m)
+	e := q.push()
+	e.arrive, e.sent = arrive, sent
+	e.src, e.tag, e.mctx, e.n = int32(src), int32(tag), mctx, int32(len(data))
+	if len(data) <= inlineWords {
+		copy(e.inline[:], data)
+	} else {
+		if mb.spill == nil {
+			mb.spill = new(spillStore)
+		}
+		e.inline[0] = int64(mb.spill.put(data))
+	}
 	if q.n == 1 {
-		mb.active = append(mb.active, front{m.arrive, b, m.mctx, int32(ring)})
+		mb.active = append(mb.active, front{arrive, b, mctx, int32(ring)})
 		mb.siftUp(len(mb.active) - 1)
 	}
-	mb.queued += m.bytes
+	mb.queued += e.bytes()
 	if mb.queued > mb.hw {
 		mb.hw = mb.queued
 	}
@@ -389,6 +377,54 @@ func (mb *mailbox) push(m *message) {
 	if wake {
 		owner.unpark()
 	}
+}
+
+// spillStore holds a mailbox's payloads longer than inlineWords, one
+// slot each, indexed by the entry's inline[0]. Slots keep their
+// capacity when freed, so a steady stream of long payloads reuses them.
+type spillStore struct {
+	slots [][]int64
+	free  []int32 // unused slots
+}
+
+// put copies data into a free slot, growing the slot or the slot list
+// as needed, and returns the slot's index.
+func (s *spillStore) put(data []int64) int32 {
+	var k int32
+	if n := len(s.free); n > 0 {
+		k = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		k = int32(len(s.slots))
+		s.slots = append(s.slots, nil)
+	}
+	s.slots[k] = append(s.slots[k][:0], data...)
+	return k
+}
+
+// reset frees every slot and keeps, in slot order, those keep admits.
+func (s *spillStore) reset(keep func(bytes int64) bool) {
+	kept := s.slots[:0]
+	for _, p := range s.slots {
+		if keep(8 * int64(cap(p))) {
+			kept = append(kept, p)
+		}
+	}
+	clear(s.slots[len(kept):])
+	s.slots = kept
+	s.free = s.free[:0]
+	for k := range kept {
+		s.free = append(s.free, int32(k))
+	}
+}
+
+// payload returns e's words: its inline array or its spill slot. The
+// view is valid while the lock is held and e stays queued.
+func (mb *mailbox) payload(e *entry) []int64 {
+	if e.n <= inlineWords {
+		return e.inline[:e.n]
+	}
+	return mb.spill.slots[e.inline[0]]
 }
 
 // parkLocked parks the owning task on the mailbox until the next push.
@@ -402,17 +438,20 @@ func (mb *mailbox) parkLocked(t *task) {
 	mb.mu.Lock()
 }
 
-// take dequeues the user-level message f found and updates the byte
-// accounting and the heap: a ring whose front went is re-keyed from its
-// new front, or leaves the heap when that was its last message. The
-// re-keyed entry may have to move either way — under latency jitter the
-// stamps of one source are not monotone, so a new front can be earlier
-// than the one it replaces.
+// take dequeues the user-level message f found, frees its spill slot
+// and updates the byte accounting and the heap: a ring whose front went
+// is re-keyed from its new front, or leaves the heap when that was its
+// last message. The re-keyed entry may have to move either way — under
+// latency jitter the stamps of one source are not monotone, so a new
+// front can be earlier than the one it replaces.
 func (mb *mailbox) take(f found) {
+	mb.queued -= f.e.bytes()
+	if f.e.n > inlineWords {
+		mb.spill.free = append(mb.spill.free, int32(f.e.inline[0]))
+	}
 	e := &mb.active[f.h]
 	q := e.q()
 	q.remove(f.i)
-	mb.queued -= f.m.bytes
 	switch {
 	case f.i > 0:
 		// Taken from behind the front: the key stands.
@@ -430,7 +469,21 @@ func (mb *mailbox) take(f found) {
 	}
 }
 
-// fit returns the earliest message of heap entry h's ring matching (tag,
+// recvLocked dequeues f's message and returns its entry, with the
+// payload copied into buf if it fits; a payload longer than buf is not
+// copied (the receive reports the truncation). The returned entry's
+// inline words are not the payload when it was spilled. The caller
+// holds mb.mu.
+func (mb *mailbox) recvLocked(f found, buf []int64) entry {
+	e := *f.e
+	if p := mb.payload(f.e); len(p) <= len(buf) {
+		copy(buf, p)
+	}
+	mb.take(f)
+	return e
+}
+
+// fit returns the earliest entry of heap entry h's ring matching (tag,
 // mctx): the candidate that ring contributes to a match.
 func (mb *mailbox) fit(h, tag int, mctx int32) found {
 	e := &mb.active[h]
@@ -456,10 +509,11 @@ func (mb *mailbox) entryOf(src, mctx int32) int {
 	return -1
 }
 
-// matchUserLocked finds the queued user-level message matching (src, tag)
-// in communicator mctx with the earliest virtual arrival time and, if
-// remove is set, dequeues it. Returns nil when nothing matches. now is
-// the receiver's current virtual clock, consulted only when schedule
+// match finds the queued user-level message matching (src, tag) in
+// communicator mctx with the earliest virtual arrival time; f.e is nil
+// when nothing matches. The message stays queued: a receive copies it
+// out and takes it before releasing the lock (recvLocked). now is the
+// receiver's current virtual clock, consulted only when schedule
 // perturbation is active. The caller holds mb.mu.
 //
 // Selecting by virtual arrival rather than physical enqueue position
@@ -481,7 +535,7 @@ func (mb *mailbox) entryOf(src, mctx int32) int {
 // exactly the set a real MPI implementation could legally hand back
 // first. Per-source FIFO holds as above, and a follow-up receive of the
 // probed (source, tag) resolves to the same message.
-func (mb *mailbox) matchUserLocked(src, tag int, mctx int32, remove bool, now float64) *message {
+func (mb *mailbox) match(src, tag int, mctx int32, now float64) found {
 	var best found
 	switch {
 	case src != AnySource:
@@ -491,18 +545,15 @@ func (mb *mailbox) matchUserLocked(src, tag int, mctx int32, remove bool, now fl
 	case mb.pert != nil && mb.pert.Ties():
 		best = mb.pickAnySourceLocked(tag, mctx, now)
 	case tag == AnyTag && len(mb.active) > 0 && mb.active[0].mctx == mctx:
-		best = found{m: mb.active[0].q().at(0)}
+		best = found{e: mb.active[0].q().at(0)}
 	default:
 		for h := range mb.active {
-			if f := mb.fit(h, tag, mctx); f.m != nil && (best.m == nil || f.before(best)) {
+			if f := mb.fit(h, tag, mctx); f.e != nil && (best.e == nil || f.before(best)) {
 				best = f
 			}
 		}
 	}
-	if best.m != nil && remove {
-		mb.take(best)
-	}
-	return best.m
+	return best
 }
 
 // pickAnySourceLocked implements perturbed wildcard selection: among
@@ -518,8 +569,8 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	seen := false
 	thr := 0.0
 	for h := range mb.active {
-		if f := mb.fit(h, tag, mctx); f.m != nil && (!seen || f.m.arrive < thr) {
-			seen, thr = true, f.m.arrive
+		if f := mb.fit(h, tag, mctx); f.e != nil && (!seen || f.e.arrive < thr) {
+			seen, thr = true, f.e.arrive
 		}
 	}
 	if !seen {
@@ -529,7 +580,7 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	// Pass 2: count the available candidates and draw one.
 	k := 0
 	for h := range mb.active {
-		if f := mb.fit(h, tag, mctx); f.m != nil && f.m.arrive <= thr {
+		if f := mb.fit(h, tag, mctx); f.e != nil && f.e.arrive <= thr {
 			k++
 		}
 	}
@@ -539,12 +590,12 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	// in the candidate count, which is bounded by the source count.
 	for h := range mb.active {
 		f := mb.fit(h, tag, mctx)
-		if f.m == nil || f.m.arrive > thr {
+		if f.e == nil || f.e.arrive > thr {
 			continue
 		}
 		ord := 0
 		for h2 := range mb.active {
-			if g := mb.fit(h2, tag, mctx); g.m != nil && g.m.arrive <= thr && g.before(f) {
+			if g := mb.fit(h2, tag, mctx); g.e != nil && g.e.arrive <= thr && g.before(f) {
 				ord++
 			}
 		}
@@ -555,19 +606,35 @@ func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
 	panic("mpi: pickAnySourceLocked: pick out of range")
 }
 
-// reset drains and reinitializes a mailbox for reuse by the next run.
-// Queued messages (protocols like the Send-Recv matcher legally finish
-// with stale traffic queued) go back to the message pool; the buckets
-// and their rings are retained (trimmed of spike-sized capacity), since
-// a fresh world of the same size repeats the same neighborhoods and
-// communicator ids, so a pooled mailbox's steady state carries over.
+// reset drains and reinitializes a mailbox for reuse by the next run on
+// its skeleton. Queued messages (protocols like the Send-Recv matcher
+// legally finish with stale traffic queued) are dropped. The buckets are
+// kept, since a fresh world of the same size repeats the same
+// neighborhoods and communicator ids, and so is the capacity the run
+// grew, by one rule: rings in bucket order, then spill slots, each kept
+// while the mailbox's total stays within retainBytes, the rest released.
 // Only mailboxes from clean runs are reset — failed or poisoned runs
 // discard the whole world state.
 func (mb *mailbox) reset() {
+	left := int64(retainBytes)
+	keep := func(bytes int64) bool {
+		if bytes > left {
+			return false
+		}
+		left -= bytes
+		return true
+	}
 	for _, b := range mb.used {
 		for i := range b.user {
-			b.user[i].q.reset()
+			q := &b.user[i].q
+			q.head, q.n = 0, 0
+			if !keep(entryBytes * int64(cap(q.buf))) {
+				q.buf = nil
+			}
 		}
+	}
+	if mb.spill != nil {
+		mb.spill.reset(keep)
 	}
 	clear(mb.active)
 	mb.active = mb.active[:0]

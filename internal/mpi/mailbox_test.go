@@ -2,9 +2,11 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/sched"
 )
@@ -15,26 +17,57 @@ import (
 // by the fuzzer (FuzzMailboxModel) over one op-sequence encoding, with the
 // wildcard-front heap's own invariant (checkHeap) asserted after every op.
 // The remaining tests pin what the model does not express (DESIGN §7):
-// perturbed wildcard selection, post-poison stability, ring trimming on
-// reset, and the bucket list's shape.
+// perturbed wildcard selection, post-poison stability, the retention
+// rule of reset, and the bucket list's shape.
+
+// msg is a matched message as a test sees it: its envelope and a copy
+// of its payload. Tests give every message a distinct payload, so equal
+// values mean the same message.
+type msg struct {
+	src, tag     int
+	mctx         int32
+	arrive, sent float64
+	data         []int64
+}
 
 // pushAt fabricates a user-level world message with an explicit virtual
 // arrival time and pushes it, bypassing a Comm (payload = seq for
 // identification).
 func pushAt(mb *mailbox, src, tag int, arrive float64, seq int64) {
-	m := newMessage(src, tag, 0, []int64{seq})
-	m.arrive = arrive
-	mb.push(m)
+	mb.push(src, tag, 0, 0, arrive, []int64{seq})
 }
+
+// matchMsg is the locked match a probe or receive makes: the message
+// matching (src, tag) in mctx, received through recvLocked when remove
+// is set and copied out in place otherwise; nil on a miss.
+func matchMsg(mb *mailbox, src, tag int, mctx int32, remove bool, now float64) *msg {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	f := mb.match(src, tag, mctx, now)
+	if f.e == nil {
+		return nil
+	}
+	data := slices.Clone(mb.payload(f.e))
+	e := *f.e
+	if remove {
+		buf := make([]int64, e.n)
+		e = mb.recvLocked(f, buf)
+		if !slices.Equal(buf, data) {
+			panic(fmt.Sprintf("recvLocked copied %v, the queued payload was %v", buf, data))
+		}
+	}
+	return &msg{int(e.src), int(e.tag), e.mctx, e.arrive, e.sent, data}
+}
+
+// take dequeues the (src, tag) message in communicator 0.
+func take(mb *mailbox, src, tag int) *msg { return matchMsg(mb, src, tag, 0, true, 0) }
 
 // drainAll dequeues every user message via AnySource/AnyTag wildcards in
 // match order.
-func drainAll(mb *mailbox) []*message {
-	var out []*message
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
+func drainAll(mb *mailbox) []*msg {
+	var out []*msg
 	for {
-		m := mb.matchUserLocked(AnySource, AnyTag, 0, true, 0)
+		m := take(mb, AnySource, AnyTag)
 		if m == nil {
 			return out
 		}
@@ -65,7 +98,6 @@ func TestMailboxEarliestArrivalOutOfOrderEnqueue(t *testing.T) {
 			t.Errorf("match %d: (src %d, arrive %g), want (src %d, arrive %g)",
 				i, m.src, m.arrive, wantSrc[i], wantArrive[i])
 		}
-		m.release()
 	}
 }
 
@@ -102,7 +134,6 @@ func TestMailboxOrderProperty(t *testing.T) {
 				return false // per-source FIFO violated
 			}
 			next[m.src]++
-			m.release()
 		}
 		return true
 	}
@@ -169,7 +200,6 @@ func TestMailboxPerturbedOrderProperty(t *testing.T) {
 						return false // per-source FIFO violated
 					}
 					next[m.src]++
-					m.release()
 				}
 				return true
 			}
@@ -196,18 +226,14 @@ func TestMailboxPerturbedProbeRecvConsistency(t *testing.T) {
 		}
 	}
 	for i := 0; i < int(seq); i++ {
-		mb.mu.Lock()
-		probe := mb.matchUserLocked(AnySource, AnyTag, 0, false, 100)
+		probe := matchMsg(mb, AnySource, AnyTag, 0, false, 100)
 		if probe == nil {
-			mb.mu.Unlock()
 			t.Fatalf("probe %d found nothing with %d messages left", i, int(seq)-i)
 		}
-		got := mb.matchUserLocked(probe.src, probe.tag, 0, true, 100)
-		mb.mu.Unlock()
-		if got != probe {
+		got := matchMsg(mb, probe.src, probe.tag, 0, true, 100)
+		if !reflect.DeepEqual(got, probe) {
 			t.Fatalf("probe %d saw src %d tag %d but exact match returned a different message", i, probe.src, probe.tag)
 		}
-		got.release()
 	}
 }
 
@@ -227,7 +253,6 @@ func TestMailboxTiePermutationActuallyPermutes(t *testing.T) {
 		order := ""
 		for _, m := range drainAll(mb) {
 			order += fmt.Sprint(m.src)
-			m.release()
 		}
 		orders[order] = true
 	}
@@ -244,18 +269,13 @@ func TestMailboxExactTagMatchesWildcardView(t *testing.T) {
 	pushAt(mb, 2, 9, 30, 0)
 	pushAt(mb, 1, 4, 40, 1)
 	for i := 0; i < 2; i++ {
-		mb.mu.Lock()
-		probe := mb.matchUserLocked(AnySource, AnyTag, 0, false, 0)
+		probe := matchMsg(mb, AnySource, AnyTag, 0, false, 0)
 		if probe == nil {
-			mb.mu.Unlock()
 			t.Fatalf("probe %d found nothing", i)
 		}
-		got := mb.matchUserLocked(probe.src, probe.tag, 0, true, 0)
-		mb.mu.Unlock()
-		if got != probe {
-			t.Fatalf("probe %d saw %p (src %d tag %d) but exact match returned %p", i, probe, probe.src, probe.tag, got)
+		if got := take(mb, probe.src, probe.tag); !reflect.DeepEqual(got, probe) {
+			t.Fatalf("probe %d saw %+v but exact match returned %+v", i, probe, got)
 		}
-		got.release()
 	}
 }
 
@@ -278,38 +298,172 @@ func TestMailboxPoisonedPushNoOp(t *testing.T) {
 	if n := mb.pendingUser(); n != 1 {
 		t.Errorf("pending after poisoned pushes = %d, want 1", n)
 	}
-	mb.mu.Lock()
-	m := mb.matchUserLocked(AnySource, AnyTag, 0, true, 0)
-	mb.mu.Unlock()
-	if m == nil || m.data[0] != 0 {
+	if m := take(mb, AnySource, AnyTag); m == nil || m.data[0] != 0 {
 		t.Errorf("pre-poison message lost: %+v", m)
 	}
 }
 
-// TestMailboxRingTrimOnReset pins the backlog-spike shedding: after a
-// burst grows a ring well past qRetainEnts, reset must cap the retained
-// capacity, while a steady-state-sized ring is kept for reuse.
+// ringCaps lists the capacity of every ring of mb, in bucket order.
+func ringCaps(mb *mailbox) []int {
+	var caps []int
+	for _, b := range mb.used {
+		for i := range b.user {
+			caps = append(caps, cap(b.user[i].q.buf))
+		}
+	}
+	return caps
+}
+
+// retained is what the retention rule counts: ring and spill-slot
+// capacity in bytes.
+func retained(mb *mailbox) int64 {
+	var n int64
+	for _, c := range ringCaps(mb) {
+		n += entryBytes * int64(c)
+	}
+	if mb.spill != nil {
+		for _, p := range mb.spill.slots {
+			n += 8 * int64(cap(p))
+		}
+	}
+	return n
+}
+
+// spillSlots returns how many spill slots mb holds and how many of them
+// are free.
+func spillSlots(mb *mailbox) (slots, free int) {
+	if mb.spill == nil {
+		return 0, 0
+	}
+	return len(mb.spill.slots), len(mb.spill.free)
+}
+
+// checkReset asserts a reset mailbox's state: nothing queued, every
+// ring empty with the capacity want lists for it, and every spill slot
+// free.
+func checkReset(mb *mailbox, want []int) error {
+	if n, q, hw := mb.pendingUser(), mb.queuedBytes(), mb.highWater(); n != 0 || q != 0 || hw != 0 || len(mb.active) != 0 {
+		return fmt.Errorf("after reset: %d pending, %d bytes queued, high-water %d, %d heap entries", n, q, hw, len(mb.active))
+	}
+	for _, b := range mb.used {
+		for i := range b.user {
+			if q := &b.user[i].q; q.n != 0 || q.head != 0 {
+				return fmt.Errorf("after reset: src %d ring %d holds %d entries from head %d", b.src, i, q.n, q.head)
+			}
+		}
+	}
+	if got := ringCaps(mb); !slices.Equal(got, want) {
+		return fmt.Errorf("ring capacities after reset %v, want %v", got, want)
+	}
+	if slots, free := spillSlots(mb); free != slots {
+		return fmt.Errorf("after reset: %d of %d spill slots free", free, slots)
+	}
+	return nil
+}
+
+// TestMailboxRingTrimOnReset pins the retention rule: a reset keeps
+// the ring and spill capacity a run grew, in bucket order, up to
+// retainBytes a mailbox; a ring that would cross the bound is released,
+// and the bound holds. A failed run's world is never reset, so its
+// rings are never kept.
 func TestMailboxRingTrimOnReset(t *testing.T) {
-	mb := new(mailbox)
-	const burst = 4 * qRetainEnts
-	for i := 0; i < burst; i++ {
-		pushAt(mb, 1, 2, float64(i+1), int64(i))
-	}
-	pushAt(mb, 2, 2, 1, 0) // steady-sized ring on another source
-	b1 := mb.peek(1)
-	if c := cap(b1.user[b1.ringFor(0)].q.buf); c < burst {
-		t.Fatalf("burst ring capacity %d, want >= %d", c, burst)
-	}
-	mb.reset() // releases the backlog and trims spike-sized rings
-	if c := cap(b1.user[b1.ringFor(0)].q.buf); c > qRetainEnts {
-		t.Errorf("user ring kept capacity %d after reset, want <= %d", c, qRetainEnts)
-	}
-	b2 := mb.peek(2)
-	if q := b2.user[b2.ringFor(0)].q; cap(q.buf) == 0 || cap(q.buf) > qRetainEnts {
-		t.Errorf("steady ring not retained for reuse: %+v", q)
-	}
-	if got := mb.pendingUser(); got != 0 {
-		t.Errorf("pending after reset = %d, want 0", got)
+	t.Run("within bound", func(t *testing.T) {
+		mb := new(mailbox)
+		for i := 0; i < 300; i++ { // grows the ring to 512 entries
+			pushAt(mb, 2, 1, float64(i), int64(i))
+		}
+		for i := 0; i < 10; i++ {
+			mb.push(3, 1, 0, 0, 1, make([]int64, 100)) // spilled payloads
+		}
+		want := ringCaps(mb)
+		if slots, _ := spillSlots(mb); want[0] != 512 || slots != 10 {
+			t.Fatalf("ring capacities %v with %d spill slots, want [512 ...] and 10", want, slots)
+		}
+		before := retained(mb)
+		mb.reset()
+		if err := checkReset(mb, want); err != nil {
+			t.Fatal(err)
+		}
+		if got := retained(mb); got != before {
+			t.Errorf("kept %d bytes of the %d within the bound", got, before)
+		}
+		if got := drainAll(mb); len(got) != 0 {
+			t.Errorf("drained %d messages after reset", len(got))
+		}
+	})
+	t.Run("past bound", func(t *testing.T) {
+		mb := new(mailbox)
+		burst := int(2 * retainBytes / entryBytes) // one ring twice the bound
+		for i := 0; i < burst; i++ {
+			pushAt(mb, 1, 2, float64(i+1), int64(i))
+		}
+		for i := 0; i < 300; i++ {
+			pushAt(mb, 2, 2, 1, int64(i))
+		}
+		for i := 0; i < 10; i++ {
+			mb.push(3, 1, 0, 0, 1, make([]int64, 100))
+		}
+		caps := ringCaps(mb)
+		if caps[0] < burst {
+			t.Fatalf("burst ring capacity %d, want >= %d", caps[0], burst)
+		}
+		mb.reset()
+		// Source 1's ring crosses the bound alone and goes; the rest fits.
+		want := slices.Clone(caps)
+		want[0] = 0
+		if err := checkReset(mb, want); err != nil {
+			t.Fatal(err)
+		}
+		if slots, _ := spillSlots(mb); slots != 10 {
+			t.Errorf("kept %d of 10 spill slots", slots)
+		}
+		if got := retained(mb); got > retainBytes {
+			t.Errorf("kept %d bytes, bound %d", got, retainBytes)
+		}
+		// The released ring regrows on demand.
+		pushAt(mb, 1, 2, 5, 7)
+		if m := take(mb, 1, 2); m == nil || m.data[0] != 7 {
+			t.Errorf("push after reset: took %+v", m)
+		}
+	})
+	t.Run("failed run", func(t *testing.T) {
+		const p = 4
+		releaseWorlds()
+		_, err := Run(p, func(c *Comm) error {
+			if c.Rank() == 0 {
+				for i := 0; i < 1000; i++ {
+					c.Isend(1, 0, make([]int64, 2*inlineWords))
+				}
+				return fmt.Errorf("injected failure")
+			}
+			return nil
+		}, WithDeadline(30*time.Second))
+		if err == nil {
+			t.Fatal("failing run returned nil error")
+		}
+		if ws := idleWorld(p); ws != nil {
+			t.Fatalf("the failed run's %d-rank skeleton was kept", p)
+		}
+		// The next run of the size builds a skeleton without the failed
+		// run's buckets, rings or slots.
+		if _, err := Run(p, func(c *Comm) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		ws := idleWorld(p)
+		if ws == nil {
+			t.Fatal("clean run kept no skeleton")
+		}
+		if mb := ws.mailboxes[1]; len(mb.used) != 0 || mb.spill != nil {
+			t.Errorf("rank 1's mailbox starts with %d buckets and spill store %v", len(mb.used), mb.spill)
+		}
+	})
+}
+
+// TestEntrySize pins the ring slot at 48 bytes: the footprint of a
+// kept world and of every ring follows it.
+func TestEntrySize(t *testing.T) {
+	if entryBytes != 48 {
+		t.Fatalf("entry is %d bytes, want 48", entryBytes)
 	}
 }
 
@@ -318,22 +472,22 @@ func TestMailboxRingTrimOnReset(t *testing.T) {
 // each source's first entry that fits (comm, tag) — MPI's non-overtaking
 // rule — and returns the earliest (arrive, src) among them.
 type refStore struct {
-	msgs       []*message
+	msgs       []*msg
 	queued, hw int64
 }
 
-func (r *refStore) push(m *message) {
+func (r *refStore) push(m *msg) {
 	r.msgs = append(r.msgs, m)
-	r.queued += m.bytes
+	r.queued += int64(8 * len(m.data))
 	r.hw = max(r.hw, r.queued)
 }
 
 func (r *refStore) removeAt(i int) {
-	r.queued -= r.msgs[i].bytes
+	r.queued -= int64(8 * len(r.msgs[i].data))
 	r.msgs = slices.Delete(r.msgs, i, i+1)
 }
 
-func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *message {
+func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *msg {
 	best := -1
 	seen := map[int]bool{}
 	for i, m := range r.msgs {
@@ -359,7 +513,7 @@ func (r *refStore) matchUser(src, tag int, mctx int32, remove bool) *message {
 
 // probeTake is the matched probe-receive the slow way round: a probe of
 // (src, tag), then the receive of the probed message's own (source, tag).
-func (r *refStore) probeTake(src, tag int, mctx int32) *message {
+func (r *refStore) probeTake(src, tag int, mctx int32) *msg {
 	if p := r.matchUser(src, tag, mctx, false); p != nil {
 		return r.matchUser(p.src, p.tag, mctx, true)
 	}
@@ -444,16 +598,39 @@ func op(kind, src, tag, comm int, remove bool, delta byte) []byte {
 
 func stamp(step, jitter int) byte { return byte(step | jitter<<2) }
 
-// runMailboxModel decodes data into an op sequence, applies it to a
-// mailbox and a refStore side by side, and reports the first divergence:
-// a different message identity from any match, or different pendingUser,
-// queuedBytes or highWater after any op, or a broken heap (checkHeap). It
-// ends by draining both through wildcards and checking the bucket list.
+// runMailboxModel decodes data into an op sequence and applies it to a
+// mailbox and a refStore side by side (runMailboxScript), then resets
+// the mailbox, checks that it kept every ring's capacity and freed
+// every spill slot (the script stays far below retainBytes), and
+// applies the sequence again to the kept mailbox against a fresh model.
 func runMailboxModel(data []byte) error {
-	mb, ref := new(mailbox), new(refStore)
+	mb := new(mailbox)
+	for pass := 0; pass < 2; pass++ {
+		if err := runMailboxScript(mb, data); err != nil {
+			return fmt.Errorf("pass %d: %v", pass, err)
+		}
+		caps := ringCaps(mb)
+		mb.reset()
+		if err := checkReset(mb, caps); err != nil {
+			return fmt.Errorf("pass %d: %v", pass, err)
+		}
+	}
+	return nil
+}
+
+// runMailboxScript applies the op sequence data to mb and a fresh
+// refStore and reports the first divergence: a different message from
+// any match, or different pendingUser, queuedBytes or highWater after
+// any op, or a broken heap (checkHeap). Every pushed message is
+// distinct (its sent stamp and first payload word are its op index) and
+// payload lengths run past inlineWords, so spilled payloads are checked
+// word for word. It ends by draining both through wildcards and
+// checking the bucket list.
+func runMailboxScript(mb *mailbox, data []byte) error {
+	ref := new(refStore)
 	var clock [modelSrcs]float64
-	check := func(i int, what string, got, want *message) error {
-		if got != want {
+	check := func(i int, what string, got, want *msg) error {
+		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("op %d (%s): mailbox matched %+v, model %+v", i, what, got, want)
 		}
 		if a, b := mb.pendingUser(), ref.pendingUser(); a != b {
@@ -470,27 +647,26 @@ func runMailboxModel(data []byte) error {
 		}
 		return nil
 	}
-	mbMatch := func(src, tag int, mctx int32, remove bool) *message {
-		mb.mu.Lock()
-		defer mb.mu.Unlock()
-		return mb.matchUserLocked(src, tag, mctx, remove, 0)
-	}
-	matchUser := func(src, tag int, mctx int32, remove bool) (got, want *message) {
-		return mbMatch(src, tag, mctx, remove), ref.matchUser(src, tag, mctx, remove)
+	matchUser := func(src, tag int, mctx int32, remove bool) (got, want *msg) {
+		return matchMsg(mb, src, tag, mctx, remove, 0), ref.matchUser(src, tag, mctx, remove)
 	}
 	for i := 0; i+4 <= len(data); i += 4 {
 		kind, sb, sel, delta := int(data[i])%opKinds, int(data[i+1]), int(data[i+2]), data[i+3]
 		si := sb % modelSrcs
 		mctx, remove := int32(sel>>2&1), sel>>3&1 == 1
-		var got, want *message
+		var got, want *msg
 		switch kind {
 		case opPushUser:
 			// Small steps make cross-source ties common.
 			clock[si] += float64(delta % 4)
-			// Payload length varies so the byte accounting is exercised.
-			m := newMessage(modelSrc(si), sel%modelTags, mctx, make([]int64, 1+i%3))
-			m.arrive = clock[si] + float64(delta>>2%8)
-			mb.push(m)
+			// Payload length varies past the inline capacity, so the byte
+			// accounting and the spill slots are exercised.
+			m := &msg{src: modelSrc(si), tag: sel % modelTags, mctx: mctx,
+				arrive: clock[si] + float64(delta>>2%8), sent: float64(i), data: make([]int64, 1+i%(inlineWords+5))}
+			for w := range m.data {
+				m.data[w] = int64(i + w)
+			}
+			mb.push(m.src, m.tag, m.mctx, m.sent, m.arrive, m.data)
 			ref.push(m)
 		case opMatchUser, opProbeTake:
 			src, tag := AnySource, AnyTag
@@ -503,10 +679,10 @@ func runMailboxModel(data []byte) error {
 			if kind == opMatchUser {
 				got, want = matchUser(src, tag, mctx, remove)
 			} else {
-				got, want = mbMatch(src, tag, mctx, true), ref.probeTake(src, tag, mctx)
+				got, want = matchMsg(mb, src, tag, mctx, true, 0), ref.probeTake(src, tag, mctx)
 			}
 		case opReset:
-			mb.reset() // releases what is queued; the mailbox is then reused
+			mb.reset() // drops what is queued; the mailbox is then reused
 			*ref = refStore{}
 			clock = [modelSrcs]float64{}
 		}
@@ -527,6 +703,9 @@ func runMailboxModel(data []byte) error {
 	}
 	if len(mb.active) != 0 || mb.pendingUser() != 0 {
 		return fmt.Errorf("after drain: %d rings in the heap, %d pending", len(mb.active), mb.pendingUser())
+	}
+	if slots, free := spillSlots(mb); free != slots {
+		return fmt.Errorf("after drain: %d of %d spill slots free", free, slots)
 	}
 	for i := 1; i < len(mb.used); i++ {
 		if mb.used[i-1].src >= mb.used[i].src {
@@ -639,7 +818,6 @@ func TestMailboxManySources(t *testing.T) {
 		if int32(m.src) != mb.used[i].src {
 			t.Errorf("match %d from src %d, want %d (ascending sources)", i, m.src, mb.used[i].src)
 		}
-		m.release()
 	}
 }
 
@@ -648,18 +826,14 @@ func TestMailboxManySources(t *testing.T) {
 // order (across the ring's wrap point too); a drained tag then misses.
 func TestMailboxExactTagBehindBacklog(t *testing.T) {
 	mb := new(mailbox)
-	match := func(tag int) *message {
-		mb.mu.Lock()
-		defer mb.mu.Unlock()
-		return mb.matchUserLocked(1, tag, 0, true, 0)
-	}
+	match := func(tag int) *msg { return take(mb, 1, tag) }
 	// Grow the ring to 8 slots and leave its head at 5, so the 6-message
 	// backlog below wraps.
 	for i := 0; i < 5; i++ {
 		pushAt(mb, 1, 0, 0, -1)
 	}
 	for i := 0; i < 5; i++ {
-		match(0).release()
+		match(0)
 	}
 	tags := []int{5, 5, 9, 5, 6, 9}
 	for i, tag := range tags {
@@ -670,7 +844,6 @@ func TestMailboxExactTagBehindBacklog(t *testing.T) {
 		if m == nil || m.data[0] != want {
 			t.Fatalf("tag 9: got %+v, want seq %d", m, want)
 		}
-		m.release()
 	}
 	if m := match(9); m != nil {
 		t.Fatalf("drained tag 9 matched seq %d", m.data[0])
@@ -680,7 +853,6 @@ func TestMailboxExactTagBehindBacklog(t *testing.T) {
 		if m == nil || m.data[0] != want {
 			t.Fatalf("remaining order: got %+v, want seq %d", m, want)
 		}
-		m.release()
 	}
 	if n := mb.pendingUser(); n != 0 {
 		t.Errorf("pending = %d, want 0", n)

@@ -44,7 +44,7 @@ func newRefTopo(c *Comm, neighbors []int) *refTopo {
 			r.send(nb, refHandshake, []int64{int64(c.rank)}, 0)
 		}
 		for _, nb := range neighbors {
-			r.recv(nb, refHandshake).release()
+			r.recv(nb, refHandshake, nil)
 		}
 	}
 	return r
@@ -52,30 +52,22 @@ func newRefTopo(c *Comm, neighbors []int) *refTopo {
 
 func (r *refTopo) send(dst, tag int, data []int64, latency float64) {
 	c := r.c
-	m := newMessage(c.rank, tag, refCtx, data)
-	m.sent = c.ps.now
-	m.arrive = c.ps.now + c.perturbLatency(latency)
-	c.w.mailboxes[dst].push(m)
+	c.w.mailboxes[dst].push(c.rank, tag, refCtx, c.ps.now, c.ps.now+c.perturbLatency(latency), data)
 }
 
-func (r *refTopo) recv(src, tag int) *message {
+// recv receives the (src, tag) message of the reference's context,
+// appends its payload to dst and returns the result.
+func (r *refTopo) recv(src, tag int, dst []int64) []int64 {
 	c := r.c
-	mb := c.mbox()
-	mb.mu.Lock()
-	var m *message
-	for {
-		if m = mb.matchUserLocked(src, tag, refCtx, true, c.ps.now); m != nil {
-			break
-		}
-		if mb.poisoned {
-			mb.mu.Unlock()
-			panic("mpi: reference recv aborted: a peer rank failed")
-		}
-		mb.parkLocked(c.ps.task)
-	}
+	mb, f := c.await("reference recv", func(mb *mailbox) found {
+		return mb.match(src, tag, refCtx, c.ps.now)
+	})
+	dst = append(dst, mb.payload(f.e)...)
+	e := *f.e
+	mb.take(f)
 	mb.mu.Unlock()
-	c.waitFor(m.arrive, WaitNbrExchange, m.src, m.sent)
-	return m
+	c.waitFor(e.arrive, WaitNbrExchange, int(e.src), e.sent)
+	return dst
 }
 
 func (r *refTopo) begin(callCost float64) int64 {
@@ -110,9 +102,7 @@ func (r *refTopo) collect(seq int64, recv [][]int64) ([][]int64, int64) {
 	}
 	var got int64
 	for i, nb := range r.neighbors {
-		m := r.recv(nb, int(seq))
-		recv[i] = append(recv[i][:0], m.data...)
-		m.release()
+		recv[i] = r.recv(nb, int(seq), recv[i][:0])
 		got += int64(8 * len(recv[i]))
 	}
 	return recv, got
@@ -175,9 +165,7 @@ func (s *msgSide) flat(send []int64, chunk int) []int64 {
 		moved += r.sendChunk(i, seq, send[i*chunk:(i+1)*chunk])
 	}
 	for i, nb := range r.neighbors {
-		m := r.recv(nb, int(seq))
-		copy(recv[i*chunk:(i+1)*chunk], m.data)
-		m.release()
+		r.recv(nb, int(seq), recv[i*chunk:i*chunk:(i+1)*chunk])
 	}
 	c.event(EvNbrColl, -1, int(seq), moved, from)
 	return recv

@@ -72,46 +72,53 @@ func (c *Comm) send(dst, tag int, data []int64, sync bool) {
 	if tag < 0 {
 		panic(fmt.Sprintf("mpi: send with negative tag %d (tags < 0 are reserved)", tag))
 	}
+	if tag > maxTag {
+		panic(fmt.Sprintf("mpi: send with tag %d above the tag bound %d", tag, maxTag))
+	}
 	start := c.ps.now
-	m := newMessage(c.rank, tag, c.ctx, data)
+	bytes := int64(8 * len(data))
 	cost := c.w.cost
 	c.chargeComm(cost.SendOverhead)
 	if sync {
 		c.chargeComm(cost.SyncSendRTT)
 	}
-	m.sent = c.ps.now
-	m.arrive = c.ps.now + c.perturbLatency(cost.AlphaP2P+cost.BetaP2P*float64(m.bytes))
-	c.ps.rs.noteSend(dst, m.bytes)
-	c.event(EvSend, dst, tag, m.bytes, start)
-	c.w.mailboxes[dst].push(m)
+	sent := c.ps.now
+	arrive := sent + c.perturbLatency(cost.AlphaP2P+cost.BetaP2P*float64(bytes))
+	c.ps.rs.noteSend(dst, bytes)
+	c.event(EvSend, dst, tag, bytes, start)
+	c.w.mailboxes[dst].push(c.rank, tag, c.ctx, sent, arrive, data)
 }
 
 // recvMsg blocks until a user-level message matching (src, tag) is
-// queued, dequeues it and applies receive-side timing. The returned
-// message is owned by the caller, which must release it after copying
-// the payload out.
-func (c *Comm) recvMsg(src, tag int, what string) *message {
+// queued, dequeues it and applies receive-side timing. The payload is
+// copied into buf if it fits or, when fresh is set, into a new slice of
+// its length, which is returned.
+func (c *Comm) recvMsg(src, tag int, buf []int64, fresh bool) (entry, []int64) {
 	if src != AnySource {
-		c.checkRank(src, what)
+		c.checkRank(src, "recv")
 	}
-	m := c.await(what, func(mb *mailbox) *message {
-		return mb.matchUserLocked(src, tag, c.ctx, true, c.ps.now)
+	mb, f := c.await("recv", func(mb *mailbox) found {
+		return mb.match(src, tag, c.ctx, c.ps.now)
 	})
-	c.completeRecv(m)
-	return m
+	if fresh && f.e.n > 0 {
+		buf = make([]int64, f.e.n)
+	}
+	e := mb.recvLocked(f, buf)
+	mb.mu.Unlock()
+	c.completeRecv(&e)
+	return e, buf
 }
 
 // await parks the rank on its mailbox until match, called under the
-// mailbox lock, finds a message, and returns that message. A poisoned
-// mailbox aborts the wait with the peer-failure panic, naming the call
-// what.
-func (c *Comm) await(what string, match func(mb *mailbox) *message) *message {
+// mailbox lock, finds a message, and returns with the lock still held
+// and the message still queued. A poisoned mailbox aborts the wait with
+// the peer-failure panic, naming the call what.
+func (c *Comm) await(what string, match func(mb *mailbox) found) (*mailbox, found) {
 	mb := c.mbox()
 	mb.mu.Lock()
 	for {
-		if m := match(mb); m != nil {
-			mb.mu.Unlock()
-			return m
+		if f := match(mb); f.e != nil {
+			return mb, f
 		}
 		if mb.poisoned {
 			mb.mu.Unlock()
@@ -126,59 +133,54 @@ func (c *Comm) await(what string, match func(mb *mailbox) *message) *message {
 // clock advances to at least the message's arrival time.
 //
 // Ownership: the returned slice is freshly allocated and owned by the
-// caller indefinitely — it never aliases runtime-internal (pooled)
-// storage. Hot paths that cannot afford the allocation should use
-// RecvInto instead.
+// caller indefinitely — it never aliases runtime-internal storage. Hot
+// paths that cannot afford the allocation should use RecvInto instead.
 func (c *Comm) Recv(src, tag int) ([]int64, Status) {
 	start := c.ps.now
-	m := c.recvMsg(src, tag, "recv")
+	e, out := c.recvMsg(src, tag, nil, true)
 	if c.ps.ev != nil {
-		c.event(EvRecv, m.src, m.tag, m.bytes, start)
+		c.event(EvRecv, int(e.src), int(e.tag), e.bytes(), start)
 	}
-	out := append([]int64(nil), m.data...)
-	st := Status{Source: m.src, Tag: m.tag, Count: len(out)}
-	m.release()
-	return out, st
+	return out, Status{Source: int(e.src), Tag: int(e.tag), Count: len(out)}
 }
 
 // RecvInto is Recv receiving into a caller-supplied buffer, the analogue
 // of MPI_Recv's preposted buffer: the payload is copied into buf and the
-// word count returned. It is the allocation-free receive path — the
-// runtime recycles its internal message storage immediately.
+// word count returned. It is the allocation-free receive path: the
+// payload is copied straight out of the mailbox's ring.
 //
 // Like MPI_Recv with a too-small buffer (MPI_ERR_TRUNCATE under
 // MPI_ERRORS_ARE_FATAL), RecvInto panics if buf cannot hold the matched
 // message; probe first when sizes are unknown.
 func (c *Comm) RecvInto(src, tag int, buf []int64) (int, Status) {
 	start := c.ps.now
-	return c.deliverInto(c.recvMsg(src, tag, "recv"), buf, start)
+	e, _ := c.recvMsg(src, tag, buf, false)
+	return c.deliverInto(&e, len(buf), start)
 }
 
-// deliverInto finishes a receive into buf that began at start: m is
-// dequeued and its receive-side timing applied.
-func (c *Comm) deliverInto(m *message, buf []int64, start float64) (int, Status) {
+// deliverInto finishes a receive into a buffer of room words that began
+// at start: e was dequeued, its payload copied if it fit, and its
+// receive-side timing applied.
+func (c *Comm) deliverInto(e *entry, room int, start float64) (int, Status) {
 	if c.ps.ev != nil {
-		c.event(EvRecv, m.src, m.tag, m.bytes, start)
+		c.event(EvRecv, int(e.src), int(e.tag), e.bytes(), start)
 	}
-	if len(m.data) > len(buf) {
-		defer m.release()
-		panic(fmt.Sprintf("mpi: RecvInto: message of %d words truncated by %d-word buffer", len(m.data), len(buf)))
+	n := int(e.n)
+	if n > room {
+		panic(fmt.Sprintf("mpi: RecvInto: message of %d words truncated by %d-word buffer", n, room))
 	}
-	n := copy(buf, m.data)
-	st := Status{Source: m.src, Tag: m.tag, Count: n}
-	m.release()
-	return n, st
+	return n, Status{Source: int(e.src), Tag: int(e.tag), Count: n}
 }
 
 // Iprobe checks, without blocking, whether a message matching (src, tag)
 // is queued. It charges the probe overhead so that poll-heavy code (the
 // Send-Recv matching driver) pays for its polling, as it does under MPI.
 func (c *Comm) Iprobe(src, tag int) (bool, Status) {
-	m := c.iprobe(src, tag, false)
-	if m == nil {
+	e, ok := c.iprobe(src, tag, nil, false)
+	if !ok {
 		return false, Status{}
 	}
-	return true, Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
+	return true, Status{Source: int(e.src), Tag: int(e.tag), Count: int(e.n)}
 }
 
 // IprobeRecvInto is the matched nonblocking probe-and-receive, MPI-3's
@@ -190,20 +192,21 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 // instead of being found a second time by the receive. Like RecvInto it
 // panics if buf cannot hold the message.
 func (c *Comm) IprobeRecvInto(src, tag int, buf []int64) (bool, Status) {
-	m := c.iprobe(src, tag, true)
-	if m == nil {
+	e, ok := c.iprobe(src, tag, buf, true)
+	if !ok {
 		return false, Status{}
 	}
 	start := c.ps.now
-	c.completeRecv(m)
-	_, st := c.deliverInto(m, buf, start)
+	c.completeRecv(&e)
+	_, st := c.deliverInto(&e, len(buf), start)
 	return true, st
 }
 
 // iprobe is the nonblocking probe behind Iprobe and IprobeRecvInto: it
-// returns the matched message, dequeued (and then owned by the caller)
-// when remove is set, or nil on a miss.
-func (c *Comm) iprobe(src, tag int, remove bool) *message {
+// returns the matched message's entry and whether there was one. When
+// remove is set the message is dequeued, its payload copied into buf if
+// it fits.
+func (c *Comm) iprobe(src, tag int, buf []int64, remove bool) (entry, bool) {
 	if src != AnySource {
 		c.checkRank(src, "iprobe")
 	}
@@ -213,23 +216,31 @@ func (c *Comm) iprobe(src, tag int, remove bool) *message {
 	// real MPI Iprobe can fail to observe a message whose envelope has
 	// not yet been processed. Misses are bounded (sched.Rank.ForceMiss)
 	// so polling loops keep making progress.
-	var m *message
+	var e entry
+	hit := false
 	if pt := c.ps.pert; pt == nil || !pt.ForceMiss() {
 		mb := c.mbox()
 		mb.mu.Lock()
-		m = mb.matchUserLocked(src, tag, c.ctx, remove, c.ps.now)
+		if f := mb.match(src, tag, c.ctx, c.ps.now); f.e != nil {
+			hit = true
+			if remove {
+				e = mb.recvLocked(f, buf)
+			} else {
+				e = *f.e
+			}
+		}
 		mb.mu.Unlock()
 	}
-	if m == nil {
+	if !hit {
 		c.event(EvProbe, -1, tag, 0, start)
 		c.pollMiss()
-		return nil
+		return e, false
 	}
 	c.ps.pollMisses = 0
 	if c.ps.ev != nil {
-		c.event(EvProbe, m.src, m.tag, m.bytes, start)
+		c.event(EvProbe, int(e.src), int(e.tag), e.bytes(), start)
 	}
-	return m
+	return e, true
 }
 
 // Probe blocks until a message matching (src, tag) is queued and returns
@@ -238,8 +249,8 @@ func (c *Comm) Probe(src, tag int) Status {
 	if src != AnySource {
 		c.checkRank(src, "probe")
 	}
-	return c.probeWait("Probe", func(mb *mailbox) *message {
-		return mb.matchUserLocked(src, tag, c.ctx, false, c.ps.now)
+	return c.probeWait("Probe", func(mb *mailbox) found {
+		return mb.match(src, tag, c.ctx, c.ps.now)
 	})
 }
 
@@ -249,24 +260,26 @@ func (c *Comm) Probe(src, tag int) Status {
 // perturbed run could livelock where a real MPI run cannot. A stall on
 // an in-flight message is a late-sender wait just like the receive that
 // will follow it.
-func (c *Comm) probeWait(what string, match func(mb *mailbox) *message) Status {
+func (c *Comm) probeWait(what string, match func(mb *mailbox) found) Status {
 	start := c.ps.now
 	c.chargeComm(c.w.cost.ProbeOverhead)
-	m := c.await(what, match)
-	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
+	mb, f := c.await(what, match)
+	e := *f.e
+	mb.mu.Unlock()
+	c.waitFor(e.arrive, WaitLateSender, int(e.src), e.sent)
 	if c.ps.ev != nil {
-		c.event(EvProbe, m.src, m.tag, m.bytes, start)
+		c.event(EvProbe, int(e.src), int(e.tag), e.bytes(), start)
 	}
-	return Status{Source: m.src, Tag: m.tag, Count: len(m.data)}
+	return Status{Source: int(e.src), Tag: int(e.tag), Count: int(e.n)}
 }
 
-// completeRecv applies receive-side timing and accounting for m.
-func (c *Comm) completeRecv(m *message) {
+// completeRecv applies receive-side timing and accounting for e.
+func (c *Comm) completeRecv(e *entry) {
 	rs := c.ps.rs
-	c.waitFor(m.arrive, WaitLateSender, m.src, m.sent)
+	c.waitFor(e.arrive, WaitLateSender, int(e.src), e.sent)
 	c.chargeComm(c.w.cost.RecvOverhead)
 	rs.RecvCount++
-	rs.RecvBytes += m.bytes
+	rs.RecvBytes += e.bytes()
 }
 
 // QueuedBytes returns the bytes currently occupying this rank's eager

@@ -145,6 +145,29 @@ func TestTagSelectivity(t *testing.T) {
 	}
 }
 
+// TestTagBound: tags are stored in 32 bits, so the largest one a send
+// accepts (MPI_TAG_UB) must round-trip intact, and the next one must be
+// refused rather than alias a smaller tag.
+func TestTagBound(t *testing.T) {
+	_, err := runChecked(1, func(c *Comm) error {
+		c.Isend(0, maxTag, []int64{7})
+		if d, st := c.Recv(0, maxTag); st.Tag != maxTag || d[0] != 7 {
+			t.Errorf("tag %d received as tag %d, payload %v", maxTag, st.Tag, d)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = testRun(1, func(c *Comm) error {
+		c.Isend(0, maxTag+1, []int64{7})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "above the tag bound") {
+		t.Fatalf("send with tag %d: err = %v, want the tag-bound panic", maxTag+1, err)
+	}
+}
+
 func TestIprobe(t *testing.T) {
 	_, err := runChecked(2, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -172,11 +172,11 @@ func (q *Quiesce) Block() {
 		panic("mpi: Quiesce.Block called while holding the token; call Idle first")
 	}
 	c := q.app
-	c.probeWait("quiescence wait", func(mb *mailbox) *message {
-		if m := mb.matchUserLocked(AnySource, AnyTag, c.ctx, false, c.ps.now); m != nil || q.tok == nil {
-			return m
+	c.probeWait("quiescence wait", func(mb *mailbox) found {
+		if f := mb.match(AnySource, AnyTag, c.ctx, c.ps.now); f.e != nil || q.tok == nil {
+			return f
 		}
-		return mb.matchUserLocked(q.prev, AnyTag, q.tok.ctx, false, c.ps.now)
+		return mb.match(q.prev, AnyTag, q.tok.ctx, c.ps.now)
 	})
 }
 

@@ -183,8 +183,8 @@ func TestNCLCForwardingAccounting(t *testing.T) {
 // a full combining round: stage one record per neighbor, run all
 // ceil(log2 8) persistent phase exchanges, each bundle gathered into the
 // one reused scratch buffer, deliver from the received views, and run
-// the termination reduction — all from reused buffers, pooled runtime
-// messages and the persistent schedules. AllocsPerRun executes
+// the termination reduction — all from reused buffers, the runtime's
+// kept rings and the persistent schedules. AllocsPerRun executes
 // its body runs+1 times on rank 0; the other ranks run the same count so
 // the collectives stay in lockstep.
 func TestNCLCRoundZeroAlloc(t *testing.T) {
@@ -209,16 +209,7 @@ func TestNCLCRoundZeroAlloc(t *testing.T) {
 			c.AllreduceScalarInt64(mpi.OpSum, 1)
 		}
 		for i := 0; i < 8; i++ {
-			round() // warm the staging and scratch buffers, rings and pools
-		}
-		if raceEnabled {
-			// Race-mode sync.Pool drops Puts by design, so the pooled
-			// message path cannot be allocation-free; keep exercising
-			// the rounds for data-race coverage, skip the count.
-			for i := 0; i < runs+1; i++ {
-				round()
-			}
-			return nil
+			round() // warm the staging and scratch buffers and the rings
 		}
 		if c.Rank() == 0 {
 			if avg := testing.AllocsPerRun(runs, round); avg != 0 {

@@ -503,9 +503,9 @@ func TestTelemetryRoundZeroAlloc(t *testing.T) {
 			log.Append(c.Now(), unresolved, done, done, 0, 0, c.QueuedBytes(), tr.VolumeByNeighbor())
 		}
 		for i := 0; i < 8; i++ {
-			round() // warm buffers, rings and pools
+			round() // warm buffers and rings
 		}
-		if c.Rank() == 0 && !raceEnabled { // see TestNCLCRoundZeroAlloc
+		if c.Rank() == 0 {
 			if avg := testing.AllocsPerRun(runs, round); avg != 0 {
 				t.Errorf("telemetry-instrumented NCL round: %.2f allocs/op, want 0", avg)
 			}
@@ -554,9 +554,9 @@ func TestNCLRoundZeroAlloc(t *testing.T) {
 			c.AllreduceScalarInt64(mpi.OpSum, 1)
 		}
 		for i := 0; i < 8; i++ {
-			round() // warm buffers, rings and pools
+			round() // warm buffers and rings
 		}
-		if c.Rank() == 0 && !raceEnabled { // see TestNCLCRoundZeroAlloc
+		if c.Rank() == 0 {
 			if avg := testing.AllocsPerRun(runs, round); avg != 0 {
 				t.Errorf("NCL aggregation round: %.2f allocs/op, want 0", avg)
 			}
@@ -615,7 +615,7 @@ func TestNCLStepRoundZeroAlloc(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			round()
 		}
-		if c.Rank() == 0 && !raceEnabled { // see TestNCLCRoundZeroAlloc
+		if c.Rank() == 0 {
 			if avg := testing.AllocsPerRun(runs, round); avg != 0 {
 				t.Errorf("stepped NCL round: %.2f allocs/op, want 0", avg)
 			}
