@@ -47,9 +47,12 @@ race:
 # instrumentation point; the event-log view's EventLog.Len and
 # EventLog.At, run inside the critical-path walk's binary search; in
 # the matching engine, the per-arc bit helpers (*engine).isClosed,
-# close, isAsked, ask and open, run on every arc the protocol touches.
-# A helper grown past the inlining budget shows up only as a few
-# percent of host time, so it is checked here.
+# close, isAsked, ask and open, run on every arc the protocol touches;
+# the distribution's (*Local).NeighborIndex, run on every buffered
+# send, and the transport's UnpackTarget, run on every record the
+# matching and colouring engines receive. A helper grown past the
+# inlining budget shows up only as a few percent of host time, so it is
+# checked here.
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/mpi 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in pollMiss event; do \
@@ -61,7 +64,11 @@ inline-check:
 	out=$$($(GO) build -gcflags=-m ./internal/matching 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in isClosed close isAsked ask open; do \
 		echo "$$out" | grep -q "can inline (\*engine)\.$$f$$" || { echo "inline-check: (*engine).$$f is no longer inlined"; exit 1; }; \
-	done
+	done; \
+	out=$$($(GO) build -gcflags=-m ./internal/distgraph 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q "can inline (\*Local)\.NeighborIndex$$" || { echo "inline-check: (*Local).NeighborIndex is no longer inlined"; exit 1; }; \
+	out=$$($(GO) build -gcflags=-m ./internal/transport 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q "can inline UnpackTarget$$" || { echo "inline-check: UnpackTarget is no longer inlined"; exit 1; }
 
 # bench-check vets and tests the repository's benchmark (bench/, run by
 # BENCHMARK.json). It is a module of its own, so tier1's ./... does not

@@ -41,7 +41,7 @@ var docAllow = map[string]string{
 	"MPI_Comm_dup":           "MPI standard: the idiom behind a detector's private context",
 	"MPI_Improbe":            "MPI standard: matched probe, the model for Comm.IprobeRecvInto",
 	"MPI_Mrecv":              "MPI standard: matched receive, the model for Comm.IprobeRecvInto",
-	"sync.Pool":              "Go standard library: distgraph's count scratch, the one pool left",
+	"sync.Pool":              "Go standard library: DESIGN §4c says why no package keeps one",
 	"sync.Once":              "Go standard library: the key-order index is built under one",
 	"GOMAXPROCS":             "Go runtime: the processor count, set by the environment or runtime.GOMAXPROCS",
 	"strconv.FormatFloat":    "Go standard library: the reference AppendUsec matches",

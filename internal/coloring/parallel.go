@@ -30,8 +30,10 @@ type ParallelResult struct {
 }
 
 // ctxColor announces "vertex y (mine) adjacent to your x is colored c";
-// the color rides in the record's x slot alongside the edge endpoints —
-// records are {ctx, x, y<<colorShift | color}.
+// the color rides in the record's y word below the sender's vertex, and
+// the x word carries y's position in x's row beside x
+// (transport.PackTarget) — records are {ctx, pos<<32 | x,
+// y<<colorShift | color}.
 const (
 	ctxColor   int64 = 1
 	colorShift       = 24 // colors < 2^24; vertex ids shifted above
@@ -52,6 +54,7 @@ type jpEngine struct {
 	color     []int32 // owned vertices; -1 uncolored
 	waitCount []int32 // uncolored higher-priority neighbors remaining
 	ghostCol  []int32 // per local arc: far endpoint's color, -1 unknown
+	mirror    []int32 // the graph's Mirror over the rank's arcs
 	arcBase   int64
 
 	pendingArcs int64 // cross arcs whose announcement we have not received
@@ -60,7 +63,7 @@ type jpEngine struct {
 	ncolored    int64 // owned vertices colored so far
 }
 
-func newJPEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender) *jpEngine {
+func newJPEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, mirror []int32) *jpEngine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
 	e := &jpEngine{
@@ -69,6 +72,7 @@ func newJPEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender) *jpEngine
 		color:     make([]int32, nOwned),
 		waitCount: make([]int32, nOwned),
 		ghostCol:  make([]int32, g.Offsets[l.Hi]-g.Offsets[l.Lo]),
+		mirror:    mirror[g.Offsets[l.Lo]:g.Offsets[l.Hi]],
 		arcBase:   g.Offsets[l.Lo],
 	}
 	for i := range e.color {
@@ -126,7 +130,8 @@ func (e *jpEngine) tryColor(vi int32) {
 	// Announce to every rank holding a ghost copy (once per cross arc,
 	// so buffered transports stay within their bound) and release local
 	// lower-priority neighbors.
-	for _, a := range row {
+	local := e.g.Offsets[v] - e.arcBase
+	for i, a := range row {
 		e.c.Compute(1)
 		if e.l.Owns(int(a)) {
 			if priorityLess(int(a), v) {
@@ -137,40 +142,38 @@ func (e *jpEngine) tryColor(vi int32) {
 			continue
 		}
 		e.sent++
-		e.tr.Send(e.l.Owner(int(a)), ctxColor, int64(a), int64(v)<<colorShift|int64(chosen))
+		e.tr.Send(e.l.Owner(int(a)), ctxColor, transport.PackTarget(a, e.mirror[local+int64(i)]), int64(v)<<colorShift|int64(chosen))
 	}
 }
 
-// handleMessage ingests one color announcement.
-func (e *jpEngine) handleMessage(ctx, x, packed int64) {
+// handleMessage ingests one color announcement; its x word locates the
+// arc it arrives on.
+func (e *jpEngine) handleMessage(ctx, target, packed int64) {
 	e.c.Compute(1)
 	if ctx != ctxColor {
 		panic(fmt.Sprintf("coloring: unknown context %d", ctx))
 	}
+	x, pos := transport.UnpackTarget(target)
 	y := packed >> colorShift
 	col := int32(packed & (1<<colorShift - 1))
 	xi := int32(int(x) - e.lo)
 	if xi < 0 || int(x) >= e.hi {
 		panic(fmt.Sprintf("coloring: rank %d received announcement for vertex %d outside [%d,%d)", e.c.Rank(), x, e.lo, e.hi))
 	}
-	arc := e.arcIndex(x, y)
-	if e.ghostCol[arc-e.arcBase] >= 0 {
+	row := e.g.Offsets[x]
+	if uint64(pos) >= uint64(e.g.Offsets[x+1]-row) {
+		panic(fmt.Sprintf("coloring: announcement from %d names position %d of vertex %d's row of %d", y, pos, x, e.g.Offsets[x+1]-row))
+	}
+	arc := row + pos - e.arcBase
+	if e.ghostCol[arc] >= 0 {
 		panic(fmt.Sprintf("coloring: duplicate announcement for edge {%d,%d}", x, y))
 	}
-	e.ghostCol[arc-e.arcBase] = col
+	e.ghostCol[arc] = col
 	e.pendingArcs--
 	if priorityLess(int(x), int(y)) && e.color[xi] < 0 {
 		e.waitCount[xi]--
 		e.work = append(e.work, xi)
 	}
-}
-
-func (e *jpEngine) arcIndex(x, y int64) int64 {
-	i, ok := e.g.SearchNeighbor(int(x), int(y))
-	if !ok {
-		panic(fmt.Sprintf("coloring: message references nonexistent edge {%d,%d}", x, y))
-	}
-	return e.g.Offsets[x] + int64(i)
 }
 
 // Row implements driver.Kernel. The announcement count rides in the
@@ -207,8 +210,9 @@ func (e *jpEngine) Pending() int64 {
 // the matching suite.
 func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 	colors := make([]int64, g.NumVertices())
+	mirror := g.Mirror() // built once per graph, outside the simulated world
 	out, err := driver.Run(g, opt, driver.Protocol{App: "coloring", MaxPerArc: maxMessagesPerCrossArc}, func(r *driver.Rank) error {
-		e := newJPEngine(r.Comm, r.Local, r.Backend)
+		e := newJPEngine(r.Comm, r.Local, r.Backend, mirror)
 		r.Loop(e, e.handleMessage)
 		for vi, col := range e.color {
 			colors[e.lo+vi] = int64(col)

@@ -22,7 +22,14 @@ import (
 type Dist struct {
 	G      *graph.CSR
 	P      int
-	starts []int // len P+1; rank r owns [starts[r], starts[r+1])
+	starts []int       // len P+1; rank r owns [starts[r], starts[r+1])
+	locals []localSlot // Local's views, one per rank
+}
+
+// localSlot holds one rank's view, built once by Local.
+type localSlot struct {
+	once sync.Once
+	l    *Local
 }
 
 // NewBlockDist distributes g's vertices over p equal (+-1) contiguous
@@ -36,7 +43,35 @@ func NewBlockDist(g *graph.CSR, p int) *Dist {
 	for r := 0; r <= p; r++ {
 		starts[r] = r * n / p
 	}
-	return &Dist{G: g, P: p, starts: starts}
+	return &Dist{G: g, P: p, starts: starts, locals: make([]localSlot, p)}
+}
+
+// blockKey keys SharedBlockDist's distributions in the graph's memo.
+type blockKey struct{ p int }
+
+// SharedBlockDist returns g's block distribution over p ranks, built by
+// NewBlockDist on the first request for p and kept in the graph's memo
+// (graph.CSR.Memo) for its lifetime, so every run over the same graph
+// and rank count shares one distribution and, through Local, one view
+// per rank: the paper's implementations precompute their distribution
+// once, before the protocol runs (§IV-A, Fig 1).
+func SharedBlockDist(g *graph.CSR, p int) *Dist {
+	if p < 1 {
+		panic(fmt.Sprintf("distgraph: p = %d", p))
+	}
+	return g.Memo(blockKey{p}, func() any { return NewBlockDist(g, p) }).(*Dist)
+}
+
+// Local returns rank r's view, built by BuildLocal on the first call for
+// r and returned to every later one: ranks that ask at once each build
+// their own, and a view is read-only once built.
+func (d *Dist) Local(r int) *Local {
+	if r < 0 || r >= d.P {
+		panic(fmt.Sprintf("distgraph: Local(%d) with P=%d", r, d.P))
+	}
+	s := &d.locals[r]
+	s.once.Do(func() { s.l = d.BuildLocal(r) })
+	return s.l
 }
 
 // Owner returns the rank owning global vertex v.
@@ -73,7 +108,8 @@ func (d *Dist) NumOwned(r int) int {
 // Local is one rank's view of the distribution: its vertex range, the
 // process-graph neighborhood, and per-neighbor cross-edge (ghost) counts,
 // precomputed exactly as the paper's implementations need them for buffer
-// sizing and RMA displacement calculation (Fig 1).
+// sizing and RMA displacement calculation (Fig 1). A view is read-only
+// once built: Dist.Local shares one per rank among all runs.
 type Local struct {
 	Rank int
 	P    int
@@ -94,35 +130,31 @@ type Local struct {
 	// to ghosts.
 	LocalArcs int64
 
-	nbrIndex map[int]int
-	dist     *Dist
+	// nbrIdx[q-nbrBase] is one more than rank q's position in
+	// NeighborRanks, 0 if q is no neighbor, over the owners between the
+	// lowest and the highest far endpoint.
+	nbrBase int
+	nbrIdx  []int32
+	dist    *Dist
 }
 
-// ownerCounts is BuildLocal's scratch: cross-arc counts indexed by owner
-// rank less the call's lowest owner, all zero between calls, and the
-// owners a call has touched.
-type ownerCounts struct {
-	n       []int64
-	touched []int
-}
-
-// countScratch pools ownerCounts: every rank of a run builds its view at
-// start-up, so one buffer serves many calls.
-var countScratch sync.Pool
-
-// BuildLocal computes rank r's local view. Cross arcs are counted into a
-// pooled per-owner array; only the owners touched are sorted and reset,
-// so a call costs its arcs plus its degree, not the world size. The array
-// spans only the owners between the lowest and highest far endpoint
-// (Owner is monotone): a few ranks on a spatial graph, at any P. Ranks
-// that build their views at once each miss the pool, and a world-wide
-// array per miss would cost O(P) bytes per rank.
+// BuildLocal computes rank r's local view: one pass over its arcs finds
+// the owners they reach, a second counts cross arcs per owner into the
+// view's neighbor index, which then takes each neighbor's position in
+// place of its count, so a call costs its arcs, its degree and one
+// zeroed index, not the world size. The index spans only the owners
+// between the lowest and highest far endpoint (Owner is monotone): a
+// few ranks on a spatial graph, at any P; at 4 B an owner, up to P on
+// one whose edges reach everywhere.
 func (d *Dist) BuildLocal(r int) *Local {
 	if r < 0 || r >= d.P {
 		panic(fmt.Sprintf("distgraph: BuildLocal(%d) with P=%d", r, d.P))
 	}
 	lo, hi := d.Range(r)
 	arcs := d.G.Adj[d.G.Offsets[lo]:d.G.Offsets[hi]]
+	if int64(len(arcs)) > math.MaxInt32 {
+		panic(fmt.Sprintf("distgraph: rank %d holds %d arcs, more than its int32 counts hold", r, len(arcs)))
+	}
 	vmin, vmax := lo, hi-1
 	for _, a := range arcs {
 		vmin, vmax = min(vmin, int(a)), max(vmax, int(a))
@@ -132,40 +164,36 @@ func (d *Dist) BuildLocal(r int) *Local {
 		base = d.Owner(vmin)
 		span = d.Owner(vmax) - base + 1
 	}
-	cs, _ := countScratch.Get().(*ownerCounts)
-	if cs == nil || len(cs.n) < span {
-		cs = &ownerCounts{n: make([]int64, span)}
-	}
+	idx := make([]int32, span)
+	var nbrs []int
 	for _, a := range arcs {
 		if int(a) < lo || int(a) >= hi {
-			q := d.Owner(int(a))
-			if cs.n[q-base] == 0 {
-				cs.touched = append(cs.touched, q)
+			k := d.Owner(int(a)) - base
+			if idx[k] == 0 {
+				nbrs = append(nbrs, k+base)
 			}
-			cs.n[q-base]++
+			idx[k]++
 		}
 	}
-	slices.Sort(cs.touched)
-	deg := len(cs.touched)
+	slices.Sort(nbrs)
 	l := &Local{
 		Rank:          r,
 		P:             d.P,
 		Lo:            lo,
 		Hi:            hi,
-		NeighborRanks: slices.Clone(cs.touched),
-		CrossArcs:     make([]int64, deg),
+		NeighborRanks: nbrs,
+		CrossArcs:     make([]int64, len(nbrs)),
 		LocalArcs:     int64(len(arcs)),
-		nbrIndex:      make(map[int]int, deg),
+		nbrBase:       base,
+		nbrIdx:        idx,
 		dist:          d,
 	}
-	for i, q := range cs.touched {
-		l.CrossArcs[i] = cs.n[q-base]
-		l.TotalCrossArcs += cs.n[q-base]
-		l.nbrIndex[q] = i
-		cs.n[q-base] = 0
+	for i, q := range nbrs {
+		n := int64(idx[q-base])
+		l.CrossArcs[i] = n
+		l.TotalCrossArcs += n
+		idx[q-base] = int32(i + 1)
 	}
-	cs.touched = cs.touched[:0]
-	countScratch.Put(cs)
 	return l
 }
 
@@ -178,10 +206,11 @@ func (l *Local) Owner(v int) int { return l.dist.Owner(v) }
 // NumOwned returns the number of vertices this rank owns.
 func (l *Local) NumOwned() int { return l.Hi - l.Lo }
 
-// NeighborIndex returns the position of rank q in NeighborRanks, or -1.
+// NeighborIndex returns the position of rank q in NeighborRanks, or -1:
+// a bounds check and a load, on every buffered send.
 func (l *Local) NeighborIndex(q int) int {
-	if i, ok := l.nbrIndex[q]; ok {
-		return i
+	if k := uint(q - l.nbrBase); k < uint(len(l.nbrIdx)) {
+		return int(l.nbrIdx[k]) - 1
 	}
 	return -1
 }

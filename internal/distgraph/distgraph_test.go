@@ -1,11 +1,14 @@
 package distgraph
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 )
 
 func TestOwnerPartition(t *testing.T) {
@@ -221,5 +224,60 @@ func TestEmptyGraphDistribution(t *testing.T) {
 	st := d.ProcessGraphStats()
 	if st.Edges != 0 || st.DMax != 0 {
 		t.Errorf("empty distribution stats = %+v", st)
+	}
+}
+
+// TestLocalsBuiltOnce pins the shared distribution the driver runs on:
+// SharedBlockDist keeps one Dist per graph and rank count, and Dist.Local
+// one view per rank, built once however many ranks ask at once. Every
+// rank of a 64-rank world asks on first use and again in a second run;
+// each view must equal a fresh BuildLocal, and NeighborIndex must name
+// each neighbour's position and return -1 for every other rank, inside
+// the view's owner span and outside it. The inputs are an RGG strip
+// (spans of a few ranks) and a ring of strides of three blocks, whose
+// spans hold non-neighbours between the neighbours.
+func TestLocalsBuiltOnce(t *testing.T) {
+	const p = 64
+	stride := graph.NewBuilder(p * 4)
+	for v := 0; v < p*4; v++ {
+		stride.AddEdge(v, (v+12)%(p*4), 1)
+	}
+	inputs := map[string]*graph.CSR{
+		"rgg":    gen.RGG(4000, gen.RGGRadiusForDegree(4000, 8), 3),
+		"stride": stride.Build(),
+	}
+	for name, g := range inputs {
+		d := SharedBlockDist(g, p)
+		if SharedBlockDist(g, p) != d || SharedBlockDist(g, p/2) == d {
+			t.Fatalf("%s: SharedBlockDist does not keep one distribution per rank count", name)
+		}
+		var runs [2][p]*Local
+		for k := range runs {
+			if _, err := mpi.Run(p, func(c *mpi.Comm) error {
+				runs[k][c.Rank()] = d.Local(c.Rank())
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r := 0; r < p; r++ {
+			l := runs[0][r]
+			if runs[1][r] != l {
+				t.Errorf("%s: rank %d got a new view in the second run", name, r)
+			}
+			if fresh := d.BuildLocal(r); !reflect.DeepEqual(l, fresh) {
+				t.Errorf("%s: rank %d: shared view %+v differs from BuildLocal's %+v", name, r, l, fresh)
+			}
+			for q := -2; q < p+2; q++ {
+				want := slices.Index(l.NeighborRanks, q)
+				if got := l.NeighborIndex(q); got != want {
+					t.Errorf("%s: rank %d: NeighborIndex(%d) = %d, want %d (span [%d,%d))",
+						name, r, q, got, want, l.nbrBase, l.nbrBase+len(l.nbrIdx))
+				}
+			}
+		}
+		if l := d.Local(p / 2); name == "stride" && (len(l.nbrIdx) != 7 || len(l.NeighborRanks) != 2) {
+			t.Errorf("stride: rank %d spans %d owners with %d neighbours, want 7 with 2", p/2, len(l.nbrIdx), len(l.NeighborRanks))
+		}
 	}
 }

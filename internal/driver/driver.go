@@ -149,15 +149,18 @@ type Outcome struct {
 
 // Run distributes g over opt.Procs simulated ranks and runs body on
 // each, between the construction and the release of the rank's
-// transport backend. The body builds its kernel over the Rank, runs its
-// loop (Rank.Loop, or its own over Pump), and copies the rank's share of
-// the result out. An error from any rank's body, a deadline, or a
-// backend the model cannot construct fails the run.
+// transport backend. The distribution and each rank's view of it are
+// the graph's, built on the first run over g at opt.Procs ranks and
+// shared by every later one (distgraph.SharedBlockDist, Dist.Local).
+// The body builds its kernel over the Rank, runs its loop (Rank.Loop,
+// or its own over Pump), and copies the rank's share of the result
+// out. An error from any rank's body, a deadline, or a backend the
+// model cannot construct fails the run.
 func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Outcome, error) {
 	if opt.Procs < 1 {
 		return nil, fmt.Errorf("%s: Procs = %d", p.App, opt.Procs)
 	}
-	d := distgraph.NewBlockDist(g, opt.Procs)
+	d := distgraph.SharedBlockDist(g, opt.Procs)
 	rounds := make([]int, opt.Procs)
 	sent := make([]int64, opt.Procs)
 	var logs []*telemetry.RoundLog
@@ -167,7 +170,7 @@ func Run(g *graph.CSR, opt Options, p Protocol, body func(*Rank) error) (*Outcom
 	p2p := opt.Model.Flavor() == transport.FlavorAsync
 
 	rep, err := mpi.Run(opt.Procs, func(c *mpi.Comm) error {
-		r := Rank{Comm: c, Local: d.BuildLocal(c.Rank()), detect: p.Detect}
+		r := Rank{Comm: c, Local: d.Local(c.Rank()), detect: p.Detect}
 		if p2p && p.ForceRounds {
 			r.fence = c
 		}

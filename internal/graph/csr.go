@@ -22,10 +22,11 @@ import (
 //
 // A CSR is immutable once Build or Read has returned it: every reader —
 // the distribution, the engines of every simulated rank, the verifiers —
-// shares the three slices without synchronisation, and KeyOrder caches
-// an index derived from them that is itself shared and read-only. Code
-// that needs a different graph builds a new one (Permute does). A CSR
-// must not be copied by value after first use (it holds a sync.Once).
+// shares the three slices without synchronisation, and KeyOrder, Mirror
+// and Memo cache values derived from them that are themselves shared and
+// read-only. Code that needs a different graph builds a new one (Permute
+// does). A CSR must not be copied by value after first use (it holds
+// a sync.Map).
 type CSR struct {
 	// Offsets has length NumVertices()+1; vertex v's arcs occupy
 	// Adj[Offsets[v]:Offsets[v+1]] with parallel Weights.
@@ -36,11 +37,41 @@ type CSR struct {
 	// undirected edge carry the same weight.
 	Weights []float64
 
-	// keyOrder is the lazily built KeyOrder index, nil until first asked
-	// for; it lives and dies with the graph.
-	keyOnce  sync.Once
-	keyOrder []int32
+	// memo holds the values derived from the graph on first request
+	// (Memo): the KeyOrder and Mirror indexes and other packages'
+	// values. They live and die with the graph.
+	memo sync.Map // key → *memoEntry
 }
+
+// memoEntry is one Memo value, built once.
+type memoEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Memo returns the value derived from the graph under key, calling
+// build on the first request for the key and returning that value to
+// every later one, from any goroutine; concurrent first requests wait
+// for the one build. Values live and die with the graph, so they must
+// be read-only like it. Keys should be of a type the deriving package
+// owns, so packages cannot collide.
+func (g *CSR) Memo(key any, build func() any) any {
+	e, ok := g.memo.Load(key)
+	if !ok {
+		e, _ = g.memo.LoadOrStore(key, new(memoEntry))
+	}
+	m := e.(*memoEntry)
+	m.once.Do(func() { m.v = build() })
+	return m.v
+}
+
+// index keys the graph's own derived indexes in its memo.
+type index int
+
+const (
+	keyOrderIndex index = iota
+	mirrorIndex
+)
 
 // NumVertices returns the number of vertices.
 func (g *CSR) NumVertices() int {

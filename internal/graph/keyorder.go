@@ -20,8 +20,7 @@ const keyOrderGrain = 512
 // any goroutine — returns the same read-only slice; callers must not
 // write to it.
 func (g *CSR) KeyOrder() []int32 {
-	g.keyOnce.Do(func() { g.keyOrder = g.buildKeyOrder() })
-	return g.keyOrder
+	return g.Memo(keyOrderIndex, func() any { return g.buildKeyOrder() }).([]int32)
 }
 
 // buildKeyOrder computes each arc's key exactly once (instead of

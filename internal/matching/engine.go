@@ -49,6 +49,7 @@ type engine struct {
 
 	lo, hi  int
 	order   []int32 // the graph's KeyOrder: row v's arc positions by descending key at Offsets[v]
+	mirror  []int32 // the graph's Mirror over the rank's arcs: for local arc a, the owned endpoint's position in the far endpoint's row
 	ptr     []int32
 	cand    []int32 // global candidate id, or -1
 	state   []uint8
@@ -69,11 +70,13 @@ type engine struct {
 }
 
 // newEngine builds one rank's engine around the graph's shared read-only
-// key-order index (graph.CSR.KeyOrder). The rank still charges the setup
-// to its virtual clock — the index rows it consumes represent the same
-// O(local arcs) of sorting work an MPI rank would do locally. The engine
+// key-order and mirror indexes (graph.CSR.KeyOrder, Mirror). The rank
+// still charges the setup to its virtual clock — the index rows it
+// consumes represent the same O(local arcs) of sorting work an MPI rank
+// would do locally. The mirror is host addressing only: records keep
+// their three words and every charge stays what it was. The engine
 // writes its owned vertices' mates straight into mates[l.Lo:l.Hi].
-func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order []int32, mates []int32) *engine {
+func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject bool, order, mirror []int32, mates []int32) *engine {
 	g := l.Graph()
 	nOwned := l.NumOwned()
 	arcs := g.Offsets[l.Hi] - g.Offsets[l.Lo]
@@ -83,6 +86,7 @@ func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject
 		eagerReject: eagerReject,
 		lo:          l.Lo, hi: l.Hi,
 		order:   order,
+		mirror:  mirror[g.Offsets[l.Lo]:g.Offsets[l.Hi]],
 		ptr:     make([]int32, nOwned),
 		cand:    make([]int32, nOwned),
 		state:   make([]uint8, nOwned),
@@ -106,16 +110,6 @@ func newEngine(c *mpi.Comm, l *distgraph.Local, tr transport.Sender, eagerReject
 
 // owns reports whether global vertex v is owned here.
 func (e *engine) owns(v int) bool { return v >= e.lo && v < e.hi }
-
-// arcIndex locates the rank-local arc index of edge (x, y) in x's row;
-// x must be owned. CSR rows are sorted by neighbor id.
-func (e *engine) arcIndex(x, y int64) int64 {
-	i, ok := e.g.SearchNeighbor(int(x), int(y))
-	if !ok {
-		panic(fmt.Sprintf("matching: rank %d: message references nonexistent edge {%d,%d}", e.c.Rank(), x, y))
-	}
-	return e.g.Offsets[x] + int64(i) - e.arcBase
-}
 
 // isClosed reports whether local arc a is closed.
 func (e *engine) isClosed(a int64) bool { return e.closed[a>>6]&(1<<(a&63)) != 0 }
@@ -147,11 +141,12 @@ func (e *engine) open(v, u int, a int64) bool {
 	return !e.isClosed(a)
 }
 
-// push emits a protocol message for the owner of ghost vertex x.
-func (e *engine) push(ctx, x, y int64) {
+// push emits a protocol message from owned vertex v over local arc a to
+// the owner of ghost u, addressed to u's arc back (transport.PackTarget).
+func (e *engine) push(ctx int64, u int32, v int, a int64) {
 	e.sent++
 	e.kind[ctx]++
-	e.tr.Send(e.l.Owner(int(x)), ctx, x, y)
+	e.tr.Send(e.l.Owner(int(u)), ctx, transport.PackTarget(u, e.mirror[a]), int64(v))
 }
 
 // Pending implements driver.Kernel: a rank with no unresolved cross arcs
@@ -214,11 +209,11 @@ func (e *engine) findMate(vi int32) {
 		e.state[vi] = stMatched
 		e.nmatched++
 		e.close(a)
-		e.push(ctxRequest, int64(u), int64(v))
+		e.push(ctxRequest, u, v, a)
 		e.afterMatch(vi)
 		return
 	}
-	e.push(ctxRequest, int64(u), int64(v))
+	e.push(ctxRequest, u, v, a)
 }
 
 // die implements FINDMATE's invalidation branch: the vertex has no
@@ -272,21 +267,27 @@ func (e *engine) release(vi int32, ctx int64) {
 			}
 			continue
 		}
-		if e.close(local + int64(i)) {
-			e.push(ctx, int64(u), int64(v))
+		if a := local + int64(i); e.close(a) {
+			e.push(ctx, u, v, a)
 		}
 	}
 }
 
 // handleMessage implements PROCESSINCOMINGDATA (Algorithm 6) for one
-// record targeting owned vertex x from remote vertex y.
-func (e *engine) handleMessage(ctx, x, y int64) {
+// record targeting owned vertex x from remote vertex y; the record's x
+// word carries y's position in x's row, which locates the arc.
+func (e *engine) handleMessage(ctx, target, y int64) {
 	e.c.Compute(1)
+	x, pos := transport.UnpackTarget(target)
 	if !e.owns(int(x)) {
 		panic(fmt.Sprintf("matching: rank %d received message for vertex %d outside [%d,%d)", e.c.Rank(), x, e.lo, e.hi))
 	}
+	row := e.g.Offsets[x]
+	if uint64(pos) >= uint64(e.g.Offsets[x+1]-row) {
+		panic(fmt.Sprintf("matching: rank %d: record from %d names position %d of vertex %d's row of %d", e.c.Rank(), y, pos, x, e.g.Offsets[x+1]-row))
+	}
 	xi := int32(int(x) - e.lo)
-	a := e.arcIndex(x, y)
+	a := row + pos - e.arcBase
 	switch ctx {
 	case ctxRequest:
 		if e.isClosed(a) {
@@ -309,7 +310,7 @@ func (e *engine) handleMessage(ctx, x, y int64) {
 			// Paper's literal Algorithm 6: no memory of requesters —
 			// deactivate the edge and reject immediately.
 			e.close(a)
-			e.push(ctxReject, y, x)
+			e.push(ctxReject, int32(y), int(x), a)
 			return
 		}
 		e.ask(a)

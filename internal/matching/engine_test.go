@@ -22,7 +22,7 @@ import (
 func TestEngineHostFootprint(t *testing.T) {
 	const n = 100_000
 	g := gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 38)
-	order := g.KeyOrder()
+	order, mirror := g.KeyOrder(), g.Mirror()
 	d := distgraph.NewBlockDist(g, 2)
 	l := d.BuildLocal(0)
 	mates := make([]int32, n)
@@ -35,7 +35,7 @@ func TestEngineHostFootprint(t *testing.T) {
 		defer c.Barrier()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		e := newEngine(c, l, &captureSender{}, false, order, mates)
+		e := newEngine(c, l, &captureSender{}, false, order, mirror, mates)
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(e)
 		alloc = after.TotalAlloc - before.TotalAlloc
@@ -89,7 +89,7 @@ func TestEngineArcBitBoundaries(t *testing.T) {
 		edges = append(edges, graph.Edge{U: hub, V: u, W: float64(1000 - u)})
 	}
 	g := graph.FromEdges(2*hub, edges)
-	order := g.KeyOrder()
+	order, mirror := g.KeyOrder(), g.Mirror()
 	d := distgraph.NewBlockDist(g, 2)
 	l := d.BuildLocal(1)
 	if l.Lo != hub || l.LocalArcs != arcs || l.TotalCrossArcs != arcs {
@@ -103,7 +103,7 @@ func TestEngineArcBitBoundaries(t *testing.T) {
 		defer c.Barrier()
 		start := func() (*engine, *captureSender) {
 			tr := &captureSender{}
-			e := newEngine(c, l, tr, false, order, make([]int32, g.NumVertices()))
+			e := newEngine(c, l, tr, false, order, mirror, make([]int32, g.NumVertices()))
 			if e.arcBase != arcs {
 				t.Fatalf("arcBase = %d, want %d", e.arcBase, arcs)
 			}
@@ -111,15 +111,22 @@ func TestEngineArcBitBoundaries(t *testing.T) {
 			if e.cand[0] != 0 || e.pending != arcs || len(tr.recs) != 1 {
 				t.Fatalf("after Start: cand %d, pending %d, %d sends; want ghost 0, %d, 1", e.cand[0], e.pending, len(tr.recs), arcs)
 			}
+			if r := tr.recs[0]; r.x != 0 || r.y != hub || g.Adj[g.Offsets[0]+r.pos] != hub {
+				t.Fatalf("after Start: REQUEST {x %d, pos %d, y %d}; want ghost 0 with the hub's position in its row", r.x, r.pos, r.y)
+			}
 			return e, tr
 		}
-		// ghost is the far endpoint of local arc a.
-		ghost := func(e *engine, a int64) int64 { return int64(g.Adj[e.arcBase+a]) }
+		// send delivers a ctx record from the far endpoint of local arc a
+		// to the hub, as that endpoint's owner would send it.
+		send := func(e *engine, ctx, a int64) {
+			y := int64(g.Adj[e.arcBase+a])
+			e.handleMessage(ctx, target(g, hub, y), y)
+		}
 
 		for _, ctx := range []int64{ctxRequest, ctxReject, ctxInvalid} {
 			for _, a := range []int64{63, 64, arcs - 1} {
 				e, tr := start()
-				e.handleMessage(ctx, hub, ghost(e, a))
+				send(e, ctx, a)
 				wantAsked, wantClosed, wantPending := []int64(nil), []int64{a}, int64(arcs-1)
 				if ctx == ctxRequest {
 					wantAsked, wantClosed, wantPending = []int64{a}, nil, arcs
@@ -136,8 +143,8 @@ func TestEngineArcBitBoundaries(t *testing.T) {
 				}
 				// A REJECT then an INVALID: the arc closes once, whatever
 				// came first, and the second deactivation is a no-op.
-				e.handleMessage(ctxReject, hub, ghost(e, a))
-				e.handleMessage(ctxInvalid, hub, ghost(e, a))
+				send(e, ctxReject, a)
+				send(e, ctxInvalid, a)
 				if got := setBits(e.closed); !slices.Equal(got, []int64{a}) || e.pending != arcs-1 {
 					t.Errorf("ctx %d on arc %d, then REJECT and INVALID: closed bits %v, pending %d; want [%d], %d",
 						ctx, a, got, e.pending, a, arcs-1)
@@ -154,8 +161,8 @@ func TestEngineArcBitBoundaries(t *testing.T) {
 		// last arc stay clear.
 		e, _ := start()
 		for a := int64(0); a < arcs; a++ {
-			e.handleMessage(ctxReject, hub, ghost(e, a))
-			e.handleMessage(ctxInvalid, hub, ghost(e, a))
+			send(e, ctxReject, a)
+			send(e, ctxInvalid, a)
 			if e.pending != arcs-1-a {
 				t.Fatalf("after closing arcs 0..%d: pending %d, want %d", a, e.pending, arcs-1-a)
 			}

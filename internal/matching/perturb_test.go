@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/transport"
 )
 
 // Seed-pinned schedule-perturbation regressions for the order-dependence
@@ -117,19 +119,32 @@ func TestEagerRejectPerturbedStillValid(t *testing.T) {
 }
 
 // captureSender records pushed protocol messages so the engine can be
-// driven directly, message by message, in adversarial orders.
+// driven directly, message by message, in adversarial orders. It
+// unpacks each record's x word into the target and its row position.
 type captureSender struct {
 	recs []struct {
-		dst       int
-		ctx, x, y int64
+		dst            int
+		ctx, x, pos, y int64
 	}
 }
 
-func (s *captureSender) Send(dst int, ctx, x, y int64) {
+func (s *captureSender) Send(dst int, ctx, target, y int64) {
+	x, pos := transport.UnpackTarget(target)
 	s.recs = append(s.recs, struct {
-		dst       int
-		ctx, x, y int64
-	}{dst, ctx, x, y})
+		dst            int
+		ctx, x, pos, y int64
+	}{dst, ctx, x, pos, y})
+}
+
+// target is the x word the owner of y puts on a record for x, packed as
+// the engines' senders pack it: x beside y's position in x's row, read
+// through the mirror of y's arc to x.
+func target(g *graph.CSR, x, y int64) int64 {
+	i, ok := g.SearchNeighbor(int(y), int(x))
+	if !ok {
+		panic(fmt.Sprintf("no edge {%d,%d}", x, y))
+	}
+	return transport.PackTarget(int32(x), g.Mirror()[g.Offsets[y]+int64(i)])
 }
 
 // TestEngineAdversarialInterleavings drives one rank's engine directly
@@ -168,7 +183,7 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		for i := range mates {
 			mates[i] = 99 // rank 1's range must stay untouched
 		}
-		e := newEngine(c, d.BuildLocal(0), tr, false, g.KeyOrder(), mates)
+		e := newEngine(c, d.BuildLocal(0), tr, false, g.KeyOrder(), g.Mirror(), mates)
 		e.Start() // vertex 0 points at ghost 3 and requests; 1-2 match locally
 		if e.cand[0] != 3 {
 			t.Errorf("after start: cand[0] = %d, want ghost 3", e.cand[0])
@@ -177,15 +192,15 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 
 		// (c) remembered REQUEST then INVALID from the same ghost: ghost 4
 		// requests vertex 0 (non-mutual — 0 points at 3), then dies.
-		e.handleMessage(ctxRequest, 0, 4)
-		e.handleMessage(ctxInvalid, 0, 4)
+		e.handleMessage(ctxRequest, target(g, 0, 4), 4)
+		e.handleMessage(ctxInvalid, target(g, 0, 4), 4)
 		// (a) INVALID then REJECT for the arc to ghost 3 (both sides of a
 		// concurrent deactivation): one resolution, second delivery no-op.
-		e.handleMessage(ctxInvalid, 0, 3)
+		e.handleMessage(ctxInvalid, target(g, 0, 3), 3)
 		if got := pendingAfterStart - e.pending; got != 2 {
 			t.Errorf("resolved %d arcs, want 2 (one per distinct arc)", got)
 		}
-		e.handleMessage(ctxReject, 0, 3)
+		e.handleMessage(ctxReject, target(g, 0, 3), 3)
 		if got := pendingAfterStart - e.pending; got != 2 {
 			t.Errorf("REJECT after INVALID double-resolved the arc (pending now %d)", e.pending)
 		}
@@ -200,13 +215,13 @@ func TestEngineAdversarialInterleavings(t *testing.T) {
 		}
 		// (b) stale REQUEST for an already-resolved arc must be a no-op.
 		before := e.pending
-		e.handleMessage(ctxRequest, 0, 3)
+		e.handleMessage(ctxRequest, target(g, 0, 3), 3)
 		if e.pending != before || (e.state[0] == stMatched && e.mate[0] == 3) {
 			t.Errorf("stale REQUEST revived resolved arc (pending %d->%d, mate[0]=%d)",
 				before, e.pending, e.mate[0])
 		}
 		// Finish the protocol for this rank: ghost 5 accepts.
-		e.handleMessage(ctxRequest, 0, 5)
+		e.handleMessage(ctxRequest, target(g, 0, 5), 5)
 		if e.state[0] != stMatched || e.mate[0] != 5 {
 			t.Errorf("vertex 0 state/mate = %d/%d, want matched with 5", e.state[0], e.mate[0])
 		}

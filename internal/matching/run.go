@@ -151,13 +151,13 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 			return nil
 		}
 	} else {
-		// The sorted adjacency is the graph's own index, built at most
-		// once per graph and outside the simulated world; every rank's
-		// engine shares it (and still charges its local share of the sort
-		// to its virtual clock).
-		order := g.KeyOrder()
+		// The sorted adjacency and the mirror are the graph's own
+		// indexes, built at most once per graph and outside the
+		// simulated world; every rank's engine shares them (and still
+		// charges its local share of the sort to its virtual clock).
+		order, mirror := g.KeyOrder(), g.Mirror()
 		body = func(r *driver.Rank) error {
-			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order, mates)
+			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order, mirror, mates)
 			r.Loop(e, e.handleMessage)
 			r.Sent = e.sent
 			return nil

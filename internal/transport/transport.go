@@ -15,6 +15,13 @@
 // application-defined small positive integer (it travels as the message
 // tag on the point-to-point path, per the paper's §IV-B), x is the
 // target vertex (owned by the destination rank) and y the remote vertex.
+// Vertex ids are int32, so x's low 32 bits hold the target and its high
+// 32 bits are free: an application that addresses the arc a record
+// arrives on (half-approximate matching, Jones-Plassmann colouring)
+// puts there the remote vertex's position in the target's CSR row, the
+// graph.CSR.Mirror of the sender's arc, so the receiver finds its arc
+// as Offsets[x]+pos without a search (PackTarget, UnpackTarget); the
+// others leave them zero. No backend reads the words.
 // What the backends share exists once, in this file: ledger is the
 // rank's process-graph neighborhood and the per-neighbor volume ledger
 // behind every backend's VolumeByNeighbor; stage is the per-neighbor
@@ -41,6 +48,15 @@ const recordWords = 3
 // comparable across models regardless of wire framing (the P2P path
 // carries ctx in the tag, batched paths add count headers).
 const recordBytes = recordWords * 8
+
+// PackTarget returns a record's x word for target vertex x reached
+// over the arc at position pos of x's CSR row: x in the low 32 bits,
+// pos in the high 32.
+func PackTarget(x, pos int32) int64 { return int64(pos)<<32 | int64(uint32(x)) }
+
+// UnpackTarget splits a record's x word into the target vertex and the
+// position PackTarget put beside it.
+func UnpackTarget(w int64) (x, pos int64) { return int64(uint32(w)), w >> 32 }
 
 // Handler consumes one received protocol record.
 type Handler func(ctx, x, y int64)
