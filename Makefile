@@ -43,32 +43,35 @@ race:
 
 # inline-check fails unless the compiler still inlines the hot paths'
 # helpers: in the runtime, (*Comm).pollMiss, run on every Iprobe miss,
-# and (*Comm).event, whose nil check is the whole cost of a disabled
-# instrumentation point; the event-log view's EventLog.Len and
-# EventLog.At, run inside the critical-path walk's binary search; in
-# the matching engine, the per-arc bit helpers (*engine).isClosed,
-# close, isAsked, ask and open, run on every arc the protocol touches;
-# the distribution's (*Local).NeighborIndex, run on every buffered
-# send, and the transport's UnpackTarget, run on every record the
-# matching and colouring engines receive. A helper grown past the
-# inlining budget shows up only as a few percent of host time, so it is
-# checked here.
+# (*Comm).event, whose nil check is the whole cost of a disabled
+# instrumentation point, and (*Comm).ComputeUnits, the batched unit
+# charge; the event-log view's EventLog.Len and EventLog.At, run inside
+# the critical-path walk's binary search; in the matching engine, the
+# per-arc bit helpers (*engine).isClosed, close, isAsked, ask and open,
+# run on every arc the protocol touches, and settle, run before every
+# send and after every record; the distribution's
+# (*Local).NeighborIndex, run on every buffered send; and the
+# transport's UnpackTarget, run on every record the matching and
+# colouring engines receive, and (*ledger).neighbor, run on every
+# buffered send. A helper grown past the inlining budget shows up only
+# as a few percent of host time, so it is checked here.
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/mpi 2>&1) || { echo "$$out"; exit 1; }; \
-	for f in pollMiss event; do \
+	for f in pollMiss event ComputeUnits; do \
 		echo "$$out" | grep -q "can inline (\*Comm)\.$$f$$" || { echo "inline-check: (*Comm).$$f is no longer inlined"; exit 1; }; \
 	done; \
 	for f in Len At; do \
 		echo "$$out" | grep -q "can inline EventLog\.$$f$$" || { echo "inline-check: EventLog.$$f is no longer inlined"; exit 1; }; \
 	done; \
 	out=$$($(GO) build -gcflags=-m ./internal/matching 2>&1) || { echo "$$out"; exit 1; }; \
-	for f in isClosed close isAsked ask open; do \
+	for f in isClosed close isAsked ask open settle; do \
 		echo "$$out" | grep -q "can inline (\*engine)\.$$f$$" || { echo "inline-check: (*engine).$$f is no longer inlined"; exit 1; }; \
 	done; \
 	out=$$($(GO) build -gcflags=-m ./internal/distgraph 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | grep -q "can inline (\*Local)\.NeighborIndex$$" || { echo "inline-check: (*Local).NeighborIndex is no longer inlined"; exit 1; }; \
 	out=$$($(GO) build -gcflags=-m ./internal/transport 2>&1) || { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep -q "can inline UnpackTarget$$" || { echo "inline-check: UnpackTarget is no longer inlined"; exit 1; }
+	echo "$$out" | grep -q "can inline UnpackTarget$$" || { echo "inline-check: UnpackTarget is no longer inlined"; exit 1; }; \
+	echo "$$out" | grep -q "can inline (\*ledger)\.neighbor$$" || { echo "inline-check: (*ledger).neighbor is no longer inlined"; exit 1; }
 
 # bench-check vets and tests the repository's benchmark (bench/, run by
 # BENCHMARK.json). It is a module of its own, so tier1's ./... does not

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mpi"
 )
@@ -90,10 +89,12 @@ func init() {
 					return nil, fmt.Errorf("p=%d ring: %w", p, err)
 				}
 				cfg.observe(fmt.Sprintf("ring p=%d", p), "ring", "ring", "nsr-skeleton", nil, p, &driver.Outcome{Report: rep})
-				g := cfg.memo(fmt.Sprintf("ranks-rgg-%d", p), func() *graph.CSR {
-					n := ranksVPR * p
-					return gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 7001+int64(p))
-				})
+				// The rung's graph is its own, so it is built here, not in
+				// the session's workload cache: it goes when the rung ends,
+				// and with it what the runs keep in its memo (distribution,
+				// views, indexes, Start logs).
+				n := ranksVPR * p
+				g := gen.RGG(n, gen.RGGRadiusForDegree(n, 8), 7001+int64(p))
 				cfg.logf("ranks: p=%d NCL matching |V|=%d", p, g.NumVertices())
 				mstart := time.Now()
 				res, err := cfg.match("ranks-rgg", g, p, matching.NCL, false)

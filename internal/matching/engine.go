@@ -2,6 +2,7 @@ package matching
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/distgraph"
 	"repro/internal/graph"
@@ -67,6 +68,17 @@ type engine struct {
 	sent     int64    // protocol messages pushed (diagnostic)
 	kind     [4]int64 // cumulative pushes by context (ctxRequest..ctxInvalid)
 	nmatched int64    // owned vertices currently matched
+
+	// units counts the compute units (one per arc scanned or walked,
+	// one per record handled) not yet charged to the clock; settle
+	// charges them.
+	units int64
+
+	// slot, when set, is the rank's entry in the graph's Start memo
+	// (startLogs): Start replays the log it holds, or records one into
+	// rec and publishes it there once Start is done.
+	slot *atomic.Pointer[startLog]
+	rec  *startLog
 }
 
 // newEngine builds one rank's engine around the graph's shared read-only
@@ -141,9 +153,25 @@ func (e *engine) open(v, u int, a int64) bool {
 	return !e.isClosed(a)
 }
 
+// settle charges the units counted since the last settle. It runs
+// before every push and at the end of every entry point (Start,
+// DrainWork, handleMessage), so the clock is exact whenever the
+// transport or the loop reads it, and Comm.ComputeUnits makes the charge
+// bit-identical to one Compute(1) per unit.
+func (e *engine) settle() {
+	e.c.ComputeUnits(e.units)
+	e.units = 0
+}
+
 // push emits a protocol message from owned vertex v over local arc a to
 // the owner of ghost u, addressed to u's arc back (transport.PackTarget).
+// The units counted so far are charged first; a recording Start logs
+// them with the send.
 func (e *engine) push(ctx int64, u int32, v int, a int64) {
+	if e.rec != nil {
+		e.rec.send(e.units, a, ctx, int32(v-e.lo))
+	}
+	e.settle()
 	e.sent++
 	e.kind[ctx]++
 	e.tr.Send(e.l.Owner(int(u)), ctx, transport.PackTarget(u, e.mirror[a]), int64(v))
@@ -180,17 +208,20 @@ func (e *engine) findMate(vi int32) {
 			return
 		}
 	}
+	// One unit per arc scanned, the one that stops the scan included.
+	p0 := p
 	for ; p < int32(len(row)); p++ {
-		e.c.Compute(1)
 		if pos := order[p]; e.open(v, int(row[pos]), local+int64(pos)) {
 			break
 		}
 	}
 	e.ptr[vi] = p
 	if p == int32(len(row)) {
+		e.units += int64(p - p0)
 		e.die(vi)
 		return
 	}
+	e.units += int64(p - p0 + 1)
 	pos := order[p]
 	u := row[pos]
 	e.cand[vi] = u
@@ -255,8 +286,10 @@ func (e *engine) release(vi int32, ctx int64) {
 	row := e.g.Adj[base:e.g.Offsets[v+1]]
 	local := base - e.arcBase
 	mate := e.mate[vi]
+	// One unit per arc walked; a push first counts the arcs up to and
+	// including its own.
+	counted := 0
 	for i, u := range row {
-		e.c.Compute(1)
 		if u == mate {
 			continue
 		}
@@ -268,16 +301,25 @@ func (e *engine) release(vi int32, ctx int64) {
 			continue
 		}
 		if a := local + int64(i); e.close(a) {
+			e.units += int64(i + 1 - counted)
+			counted = i + 1
 			e.push(ctx, u, v, a)
 		}
 	}
+	e.units += int64(len(row) - counted)
 }
 
 // handleMessage implements PROCESSINCOMINGDATA (Algorithm 6) for one
 // record targeting owned vertex x from remote vertex y; the record's x
-// word carries y's position in x's row, which locates the arc.
+// word carries y's position in x's row, which locates the arc. The
+// record costs one unit.
 func (e *engine) handleMessage(ctx, target, y int64) {
-	e.c.Compute(1)
+	e.units++
+	e.handle(ctx, target, y)
+	e.settle()
+}
+
+func (e *engine) handle(ctx, target, y int64) {
 	x, pos := transport.UnpackTarget(target)
 	if !e.owns(int(x)) {
 		panic(fmt.Sprintf("matching: rank %d received message for vertex %d outside [%d,%d)", e.c.Rank(), x, e.lo, e.hi))
@@ -329,6 +371,11 @@ func (e *engine) handleMessage(ctx, target, y int64) {
 
 // DrainWork runs findMate for every queued re-point request.
 func (e *engine) DrainWork() {
+	e.drain()
+	e.settle()
+}
+
+func (e *engine) drain() {
 	for len(e.work) > 0 {
 		vi := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
@@ -338,10 +385,127 @@ func (e *engine) DrainWork() {
 
 // Start runs the first phase: every owned vertex points at its best
 // candidate (Algorithm 3 lines 2-3), including the cascade of local
-// matches that triggers.
+// matches that triggers. It reads only the rank's share of the graph,
+// so with a memo slot it runs once per graph and rank count: the first
+// Start records its sends and final state, later ones replay them
+// (startLog).
 func (e *engine) Start() {
+	if e.slot != nil {
+		if log := e.slot.Load(); log != nil {
+			e.replay(log)
+			return
+		}
+		if len(e.mirror) <= maxLoggedArc {
+			e.rec = new(startLog)
+		}
+	}
 	for vi := int32(0); vi < int32(e.l.NumOwned()); vi++ {
 		e.findMate(vi)
-		e.DrainWork()
+		e.drain()
 	}
+	if e.rec != nil {
+		e.rec.finish(e)
+		e.slot.CompareAndSwap(nil, e.rec)
+		e.rec = nil
+	}
+	e.settle()
+}
+
+// startLog is one rank's Start, recorded for replay. Start sees no
+// record (handleMessage runs only after it), so what it does depends on
+// the graph and the rank count alone: under every model, cost model,
+// schedule and protocol (EagerReject changes only how records are
+// handled) the same vertices point at the same candidates and push the
+// same records, and only the clock the charges land on differs. A
+// replay therefore makes the same calls in the same order —
+// Comm.ComputeUnits with each logged run of units, then Sender.Send
+// with the logged record — and copies the state Start left. Every
+// transport, ledger, event ring and perturbation draw sees the calls it
+// saw before, and every charge keeps its bits.
+//
+// The log lives as long as the graph, so it is compact: 12 B a send
+// (sends and from) and 9 B an owned vertex plus a bit an arc (the state
+// copies). What Start leaves that is not here is implied: asked is all
+// zero, work is empty, a matched vertex's mate is its cand, and sent
+// and kind count the logged sends.
+type startLog struct {
+	// sends holds one entry per push: local arc << 32 | units << 2 |
+	// ctx, units being the ones counted since the previous push. from
+	// holds each entry's owned source vertex, as an index.
+	sends []uint64
+	from  []int32
+	tail  int64 // units counted after the last push
+
+	ptr, cand         []int32
+	state             []uint8
+	closed            []uint64
+	pending, nmatched int64
+}
+
+// maxLoggedArc bounds the local arcs a rank may hold to record its
+// Start; a larger rank computes it every run. Start counts at most 4
+// units per local arc (each arc is scanned once as ptr advances and
+// walked once when its row is released; each findMate that stops
+// recounts one arc, and there is one per owned vertex with arcs and one
+// per re-point, at most one per local arc), so under this bound every
+// run of units fits the 30 bits an entry gives it.
+const maxLoggedArc = 1<<28 - 1
+
+// send logs a push over local arc a from owned vertex index vi, after
+// units counted since the previous one.
+func (s *startLog) send(units, a, ctx int64, vi int32) {
+	s.sends = append(s.sends, uint64(a)<<32|uint64(units)<<2|uint64(ctx))
+	s.from = append(s.from, vi)
+}
+
+// finish copies the state e's Start leaves, and trims the send log to
+// its length: it is kept for the graph's lifetime.
+func (s *startLog) finish(e *engine) {
+	s.sends, s.from = exact(s.sends), exact(s.from)
+	s.tail = e.units
+	s.ptr, s.cand = exact(e.ptr), exact(e.cand)
+	s.state, s.closed = exact(e.state), exact(e.closed)
+	s.pending, s.nmatched = e.pending, e.nmatched
+}
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+
+// replay makes the calls log's Start made, in its order, and leaves the
+// state it left.
+func (e *engine) replay(log *startLog) {
+	for i, s := range log.sends {
+		a := int64(s >> 32)
+		e.units += int64(uint32(s) >> 2)
+		e.push(int64(s&3), e.g.Adj[e.arcBase+a], int(log.from[i])+e.lo, a)
+	}
+	e.units += log.tail
+	e.settle()
+	copy(e.ptr, log.ptr)
+	copy(e.cand, log.cand)
+	copy(e.state, log.state)
+	copy(e.closed, log.closed)
+	for i, st := range e.state {
+		if st == stMatched {
+			e.mate[i] = e.cand[i]
+		}
+	}
+	e.pending, e.nmatched = log.pending, log.nmatched
+}
+
+// startKey keys a graph's Start memo by rank count.
+type startKey int
+
+// startLogs returns g's Start memo for procs ranks: one slot per rank,
+// empty until that rank's first Start has returned. A run that fails
+// before a rank's Start returns leaves the rank's slot empty, and the
+// next run records it afresh; two runs recording at once record the
+// same log, and the first to finish keeps its own.
+func startLogs(g *graph.CSR, procs int) []atomic.Pointer[startLog] {
+	if procs < 1 {
+		return nil // the run fails before any rank starts
+	}
+	return g.Memo(startKey(procs), func() any {
+		return make([]atomic.Pointer[startLog], procs)
+	}).([]atomic.Pointer[startLog])
 }

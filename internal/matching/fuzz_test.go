@@ -35,7 +35,9 @@ func fuzzGraph(n int, data []byte) *graph.CSR {
 // (model, engine, EagerReject, 1-8 ranks, perturbation seed) and checks
 // the result: valid always; the half-approximate engine's equal to
 // Serial's, mates and weight bits, unless EagerReject; the maximal
-// engine's maximal.
+// engine's maximal. Each draw runs twice on the one graph, and the
+// half-approximate engine's second run, which replays the first's Start,
+// must be the same run (sameRun).
 func FuzzMatchingRun(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{7, 2, 0, 0, 3, 1, 0, 1, 3, 1, 2, 1, 2, 3, 0, 4, 4, 2, 5, 6, 3})
@@ -51,6 +53,8 @@ func FuzzMatchingRun(f *testing.F) {
 			Engine:      Engine(data[2] % 2),
 			EagerReject: data[3]&1 != 0,
 			Deadline:    time.Minute,
+			RoundLog:    64,
+			TraceEvents: 256,
 		}
 		if data[5] != 0 {
 			o.Perturb, o.PerturbSeed = sched.Full, uint64(data[5])
@@ -61,22 +65,31 @@ func FuzzMatchingRun(f *testing.F) {
 		}
 		name := fmt.Sprintf("%v/%v/eager=%v/p=%d/seed=%d", o.Model, o.Engine, o.EagerReject, o.Procs, o.PerturbSeed)
 		s := Serial(g)
-		res, err := Run(g, o)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := Verify(g, res.Result); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		switch {
-		case o.Engine == EngineMaximal:
-			if err := VerifyMaximal(g, res.Result); err != nil {
-				t.Fatalf("%s: %v", name, err)
+		// Twice on one graph: the second run replays the first's Start
+		// (startLog) and must be the same run.
+		var first *ParallelResult
+		for pass := 0; pass < 2; pass++ {
+			res, err := Run(g, o)
+			if err != nil {
+				t.Fatalf("%s pass %d: %v", name, pass, err)
 			}
-		case !o.EagerReject:
-			if !slices.Equal(res.Mate, s.Mate) || math.Float64bits(res.Weight) != math.Float64bits(s.Weight) {
-				t.Fatalf("%s: mates %v weight %v, serial %v weight %v", name, res.Mate, res.Weight, s.Mate, s.Weight)
+			if err := Verify(g, res.Result); err != nil {
+				t.Fatalf("%s pass %d: %v", name, pass, err)
 			}
+			switch {
+			case o.Engine == EngineMaximal:
+				if err := VerifyMaximal(g, res.Result); err != nil {
+					t.Fatalf("%s pass %d: %v", name, pass, err)
+				}
+			case !o.EagerReject:
+				if !slices.Equal(res.Mate, s.Mate) || math.Float64bits(res.Weight) != math.Float64bits(s.Weight) {
+					t.Fatalf("%s pass %d: mates %v weight %v, serial %v weight %v", name, pass, res.Mate, res.Weight, s.Mate, s.Weight)
+				}
+			}
+			if pass == 1 && o.Engine == EngineHalfApprox {
+				sameRun(t, name, o, first, res)
+			}
+			first = res
 		}
 	})
 }

@@ -155,9 +155,13 @@ func Run(g *graph.CSR, opt Options) (*ParallelResult, error) {
 		// indexes, built at most once per graph and outside the
 		// simulated world; every rank's engine shares them (and still
 		// charges its local share of the sort to its virtual clock).
+		// So is each rank's Start, recorded by the first run at this
+		// rank count and replayed by the later ones.
 		order, mirror := g.KeyOrder(), g.Mirror()
+		starts := startLogs(g, opt.Procs)
 		body = func(r *driver.Rank) error {
 			e := newEngine(r.Comm, r.Local, r.Backend, opt.EagerReject, order, mirror, mates)
+			e.slot = &starts[r.Comm.Rank()]
 			r.Loop(e, e.handleMessage)
 			r.Sent = e.sent
 			return nil

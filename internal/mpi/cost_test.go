@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -50,6 +51,45 @@ func TestComputeAdvancesClock(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComputeUnitsExact checks that ComputeUnits(n) leaves the clock and
+// the compute ledger bit-identical to n calls of Compute(1), from random
+// starting clocks and ledgers, under random CostModels, for n in
+// [0, 10⁶]. One float64(n)·ComputePerUnit add would round differently
+// on nearly every case.
+func TestComputeUnitsExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(46, 1))
+	units := []float64{DefaultCostModel().ComputePerUnit, 0, 1e-9, 3e-7, 0.1, math.SmallestNonzeroFloat64}
+	for len(units) < 12 {
+		units = append(units, math.Ldexp(1+rng.Float64(), rng.IntN(60)-50))
+	}
+	for _, unit := range units {
+		cost := *DefaultCostModel()
+		cost.ComputePerUnit = unit
+		_, err := Run(1, func(c *Comm) error {
+			for _, n := range []int64{0, 1, 2, 3, 1e6, rng.Int64N(1e6 + 1), rng.Int64N(1000)} {
+				now0 := math.Ldexp(rng.Float64(), rng.IntN(40)-20)
+				comp0 := now0 * rng.Float64()
+				c.ps.now, c.ps.rs.CompTime = now0, comp0
+				for i := int64(0); i < n; i++ {
+					c.Compute(1)
+				}
+				wantNow, wantComp := c.ps.now, c.ps.rs.CompTime
+				c.ps.now, c.ps.rs.CompTime = now0, comp0
+				c.ComputeUnits(n)
+				if math.Float64bits(c.ps.now) != math.Float64bits(wantNow) || math.Float64bits(c.ps.rs.CompTime) != math.Float64bits(wantComp) {
+					t.Errorf("unit %g, clock %g, ledger %g: ComputeUnits(%d) left clock %x ledger %x; %d×Compute(1) %x %x",
+						unit, now0, comp0, n, math.Float64bits(c.ps.now), math.Float64bits(c.ps.rs.CompTime),
+						n, math.Float64bits(wantNow), math.Float64bits(wantComp))
+				}
+			}
+			return nil
+		}, WithCost(&cost))
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

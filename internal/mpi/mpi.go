@@ -520,6 +520,21 @@ func (c *Comm) Compute(units float64) {
 	c.ps.rs.CompTime += dt
 }
 
+// ComputeUnits charges n units exactly as n calls of Compute(1) would:
+// n additions of CostModel.ComputePerUnit to the clock and to the
+// compute ledger, each rounded in turn, so both keep every bit. The sums
+// run in registers, so a kernel that counts its own units and settles
+// them before anything reads the clock pays one call, not n.
+func (c *Comm) ComputeUnits(n int64) {
+	dt := c.w.cost.ComputePerUnit
+	now, ct := c.ps.now, c.ps.rs.CompTime
+	for ; n > 0; n-- {
+		now += dt
+		ct += dt
+	}
+	c.ps.now, c.ps.rs.CompTime = now, ct
+}
+
 // Pack charges the CPU cost of appending n records to an aggregation
 // buffer (n times CostModel.PackOverhead), booked as pack time in the
 // phase profile. Aggregating transports call it per queued record.

@@ -128,13 +128,25 @@ func (g *ledger) VolumeByNeighbor() []int64 {
 }
 
 // neighbor returns dst's position in the process graph; a send outside
-// it is a protocol error.
+// it is a protocol error. It runs on every buffered send, so it panics
+// with a value that formats itself only when printed (nonNeighbor), and
+// stays inlinable.
 func (g *ledger) neighbor(dst int) int {
 	i := g.l.NeighborIndex(dst)
 	if i < 0 {
-		panic(fmt.Sprintf("transport: %v send to non-neighbor rank %d", g.model, dst))
+		panic(nonNeighbor{g.model, dst})
 	}
 	return i
+}
+
+// nonNeighbor is the panic value of a send outside the process graph.
+type nonNeighbor struct {
+	model Model
+	dst   int
+}
+
+func (e nonNeighbor) Error() string {
+	return fmt.Sprintf("transport: %v send to non-neighbor rank %d", e.model, e.dst)
 }
 
 // note accounts one record toward neighbor i.
