@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 tier2 perturb build test vet race inline-check bench-check bench-smoke bench-dense scale-smoke analyze-smoke async-smoke pairs clean
+.PHONY: tier1 tier2 perturb build test vet race inline-check bench-check scale-smoke pairs clean
 
 # tier1 is the gate every change must keep green: full build + vet +
 # full test suite.
@@ -89,12 +89,6 @@ N ?= 10
 pairs:
 	$(GO) run ./tools/pairs -w $(W) -n $(N) $(ARGS)
 
-# bench-smoke compiles and runs every benchmark for a single iteration:
-# a fast CI-grade check that no benchmark has rotted, without measuring
-# anything.
-bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime=1x ./...
-
 # scale-smoke is the large-world CI gate: a 16K-rank world (ring
 # exchange + collectives) must complete within CI budgets and hold the
 # per-rank steady-state memory ceiling (footprint_test.go), and the
@@ -105,30 +99,6 @@ bench-smoke:
 scale-smoke:
 	$(GO) test -run 'TestLargeWorldSmoke|TestWorldFootprintCeiling16K' -v -timeout 10m ./internal/mpi/
 	$(GO) run ./cmd/matchbench -exp ranks -ranks 65536 -json ranks_records.json
-
-# bench-dense runs the process-graph density sweep: the NCL vs NCLC
-# (message-combining neighborhood collectives) crossover on ring-banded
-# block graphs (bench/ tracks both sides as virt_ms.ncl / virt_ms.nclc).
-bench-dense:
-	$(GO) run ./cmd/matchbench -exp ext-density -scale 0.5 -json density_records.json
-
-# analyze-smoke is the profiler CI gate: matchbench -analyze re-runs a
-# small ranks x models grid of the SBP weak-scaling experiment with the
-# trace analyzer on and writes the analyzed records as an artifact, then
-# matchbench -in re-renders them from the file. The wait-attribution
-# shape check over such records runs in tier2.
-analyze-smoke:
-	$(GO) run ./cmd/matchbench -exp fig4c -scale 0.25 -models nsr,ncl,rma -analyze -json analysis_records.json
-	$(GO) run ./cmd/matchbench -in analysis_records.json
-
-# async-smoke is the asynchronous-engine CI gate: the maximal-matching
-# engine (Safra termination detection) vs its round-fenced baseline,
-# every matching verified maximal, records written as an artifact, plus
-# the explorer sweep over the engine and the detector at a reduced seed
-# budget. The ext-async shape check runs in tier2.
-async-smoke:
-	$(GO) run ./cmd/matchbench -exp ext-async -scale 0.5 -json async_records.json
-	$(GO) test -run 'TestExploreAsyncMaximal|TestExploreQuiesceDetector' -short -v ./internal/sched/
 
 clean:
 	$(GO) clean ./...

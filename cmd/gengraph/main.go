@@ -1,7 +1,10 @@
 // Command gengraph generates the synthetic graph families from the
-// paper's Table II, prints their statistics, and optionally saves them in
-// the repository's binary CSR format or, for a .mtx file, as Matrix
-// Market.
+// paper's Table II, or loads a saved graph, prints its statistics, and
+// optionally saves it in the repository's binary CSR format or, for a
+// .mtx file, as Matrix Market. With -p it also reports the 1-D block
+// distribution over that many ranks: the process-topology and ghost
+// statistics behind the paper's Tables III-VI (|Ep|, dmax, davg,
+// sigma_d, |E'| family) and the first ranks' shares.
 //
 // Usage:
 //
@@ -13,6 +16,8 @@
 //	gengraph -family banded -n 30000 -band 24 -fill 2.5
 //	gengraph -family path -n 1000
 //	gengraph -family grid -rows 30 -cols 40
+//	gengraph -in rgg.csr -p 32              # distribution report
+//	gengraph -in cage15.mtx -p 64 -rcm      # a SuiteSparse matrix, after RCM
 //
 // Add -rcm to reorder the result with Reverse Cuthill-McKee and -scramble
 // to randomize vertex ids first.
@@ -26,22 +31,29 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/distgraph"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/order"
 )
+
+// maxRanks bounds -p as matchbench bounds -ranks.
+const maxRanks = 1 << 20
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is main without the process exit so tests can drive the CLI
-// end-to-end. Exit codes: 0 success, 1 output failure, 2 usage error.
+// end-to-end. Exit codes: 0 success, 1 input or output failure, 2 usage
+// error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gengraph", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		family   = fs.String("family", "", "rgg | rmat | sbp | kmer | social | banded | path | grid")
+		in       = fs.String("in", "", "load this graph instead of generating one: Matrix Market if it ends in .mtx, else binary CSR (-o)")
+		p        = fs.Int("p", 0, "also report the 1-D block distribution over this many ranks")
 		n        = fs.Int("n", 10000, "vertices (rgg, sbp, social, banded, path)")
 		deg      = fs.Float64("deg", 8, "target average degree (rgg, sbp, social)")
 		seed     = fs.Int64("seed", 1, "generator seed")
@@ -79,8 +91,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nonNegative := func(flag string, v float64) {
 		need(v >= 0 && !math.IsInf(v, 1), "%s %g must be finite and non-negative", flag, v)
 	}
+	need(*p >= 0 && *p <= maxRanks, "-p %d out of range [0,%d]", *p, maxRanks)
 	var build func() *graph.CSR
 	switch *family {
+	case "":
+		need(*in != "", "-family or -in required")
 	case "rgg":
 		positive("-n", *n)
 		r := gen.RGGRadiusForDegree(*n, *deg)
@@ -120,21 +135,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		positive("-cols", *cols)
 		build = func() *graph.CSR { return gen.Grid2D(*rows, *cols) }
 	default:
-		bad = fmt.Sprintf("unknown -family %q (want rgg|rmat|sbp|kmer|social|banded|path|grid)", *family)
+		need(false, "unknown -family %q (want rgg|rmat|sbp|kmer|social|banded|path|grid)", *family)
 	}
+	need(*in == "" || *family == "", "-in and -family %q are exclusive", *family)
 	if bad != "" {
 		fmt.Fprintln(stderr, "gengraph:", bad)
 		return 2
 	}
 
-	g := build()
+	var g *graph.CSR
+	if *in != "" {
+		var err error
+		if g, err = graph.LoadFile(*in); err != nil {
+			fmt.Fprintln(stderr, "gengraph:", err)
+			return 1
+		}
+	} else {
+		g = build()
+	}
 	if *scramble {
 		g, _ = gen.Scramble(g, *seed^0x5ca1ab1e)
 	}
+	fmt.Fprintln(stdout, "graph:   ", g.Summary())
 	if *rcm {
 		g = order.Apply(g, order.RCM(g))
+		fmt.Fprintln(stdout, "post-RCM:", g.Summary())
 	}
-	fmt.Fprintln(stdout, g.Summary())
+	if *p > 0 {
+		d := distgraph.NewBlockDist(g, *p)
+		fmt.Fprintln(stdout, "topology:", d.ProcessGraphStats())
+		fmt.Fprintln(stdout, "ghosts:  ", d.GhostEdgeStats())
+		for r := 0; r < min(*p, 8); r++ {
+			l := d.BuildLocal(r)
+			fmt.Fprintf(stdout, "rank %2d: owns [%d,%d) neighbors=%d crossArcs=%d |E'|=%d\n",
+				r, l.Lo, l.Hi, len(l.NeighborRanks), l.TotalCrossArcs, l.LocalArcs)
+		}
+		if *p > 8 {
+			fmt.Fprintf(stdout, "... (%d more ranks)\n", *p-8)
+		}
+	}
 	if *out != "" {
 		var err error
 		if strings.HasSuffix(*out, ".mtx") {

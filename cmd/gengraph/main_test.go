@@ -71,6 +71,56 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 }
 
+// TestInputFlagIsUsageError: no -in or -family, -in together with a
+// generator flag, or a rank count no distribution can use exits 2 with
+// one line naming the flag, before the file is read — never a panic out
+// of NewBlockDist. A missing -in file exits 1.
+func TestInputFlagIsUsageError(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.csr")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-in", nil},
+		{"-in", []string{"-in", missing, "-family", "rgg"}},
+		{"-p", []string{"-in", missing, "-p", "-3"}},
+		{"-p", []string{"-in", missing, "-p", "2097152"}},
+	} {
+		code, stdout, errb := runCLI(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb, tc.flag) || strings.Count(errb, "\n") != 1 {
+			t.Errorf("%v: stderr is not one line naming %s: %q", tc.args, tc.flag, errb)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed before rejecting the flag: %q", tc.args, stdout)
+		}
+	}
+	if code, _, errb := runCLI(t, "-in", missing); code != 1 || errb == "" {
+		t.Errorf("missing file: exit %d, stderr %q; want 1 and a message", code, errb)
+	}
+}
+
+// TestTinyGraphReport reads a saved RGG and prints its distribution
+// report: graph and topology lines, one line per shown rank, and the
+// count of ranks not shown.
+func TestTinyGraphReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := gen.RGG(400, gen.RGGRadiusForDegree(400, 6), 2).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb := runCLI(t, "-in", path, "-p", "10", "-rcm")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errb)
+	}
+	for _, want := range []string{"graph:", "post-RCM:", "topology:", "ghosts:", "rank  7: owns", "... (2 more ranks)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestTinyRGGToFile generates a small RGG end-to-end, saves it, and
 // reads back exactly the graph gen.RGG makes; an unwritable -o exits 1.
 func TestTinyRGGToFile(t *testing.T) {
@@ -96,15 +146,11 @@ func TestTinyRGGToFile(t *testing.T) {
 }
 
 // TestMatrixMarketAcrossCLIs writes g.mtx with gengraph and reads it
-// with graphinfo -rcm and commmatrix -app matching: the .mtx suffix
-// selects Matrix Market on every side, the format the paper's
-// SuiteSparse inputs come in. The readers are other main packages, so
-// they run through the go tool.
+// back with gengraph -in -p 4 -rcm and commmatrix -app matching: the .mtx
+// suffix selects Matrix Market on every side, the format the paper's
+// SuiteSparse inputs come in. commmatrix is another main package, so it
+// runs through the go tool.
 func TestMatrixMarketAcrossCLIs(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go tool on PATH:", err)
-	}
 	path := filepath.Join(t.TempDir(), "g.mtx")
 	if code, _, errb := runCLI(t, "-family", "banded", "-n", "600", "-band", "8", "-scramble", "-o", path); code != 0 {
 		t.Fatalf("gengraph: exit %d, stderr %q", code, errb)
@@ -116,17 +162,23 @@ func TestMatrixMarketAcrossCLIs(t *testing.T) {
 	if !bytes.HasPrefix(head, []byte("%%MatrixMarket")) {
 		t.Fatalf("g.mtx is not Matrix Market: %.40q", head)
 	}
-	for _, tc := range []struct {
-		cmd  string
-		args []string
-		want string
-	}{
-		{"../graphinfo", []string{"-in", path, "-p", "4", "-rcm"}, "post-RCM:"},
-		{"../commmatrix", []string{"-in", path, "-p", "4", "-app", "matching", "-model", "ncl"}, "matching (NCL): weight="},
-	} {
-		out, err := exec.Command(goTool, append([]string{"run", tc.cmd}, tc.args...)...).CombinedOutput()
-		if err != nil || !strings.Contains(string(out), "graph:") || !strings.Contains(string(out), tc.want) {
-			t.Errorf("%s %v: %v, want %q in:\n%s", tc.cmd, tc.args, err, tc.want, out)
+	code, out, errb := runCLI(t, "-in", path, "-p", "4", "-rcm")
+	if code != 0 {
+		t.Fatalf("gengraph -in: exit %d, stderr %q", code, errb)
+	}
+	for _, want := range []string{"graph:", "post-RCM:", "topology:", "ghosts:", "rank  0:", "rank  3:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("gengraph -in %s -p 4 -rcm: stdout missing %q:\n%s", path, want, out)
 		}
+	}
+
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH:", err)
+	}
+	args := []string{"run", "../commmatrix", "-in", path, "-p", "4", "-app", "matching", "-model", "ncl"}
+	cm, err := exec.Command(goTool, args...).CombinedOutput()
+	if err != nil || !strings.Contains(string(cm), "graph:") || !strings.Contains(string(cm), "matching (NCL): weight=") {
+		t.Errorf("commmatrix %v: %v, want the graph and matching lines in:\n%s", args[2:], err, cm)
 	}
 }

@@ -276,7 +276,7 @@ func TestAnalyzeFlagPrintsFullReport(t *testing.T) {
 // without re-running, and prints the report the run printed.
 func TestAnalyzeJSONRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "analysis.json")
-	code, out, errb := runCLI(t, "-exp", "fig4c", "-scale", "0.25", "-models", "nsr,ncl", "-analyze", "-json", path)
+	code, out, errb := runCLI(t, "-exp", "fig4c", "-scale", "0.25", "-models", "nsr,ncl,rma", "-analyze", "-json", path)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, errb)
 	}

@@ -21,7 +21,7 @@
 //	internal/bfs       Graph500-style distributed BFS (comm contrast)
 //	internal/metrics   energy/EDP model, performance profiles
 //	internal/harness   one experiment per paper table/figure
-//	cmd/...            matchbench, gengraph, graphinfo, commmatrix
+//	cmd/...            matchbench, gengraph, commmatrix
 //
 // The Example functions of internal/matching and internal/mpi are the
 // runnable walk-throughs: `go test -run Example -v ./internal/matching

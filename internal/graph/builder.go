@@ -60,9 +60,6 @@ func (b *Builder) UseEdges(es []Edge) {
 	b.edges = es
 }
 
-// NumEdgesAdded returns how many edges were recorded (before dedup).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Grain sizes for the parallel ingest passes: coarse enough that span
 // bookkeeping is noise, fine enough that real inputs fan out.
 const (

@@ -7,6 +7,40 @@ import (
 	"testing/quick"
 )
 
+// rmatEdges samples an RMAT-style edge list (Graph500 quadrant
+// probabilities) without going through the gen package (graph must stay
+// importable from gen).
+func rmatEdges(scale, edgeFactor int, seed int64) (int, []Edge) {
+	n := 1 << scale
+	m := edgeFactor * n
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]Edge, 0, m)
+	for e := 0; e < m; e++ {
+		u, v := 0, 0
+		for bit := 0; bit < scale; bit++ {
+			r := rng.Float64()
+			switch {
+			case r < 0.57:
+			case r < 0.76:
+				v |= 1 << bit
+			case r < 0.95:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				v |= 1 << bit
+			}
+		}
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		edges = append(edges, Edge{U: u, V: v, W: rng.Float64() * 100})
+	}
+	return n, edges
+}
+
 // sameCSR reports whether two CSRs are bit-identical.
 func sameCSR(a, b *CSR) bool {
 	if len(a.Offsets) != len(b.Offsets) || len(a.Adj) != len(b.Adj) || len(a.Weights) != len(b.Weights) {

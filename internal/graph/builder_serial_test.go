@@ -5,8 +5,8 @@ import "sort"
 // buildSerial is the serial reference for Build: the original
 // global-sort construction (O(m log m) with interface comparators). The
 // property suite asserts the parallel Build is bit-identical to it on
-// arbitrary edge lists, and BenchmarkBuildSerialRMAT1M times it beside
-// Build; it lives in a test file so the shipped builder has one path.
+// arbitrary edge lists; it lives in a test file so the shipped builder
+// has one path.
 func (b *Builder) buildSerial() *CSR {
 	// AddEdge canonicalizes eagerly, UseEdges defers to Build; normalize
 	// here so the reference accepts both input forms.

@@ -31,26 +31,3 @@ func (g *CSR) ConnectedComponents() (labels []int, count int) {
 	}
 	return labels, count
 }
-
-// ComponentSizes returns the vertex count of every component, indexed by
-// component id.
-func (g *CSR) ComponentSizes() []int {
-	labels, count := g.ConnectedComponents()
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	return sizes
-}
-
-// LargestComponent returns the vertex count of the largest connected
-// component (0 for an empty graph).
-func (g *CSR) LargestComponent() int {
-	max := 0
-	for _, s := range g.ComponentSizes() {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}

@@ -240,20 +240,6 @@ func (g *CSR) firstError(n int, check func(v int) error) error {
 	return nil
 }
 
-// TotalWeight returns the sum of all undirected edge weights.
-func (g *CSR) TotalWeight() float64 {
-	var s float64
-	for v := 0; v < g.NumVertices(); v++ {
-		ws := g.NeighborWeights(v)
-		for i, a := range g.Neighbors(v) {
-			if int(a) >= v { // count each undirected edge once
-				s += ws[i]
-			}
-		}
-	}
-	return s
-}
-
 // MaxDegree returns the maximum vertex degree (0 for an empty graph).
 func (g *CSR) MaxDegree() int {
 	max := 0
@@ -358,16 +344,6 @@ func (g *CSR) Permute(perm []int) *CSR {
 		}
 	})
 	return ng
-}
-
-// DegreeHistogram returns counts[d] = number of vertices of degree d,
-// up to and including the max degree.
-func (g *CSR) DegreeHistogram() []int64 {
-	h := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
 }
 
 // Stats bundles summary statistics for reporting.

@@ -120,9 +120,6 @@ func TestPermuteIsIsomorphic(t *testing.T) {
 			}
 		}
 	}
-	if d := h.TotalWeight() - g.TotalWeight(); d > 1e-9 || d < -1e-9 {
-		t.Errorf("total weight changed under permutation by %g", d)
-	}
 }
 
 func TestSummary(t *testing.T) {
@@ -136,14 +133,6 @@ func TestSummary(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("empty String()")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}})
-	h := g.DegreeHistogram()
-	if h[1] != 3 || h[3] != 1 {
-		t.Errorf("histogram = %v", h)
 	}
 }
 
@@ -278,22 +267,12 @@ func TestConnectedComponents(t *testing.T) {
 	if labels[5] == labels[6] {
 		t.Error("isolated vertices must differ")
 	}
-	sizes := g.ComponentSizes()
-	if len(sizes) != 4 || sizes[labels[0]] != 3 {
-		t.Errorf("sizes = %v", sizes)
-	}
-	if g.LargestComponent() != 3 {
-		t.Errorf("largest = %d", g.LargestComponent())
-	}
 }
 
 func TestComponentsEmptyGraph(t *testing.T) {
 	g := NewBuilder(0).Build()
 	if _, count := g.ConnectedComponents(); count != 0 {
 		t.Error("empty graph has components")
-	}
-	if g.LargestComponent() != 0 {
-		t.Error("largest of empty")
 	}
 }
 
@@ -341,8 +320,8 @@ func TestBuilderArgumentChecks(t *testing.T) {
 	assertPanics("edge out of range", func() { b.AddEdge(0, 5, 1) })
 	assertPanics("negative vertex", func() { b.AddEdge(-1, 0, 1) })
 	b.AddEdge(0, 1, 1)
-	if b.NumEdgesAdded() != 1 {
-		t.Errorf("NumEdgesAdded = %d", b.NumEdgesAdded())
+	if len(b.edges) != 1 {
+		t.Errorf("%d edges recorded, want 1", len(b.edges))
 	}
 	g := b.Build()
 	if g.AvgDegree() != 2.0/3.0 {

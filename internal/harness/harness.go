@@ -23,8 +23,8 @@ import (
 // Config scales and parameterizes experiment runs.
 type Config struct {
 	// Scale multiplies workload sizes; 1.0 is the default laptop scale
-	// (graphs of 10^5..10^6 arcs, up to 64 simulated ranks). Benchmarks
-	// use smaller scales to stay within testing.B budgets.
+	// (graphs of 10^5..10^6 arcs, up to 64 simulated ranks). Tests,
+	// tier-2 and bench/ use smaller scales to stay within their budgets.
 	Scale float64
 	// Cost overrides the runtime cost model (nil = defaults).
 	Cost *mpi.CostModel
@@ -267,15 +267,9 @@ func IDs() []string {
 	return ids
 }
 
-// RunOne executes the experiment with the given id under cfg and renders
-// its tables to w. With cfg.Profile set, a phase-profile table covering
-// every run the experiment launched is appended.
-func RunOne(id string, cfg Config, w io.Writer) error {
-	_, err := RunOneRecord(id, cfg, w)
-	return err
-}
-
-// RunOneRecord is RunOne plus a machine-readable result: alongside the
+// RunOneRecord executes the experiment with the given id under cfg and
+// renders its tables to w. With cfg.Profile set, a phase-profile table
+// covering every run the experiment launched is appended. Alongside the
 // rendered text it returns the experiment's tables and every launched
 // run as a schema-versioned ExperimentRecord (see record.go).
 func RunOneRecord(id string, cfg Config, w io.Writer) (*ExperimentRecord, error) {

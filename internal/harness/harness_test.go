@@ -43,7 +43,7 @@ func TestFindUnknown(t *testing.T) {
 	if Find("nope") != nil {
 		t.Error("unknown id found")
 	}
-	if err := RunOne("nope", testConfig(), io.Discard); err == nil {
+	if _, err := RunOneRecord("nope", testConfig(), io.Discard); err == nil {
 		t.Error("unknown id ran")
 	}
 }
@@ -327,7 +327,7 @@ func TestEveryExperimentRunsAtSmallScales(t *testing.T) {
 	for _, scale := range []float64{0.05, 0.1} {
 		for _, id := range IDs() {
 			cfg := Config{Scale: scale, Deadline: 10 * time.Minute, Ranks: 1024}
-			if err := RunOne(id, cfg, io.Discard); err != nil {
+			if _, err := RunOneRecord(id, cfg, io.Discard); err != nil {
 				t.Errorf("%s at scale %g: %v", id, scale, err)
 			}
 		}
@@ -354,7 +354,7 @@ func TestLaunchesTakeTheConfig(t *testing.T) {
 				Cost: cost, TraceEvents: 1 << 16, Perturb: pert, PerturbSeed: 11}
 			var runs []RunInfo
 			cfg.OnRun = func(info RunInfo) { runs = append(runs, info) }
-			if err := RunOne(id, cfg, io.Discard); err != nil {
+			if _, err := RunOneRecord(id, cfg, io.Discard); err != nil {
 				t.Fatalf("%s perturb=%v: %v", id, pert, err)
 			}
 			if len(runs) == 0 {

@@ -130,21 +130,3 @@ func IsPermutation(perm []int) bool {
 	}
 	return true
 }
-
-// Identity returns the identity permutation on n elements.
-func Identity(n int) []int {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return perm
-}
-
-// Inverse returns the inverse permutation.
-func Inverse(perm []int) []int {
-	inv := make([]int, len(perm))
-	for i, p := range perm {
-		inv[p] = i
-	}
-	return inv
-}

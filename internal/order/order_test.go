@@ -100,22 +100,6 @@ func TestRCMHandlesDisconnectedAndEmpty(t *testing.T) {
 	}
 }
 
-func TestInverseAndIdentity(t *testing.T) {
-	id := Identity(5)
-	for i, v := range id {
-		if v != i {
-			t.Fatal("identity broken")
-		}
-	}
-	perm := []int{2, 0, 1, 4, 3}
-	inv := Inverse(perm)
-	for i := range perm {
-		if inv[perm[i]] != i {
-			t.Fatal("inverse broken")
-		}
-	}
-}
-
 func TestIsPermutationRejects(t *testing.T) {
 	if IsPermutation([]int{0, 0, 1}) {
 		t.Error("duplicate accepted")

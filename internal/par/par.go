@@ -72,12 +72,6 @@ func Ranges(n, grain int, fn func(lo, hi int)) {
 	Do(Split(n, grain), func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// IndexedRanges is Ranges with the span's index in Split order passed
-// through, for callers indexing per-span scratch.
-func IndexedRanges(n, grain int, fn func(span, lo, hi int)) {
-	Do(Split(n, grain), fn)
-}
-
 // Do runs fn concurrently over an explicit span list (normally one
 // returned by Split, captured once so per-span scratch and the fan-out
 // agree even if GOMAXPROCS changes between the two). Blocks until all

@@ -57,17 +57,17 @@ func TestRangesVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestIndexedRangesSpanIndexMatchesSplit(t *testing.T) {
+func TestDoSpanIndexMatchesSplit(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	spans := Split(10000, 1)
 	got := make([][2]int, len(spans))
-	IndexedRanges(10000, 1, func(span, lo, hi int) {
+	Do(spans, func(span, lo, hi int) {
 		got[span] = [2]int{lo, hi}
 	})
 	for i := range spans {
 		if got[i] != spans[i] {
-			t.Fatalf("span %d: IndexedRanges saw %v, Split says %v", i, got[i], spans[i])
+			t.Fatalf("span %d: Do saw %v, Split says %v", i, got[i], spans[i])
 		}
 	}
 }

@@ -141,7 +141,7 @@ func TestExploreCatchesAndShrinks(t *testing.T) {
 	if !fail.Profile.Ties {
 		t.Fatalf("shrunk profile %v lost the class that causes the failure", fail.Profile)
 	}
-	if got := fail.Profile.NumClasses(); got != 1 {
+	if got := len(fail.Profile.enabledClasses()); got != 1 {
 		t.Fatalf("shrunk profile %v has %d classes, want 1 (ties)", fail.Profile, got)
 	}
 	// The repro line must actually reproduce.
@@ -177,7 +177,7 @@ func TestExploreReportsInvariantErrors(t *testing.T) {
 	if !errors.Is(fail.Err, boom) {
 		t.Fatalf("failure error %v does not wrap the invariant error", fail.Err)
 	}
-	if fail.Profile.ProbeMiss <= 0 || fail.Profile.NumClasses() != 1 {
+	if fail.Profile.ProbeMiss <= 0 || len(fail.Profile.enabledClasses()) != 1 {
 		t.Fatalf("shrunk profile %v, want probemiss only", fail.Profile)
 	}
 }

@@ -69,9 +69,13 @@ type nclcPhase struct {
 type NCLC struct {
 	stage
 
-	p          int
-	phases     []nclcPhase
-	scratch    []int64 // the bundle being started, reused by every phase and round
+	p       int
+	phases  []nclcPhase
+	scratch []int64 // the bundle being started, reused by every phase and round
+
+	// Records and wire bytes this rank relayed for other ranks. Endpoint
+	// traffic is in VolumeByNeighbor, accounted toward each record's
+	// final destination; the sum of both is the rank's injection load.
 	fwdRecords int64
 	fwdBytes   int64
 
@@ -129,16 +133,6 @@ func log2Ceil(n int) int {
 	}
 	return bits.Len(uint(n - 1))
 }
-
-// ForwardedBytes returns the cumulative wire bytes this rank has relayed
-// on behalf of other ranks (received in a bundle and re-sent toward the
-// destination). Endpoint traffic is in VolumeByNeighbor, accounted toward
-// the record's final destination at Send time uniformly with every other
-// backend; the sum of both is the rank's true injection load.
-func (t *NCLC) ForwardedBytes() int64 { return t.fwdBytes }
-
-// ForwardedRecords returns the cumulative count of relayed records.
-func (t *NCLC) ForwardedRecords() int64 { return t.fwdRecords }
 
 // dist returns the ring distance from this rank to dst in [1, p).
 func (t *NCLC) dist(dst int) int {

@@ -153,9 +153,9 @@ func TestNCLCForwardingAccounting(t *testing.T) {
 		if n != p-1 {
 			t.Errorf("rank %d delivered %d records, want %d", c.Rank(), n, p-1)
 		}
-		fwd[c.Rank()] = tr.ForwardedRecords()
-		if tr.ForwardedBytes() != tr.ForwardedRecords()*nclcWireWords*8 {
-			t.Errorf("rank %d: %d forwarded bytes for %d records", c.Rank(), tr.ForwardedBytes(), tr.ForwardedRecords())
+		fwd[c.Rank()] = tr.fwdRecords
+		if tr.fwdBytes != tr.fwdRecords*nclcWireWords*8 {
+			t.Errorf("rank %d: %d forwarded bytes for %d records", c.Rank(), tr.fwdBytes, tr.fwdRecords)
 		}
 		for i, b := range vol {
 			if b != recordBytes {
@@ -383,7 +383,7 @@ func TestNCLCMatchesAppendReference(t *testing.T) {
 					stage(rd + 1)
 				}
 			}
-			fwd[me] = [2]int64{tr.ForwardedRecords(), tr.ForwardedBytes()}
+			fwd[me] = [2]int64{tr.fwdRecords, tr.fwdBytes}
 			tr.Finish()
 			return nil
 		}, mpi.WithDeadline(time.Minute))
