@@ -9,7 +9,10 @@
 //     virtual-time cost, plus two derived states that need no blocked
 //     interval at all: probe-spin (active Iprobe polling that found
 //     nothing) and late-receiver (virtual time completed messages spent
-//     parked in the unexpected queue because the receiver was late);
+//     parked in the unexpected queue because the receiver was late,
+//     read from the arrival the runtime stamps on each receive, so it
+//     is exact under schedule perturbation and counts every recorded
+//     receive even when the sender's ring dropped its send);
 //
 //   - the virtual-time critical path: a backward walk from the last
 //     rank to finish, hopping across ranks through the dependency edges
@@ -62,11 +65,6 @@ type Options struct {
 	// after the flush is the fence-synchronization analogue (paper
 	// §IV-D), so its class is reported as wait_at_fence.
 	Model string
-	// Cost is the run's cost model, used to reconstruct message arrival
-	// times for the late-receiver estimate. Nil selects the default
-	// model. Under schedule perturbation the estimate is a lower bound
-	// (perturbed latencies are never shorter than modeled ones).
-	Cost *mpi.CostModel
 	// Telemetry, when non-nil, resolves wait states per driver round
 	// into Record.Rounds using the series' round-boundary clocks.
 	Telemetry *telemetry.Series
@@ -238,11 +236,6 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 	if topK <= 0 {
 		topK = 10
 	}
-	cost := opts.Cost
-	if cost == nil {
-		cost = mpi.DefaultCostModel()
-	}
-
 	rec := &Record{
 		Schema:  SchemaVersion,
 		Model:   opts.Model,
@@ -270,6 +263,7 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 		return s
 	}
 
+	parked := state(ClassLateReceiver)
 	for rank := 0; rank < rep.Procs; rank++ {
 		if d := rep.EventDrops(rank); d > 0 {
 			rec.EventsTruncated = true
@@ -284,15 +278,18 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 				case mpi.EvWait:
 					d := e.Duration()
 					rec.TotalWaitSec += d
-					switch e.Class {
-					case mpi.WaitLateSender:
-						state(ClassLateSender).add(int(e.Peer), d)
-					case mpi.WaitNbrExchange:
-						state(exchangeClass).add(int(e.Peer), d)
-					case mpi.WaitCollective:
-						state(ClassCollective).add(int(e.Peer), d)
-					default:
-						state(ClassUnclassified).add(-1, d)
+					cause := int(e.Peer)
+					if e.Class == mpi.WaitNone {
+						cause = -1
+					}
+					state(pathClass(e.Class, exchangeClass)).add(cause, d)
+				case mpi.EvRecv:
+					// CauseT is the message's stamped arrival: a receive
+					// that began after it left the message parked, and
+					// the blame lands on the receiving rank, the late
+					// party.
+					if late := e.Start - e.CauseT; late > 1e-12 {
+						parked.add(rank, late)
 					}
 				case mpi.EvProbe:
 					if e.Peer < 0 {
@@ -305,8 +302,6 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 		}
 	}
 
-	lateReceiver(rep, cost, state(ClassLateReceiver))
-
 	rec.WaitStates = buildWaitStates(states, rec.TotalWaitSec, topK)
 	rec.CriticalPath = criticalPath(rep, exchangeClass, topK)
 	rec.Efficiency = efficiency(rep, rec.CriticalPath.ByKind["transfer"])
@@ -314,58 +309,6 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 		rec.Rounds = roundEfficiency(rep, opts.Telemetry, exchangeClass)
 	}
 	return rec, nil
-}
-
-// lateReceiver estimates, per completed user message, the virtual time
-// it sat in the receiver's unexpected queue: the receive started after
-// the modeled arrival. Matching pairs the k-th receive on rank d from
-// (source s, tag t) with the k-th send from s to d with tag t — exact
-// under the runtime's per-source non-overtaking delivery — and arrival
-// is reconstructed as send end + alpha + beta*bytes. The blame lands on
-// the receiving rank: it is the late party.
-func lateReceiver(rep *mpi.Report, cost *mpi.CostModel, out *classState) {
-	type flow struct{ dst, tag int32 }
-	// Per sending rank, its EvSend ring indices grouped by (dst, tag)
-	// flow, built lazily on the first receive naming that sender. Ring
-	// order is send order and within one flow receives consume sends in
-	// order (per-source non-overtaking), so each receive pops the next
-	// index — O(events) overall.
-	sendIdx := make([]map[flow][]int32, rep.Procs)
-	taken := make([]map[flow]int, rep.Procs)
-	for d := 0; d < rep.Procs; d++ {
-		for _, chunk := range rep.Events(d).Chunks() {
-			for i := range chunk {
-				e := &chunk[i]
-				if e.Kind != mpi.EvRecv || e.Peer < 0 || int(e.Peer) >= rep.Procs {
-					continue
-				}
-				s := int(e.Peer)
-				sendEvents := rep.Events(s)
-				if sendIdx[s] == nil {
-					sendIdx[s] = make(map[flow][]int32)
-					taken[s] = make(map[flow]int)
-					for j := 0; j < sendEvents.Len(); j++ {
-						if se := sendEvents.At(j); se.Kind == mpi.EvSend {
-							sf := flow{dst: se.Peer, tag: se.Tag}
-							sendIdx[s][sf] = append(sendIdx[s][sf], int32(j))
-						}
-					}
-				}
-				f := flow{dst: int32(d), tag: e.Tag}
-				k := taken[s][f]
-				taken[s][f] = k + 1
-				idx := sendIdx[s][f]
-				if k >= len(idx) {
-					continue // sender's ring truncated before this message
-				}
-				send := sendEvents.At(int(idx[k]))
-				arrive := send.End + cost.AlphaP2P + cost.BetaP2P*float64(send.Bytes)
-				if late := e.Start - arrive; late > 1e-12 {
-					out.add(d, late)
-				}
-			}
-		}
-	}
 }
 
 // buildWaitStates freezes the accumulators into sorted WaitState rows:
@@ -459,17 +402,6 @@ func roundEfficiency(rep *mpi.Report, series *telemetry.Series, exchangeClass st
 	if len(pts) == 0 {
 		return nil
 	}
-	classOf := func(e *mpi.Event) string {
-		switch e.Class {
-		case mpi.WaitLateSender:
-			return ClassLateSender
-		case mpi.WaitNbrExchange:
-			return exchangeClass
-		case mpi.WaitCollective:
-			return ClassCollective
-		}
-		return ClassUnclassified
-	}
 	type acc struct {
 		wait    float64
 		byClass map[string]float64
@@ -503,7 +435,7 @@ func roundEfficiency(rep *mpi.Report, series *telemetry.Series, exchangeClass st
 					}
 					if d := hi - lo; d > 0 {
 						accs[i].wait += d
-						accs[i].byClass[classOf(e)] += d
+						accs[i].byClass[pathClass(e.Class, exchangeClass)] += d
 					}
 					lo = hi
 				}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 	"repro/internal/mpi"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -216,6 +217,147 @@ func TestLateReceiverSynthetic(t *testing.T) {
 	}
 	if len(lr.TopCauses) != 1 || lr.TopCauses[0].Rank != 1 {
 		t.Errorf("late_receiver causes = %+v, want rank 1 (the late party)", lr.TopCauses)
+	}
+}
+
+// TestLateReceiverPerturbed: under latency jitter and rank slowdown the
+// runtime stamps arrivals later than the unperturbed cost model would,
+// and the late-receiver state must follow the stamps, not the model.
+// Every receive (both receive paths: Recv and RecvInto) carries its
+// message's arrival in CauseT, never before the modeled one and, with
+// jitter on, somewhere strictly after it; the state's seconds are the
+// receives' positive Start-CauseT gaps.
+func TestLateReceiverPerturbed(t *testing.T) {
+	const msgs = 16
+	rep, err := mpi.Run(2, func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			for tag := 0; tag < msgs; tag++ {
+				c.Isend(1, tag, make([]int64, 1+tag))
+			}
+			return nil
+		}
+		buf := make([]int64, msgs)
+		for tag := 0; tag < msgs; tag++ {
+			c.Compute(float64(500 * (tag % 3))) // some receives late, some not
+			if tag%2 == 0 {
+				c.Recv(0, tag)
+			} else {
+				c.RecvInto(0, tag, buf)
+			}
+		}
+		return nil
+	}, mpi.WithEventTrace(64), mpi.WithPerturb(7, sched.Full), mpi.WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := mpi.DefaultCostModel()
+	modeled := map[int32]float64{} // by tag: send end + unperturbed flight
+	for ev, i := rep.Events(0), 0; i < ev.Len(); i++ {
+		if e := ev.At(i); e.Kind == mpi.EvSend {
+			modeled[e.Tag] = e.End + cost.AlphaP2P + cost.BetaP2P*float64(e.Bytes)
+		}
+	}
+	var want float64
+	recvs, later := 0, 0
+	for ev, i := rep.Events(1), 0; i < ev.Len(); i++ {
+		e := ev.At(i)
+		if e.Kind != mpi.EvRecv {
+			continue
+		}
+		recvs++
+		m, ok := modeled[e.Tag]
+		if !ok {
+			t.Fatalf("receive %+v has no recorded send", *e)
+		}
+		if e.CauseT < m-1e-12 {
+			t.Errorf("receive of tag %d: arrival %v before the modeled %v", e.Tag, e.CauseT, m)
+		}
+		if e.CauseT > m+1e-12 {
+			later++
+		}
+		if late := e.Start - e.CauseT; late > 1e-12 {
+			want += late
+		}
+	}
+	if recvs != msgs {
+		t.Fatalf("%d receives recorded, want %d", recvs, msgs)
+	}
+	if later == 0 {
+		t.Error("no receive's arrival is later than the unperturbed model: jitter did not show")
+	}
+	if want <= 0 {
+		t.Fatal("scenario produced no late receiver")
+	}
+	rec, err := Analyze(rep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := rec.WaitState(ClassLateReceiver)
+	if lr == nil {
+		t.Fatal("no late_receiver state recorded")
+	}
+	if math.Abs(lr.Seconds-want) > 1e-12 {
+		t.Errorf("late_receiver seconds = %v, want %v", lr.Seconds, want)
+	}
+}
+
+// TestLateReceiverSenderTruncated: a message whose send fell past the
+// sender's full event ring still counts as parked when its receive was
+// recorded, because the receive carries its own arrival.
+func TestLateReceiverSenderTruncated(t *testing.T) {
+	const capacity = 8
+	rep, err := mpi.Run(2, func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			for i := 0; i < capacity; i++ {
+				c.Iprobe(1, 0) // rank 1 never sends: each miss fills a slot
+			}
+			c.Isend(1, 3, []int64{1, 2, 3, 4})
+		} else {
+			c.Compute(5000)
+			c.Recv(0, 3)
+		}
+		return nil
+	}, mpi.WithEventTrace(capacity), mpi.WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rep.EventDrops(0); d != 1 {
+		t.Fatalf("sender dropped %d events, want 1 (its send)", d)
+	}
+	var recv *mpi.Event
+	for ev, i := rep.Events(1), 0; i < ev.Len(); i++ {
+		if e := ev.At(i); e.Kind == mpi.EvRecv {
+			recv = e
+		}
+	}
+	if recv == nil {
+		t.Fatal("missing recv event")
+	}
+	// The sender's clock at injection, rebuilt from the cost model: the
+	// probes, then the send overhead.
+	cost := mpi.DefaultCostModel()
+	var sent float64
+	for i := 0; i < capacity; i++ {
+		sent += cost.ProbeOverhead
+	}
+	sent += cost.SendOverhead
+	want := recv.Start - (sent + cost.AlphaP2P + cost.BetaP2P*32)
+	if want <= 0 {
+		t.Fatalf("scenario did not produce a late receiver (want %v)", want)
+	}
+	rec, err := Analyze(rep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.EventsTruncated {
+		t.Error("record does not flag the truncated ring")
+	}
+	lr := rec.WaitState(ClassLateReceiver)
+	if lr == nil || lr.Count != 1 {
+		t.Fatalf("late_receiver state = %+v, want the one parked message", lr)
+	}
+	if math.Abs(lr.Seconds-want) > 1e-12 {
+		t.Errorf("late_receiver seconds = %v, want %v", lr.Seconds, want)
 	}
 }
 

@@ -135,7 +135,6 @@ func newRunRecord(info RunInfo, cfg Config) RunRecord {
 		if cfg.Analyze {
 			if rec, err := analysis.Analyze(info.Report, analysis.Options{
 				Model:     info.Model,
-				Cost:      cfg.Cost,
 				Telemetry: info.Telemetry,
 			}); err == nil {
 				rr.Analysis = rec

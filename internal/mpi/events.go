@@ -93,9 +93,9 @@ func (k EventKind) Category() string {
 
 // WaitClass classifies what an EvWait event was blocked on. It is the
 // runtime-level half of the wait-state taxonomy: the post-mortem
-// analyzer (internal/analysis) refines it with derived states
-// (probe-spin from EvProbe misses, late-receiver from send/recv
-// matching) that need no runtime support.
+// analyzer (internal/analysis) refines it with derived states:
+// probe-spin from EvProbe misses, late-receiver from the arrival each
+// EvRecv carries in CauseT.
 type WaitClass uint8
 
 const (
@@ -155,9 +155,13 @@ type Event struct {
 	// CauseT is the causing rank's local clock when it enabled this
 	// rank's progress — the injection time of the message a classified
 	// wait blocked on, or the last entrant's clock for a collective
-	// wait. Zero for non-wait events. It is the dependency edge the
-	// critical-path walk follows: the waiting rank's timeline continues
-	// on Peer's timeline at CauseT.
+	// wait. It is the dependency edge the critical-path walk follows:
+	// the waiting rank's timeline continues on Peer's timeline at
+	// CauseT. For an EvRecv it is the message's virtual arrival as the
+	// runtime stamped it (perturbed latency included), so Start-CauseT
+	// is how long the message sat queued before the receive began.
+	// Zero for every other kind. The Chrome export prints it for
+	// classified waits only.
 	CauseT float64
 }
 

@@ -116,7 +116,6 @@ type Config struct {
 type World struct {
 	n         int
 	cost      *CostModel
-	matrices  bool
 	mailboxes []*mailbox
 	hub       *collHub
 	stats     []*RankStats
@@ -328,7 +327,6 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 	w := &World{
 		n:         cfg.Procs,
 		cost:      cost,
-		matrices:  cfg.TrackMatrices,
 		mailboxes: ws.mailboxes,
 		hub:       ws.hub,
 		tasks:     ws.tasks,

@@ -139,7 +139,7 @@ func (c *Comm) Recv(src, tag int) ([]int64, Status) {
 	start := c.ps.now
 	e, out := c.recvMsg(src, tag, nil, true)
 	if c.ps.ev != nil {
-		c.event(EvRecv, int(e.src), int(e.tag), e.bytes(), start)
+		c.record(EvRecv, WaitNone, int(e.src), int(e.tag), e.bytes(), start, e.arrive)
 	}
 	return out, Status{Source: int(e.src), Tag: int(e.tag), Count: len(out)}
 }
@@ -163,7 +163,7 @@ func (c *Comm) RecvInto(src, tag int, buf []int64) (int, Status) {
 // receive-side timing applied.
 func (c *Comm) deliverInto(e *entry, room int, start float64) (int, Status) {
 	if c.ps.ev != nil {
-		c.event(EvRecv, int(e.src), int(e.tag), e.bytes(), start)
+		c.record(EvRecv, WaitNone, int(e.src), int(e.tag), e.bytes(), start, e.arrive)
 	}
 	n := int(e.n)
 	if n > room {

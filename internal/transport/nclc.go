@@ -73,12 +73,6 @@ type NCLC struct {
 	phases  []nclcPhase
 	scratch []int64 // the bundle being started, reused by every phase and round
 
-	// Records and wire bytes this rank relayed for other ranks. Endpoint
-	// traffic is in VolumeByNeighbor, accounted toward each record's
-	// final destination; the sum of both is the rank's injection load.
-	fwdRecords int64
-	fwdBytes   int64
-
 	// The round in progress, kept across the step form's suspensions:
 	// its current phase and whether that phase has started, the round's
 	// buffer words so far, and the records for this rank received so far.
@@ -193,8 +187,6 @@ func (t *NCLC) ExchangeStep(h Handler) (int, bool) {
 				// and a later phase's gather picks the record up from
 				// this view.
 				t.c.Pack(1)
-				t.fwdRecords++
-				t.fwdBytes += nclcWireWords * 8
 			}
 		}
 	}
