@@ -264,6 +264,10 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 	}
 
 	parked := state(ClassLateReceiver)
+	var rounds *roundWindows
+	if s := opts.Telemetry; s != nil && len(s.Points) > 0 {
+		rounds = &roundWindows{pts: s.Points, wait: make([]float64, len(s.Points)), byClass: make([]map[string]float64, len(s.Points))}
+	}
 	for rank := 0; rank < rep.Procs; rank++ {
 		if d := rep.EventDrops(rank); d > 0 {
 			rec.EventsTruncated = true
@@ -271,6 +275,9 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 		}
 		events := rep.Events(rank)
 		rec.Events += events.Len()
+		if rounds != nil {
+			rounds.cursor = 0
+		}
 		for _, chunk := range events.Chunks() {
 			for i := range chunk {
 				e := &chunk[i]
@@ -282,7 +289,11 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 					if e.Class == mpi.WaitNone {
 						cause = -1
 					}
-					state(pathClass(e.Class, exchangeClass)).add(cause, d)
+					class := pathClass(e.Class, exchangeClass)
+					state(class).add(cause, d)
+					if rounds != nil {
+						rounds.add(e, class)
+					}
 				case mpi.EvRecv:
 					// CauseT is the message's stamped arrival: a receive
 					// that began after it left the message parked, and
@@ -305,8 +316,8 @@ func Analyze(rep *mpi.Report, opts Options) (*Record, error) {
 	rec.WaitStates = buildWaitStates(states, rec.TotalWaitSec, topK)
 	rec.CriticalPath = criticalPath(rep, exchangeClass, topK)
 	rec.Efficiency = efficiency(rep, rec.CriticalPath.ByKind["transfer"])
-	if opts.Telemetry != nil {
-		rec.Rounds = roundEfficiency(rep, opts.Telemetry, exchangeClass)
+	if rounds != nil {
+		rec.Rounds = rounds.records(rep.Procs)
 	}
 	return rec, nil
 }
@@ -394,69 +405,62 @@ func efficiency(rep *mpi.Report, transferCP float64) Efficiency {
 	return e
 }
 
-// roundEfficiency clips every rank's blocked intervals to the windows
-// between consecutive telemetry round boundaries and reports per-round
-// wait volume, wait fraction and the dominant blocked class.
-func roundEfficiency(rep *mpi.Report, series *telemetry.Series, exchangeClass string) []RoundEff {
-	pts := series.Points
-	if len(pts) == 0 {
-		return nil
+// roundWindows resolves blocked time per driver round. Analyze's one
+// pass hands it every rank's blocked intervals, rank by rank, and it
+// clips them to the windows between consecutive telemetry round
+// boundaries; records then reports per-round wait volume, wait fraction
+// and the dominant blocked class.
+type roundWindows struct {
+	pts []telemetry.Point
+	// cursor is the first window the current rank's next wait can
+	// touch: a rank's events (by End) and the windows are both
+	// time-sorted, so it only moves forward until Analyze resets it for
+	// the next rank.
+	cursor  int
+	wait    []float64
+	byClass []map[string]float64
+}
+
+// add spreads one blocked interval of the current rank over the windows
+// it crosses.
+func (rw *roundWindows) add(e *mpi.Event, class string) {
+	pts := rw.pts
+	for rw.cursor < len(pts) && pts[rw.cursor].Time <= e.Start {
+		rw.cursor++
 	}
-	type acc struct {
-		wait    float64
-		byClass map[string]float64
-	}
-	accs := make([]acc, len(pts))
-	for i := range accs {
-		accs[i].byClass = map[string]float64{}
-	}
-	windowStart := func(i int) float64 {
-		if i == 0 {
-			return 0
-		}
-		return pts[i-1].Time
-	}
-	for rank := 0; rank < rep.Procs; rank++ {
-		w := 0 // window cursor; both events (by End) and windows are time-sorted
-		for _, chunk := range rep.Events(rank).Chunks() {
-			for j := range chunk {
-				e := &chunk[j]
-				if e.Kind != mpi.EvWait {
-					continue
-				}
-				for w < len(pts) && pts[w].Time <= e.Start {
-					w++
-				}
-				// Spread the interval over the windows it crosses.
-				for i, lo := w, e.Start; i < len(pts) && lo < e.End; i++ {
-					hi := pts[i].Time
-					if hi > e.End {
-						hi = e.End
-					}
-					if d := hi - lo; d > 0 {
-						accs[i].wait += d
-						accs[i].byClass[pathClass(e.Class, exchangeClass)] += d
-					}
-					lo = hi
-				}
+	for i, lo := rw.cursor, e.Start; i < len(pts) && lo < e.End; i++ {
+		hi := min(pts[i].Time, e.End)
+		if d := hi - lo; d > 0 {
+			if rw.byClass[i] == nil {
+				rw.byClass[i] = map[string]float64{}
 			}
+			rw.wait[i] += d
+			rw.byClass[i][class] += d
 		}
+		lo = hi
 	}
-	out := make([]RoundEff, len(pts))
-	for i, p := range pts {
-		re := RoundEff{Round: p.Round, TimeSec: p.Time, WaitSec: accs[i].wait}
-		if width := p.Time - windowStart(i); width > 0 {
-			re.WaitFrac = accs[i].wait / (width * float64(rep.Procs))
+}
+
+func (rw *roundWindows) records(procs int) []RoundEff {
+	out := make([]RoundEff, len(rw.pts))
+	for i, p := range rw.pts {
+		re := RoundEff{Round: p.Round, TimeSec: p.Time, WaitSec: rw.wait[i]}
+		start := 0.0
+		if i > 0 {
+			start = rw.pts[i-1].Time
 		}
-		for class, sec := range accs[i].byClass {
+		if width := p.Time - start; width > 0 {
+			re.WaitFrac = rw.wait[i] / (width * float64(procs))
+		}
+		for class, sec := range rw.byClass[i] {
 			if sec > re.DominantShare {
 				re.Dominant, re.DominantShare = class, sec
 			} else if sec == re.DominantShare && re.Dominant != "" && class < re.Dominant {
 				re.Dominant = class
 			}
 		}
-		if accs[i].wait > 0 {
-			re.DominantShare /= accs[i].wait
+		if rw.wait[i] > 0 {
+			re.DominantShare /= rw.wait[i]
 		}
 		out[i] = re
 	}

@@ -74,17 +74,12 @@ func init() {
 				Headers: []string{"input", "davg", "dmax", "NSR", "NCL", "NCLC", "NCLC/NCL"}}
 			for _, in := range cfg.densitySweep(p) {
 				st := distgraph.NewBlockDist(in.G, p).ProcessGraphStats()
-				cfg.logf("ext-density: %s p=%d davg=%.1f", in.Name, p, st.DAvg)
-				times := make([]float64, len(models))
-				for i, m := range models {
-					res, err := cfg.match(in.Name, in.G, p, m, false)
-					if err != nil {
-						return nil, fmt.Errorf("%s/%v: %w", in.Name, m, err)
-					}
-					times[i] = res.Report.MaxVirtualTime
+				reps, err := cfg.sweep("ext-density", in.Name, in.G, p, models)
+				if err != nil {
+					return nil, err
 				}
-				t.AddRow(in.Name, f2(st.DAvg), fmt.Sprint(st.DMax),
-					ms(times[0]), ms(times[1]), ms(times[2]), speedup(times[1], times[2]))
+				nsr, ncl, nclc := reps[0].MaxVirtualTime, reps[1].MaxVirtualTime, reps[2].MaxVirtualTime
+				t.AddRow(in.Name, f2(st.DAvg), fmt.Sprint(st.DMax), ms(nsr), ms(ncl), ms(nclc), speedup(ncl, nclc))
 			}
 			t.Notes = append(t.Notes,
 				"expected shape: NCLC tracks NCL on sparse rows (direct fallback), then beats it once davg clears ~1.5*ceil(log2 p)",

@@ -56,16 +56,12 @@ func init() {
 				{"rgg-weak", cfg.rggWeak(cfg.scaledProcs(16))},
 			} {
 				for _, p := range []int{cfg.scaledProcs(16), cfg.scaledProcs(32)} {
-					cfg.logf("ext-ncli: %s p=%d", in.name, p)
-					var times [2]float64
-					for i, m := range []matching.Model{matching.NCL, matching.NCLI} {
-						res, err := cfg.match(in.name, in.g, p, m, false)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%v: %w", in.name, m, err)
-						}
-						times[i] = res.Report.MaxVirtualTime
+					reps, err := cfg.sweep("ext-ncli", in.name, in.g, p, []matching.Model{matching.NCL, matching.NCLI})
+					if err != nil {
+						return nil, err
 					}
-					t.AddRow(in.name, fmt.Sprint(p), ms(times[0]), ms(times[1]), speedup(times[0], times[1]))
+					ncl, ncli := reps[0].MaxVirtualTime, reps[1].MaxVirtualTime
+					t.AddRow(in.name, fmt.Sprint(p), ms(ncl), ms(ncli), speedup(ncl, ncli))
 				}
 			}
 			t.Notes = append(t.Notes, "expected shape: NCLI at least matches NCL when per-round volume is high (overlap pays); near parity when rounds are cheap")

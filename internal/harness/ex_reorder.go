@@ -9,88 +9,63 @@ import (
 	"repro/internal/order"
 )
 
-// densityRow renders one row of a coarse density plot; levels mirror the
-// paper's black-spots-are-zero rendering.
-func densityGlyph(v, max int64) byte {
-	if v == 0 {
-		return ' '
-	}
-	levels := []byte{'.', ':', '*', '#', '@'}
-	idx := int(int64(len(levels)) * v / (max + 1))
-	if idx >= len(levels) {
-		idx = len(levels) - 1
-	}
-	return levels[idx]
-}
-
-// adjacencyDensity buckets the adjacency matrix of g into a buckets x
-// buckets grid of edge counts, rendered as text (the paper's Fig 7
-// spy-plot rendering).
-func adjacencyDensity(g *graph.CSR, buckets int) []string {
-	n := g.NumVertices()
+// densityGrid sums the cells of an n x n matrix, visited through each,
+// into at most buckets x buckets blocks and renders them as text rows,
+// one glyph per block: blank for an empty block, then '.' to '@' as the
+// block nears the heaviest (the paper's black-spots-are-zero rendering).
+func densityGrid(n, buckets int, each func(add func(i, j int, v int64))) []string {
 	if n == 0 {
 		return nil
 	}
-	if buckets > n {
-		buckets = n
-	}
+	buckets = min(buckets, n)
 	grid := make([][]int64, buckets)
 	for i := range grid {
 		grid[i] = make([]int64, buckets)
 	}
-	var max int64
-	for v := 0; v < n; v++ {
-		for _, a := range g.Neighbors(v) {
-			bi := v * buckets / n
-			bj := int(a) * buckets / n
-			grid[bi][bj]++
-			if grid[bi][bj] > max {
-				max = grid[bi][bj]
+	var top int64
+	each(func(i, j int, v int64) {
+		cell := &grid[i*buckets/n][j*buckets/n]
+		*cell += v
+		top = max(top, *cell)
+	})
+	levels := []byte{'.', ':', '*', '#', '@'}
+	rows := make([]string, buckets)
+	for i, r := range grid {
+		line := make([]byte, len(r))
+		for j, v := range r {
+			line[j] = ' '
+			if v != 0 {
+				line[j] = levels[min(int(int64(len(levels))*v/(top+1)), len(levels)-1)]
 			}
 		}
+		rows[i] = "|" + string(line) + "|"
 	}
-	return renderGrid(grid, max)
+	return rows
+}
+
+// adjacencyDensity renders the adjacency matrix of g as a density grid
+// of at most buckets x buckets cells (the paper's Fig 7 spy plots).
+func adjacencyDensity(g *graph.CSR, buckets int) []string {
+	return densityGrid(g.NumVertices(), buckets, func(add func(i, j int, v int64)) {
+		for v := 0; v < g.NumVertices(); v++ {
+			for _, a := range g.Neighbors(v) {
+				add(v, int(a), 1)
+			}
+		}
+	})
 }
 
 // MatrixDensity renders a per-pair communication matrix as a density
 // grid of at most buckets x buckets cells (Figs 2, 9, 11); with buckets
 // = len(m) each cell is one rank pair.
 func MatrixDensity(m [][]int64, buckets int) []string {
-	n := len(m)
-	if n == 0 {
-		return nil
-	}
-	if buckets > n {
-		buckets = n
-	}
-	grid := make([][]int64, buckets)
-	for i := range grid {
-		grid[i] = make([]int64, buckets)
-	}
-	var max int64
-	for i := range m {
-		for j, v := range m[i] {
-			bi := i * buckets / n
-			bj := j * buckets / n
-			grid[bi][bj] += v
-			if grid[bi][bj] > max {
-				max = grid[bi][bj]
+	return densityGrid(len(m), buckets, func(add func(i, j int, v int64)) {
+		for i := range m {
+			for j, v := range m[i] {
+				add(i, j, v)
 			}
 		}
-	}
-	return renderGrid(grid, max)
-}
-
-func renderGrid(grid [][]int64, max int64) []string {
-	rows := make([]string, len(grid))
-	for i, r := range grid {
-		line := make([]byte, len(r))
-		for j, v := range r {
-			line[j] = densityGlyph(v, max)
-		}
-		rows[i] = "|" + string(line) + "|"
-	}
-	return rows
+	})
 }
 
 // rcmOf memoizes the RCM-reordered version of a named workload.
@@ -98,6 +73,27 @@ func (c Config) rcmOf(name string, g *graph.CSR) *graph.CSR {
 	return c.memo(name+"-rcm", func() *graph.CSR {
 		return order.Apply(g, order.RCM(g))
 	})
+}
+
+// orderTable tabulates a distribution statistic of each reordering-study
+// mesh at its process count, in its original order and then under RCM
+// (tab5, tab6).
+func (c Config) orderTable(id, title string, headers []string, stats func(d *distgraph.Dist) []string) *Table {
+	t := &Table{ID: id, Title: title, Headers: append([]string{"graph", "p", "order"}, headers...)}
+	for _, in := range []struct {
+		name string
+		g    *graph.CSR
+		p    int
+	}{
+		{"cage15-analogue", c.cage15(), c.scaledProcs(32)},
+		{"hv15r-analogue", c.hv15r(), c.scaledProcs(64)},
+	} {
+		for i, g := range []*graph.CSR{in.g, c.rcmOf(in.name, in.g)} {
+			row := []string{in.name, fmt.Sprint(in.p), []string{"original", "RCM"}[i]}
+			t.AddRow(append(row, stats(distgraph.NewBlockDist(g, in.p))...)...)
+		}
+	}
+	return t
 }
 
 func init() {
@@ -135,25 +131,11 @@ func init() {
 		Title: "Ghost-augmented edges |E'| for original vs RCM partitions",
 		Paper: "totals within 1-5%, but sigma(|E'|) drops 30-40% under RCM (better balance)",
 		Run: func(cfg Config) ([]*Table, error) {
-			t := &Table{ID: "tab5", Title: "|E'| statistics, original vs RCM",
-				Headers: []string{"graph", "p", "order", "|E'|", "|E'|max", "|E'|avg", "sigma"}}
-			for _, in := range []struct {
-				name string
-				g    *graph.CSR
-				p    int
-			}{
-				{"cage15-analogue", cfg.cage15(), cfg.scaledProcs(32)},
-				{"hv15r-analogue", cfg.hv15r(), cfg.scaledProcs(64)},
-			} {
-				for _, v := range []struct {
-					order string
-					g     *graph.CSR
-				}{{"original", in.g}, {"RCM", cfg.rcmOf(in.name, in.g)}} {
-					st := distgraph.NewBlockDist(v.g, in.p).GhostEdgeStats()
-					t.AddRow(in.name, fmt.Sprint(in.p), v.order,
-						fmt.Sprint(st.Total), fmt.Sprint(st.Max), f2(st.Avg), f2(st.Sigma))
-				}
-			}
+			t := cfg.orderTable("tab5", "|E'| statistics, original vs RCM", []string{"|E'|", "|E'|max", "|E'|avg", "sigma"},
+				func(d *distgraph.Dist) []string {
+					st := d.GhostEdgeStats()
+					return []string{fmt.Sprint(st.Total), fmt.Sprint(st.Max), f2(st.Avg), f2(st.Sigma)}
+				})
 			t.Notes = append(t.Notes, "expected shape: RCM rows have clearly smaller sigma and |E'|max")
 			return []*Table{t}, nil
 		},
@@ -164,25 +146,11 @@ func init() {
 		Title: "Process-graph topology of original vs RCM orderings",
 		Paper: "counter-intuitively, RCM raises davg ~2x under 1-D partitioning (more, smaller neighbor exchanges)",
 		Run: func(cfg Config) ([]*Table, error) {
-			t := &Table{ID: "tab6", Title: "Neighborhood topology, original vs RCM",
-				Headers: []string{"graph", "p", "order", "|Ep|", "dmax", "davg", "sigma_d"}}
-			for _, in := range []struct {
-				name string
-				g    *graph.CSR
-				p    int
-			}{
-				{"cage15-analogue", cfg.cage15(), cfg.scaledProcs(32)},
-				{"hv15r-analogue", cfg.hv15r(), cfg.scaledProcs(64)},
-			} {
-				for _, v := range []struct {
-					order string
-					g     *graph.CSR
-				}{{"original", in.g}, {"RCM", cfg.rcmOf(in.name, in.g)}} {
-					st := distgraph.NewBlockDist(v.g, in.p).ProcessGraphStats()
-					t.AddRow(in.name, fmt.Sprint(in.p), v.order,
-						fmt.Sprint(st.Edges), fmt.Sprint(st.DMax), f2(st.DAvg), f2(st.DSigma))
-				}
-			}
+			t := cfg.orderTable("tab6", "Neighborhood topology, original vs RCM", []string{"|Ep|", "dmax", "davg", "sigma_d"},
+				func(d *distgraph.Dist) []string {
+					st := d.ProcessGraphStats()
+					return []string{fmt.Sprint(st.Edges), fmt.Sprint(st.DMax), f2(st.DAvg), f2(st.DSigma)}
+				})
 			t.Notes = append(t.Notes,
 				"our scrambled 'original' has a denser process graph than the paper's (already partially ordered) inputs;",
 				"the invariant that transfers: RCM localizes communication into few, adjacent, balanced neighbors")
@@ -213,22 +181,19 @@ func init() {
 					{"hv15r", cfg.hv15r()},
 					{"hv15r(RCM)", cfg.rcmOf("hv15r-analogue", cfg.hv15r())},
 				} {
-					cfg.logf("fig8: %s p=%d", in.name, p)
+					reps, err := cfg.sweep("fig8", in.name, in.g, p, models)
+					if err != nil {
+						return nil, err
+					}
 					row := []string{in.name}
-					var nsr, best float64
-					for _, m := range models {
-						res, err := cfg.match(in.name, in.g, p, m, false)
-						if err != nil {
-							return nil, fmt.Errorf("%s/%v: %w", in.name, m, err)
+					var nsr float64
+					best := reps[0].MaxVirtualTime
+					for i, rep := range reps {
+						if models[i] == matching.NSR {
+							nsr = rep.MaxVirtualTime
 						}
-						tm := res.Report.MaxVirtualTime
-						if m == matching.NSR {
-							nsr = tm
-						}
-						if best == 0 || tm < best {
-							best = tm
-						}
-						row = append(row, ms(tm))
+						best = min(best, rep.MaxVirtualTime)
+						row = append(row, ms(rep.MaxVirtualTime))
 					}
 					row = append(row, speedup(nsr, best))
 					t.AddRow(row...)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/graph"
 	"repro/internal/matching"
+	"repro/internal/mpi"
 )
 
 // runOptions are the run knobs a launch on p ranks takes from the
@@ -44,8 +45,26 @@ func (c Config) match(input string, g *graph.CSR, p int, m matching.Model, track
 	return res, nil
 }
 
+// sweep runs each model in turn on one (input, graph, p) configuration
+// and returns their reports in model order. Every table that compares
+// models tabulates from it, so each cell of the input x procs x model
+// grid is launched, labelled and reported in one place.
+func (c Config) sweep(id, input string, g *graph.CSR, p int, models []matching.Model) ([]*mpi.Report, error) {
+	c.logf("%s: %s p=%d |E|=%d", id, input, p, g.NumEdges())
+	reps := make([]*mpi.Report, len(models))
+	for i, m := range models {
+		res, err := c.match(input, g, p, m, false)
+		if err != nil {
+			return nil, fmt.Errorf("%s p=%d %v: %w", input, p, m, err)
+		}
+		reps[i] = res.Report
+	}
+	return reps, nil
+}
+
 // scalingTable runs the given models over (graph(p), p) pairs and emits
-// one row per p: |E|, per-model virtual time, and speedups over NSR.
+// one row per p: |E|, per-model virtual time, and speedups over the
+// first model (NSR by default).
 func (c Config) scalingTable(id, title, input string, procs []int, graphOf func(p int) *graph.CSR, models []matching.Model) (*Table, error) {
 	models = c.models(models)
 	t := &Table{ID: id, Title: title}
@@ -58,25 +77,16 @@ func (c Config) scalingTable(id, title, input string, procs []int, graphOf func(
 	}
 	for _, p := range procs {
 		g := graphOf(p)
-		c.logf("%s: p=%d |E|=%d", id, p, g.NumEdges())
-		times := make([]float64, len(models))
-		for i, m := range models {
-			res, err := c.match(input, g, p, m, false)
-			if err != nil {
-				return nil, fmt.Errorf("p=%d model=%v: %w", p, m, err)
-			}
-			times[i] = res.Report.MaxVirtualTime
+		reps, err := c.sweep(id, input, g, p, models)
+		if err != nil {
+			return nil, err
 		}
-		row := []string{
-			fmt.Sprint(p),
-			fmt.Sprint(g.NumVertices()),
-			fmt.Sprint(g.NumEdges()),
+		row := []string{fmt.Sprint(p), fmt.Sprint(g.NumVertices()), fmt.Sprint(g.NumEdges())}
+		for _, rep := range reps {
+			row = append(row, ms(rep.MaxVirtualTime))
 		}
-		for _, tm := range times {
-			row = append(row, ms(tm))
-		}
-		for _, tm := range times[1:] {
-			row = append(row, speedup(times[0], tm))
+		for _, rep := range reps[1:] {
+			row = append(row, speedup(reps[0].MaxVirtualTime, rep.MaxVirtualTime))
 		}
 		t.AddRow(row...)
 	}

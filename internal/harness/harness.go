@@ -171,13 +171,14 @@ func (c Config) logf(format string, args ...any) {
 }
 
 // Table is one rendered artifact: a titled grid of cells plus notes
-// recording the paper-reported shape it should reproduce.
+// recording the paper-reported shape it should reproduce. It is
+// serialized as is in ExperimentRecord.Tables.
 type Table struct {
-	ID      string
-	Title   string
-	Headers []string
-	Rows    [][]string
-	Notes   []string
+	ID      string     `json:"id"`
+	Title   string     `json:"title"`
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
+	Notes   []string   `json:"notes,omitempty"`
 }
 
 // AddRow appends a row of cells.
@@ -305,10 +306,8 @@ func RunOneRecord(id string, cfg Config, w io.Writer) (*ExperimentRecord, error)
 	}
 	for _, t := range tables {
 		t.Render(w)
-		rec.Tables = append(rec.Tables, TableRecord{
-			ID: t.ID, Title: t.Title, Headers: t.Headers, Rows: t.Rows, Notes: t.Notes,
-		})
 	}
+	rec.Tables = tables
 	if prof != nil && len(prof.Rows) > 0 {
 		prof.Render(w)
 	}
@@ -325,9 +324,10 @@ func fsec(v float64) string { return fmt.Sprintf("%.4g", v) }
 // ms formats seconds of virtual time as milliseconds.
 func ms(sec float64) string { return fmt.Sprintf("%.3fms", sec*1e3) }
 
-// speedup formats a ratio like the paper ("2.3x").
+// speedup formats a ratio like the paper ("2.3x"), or "-" when either
+// run is missing (a model filter can leave the baseline out).
 func speedup(base, t float64) string {
-	if t <= 0 {
+	if base <= 0 || t <= 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", base/t)

@@ -3,13 +3,16 @@ package harness
 import (
 	"encoding/json"
 	"io"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bfs"
+	"repro/internal/matching"
 	"repro/internal/mpi"
 	"repro/internal/sched"
 )
@@ -254,8 +257,36 @@ func TestSpeedupFormat(t *testing.T) {
 	if s := speedup(1, 0); s != "-" {
 		t.Errorf("speedup by zero = %q", s)
 	}
+	if s := speedup(0, 1); s != "-" {
+		t.Errorf("speedup over a baseline that did not run = %q", s)
+	}
 	if ms(0.001) != "1.000ms" {
 		t.Error("ms format")
+	}
+}
+
+// TestRatiosNeedTheirBaseline: with a model filter that leaves NSR out,
+// the ratios over NSR in fig8 and tab7 have no baseline and read "-",
+// never "0.00x".
+func TestRatiosNeedTheirBaseline(t *testing.T) {
+	for _, id := range []string{"fig8", "tab7"} {
+		cfg := Config{Scale: 0.05, Deadline: 10 * time.Minute, Models: []matching.Model{matching.RMA, matching.NCL}}
+		tables, err := Find(id).Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, tb := range tables {
+			for _, row := range tb.Rows {
+				if last := row[len(row)-1]; strings.HasSuffix(last, "x") || (id == "tab7" && row[2] != "-") {
+					t.Errorf("%s: row %v has a ratio over NSR, which did not run", id, row)
+				}
+				for _, cell := range row {
+					if cell == "0.00x" {
+						t.Errorf("%s: row %v has a 0.00x cell", id, row)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -323,15 +354,63 @@ func TestExtColoringRuns(t *testing.T) {
 // them can reach zero or pass the process count there (sbpWeak and
 // bandedBlockGraph did, and panicked). "ranks" ignores Scale; its world
 // ladder is capped at its first rung to keep the test small.
+//
+// At the smaller scale every experiment runs twice, and the two runs
+// must launch the same sequence of runs, record the same round-model
+// runs and, where no async-flavour model runs, render the same tables:
+// a sweep that reordered its launches, or a table built in map order,
+// fails here. The async-flavour models (NSR, MBP, NSRA) are left out,
+// since their virtual times follow the host schedule.
 func TestEveryExperimentRunsAtSmallScales(t *testing.T) {
+	roundModels := map[string]bool{"RMA": true, "NCL": true, "NCLI": true, "NCLC": true}
+	sameTables := map[string]bool{"tab2": true, "tab3": true, "tab4": true, "tab5": true, "tab6": true, "fig7": true, "ext-ncli": true}
 	for _, scale := range []float64{0.05, 0.1} {
 		for _, id := range IDs() {
 			cfg := Config{Scale: scale, Deadline: 10 * time.Minute, Ranks: 1024}
-			if _, err := RunOneRecord(id, cfg, io.Discard); err != nil {
+			rec, err := RunOneRecord(id, cfg, io.Discard)
+			if err != nil {
 				t.Errorf("%s at scale %g: %v", id, scale, err)
+				continue
+			}
+			if scale != 0.05 {
+				continue
+			}
+			again, err := RunOneRecord(id, cfg, io.Discard)
+			if err != nil {
+				t.Errorf("%s at scale %g, second run: %v", id, scale, err)
+				continue
+			}
+			if a, b := runLabels(rec), runLabels(again); !slices.Equal(a, b) {
+				t.Errorf("%s: the two runs launched\n%q\nand\n%q", id, a, b)
+				continue
+			}
+			for i, r := range rec.Runs {
+				if roundModels[r.Model] && !reflect.DeepEqual(r, again.Runs[i]) {
+					t.Errorf("%s: %s recorded\n%+v\nthen\n%+v", id, r.Label, r, again.Runs[i])
+				}
+			}
+			if a, b := tablesJSON(t, rec), tablesJSON(t, again); sameTables[id] && a != b {
+				t.Errorf("%s: the two runs rendered\n%s\nand\n%s", id, a, b)
 			}
 		}
 	}
+}
+
+func runLabels(rec *ExperimentRecord) []string {
+	var labels []string
+	for _, r := range rec.Runs {
+		labels = append(labels, r.Label)
+	}
+	return labels
+}
+
+func tablesJSON(t *testing.T, rec *ExperimentRecord) string {
+	t.Helper()
+	b, err := json.Marshal(rec.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestLaunchesTakeTheConfig: the launches that do not go through

@@ -55,23 +55,14 @@ type RunRecord struct {
 	Analysis *analysis.Record `json:"analysis,omitempty"`
 }
 
-// TableRecord serializes one rendered Table.
-type TableRecord struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
-	Notes   []string   `json:"notes,omitempty"`
-}
-
 // ExperimentRecord serializes one experiment regeneration: its tables
 // plus every runtime launch it performed, in launch order.
 type ExperimentRecord struct {
-	ID     string        `json:"id"`
-	Title  string        `json:"title"`
-	Paper  string        `json:"paper"`
-	Tables []TableRecord `json:"tables"`
-	Runs   []RunRecord   `json:"runs"`
+	ID     string      `json:"id"`
+	Title  string      `json:"title"`
+	Paper  string      `json:"paper"`
+	Tables []*Table    `json:"tables"`
+	Runs   []RunRecord `json:"runs"`
 }
 
 // Document is the top-level JSON artifact matchbench -json emits.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -242,6 +243,236 @@ func TestDepositSlotsShared(t *testing.T) {
 				if w != wins[0] || w[0] == w[1] {
 					t.Fatalf("n=%d run %d: rank %d holds windows %p, %p; rank 0 %p, %p", n, run, r, w[0], w[1], wins[0][0], wins[0][1])
 				}
+			}
+		}
+	}
+}
+
+// collCall is one call of a random collective program: a barrier, a
+// vector or scalar allreduce, or a broadcast, run blocking or, for the
+// calls that have one, as a step form inside Comm.Steps.
+type collCall struct {
+	kind  int
+	op    ReduceOp
+	width int
+	root  int
+	step  bool
+}
+
+const (
+	collBarrier = iota
+	collVec
+	collScalar
+	collBcast
+)
+
+// collProgram draws a program for p ranks: a vector allreduce of width
+// 1-8 and a scalar allreduce for every ReduceOp, four barriers and four
+// broadcasts from random roots, shuffled, each reduction or barrier a
+// step form half the time.
+func collProgram(rng *rand.Rand, p int) []collCall {
+	var prog []collCall
+	for op := OpSum; op <= OpLor; op++ {
+		prog = append(prog, collCall{kind: collVec, op: op, width: 1 + rng.Intn(8)}, collCall{kind: collScalar, op: op, width: 1})
+	}
+	for i := 0; i < 4; i++ {
+		prog = append(prog, collCall{kind: collBarrier}, collCall{kind: collBcast, width: 1 + rng.Intn(8), root: rng.Intn(p)})
+	}
+	rng.Shuffle(len(prog), func(i, j int) { prog[i], prog[j] = prog[j], prog[i] })
+	for i := range prog {
+		prog[i].step = prog[i].kind != collBcast && rng.Intn(2) == 0
+	}
+	return prog
+}
+
+// collInput is rank's contribution to call k. Logical ops get a zero
+// (land) or a nonzero (lor) value from about one rank in three, so both
+// outcomes occur.
+func collInput(seed uint64, k, rank, p int, call collCall) []int64 {
+	in := make([]int64, call.width)
+	for j := range in {
+		x := mix64(mix64(mix64(seed, uint64(k)), uint64(rank)), uint64(j))
+		rare := x%uint64(3*p) == 0
+		switch {
+		case call.op == OpLand && rare, call.op == OpLor && !rare:
+			in[j] = 0
+		case call.op == OpLand || call.op == OpLor:
+			in[j] = int64(x | 1)
+		default:
+			in[j] = int64(x)
+		}
+	}
+	return in
+}
+
+// collReference is what every rank must get from call k: the inputs
+// folded in rank order by the textbook definition of the op, the root's
+// data for a broadcast, nothing for a barrier.
+func collReference(seed uint64, k, p int, call collCall) []int64 {
+	switch call.kind {
+	case collBarrier:
+		return nil
+	case collBcast:
+		return collInput(seed, k, call.root, p, call)
+	}
+	truth := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	acc := collInput(seed, k, 0, p, call)
+	for r := 1; r < p; r++ {
+		for j, v := range collInput(seed, k, r, p, call) {
+			switch call.op {
+			case OpSum:
+				acc[j] += v
+			case OpMin:
+				acc[j] = min(acc[j], v)
+			case OpMax:
+				acc[j] = max(acc[j], v)
+			case OpProd:
+				acc[j] *= v
+			case OpLand:
+				acc[j] = truth(acc[j] != 0 && v != 0)
+			case OpLor:
+				acc[j] = truth(acc[j] != 0 || v != 0)
+			}
+		}
+	}
+	return acc
+}
+
+// collOracleBody runs prog on every rank, charging each rank a
+// different amount of compute before each blocking call or run of step
+// calls so the collectives synchronize skewed clocks, and fails the rank
+// on the first result that differs from the reference.
+func collOracleBody(seed uint64, prog []collCall, want [][]int64) func(c *Comm) error {
+	return func(c *Comm) error {
+		r, p := c.Rank(), c.Size()
+		var bad error
+		check := func(k int, got []int64) {
+			if bad == nil && !slices.Equal(got, want[k]) {
+				bad = fmt.Errorf("rank %d, call %d (%+v): got %v, want %v", r, k, prog[k], got, want[k])
+			}
+		}
+		for k := 0; k < len(prog); {
+			c.Compute(float64(mix64(seed, uint64(r*len(prog)+k)) % 64))
+			call := prog[k]
+			if !call.step {
+				switch call.kind {
+				case collBarrier:
+					c.Barrier()
+					check(k, nil)
+				case collVec:
+					check(k, c.AllreduceInt64(call.op, collInput(seed, k, r, p, call)))
+				case collScalar:
+					check(k, []int64{c.AllreduceScalarInt64(call.op, collInput(seed, k, r, p, call)[0])})
+				case collBcast:
+					var data []int64
+					if r == call.root {
+						data = collInput(seed, k, r, p, call)
+					}
+					check(k, c.BcastInt64(call.root, data))
+				}
+				k++
+				continue
+			}
+			// The run of step calls from k is one resumable program: i
+			// and out change only after a step form reported true.
+			end := k
+			for end < len(prog) && prog[end].step {
+				end++
+			}
+			i, out := k, []int64(nil)
+			c.Steps(func() bool {
+				for ; i < end; i++ {
+					call := prog[i]
+					switch call.kind {
+					case collBarrier:
+						if !c.BarrierStep() {
+							return false
+						}
+						check(i, nil)
+					case collVec:
+						got, ok := c.AllreduceInt64Step(call.op, collInput(seed, i, r, p, call), out)
+						if !ok {
+							return false
+						}
+						out = got
+						check(i, got)
+					case collScalar:
+						got, ok := c.AllreduceScalarInt64Step(call.op, collInput(seed, i, r, p, call)[0])
+						if !ok {
+							return false
+						}
+						check(i, []int64{got})
+					}
+				}
+				return true
+			})
+			k = end
+		}
+		return bad
+	}
+}
+
+// TestCollectivesMatchRankOrderedFold is the collective oracle: random
+// programs of barriers, vector and scalar allreduces over every op, and
+// broadcasts from random roots, blocking and as step forms, at one hub
+// shard (p=3), several (p=130) and the pooled executor's sizes (p=300).
+// Every rank's every result must equal a rank-ordered fold of the
+// inputs, and the clocks must be bit-identical under SchedDirect and
+// SchedWorkers. After a run poisoned mid-collective, a clean run builds
+// a fresh skeleton and a second reuses it; both must match too.
+func TestCollectivesMatchRankOrderedFold(t *testing.T) {
+	for _, p := range []int{3, 130, 300} {
+		var body func(c *Comm) error
+		var fp uint64
+		for seed := uint64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)*1000 + int64(p)))
+			prog := collProgram(rng, p)
+			want := make([][]int64, len(prog))
+			for k, call := range prog {
+				want[k] = collReference(seed, k, p, call)
+			}
+			body = collOracleBody(seed, prog, want)
+			for i, mode := range schedModes {
+				rep, err := RunChecked(p, body, WithScheduler(mode), WithDeadline(60*time.Second))
+				if err != nil {
+					t.Fatalf("p=%d seed=%d %v: %v", p, seed, mode, err)
+				}
+				if got := clockFingerprint(rep); i == 0 {
+					fp = got
+				} else if got != fp {
+					t.Errorf("p=%d seed=%d: clock fingerprint %#x under %v, %#x under %v", p, seed, got, mode, fp, schedModes[0])
+				}
+			}
+		}
+		_, err := Run(p, func(c *Comm) error {
+			c.AllreduceScalarInt64(OpSum, 1)
+			if c.Rank() == p/2 {
+				return fmt.Errorf("injected failure")
+			}
+			c.Steps(func() bool {
+				_, ok := c.AllreduceScalarInt64Step(OpMax, int64(c.Rank()))
+				return ok
+			})
+			return nil
+		}, WithDeadline(60*time.Second))
+		if err == nil {
+			t.Fatalf("p=%d: the poisoned run returned no error", p)
+		}
+		for run := 0; run < 2; run++ {
+			if run == 1 && idleWorld(p) == nil {
+				t.Fatalf("p=%d: no idle skeleton to reuse after a clean run", p)
+			}
+			rep, err := RunChecked(p, body, WithDeadline(60*time.Second))
+			if err != nil {
+				t.Fatalf("p=%d, clean run %d after the poisoned one: %v", p, run, err)
+			}
+			if got := clockFingerprint(rep); got != fp {
+				t.Errorf("p=%d, clean run %d after the poisoned one: clock fingerprint %#x, want %#x", p, run, got, fp)
 			}
 		}
 	}

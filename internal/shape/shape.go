@@ -139,17 +139,9 @@ func Checks() []Check {
 				if err != nil {
 					return err
 				}
-				nsr, err := runTime(rec, "sbp-weak", "NSR", p)
-				if err != nil {
-					return err
-				}
 				for _, m := range []string{"RMA", "NCL"} {
-					t, err := runTime(rec, "sbp-weak", m, p)
-					if err != nil {
+					if err := fasterThan(rec, "sbp-weak", p, m, "NSR"); err != nil {
 						return err
-					}
-					if t <= nsr {
-						return fmt.Errorf("%s (%.3gs) not slower than NSR (%.3gs) at p=%d", m, t, nsr, p)
 					}
 				}
 				return nil
@@ -263,18 +255,8 @@ func Checks() []Check {
 						return err
 					}
 					for _, p := range ps {
-						mbp, err := runTime(rec, input, "MBP", p)
-						if err != nil {
+						if err := fasterThan(rec, input, p, "MBP", "NSR", "RMA", "NCL"); err != nil {
 							return err
-						}
-						for _, m := range []string{"NSR", "RMA", "NCL"} {
-							t, err := runTime(rec, input, m, p)
-							if err != nil {
-								return err
-							}
-							if t >= mbp {
-								return fmt.Errorf("%s p=%d: %s (%.3gs) not faster than MBP (%.3gs)", input, p, m, t, mbp)
-							}
 						}
 					}
 				}
