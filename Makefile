@@ -44,12 +44,14 @@ race:
 # inline-check fails unless the compiler still inlines the hot paths'
 # helpers: in the runtime, (*Comm).pollMiss, run on every Iprobe miss,
 # (*Comm).event, whose nil check is the whole cost of a disabled
-# instrumentation point, and (*Comm).ComputeUnits, the batched unit
-# charge; the event-log view's EventLog.Len and EventLog.At, run inside
-# the critical-path walk's binary search; in the matching engine, the
-# per-arc bit helpers (*engine).isClosed, close, isAsked, ask and open,
-# run on every arc the protocol touches, and settle, run before every
-# send and after every record; the distribution's
+# instrumentation point, (*Comm).ComputeUnits, the batched unit
+# charge, and (*RankStats).noteSend, the ledger entry of every
+# point-to-point send; the event-log view's EventLog.Len and
+# EventLog.At, run inside the critical-path walk's binary search; in
+# the matching engine, the per-arc bit helpers (*engine).isClosed,
+# close, isAsked, ask and open, run on every arc the protocol touches,
+# and settle, run before every send and after every record; the
+# distribution's
 # (*Local).NeighborIndex, run on every buffered send; and the
 # transport's UnpackTarget, run on every record the matching and
 # colouring engines receive, and (*ledger).neighbor, run on every
@@ -63,6 +65,7 @@ inline-check:
 	for f in Len At; do \
 		echo "$$out" | grep -q "can inline EventLog\.$$f$$" || { echo "inline-check: EventLog.$$f is no longer inlined"; exit 1; }; \
 	done; \
+	echo "$$out" | grep -q "can inline (\*RankStats)\.noteSend$$" || { echo "inline-check: (*RankStats).noteSend is no longer inlined"; exit 1; }; \
 	out=$$($(GO) build -gcflags=-m ./internal/matching 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in isClosed close isAsked ask open settle; do \
 		echo "$$out" | grep -q "can inline (\*engine)\.$$f$$" || { echo "inline-check: (*engine).$$f is no longer inlined"; exit 1; }; \

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpi"
 )
 
 func opts(p int, m Model) Options {
@@ -236,6 +237,48 @@ func TestCommunicationMatrixShape(t *testing.T) {
 		for j := range mm[i] {
 			if mm[i][j] > 0 && (j < i-1 || j > i+1) {
 				t.Errorf("unexpected traffic %d->%d on a strip RGG", i, j)
+			}
+		}
+	}
+}
+
+// TestPeerBufBytesMatchesMsgRow: under the point-to-point models every
+// message a rank sends is a point-to-point send, so the per-peer pools
+// Run charges from the receiving mailboxes (RankStats.PeerBufBytes) must
+// count exactly the nonzero entries of the sender's message row. Both
+// engines, an SBP and an RGG input, and one world above 1024 ranks.
+func TestPeerBufBytesMatchesMsgRow(t *testing.T) {
+	inputs := []struct {
+		name  string
+		g     *graph.CSR
+		procs []int
+	}{
+		{"sbp", gen.SBP(2400, 8, 12, 0.3, 7), []int{16, 300}},
+		{"rgg", gen.RGG(4400, gen.RGGRadiusForDegree(4400, 6), 11), []int{32, 1100}},
+	}
+	for _, in := range inputs {
+		for _, p := range in.procs {
+			for _, m := range []Model{NSR, MBP, NSRA} {
+				for _, e := range []Engine{EngineHalfApprox, EngineMaximal} {
+					o := opts(p, m)
+					o.Engine, o.TrackMatrices = e, true
+					res, err := Run(in.g, o)
+					if err != nil {
+						t.Fatalf("%s p=%d %v %v: %v", in.name, p, m, e, err)
+					}
+					for r, rs := range res.Report.Stats {
+						peers := int64(0)
+						for _, n := range rs.MsgRow {
+							if n > 0 {
+								peers++
+							}
+						}
+						if rs.PeerBufBytes != peers*mpi.EagerBufPerPeer {
+							t.Fatalf("%s p=%d %v %v rank %d: PeerBufBytes = %d, want %d (%d peers in MsgRow)",
+								in.name, p, m, e, r, rs.PeerBufBytes, peers*mpi.EagerBufPerPeer, peers)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -176,6 +176,10 @@ type userq struct {
 type srcBucket struct {
 	user []userq // per-communicator FIFOs
 	src  int32   // source rank this bucket indexes
+	// sent marks a source that pushed during this run: the mailbox's
+	// side of the sender's point-to-point peer set, which Run folds into
+	// RankStats.PeerBufBytes (fold).
+	sent bool
 }
 
 // ringFor returns the index in b.user of the FIFO for mctx, creating it
@@ -240,6 +244,9 @@ type mailbox struct {
 	hw       int64        // high-water of queued
 	parked   bool         // the owner's task is parked on this mailbox
 	poisoned bool
+	// cands is pickAnySourceLocked's scratch: the candidates of one
+	// perturbed wildcard match, sorted by (arrival, source).
+	cands []found
 	// pert, when non-nil, permutes wildcard selection among concurrently
 	// available ring fronts (sched Ties class). It is the owning rank's
 	// stream: match runs only on the owner's goroutine, so no additional
@@ -349,6 +356,7 @@ func (mb *mailbox) push(src, tag int, mctx int32, sent, arrive float64, data []i
 		return
 	}
 	b := mb.bucket(int32(src))
+	b.sent = true
 	ring := b.ringFor(mctx)
 	q := &b.user[ring].q
 	e := q.push()
@@ -562,48 +570,32 @@ func (mb *mailbox) match(src, tag int, mctx int32, now float64) found {
 // one is drawn uniformly from the owner rank's perturbation stream.
 // The draw maps to candidates ordered by (arrive, src) — not by their
 // position in mb.active, which depends on goroutine scheduling — so a
-// seed replays the same choices given the same candidate sets.
+// seed replays the same choices given the same candidate sets. Sorted
+// that way, the available candidates are a prefix of the list.
 func (mb *mailbox) pickAnySourceLocked(tag int, mctx int32, now float64) found {
-	// Pass 1: earliest candidate arrival; the availability threshold can
-	// never exclude it.
-	seen := false
-	thr := 0.0
-	for h := range mb.active {
-		if f := mb.fit(h, tag, mctx); f.e != nil && (!seen || f.e.arrive < thr) {
-			seen, thr = true, f.e.arrive
-		}
-	}
-	if !seen {
-		return found{}
-	}
-	thr = max(thr, now)
-	// Pass 2: count the available candidates and draw one.
-	k := 0
-	for h := range mb.active {
-		if f := mb.fit(h, tag, mctx); f.e != nil && f.e.arrive <= thr {
-			k++
-		}
-	}
-	pick := mb.pert.Pick(k)
-	// Pass 3: select the pick-th candidate in (arrive, src) order by
-	// counting, for each candidate, how many others precede it. O(k^2)
-	// in the candidate count, which is bounded by the source count.
+	c := mb.cands[:0]
 	for h := range mb.active {
 		f := mb.fit(h, tag, mctx)
-		if f.e == nil || f.e.arrive > thr {
+		if f.e == nil {
 			continue
 		}
-		ord := 0
-		for h2 := range mb.active {
-			if g := mb.fit(h2, tag, mctx); g.e != nil && g.e.arrive <= thr && g.before(f) {
-				ord++
-			}
+		i := len(c)
+		c = append(c, f)
+		for ; i > 0 && f.before(c[i-1]); i-- {
+			c[i] = c[i-1]
 		}
-		if ord == pick {
-			return f
-		}
+		c[i] = f
 	}
-	panic("mpi: pickAnySourceLocked: pick out of range")
+	mb.cands = c
+	if len(c) == 0 {
+		return found{}
+	}
+	thr := max(now, c[0].e.arrive)
+	k := 1
+	for k < len(c) && c[k].e.arrive <= thr {
+		k++
+	}
+	return c[mb.pert.Pick(k)]
 }
 
 // reset drains and reinitializes a mailbox for reuse by the next run on
@@ -625,6 +617,7 @@ func (mb *mailbox) reset() {
 		return true
 	}
 	for _, b := range mb.used {
+		b.sent = false
 		for i := range b.user {
 			q := &b.user[i].q
 			q.head, q.n = 0, 0
@@ -638,6 +631,8 @@ func (mb *mailbox) reset() {
 	}
 	clear(mb.active)
 	mb.active = mb.active[:0]
+	clear(mb.cands[:cap(mb.cands)])
+	mb.cands = mb.cands[:0]
 	mb.owner = nil
 	mb.parked = false
 	mb.poisoned = false
@@ -646,15 +641,24 @@ func (mb *mailbox) reset() {
 	mb.hw = 0
 }
 
-// pendingUser returns the number of live user-level messages queued.
-func (mb *mailbox) pendingUser() int {
+// fold books the run's end state into the ledgers in one locked pass:
+// the queue high-water and the messages left queued into the owner's
+// ledger own, and one EagerBufPerPeer into the ledger of every source
+// that pushed this run. After poisoning the values are stable: push is
+// a no-op on a poisoned mailbox, so a late sender racing a failed run
+// cannot move them.
+func (mb *mailbox) fold(own *RankStats, stats []*RankStats) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	n := 0
+	own.QueueHighWater = mb.hw
 	for h := range mb.active {
-		n += mb.active[h].q().n
+		own.UnreceivedMsgs += int64(mb.active[h].q().n)
 	}
-	return n
+	for _, b := range mb.used {
+		if b.sent {
+			stats[b.src].PeerBufBytes += EagerBufPerPeer
+		}
+	}
 }
 
 func (mb *mailbox) poison() {
@@ -676,13 +680,4 @@ func (mb *mailbox) queuedBytes() int64 {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	return mb.queued
-}
-
-// highWater snapshots the eager-buffer high-water mark. After poisoning
-// the value is stable: push is a no-op on a poisoned mailbox, so a late
-// sender racing a failed run cannot move it.
-func (mb *mailbox) highWater() int64 {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.hw
 }

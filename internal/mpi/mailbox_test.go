@@ -41,9 +41,14 @@ func pushAt(mb *mailbox, src, tag int, arrive float64, seq int64) {
 // matching (src, tag) in mctx, received through recvLocked when remove
 // is set and copied out in place otherwise; nil on a miss.
 func matchMsg(mb *mailbox, src, tag int, mctx int32, remove bool, now float64) *msg {
+	return matchWith(mb, remove, func() found { return mb.match(src, tag, mctx, now) })
+}
+
+// matchWith is matchMsg with the locked match made by find.
+func matchWith(mb *mailbox, remove bool, find func() found) *msg {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	f := mb.match(src, tag, mctx, now)
+	f := find()
 	if f.e == nil {
 		return nil
 	}
@@ -338,12 +343,15 @@ func spillSlots(mb *mailbox) (slots, free int) {
 	return len(mb.spill.slots), len(mb.spill.free)
 }
 
-// checkReset asserts a reset mailbox's state: nothing queued, every
-// ring empty with the capacity want lists for it, and every spill slot
+// checkReset asserts a reset mailbox's state: nothing queued, no source
+// marked sent, every ring empty with the capacity want lists for it, and every spill slot
 // free.
 func checkReset(mb *mailbox, want []int) error {
 	if n, q, hw := mb.pendingUser(), mb.queuedBytes(), mb.highWater(); n != 0 || q != 0 || hw != 0 || len(mb.active) != 0 {
 		return fmt.Errorf("after reset: %d pending, %d bytes queued, high-water %d, %d heap entries", n, q, hw, len(mb.active))
+	}
+	if srcs := sentTo(mb); len(srcs) != 0 {
+		return fmt.Errorf("after reset: sources %v still marked sent", srcs)
 	}
 	for _, b := range mb.used {
 		for i := range b.user {
@@ -474,9 +482,13 @@ func TestEntrySize(t *testing.T) {
 type refStore struct {
 	msgs       []*msg
 	queued, hw int64
+	sent       []int32 // sources that pushed, sorted: the peer set fold charges
 }
 
 func (r *refStore) push(m *msg) {
+	if i, ok := slices.BinarySearch(r.sent, int32(m.src)); !ok {
+		r.sent = slices.Insert(r.sent, i, int32(m.src))
+	}
 	r.msgs = append(r.msgs, m)
 	r.queued += int64(8 * len(m.data))
 	r.hw = max(r.hw, r.queued)
@@ -521,6 +533,35 @@ func (r *refStore) probeTake(src, tag int, mctx int32) *msg {
 }
 
 func (r *refStore) pendingUser() int { return len(r.msgs) }
+
+// pendingUser and highWater read, under the lock, the two owner-side
+// figures fold books at the end of a run; sentTo lists the sources fold
+// charges a peer pool to, in source order.
+func (mb *mailbox) pendingUser() int {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	n := 0
+	for h := range mb.active {
+		n += mb.active[h].q().n
+	}
+	return n
+}
+
+func (mb *mailbox) highWater() int64 {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return mb.hw
+}
+
+func sentTo(mb *mailbox) []int32 {
+	var srcs []int32
+	for _, b := range mb.used {
+		if b.sent {
+			srcs = append(srcs, b.src)
+		}
+	}
+	return srcs
+}
 
 // checkHeap asserts that mb.active is a min-heap by (front arrival,
 // source) over exactly the non-empty user rings: one entry per such ring,
@@ -621,7 +662,8 @@ func runMailboxModel(data []byte) error {
 // runMailboxScript applies the op sequence data to mb and a fresh
 // refStore and reports the first divergence: a different message from
 // any match, or different pendingUser, queuedBytes or highWater after
-// any op, or a broken heap (checkHeap). Every pushed message is
+// any op, a different set of sources marked as sent-to since the last
+// reset, or a broken heap (checkHeap). Every pushed message is
 // distinct (its sent stamp and first payload word are its op index) and
 // payload lengths run past inlineWords, so spilled payloads are checked
 // word for word. It ends by draining both through wildcards and
@@ -641,6 +683,9 @@ func runMailboxScript(mb *mailbox, data []byte) error {
 		}
 		if a, b := mb.highWater(), ref.hw; a != b {
 			return fmt.Errorf("op %d (%s): highWater %d, model %d", i, what, a, b)
+		}
+		if a, b := sentTo(mb), ref.sent; !slices.Equal(a, b) {
+			return fmt.Errorf("op %d (%s): sources marked sent %v, model %v", i, what, a, b)
 		}
 		if err := checkHeap(mb); err != nil {
 			return fmt.Errorf("op %d (%s): %v", i, what, err)
@@ -857,4 +902,169 @@ func TestMailboxExactTagBehindBacklog(t *testing.T) {
 	if n := mb.pendingUser(); n != 0 {
 		t.Errorf("pending = %d, want 0", n)
 	}
+}
+
+// pickAnySourceRef is perturbed wildcard selection as three passes over
+// the heap array, the form pickAnySourceLocked's sorted candidate list
+// replaced: the earliest candidate arrival, then the count k of
+// candidates available by max(now, earliest), then the Pick(k)-th of
+// them in (arrival, source) order, found by counting for each candidate
+// the available ones before it. It is the reference FuzzMailboxTies
+// checks the list against.
+func (mb *mailbox) pickAnySourceRef(tag int, mctx int32, now float64) found {
+	seen := false
+	thr := 0.0
+	for h := range mb.active {
+		if f := mb.fit(h, tag, mctx); f.e != nil && (!seen || f.e.arrive < thr) {
+			seen, thr = true, f.e.arrive
+		}
+	}
+	if !seen {
+		return found{}
+	}
+	thr = max(thr, now)
+	k := 0
+	for h := range mb.active {
+		if f := mb.fit(h, tag, mctx); f.e != nil && f.e.arrive <= thr {
+			k++
+		}
+	}
+	pick := mb.pert.Pick(k)
+	for h := range mb.active {
+		f := mb.fit(h, tag, mctx)
+		if f.e == nil || f.e.arrive > thr {
+			continue
+		}
+		ord := 0
+		for h2 := range mb.active {
+			if g := mb.fit(h2, tag, mctx); g.e != nil && g.e.arrive <= thr && g.before(f) {
+				ord++
+			}
+		}
+		if ord == pick {
+			return f
+		}
+	}
+	panic("pickAnySourceRef: pick out of range")
+}
+
+// runTiesScript applies the op encoding of runMailboxScript to two
+// mailboxes under Ties, each with its own perturbation stream drawn
+// from seed: one matches wildcards through match (the sorted candidate
+// list), the other through pickAnySourceRef. A match's stamp byte is
+// the receiver's clock, so it sets how far the availability threshold
+// reaches. Every match must take the same message from both, through
+// a final wildcard drain, and the two streams must end at the same
+// position.
+func runTiesScript(seed uint64, data []byte) error {
+	var mbs [2]*mailbox
+	var streams [2]*sched.Rank
+	for i := range mbs {
+		mbs[i] = new(mailbox)
+		streams[i] = sched.New(seed, sched.Profile{Ties: true}, 1).Rank(0)
+		mbs[i].pert = streams[i]
+	}
+	match := func(src, tag int, mctx int32, remove bool, now float64) (got, want *msg) {
+		got = matchMsg(mbs[0], src, tag, mctx, remove, now)
+		want = matchWith(mbs[1], remove, func() found {
+			if src == AnySource {
+				return mbs[1].pickAnySourceRef(tag, mctx, now)
+			}
+			return mbs[1].match(src, tag, mctx, now)
+		})
+		return got, want
+	}
+	var clock [modelSrcs]float64
+	for i := 0; i+4 <= len(data); i += 4 {
+		kind, sb, sel, delta := int(data[i])%opKinds, int(data[i+1]), int(data[i+2]), data[i+3]
+		si := sb % modelSrcs
+		mctx, remove := int32(sel>>2&1), sel>>3&1 == 1
+		switch kind {
+		case opPushUser:
+			clock[si] += float64(delta % 4)
+			m := &msg{src: modelSrc(si), tag: sel % modelTags, mctx: mctx,
+				arrive: clock[si] + float64(delta>>2%8), sent: float64(i), data: []int64{int64(i)}}
+			for _, mb := range mbs {
+				mb.push(m.src, m.tag, m.mctx, m.sent, m.arrive, m.data)
+			}
+		case opMatchUser, opProbeTake:
+			src, tag := AnySource, AnyTag
+			if s := sb % (modelSrcs + 1); s < modelSrcs {
+				src = modelSrc(s)
+			}
+			if tg := sel % (modelTags + 1); tg < modelTags {
+				tag = tg
+			}
+			got, want := match(src, tag, mctx, remove || kind == opProbeTake, float64(delta))
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("op %d %v: sorted list matched %+v, reference %+v", i/4, data[i:i+4], got, want)
+			}
+		case opReset:
+			for j, mb := range mbs {
+				mb.reset()
+				mb.pert = streams[j]
+			}
+			clock = [modelSrcs]float64{}
+		}
+	}
+	for mctx := int32(0); mctx < 2; mctx++ {
+		for {
+			got, want := match(AnySource, AnyTag, mctx, true, 0)
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("drain: sorted list matched %+v, reference %+v", got, want)
+			}
+			if got == nil {
+				break
+			}
+		}
+	}
+	if a, b := streams[0].Pick(1<<30), streams[1].Pick(1<<30); a != b {
+		return fmt.Errorf("perturbation streams diverged: next draws %d and %d", a, b)
+	}
+	return nil
+}
+
+// tiesCases are the fuzzer's seed corpus beyond mailboxModelCases: the
+// all-tied fronts of TestMailboxTiePermutationActuallyPermutes and the
+// equal stamps across sources and tags of
+// TestMailboxPerturbedProbeRecvConsistency, taken by wildcard probes at
+// a clock past every stamp and then at one before the latest.
+var tiesCases = [][]byte{
+	slices.Concat(op(opPushUser, 0, 1, 0, false, stamp(2, 0)), op(opPushUser, 1, 1, 0, false, stamp(2, 0)),
+		op(opPushUser, 2, 1, 0, false, stamp(2, 0)), op(opPushUser, 3, 1, 0, false, stamp(2, 0)),
+		op(opMatchUser, modelSrcs, modelTags, 0, true, 0), op(opMatchUser, modelSrcs, modelTags, 0, true, 0),
+		op(opMatchUser, modelSrcs, modelTags, 0, true, 0), op(opMatchUser, modelSrcs, modelTags, 0, true, 0)),
+	slices.Concat(op(opPushUser, 0, 0, 0, false, stamp(1, 0)), op(opPushUser, 0, 1, 0, false, stamp(1, 0)),
+		op(opPushUser, 1, 0, 0, false, stamp(1, 0)), op(opPushUser, 1, 1, 0, false, stamp(1, 0)),
+		op(opPushUser, 2, 2, 0, false, stamp(2, 1)), op(opPushUser, 3, 0, 0, false, stamp(3, 2)),
+		op(opProbeTake, modelSrcs, modelTags, 0, false, 100), op(opProbeTake, modelSrcs, modelTags, 0, false, 2),
+		op(opProbeTake, modelSrcs, 0, 0, false, 3), op(opProbeTake, modelSrcs, modelTags, 0, false, 1)),
+}
+
+// TestMailboxTiesDifferential runs the ties differential over random
+// 256-op scripts and seeds.
+func TestMailboxTiesDifferential(t *testing.T) {
+	prop := func(seed uint64, data [1024]byte) bool {
+		if err := runTiesScript(seed, data[:]); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzMailboxTies feeds the ties differential arbitrary seeds and op
+// sequences.
+func FuzzMailboxTies(f *testing.F) {
+	for i, c := range slices.Concat(mailboxModelCases, tiesCases) {
+		f.Add(uint64(i), c)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		if err := runTiesScript(seed, data); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

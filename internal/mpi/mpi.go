@@ -112,15 +112,13 @@ type Config struct {
 }
 
 // World holds the shared state of one runtime instance. A World is created
-// by Run and lives for the duration of one SPMD execution.
+// by Run and lives for the duration of one SPMD execution: the skeleton
+// it runs on (mailboxes, the collective hub, and the scheduler tasks that
+// poison unparks) plus what is fresh every run.
 type World struct {
-	n         int
-	cost      *CostModel
-	mailboxes []*mailbox
-	hub       *collHub
-	stats     []*RankStats
-	// tasks holds every rank's scheduler task; poison unparks them all.
-	tasks []*task
+	*worldState
+	cost  *CostModel
+	stats []*RankStats
 	// pool is the ticket pool in SchedWorkers mode, nil in SchedDirect.
 	pool *ticketPool
 
@@ -324,14 +322,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		cost = DefaultCostModel()
 	}
 	ws := acquireWorldState(cfg.Procs)
-	w := &World{
-		n:         cfg.Procs,
-		cost:      cost,
-		mailboxes: ws.mailboxes,
-		hub:       ws.hub,
-		tasks:     ws.tasks,
-		stats:     make([]*RankStats, cfg.Procs),
-	}
+	w := &World{worldState: ws, cost: cost, stats: make([]*RankStats, cfg.Procs)}
 	nshards := 1
 	if resolveSched(cfg.Sched, cfg.Procs) == SchedWorkers {
 		nshards = ticketCount(cfg.Procs)
@@ -448,8 +439,7 @@ func runConfig(cfg Config, body func(c *Comm) error) (*Report, error) {
 		<-doneCh
 	}
 	for i, mb := range w.mailboxes {
-		w.stats[i].QueueHighWater = mb.highWater()
-		w.stats[i].UnreceivedMsgs = int64(mb.pendingUser())
+		mb.fold(w.stats[i], w.stats)
 	}
 	for _, l := range events {
 		l.seal()

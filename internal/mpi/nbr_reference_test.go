@@ -121,7 +121,7 @@ type nbrSide interface {
 
 type boxSide struct {
 	t    *Topo
-	pn   *PersistentNbr
+	pn   *NbrRequest
 	reqs []*NbrRequest
 	recv [][]int64
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -495,66 +494,52 @@ func TestIprobeRecvIntoEquivalence(t *testing.T) {
 	}
 }
 
-// TestPeerBufBytesDenseAndSparse: the per-peer pool is charged once per
-// distinct destination whichever way the ledger tracks peers — the bitmap
-// of small worlds or, above densePeerLimit, the sorted list behind its
-// last-destination check — for a fixed sequence with runs, alternations
-// and returns to an earlier peer, and for random sequences of that shape
-// checked send by send against a map of the destinations seen.
-func TestPeerBufBytesDenseAndSparse(t *testing.T) {
-	dsts := []int{5, 5, 5, 9, 5, 9, 9, 0, 5, 0, 0, 1023, 5, 1023}
-	for _, n := range []int{densePeerLimit, densePeerLimit + 1} {
-		var rs RankStats
-		rs.init(0, n, false)
-		for _, d := range dsts {
-			rs.noteSend(d, 8)
+// TestPeerBufBytesFoldedAtTeardown: Run charges the per-peer pool once
+// per distinct destination a rank sent to, whatever the world size, from
+// the source buckets its peers' mailboxes marked. Destinations repeat,
+// include the sender itself and lie anywhere in the world; one rank sends
+// nothing. The second run of each size reuses the first run's skeleton,
+// buckets included, and sends along other pairs, so a mark a reset left
+// standing would charge a peer this run never sent to.
+func TestPeerBufBytesFoldedAtTeardown(t *testing.T) {
+	dsts := func(run, r, p int) []int {
+		if run == 0 {
+			return []int{(r + 1) % p, (r + 1) % p, (r + 7) % p, r, (r + 1) % p, (r*31 + 5) % p}
 		}
-		if want := int64(4 * EagerBufPerPeer); rs.PeerBufBytes != want {
-			t.Errorf("world of %d: PeerBufBytes = %d, want %d (4 distinct peers)", n, rs.PeerBufBytes, want)
+		if r == 0 {
+			return nil
 		}
+		return []int{(r + p - 1) % p, (r + 2) % p, (r + 2) % p}
 	}
-	for _, n := range []int{densePeerLimit, densePeerLimit + 1, 16384} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			// A pool of a few dozen peers, so destinations repeat.
-			pool := make([]int, 1+rng.Intn(48))
-			for i := range pool {
-				pool[i] = rng.Intn(n)
-			}
-			var rs RankStats
-			rs.init(0, n, false)
-			ref := map[int]struct{}{}
-			prev, prev2 := pool[0], pool[0]
-			for step := 0; step < 400; step++ {
-				var d int
-				switch k := rng.Intn(10); {
-				case k < 3:
-					d = prev // a run
-				case k < 5:
-					d = prev2 // an alternation
-				case k < 9:
-					d = pool[rng.Intn(len(pool))]
-				default:
-					d = rng.Intn(n) // a fresh peer, anywhere in the world
+	sizes := []int{8, 1025, 16384}
+	if raceEnabled {
+		sizes[2] = 2048 // the detector caps live goroutines at 8128
+	}
+	for _, p := range sizes {
+		var hubs [2]*collHub
+		for run := range hubs {
+			rep, err := Run(p, func(c *Comm) error {
+				if c.Rank() == 0 {
+					hubs[run] = c.w.hub
 				}
-				prev, prev2 = d, prev
-				rs.noteSend(d, 8)
-				ref[d] = struct{}{}
-				if want := int64(len(ref)) * EagerBufPerPeer; rs.PeerBufBytes != want {
-					t.Fatalf("world of %d, seed %d, send %d to %d: PeerBufBytes = %d, want %d (%d distinct peers)",
-						n, seed, step, d, rs.PeerBufBytes, want, len(ref))
+				for _, d := range dsts(run, c.Rank(), p) {
+					c.Isend(d, 0, []int64{1})
+				}
+				return nil
+			}, WithDeadline(time.Minute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, rs := range rep.Stats {
+				peers := slices.Clone(dsts(run, r, p))
+				slices.Sort(peers)
+				if want := int64(len(slices.Compact(peers))) * EagerBufPerPeer; rs.PeerBufBytes != want {
+					t.Fatalf("p=%d run %d rank %d: PeerBufBytes = %d, want %d (peers %v)", p, run, r, rs.PeerBufBytes, want, peers)
 				}
 			}
-			if n > densePeerLimit {
-				want := make([]int32, 0, len(ref))
-				for d := range ref {
-					want = append(want, int32(d))
-				}
-				slices.Sort(want)
-				if !slices.Equal(rs.peerList, want) {
-					t.Fatalf("world of %d, seed %d: peer list %v, want %v", n, seed, rs.peerList, want)
-				}
-			}
+		}
+		if hubs[0] != hubs[1] {
+			t.Fatalf("p=%d: the second run did not reuse the first run's skeleton", p)
 		}
 	}
 }

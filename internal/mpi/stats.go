@@ -3,9 +3,10 @@ package mpi
 import "slices"
 
 // RankStats is one rank's traffic and resource ledger. During a run it is
-// written only by the owning rank goroutine (message-queue high-water marks
-// are tracked inside the receiver's mailbox under its lock and folded in
-// when read), so no additional synchronization is needed. After Run
+// written only by the owning rank goroutine (what the mailboxes track —
+// queue high-water marks, leftovers, peer sets — is kept under their
+// locks and folded in by Run once every rank has returned), so no
+// additional synchronization is needed. After Run
 // returns, all ledgers are safe to read from any goroutine.
 type RankStats struct {
 	Rank int
@@ -42,8 +43,8 @@ type RankStats struct {
 	// QueueHighWater is the high-water mark of bytes queued in this rank's
 	// mailbox (unreceived eager point-to-point messages) — the analogue of
 	// MPI internal eager-buffer memory. Neighborhood-collective chunks
-	// wait in their sender's box, not here, and do not count. It is
-	// folded in from the mailbox by Finalize.
+	// wait in their sender's box, not here, and do not count. Run folds
+	// it in from the mailbox (mailbox.fold).
 	QueueHighWater int64
 	// UnreceivedMsgs is the number of user-level messages still queued in
 	// this rank's mailbox when the run ended (folded in like
@@ -55,17 +56,12 @@ type RankStats struct {
 	// PeerBufBytes models the per-connection eager/rendezvous pools an
 	// MPI implementation allocates for every peer a rank exchanges
 	// point-to-point traffic with (the reason the paper's Send-Recv
-	// variant is the memory hog at scale, Table VIII). Counted once per
-	// distinct destination at EagerBufPerPeer bytes. Peers are tracked
-	// densely for small worlds and in a lazily allocated sorted list
-	// above densePeerLimit ranks, for the same reason mailboxes bucket by
-	// source: a rank talks to its process-graph neighbors, and a dense
-	// []bool per rank would cost O(P^2) across the world.
+	// variant is the memory hog at scale, Table VIII): EagerBufPerPeer
+	// bytes per distinct destination. The receiving mailboxes know the
+	// set, one source bucket per sender, so it is folded in by Run like
+	// QueueHighWater. In a failed run it counts only the pushes that
+	// landed before the poison.
 	PeerBufBytes int64
-	peerSeen     []bool
-	peerList     []int32 // sorted distinct destinations, large worlds
-	worldSize    int32
-	lastPeer     int32 // 1 + the destination peerList was last asked about
 
 	// Optional per-destination matrices (row view), length = world size.
 	// MsgRow[d] counts messages this rank sent to d by any mechanism
@@ -74,53 +70,18 @@ type RankStats struct {
 	ByteRow []int64
 }
 
-// densePeerLimit is the world size up to which a ledger tracks the
-// peers it has sent to in a dense bitmap rather than a set.
-const densePeerLimit = 1024
-
 // EagerBufPerPeer is the modeled per-peer buffer pool for point-to-point
 // connections (64 KiB, the order of MPICH/Cray eager-path pools).
 const EagerBufPerPeer = 64 << 10
 
 // init prepares a zeroed ledger for a world of n ranks. Ledgers are laid
 // out in one per-run backing array (they outlive the run inside the
-// Report, so they are never pooled); peer tracking state is allocated on
-// first use so a rank that never sends costs nothing beyond the struct.
+// Report, so they are never pooled).
 func (rs *RankStats) init(rank, n int, matrices bool) {
 	rs.Rank = rank
-	rs.worldSize = int32(n)
 	if matrices {
 		rs.MsgRow = make([]int64, n)
 		rs.ByteRow = make([]int64, n)
-	}
-}
-
-// notePeer charges the per-peer connection pool the first time dst is
-// targeted. The dense bitmap (small worlds) and the sorted peer list
-// (large worlds) are both allocated on the rank's first send.
-func (rs *RankStats) notePeer(dst int) {
-	if rs.peerSeen != nil {
-		if !rs.peerSeen[dst] {
-			rs.peerSeen[dst] = true
-			rs.PeerBufBytes += EagerBufPerPeer
-		}
-		return
-	}
-	if int(rs.worldSize) <= densePeerLimit {
-		rs.peerSeen = make([]bool, rs.worldSize)
-		rs.peerSeen[dst] = true
-		rs.PeerBufBytes += EagerBufPerPeer
-		return
-	}
-	// A rank sends to the same few peers over and over (a ring's successor,
-	// the owner of a run of ghosts): the last one answers without a search.
-	if int(rs.lastPeer) == dst+1 {
-		return
-	}
-	rs.lastPeer = int32(dst + 1)
-	if i, found := slices.BinarySearch(rs.peerList, int32(dst)); !found {
-		rs.peerList = slices.Insert(rs.peerList, i, int32(dst))
-		rs.PeerBufBytes += EagerBufPerPeer
 	}
 }
 
@@ -134,7 +95,6 @@ func (rs *RankStats) accountAlloc(bytes int64) {
 func (rs *RankStats) noteSend(dst int, bytes int64) {
 	rs.SendCount++
 	rs.SendBytes += bytes
-	rs.notePeer(dst)
 	if rs.MsgRow != nil {
 		rs.MsgRow[dst]++
 		rs.ByteRow[dst] += bytes

@@ -264,10 +264,10 @@ func (t *Topo) release() {
 }
 
 // The neighborhood all-to-all exists in four forms — the fixed-chunk
-// and vector blocking calls, the nonblocking request (nbrreq.go) and the
-// persistent schedule (persist.go) — that differ only in when the
-// schedule is paid for, which event they record and, for the
-// fixed-chunk form, a copy into its flat receive buffer. What is
+// and vector blocking calls, and the nonblocking and persistent forms
+// of one split-phase request (NbrRequest, nbrreq.go) — that differ only
+// in when the schedule is paid for, which event they record and, for
+// the fixed-chunk form, a copy into its flat receive buffer. What is
 // exchanged, and what it costs per neighbor, is the same: post is the
 // send half, collect the receive half, and every form is a shell around
 // them.
@@ -347,30 +347,6 @@ func (t *Topo) collect(recv [][]int64) bool {
 // open records the call whose receive half starts now.
 func (t *Topo) open(seq int64, from float64, sent int64) {
 	t.rx = nbrRecv{seq: seq, from: from, sent: sent, live: true}
-}
-
-// start and wait are the split-phase shells shared by the nonblocking
-// request and the persistent schedule: the send half plus EvNbrStart,
-// and the receive half plus EvNbrWait. wait is a step form.
-func (t *Topo) start(op string, callCost float64, send [][]int64) int64 {
-	from := t.c.ps.now
-	seq, sent := t.post(op, callCost, send)
-	t.c.event(EvNbrStart, -1, int(seq), sent, from)
-	return seq
-}
-
-func (t *Topo) wait(seq int64, recv [][]int64) bool {
-	if !t.rx.live {
-		t.open(seq, t.c.ps.now, 0)
-	} else if t.rx.seq != seq {
-		panic("mpi: neighborhood wait resumed on another call")
-	}
-	if !t.collect(recv) {
-		return false
-	}
-	t.rx.live = false
-	t.c.event(EvNbrWait, -1, int(seq), t.rx.got, t.rx.from)
-	return true
 }
 
 // NeighborAlltoallInt64 is MPI_Neighbor_alltoall: each rank sends a

@@ -24,9 +24,8 @@ const nclcWireWords = 4
 // transfer per neighbor, after paying the forwarding beta and repack
 // overheads. Below it, NCLC falls back to the direct blocking exchange
 // (which the paper shows is already the right shape for sparse
-// neighborhoods). A variable so the density-sweep experiment and tests
-// can probe both sides of the crossover.
-var nclcCombineFactor = 1.5
+// neighborhoods).
+const nclcCombineFactor = 1.5
 
 // nclcPhase is one direction of the combining schedule: in phase j this
 // rank forwards one combined bundle to (rank + 2^j) mod p and receives
@@ -35,7 +34,7 @@ var nclcCombineFactor = 1.5
 type nclcPhase struct {
 	step   int // 2^j
 	fwdIdx int // position of the forward peer in the phase topo
-	pn     *mpi.PersistentNbr
+	pn     *mpi.NbrRequest
 	sendv  [][]int64 // per-peer send views; only fwdIdx ever carries data
 	// recv holds the per-peer received chunks: views into the peers' send
 	// boxes, valid until this rank's next Start on the phase, so a round's

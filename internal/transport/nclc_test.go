@@ -30,8 +30,8 @@ func completeK(n int) *graph.CSR {
 // nclcRun executes a fixed 3-round workload — every rank sends one
 // tagged record to every process-graph neighbor per round — and returns
 // each rank's received records in delivery order, plus whether combining
-// was on.
-func nclcRun(t *testing.T, p int, opts ...mpi.Option) ([][]rec, bool) {
+// was on. direct runs the exchange NCLC falls back to, NewNCL, instead.
+func nclcRun(t *testing.T, p int, direct bool, opts ...mpi.Option) ([][]rec, bool) {
 	t.Helper()
 	g := completeK(p)
 	d := distgraph.NewBlockDist(g, p)
@@ -41,7 +41,12 @@ func nclcRun(t *testing.T, p int, opts ...mpi.Option) ([][]rec, bool) {
 	_, err := mpi.Run(p, func(c *mpi.Comm) error {
 		l := d.BuildLocal(c.Rank())
 		topo := c.CreateGraphTopo(l.NeighborRanks)
-		tr := NewNCLC(c, topo, l, 4)
+		var tr Round
+		if direct {
+			tr = NewNCL(c, topo, l, 4)
+		} else {
+			tr = NewNCLC(c, topo, l, 4)
+		}
 		if c.Rank() == 0 {
 			_, combining = tr.(*NCLC)
 		}
@@ -80,21 +85,15 @@ func sortRecs(rs []rec) {
 // TestNCLCCombiningMatchesDirect pins the tentpole's core equivalence:
 // the multi-hop combining schedule delivers exactly the record multiset
 // the direct exchange delivers, round for round. The dense K_8 process
-// graph (avg degree 7 > 1.5*ceil(log2 8)) forces combining mode; a
-// temporarily unreachable threshold forces the same backend into its
-// direct fallback for the reference run.
+// graph (avg degree 7 > 1.5*ceil(log2 8)) forces combining mode; the
+// reference run is the direct exchange NCLC's fallback returns.
 func TestNCLCCombiningMatchesDirect(t *testing.T) {
 	const p = 8
-	combined, on := nclcRun(t, p)
+	combined, on := nclcRun(t, p, false)
 	if !on {
 		t.Fatal("K_8 at p=8 should select combining mode")
 	}
-	defer func(f float64) { nclcCombineFactor = f }(nclcCombineFactor)
-	nclcCombineFactor = 1e18
-	direct, on := nclcRun(t, p)
-	if on {
-		t.Fatal("unreachable threshold should select direct mode")
-	}
+	direct, _ := nclcRun(t, p, true)
 	for r := 0; r < p; r++ {
 		sortRecs(combined[r])
 		sortRecs(direct[r])
@@ -246,7 +245,7 @@ func TestNCLCDeterministicEverywhere(t *testing.T) {
 	const p = 8
 	const want = 0xe79795c013c6e795
 	fingerprint := func(opts ...mpi.Option) uint64 {
-		got, on := nclcRun(t, p, opts...)
+		got, on := nclcRun(t, p, false, opts...)
 		if !on {
 			t.Fatal("expected combining mode")
 		}
