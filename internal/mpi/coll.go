@@ -12,27 +12,15 @@ type ReduceOp int
 // Supported reduction operations.
 const (
 	OpSum ReduceOp = iota
-	OpMin
 	OpMax
-	OpProd
-	OpLand // logical and of nonzero-ness
-	OpLor  // logical or of nonzero-ness
 )
 
 func (op ReduceOp) String() string {
 	switch op {
 	case OpSum:
 		return "sum"
-	case OpMin:
-		return "min"
 	case OpMax:
 		return "max"
-	case OpProd:
-		return "prod"
-	case OpLand:
-		return "land"
-	case OpLor:
-		return "lor"
 	}
 	return fmt.Sprintf("ReduceOp(%d)", int(op))
 }
@@ -41,30 +29,33 @@ func (op ReduceOp) foldInt64(a, b int64) int64 {
 	switch op {
 	case OpSum:
 		return a + b
-	case OpMin:
-		if b < a {
-			return b
-		}
-		return a
 	case OpMax:
 		if b > a {
 			return b
 		}
 		return a
-	case OpProd:
-		return a * b
-	case OpLand:
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	case OpLor:
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
 	}
 	panic("mpi: unknown ReduceOp")
+}
+
+// fold combines src into acc, which holds the fold of n earlier
+// contributions: the first is copied in (reusing acc's capacity, so
+// steady-state rounds never allocate and the caller's vector is never
+// retained), later ones fold element-wise. It reports false, leaving
+// acc as it was, when src's length differs from acc's. Deposits fold at
+// the shard level with it and the releaser folds shard partials with
+// it, so both levels combine alike.
+func (op ReduceOp) fold(acc []int64, n int, src []int64) ([]int64, bool) {
+	if n == 0 {
+		return append(acc[:0], src...), true
+	}
+	if len(src) != len(acc) {
+		return acc, false
+	}
+	for i, x := range src {
+		acc[i] = op.foldInt64(acc[i], x)
+	}
+	return acc, true
 }
 
 const collAbort = "mpi: collective aborted: a peer rank failed"
@@ -77,16 +68,6 @@ const collAbort = "mpi: collective aborted: a peer rank failed"
 // shards.
 const hubShardShift = 6
 
-// foldKind says what, besides its clock, a rank deposits into its shard
-// on arrival.
-type foldKind uint8
-
-const (
-	foldNone   foldKind = iota
-	foldScalar          // one int64, folded with the round's ReduceOp
-	foldVec             // an []int64, folded element-wise
-)
-
 // collShard is one block of ranks' arrival state within a collHub.
 type collShard struct {
 	mu     sync.Mutex
@@ -98,16 +79,14 @@ type collShard struct {
 	// independent of arrival order — the argmax must be deterministic
 	// because it is recorded in wait events.
 	maxRank int32
-	// acc/accN fold scalar reduction deposits this round; vacc/vaccN
-	// fold vector deposits element-wise (vacc's capacity is retained, so
-	// steady-state reductions never allocate). Every supported int64 op
-	// is associative and commutative (sum/prod wrap mod 2^64), so
-	// folding in arrival order within the shard and then across shards
-	// in shard order is bit-identical to the old rank-ordered fold —
-	// which is what lets a collective advance all resident clocks with
-	// one shard-local deposit instead of every rank reading every slot.
-	acc   int64
-	accN  int
+	// vacc folds this round's reduction deposits element-wise; vaccN
+	// counts them (vacc's capacity is retained, so steady-state
+	// reductions never allocate). Both ops are associative and
+	// commutative (sum wraps mod 2^64), so folding in arrival order
+	// within the shard and then across shards in shard order is
+	// bit-identical to a rank-ordered fold — which is what lets a
+	// collective advance all resident clocks with one shard-local
+	// deposit instead of every rank reading every slot.
 	vacc  []int64
 	vaccN int
 	// waiters collects every arrived task this round (capacity size, so
@@ -121,8 +100,8 @@ type collShard struct {
 // (the standard MPI contract); each operation is one deposit barrier
 // followed by a race-free read phase — there is no release barrier.
 //
-// The barrier is sharded: a rank folds its virtual clock (and, for the
-// int64 reductions, its contribution) into its own shard under that
+// The barrier is sharded: a rank folds its virtual clock (and, for a
+// reduction, its contribution vector) into its own shard under that
 // shard's lock — never a hub-global one — and parks. The shard's last
 // arrival decrements pendingShards; whoever drives it to zero becomes
 // the releaser: it folds the per-shard clock maxima and reduction
@@ -175,19 +154,18 @@ type collHub struct {
 	roundMaxRank int32
 	relbuf       []*task // releaser scratch (capacity n)
 
-	// redOut/vredOut are the published int64 reduction results, indexed
-	// by round parity (vredOut capacity is retained across rounds).
-	redOut  [2]int64
+	// vredOut is the published reduction result, indexed by round
+	// parity (its capacity is retained across rounds).
 	vredOut [2][]int64
 
 	// deps are the deposit slots, one per member rank per parity,
 	// written by plain stores before the deposit barrier and read after
-	// it. They serve the data-movement collectives — BcastInt64 (and so
-	// newID), CreateGraphTopo's creation round and WinCreate; the hot
-	// int64 reductions travel through the shard fold above and never
-	// touch them — so they are allocated lazily on first use (the
-	// sync.Once runs on every member before its deposit, and the deposit
-	// barrier publishes the arrays to pure readers).
+	// it. They serve only the two rounds that move data rather than fold
+	// it, CreateGraphTopo's creation round (joinTopo) and WinCreate;
+	// every reduction, newID's included, travels through the shard fold
+	// above and never touches them. So they are allocated lazily on
+	// first use (the sync.Once runs on every member before its deposit,
+	// and the deposit barrier publishes the arrays to pure readers).
 	deps     [2][]any
 	depsOnce sync.Once
 }
@@ -253,19 +231,19 @@ func (h *collHub) released(t *task, gen int64) bool {
 }
 
 // deposit is the arrival half of a collective round, plus a shard-local
-// int64 reduction: each arrival folds v (foldScalar) or vec (foldVec)
-// into its shard's accumulator under the shard lock it already holds,
-// and the releaser folds the O(n/64) shard partials and publishes the
-// result in redOut/vredOut at the round's parity. This replaces the old
-// per-rank read of all n deposit slots — O(n^2) total work per
-// collective, the superlinear wall in the ranks-scaling curve — with
-// O(n) total. All members of a round must pass the same kind and op (the
-// MPI collective contract). It returns the round's generation and
+// int64 reduction: each arrival folds vec into its shard's accumulator
+// under the shard lock it already holds (a nil vec is a clock-only
+// round), and the releaser folds the O(n/64) shard partials with the
+// same fold and publishes the result in vredOut at the round's parity.
+// This replaces the old per-rank read of all n deposit slots — O(n^2)
+// total work per collective, the superlinear wall in the ranks-scaling
+// curve — with O(n) total. All members of a round must pass vectors of
+// one length (or all nil) and one op (the MPI collective contract). It returns the round's generation and
 // whether this rank was the last to arrive, which released the round;
 // any other waits (released) until the generation advances. Either way
 // the round's outputs and roundMax/roundMaxRank are then readable until
 // this rank enters its next collective.
-func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op ReduceOp, v int64, vec []int64) (int64, bool) {
+func (h *collHub) deposit(t *task, rank int, now float64, op ReduceOp, vec []int64) (int64, bool) {
 	sh := &h.shards[rank>>hubShardShift]
 	sh.mu.Lock()
 	if h.poisoned.Load() {
@@ -277,26 +255,13 @@ func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op Redu
 		sh.maxNow = now
 		sh.maxRank = int32(rank)
 	}
-	switch kind {
-	case foldScalar:
-		if sh.accN == 0 {
-			sh.acc = v
-		} else {
-			sh.acc = op.foldInt64(sh.acc, v)
+	if vec != nil {
+		acc, ok := op.fold(sh.vacc, sh.vaccN, vec)
+		if !ok {
+			sh.mu.Unlock()
+			panic(fmt.Sprintf("mpi: AllreduceInt64 length mismatch: rank %d has %d, peers have %d", rank, len(vec), len(acc)))
 		}
-		sh.accN++
-	case foldVec:
-		if sh.vaccN == 0 {
-			sh.vacc = append(sh.vacc[:0], vec...)
-		} else {
-			if len(vec) != len(sh.vacc) {
-				sh.mu.Unlock()
-				panic(fmt.Sprintf("mpi: AllreduceInt64 length mismatch: rank %d has %d, peers have %d", rank, len(vec), len(sh.vacc)))
-			}
-			for i, x := range vec {
-				sh.vacc[i] = op.foldInt64(sh.vacc[i], x)
-			}
-		}
+		sh.vacc = acc
 		sh.vaccN++
 	}
 	sh.count++
@@ -310,8 +275,6 @@ func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op Redu
 	p := gen & 1
 	maxNow := 0.0
 	maxRank := int32(-1)
-	var racc int64
-	raccN := 0
 	rvec := h.vredOut[p][:0]
 	rvecN := 0
 	buf := h.relbuf[:0]
@@ -322,27 +285,13 @@ func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op Redu
 			maxNow = s.maxNow
 			maxRank = s.maxRank
 		}
-		if s.accN > 0 {
-			if raccN == 0 {
-				racc = s.acc
-			} else {
-				racc = op.foldInt64(racc, s.acc)
-			}
-			raccN += s.accN
-			s.accN = 0
-		}
 		if s.vaccN > 0 {
-			if rvecN == 0 {
-				rvec = append(rvec, s.vacc...)
-			} else {
-				if len(s.vacc) != len(rvec) {
-					s.mu.Unlock()
-					panic(fmt.Sprintf("mpi: AllreduceInt64 length mismatch across shards: %d vs %d", len(s.vacc), len(rvec)))
-				}
-				for j, x := range s.vacc {
-					rvec[j] = op.foldInt64(rvec[j], x)
-				}
+			acc, ok := op.fold(rvec, rvecN, s.vacc)
+			if !ok {
+				s.mu.Unlock()
+				panic(fmt.Sprintf("mpi: AllreduceInt64 length mismatch across shards: %d vs %d", len(s.vacc), len(rvec)))
 			}
+			rvec = acc
 			rvecN += s.vaccN
 			s.vaccN = 0
 		}
@@ -354,12 +303,11 @@ func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op Redu
 		s.maxRank = -1
 		s.mu.Unlock()
 	}
-	if (raccN != 0 && raccN != h.n) || (rvecN != 0 && rvecN != h.n) {
+	if rvecN != 0 && rvecN != h.n {
 		panic("mpi: mismatched collective operations across ranks (MPI contract violation)")
 	}
 	h.roundMax = maxNow
 	h.roundMaxRank = maxRank
-	h.redOut[p] = racc
 	h.vredOut[p] = rvec
 	h.pendingShards.Store(int32(len(h.shards)))
 	h.gen.Add(1) // publishes round outputs + resets; waiters may now proceed
@@ -377,7 +325,7 @@ func (h *collHub) deposit(t *task, rank int, now float64, kind foldKind, op Redu
 
 // enterColl deposits this rank's payload (dep performs plain writes to
 // the rank's own slots at parity p; no lock needed, the barrier orders
-// them) and runs the deposit barrier, a foldNone round waited out as
+// them) and runs the deposit barrier, a clock-only round waited out as
 // Barrier waits. It returns the round's parity for the read phase plus
 // the synchronized clock — the maximum virtual time across all ranks at
 // entry — and the comm rank that brought it (the last entrant; ties
@@ -390,7 +338,7 @@ func (c *Comm) enterColl(dep func(h *collHub, p int)) (*collHub, int, float64, i
 		dep(h, int(h.gen.Load()&1))
 	}
 	for {
-		if p, ok := c.reduceStep(foldNone, OpSum, 0, nil); ok {
+		if p, ok := c.reduceStep(OpSum, nil); ok {
 			return h, int(p), h.roundMax, int(h.roundMaxRank)
 		}
 		c.Park()
@@ -418,7 +366,7 @@ func (c *Comm) Barrier() {
 
 // BarrierStep is the step form of Barrier (see Steps).
 func (c *Comm) BarrierStep() bool {
-	if _, ok := c.reduceStep(foldNone, OpSum, 0, nil); !ok {
+	if _, ok := c.reduceStep(OpSum, nil); !ok {
 		return false
 	}
 	c.exitColl(c.w.hub.roundMax, int(c.w.hub.roundMaxRank), 8)
@@ -441,9 +389,11 @@ func (c *Comm) AllreduceInt64(op ReduceOp, in []int64) []int64 {
 
 // AllreduceInt64Step is the step form of AllreduceInt64 (see Steps): the
 // combined vector is appended to out[:0] and returned with true; with
-// false, out is returned unchanged and must not be stored.
+// false, out is returned unchanged and must not be stored. Only the
+// first call of a round reads in, and it copies it, so the caller may
+// reuse in as soon as that call returns.
 func (c *Comm) AllreduceInt64Step(op ReduceOp, in, out []int64) ([]int64, bool) {
-	p, ok := c.reduceStep(foldVec, op, 0, in)
+	p, ok := c.reduceStep(op, in)
 	if !ok {
 		return out, false
 	}
@@ -454,12 +404,13 @@ func (c *Comm) AllreduceInt64Step(op ReduceOp, in, out []int64) ([]int64, bool) 
 }
 
 // AllreduceScalarInt64 combines a single int64 across all ranks with op
-// and returns the combined value on every rank. It is equivalent to
-// AllreduceInt64 on a one-element vector but allocation-free: the value
-// folds into the shard accumulator on arrival and every rank reads one
-// published result. The matching and coloring drivers call this once per
-// round for termination detection, which makes it part of the
-// steady-state hot path.
+// and returns the combined value on every rank. It is AllreduceInt64 on
+// a one-element vector (the two may meet in one round, as MPI's count-1
+// allreduce) without the result slice: the word folds into the shard
+// accumulator on arrival and every rank reads one published result. The
+// matching and coloring drivers call this once per round for
+// termination detection, which makes it part of the steady-state hot
+// path; it does not allocate.
 func (c *Comm) AllreduceScalarInt64(op ReduceOp, v int64) int64 {
 	for {
 		if out, ok := c.AllreduceScalarInt64Step(op, v); ok {
@@ -472,25 +423,26 @@ func (c *Comm) AllreduceScalarInt64(op ReduceOp, v int64) int64 {
 // AllreduceScalarInt64Step is the step form of AllreduceScalarInt64 (see
 // Steps).
 func (c *Comm) AllreduceScalarInt64Step(op ReduceOp, v int64) (int64, bool) {
-	p, ok := c.reduceStep(foldScalar, op, v, nil)
+	one := [1]int64{v}
+	p, ok := c.reduceStep(op, one[:])
 	if !ok {
 		return 0, false
 	}
 	h := c.w.hub
-	out := h.redOut[p]
+	out := h.vredOut[p][0]
 	c.exitColl(h.roundMax, int(h.roundMaxRank), 8)
 	return out, true
 }
 
-// reduceStep deposits the rank's contribution on its first call and
-// reports, then and on every later call, whether the round has been
-// released; when it has, it returns the round's parity for reading the
-// outputs.
-func (c *Comm) reduceStep(kind foldKind, op ReduceOp, v int64, vec []int64) (int64, bool) {
+// reduceStep deposits the rank's contribution vec (nil for a clock-only
+// round) on its first call and reports, then and on every later call,
+// whether the round has been released; when it has, it returns the
+// round's parity for reading the outputs.
+func (c *Comm) reduceStep(op ReduceOp, vec []int64) (int64, bool) {
 	ps, h := c.ps, c.w.hub
 	if ps.collGen == 0 {
 		ps.collStart = ps.now
-		gen, last := h.deposit(ps.task, c.rank, ps.now, kind, op, v, vec)
+		gen, last := h.deposit(ps.task, c.rank, ps.now, op, vec)
 		if last {
 			return gen & 1, true
 		}
@@ -502,19 +454,4 @@ func (c *Comm) reduceStep(kind foldKind, op ReduceOp, v int64, vec []int64) (int
 	}
 	ps.collGen = 0
 	return gen & 1, true
-}
-
-// BcastInt64 broadcasts root's data to all ranks; every rank returns a
-// private copy. Non-root ranks' data argument is ignored (may be nil).
-func (c *Comm) BcastInt64(root int, data []int64) []int64 {
-	c.checkRank(root, "bcast")
-	h, p, tmax, last := c.enterColl(func(h *collHub, p int) {
-		h.ensureDeps()
-		if c.rank == root {
-			h.deps[p][root] = data
-		}
-	})
-	out := append([]int64(nil), h.deps[p][root].([]int64)...)
-	c.exitColl(tmax, last, int64(8*len(out)))
-	return out
 }

@@ -595,12 +595,14 @@ func (c *Comm) checkRank(r int, what string) {
 
 // newID allocates a world-unique id every rank agrees on, the way
 // window and detector-context creation agree on theirs: rank 0 draws
-// from the world sequence and broadcasts it. Collective.
+// from the world sequence (ids start at 1) and every other rank
+// contributes 0 to a max-reduction, which so hands rank 0's id to all.
+// Collective.
 func (c *Comm) newID() int64 {
 	var id int64
 	if c.rank == 0 {
 		c.w.idSeq++
 		id = c.w.idSeq
 	}
-	return c.BcastInt64(0, []int64{id})[0]
+	return c.AllreduceScalarInt64(OpMax, id)
 }

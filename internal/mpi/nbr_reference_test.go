@@ -16,7 +16,7 @@ import (
 // point-to-point message on a private context, tagged with its call
 // sequence, stamped at injection and received from the mailbox by
 // (source, sequence), and the receiver's clock waits for its arrival.
-// Creation is the id broadcast, then the adjacency allgather (small
+// Creation is an id round (newID), then the adjacency allgather (small
 // worlds) or a zero-latency handshake message per neighbor (large ones).
 type refTopo struct {
 	c         *Comm
@@ -127,10 +127,10 @@ type boxSide struct {
 }
 
 func (s *boxSide) flat(send []int64, chunk int) []int64 {
-	return s.t.NeighborAlltoallInt64Into(send, chunk, nil)
+	return s.t.NeighborAlltoallInt64(send, chunk)
 }
 func (s *boxSide) vector(send [][]int64) [][]int64 {
-	s.recv = s.t.NeighborAlltoallvInt64Into(send, s.recv)
+	s.recv = s.t.NeighborAlltoallvInt64(send)
 	return s.recv
 }
 func (s *boxSide) start(send [][]int64) {

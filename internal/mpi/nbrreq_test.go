@@ -145,7 +145,7 @@ func TestNbrFormsEquivalent(t *testing.T) {
 					}
 					switch form {
 					case "blocking":
-						recv = topo.NeighborAlltoallvInt64Into(send, recv)
+						recv = topo.NeighborAlltoallvInt64(send)
 					case "nonblocking":
 						recv = topo.INeighborAlltoallvInt64(send).WaitInto(recv)
 					case "persistent":

@@ -131,22 +131,25 @@ func clockBody(rounds int) func(c *Comm) error {
 			return fmt.Errorf("rank %d: allreduce vec = %v", r, vec)
 		}
 		c.AllreduceScalarInt64(OpSum, int64(r))
-		// Back-to-back slot collectives: consecutive rounds alternate the
-		// hub's parity-buffered deposit slots, so any cross-round slot
-		// reuse bug lands here. Each result feeds the next round's input
-		// or the local clock, so a wrong value shifts the fingerprint even
-		// if the final payloads happen to agree.
+		// A slot collective among fold rounds: consecutive rounds
+		// alternate the hub's parity-buffered slots and reduction
+		// outputs, so any cross-round reuse bug lands here. Each result
+		// feeds the next round's input or the local clock, so a wrong
+		// value shifts the fingerprint even if the final payloads happen
+		// to agree.
 		all := c.allgatherInt64([]int64{int64(r*7 + 1)})
 		if got := all[prev][0]; got != int64(prev*7+1) {
 			return fmt.Errorf("rank %d: allgather[%d] = %d", r, prev, got)
 		}
 		c.Compute(float64(all[next][0] % 5))
-		root := n / 2
-		bc := c.BcastInt64(root, []int64{all[root][0] * 3})
-		if bc[0] != int64((root*7+1)*3) {
-			return fmt.Errorf("rank %d: bcast = %d", r, bc[0])
+		id := c.newID()
+		if id != 1 {
+			return fmt.Errorf("rank %d: newID = %d, want 1", r, id)
 		}
-		sc := c.AllreduceScalarInt64(OpProd, int64(2-(r&1)))
+		sc := c.AllreduceScalarInt64(OpMax, all[r][0]*3+id)
+		if sc != int64((n-1)*7+1)*3+1 {
+			return fmt.Errorf("rank %d: scalar max = %d", r, sc)
+		}
 		c.Compute(float64(sc & 7))
 		return nil
 	}

@@ -61,7 +61,7 @@ func (s *stepRounds) do(step bool) bool {
 						return false
 					}
 				} else {
-					s.t.NeighborAlltoallInt64Into(s.counts, 1, s.in)
+					s.in = s.t.NeighborAlltoallInt64(s.counts, 1)
 				}
 				for _, x := range s.in {
 					s.acc = s.acc*31 + x
@@ -75,7 +75,7 @@ func (s *stepRounds) do(step bool) bool {
 						return false
 					}
 				} else {
-					s.t.NeighborAlltoallvInt64Into(s.send, s.recv)
+					s.recv = s.t.NeighborAlltoallvInt64(s.send)
 				}
 				for _, data := range s.recv {
 					for _, x := range data {

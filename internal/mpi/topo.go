@@ -264,10 +264,12 @@ func (t *Topo) release() {
 }
 
 // The neighborhood all-to-all exists in four forms — the fixed-chunk
-// and vector blocking calls, and the nonblocking and persistent forms
-// of one split-phase request (NbrRequest, nbrreq.go) — that differ only
-// in when the schedule is paid for, which event they record and, for
-// the fixed-chunk form, a copy into its flat receive buffer. What is
+// and vector step forms (NeighborAlltoallInt64Step and
+// NeighborAlltoallvInt64Step, each with a blocking call that allocates
+// recv and loops on it), and the nonblocking and persistent forms of
+// one split-phase request (NbrRequest, nbrreq.go) — that differ only in
+// when the schedule is paid for, which event they record and, for the
+// fixed-chunk form, a copy into its flat receive buffer. What is
 // exchanged, and what it costs per neighbor, is the same: post is the
 // send half, collect the receive half, and every form is a shell around
 // them.
@@ -356,37 +358,28 @@ func (t *Topo) open(seq int64, from float64, sent int64) {
 // returns immediately — neighborhood collectives synchronize only within
 // the neighborhood, never globally.
 func (t *Topo) NeighborAlltoallInt64(send []int64, chunk int) []int64 {
-	return t.NeighborAlltoallInt64Into(send, chunk, nil)
-}
-
-// NeighborAlltoallInt64Into is NeighborAlltoallInt64 receiving into a
-// caller-supplied buffer of Degree()*chunk words (allocated when nil),
-// which it returns. Transports reuse one buffer across rounds to keep the
-// per-round count exchange allocation-free.
-func (t *Topo) NeighborAlltoallInt64Into(send []int64, chunk int, recv []int64) []int64 {
-	if recv == nil {
-		recv = make([]int64, len(t.neighbors)*chunk)
-	}
+	recv := make([]int64, len(t.neighbors)*chunk)
 	for !t.NeighborAlltoallInt64Step(send, chunk, recv) {
 		t.c.Park()
 	}
 	return recv
 }
 
-// NeighborAlltoallInt64Step is the step form of
-// NeighborAlltoallInt64Into (see Steps); recv must be supplied. It is the
-// vector form over per-neighbor views: post sends send's chunks, collect
-// receives into the topology's scratch, and the chunks are copied into
-// recv.
+// NeighborAlltoallInt64Step is the step form of NeighborAlltoallInt64
+// (see Steps), receiving into recv, which must hold Degree()*chunk
+// words. Transports reuse one recv across rounds to keep the per-round
+// count exchange allocation-free. It is the vector form over
+// per-neighbor views: post sends send's chunks, collect receives into
+// the topology's scratch, and the chunks are copied into recv.
 func (t *Topo) NeighborAlltoallInt64Step(send []int64, chunk int, recv []int64) bool {
-	const op = "NeighborAlltoallInt64"
+	const op = "NeighborAlltoallInt64Step"
 	c := t.c
 	if !t.rx.live {
 		if len(send) != len(t.neighbors)*chunk {
 			panic(fmt.Sprintf("mpi: %s: len(send)=%d, want %d*%d", op, len(send), len(t.neighbors), chunk))
 		}
 		if len(recv) != len(t.neighbors)*chunk {
-			panic(fmt.Sprintf("mpi: NeighborAlltoallInt64Into: len(recv)=%d, want %d*%d", len(recv), len(t.neighbors), chunk))
+			panic(fmt.Sprintf("mpi: %s: len(recv)=%d, want %d*%d", op, len(recv), len(t.neighbors), chunk))
 		}
 		if t.parts == nil {
 			t.parts = make([][]int64, len(t.neighbors))
@@ -417,28 +410,22 @@ func (t *Topo) NeighborAlltoallInt64Step(send []int64, chunk int, recv []int64) 
 // rank. Callers typically learn incoming sizes beforehand with a
 // NeighborAlltoallInt64 count exchange, as the paper's NCL implementation
 // does; this API nevertheless sizes receives from the actual chunks and
-// the caller may cross-check.
+// the caller may cross-check. The entries are read-only views into the
+// neighbors' send boxes (see collect), valid until this rank's next
+// operation on the topology: nothing is copied.
 func (t *Topo) NeighborAlltoallvInt64(send [][]int64) [][]int64 {
-	return t.NeighborAlltoallvInt64Into(send, nil)
-}
-
-// NeighborAlltoallvInt64Into is NeighborAlltoallvInt64 filling a
-// caller-supplied slice of Degree() entries (allocated when nil). The
-// entries are read-only views into the neighbors' send boxes (see
-// collect), valid until this rank's next operation on the topology:
-// nothing is copied, and a steady-state exchange allocates nothing.
-func (t *Topo) NeighborAlltoallvInt64Into(send, recv [][]int64) [][]int64 {
-	recv = t.recvInto("NeighborAlltoallvInt64Into", recv)
+	recv := make([][]int64, len(t.neighbors))
 	for !t.NeighborAlltoallvInt64Step(send, recv) {
 		t.c.Park()
 	}
 	return recv
 }
 
-// NeighborAlltoallvInt64Step is the step form of
-// NeighborAlltoallvInt64Into (see Steps); recv must be supplied.
+// NeighborAlltoallvInt64Step is the step form of NeighborAlltoallvInt64
+// (see Steps), filling recv, which must have Degree() entries; with a
+// recv reused across rounds, a steady-state exchange allocates nothing.
 func (t *Topo) NeighborAlltoallvInt64Step(send, recv [][]int64) bool {
-	const op = "NeighborAlltoallvInt64Into"
+	const op = "NeighborAlltoallvInt64Step"
 	c := t.c
 	if !t.rx.live {
 		t.recvInto(op, recv)
